@@ -23,7 +23,7 @@ help:
 	@echo "           over compactor demotions, deep-chain workload, at"
 	@echo "           ODE_SHARDS=1 and 4, under -race; plus odebench E17 smoke"
 	@echo "  hotpath  allocation-regression gates on the commit and cached"
-	@echo "           deref paths, plus odebench E18 smoke"
+	@echo "           deref paths and the B+tree, plus odebench E18 smoke"
 	@echo "  fuzz     continuous fuzz over every native target, FUZZTIME=$(FUZZTIME) each"
 	@echo "  fuzz-smoke  same targets at 10s each — the CI tier"
 	@echo "  cover    line coverage, with 85% floors on internal/obs,"
@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -fuzz FuzzAppendEncoder -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -fuzz FuzzDeltaChain -fuzztime $(FUZZTIME) ./internal/delta
+	$(GO) test -fuzz FuzzBTreeNode -fuzztime $(FUZZTIME) ./internal/btree
 
 # The 10-second-per-target tier CI runs on every push: long enough to
 # explore past the seed corpora, short enough for a PR gate.
@@ -90,12 +91,14 @@ ycsb:
 	$(GO) run -race ./cmd/odebench -scale ci -only E15 -ycsbjson ""
 
 # The hot-path gate (DESIGN.md §15, EXPERIMENTS.md E18): the
-# allocation-regression tests pin the zero-copy commit path and the
-# cached dereference read to their measured allocs/op ceilings, then
-# the E18 benchmark runs at ci scale as an end-to-end smoke — alloc
-# reductions, cache speedup, hit rates.
+# allocation-regression tests pin the zero-copy commit path, the
+# cached dereference read and the in-place B+tree's Get and Put to
+# their measured allocs/op ceilings, then the E18 benchmark runs at ci
+# scale as an end-to-end smoke — alloc reductions, cache speedup, hit
+# rates.
 hotpath:
 	$(GO) test -count=1 -run 'TestCommitPathAllocs|TestHotDerefAllocs' -v .
+	$(GO) test -count=1 -run 'TestTreeGetAllocs|TestTreePutAllocs' -v ./internal/btree
 	$(GO) run ./cmd/odebench -scale ci -only E18 -hotpathjson ""
 
 # The delta-tier battery (DESIGN.md §14, EXPERIMENTS.md E17): the

@@ -9,19 +9,39 @@
 // node holds several entries; callers index large payloads indirectly by
 // storing RIDs as values.
 //
-// Nodes are fully re-encoded on modification — simple, crash-safe under
-// the page-image WAL, and fast enough at database page sizes. Deletion
-// is lazy: empty nodes are pruned and the root collapsed, but partially
-// empty nodes are not rebalanced (space is reclaimed when a node
-// empties; ordering invariants are unaffected).
+// A node is its page body; nothing is decoded (DESIGN.md §15.3):
+//
+//	leaf u8 | next u32 | count u16 | entries…
+//	leaf entry:   uvarint klen | key | uvarint vlen | val
+//	branch body:  child0 u32, then entries uvarint klen | key | child u32
+//
+// Entries are sorted by key; entry i of a branch carries separator i and
+// child i+1, a separator being a lower bound of the keys under the child
+// beside it. Bytes past the last entry are zero. Lookups walk the entries
+// with a cursor and compare keys where they lie; a mutation touches the
+// page once and edits the bytes in place, fitting by arithmetic on the
+// entry's size and the node's used length.
+//
+// Aliasing rests on what the storage layer guarantees: a page reachable
+// from a read view is immutable (writers copy on write), and an evicted
+// page buffer is left to the garbage collector, never recycled. So the
+// slices Ascend hands its callback point into the page and stay valid
+// for that callback. Everything Get, SeekLE and Max return is a copy
+// owned by the caller: inside a write transaction a later Put edits the
+// live page under any alias.
+//
+// Every read of a body is bounds-checked; a malformed node yields
+// ErrCorrupt, never a panic or an out-of-range slice. Deletion is lazy:
+// empty nodes are pruned and the root collapsed, but partially empty
+// nodes are not rebalanced.
 package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"ode/internal/codec"
 	"ode/internal/oid"
 	"ode/internal/storage"
 )
@@ -32,76 +52,31 @@ var ErrKeyTooLarge = errors.New("btree: key too large")
 // ErrValTooLarge reports a value beyond the per-node size budget.
 var ErrValTooLarge = errors.New("btree: value too large")
 
+// ErrCorrupt reports a node whose bytes do not parse, a descent deeper
+// than any tree can be, or a leaf chain that is broken or does not end.
+var ErrCorrupt = errors.New("btree: corrupt node")
+
 // Tree is a handle on one B+tree. The root page may change across
 // mutations; persist Root() after every mutating call (the engine stores
-// it in a superblock root slot).
-//
-// A handle memoises a few decoded nodes for its own lifetime (one
-// transaction — the engine opens fresh handles per transaction), which
-// collapses the repeated root/branch decodes of consecutive operations
-// into one. Coherence holds because every mutation flows through the
-// same handle: readNode hands out the one cached *node per page,
-// mutating operations update that object in place and writeNode
-// re-encodes it, so the cache can never diverge from the page. The one
-// pattern this forbids is mutating the tree from inside an Ascend
-// callback on the same handle; all engine code collects first and
-// mutates after iteration.
+// it in a superblock root slot). A handle holds no node state — every
+// operation reads the pages as its view sees them — so handles are free
+// to open and several may address one tree within a transaction.
 type Tree struct {
 	st   *storage.TxView
 	root oid.PageID
-
-	cache [treeCacheSlots]nodeCacheEntry
-	hand  uint8
 }
 
-// treeCacheSlots bounds the per-handle decoded-node cache: enough for
-// the root and the hot spine of a descent, small enough that a bulk
-// scan just round-robins through it.
-const treeCacheSlots = 8
+// Node layout.
+const (
+	offNext   = 1
+	offCount  = 5
+	hdrSize   = 7 // leaf u8 | next u32 | count u16
+	childSize = 4
+)
 
-type nodeCacheEntry struct {
-	id oid.PageID
-	n  *node
-}
-
-func (t *Tree) cached(id oid.PageID) *node {
-	for i := range t.cache {
-		if t.cache[i].id == id && t.cache[i].n != nil {
-			return t.cache[i].n
-		}
-	}
-	return nil
-}
-
-func (t *Tree) cacheNode(id oid.PageID, n *node) {
-	for i := range t.cache {
-		if t.cache[i].id == id && t.cache[i].n != nil {
-			t.cache[i].n = n
-			return
-		}
-	}
-	t.cache[t.hand] = nodeCacheEntry{id: id, n: n}
-	t.hand = (t.hand + 1) % treeCacheSlots
-}
-
-// uncache drops a page freed by a prune so a later reallocation of the
-// id can never resolve to the stale node.
-func (t *Tree) uncache(id oid.PageID) {
-	for i := range t.cache {
-		if t.cache[i].id == id {
-			t.cache[i] = nodeCacheEntry{}
-		}
-	}
-}
-
-// node is the decoded form of a B+tree page.
-type node struct {
-	leaf     bool
-	next     oid.PageID   // leaf-chain link (leaves only)
-	keys     [][]byte     // sorted
-	vals     [][]byte     // leaves: len(vals) == len(keys)
-	children []oid.PageID // internal: len(children) == len(keys)+1
-}
+// maxDepth bounds a descent. Height grows only by root splits, and a
+// tree of height h has held 2^(h-1) pages; page ids are 32 bits.
+const maxDepth = 64
 
 // Create allocates an empty tree (a single empty leaf) and returns it.
 func Create(st *storage.TxView) (*Tree, error) {
@@ -109,11 +84,8 @@ func Create(st *storage.TxView) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{st: st, root: p.ID}
-	if err := t.writeNode(p, &node{leaf: true}); err != nil {
-		return nil, err
-	}
-	return t, nil
+	st.Touch(p).Body()[0] = 1
+	return &Tree{st: st, root: p.ID}, nil
 }
 
 // Open returns a handle on the tree rooted at root.
@@ -136,113 +108,215 @@ func (t *Tree) maxVal() int { return t.bodyCap() / 8 }
 
 func (t *Tree) bodyCap() int { return t.st.PageSize() - storage.HeaderSize }
 
-// --- node (de)serialisation ---
+// --- nodes in place ---
 
-func encodeNode(n *node, capHint int) []byte {
-	b := make([]byte, 0, capHint)
-	if n.leaf {
-		b = codec.AppendU8(b, 1)
-		b = codec.AppendU32(b, uint32(n.next))
-		b = codec.AppendU16(b, uint16(len(n.keys)))
-		for i, k := range n.keys {
-			b = codec.AppendBytes32(b, k)
-			b = codec.AppendBytes32(b, n.vals[i])
-		}
-	} else {
-		b = codec.AppendU8(b, 0)
-		b = codec.AppendU32(b, 0)
-		b = codec.AppendU16(b, uint16(len(n.keys)))
-		// A node whose last child was just pruned encodes transiently
-		// with no children; its parent frees it in the same operation.
-		if len(n.children) == 0 {
-			b = codec.AppendU32(b, uint32(oid.NilPage))
-		} else {
-			b = codec.AppendU32(b, uint32(n.children[0]))
-		}
-		for i, k := range n.keys {
-			b = codec.AppendBytes32(b, k)
-			b = codec.AppendU32(b, uint32(n.children[i+1]))
-		}
-	}
-	return b
+// cursor walks the entries of one node where they lie in the page body.
+type cursor struct {
+	b    []byte
+	leaf bool
+	off  int // offset of the next unread entry
+	n    int // entries not yet read
 }
 
-func decodeNode(body []byte) (*node, error) {
-	// One arena copy of the node body up front: every key and value
-	// subslices it, so a decode costs O(1) allocations instead of one
-	// per entry (decodes dominate the commit path's allocation profile).
-	// The copy also detaches the node from the page buffer exactly like
-	// the old per-entry copies did — writeNode may later overwrite the
-	// page body in place within the same transaction.
-	arena := append([]byte(nil), body...)
-	r := codec.NewReader(arena)
-	n := &node{}
-	n.leaf = r.U8() == 1
-	n.next = oid.PageID(r.U32())
-	count := int(r.U16())
-	if n.leaf {
-		n.keys = make([][]byte, count)
-		n.vals = make([][]byte, count)
-		for i := 0; i < count; i++ {
-			n.keys[i] = r.Bytes32()
-			n.vals[i] = r.Bytes32()
-		}
-	} else {
-		n.children = make([]oid.PageID, 1, count+1)
-		n.children[0] = oid.PageID(r.U32())
-		n.keys = make([][]byte, count)
-		for i := 0; i < count; i++ {
-			n.keys[i] = r.Bytes32()
-			n.children = append(n.children, oid.PageID(r.U32()))
-		}
+// openNode starts a cursor on a node body. No page is smaller than
+// storage.MinPageSize, so the header and a branch's first child are there.
+func openNode(b []byte) cursor {
+	c := cursor{b: b, leaf: b[0] == 1, off: hdrSize, n: int(binary.BigEndian.Uint16(b[offCount:]))}
+	if !c.leaf {
+		c.off += childSize
 	}
-	if r.Err() != nil {
-		return nil, fmt.Errorf("btree: corrupt node: %w", r.Err())
-	}
-	return n, nil
+	return c
 }
 
-func (t *Tree) readNode(id oid.PageID) (*node, error) {
-	if n := t.cached(id); n != nil {
-		return n, nil
+// open fetches node id as the view sees it. depth is the number of
+// nodes above it on the caller's descent.
+func (t *Tree) open(id oid.PageID, depth int) (*storage.Page, cursor, error) {
+	if depth > maxDepth {
+		return nil, cursor{}, fmt.Errorf("%w: descent passes depth %d at page %d", ErrCorrupt, maxDepth, id)
 	}
 	p, err := t.st.GetTyped(id, storage.PageBTree)
 	if err != nil {
-		return nil, err
+		return nil, cursor{}, err
 	}
-	n, err := decodeNode(p.Body())
-	if err != nil {
-		return nil, err
-	}
-	t.cacheNode(id, n)
-	return n, nil
+	return p, openNode(p.Body()), nil
 }
 
-func (t *Tree) writeNode(p *storage.Page, n *node) error {
-	enc := encodeNode(n, t.bodyCap())
-	if len(enc) > t.bodyCap() {
-		return fmt.Errorf("btree: internal error: node %d encodes to %d > %d", p.ID, len(enc), t.bodyCap())
+func corrupt(id oid.PageID) error { return fmt.Errorf("%w: page %d", ErrCorrupt, id) }
+
+// longLength reads a uvarint length prefix of more than one byte at
+// b[off:] (next's slow path), returning the offset past it, or -1.
+func longLength(b []byte, off int) (l, next int) {
+	if off >= len(b) {
+		return 0, -1
 	}
-	id := p.ID
-	p = t.st.Touch(p)
-	body := p.Body()
-	copy(body, enc)
-	clear(body[len(enc):])
-	t.cacheNode(id, n)
-	return nil
+	u, w := binary.Uvarint(b[off:])
+	if w <= 0 || u > uint64(len(b)) {
+		return 0, -1
+	}
+	return int(u), off + w
 }
 
-func (t *Tree) writeNodeID(id oid.PageID, n *node) error {
-	p, err := t.st.GetTyped(id, storage.PageBTree)
-	if err != nil {
-		return err
+// next reads one entry; the caller has checked c.n > 0. v is the value
+// of a leaf entry or the four bytes of a branch entry's child id. Both
+// slices alias the body, their capacity clipped so an append copies.
+// ok is false when the entry does not lie within the body. The one-byte
+// length prefix, the usual case, is read inline: a helper with a slow
+// path is past the compiler's inlining budget and costs 15% of a lookup.
+func (c *cursor) next() (k, v []byte, ok bool) {
+	b, off := c.b, c.off
+	var kl int
+	if off < len(b) && b[off] < 0x80 {
+		kl, off = int(b[off]), off+1
+	} else if kl, off = longLength(b, off); off < 0 {
+		return nil, nil, false
 	}
-	return t.writeNode(p, n)
+	if kl > len(b)-off {
+		return nil, nil, false
+	}
+	k = b[off : off+kl : off+kl]
+	off += kl
+	vl := childSize
+	if c.leaf {
+		if off < len(b) && b[off] < 0x80 {
+			vl, off = int(b[off]), off+1
+		} else if vl, off = longLength(b, off); off < 0 {
+			return nil, nil, false
+		}
+	}
+	if vl > len(b)-off {
+		return nil, nil, false
+	}
+	v = b[off : off+vl : off+vl]
+	c.off = off + vl
+	c.n--
+	return k, v, true
 }
 
-// nodeSize returns the encoded size of n.
-func nodeSize(n *node) int {
-	return len(encodeNode(n, 256))
+// last reads every remaining entry and returns the final one (v as given
+// when none remain) with the node's used length.
+func (c *cursor) last(v []byte) (k, lv []byte, used int, ok bool) {
+	for ok = true; ok && c.n > 0; {
+		k, v, ok = c.next()
+	}
+	return k, v, c.off, ok
+}
+
+// pos is where the walk for a key stops in a node: at the last entry
+// whose key is ≤ the key. In a branch that entry names the child
+// covering the key; in a leaf it is the key's own entry or the one the
+// key would follow.
+type pos struct {
+	n        int    // entries ≤ key; 0 when every entry is greater
+	off, end int    // the entry's bytes; the empty range where entries begin when n == 0
+	k, v     []byte // the entry; with n == 0, k is nil and v a branch's first child
+	prev     []byte // v one entry earlier, the child left of v's; nil when n == 0
+	exact    bool   // k equals the key
+}
+
+func (c *cursor) seek(key []byte) (p pos, ok bool) {
+	p.off, p.end = c.off, c.off
+	if !c.leaf {
+		p.v = c.b[hdrSize:c.off]
+	}
+	// The walk tracks offsets only; the entries it settles on are read
+	// again afterwards.
+	prevAt := 0
+	for c.n > 0 && !p.exact {
+		at := c.off
+		k, _, ok := c.next()
+		if !ok {
+			return p, false
+		}
+		cmp := bytes.Compare(k, key)
+		if cmp > 0 {
+			break
+		}
+		prevAt, p.off, p.end = p.off, at, c.off
+		p.n++
+		p.exact = cmp == 0
+	}
+	if p.n > 0 {
+		if p.prev = p.v; p.n > 1 {
+			_, p.prev = c.entry(prevAt)
+		}
+		p.k, p.v = c.entry(p.off)
+	}
+	return p, true
+}
+
+// entry reads again the entry at off, which a walk has already checked.
+func (c *cursor) entry(off int) (k, v []byte) {
+	e := cursor{b: c.b, leaf: c.leaf, off: off}
+	k, v, _ = e.next()
+	return k, v
+}
+
+// leafFor descends to the leaf that covers key and seeks key in it.
+// left roots the nearest subtree left of the descent path — the left
+// sibling of the lowest node the path did not enter through its first
+// child — and is NilPage on the tree's leftmost spine: every key left of
+// the leaf lies under it or further left.
+func (t *Tree) leafFor(key []byte) (id oid.PageID, c cursor, p pos, left oid.PageID, err error) {
+	id = t.root
+	for depth := 0; ; depth++ {
+		if _, c, err = t.open(id, depth); err != nil {
+			return id, c, p, left, err
+		}
+		var ok bool
+		if p, ok = c.seek(key); !ok {
+			return id, c, p, left, corrupt(id)
+		}
+		if c.leaf {
+			return id, c, p, left, nil
+		}
+		if p.prev != nil {
+			left = pageID(p.prev)
+		}
+		id = pageID(p.v)
+	}
+}
+
+func pageID(b []byte) oid.PageID { return oid.PageID(binary.BigEndian.Uint32(b)) }
+
+func setCount(b []byte, n int) { binary.BigEndian.PutUint16(b[offCount:], uint16(n)) }
+
+// branchVal encodes a child id as the value of a branch entry.
+func branchVal(id oid.PageID) []byte {
+	return binary.BigEndian.AppendUint32(make([]byte, 0, childSize), uint32(id))
+}
+
+func entrySize(k, v []byte, leaf bool) int {
+	var prefix [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(prefix[:], uint64(len(k))) + len(k) + len(v)
+	if leaf {
+		n += binary.PutUvarint(prefix[:], uint64(len(v)))
+	}
+	return n
+}
+
+// writeEntry encodes one entry at the start of b, which has room.
+func writeEntry(b, k, v []byte, leaf bool) {
+	off := binary.PutUvarint(b, uint64(len(k)))
+	off += copy(b[off:], k)
+	if leaf {
+		off += binary.PutUvarint(b[off:], uint64(len(v)))
+	}
+	copy(b[off:], v)
+}
+
+// cut removes b[off:end] from a node whose entries end at used, closing
+// the gap and zeroing what the tail vacates.
+func cut(b []byte, off, end, used int) {
+	copy(b[off:], b[end:used])
+	clear(b[used-(end-off) : used])
+}
+
+// clonePair copies a key and value out of a page in one allocation.
+func clonePair(k, v []byte) ([]byte, []byte) {
+	buf := make([]byte, len(k)+len(v))
+	n := copy(buf, k)
+	copy(buf[n:], v)
+	return buf[:n:n], buf[n:]
 }
 
 // --- lookup ---
@@ -250,50 +324,67 @@ func nodeSize(n *node) int {
 // Get returns the value for key and whether it is present. The returned
 // slice is a copy.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return nil, false, err
-		}
-		if n.leaf {
-			i, found := search(n.keys, key)
-			if !found {
-				return nil, false, nil
-			}
-			return n.vals[i], true, nil
-		}
-		id = n.children[childIndex(n.keys, key)]
+	_, _, p, _, err := t.leafFor(key)
+	if err != nil || !p.exact {
+		return nil, false, err
 	}
+	return append([]byte{}, p.v...), true, nil
 }
 
-// search returns the index of key in keys (found=true) or the insertion
-// point (found=false).
-func search(keys [][]byte, key []byte) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch bytes.Compare(keys[mid], key) {
-		case -1:
-			lo = mid + 1
-		case 0:
-			return mid, true
-		default:
-			hi = mid
-		}
+// SeekLE returns the largest key ≤ key and its value (both copies), or
+// ok=false when every key in the tree is greater. It runs top-down in
+// O(log n).
+func (t *Tree) SeekLE(key []byte) (k, v []byte, ok bool, err error) {
+	_, _, p, left, err := t.leafFor(key)
+	if err != nil {
+		return nil, nil, false, err
 	}
-	return lo, false
+	if p.n > 0 {
+		k, v = clonePair(p.k, p.v)
+		return k, v, true, nil
+	}
+	// Every key in the covering leaf is greater: its smallest was deleted
+	// and key falls in the gap the separator still covers. The answer is
+	// the largest key left of the leaf, if there is one.
+	if left == oid.NilPage {
+		return nil, nil, false, nil
+	}
+	return t.max(left, 0)
 }
 
-// childIndex returns which child to descend into for key: the child
-// holding keys < keys[i] separators per standard B+tree routing
-// (keys[i] is the smallest key reachable via children[i+1]).
-func childIndex(keys [][]byte, key []byte) int {
-	i, found := search(keys, key)
-	if found {
-		return i + 1
+// Max returns the largest key in the tree and its value (both copies),
+// or ok=false when empty.
+func (t *Tree) Max() (k, v []byte, ok bool, err error) {
+	return t.max(t.root, 0)
+}
+
+// max is Max of the subtree under id.
+func (t *Tree) max(id oid.PageID, depth int) ([]byte, []byte, bool, error) {
+	pg, c, err := t.lastLeaf(id, depth)
+	if err != nil || c.n == 0 {
+		return nil, nil, false, err
 	}
-	return i
+	k, v, _, ok := c.last(nil)
+	if !ok {
+		return nil, nil, false, corrupt(pg.ID)
+	}
+	k, v = clonePair(k, v)
+	return k, v, true, nil
+}
+
+// lastLeaf descends from id through last children to a leaf.
+func (t *Tree) lastLeaf(id oid.PageID, depth int) (*storage.Page, cursor, error) {
+	for ; ; depth++ {
+		pg, c, err := t.open(id, depth)
+		if err != nil || c.leaf {
+			return pg, c, err
+		}
+		_, child, _, ok := c.last(c.b[hdrSize:c.off])
+		if !ok {
+			return nil, c, corrupt(id)
+		}
+		id = pageID(child)
+	}
 }
 
 // --- insert ---
@@ -306,111 +397,127 @@ func (t *Tree) Put(key, val []byte) error {
 	if len(val) > t.maxVal() {
 		return fmt.Errorf("%w: %d > %d", ErrValTooLarge, len(val), t.maxVal())
 	}
-	sep, right, err := t.insert(t.root, key, val)
-	if err != nil {
+	sep, right, err := t.insert(t.root, key, val, 0)
+	if err != nil || right == oid.NilPage {
 		return err
-	}
-	if right == oid.NilPage {
-		return nil
 	}
 	// Root split: grow the tree by one level.
 	p, err := t.st.Allocate(storage.PageBTree)
 	if err != nil {
 		return err
 	}
-	newRoot := &node{
-		leaf:     false,
-		keys:     [][]byte{sep},
-		children: []oid.PageID{t.root, right},
-	}
-	if err := t.writeNode(p, newRoot); err != nil {
-		return err
-	}
+	b := t.st.Touch(p).Body()
+	setCount(b, 1)
+	binary.BigEndian.PutUint32(b[hdrSize:], uint32(t.root))
+	writeEntry(b[hdrSize+childSize:], sep, branchVal(right), false)
 	t.root = p.ID
 	return nil
 }
 
 // insert descends into id; on child split it returns the separator key
-// and new right sibling for the caller to absorb.
-func (t *Tree) insert(id oid.PageID, key, val []byte) ([]byte, oid.PageID, error) {
-	n, err := t.readNode(id)
+// and new right sibling for the caller to absorb. The separator is only
+// valid until the caller has stored it.
+func (t *Tree) insert(id oid.PageID, key, val []byte, depth int) ([]byte, oid.PageID, error) {
+	pg, c, err := t.open(id, depth)
 	if err != nil {
 		return nil, oid.NilPage, err
 	}
-	if n.leaf {
-		i, found := search(n.keys, key)
-		if found {
-			n.vals[i] = append([]byte(nil), val...)
-		} else {
-			n.keys = insertAt(n.keys, i, append([]byte(nil), key...))
-			n.vals = insertAt(n.vals, i, append([]byte(nil), val...))
+	n := c.n
+	p, ok := c.seek(key)
+	if !ok {
+		return nil, oid.NilPage, corrupt(id)
+	}
+	if c.leaf {
+		if p.exact {
+			return t.store(pg, &c, p.off, p.end, n, key, val)
 		}
-		return t.finishNode(id, n)
+		return t.store(pg, &c, p.end, p.end, n+1, key, val)
 	}
-	ci := childIndex(n.keys, key)
-	sep, right, err := t.insert(n.children[ci], key, val)
-	if err != nil {
+	sep, right, err := t.insert(pageID(p.v), key, val, depth+1)
+	if err != nil || right == oid.NilPage {
 		return nil, oid.NilPage, err
 	}
-	if right != oid.NilPage {
-		n.keys = insertAt(n.keys, ci, sep)
-		n.children = insertAt(n.children, ci+1, right)
-	}
-	return t.finishNode(id, n)
+	// The child's work touched no byte of this node, so the cursor and
+	// the offsets still describe it.
+	return t.store(pg, &c, p.end, p.end, n+1, sep, branchVal(right))
 }
 
-// finishNode writes n back, splitting first if it no longer fits.
-func (t *Tree) finishNode(id oid.PageID, n *node) ([]byte, oid.PageID, error) {
-	if nodeSize(n) <= t.bodyCap() {
-		return nil, oid.NilPage, t.writeNodeID(id, n)
+// store replaces bytes off:end of node pg with the entry (k, v) — an
+// insertion when the range is empty — leaving n entries, and splits the
+// node when the result does not fit. c is pg's cursor, at or past end.
+func (t *Tree) store(pg *storage.Page, c *cursor, off, end, n int, k, v []byte) ([]byte, oid.PageID, error) {
+	_, _, used, ok := c.last(nil)
+	if !ok {
+		return nil, oid.NilPage, corrupt(pg.ID)
 	}
-	// Split: left keeps the first half, right gets the rest.
-	mid := len(n.keys) / 2
-	if mid == 0 {
-		mid = 1
+	size := entrySize(k, v, c.leaf)
+	grown := used - (end - off) + size
+	pg = t.st.Touch(pg)
+	b := pg.Body()
+	if grown <= len(b) {
+		copy(b[off+size:], b[end:used])
+		if grown < used {
+			clear(b[grown:used])
+		}
+		writeEntry(b[off:], k, v, c.leaf)
+		setCount(b, n)
+		return nil, oid.NilPage, nil
+	}
+	// Build the over-full node aside, then deal its halves to the pages.
+	s := make([]byte, grown)
+	copy(s, b[:off])
+	writeEntry(s[off:], k, v, c.leaf)
+	copy(s[off+size:], b[end:used])
+	setCount(s, n)
+	return t.split(pg, s)
+}
+
+// split deals the over-full node s between pg, which keeps the first
+// count/2 entries, and a new right sibling. The separator it returns
+// aliases s.
+func (t *Tree) split(pg *storage.Page, s []byte) ([]byte, oid.PageID, error) {
+	c := openNode(s)
+	n := c.n
+	mid := max(n/2, 1)
+	var sep, v []byte
+	leftEnd, ok := 0, n > mid
+	for i := 0; ok && i <= mid; i++ {
+		leftEnd = c.off
+		sep, v, ok = c.next()
+	}
+	if !ok {
+		return nil, oid.NilPage, corrupt(pg.ID)
+	}
+	// A leaf's right half starts with the entry at mid, whose key is
+	// also the separator; a branch's median key moves up instead, its
+	// child becoming the right half's first.
+	rightHdr, rightFrom := hdrSize, leftEnd
+	if !c.leaf {
+		rightHdr, rightFrom = hdrSize+childSize, c.off
+	}
+	b := pg.Body()
+	if leftEnd > len(b) || rightHdr+len(s)-rightFrom > len(b) {
+		return nil, oid.NilPage, fmt.Errorf("btree: internal error: half of node %d exceeds %d bytes", pg.ID, len(b))
 	}
 	rp, err := t.st.Allocate(storage.PageBTree)
 	if err != nil {
 		return nil, oid.NilPage, err
 	}
-	var sep []byte
-	var rightN *node
-	if n.leaf {
-		rightN = &node{
-			leaf: true,
-			next: n.next,
-			keys: append([][]byte(nil), n.keys[mid:]...),
-			vals: append([][]byte(nil), n.vals[mid:]...),
-		}
-		sep = append([]byte(nil), n.keys[mid]...)
-		n.keys = n.keys[:mid]
-		n.vals = n.vals[:mid]
-		n.next = rp.ID
+	rb := t.st.Touch(rp).Body()
+	copy(rb[rightHdr:], s[rightFrom:])
+	copy(b, s[:leftEnd])
+	clear(b[leftEnd:])
+	setCount(b, mid)
+	if c.leaf {
+		rb[0] = 1
+		copy(rb[offNext:], s[offNext:offCount])
+		setCount(rb, n-mid)
+		binary.BigEndian.PutUint32(b[offNext:], uint32(rp.ID))
 	} else {
-		// The median key moves up; it is not duplicated below.
-		sep = n.keys[mid]
-		rightN = &node{
-			leaf:     false,
-			keys:     append([][]byte(nil), n.keys[mid+1:]...),
-			children: append([]oid.PageID(nil), n.children[mid+1:]...),
-		}
-		n.keys = n.keys[:mid]
-		n.children = n.children[:mid+1]
-	}
-	if err := t.writeNode(rp, rightN); err != nil {
-		return nil, oid.NilPage, err
-	}
-	if err := t.writeNodeID(id, n); err != nil {
-		return nil, oid.NilPage, err
+		copy(rb[hdrSize:], v)
+		setCount(rb, n-mid-1)
 	}
 	return sep, rp.ID, nil
-}
-
-func insertAt[T any](s []T, i int, v T) []T {
-	s = append(s, v)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }
 
 // --- delete ---
@@ -419,178 +526,158 @@ func insertAt[T any](s []T, i int, v T) []T {
 // pruned from their parents; an internal root with a single child is
 // collapsed.
 func (t *Tree) Delete(key []byte) (bool, error) {
-	deleted, _, err := t.remove(t.root, key)
+	deleted, _, err := t.remove(t.root, key, oid.NilPage, 0)
 	if err != nil || !deleted {
 		return deleted, err
 	}
 	// Collapse trivial root chain.
 	for {
-		n, err := t.readNode(t.root)
+		_, c, err := t.open(t.root, 0)
 		if err != nil {
 			return true, err
 		}
-		if n.leaf || len(n.children) != 1 {
+		only := pageID(c.b[hdrSize:])
+		if c.leaf || c.n != 0 || only == oid.NilPage {
 			return true, nil
 		}
 		old := t.root
-		t.root = n.children[0]
-		t.uncache(old)
+		t.root = only
 		if err := t.st.Free(old); err != nil {
 			return true, err
 		}
 	}
 }
 
-// remove deletes key under id, returning (deleted, nowEmpty).
-func (t *Tree) remove(id oid.PageID, key []byte) (bool, bool, error) {
-	n, err := t.readNode(id)
+// remove deletes key under id, returning (deleted, nowEmpty). leftSub
+// roots the nearest subtree left of the descent path, as in leafFor.
+func (t *Tree) remove(id oid.PageID, key []byte, leftSub oid.PageID, depth int) (bool, bool, error) {
+	pg, c, err := t.open(id, depth)
 	if err != nil {
 		return false, false, err
 	}
-	if n.leaf {
-		i, found := search(n.keys, key)
-		if !found {
-			return false, false, nil
-		}
-		n.keys = removeAt(n.keys, i)
-		n.vals = removeAt(n.vals, i)
-		if err := t.writeNodeID(id, n); err != nil {
-			return false, false, err
-		}
-		return true, len(n.keys) == 0, nil
+	n := c.n
+	p, ok := c.seek(key)
+	if !ok {
+		return false, false, corrupt(id)
 	}
-	ci := childIndex(n.keys, key)
-	deleted, childEmpty, err := t.remove(n.children[ci], key)
-	if err != nil || !deleted {
-		return deleted, false, err
+	if c.leaf && !p.exact {
+		return false, false, nil
 	}
-	if childEmpty {
-		// Prune the empty child. Note: pruning a leaf leaves its
-		// predecessor's leaf-chain link pointing at a freed page only
-		// transiently — we fix the chain below before freeing.
-		if err := t.unlinkLeafChain(n, ci); err != nil {
+	if !c.leaf {
+		if p.prev != nil {
+			leftSub = pageID(p.prev)
+		}
+		child := pageID(p.v)
+		deleted, childEmpty, err := t.remove(child, key, leftSub, depth+1)
+		if err != nil || !childEmpty {
+			return deleted, false, err
+		}
+		// Prune the empty child: mend the leaf chain around it, free it,
+		// and drop its entry from this node. The child's work touched no
+		// byte of this node, so the cursor and the offsets still describe
+		// it.
+		if err := t.unlinkLeaf(child, leftSub, depth+1); err != nil {
 			return true, false, err
 		}
-		empty := n.children[ci]
-		n.children = removeAt(n.children, ci)
-		if ci > 0 {
-			n.keys = removeAt(n.keys, ci-1)
-		} else if len(n.keys) > 0 {
-			n.keys = removeAt(n.keys, 0)
-		}
-		t.uncache(empty)
-		if err := t.st.Free(empty); err != nil {
+		if err := t.st.Free(child); err != nil {
 			return true, false, err
 		}
-		if err := t.writeNodeID(id, n); err != nil {
-			return true, false, err
-		}
-		return true, len(n.children) == 0, nil
 	}
-	return true, false, nil
+	_, _, used, ok := c.last(nil)
+	if !ok {
+		return true, false, corrupt(id)
+	}
+	b := t.st.Touch(pg).Body()
+	switch {
+	case p.n > 0: // the key's entry, or the entry naming the pruned child
+		cut(b, p.off, p.end, used)
+	case n > 0:
+		// A branch's first child goes, and the first separator with it:
+		// that entry's child becomes the first.
+		first := openNode(b)
+		_, v, ok := first.next()
+		if !ok {
+			return true, false, corrupt(id)
+		}
+		copy(b[hdrSize:], v)
+		cut(b, hdrSize+childSize, first.off, used)
+	default:
+		// A branch's only child goes: the caller frees the node.
+		binary.BigEndian.PutUint32(b[hdrSize:], uint32(oid.NilPage))
+		return true, true, nil
+	}
+	setCount(b, n-1)
+	return true, c.leaf && n == 1, nil
 }
 
-// unlinkLeafChain repairs the leaf chain around n.children[ci] before it
-// is pruned. Only needed when the child is a leaf; the predecessor leaf
-// may live under a different subtree, so we walk from the leftmost leaf.
-func (t *Tree) unlinkLeafChain(parent *node, ci int) error {
-	child, err := t.readNode(parent.children[ci])
+// unlinkLeaf takes leaf victim, about to be pruned, out of the leaf
+// chain: its predecessor is the last leaf under leftSub (see remove). A
+// victim that is a branch, or the tree's leftmost leaf, has nothing
+// pointing at it.
+func (t *Tree) unlinkLeaf(victim, leftSub oid.PageID, depth int) error {
+	_, vc, err := t.open(victim, depth)
+	if err != nil || !vc.leaf || leftSub == oid.NilPage {
+		return err
+	}
+	pg, c, err := t.lastLeaf(leftSub, depth)
 	if err != nil {
 		return err
 	}
-	if !child.leaf {
-		return nil
+	if pageID(c.b[offNext:]) != victim {
+		return fmt.Errorf("%w: leaf %d does not precede leaf %d", ErrCorrupt, pg.ID, victim)
 	}
-	// Find the leaf whose next pointer is the victim by walking the
-	// chain from the tree's leftmost leaf.
-	victim := parent.children[ci]
-	cur, err := t.leftmostLeaf()
-	if err != nil {
-		return err
-	}
-	for cur != oid.NilPage && cur != victim {
-		cn, err := t.readNode(cur)
-		if err != nil {
-			return err
-		}
-		if cn.next == victim {
-			cn.next = child.next
-			return t.writeNodeID(cur, cn)
-		}
-		cur = cn.next
-	}
-	return nil // victim is the leftmost leaf; nothing points at it
-}
-
-func (t *Tree) leftmostLeaf() (oid.PageID, error) {
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return oid.NilPage, err
-		}
-		if n.leaf {
-			return id, nil
-		}
-		id = n.children[0]
-	}
-}
-
-func removeAt[T any](s []T, i int) []T {
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
+	copy(t.st.Touch(pg).Body()[offNext:offCount], vc.b[offNext:])
+	return nil
 }
 
 // --- iteration ---
 
 // Ascend calls fn for every key in [from, to) in ascending order; nil
 // from means from the smallest key, nil to means to the end. Iteration
-// stops early if fn returns false. Key and value slices passed to fn are
-// owned by the iteration and must be copied if retained.
+// stops early if fn returns false. Key and value slices passed to fn
+// alias the page: they are owned by the iteration and must be copied if
+// retained.
 //
 // fn must not mutate the tree.
 func (t *Tree) Ascend(from, to []byte, fn func(key, val []byte) (bool, error)) error {
-	// Descend to the leaf containing from.
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		if n.leaf {
-			break
-		}
-		if from == nil {
-			id = n.children[0]
-		} else {
-			id = n.children[childIndex(n.keys, from)]
-		}
+	id, c, p, _, err := t.leafFor(from)
+	if err != nil {
+		return err
 	}
-	for id != oid.NilPage {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		start := 0
-		if from != nil {
-			start, _ = search(n.keys, from)
-		}
-		for i := start; i < len(n.keys); i++ {
-			if to != nil && bytes.Compare(n.keys[i], to) >= 0 {
+	// Start at from's own entry, or the first one past where it would be.
+	start, skip := p.end, p.n
+	if p.exact {
+		start, skip = p.off, p.n-1
+	}
+	c = openNode(c.b)
+	c.off, c.n = start, c.n-skip
+	// A chain visits each page at most once.
+	for leaves := t.st.NumPages(); ; leaves-- {
+		for c.n > 0 {
+			k, v, ok := c.next()
+			if !ok {
+				return corrupt(id)
+			}
+			if to != nil && bytes.Compare(k, to) >= 0 {
 				return nil
 			}
-			ok, err := fn(n.keys[i], n.vals[i])
-			if err != nil {
+			if ok, err := fn(k, v); err != nil || !ok {
 				return err
 			}
-			if !ok {
-				return nil
-			}
 		}
-		from = nil // only the first leaf needs offsetting
-		id = n.next
+		if id = pageID(c.b[offNext:]); id == oid.NilPage {
+			return nil
+		}
+		if leaves == 0 {
+			return fmt.Errorf("%w: leaf chain does not end", ErrCorrupt)
+		}
+		if _, c, err = t.open(id, 0); err != nil {
+			return err
+		}
+		if !c.leaf {
+			return corrupt(id)
+		}
 	}
-	return nil
 }
 
 // AscendPrefix iterates all keys with the given prefix in ascending
@@ -610,61 +697,6 @@ func prefixEnd(prefix []byte) []byte {
 		}
 	}
 	return nil
-}
-
-// SeekLE returns the largest key ≤ key and its value, or ok=false when
-// every key in the tree is greater. It runs top-down in O(log n).
-func (t *Tree) SeekLE(key []byte) (k, v []byte, ok bool, err error) {
-	return t.seekLE(t.root, key)
-}
-
-func (t *Tree) seekLE(id oid.PageID, key []byte) ([]byte, []byte, bool, error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if n.leaf {
-		i, found := search(n.keys, key)
-		if found {
-			return n.keys[i], n.vals[i], true, nil
-		}
-		if i == 0 {
-			return nil, nil, false, nil
-		}
-		return n.keys[i-1], n.vals[i-1], true, nil
-	}
-	// Try the child that would contain key, then fall back leftward: the
-	// predecessor, if any, is the maximum of the nearest non-empty
-	// subtree to the left.
-	for ci := childIndex(n.keys, key); ci >= 0; ci-- {
-		k, v, ok, err := t.seekLE(n.children[ci], key)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if ok {
-			return k, v, true, nil
-		}
-	}
-	return nil, nil, false, nil
-}
-
-// Max returns the largest key in the tree, or ok=false when empty.
-func (t *Tree) Max() (k, v []byte, ok bool, err error) {
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if n.leaf {
-			if len(n.keys) == 0 {
-				return nil, nil, false, nil
-			}
-			last := len(n.keys) - 1
-			return n.keys[last], n.vals[last], true, nil
-		}
-		id = n.children[len(n.children)-1]
-	}
 }
 
 // Len counts the keys in the tree (O(n); used by tests and tools).

@@ -356,35 +356,6 @@ func TestLargeKeysAndValuesWithinLimits(t *testing.T) {
 	}
 }
 
-func BenchmarkPut(b *testing.B) {
-	tr, _ := testTree(b, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := []byte(fmt.Sprintf("key%09d", i))
-		if err := tr.Put(k, k); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGet(b *testing.B) {
-	tr, _ := testTree(b, 4096)
-	const n = 10000
-	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("key%09d", i))
-		if err := tr.Put(k, k); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := []byte(fmt.Sprintf("key%09d", i%n))
-		if _, ok, err := tr.Get(k); err != nil || !ok {
-			b.Fatal("missing key")
-		}
-	}
-}
-
 func TestSeekLEAndMax(t *testing.T) {
 	tr, _ := testTree(t, 512)
 	// Empty tree.

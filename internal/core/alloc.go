@@ -36,9 +36,9 @@ type allocLease struct {
 }
 
 // shardAlloc is one shard's allocator state. Allocation is serialised
-// by the shard's writer mutex, but reset() runs from whichever
-// goroutine aborted — possibly a DIFFERENT shard's writer, with this
-// shard's writer mid-allocation — so the lease pair has its own mutex.
+// by the shard's writer mutex, but reset() runs from the goroutine
+// whose attempt aborted, after it has released the shard — the shard's
+// next writer may be mid-allocation — so the lease pair has its own mutex.
 // It is uncontended on the allocation hot path (the only other taker
 // is the rare abort-time reset); the counters are atomic so Stats can
 // read them from anywhere.
@@ -72,22 +72,23 @@ func (a *allocState) take(s int) *shardAlloc {
 	return sa
 }
 
-// reset drops every lease so the next allocation re-leases from the
-// persisted counter. Called after aborts alongside resetHeapSpaces:
-// always safe (the persisted counter covers every committed id, so a
-// fresh lease can never re-issue one), at worst leaking a partial
-// lease.
-func (a *allocState) reset() {
+// reset drops shard s's leases so its next allocation re-leases from the
+// persisted counter. Called for the shards an aborted attempt had
+// joined, alongside their heap caches: always safe (the persisted
+// counter covers every committed id, so a fresh lease can never
+// re-issue one), at worst leaking a partial lease.
+func (a *allocState) reset(s int) {
 	a.mu.Lock()
-	for _, sa := range a.shards {
-		if sa != nil {
-			sa.mu.Lock()
-			sa.lease[0] = allocLease{}
-			sa.lease[1] = allocLease{}
-			sa.mu.Unlock()
-		}
+	var sa *shardAlloc
+	if s < len(a.shards) {
+		sa = a.shards[s]
 	}
 	a.mu.Unlock()
+	if sa != nil {
+		sa.mu.Lock()
+		sa.lease = [2]allocLease{}
+		sa.mu.Unlock()
+	}
 }
 
 // stats sums leases taken and ids handed out across shards.

@@ -389,20 +389,39 @@ func (e *Engine) takeHeapSpace(s int) *storage.HeapState {
 	return hs
 }
 
-// resetHeapSpaces starts every shard's next writer with a fresh heap
-// cache. Called after an abort: the rollback reverted pages underneath
-// the shared caches; their entries self-heal, but the sweep position may
-// hide reverted pages. Allocation leases are dropped for the same
-// reason: re-leasing from the persisted counter is always safe, while a
-// lease minted against rolled-back counter state is simpler to discard
-// than to reason about.
-func (e *Engine) resetHeapSpaces() {
+// resetShard starts shard s's next writer with a fresh heap cache.
+// Called once a rollback has reverted pages underneath the shared cache:
+// its entries self-heal, but the sweep position may hide reverted pages.
+// The shard's allocation leases are dropped for the same reason:
+// re-leasing from the persisted counter is always safe, while a lease
+// minted against rolled-back counter state is simpler to discard than to
+// reason about.
+func (e *Engine) resetShard(s int) {
 	e.hsMu.Lock()
-	for i := range e.heapSpace {
-		e.heapSpace[i] = storage.NewHeapState()
+	if s < len(e.heapSpace) {
+		e.heapSpace[s] = storage.NewHeapState()
 	}
 	e.hsMu.Unlock()
-	e.alloc.reset()
+	e.alloc.reset(s)
+}
+
+// resetRolledBack resets the shards attempt w had joined, once w has
+// been rolled back. Shards it never joined were not reverted and keep
+// their sweep position and leases.
+func (e *Engine) resetRolledBack(w *txn.WriteTx) {
+	for s := 0; s < w.NumShards(); s++ {
+		if w.Joined(s) {
+			e.resetShard(s)
+		}
+	}
+}
+
+// resetAllShards is resetShard for every shard: for the rare reshard
+// failures and restarts, which do not see the attempt that rolled back.
+func (e *Engine) resetAllShards() {
+	for s := 0; s < e.c.NumShards(); s++ {
+		e.resetShard(s)
+	}
 }
 
 // newOID allocates an oid on this shard: the shard-local counter
@@ -519,11 +538,13 @@ func (e *Engine) ResetDerefCache() {
 // Write runs fn as a write transaction. The Tx is valid only until fn
 // returns; on error or panic every effect is rolled back.
 func (e *Engine) Write(fn func(tx *Tx) error) error {
+	var last *txn.WriteTx // the newest attempt; it answers Joined after it ends
 	err := e.c.Write(func(w *txn.WriteTx) error {
-		if w.Restarted() {
-			// The first attempt was rolled back under the heap caches.
-			e.resetHeapSpaces()
+		if last != nil {
+			// A rerun: the attempt before was rolled back.
+			e.resetRolledBack(last)
 		}
+		last = w
 		tx := &Tx{
 			e:         e,
 			w:         w,
@@ -540,8 +561,8 @@ func (e *Engine) Write(fn func(tx *Tx) error) error {
 		}
 		return fn(tx)
 	})
-	if err != nil {
-		e.resetHeapSpaces()
+	if err != nil && last != nil {
+		e.resetRolledBack(last)
 	}
 	return err
 }

@@ -56,7 +56,7 @@ func (e *Engine) Reshard(target int) error {
 	if err != nil {
 		// A failed migration transaction rolled back under the shared
 		// heap free-space caches, exactly like an aborted engine write.
-		e.resetHeapSpaces()
+		e.resetAllShards()
 	}
 	return err
 }
@@ -75,7 +75,7 @@ func (e *Engine) ReshardProgress() txn.ReshardProgress {
 func (e *Engine) reshardInit(target int) error {
 	return e.c.Write(func(w *txn.WriteTx) error {
 		if w.Restarted() {
-			e.resetHeapSpaces()
+			e.resetAllShards()
 		}
 		m := w.Map()
 		changed := false
@@ -221,7 +221,7 @@ func (e *Engine) reshardMoves(oldN, target int) ([]txn.ReshardStep, error) {
 // (0 meaning the range ran out at the end of the id space).
 func (e *Engine) migrateChunk(w *txn.WriteTx, step txn.ReshardStep, cursor uint64) (txn.MigrateResult, error) {
 	if w.Restarted() {
-		e.resetHeapSpaces()
+		e.resetAllShards()
 	}
 	tx := &Tx{
 		e:         e,

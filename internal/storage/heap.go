@@ -37,8 +37,15 @@ var ErrNoRecord = errors.New("storage: no such record")
 // its write transactions and hands fresh ones to readers.
 type HeapState struct {
 	// space caches known free bytes of slotted pages discovered this
-	// session (populated by inserts, updates, deletes, and the sweep).
-	space map[oid.PageID]int
+	// session (populated by inserts, updates, deletes, and the sweep),
+	// and each page's place in its class list.
+	space map[oid.PageID]spaceEntry
+	// classes[c] lists the cached pages whose free bytes fall in
+	// [c*spaceClass, (c+1)*spaceClass), newest knowledge last, so a hunt
+	// for need bytes probes the class of need and upward and never meets
+	// the pages — most of a heap of like-sized records — whose remainder
+	// is too small for another record.
+	classes [][]oid.PageID
 	// sweep is the next page id to examine when hunting for space not in
 	// the cache; once it passes the end of the file it stays exhausted
 	// (new space knowledge then only arrives via deletes).
@@ -46,9 +53,48 @@ type HeapState struct {
 	sweepDone bool
 }
 
+// spaceClass is the width in bytes of one free-space class.
+const spaceClass = 128
+
+type spaceEntry struct {
+	free int
+	at   int // index in classes[free/spaceClass]
+}
+
 // NewHeapState returns empty heap space-hunting state.
 func NewHeapState() *HeapState {
-	return &HeapState{space: make(map[oid.PageID]int), sweep: 1}
+	return &HeapState{space: make(map[oid.PageID]spaceEntry), sweep: 1}
+}
+
+// set records that page id has free bytes of cell space.
+func (hs *HeapState) set(id oid.PageID, free int) {
+	c := free / spaceClass
+	if e, ok := hs.space[id]; ok {
+		if e.free/spaceClass == c {
+			hs.space[id] = spaceEntry{free, e.at}
+			return
+		}
+		hs.drop(id)
+	}
+	for len(hs.classes) <= c {
+		hs.classes = append(hs.classes, nil)
+	}
+	hs.space[id] = spaceEntry{free, len(hs.classes[c])}
+	hs.classes[c] = append(hs.classes[c], id)
+}
+
+// drop forgets page id: the last page of its class takes its place.
+func (hs *HeapState) drop(id oid.PageID) {
+	e, ok := hs.space[id]
+	if !ok {
+		return
+	}
+	list := hs.classes[e.free/spaceClass]
+	last := list[len(list)-1]
+	list[e.at] = last
+	hs.space[last] = spaceEntry{hs.space[last].free, e.at}
+	hs.classes[e.free/spaceClass] = list[:len(list)-1]
+	delete(hs.space, id)
 }
 
 // Heap is the record heap: variable-length records addressed by stable
@@ -113,7 +159,7 @@ func (h *Heap) Insert(data []byte) (oid.RID, error) {
 	if err != nil {
 		return oid.NilRID, fmt.Errorf("storage: insert on page %d: %w", p.ID, err)
 	}
-	h.hs.space[p.ID] = SlottedFreeSpace(p)
+	h.hs.set(p.ID, SlottedFreeSpace(p))
 	return oid.RID{Page: p.ID, Slot: slot}, nil
 }
 
@@ -266,7 +312,7 @@ func (h *Heap) Update(rid oid.RID, data []byte) error {
 		cell := encodeInline(data)
 		err = SlottedUpdate(p, rid.Slot, cell)
 		if err == nil {
-			h.hs.space[p.ID] = SlottedFreeSpace(p)
+			h.hs.set(p.ID, SlottedFreeSpace(p))
 			if oldChain != oid.NilPage {
 				return h.freeOverflow(oldChain)
 			}
@@ -286,7 +332,7 @@ func (h *Heap) Update(rid oid.RID, data []byte) error {
 	if err := SlottedUpdate(p, rid.Slot, cell); err != nil {
 		return fmt.Errorf("storage: overflow cell update on page %d: %w", p.ID, err)
 	}
-	h.hs.space[p.ID] = SlottedFreeSpace(p)
+	h.hs.set(p.ID, SlottedFreeSpace(p))
 	if oldChain != oid.NilPage {
 		return h.freeOverflow(oldChain)
 	}
@@ -308,7 +354,7 @@ func (h *Heap) Delete(rid oid.RID) error {
 	if err := SlottedDelete(p, rid.Slot); err != nil {
 		return err
 	}
-	h.hs.space[p.ID] = SlottedFreeSpace(p)
+	h.hs.set(p.ID, SlottedFreeSpace(p))
 	if chain != oid.NilPage {
 		return h.freeOverflow(chain)
 	}
@@ -318,23 +364,29 @@ func (h *Heap) Delete(rid oid.RID) error {
 // pageWithSpace finds or allocates a slotted page with at least need
 // bytes of cell space.
 func (h *Heap) pageWithSpace(need int) (*Page, error) {
-	for id, free := range h.hs.space {
-		if free < need {
-			continue
-		}
-		p, err := h.st.GetTyped(id, PageSlotted)
-		if err != nil {
-			// The cache can go stale across transaction aborts (the page
-			// may have been rolled out of existence or repurposed);
-			// self-heal by dropping the entry.
-			delete(h.hs.space, id)
-			continue
-		}
-		// Re-verify: the cached value may also be stale after an abort.
-		if got := SlottedFreeSpace(p); got >= need {
-			return p, nil
-		} else {
-			h.hs.space[id] = got
+	hs := h.hs
+	for c := need / spaceClass; c < len(hs.classes); c++ {
+		// Newest first. An entry that leaves the list mid-walk is replaced
+		// by the list's last, which the walk has already seen.
+		for i := len(hs.classes[c]) - 1; i >= 0; i-- {
+			id := hs.classes[c][i]
+			if hs.space[id].free < need { // the class of need holds both sides of it
+				continue
+			}
+			p, err := h.st.GetTyped(id, PageSlotted)
+			if err != nil {
+				// The cache can go stale across transaction aborts (the page
+				// may have been rolled out of existence or repurposed);
+				// self-heal by dropping the entry.
+				hs.drop(id)
+				continue
+			}
+			// Re-verify: the cached value may also be stale after an abort.
+			got := SlottedFreeSpace(p)
+			if got >= need {
+				return p, nil
+			}
+			hs.set(id, got)
 		}
 	}
 	if p, err := h.sweepForSpace(need); err != nil {
@@ -367,7 +419,7 @@ func (h *Heap) sweepForSpace(need int) (*Page, error) {
 			continue
 		}
 		free := SlottedFreeSpace(p)
-		h.hs.space[id] = free
+		h.hs.set(id, free)
 		if free >= need {
 			return p, nil
 		}

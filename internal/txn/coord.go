@@ -944,7 +944,10 @@ func (w *WriteTx) SetShardMap(m *storage.ShardMap) {
 // descending join; triggers that must not re-fire consult it.
 func (w *WriteTx) Restarted() bool { return w.restarted }
 
-// Joined reports whether shard s is joined (its View is live).
+// Joined reports whether shard s is joined (its View is live). Once the
+// attempt has ended it still answers for the shards it had joined: that
+// is the set a rollback reverted, which the engine resets its per-shard
+// caches by.
 func (w *WriteTx) Joined(s int) bool { return w.joined[s] }
 
 // View returns a view of shard s: the live writer view when the shard
