@@ -29,7 +29,10 @@ help:
 	@echo "  cover    line coverage, with 85% floors on internal/obs,"
 	@echo "           internal/workload, internal/delta, internal/matcache and"
 	@echo "           (per-file, over the delta battery) the two compact.go files"
-	@echo "  check    build + vet + race + matrix + soak + ycsb + delta-matrix + hotpath"
+	@echo "  loc      non-test Go lines per package and the ode.Options field"
+	@echo "           count — the numbers a consolidation PR is judged by"
+	@echo "  check    build + vet + race + matrix + soak + ycsb + delta-matrix + hotpath,"
+	@echo "           then loc"
 
 build:
 	$(GO) build ./...
@@ -152,6 +155,14 @@ cover:
 	    if (pct < 85) { printf "FAIL: %s below 85%% coverage\n", file; exit 1 } }' /tmp/deltatier.cover || exit 1; \
 	done
 
-check: build vet race matrix soak ycsb delta-matrix hotpath
+# The consolidation scoreboard: non-test Go lines per package (GoFiles
+# excludes _test.go) and the size of the public option surface. Printed
+# at the end of `make check`, so CI logs carry the numbers.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | while read pkg files; do \
+	  if [ -n "$$files" ]; then printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; fi; done
+	@$(GO) test -count=1 -run 'TestOptionsFieldCount' -v . | grep 'ode.Options has'
 
-.PHONY: help build test vet race matrix fuzz fuzz-smoke soak ycsb delta-matrix hotpath cover check
+check: build vet race matrix soak ycsb delta-matrix hotpath loc
+
+.PHONY: help build test vet race matrix fuzz fuzz-smoke soak ycsb delta-matrix hotpath cover loc check

@@ -8,8 +8,8 @@ import (
 // Allocation-regression gate for the two hot paths (run by `make
 // hotpath`, part of `make check`).
 //
-// Measured history on the reference configuration below (Shards: 1,
-// 256-byte payloads):
+// Measured history on the reference configuration below (256-byte
+// payloads; Shards: 1 unless a row says otherwise):
 //
 //	commit (Update + UpdateLatestRaw): 92 allocs/op before the
 //	  zero-copy staging refactor, 50 after (WAL frames staged in place,
@@ -17,13 +17,20 @@ import (
 //	  cache, append-style encoders), 42 with the B+tree searching and
 //	  editing nodes in place on the page (no decoded node, no
 //	  re-encode; E19).
+//	commit, one write path (PR 14): Shards: 4 — never gated before, and
+//	  the layout everything but the legacy directory runs — 51 → 44,
+//	  now that the coordinator's commits stage into the same pooled,
+//	  pre-grown Frames; Shards: 1 42 → 44, the price of a one-shard
+//	  database taking the coordinator's path like any other shard count
+//	  (a WriteTx with per-shard slices instead of a delegated closure).
 //	hot deref (View + ReadLatestRaw, same object): 29 before, 19 with
 //	  the dereference cache serving the read; 19 still with the in-place
 //	  B+tree — a cache hit never opens a tree.
 //
-// The ceilings pin those wins: the commit ceiling (47) keeps the
-// in-place tree's saving on top of the ≥40% reduction from the 92-alloc
-// baseline, the deref ceiling (24) keeps the cache on the hot path. They
+// The ceilings pin those wins: the commit ceiling (47, at both shard
+// counts) keeps the in-place tree's saving on top of the ≥40% reduction
+// from the 92-alloc baseline, the deref ceiling (24) keeps the cache on
+// the hot path. They
 // include a few allocs of headroom over the measured values so unrelated
 // runtime/toolchain noise doesn't flake the gate; a real regression (an
 // extra copy chain or a cache bypass) costs far more than that.
@@ -44,9 +51,9 @@ func (rawCodec) Unmarshal(b []byte) (*[]byte, error) {
 
 // hotpathDB opens the reference configuration and returns a blob handle
 // with one committed object to update and read.
-func hotpathDB(t testing.TB) (*DB, *Type[[]byte], OID) {
+func hotpathDB(t testing.TB, shards int) (*DB, *Type[[]byte], OID) {
 	t.Helper()
-	db, err := Open(t.TempDir(), &Options{Shards: 1, CheckpointBytes: -1})
+	db, err := Open(t.TempDir(), &Options{Shards: shards, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,19 +81,25 @@ func TestCommitPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate skipped in -short mode")
 	}
-	db, _, o := hotpathDB(t)
-	payload := make([]byte, 256)
-	avg := testing.AllocsPerRun(100, func() {
-		if err := db.Update(func(tx *Tx) error {
-			_, err := tx.UpdateLatestRaw(o, payload)
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("commit path: %.1f allocs/op (ceiling %d)", avg, maxCommitAllocs)
-	if avg > maxCommitAllocs {
-		t.Errorf("commit path regressed to %.1f allocs/op, ceiling %d", avg, maxCommitAllocs)
+	// Shards: 4 is the layout production and every BENCHMARK.json
+	// workload runs; Shards: 1 is the legacy single-file layout.
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, _, o := hotpathDB(t, shards)
+			payload := make([]byte, 256)
+			avg := testing.AllocsPerRun(100, func() {
+				if err := db.Update(func(tx *Tx) error {
+					_, err := tx.UpdateLatestRaw(o, payload)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("commit path: %.1f allocs/op (ceiling %d)", avg, maxCommitAllocs)
+			if avg > maxCommitAllocs {
+				t.Errorf("commit path regressed to %.1f allocs/op, ceiling %d", avg, maxCommitAllocs)
+			}
+		})
 	}
 }
 
@@ -94,7 +107,7 @@ func TestHotDerefAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate skipped in -short mode")
 	}
-	db, _, o := hotpathDB(t)
+	db, _, o := hotpathDB(t, 1)
 	// Warm the dereference cache so the measured runs are the hot path.
 	if err := db.View(func(tx *Tx) error {
 		_, _, err := tx.ReadLatestRaw(o)
@@ -127,7 +140,7 @@ func TestHotDerefAllocs(t *testing.T) {
 }
 
 func BenchmarkCommitPath(b *testing.B) {
-	db, _, o := hotpathDB(b)
+	db, _, o := hotpathDB(b, 1)
 	payload := make([]byte, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -142,7 +155,7 @@ func BenchmarkCommitPath(b *testing.B) {
 }
 
 func BenchmarkHotDeref(b *testing.B) {
-	db, _, o := hotpathDB(b)
+	db, _, o := hotpathDB(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

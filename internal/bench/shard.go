@@ -55,9 +55,16 @@ func (f slowFile) Sync() error {
 type ShardResult struct {
 	Shards        int     `json:"shards"`
 	Committers    int     `json:"committers"`
-	Workload      string  `json:"workload"` // "single", "cross" (2PC-heavy) or "grouped"
+	Workload      string  `json:"workload"` // "single" or "cross" (2PC-heavy)
 	CommitsPerSec float64 `json:"commits_per_sec"`
 	Commits       int64   `json:"commits"`
+	// CommitsPerBatch is the window's commits over its fsync batches
+	// (Stats.Batches).
+	CommitsPerBatch float64 `json:"commits_per_batch"`
+	// FsyncBound is the analytic one-fsync-per-commit ceiling on the
+	// modeled device: shards / flush latency. Zero for "cross", whose
+	// commits are not one flush each.
+	FsyncBound    float64 `json:"fsync_bound_commits_per_sec"`
 	MeanLatencyUS float64 `json:"mean_latency_us"`
 	P50LatencyUS  float64 `json:"p50_latency_us"`
 	P95LatencyUS  float64 `json:"p95_latency_us"`
@@ -70,26 +77,24 @@ type ShardResult struct {
 // across shards, so committers land evenly), and lets each committer
 // loop small in-place updates for one window. With crossShard, every
 // transaction touches the committer's own object AND its neighbour's —
-// on distinct shards that is a presumed-abort 2PC commit. With grouped
-// false the store runs one fsync per transaction (NoGroupCommit), the
-// regime where per-shard WAL pipelines scale commit throughput; with
-// grouped true the default batching pipeline runs instead.
-func shardCell(dir string, shards, nCommitters int, crossShard, grouped bool, window time.Duration) (int64, time.Duration, ode.HistSnapshot, error) {
+// on distinct shards that is a presumed-abort 2PC commit. It returns
+// the window's commits, its fsync-batch count, the summed per-commit
+// latency and the engine's commit-latency histogram.
+func shardCell(dir string, shards, nCommitters int, crossShard bool, window time.Duration) (int64, uint64, time.Duration, ode.HistSnapshot, error) {
 	var hist ode.HistSnapshot
 	db, err := ode.Open(dir, &ode.Options{
 		Shards:          shards,
 		CheckpointBytes: -1,
 		PageSize:        512,
-		NoGroupCommit:   !grouped,
 		FS:              slowFS{faultfs.OS},
 	})
 	if err != nil {
-		return 0, 0, hist, err
+		return 0, 0, 0, hist, err
 	}
 	defer db.Close()
 	ty, err := ode.RegisterWithCodec[Blob](db, "Blob", rawCodec{})
 	if err != nil {
-		return 0, 0, hist, err
+		return 0, 0, 0, hist, err
 	}
 	objs := make([]ode.OID, nCommitters)
 	rng := rand.New(rand.NewSource(14))
@@ -101,9 +106,10 @@ func shardCell(dir string, shards, nCommitters int, crossShard, grouped bool, wi
 			objs[i] = p.OID()
 			return err
 		}); err != nil {
-			return 0, 0, hist, err
+			return 0, 0, 0, hist, err
 		}
 	}
+	startBatches := db.Stats().Batches
 
 	var (
 		commits   atomic.Int64
@@ -146,10 +152,11 @@ func shardCell(dir string, shards, nCommitters int, crossShard, grouped bool, wi
 	stop.Store(true)
 	wg.Wait()
 	if firstErr != nil {
-		return 0, 0, hist, firstErr
+		return 0, 0, 0, hist, firstErr
 	}
 	hist = db.Metrics().CommitLatency
-	return commits.Load(), time.Duration(latencyNS.Load()), hist, nil
+	return commits.Load(), db.Stats().Batches - startBatches,
+		time.Duration(latencyNS.Load()), hist, nil
 }
 
 // E14 — shard scaling: synchronous commit throughput of 16 concurrent
@@ -157,18 +164,17 @@ func shardCell(dir string, shards, nCommitters int, crossShard, grouped bool, wi
 // (every fsync costs e14FsyncLatency). Each shard owns its WAL, buffer
 // pool, writer mutex and commit pipeline:
 //
-//   - single: every transaction stays on its committer's shard, one
-//     fsync per transaction. At one shard the writer mutex serializes
-//     the device waits; at N shards the pipelines wait on the device
-//     concurrently — the architectural win this experiment gates on.
+//   - single: every transaction stays on its committer's shard and
+//     commits through that shard's group-commit pipeline. The bound
+//     column is what one fsync per commit would allow — shards / flush
+//     latency, each shard's pipeline waiting on the device on its own;
+//     throughput above it is fsyncs shared (commits/batch says how
+//     many), and growth with the shard count is the pipelines
+//     overlapping their device waits.
 //   - cross: every transaction also touches a neighbour's object,
 //     usually on another shard — each commit is a presumed-abort 2PC
 //     (two prepares + a coordinator decision record), pricing the
 //     cross-shard path.
-//   - grouped: the default group-commit pipeline, where concurrent
-//     commits already share one fsync; its shard-scaling win is CPU
-//     parallelism of staging/btree work, which a single-core host
-//     cannot show — the row is the honest control, not the headline.
 func E14(root string, s Scale) (*Table, error) {
 	window := time.Duration(2000/s.Factor) * time.Millisecond
 	if window < 300*time.Millisecond {
@@ -178,19 +184,18 @@ func E14(root string, s Scale) (*Table, error) {
 
 	t := &Table{
 		Title:   "E14 — Sharding: 16-committer commit throughput vs shard count",
-		Note:    fmt.Sprintf("16 committers loop small in-place updates on their own objects for %v per cell on a modeled device (%v per fsync; tmpfs hides the device wait sharding parallelizes). single = shard-local txns, one fsync each (per-shard WAL pipelines overlap device waits); cross = every txn spans two shards (2PC: two prepares + coordinator record); grouped = default group-commit pipeline (batching already shares the fsync — its sharding win is multicore staging, not visible on one core). Speedup is vs the 1-shard cell of the same workload.", window, e14FsyncLatency),
-		Headers: []string{"shards", "workload", "commits/s", "speedup", "mean (µs)", "p50/p95/p99 (µs)"},
+		Note:    fmt.Sprintf("16 committers loop small in-place updates on their own objects for %v per cell on a modeled device (%v per fsync; tmpfs hides the device wait sharding parallelizes). single = shard-local txns through each shard's group-commit pipeline; cross = every txn spans two shards (2PC: two prepares + coordinator record). bound = shards/flush, the analytic ceiling if every commit paid its own fsync (single only); commits/batch = commits per group fsync. Speedup is vs the 1-shard cell of the same workload.", window, e14FsyncLatency),
+		Headers: []string{"shards", "workload", "commits/s", "speedup", "bound", "commits/batch", "mean (µs)", "p50/p95/p99 (µs)"},
 	}
 
 	var results []ShardResult
 	base := map[string]float64{}
 	cell := 0
-	for _, workload := range []string{"single", "cross", "grouped"} {
+	for _, workload := range []string{"single", "cross"} {
 		for _, n := range []int{1, 2, 4, 8} {
 			cell++
 			dir := filepath.Join(root, fmt.Sprintf("e14-%02d", cell))
-			commits, latency, hist, err := shardCell(dir, n, committers,
-				workload == "cross", workload == "grouped", window)
+			commits, batches, latency, hist, err := shardCell(dir, n, committers, workload == "cross", window)
 			if err != nil {
 				return nil, err
 			}
@@ -205,8 +210,16 @@ func E14(root string, s Scale) (*Table, error) {
 				P99LatencyUS:  usFromNS(hist.P99()),
 				Millis:        window.Milliseconds(),
 			}
+			bound := "-"
+			if workload == "single" {
+				r.FsyncBound = float64(n) / e14FsyncLatency.Seconds()
+				bound = fmt.Sprintf("%.0f", r.FsyncBound)
+			}
 			if commits > 0 {
 				r.MeanLatencyUS = float64(latency.Microseconds()) / float64(commits)
+			}
+			if batches > 0 {
+				r.CommitsPerBatch = float64(commits) / float64(batches)
 			}
 			results = append(results, r)
 			if n == 1 {
@@ -219,6 +232,8 @@ func E14(root string, s Scale) (*Table, error) {
 			t.AddRow(fmt.Sprintf("%d", n), workload,
 				fmt.Sprintf("%.0f", r.CommitsPerSec),
 				fmt.Sprintf("%.2fx", speedup),
+				bound,
+				fmt.Sprintf("%.1f", r.CommitsPerBatch),
 				fmt.Sprintf("%.1f", r.MeanLatencyUS),
 				fmt.Sprintf("%.0f/%.0f/%.0f", r.P50LatencyUS, r.P95LatencyUS, r.P99LatencyUS))
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ode/internal/faultfs"
-	"ode/internal/oid"
 	"ode/internal/wal"
 )
 
@@ -19,40 +18,27 @@ func TestCommittedInLogCountsDecidedPrepareOnce(t *testing.T) {
 	}
 	defer log.Close()
 	page := []byte{0xab}
-	append2 := func(tx oid.TxID) {
-		t.Helper()
-		if _, err := log.AppendBegin(tx); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := log.AppendPageImage(tx, 1, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// tx1: plain local commit.
-	append2(1)
-	if _, err := log.AppendCommit(1); err != nil {
-		t.Fatal(err)
-	}
-	// tx2: decided prepare followed by the shard-local commit record —
-	// must count once.
-	append2(2)
-	if _, err := log.AppendPrepare(2, 7); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := log.AppendCommit(2); err != nil {
-		t.Fatal(err)
-	}
-	// tx3: decided prepare with no local commit (crash before the
-	// shard-local decide landed) — still counts.
-	append2(3)
-	if _, err := log.AppendPrepare(3, 8); err != nil {
-		t.Fatal(err)
-	}
-	// tx4: undecided prepare — does not count.
-	append2(4)
-	if _, err := log.AppendPrepare(4, 9); err != nil {
-		t.Fatal(err)
-	}
+	logRun(t, log, func(fr *wal.Frames) {
+		// tx1: plain local commit.
+		fr.Begin(1)
+		fr.PageImage(1, 1, page)
+		fr.Commit(1)
+		// tx2: decided prepare followed by the shard-local commit record —
+		// must count once.
+		fr.Begin(2)
+		fr.PageImage(2, 1, page)
+		fr.Prepare(2, 7)
+		fr.Commit(2)
+		// tx3: decided prepare with no local commit (crash before the
+		// shard-local decide landed) — still counts.
+		fr.Begin(3)
+		fr.PageImage(3, 1, page)
+		fr.Prepare(3, 8)
+		// tx4: undecided prepare — does not count.
+		fr.Begin(4)
+		fr.PageImage(4, 1, page)
+		fr.Prepare(4, 9)
+	})
 	n, err := committedInLog(log, map[uint64]bool{7: true, 8: true})
 	if err != nil {
 		t.Fatal(err)

@@ -5,9 +5,9 @@
 // re-assignable at runtime (Reshard), so a transaction touches exactly
 // the shards its objects live on:
 //
-//   - a transaction that mutates one shard commits through that shard's
-//     own pipeline — group-commit fsync, epoch publication, counters —
-//     exactly as a standalone manager would;
+//   - a transaction that mutates one shard stages and submits on that
+//     shard (joined.go) — its group-commit fsync, epoch publication and
+//     counters — exactly as a standalone manager would;
 //   - a transaction that mutates several shards runs presumed-abort
 //     two-phase commit: every dirty shard logs a prepare record
 //     (fsynced, epoch advanced but NOT published), then one decision
@@ -22,10 +22,12 @@
 // and recovery commits it iff the coordinator log decided its global
 // id — otherwise it is presumed aborted.
 //
-// With one shard the coordinator is a thin veneer: the directory keeps
-// the legacy layout (data.ode/wal.ode, no shard metadata, no
-// coordinator log) and every operation delegates to the single Manager,
-// so a Shards=1 database is the pre-shard engine bit for bit.
+// With one shard the directory keeps the legacy layout (data.ode/
+// wal.ode, no shard metadata, no coordinator log). Transactions take
+// the same path as at any other shard count — every one of them is a
+// single-shard commit, accounted for here — and only the operations
+// that involve the coordinator log (2PC, resharding, its reset at
+// checkpoint and close) have nothing to do.
 package txn
 
 import (
@@ -858,9 +860,6 @@ func (c *Coordinator) poisonCoord(err error) {
 // counts one file header once plus each log's payload, so a freshly
 // checkpointed database reports the same figure regardless of N.
 func (c *Coordinator) Stats() Stats {
-	if c.clog == nil {
-		return c.ms()[0].Stats()
-	}
 	var commits, batches uint64
 	for {
 		s1 := c.statsSeq.Load()
@@ -889,7 +888,9 @@ func (c *Coordinator) Stats() Stats {
 		out.RecoveredTxns += s.RecoveredTxns
 		out.WALBytes += s.WALBytes - wal.HeaderSize
 	}
-	out.WALBytes += c.clogBytes.Load() - wal.HeaderSize
+	if c.clog != nil {
+		out.WALBytes += c.clogBytes.Load() - wal.HeaderSize
+	}
 	return out
 }
 
@@ -917,7 +918,6 @@ type WriteTx struct {
 	maxJoined int
 	all       bool
 	restarted bool
-	delegated bool // single-shard delegation: commit is the Manager's job
 }
 
 // NumShards returns the physical shard count the transaction can join.
@@ -934,7 +934,7 @@ func (w *WriteTx) Map() *storage.ShardMap { return w.rt.rmap }
 // publishes the dirty shards' epochs. Reshard chunks use it to flip a
 // migrated range's assignment together with the data move.
 func (w *WriteTx) SetShardMap(m *storage.ShardMap) {
-	if w.delegated {
+	if w.c.clog == nil {
 		panic("txn: SetShardMap on a single-shard (legacy layout) database")
 	}
 	w.newMap = m
@@ -1004,7 +1004,7 @@ func (w *WriteTx) Join(s int) (*storage.TxView, error) {
 		m.unlockWriter()
 		return nil, ErrRoutingEpochChanged
 	}
-	txid, v, tr := m.beginJoined()
+	txid, v, tr := m.begin()
 	w.views[s] = v
 	w.trs[s] = tr
 	w.txids[s] = txid
@@ -1057,23 +1057,6 @@ func (w *WriteTx) rollbackRelease() {
 // coordinated additions are the ascending-join restart and two-phase
 // commit for transactions that dirtied more than one shard.
 func (c *Coordinator) Write(fn func(*WriteTx) error) error {
-	if c.clog == nil {
-		rt := c.routing.Load()
-		return rt.ms[0].Write(func(v *storage.TxView) error {
-			return fn(&WriteTx{
-				c:         c,
-				rt:        rt,
-				views:     []*storage.TxView{v},
-				trs:       []*tracker{nil},
-				txids:     []oid.TxID{0},
-				epochs:    []uint64{0},
-				snaps:     []*storage.TxView{nil},
-				joined:    []bool{true},
-				maxJoined: 0,
-				delegated: true,
-			})
-		})
-	}
 	if c.closed.Load() {
 		return ErrClosed
 	}
@@ -1180,7 +1163,7 @@ func (c *Coordinator) runFn(wtx *WriteTx, fn func(*WriteTx) error) (err error) {
 func (c *Coordinator) commitTx(wtx *WriteTx, span uint64, start time.Time) error {
 	var dirty []int
 	for _, s := range wtx.joinOrder { // ascending by the join protocol
-		if len(wtx.trs[s].touchedPages()) > 0 {
+		if wtx.trs[s].dirty() {
 			dirty = append(dirty, s)
 		}
 	}
@@ -1210,45 +1193,30 @@ func (c *Coordinator) abortObserve(span uint64, start time.Time, err error) {
 	}
 }
 
-// commitSingle routes a transaction that dirtied exactly one shard
-// through that shard's own commit pipeline; counters and batch/fsync
-// accounting land on the shard, exactly as a standalone commit would.
+// commitSingle commits a transaction that dirtied exactly one shard on
+// that shard: stage, submit, release every joined shard, then wait for
+// the acknowledgement off-lock, so the next writer runs while this
+// commit's batch is fsynced. Commit counters and batch/fsync accounting
+// land on the shard, exactly as a standalone commit's would.
 func (c *Coordinator) commitSingle(wtx *WriteTx, s int, span uint64, start time.Time) error {
 	m := wtx.rt.ms[s]
-	txid, tr := wtx.txids[s], wtx.trs[s]
-	if m.gc != nil {
-		fr, err := m.stageJoined(txid, tr, 0, false)
-		if err != nil {
-			wtx.rollbackRelease()
-			c.abortObserve(span, start, err)
-			return fmt.Errorf("txn: commit: %w", err)
-		}
-		req := m.enqueueJoined(txid, tr, fr, false)
-		if c.sink != nil {
-			c.sink.Emit(obs.SpanEvent{Kind: obs.SpanPrepare, Tx: span, Dur: time.Since(start)})
-		}
-		wtx.release()
-		if err := <-req.done; err != nil {
-			// The shard's committer rolled the whole suffix back
-			// (failSuffix) and accounted for the abort before this ack.
-			return fmt.Errorf("txn: commit: %w", err)
-		}
-		c.observeCommit(span, start)
-		return nil
-	}
-	durable, err := m.commitJoinedSync(txid, tr)
+	req, err := m.stage(wtx.txids[s], wtx.trs[s], 0, false)
 	if err != nil {
-		if !durable {
-			// commitJoinedSync rolled the shard back quietly; the other
-			// joined shards are clean.
-			wtx.release()
-			c.abortObserve(span, start, err)
-			return fmt.Errorf("txn: commit: %w", err)
-		}
-		wtx.release()
-		return fmt.Errorf("txn: post-commit checkpoint (commit IS durable): %w", err)
+		wtx.rollbackRelease()
+		c.abortObserve(span, start, err)
+		return fmt.Errorf("txn: commit: %w", err)
 	}
+	if c.sink != nil {
+		c.sink.Emit(obs.SpanEvent{Kind: obs.SpanPrepare, Tx: span, Dur: time.Since(start)})
+	}
+	m.submit(req, start)
 	wtx.release()
+	if err := req.await(); err != nil {
+		// Whoever failed the commit — the shard's committer (failSuffix)
+		// or submit itself — rolled it back and counted the abort on the
+		// shard before this ack.
+		return fmt.Errorf("txn: commit: %w", err)
+	}
 	c.observeCommit(span, start)
 	return nil
 }
@@ -1264,30 +1232,25 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 	var perr error
 	for _, s := range dirty {
 		m := wtx.rt.ms[s]
-		if m.gc != nil {
-			fr, err := m.stageJoined(wtx.txids[s], wtx.trs[s], gtid, true)
-			if err != nil {
-				perr = err
-				break
+		req, err := m.stage(wtx.txids[s], wtx.trs[s], gtid, true)
+		if err == nil {
+			m.submit(req, start)
+			// Await while still holding the shard mutex: the prepare stays
+			// the newest transaction in the shard's log, and if its batch
+			// fails the committer rolls it back — this shard's part first,
+			// then the commits batched ahead of it — under our hold, before
+			// any other writer can get in.
+			if err = req.await(); err != nil {
+				// Already undone on this shard (await's contract): leave
+				// rollbackRelease nothing to restore here a second time.
+				wtx.trs[s] = newTracker()
 			}
-			req := m.enqueueJoined(wtx.txids[s], wtx.trs[s], fr, true)
-			// Wait while still holding the shard mutex: on batch failure
-			// the committer acks us first and only then takes the mutex
-			// to roll the batch back, so the rollback below (ours before
-			// the batch's) keeps newest-first order shard-wide.
-			if err := <-req.done; err != nil {
-				perr = err
-				break
-			}
-			wtx.epochs[s] = req.epoch
-		} else {
-			ep, err := m.prepareJoinedSync(wtx.txids[s], wtx.trs[s], gtid)
-			if err != nil {
-				perr = err
-				break
-			}
-			wtx.epochs[s] = ep
 		}
+		if err != nil {
+			perr = err
+			break
+		}
+		wtx.epochs[s] = req.epoch
 	}
 	if perr != nil {
 		// Presumed abort: no decision record exists, so the durable
@@ -1297,7 +1260,7 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 		c.abortObserve(span, start, perr)
 		return fmt.Errorf("txn: commit: %w", perr)
 	}
-	if c.sink != nil && c.grouped {
+	if c.sink != nil {
 		c.sink.Emit(obs.SpanEvent{Kind: obs.SpanPrepare, Tx: span, Batch: len(dirty), Dur: time.Since(start)})
 	}
 
@@ -1486,7 +1449,7 @@ func (c *Coordinator) Checkpoint() error {
 		start = time.Now()
 	}
 	for i, m := range c.ms() {
-		if err := m.checkpointQuiet(); err != nil {
+		if err := m.checkpoint(true); err != nil {
 			return fmt.Errorf("txn: checkpoint shard %d: %w", i, err)
 		}
 	}
@@ -1568,7 +1531,7 @@ func (c *Coordinator) CheckpointExclusive(fn func() error) error {
 		// The wrapped single manager accounts for its own checkpoint
 		// (count + latency), exactly like Manager.Checkpoint; a sharded
 		// coordinator checkpoints quietly and counts once at its level.
-		if err := m.checkpointLockedOpts(!single); err != nil {
+		if err := m.checkpointLocked(!single); err != nil {
 			if single {
 				return err
 			}

@@ -35,9 +35,7 @@ func buildCoordLog(t testing.TB, fsys faultfs.FS, seed []byte) (map[uint64]bool,
 		gtid := uint64(b) + 1
 		if i%3 == 2 {
 			// Not a decision: scanDecisions must skip it.
-			if _, err := l.AppendBegin(oid.TxID(gtid)); err != nil {
-				t.Fatal(err)
-			}
+			logRun(t, l, func(fr *wal.Frames) { fr.Begin(oid.TxID(gtid)) })
 			continue
 		}
 		if _, err := l.AppendCommit(oid.TxID(gtid)); err != nil {

@@ -1,38 +1,34 @@
-// Group commit: the commit path is split into prepare (run fn, stage
-// WAL frames, advance the prepared epoch — all under the writer mutex)
-// and publish (append + fsync, done by a single committer goroutine for
-// a whole batch of prepared transactions at once). Writers therefore
-// hold the writer mutex only for their in-memory work; the fsync — the
-// expensive, latency-dominating step — is shared by everyone in the
-// batch, so N concurrent committers cost one fsync instead of N.
+// Group commit: the committer's end of submit (joined.go). A writer
+// runs fn, stages its WAL frames and submits under the shard's writer
+// mutex; the append and the fsync — the expensive, latency-dominating
+// step — are done by a single committer goroutine for a whole batch of
+// submitted transactions at once. Writers therefore hold the writer
+// mutex only for their in-memory work, and N concurrent committers cost
+// one fsync instead of N.
 //
 // Protocol (DESIGN.md §10):
 //
-//   - prepare (Manager.prepare, writer mutex held): run fn, stage the
-//     transaction's Begin/PageImage/Commit records into a wal.Frames,
-//     advance the pool's prepared epoch, enqueue a commitReq. Queue
-//     order is prepare order because enqueue happens under the mutex.
+//   - submit (Manager.submit, writer mutex held): advance the pool's
+//     prepared epoch, enqueue the commitReq. Queue order is submit order
+//     because enqueue happens under the mutex.
 //   - publish (groupCommitter.run, its own goroutine): pop everything
-//     queued (bounded by CommitBatchSize), splice the members' frames
-//     into the log, one fsync, advance the durable epoch to the newest
-//     member's, then ack every member. "Leader election" is degenerate
-//     by construction: the committer goroutine is the standing leader,
-//     and members only ever wait on their own done channel.
+//     queued (bounded by maxBatch), splice the members' frames into the
+//     log, one fsync, advance the durable epoch to the newest member's,
+//     then ack every member. "Leader election" is degenerate by
+//     construction: the committer goroutine is the standing leader, and
+//     members only ever wait on their own done channel.
 //   - failure (Manager.failSuffix): if the batch's append or fsync
-//     fails, every prepared-but-not-durable transaction — the failed
+//     fails, every submitted-but-not-durable transaction — the failed
 //     batch and anything queued behind it — is rolled back newest-first
 //     (their before-images only compose in that order), the WAL is
 //     truncated back to the batch start so the failed commits can never
-//     be replayed, and each member gets its own error. The manager is
-//     NOT poisoned: durable state is intact and the next commit must
-//     succeed (see TestFailedCommitSyncNeverResurfaces). Only a failure
-//     to heal the WAL itself poisons.
+//     be replayed, and only then does each member get its own error.
+//     The manager is NOT poisoned: durable state is intact and the next
+//     commit must succeed (see TestFailedCommitSyncNeverResurfaces).
+//     Only a failure to heal the WAL itself poisons.
 //
 // Batching needs no timer to be effective: while a flush is in flight,
 // new requests pile up in the queue and the next pop takes them all.
-// CommitBatchDelay > 0 additionally makes the committer linger after
-// the first request of a batch, trading single-writer latency for
-// larger groups.
 package txn
 
 import (
@@ -45,25 +41,26 @@ import (
 	"ode/internal/wal"
 )
 
-// DefaultCommitBatchSize bounds how many prepared transactions one
-// group-commit fsync may cover unless configured otherwise.
-const DefaultCommitBatchSize = 64
+// maxBatch bounds how many submitted transactions one group-commit
+// fsync may cover.
+const maxBatch = 64
 
-// commitReq is one prepared transaction awaiting its group fsync.
+// commitReq is one staged transaction on its way into the log: built by
+// stage, handed over by submit, acknowledged through done (await).
 type commitReq struct {
 	txid  oid.TxID
-	tr    *tracker    // for rollback if the batch fails
-	fr    *wal.Frames // staged Begin/PageImage/Commit run
+	tr    *tracker    // for rollback if the commit fails
+	fr    *wal.Frames // staged Begin/PageImage/Commit-or-Prepare run
 	epoch uint64      // prepared epoch assigned at the commit point
+	start time.Time   // the writer's clock, for an abort span; zero untimed
 	done  chan error  // buffered(1); nil = durable
 	// prepare marks a 2PC participant: its frames end in a prepare
 	// record, not a commit. The coordinator holds the shard's writer
 	// mutex from enqueue until after the ack, so a prepare request is
 	// always the LAST member of its batch: nothing can be enqueued
 	// behind it. It is not a commit — the batch's counters, durable
-	// epoch and BatchSize skip it — and on batch failure it is acked
-	// (with the cause) before failSuffix takes the writer mutex, because
-	// its owner holds that mutex and rolls the transaction back itself.
+	// epoch and BatchSize skip it — and a batch that ends in one is
+	// failed under its owner's hold of the writer mutex (failSuffix).
 	prepare bool
 }
 
@@ -73,46 +70,48 @@ type commitReq struct {
 // because the committer itself takes the writer mutex on the failure
 // path and a bounded queue could deadlock against it.
 type groupCommitter struct {
-	m        *Manager
-	maxBatch int
-	maxDelay time.Duration
+	m *Manager
 
 	qmu     sync.Mutex
 	more    *sync.Cond // signalled on enqueue and stop
 	idle    *sync.Cond // signalled when the pipeline may have drained
 	q       []*commitReq
-	busy    bool // a batch is being flushed right now
+	busy    bool  // a batch is being flushed right now
+	failing error // a batch failed and the committer wants the writer mutex
 	stopped bool
 	exited  chan struct{}
 }
 
-func newGroupCommitter(m *Manager, maxBatch int, maxDelay time.Duration) *groupCommitter {
-	if maxBatch <= 0 {
-		maxBatch = DefaultCommitBatchSize
-	}
-	gc := &groupCommitter{m: m, maxBatch: maxBatch, maxDelay: maxDelay, exited: make(chan struct{})}
+func newGroupCommitter(m *Manager) *groupCommitter {
+	gc := &groupCommitter{m: m, exited: make(chan struct{})}
 	gc.more = sync.NewCond(&gc.qmu)
 	gc.idle = sync.NewCond(&gc.qmu)
 	go gc.run()
 	return gc
 }
 
-// enqueue hands a prepared transaction to the committer. Callers hold
-// the writer mutex, which is what makes queue order prepare order.
-func (gc *groupCommitter) enqueue(req *commitReq) {
+// enqueue hands a submitted transaction to the committer. Callers hold
+// the writer mutex, which is what makes queue order submit order. It
+// refuses — the request is not queued and the caller fails it — while
+// the committer is waiting for the writer mutex to fail a batch: the
+// transaction was staged on that batch's doomed effects, and a 2PC
+// owner queued now would wait under the very mutex the committer needs.
+func (gc *groupCommitter) enqueue(req *commitReq) error {
 	gc.qmu.Lock()
+	defer gc.qmu.Unlock()
+	if gc.failing != nil {
+		return fmt.Errorf("aborted with failed commit group: %w", gc.failing)
+	}
 	if gc.stopped {
 		// Unreachable by Close's ordering (writers are barred before the
 		// committer stops), but an unacked request would hang its writer
 		// forever, so fail it rather than trust that reasoning with a
 		// goroutine's life.
-		gc.qmu.Unlock()
-		req.done <- ErrClosed
-		return
+		return ErrClosed
 	}
 	gc.q = append(gc.q, req)
 	gc.more.Signal()
-	gc.qmu.Unlock()
+	return nil
 }
 
 // next blocks until there is work, then claims up to maxBatch requests.
@@ -127,16 +126,9 @@ func (gc *groupCommitter) next() []*commitReq {
 		}
 		gc.more.Wait()
 	}
-	if gc.maxDelay > 0 && len(gc.q) < gc.maxBatch && !gc.stopped {
-		// Linger for stragglers. The queue stays non-empty throughout, so
-		// the pipeline correctly reads as busy.
-		gc.qmu.Unlock()
-		time.Sleep(gc.maxDelay)
-		gc.qmu.Lock()
-	}
 	n := len(gc.q)
-	if n > gc.maxBatch {
-		n = gc.maxBatch
+	if n > maxBatch {
+		n = maxBatch
 	}
 	batch := gc.q[:n:n]
 	rest := make([]*commitReq, len(gc.q)-n)
@@ -146,14 +138,35 @@ func (gc *groupCommitter) next() []*commitReq {
 	return batch
 }
 
-// drainQueued empties the queue (called by failSuffix under the writer
-// mutex: everything still queued was prepared on top of the failed
-// batch and must be rolled back with it).
-func (gc *groupCommitter) drainQueued() []*commitReq {
+// beginFail opens the failure path for batch: it reports whether the
+// writer mutex is already held on the committer's behalf, and if not,
+// closes the queue (enqueue refuses) until endFail so the committer can
+// take the mutex itself. The mutex is lent when a 2PC prepare is
+// waiting — last in the batch or last in the queue: its owner holds the
+// mutex until the committer acks it, and nothing can be queued behind.
+func (gc *groupCommitter) beginFail(batch []*commitReq, cause error) (lent bool) {
+	gc.qmu.Lock()
+	defer gc.qmu.Unlock()
+	last := batch[len(batch)-1]
+	if n := len(gc.q); n > 0 {
+		last = gc.q[n-1]
+	}
+	if last.prepare {
+		return true
+	}
+	gc.failing = cause
+	return false
+}
+
+// endFail empties the queue — everything still in it was staged on top
+// of the failed batch and goes down with it — and reopens it. Called
+// under the writer mutex, held or lent.
+func (gc *groupCommitter) endFail() []*commitReq {
 	gc.qmu.Lock()
 	defer gc.qmu.Unlock()
 	q := gc.q
 	gc.q = nil
+	gc.failing = nil
 	return q
 }
 
@@ -217,14 +230,6 @@ func (m *Manager) publishBatch(batch []*commitReq) {
 	if m.timed() {
 		flushStart = time.Now()
 	}
-	// A 2PC prepare request can only be the last member (its owner holds
-	// the writer mutex until it is acked, so nothing enqueues behind it).
-	var prep *commitReq
-	normals := batch
-	if batch[len(batch)-1].prepare {
-		prep = batch[len(batch)-1]
-		normals = batch[:len(batch)-1]
-	}
 	m.logMu.Lock()
 	startLSN := m.log.End()
 	var err error
@@ -241,21 +246,20 @@ func (m *Manager) publishBatch(batch []*commitReq) {
 		if m.sink != nil {
 			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanFsync, Batch: len(batch), Dur: time.Since(flushStart), Err: err.Error()})
 		}
-		// Ack the prepare request BEFORE failSuffix takes the writer
-		// mutex: its owner — the coordinator — holds that mutex while
-		// waiting for this ack and rolls the 2PC transaction back itself
-		// (newest-first order is preserved: that rollback happens before
-		// the mutex is released, so before failSuffix can run).
-		if prep != nil {
-			prep.done <- err
-		}
-		m.failSuffix(normals, startLSN, err)
+		m.failSuffix(batch, startLSN, err)
 		return
 	}
 	size := m.log.Size()
 	m.walBytes.Store(size)
 	m.logMu.Unlock()
 
+	// A 2PC prepare request can only be the last member (its owner holds
+	// the writer mutex until it is acked, so nothing enqueues behind it).
+	// It is durable now but not a commit: the rest is about the others.
+	normals := batch
+	if batch[len(batch)-1].prepare {
+		normals = batch[:len(batch)-1]
+	}
 	if m.m != nil && len(normals) > 0 {
 		m.m.BatchSize.Observe(uint64(len(normals)))
 	}
@@ -277,22 +281,32 @@ func (m *Manager) publishBatch(batch []*commitReq) {
 	m.maybeKickCheckpoint(size)
 }
 
-// failSuffix handles a failed batch append/fsync: every prepared-but-
+// failSuffix handles a failed batch append/fsync: every submitted-but-
 // not-durable transaction — the batch plus anything queued behind it
-// (prepared on top of the batch's in-memory effects) — is rolled back
-// newest-first, the WAL is healed back to the batch start, and each
-// member is acked with an error. Batch members get the cause; queued
-// members get a wrapper naming why an fsync they were not part of took
-// them down. The prepared epochs burned here are simply never made
-// durable, so no reader ever pins them.
+// (staged on top of the batch's in-memory effects) — is rolled back
+// newest-first, the WAL is healed back to the batch start, and then
+// each member is acked with an error. Batch members get the cause;
+// queued members get a wrapper naming why an fsync they were not part
+// of took them down. The prepared epochs burned here are simply never
+// made durable, so no reader ever pins them.
+//
+// All of it happens under the writer mutex, so no transaction is ever
+// staged on state that is being rolled back. Normally the committer
+// takes the mutex; writers that reach submit while it waits are failed
+// there (enqueue refuses), newest first by construction. But when a 2PC
+// prepare is in the batch or queued behind it, its owner holds the
+// mutex, parked in await until the ack below — taking the mutex would
+// deadlock against it, and acking it first would let other writers in
+// between the ack and the heal. So the committer works under the
+// owner's hold: the mutex is lent (beginFail).
 func (m *Manager) failSuffix(batch []*commitReq, startLSN oid.LSN, cause error) {
-	m.mu.Lock()
-	suffix := append(batch, m.gc.drainQueued()...)
+	lent := m.gc.beginFail(batch, cause)
+	if !lent {
+		m.mu.Lock()
+	}
+	suffix := append(batch, m.gc.endFail()...)
 	for i := len(suffix) - 1; i >= 0; i-- {
-		m.rollback(suffix[i].tr)
-		if m.sink != nil {
-			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(suffix[i].txid), Err: cause.Error()})
-		}
+		m.undo(suffix[i], cause)
 	}
 	m.logMu.Lock()
 	if err := m.log.TruncateTo(startLSN); err != nil {
@@ -303,7 +317,9 @@ func (m *Manager) failSuffix(batch []*commitReq, startLSN oid.LSN, cause error) 
 	}
 	m.walBytes.Store(m.log.Size())
 	m.logMu.Unlock()
-	m.mu.Unlock()
+	if !lent {
+		m.mu.Unlock()
+	}
 	for i, r := range suffix {
 		if i < len(batch) {
 			r.done <- cause

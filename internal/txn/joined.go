@@ -1,16 +1,39 @@
-// Joined-transaction entry points: the per-shard half of the
-// coordinator protocol (coord.go). A coordinated transaction "joins" a
-// shard by taking its writer mutex and beginning a shard-local
-// transaction on it; the coordinator then drives commit, prepare,
-// decide or rollback through these methods while it holds that mutex.
-// They are the same steps Manager.Write performs for a standalone
-// manager, minus span emission and latency accounting — the coordinator
-// accounts for the whole cross-shard transaction once at its level.
+// The write path. Every write transaction on a shard — a standalone
+// Manager.Write, a coordinated single-shard commit, a 2PC participant —
+// takes the same steps, and each step is written once, here:
+//
+//	lockWriter  take the shard's writer mutex; refuse a closed,
+//	            read-only or poisoned shard
+//	begin       a tracker, a writer view and a shard-local txid
+//	fn          the caller's mutations, through the view
+//	stage       encode Begin, the touched pages' after-images and a
+//	            commit (or 2PC prepare) record into pooled wal.Frames
+//	submit      the in-memory commit point: advance the prepared epoch,
+//	            then hand the run to the group committer or, on a shard
+//	            without one, append it inline
+//	await       the acknowledgement: durable, or failed and healed
+//
+// and then publishes: a commit's epoch becomes the readers' epoch as
+// part of its acknowledgement; a prepare's only when the coordinator
+// has decided (decideJoinedLog, publishJoined).
+//
+// Where the mutex is released relative to the acknowledgement is the
+// caller's one degree of freedom. A commit releases it between submit
+// and await, so the next writer runs during the fsync. A 2PC prepare
+// holds it across await and on through the decide, which is what makes
+// an in-doubt prepare the newest transaction in its shard's log.
+//
+// The coordinator accounts for a coordinated transaction once at its
+// own level, so nothing here emits spans or records latency except the
+// shard-level facts: commit and abort counts, batch sizes, fsyncs.
 package txn
 
 import (
 	"fmt"
+	"sync"
+	"time"
 
+	"ode/internal/obs"
 	"ode/internal/oid"
 	"ode/internal/storage"
 	"ode/internal/wal"
@@ -41,10 +64,10 @@ func (m *Manager) unlockWriter() { m.mu.Unlock() }
 
 // lockWriterDrained takes the shard's writer mutex with the commit
 // pipeline idle: no batch queued or in flight. Holding the mutex keeps
-// it that way (enqueueing requires the mutex). On error the mutex is
-// NOT held. Unlike lockWriter it tolerates a poisoned shard: callers
-// (checkpoint under Coordinator.CheckpointExclusive) surface the poison
-// themselves and must not deadlock on it.
+// it that way (submitting requires the mutex). On error the mutex is
+// NOT held. Unlike lockWriter it tolerates a poisoned or read-only
+// shard: its callers checkpoint, and checkpointLocked surfaces both
+// itself — the lock must not deadlock or mask them.
 func (m *Manager) lockWriterDrained() error {
 	for {
 		m.mu.Lock()
@@ -60,26 +83,38 @@ func (m *Manager) lockWriterDrained() error {
 	}
 }
 
-// beginJoined starts a shard-local transaction. Caller holds the writer
-// mutex (lockWriter) and keeps it until release.
-func (m *Manager) beginJoined() (oid.TxID, *storage.TxView, *tracker) {
+// begin starts a shard-local transaction. Caller holds the writer mutex
+// (lockWriter) and keeps it at least until submit.
+func (m *Manager) begin() (oid.TxID, *storage.TxView, *tracker) {
 	tr := newTracker()
 	v := m.st.OpenWriter(tr)
 	m.nextTx++
 	return oid.TxID(m.nextTx), v, tr
 }
 
-// stageJoined builds the transaction's staged WAL frames: Begin, the
-// page after-images, and either a commit record or — for a 2PC
-// participant — a prepare record carrying gtid. Caller holds the writer
-// mutex; the images are copied while they are the transaction's final
-// state.
-func (m *Manager) stageJoined(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (*wal.Frames, error) {
-	fr := &wal.Frames{}
+// framesPool recycles staging buffers: after a page-image-heavy commit
+// the buffer is page-sized times touched pages, well worth keeping off
+// the allocator.
+var framesPool = sync.Pool{New: func() any { return new(wal.Frames) }}
+
+// stage builds the transaction's WAL run — Begin, one after-image per
+// touched page, then a commit record or, for a 2PC participant, a
+// prepare record carrying gtid — and wraps it in the request submit
+// takes. Caller holds the writer mutex: the images are encoded once,
+// straight into the frame buffer, while they are the transaction's
+// final state. Grow reserves the whole run up front (8-byte frame
+// header plus ≤10 bytes of record prelude per page image, with slack
+// for begin/commit/prepare) so staging never reallocates mid-loop.
+func (m *Manager) stage(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (*commitReq, error) {
+	touched := tr.touchedPages()
+	fr := framesPool.Get().(*wal.Frames) // empty: recycle resets before Put
+	req := &commitReq{txid: txid, tr: tr, fr: fr, prepare: prepare, done: make(chan error, 1)}
+	fr.Grow(len(touched)*(m.st.PageSize()+18) + 64)
 	fr.Begin(txid)
-	for _, id := range tr.touchedPages() {
+	for _, id := range touched {
 		p, err := m.st.Get(id)
 		if err != nil {
+			req.recycle()
 			return nil, err
 		}
 		fr.PageImage(txid, id, p.Data)
@@ -89,68 +124,106 @@ func (m *Manager) stageJoined(txid oid.TxID, tr *tracker, gtid uint64, prepare b
 	} else {
 		fr.Commit(txid)
 	}
-	return fr, nil
+	return req, nil
 }
 
-// enqueueJoined advances the shard's prepared epoch (the in-memory
-// commit point) and hands the staged frames to the group committer.
-// Caller holds the writer mutex. Grouped managers only.
-func (m *Manager) enqueueJoined(txid oid.TxID, tr *tracker, fr *wal.Frames, prepare bool) *commitReq {
-	epoch := m.st.Pool().AdvanceEpoch()
-	req := &commitReq{txid: txid, tr: tr, fr: fr, epoch: epoch, prepare: prepare, done: make(chan error, 1)}
-	m.gc.enqueue(req)
-	return req
-}
-
-// commitJoinedSync is the non-grouped (NoSync / NoGroupCommit) commit
-// for a joined single-shard transaction: append, fsync and maybe
-// checkpoint inline under the writer mutex, exactly like writeSync.
-// durable reports whether the commit record reached stable storage;
-// when false the transaction has already been rolled back (quietly).
-func (m *Manager) commitJoinedSync(txid oid.TxID, tr *tracker) (durable bool, err error) {
-	defer func() { m.walBytes.Store(m.log.Size()) }()
-	durable, err = m.commit(txid, tr)
-	if err != nil && !durable {
-		m.rollbackQuiet(tr)
+// submit is the in-memory commit point: it advances the shard's
+// prepared epoch — pages later transactions mutate COW against
+// snapshots tagged at it, while readers keep pinning the durable epoch
+// until the transaction is published — and hands the staged run to the
+// log. Caller holds the writer mutex, which is what makes log order
+// submit order, and must await the request. start is the writer's
+// clock (zero when untimed), kept for the abort span of a failure.
+//
+// The one branch is on what the shard has. With a group committer the
+// request is queued and the committer splices, fsyncs and acknowledges
+// it with its batch (group.go). Without one — NoSync: there is no fsync
+// to share, so nothing to pay a goroutine hand-off for — the run is
+// appended here and the request is complete when submit returns. Both
+// ends honour one contract (see commitReq.await): a failed run is
+// erased from the log and its transaction rolled back by whoever
+// failed it, before the acknowledgement.
+func (m *Manager) submit(req *commitReq, start time.Time) {
+	req.epoch = m.st.Pool().AdvanceEpoch()
+	req.start = start
+	if m.gc != nil {
+		if err := m.gc.enqueue(req); err != nil {
+			m.undo(req, err)
+			req.done <- err
+		}
+		return
 	}
-	return durable, err
-}
-
-// prepareJoinedSync is the non-grouped 2PC prepare: append the
-// transaction's images and prepare record inline and make them durable.
-// On success it advances the prepared epoch (returned for the decide
-// step) — the durable epoch does not move until the coordinator
-// decides. On error the WAL is healed and the transaction has NOT been
-// rolled back (the coordinator owns that).
-func (m *Manager) prepareJoinedSync(txid oid.TxID, tr *tracker, gtid uint64) (epoch uint64, err error) {
-	defer func() { m.walBytes.Store(m.log.Size()) }()
+	// Remember where the run starts so a failed append can erase it:
+	// once an error is reported the transaction must never resurface
+	// via recovery.
 	startLSN := m.log.End()
-	if _, err := m.log.AppendBegin(txid); err != nil {
+	_, err := m.log.AppendFrames(req.fr)
+	if err != nil {
 		m.undoWAL(startLSN)
-		return 0, err
+		m.undo(req, err)
 	}
-	for _, id := range tr.touchedPages() {
-		p, err := m.st.Get(id)
-		if err != nil {
-			m.undoWAL(startLSN)
-			return 0, err
-		}
-		if _, err := m.log.AppendPageImage(txid, id, p.Data); err != nil {
-			m.undoWAL(startLSN)
-			return 0, err
-		}
-	}
-	if _, err := m.log.AppendPrepare(txid, gtid); err != nil {
-		m.undoWAL(startLSN)
-		return 0, err
-	}
-	if !m.opts.NoSync {
-		if err := m.log.Sync(); err != nil {
-			m.undoWAL(startLSN)
-			return 0, err
+	m.walBytes.Store(m.log.Size())
+	if err == nil && !req.prepare {
+		// Under NoSync "durable" means "logged". Publish before the
+		// checkpoint so a checkpoint failure cannot strand readers on a
+		// stale epoch. (A prepare is logged but undecided: nothing to
+		// publish yet.)
+		m.st.Pool().AdvanceDurableTo(req.epoch)
+		m.addCommitsBatches(1, 0)
+		if cerr := m.maybeCheckpoint(); cerr != nil {
+			// The commit stands — its records are in the WAL, its effects
+			// published — but the page file and WAL may now disagree with
+			// the pool's clean/dirty bookkeeping, which only recovery
+			// reconciles. Disable further writes and say so; rolling back
+			// would contradict the log.
+			m.poison(cerr)
+			err = fmt.Errorf("post-commit checkpoint (commit IS durable): %w", cerr)
 		}
 	}
-	return m.st.Pool().AdvanceEpoch(), nil
+	req.done <- err
+}
+
+// undo rolls a failed request's transaction back in memory. Caller
+// holds the writer mutex (or works under its owner's hold, failSuffix).
+// A commit is counted and traced as an abort on the shard; a 2PC
+// prepare is one part of a transaction its coordinator accounts for.
+func (m *Manager) undo(r *commitReq, cause error) {
+	if r.prepare {
+		m.rollbackQuiet(r.tr)
+		return
+	}
+	m.rollback(r.tr)
+	if m.sink != nil {
+		ev := obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(r.txid), Err: cause.Error()}
+		if !r.start.IsZero() {
+			ev.Dur = time.Since(r.start)
+		}
+		m.sink.Emit(ev)
+	}
+}
+
+// await blocks until the request is acknowledged and returns its
+// outcome. nil: the run is durable, and a commit is visible to new
+// readers. An error: the run has been erased from the log (or the shard
+// poisoned if it could not be) and the transaction — commit or prepare
+// — has already been rolled back on this shard; the caller must not
+// roll it back again. The one error that is not a failure to commit
+// says so in its text: the inline post-commit checkpoint.
+//
+// The acknowledgement also means nothing references the staged frames
+// any more — spliced and fsynced, or truncated away — so await is where
+// they return to the pool, whatever the outcome.
+func (r *commitReq) await() error {
+	err := <-r.done
+	r.recycle()
+	return err
+}
+
+// recycle returns the request's frames, emptied, to the pool.
+func (r *commitReq) recycle() {
+	r.fr.Reset()
+	framesPool.Put(r.fr)
+	r.fr = nil
 }
 
 // decideJoinedLog writes (and fsyncs) the shard-local commit record for

@@ -5,8 +5,9 @@
 //
 // The durability contract: when Write returns nil, the transaction's
 // effects survive a crash (its page images and commit record are fsynced
-// in the WAL before the writer lock is released). A transaction that
-// returns an error, or panics, is rolled back completely.
+// in the WAL before Write returns). A transaction that returns an error,
+// or panics, is rolled back completely. The write path itself — the one
+// sequence every write transaction takes — is in joined.go.
 //
 // Concurrency: writers serialise on a narrow mutex; readers never take
 // it. Read pins a buffer-pool epoch (advanced by each commit after WAL
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,21 +76,6 @@ type Options struct {
 	// real OS. The crash-consistency matrix installs a fault-injecting
 	// implementation (internal/faultfs) here.
 	FS faultfs.FS
-	// NoGroupCommit forces the pre-batching commit path: every commit
-	// appends and fsyncs its own records while holding the writer mutex.
-	// Benchmarks use it as the baseline group commit is measured against;
-	// it is also implied by NoSync (with no fsync to share there is
-	// nothing to batch) and by ReadOnly.
-	NoGroupCommit bool
-	// CommitBatchSize caps how many prepared transactions one group
-	// fsync may cover; 0 means DefaultCommitBatchSize.
-	CommitBatchSize int
-	// CommitBatchDelay makes the group committer linger that long after
-	// a batch's first transaction, collecting stragglers: larger groups,
-	// at the price of that much single-writer commit latency. 0 (the
-	// default) flushes immediately — batching still happens naturally,
-	// because requests queue up while the previous fsync is in flight.
-	CommitBatchDelay time.Duration
 	// NoMetrics disables the observability registry entirely: no
 	// counters, no histograms, no timestamps on the commit path. It
 	// exists for the overhead benchmark (E13), which compares the
@@ -140,10 +127,11 @@ func (o *Options) walFileName() string {
 	return WALFileName
 }
 
-// grouped reports whether the manager should commit via the group
-// committer.
+// grouped reports whether the manager commits via the group committer:
+// whenever commits fsync. Under NoSync there is no fsync to share, so
+// submit appends inline instead of paying a goroutine hand-off.
 func (o *Options) grouped() bool {
-	return !o.NoSync && !o.NoGroupCommit && !o.Storage.ReadOnly
+	return !o.NoSync && !o.Storage.ReadOnly
 }
 
 // fsys resolves the filesystem the manager should use: Options.FS, then
@@ -166,7 +154,7 @@ type Stats struct {
 	RecoveredTxns uint64
 	WALBytes      int64
 	// Batches counts group-commit fsyncs; Commits/Batches is the mean
-	// group size. Zero when group commit is disabled.
+	// group size. Zero under NoSync (nothing is fsynced).
 	Batches uint64
 }
 
@@ -175,8 +163,9 @@ type Stats struct {
 // under rmu (a brief critical section) and then run lock-free against
 // an epoch-pinned snapshot view.
 type Manager struct {
-	// mu is the writer lock: Write (prepare), Checkpoint, Exclusive,
-	// failSuffix, and the tail of Close serialise on it. st (superblock
+	// mu is the writer lock: write transactions (lockWriter through
+	// submit), Checkpoint, Exclusive, failSuffix, and the tail of Close
+	// serialise on it. st (superblock
 	// mutation), nextTx and ioErr are writer-side state guarded by it.
 	mu     sync.Mutex
 	st     *storage.Store
@@ -187,8 +176,8 @@ type Manager struct {
 	// goroutine appends and fsyncs batches without holding mu, while
 	// checkpoints (under mu, pipeline drained) append markers and reset.
 	// Lock order is mu before logMu; a logMu holder never takes mu.
-	// Without group commit all log access is already serialised under mu
-	// and logMu is uncontended.
+	// Without a group committer (NoSync) all log access is already
+	// serialised under mu and logMu is uncontended.
 	logMu sync.Mutex
 	log   *wal.Log
 
@@ -220,8 +209,9 @@ type Manager struct {
 	walBytes    atomic.Int64 // mirror of log.Size(), updated under mu
 
 	// statsMu serialises commits/batches updaters (the committer
-	// goroutine and the writeSync path can otherwise race); statsSeq is
-	// the seqlock generation — odd while an update is in flight.
+	// goroutine and writers committing empty transactions can otherwise
+	// race); statsSeq is the seqlock generation — odd while an update is
+	// in flight.
 	statsMu  sync.Mutex
 	statsSeq atomic.Uint64
 
@@ -277,8 +267,12 @@ func (tr *tracker) BeforeMutate(id oid.PageID, before []byte, wasDirty bool) {
 // DidAllocate implements storage.MutationTracker.
 func (tr *tracker) DidAllocate(id oid.PageID) { tr.allocated[id] = true }
 
+// dirty reports whether the transaction touched any page at all.
+func (tr *tracker) dirty() bool { return len(tr.before)+len(tr.allocated) > 0 }
+
 // touchedPages returns the transaction's dirty set: every page with a
-// before-image plus every allocation.
+// before-image plus every allocation, in page order — so the same
+// transactions always stage the same WAL bytes.
 func (tr *tracker) touchedPages() []oid.PageID {
 	touched := make([]oid.PageID, 0, len(tr.before)+len(tr.allocated))
 	for id := range tr.before {
@@ -289,6 +283,7 @@ func (tr *tracker) touchedPages() []oid.PageID {
 			touched = append(touched, id)
 		}
 	}
+	slices.Sort(touched)
 	return touched
 }
 
@@ -374,7 +369,7 @@ func (m *Manager) startPipeline() {
 	if !m.opts.grouped() {
 		return
 	}
-	m.gc = newGroupCommitter(m, m.opts.CommitBatchSize, m.opts.CommitBatchDelay)
+	m.gc = newGroupCommitter(m)
 	m.ckptKick = make(chan struct{}, 1)
 	m.ckptStop = make(chan struct{})
 	m.ckptWG.Add(1)
@@ -650,56 +645,79 @@ func (m *Manager) isClosed() bool {
 // commit becomes durable keep their snapshot; ones admitted after see
 // the new state.
 //
-// With group commit (the default for a sync-writable manager), fn runs
-// under the writer lock but the commit fsync does not: the transaction
-// is prepared — frames staged, prepared epoch advanced — and then waits
-// off-lock for the committer goroutine to fsync it along with every
-// other transaction prepared in the same window.
+// This is the standalone form of the one write path (joined.go):
+// lockWriter, begin, fn, stage and submit under the writer mutex, then
+// the wait for the acknowledgement off it — so with a group committer
+// the next writer runs while this one's batch is fsynced. The
+// coordinator drives the same steps for a database's transactions and
+// accounts for them at its own level; this entry point serves a Manager
+// used on its own.
 func (m *Manager) Write(fn func(*storage.TxView) error) error {
-	if m.gc == nil {
-		return m.writeSync(fn)
-	}
 	var start time.Time
 	if m.timed() {
 		start = time.Now()
 	}
-	req, err := m.prepare(fn)
-	if err != nil || req == nil {
-		if err == nil {
-			// Read-only "write": committed without logging anything.
-			m.observeCommit(0, start)
-		}
+	req, err := m.writeLocked(fn, start)
+	if err != nil {
 		return err
 	}
-	err = <-req.done
-	// The ack means the committer is finished with the staged frames
-	// (spliced and fsynced, or rolled back and truncated), so the buffer
-	// can be recycled for the next commit.
-	recycleFrames(req)
-	if err != nil {
-		// The whole prepared suffix was rolled back by the committer
-		// (failSuffix) before this ack; nothing left to undo here.
-		return fmt.Errorf("txn: commit: %w", err)
+	var txid uint64 // stays 0 for a read-only "write": nothing was logged
+	if req != nil {
+		if err := req.await(); err != nil {
+			return fmt.Errorf("txn: commit: %w", err)
+		}
+		txid = uint64(req.txid)
 	}
-	m.observeCommit(uint64(req.txid), start)
+	m.observeCommit(txid, start)
 	return nil
 }
 
-// framesPool recycles commit staging buffers: after a page-image-heavy
-// commit the buffer is page-sized times touched pages, well worth
-// keeping off the allocator.
-var framesPool = sync.Pool{New: func() any { return new(wal.Frames) }}
-
-// recycleFrames returns a commit's staged frames to the pool once the
-// committer's ack guarantees no one references them.
-func recycleFrames(req *commitReq) {
-	if req.fr == nil {
-		return
+// writeLocked is Write's critical section: it takes the writer mutex,
+// runs fn, stages and submits the transaction, and releases the mutex
+// on return. It returns (nil, nil) for a transaction with nothing to
+// log. Any error (from fn or staging) has already been rolled back.
+func (m *Manager) writeLocked(fn func(*storage.TxView) error, start time.Time) (*commitReq, error) {
+	if err := m.lockWriter(); err != nil {
+		return nil, err
 	}
-	fr := req.fr
-	req.fr = nil
-	fr.Reset()
-	framesPool.Put(fr)
+	defer m.unlockWriter()
+	txid, v, tr := m.begin()
+	if m.sink != nil {
+		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanBegin, Tx: uint64(txid)})
+	}
+	done := false
+	defer func() {
+		v.Close()
+		if !done {
+			// fn panicked: roll back, then let the panic continue.
+			m.rollback(tr)
+		}
+	}()
+
+	var req *commitReq
+	err := fn(v)
+	if err == nil && tr.dirty() {
+		if req, err = m.stage(txid, tr, 0, false); err != nil {
+			err = fmt.Errorf("txn: commit: %w", err)
+		}
+	}
+	done = true
+	if err != nil {
+		m.rollback(tr)
+		if m.sink != nil {
+			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(txid), Dur: time.Since(start), Err: err.Error()})
+		}
+		return nil, err
+	}
+	if req == nil {
+		m.addCommitsBatches(1, 0) // committed without logging anything
+		return nil, nil
+	}
+	if m.sink != nil {
+		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanPrepare, Tx: uint64(txid), Dur: time.Since(start)})
+	}
+	m.submit(req, start)
+	return req, nil
 }
 
 // observeCommit records a successful commit's whole-Update latency and
@@ -715,172 +733,6 @@ func (m *Manager) observeCommit(txid uint64, start time.Time) {
 	m.sink.Emit(obs.SpanEvent{Kind: obs.SpanPublish, Tx: txid, Dur: d})
 }
 
-// prepare runs fn and, on success, stages the transaction's WAL frames,
-// advances the prepared epoch and enqueues it for the group committer —
-// all while holding the writer lock. It returns (nil, nil) for a
-// transaction with nothing to log. Any error (from fn or staging) has
-// already been rolled back.
-func (m *Manager) prepare(fn func(*storage.TxView) error) (*commitReq, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.isClosed() {
-		return nil, ErrClosed
-	}
-	if m.ioErr != nil {
-		return nil, fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
-	}
-	// prepStart only feeds span durations, so without a tracer neither
-	// the clock read nor the event construction happens.
-	var prepStart time.Time
-	if m.sink != nil {
-		prepStart = time.Now()
-	}
-	tr := newTracker()
-	v := m.st.OpenWriter(tr)
-	m.nextTx++
-	txid := oid.TxID(m.nextTx)
-	if m.sink != nil {
-		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanBegin, Tx: uint64(txid)})
-	}
-
-	done := false
-	defer func() {
-		v.Close()
-		if !done {
-			// fn panicked: roll back, then let the panic continue.
-			m.rollback(tr)
-		}
-	}()
-
-	if err := fn(v); err != nil {
-		done = true
-		m.rollback(tr)
-		if m.sink != nil {
-			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(txid), Dur: time.Since(prepStart), Err: err.Error()})
-		}
-		return nil, err
-	}
-	touched := tr.touchedPages()
-	if len(touched) == 0 {
-		done = true
-		m.addCommitsBatches(1, 0)
-		return nil, nil // read-only "write" transaction
-	}
-	// Stage the commit record run. The images are encoded once, directly
-	// into the frame buffer here, under the lock, while they are this
-	// transaction's final state; the committer splices the frozen bytes
-	// later. Grow reserves the whole run up front (8-byte frame header
-	// plus ≤10 bytes of record prelude per page image, with slack for
-	// begin/commit/prepare) so staging never reallocates mid-loop.
-	fr := framesPool.Get().(*wal.Frames)
-	fr.Reset()
-	fr.Grow(len(touched)*(m.st.PageSize()+18) + 64)
-	fr.Begin(txid)
-	for _, id := range touched {
-		p, err := m.st.Get(id)
-		if err != nil {
-			done = true
-			m.rollback(tr)
-			if m.sink != nil {
-				m.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(txid), Dur: time.Since(prepStart), Err: err.Error()})
-			}
-			return nil, fmt.Errorf("txn: commit: %w", err)
-		}
-		fr.PageImage(txid, id, p.Data)
-	}
-	fr.Commit(txid)
-	// The in-memory commit point: pages mutated by later transactions
-	// will COW against snapshots tagged at the new epoch. Readers keep
-	// pinning the durable epoch until our batch's fsync lands.
-	epoch := m.st.Pool().AdvanceEpoch()
-	req := &commitReq{txid: txid, tr: tr, fr: fr, epoch: epoch, done: make(chan error, 1)}
-	m.gc.enqueue(req)
-	done = true
-	if m.sink != nil {
-		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanPrepare, Tx: uint64(txid), Dur: time.Since(prepStart)})
-	}
-	return req, nil
-}
-
-// writeSync is the pre-batching commit path (NoSync or NoGroupCommit):
-// fn, WAL append, fsync and checkpoint all happen under the writer lock.
-// The latency observation happens after the lock is released so that
-// instrumentation cost overlaps with the next committer's serial work
-// instead of extending it.
-func (m *Manager) writeSync(fn func(*storage.TxView) error) error {
-	var start time.Time
-	if m.timed() {
-		start = time.Now()
-	}
-	txid, err := m.writeSyncLocked(fn, start)
-	if err != nil {
-		return err
-	}
-	m.observeCommit(uint64(txid), start)
-	return nil
-}
-
-// writeSyncLocked is writeSync's body under the writer lock; it returns
-// the committed transaction id for the caller's latency observation.
-func (m *Manager) writeSyncLocked(fn func(*storage.TxView) error, start time.Time) (oid.TxID, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	defer func() { m.walBytes.Store(m.log.Size()) }()
-	if m.isClosed() {
-		return 0, ErrClosed
-	}
-	if m.opts.Storage.ReadOnly {
-		return 0, ErrReadOnly
-	}
-	if m.ioErr != nil {
-		return 0, fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
-	}
-	tr := newTracker()
-	v := m.st.OpenWriter(tr)
-	m.nextTx++
-	txid := oid.TxID(m.nextTx)
-	if m.sink != nil {
-		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanBegin, Tx: uint64(txid)})
-	}
-
-	done := false
-	defer func() {
-		v.Close()
-		if !done {
-			// fn panicked: roll back, then let the panic continue.
-			m.rollback(tr)
-		}
-	}()
-
-	if err := fn(v); err != nil {
-		done = true
-		m.rollback(tr)
-		if m.sink != nil {
-			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(txid), Dur: time.Since(start), Err: err.Error()})
-		}
-		return 0, err
-	}
-	durable, err := m.commit(txid, tr)
-	if err != nil {
-		done = true
-		if !durable {
-			m.rollback(tr)
-			if m.sink != nil {
-				m.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(txid), Dur: time.Since(start), Err: err.Error()})
-			}
-			return 0, fmt.Errorf("txn: commit: %w", err)
-		}
-		// The commit IS durable (its records are fsynced in the WAL);
-		// only post-commit maintenance — the automatic checkpoint —
-		// failed. Rolling back here would contradict the durable state,
-		// so keep the in-memory effects and surface the error. The
-		// manager is already poisoned; only a reopen resumes writes.
-		return 0, fmt.Errorf("txn: post-commit checkpoint (commit IS durable): %w", err)
-	}
-	done = true
-	return txid, nil
-}
-
 // Exclusive runs fn while holding the writer lock, with no transaction
 // in flight and no mutation tracking. Backup uses it to copy the data
 // file without a concurrent writer or checkpoint moving it underneath;
@@ -892,71 +744,6 @@ func (m *Manager) Exclusive(fn func() error) error {
 		return ErrClosed
 	}
 	return fn()
-}
-
-// commit logs the transaction's dirty pages and makes them durable.
-// durable reports whether the commit record reached stable storage:
-// when false the caller must roll back; when true the effects are
-// permanent regardless of err (which can then only come from the
-// post-commit checkpoint).
-func (m *Manager) commit(txid oid.TxID, tr *tracker) (durable bool, err error) {
-	// This path only runs when the group committer is absent, so the
-	// batches counter never moves: a bare add cannot produce a torn
-	// commits/batches pair and the stats seqlock is skipped.
-	touched := tr.touchedPages()
-	if len(touched) == 0 {
-		m.commits.Add(1)
-		return false, nil // read-only "write" transaction
-	}
-	// Remember where this transaction's records start so a failed
-	// append or sync can erase them: once we report an error the commit
-	// must never resurface via recovery.
-	startLSN := m.log.End()
-	if _, err := m.log.AppendBegin(txid); err != nil {
-		m.undoWAL(startLSN)
-		return false, err
-	}
-	for _, id := range touched {
-		p, err := m.st.Get(id)
-		if err != nil {
-			m.undoWAL(startLSN)
-			return false, err
-		}
-		if _, err := m.log.AppendPageImage(txid, id, p.Data); err != nil {
-			m.undoWAL(startLSN)
-			return false, err
-		}
-	}
-	if _, err := m.log.AppendCommit(txid); err != nil {
-		m.undoWAL(startLSN)
-		return false, err
-	}
-	if !m.opts.NoSync {
-		if err := m.log.Sync(); err != nil {
-			// The fsync failed: the records may or may not be on disk.
-			// They must not be replayable — the caller will report this
-			// commit as failed and roll it back.
-			m.undoWAL(startLSN)
-			return false, err
-		}
-	}
-	m.commits.Add(1)
-	// The commit is durable: advance the epoch so new readers see it.
-	// On this synchronous path prepared and durable move in lockstep
-	// (under NoSync "durable" means "logged" — same contract as before
-	// group commit existed). Readers pinned at earlier epochs keep their
-	// snapshots (reclaimed when the last of them unpins). This precedes
-	// the checkpoint so a checkpoint failure cannot strand readers on a
-	// stale epoch.
-	m.st.Pool().AdvanceDurableTo(m.st.Pool().AdvanceEpoch())
-	if err := m.maybeCheckpoint(); err != nil {
-		// The commit is durable but the page file and WAL may now
-		// disagree with the pool's clean/dirty bookkeeping; only
-		// recovery reconciles that. Disable further writes.
-		m.poison(err)
-		return true, err
-	}
-	return true, nil
 }
 
 // undoWAL erases a failed commit's records from the log. If even that
@@ -1023,57 +810,31 @@ func (m *Manager) maybeCheckpoint() error {
 	if limit < 0 || m.log.Size() < limit {
 		return nil
 	}
-	return m.checkpointLocked()
+	return m.checkpointLocked(false)
 }
 
-// Checkpoint forces the page file current and truncates the WAL. With
-// group commit it first drains the commit pipeline: the page flush must
-// only ever persist effects of durable transactions (flushing a
+// Checkpoint forces the page file current and truncates the WAL. It
+// first drains the commit pipeline (lockWriterDrained): the page flush
+// must only ever persist effects of durable transactions (flushing a
 // prepared-but-unfsynced transaction and then resetting the WAL could
 // make a commit durable that its writer was told failed).
-func (m *Manager) Checkpoint() error {
-	for {
-		m.mu.Lock()
-		if m.isClosed() {
-			m.mu.Unlock()
-			return ErrClosed
-		}
-		if m.gc == nil || m.gc.pipelineIdle() {
-			// Idle is stable while we hold mu: enqueueing requires it.
-			break
-		}
-		m.mu.Unlock()
-		m.gc.waitIdle() // off-lock: the committer may need mu to fail a batch
-	}
-	defer m.mu.Unlock()
-	return m.checkpointLocked()
-}
+func (m *Manager) Checkpoint() error { return m.checkpoint(false) }
 
-// checkpointQuiet is Checkpoint without the count and span: the
-// coordinator checkpoints every shard and accounts for the whole
+// checkpoint is Checkpoint; quiet drops the count and span, for the
+// coordinator, which checkpoints every shard and accounts for the whole
 // operation once at its own level.
-func (m *Manager) checkpointQuiet() error {
-	for {
-		m.mu.Lock()
-		if m.isClosed() {
-			m.mu.Unlock()
-			return ErrClosed
-		}
-		if m.gc == nil || m.gc.pipelineIdle() {
-			break
-		}
-		m.mu.Unlock()
-		m.gc.waitIdle()
+func (m *Manager) checkpoint(quiet bool) error {
+	if err := m.lockWriterDrained(); err != nil {
+		return err
 	}
-	defer m.mu.Unlock()
-	return m.checkpointLockedOpts(true)
+	defer m.unlockWriter()
+	return m.checkpointLocked(quiet)
 }
 
-func (m *Manager) checkpointLocked() error {
-	return m.checkpointLockedOpts(false)
-}
-
-func (m *Manager) checkpointLockedOpts(quiet bool) error {
+// checkpointLocked is the checkpoint itself. Caller holds the writer
+// mutex with the commit pipeline idle. A poisoned or read-only manager
+// refuses here, not in lockWriterDrained, which tolerates both.
+func (m *Manager) checkpointLocked(quiet bool) error {
 	if m.opts.Storage.ReadOnly {
 		return ErrReadOnly
 	}

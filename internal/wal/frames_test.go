@@ -1,56 +1,114 @@
 package wal
 
-// The zero-copy Frames staging path (beginRecord/endRecord reserve and
-// patch) must frame records byte-for-byte as the Writer-based framing
-// it replaced — the batch leader splices fr.buf straight into the log,
-// so any divergence is an on-disk format change.
+// Frames is the only record encoder, and its output is spliced straight
+// into the log, so any change to what it emits is an on-disk format
+// change. The golden bytes below were written by the last commit that
+// still had a second, record-at-a-time encoder (Log.AppendBegin and
+// friends, byte-identical to Frames by test); they pin the format now
+// that nothing else does.
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
+	"os"
 	"testing"
 
-	"ode/internal/codec"
 	"ode/internal/oid"
 )
 
-// refFrame is the pre-refactor framing: build the payload in a Writer,
-// then prepend [len][crc].
-func refFrame(dst []byte, payload []byte) []byte {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], codec.Checksum(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
+const (
+	goldenTx   = oid.TxID(123456789)
+	goldenPage = oid.PageID(0xDEADBE)
+	goldenGTID = uint64(1) << 60
+)
 
-func TestFramesMatchesReferenceFraming(t *testing.T) {
-	image := bytes.Repeat([]byte{0x5a, 0x00, 0xff}, 1365) // 4095 bytes, odd size
-	const tx = oid.TxID(123456789)
-	const page = oid.PageID(0xDEADBE)
-	const gtid = uint64(1) << 60
+var goldenImage = []byte{0x5a, 0x00, 0xff, 0x10, 0x7f}
 
+// goldenRun is Begin, PageImage, Commit, Prepare for the constants
+// above; goldenSingles is an abort record, a shard-map record carrying
+// {1,2,3} and a checkpoint marker.
+const (
+	goldenRun = "000000052b5c285a01959aef3a" +
+		"0000000ee9b3b6fa02959aef3a00deadbe5a00ff107f" +
+		"000000055b7ef70203959aef3a" +
+		"0000000e57d52b6a06959aef3a808080808080808010"
+	goldenSingles = "00000005f308f94604959aef3a" +
+		"000000087c552e3407959aef3a010203" +
+		"00000002ac498e790500"
+	goldenHeader = "4f44454c00000001"
+)
+
+func TestFramesGoldenBytes(t *testing.T) {
 	var fr Frames
-	fr.Grow(len(image) + 64)
-	fr.Begin(tx)
-	fr.PageImage(tx, page, image)
-	fr.Commit(tx)
-	fr.Prepare(tx, gtid)
-
-	var want []byte
-	want = refFrame(want, codec.NewWriter(16).U8(RecBegin).UVarint(uint64(tx)).Bytes())
-	want = refFrame(want, codec.NewWriter(len(image)+24).U8(RecPageImage).UVarint(uint64(tx)).U32(uint32(page)).Raw(image).Bytes())
-	want = refFrame(want, codec.NewWriter(16).U8(RecCommit).UVarint(uint64(tx)).Bytes())
-	want = refFrame(want, codec.NewWriter(24).U8(RecPrepare).UVarint(uint64(tx)).UVarint(gtid).Bytes())
-
-	if !bytes.Equal(fr.buf, want) {
-		t.Fatalf("Frames staging diverges from reference framing:\n  got  %d bytes\n  want %d bytes", len(fr.buf), len(want))
+	fr.Begin(goldenTx)
+	fr.PageImage(goldenTx, goldenPage, goldenImage)
+	fr.Commit(goldenTx)
+	fr.Prepare(goldenTx, goldenGTID)
+	if got := hex.EncodeToString(fr.buf); got != goldenRun {
+		t.Fatalf("staged run changed on-disk format:\n  got  %s\n  want %s", got, goldenRun)
 	}
 	if fr.Records() != 4 {
 		t.Fatalf("Records() = %d, want 4", fr.Records())
 	}
-	if fr.Len() != len(want) {
-		t.Fatalf("Len() = %d, want %d", fr.Len(), len(want))
+	if fr.Len() != len(goldenRun)/2 {
+		t.Fatalf("Len() = %d, want %d", fr.Len(), len(goldenRun)/2)
+	}
+}
+
+// TestLogGoldenBytes pins the whole file image — header, a staged run,
+// and the single records the direct appenders log — and checks that the
+// golden bytes decode back to the records they were written from.
+func TestLogGoldenBytes(t *testing.T) {
+	l, path := tempLog(t)
+	stage(t, l, func(fr *Frames) {
+		fr.Begin(goldenTx)
+		fr.PageImage(goldenTx, goldenPage, goldenImage)
+		fr.Commit(goldenTx)
+		fr.Prepare(goldenTx, goldenGTID)
+		fr.record(RecAbort, goldenTx, nil)
+	})
+	if _, err := l.AppendShardMap(goldenTx, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenHeader + goldenRun + goldenSingles
+	if got := hex.EncodeToString(file); got != want {
+		t.Fatalf("log file changed on-disk format:\n  got  %s\n  want %s", got, want)
+	}
+	wantRecs := []Record{
+		{Type: RecBegin, Tx: goldenTx},
+		{Type: RecPageImage, Tx: goldenTx, Page: goldenPage, Data: goldenImage},
+		{Type: RecCommit, Tx: goldenTx},
+		{Type: RecPrepare, Tx: goldenTx, GTID: goldenGTID},
+		{Type: RecAbort, Tx: goldenTx},
+		{Type: RecShardMap, Tx: goldenTx, Data: []byte{1, 2, 3}},
+		{Type: RecCheckpoint},
+	}
+	i := 0
+	if err := l.Scan(func(r Record) error {
+		if i >= len(wantRecs) {
+			t.Fatalf("extra record %+v", r)
+		}
+		w := wantRecs[i]
+		if r.Type != w.Type || r.Tx != w.Tx || r.Page != w.Page || r.GTID != w.GTID || !bytes.Equal(r.Data, w.Data) {
+			t.Fatalf("record %d = %+v, want %+v", i, r, w)
+		}
+		i++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(wantRecs) {
+		t.Fatalf("scanned %d records, want %d", i, len(wantRecs))
 	}
 }
 

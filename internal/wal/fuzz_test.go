@@ -61,9 +61,7 @@ func FuzzScanEnd(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if _, err := l.AppendBegin(7); err != nil {
-			f.Fatal(err)
-		}
+		stage(f, l, func(fr *Frames) { fr.Begin(7) })
 		if err := l.Sync(); err != nil {
 			f.Fatal(err)
 		}
@@ -113,9 +111,10 @@ func FuzzScanEnd(f *testing.F) {
 	})
 }
 
-// FuzzBatchTail builds a real log — half its transactions appended
-// record-by-record, half staged through the group-commit Frames path —
-// then splices an arbitrary tail after it and reopens. The valid prefix
+// FuzzBatchTail builds a real log — half its transactions spliced one
+// record at a time, half as one staged run, so the bytes reach the file
+// in differently sized writes — then splices an arbitrary tail after it
+// and reopens. The valid prefix
 // must survive byte-for-byte: same records, same order, no phantoms
 // before the old end.
 func FuzzBatchTail(f *testing.F) {
@@ -141,23 +140,15 @@ func FuzzBatchTail(f *testing.F) {
 		for i := 0; i < nTxns; i++ {
 			tx := oid.TxID(i + 1)
 			if i%2 == 0 {
-				fr := &Frames{}
-				fr.Begin(tx)
-				fr.PageImage(tx, oid.PageID(i), page)
-				fr.Commit(tx)
-				if _, err := l.AppendFrames(fr); err != nil {
-					t.Fatal(err)
-				}
+				stage(t, l, func(fr *Frames) {
+					fr.Begin(tx)
+					fr.PageImage(tx, oid.PageID(i), page)
+					fr.Commit(tx)
+				})
 			} else {
-				if _, err := l.AppendBegin(tx); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := l.AppendPageImage(tx, oid.PageID(i), page); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := l.AppendCommit(tx); err != nil {
-					t.Fatal(err)
-				}
+				stage(t, l, func(fr *Frames) { fr.Begin(tx) })
+				stage(t, l, func(fr *Frames) { fr.PageImage(tx, oid.PageID(i), page) })
+				stage(t, l, func(fr *Frames) { fr.Commit(tx) })
 			}
 		}
 		if err := l.Sync(); err != nil {

@@ -91,10 +91,9 @@ type Log struct {
 	appends uint64
 	syncs   uint64
 
-	// scratch is the reusable payload buffer for the direct Append*
-	// methods. Appends already serialize on the bufio writer, so one
-	// buffer per log is safe.
-	scratch []byte
+	// one stages the single records appendOne logs. Appends already
+	// serialize on the bufio writer, so one buffer per log is safe.
+	one Frames
 
 	// m, when set, receives the fsync-latency distribution. Nil (the
 	// default, and the NoMetrics baseline) records nothing.
@@ -226,29 +225,14 @@ func (l *Log) Size() int64 { return int64(l.end) }
 // Stats returns append and sync counters.
 func (l *Log) Stats() (appends, syncs uint64) { return l.appends, l.syncs }
 
-func (l *Log) append(payload []byte) (oid.LSN, error) {
-	lsn := l.end
-	var frame [8]byte
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], codec.Checksum(payload))
-	if _, err := l.w.Write(frame[:]); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	l.end += oid.LSN(8 + len(payload))
-	l.appends++
-	return lsn, nil
-}
-
-// Frames is a staged run of records, framed byte-for-byte as append
-// would write them but held in memory. Group commit uses it to build a
-// transaction's Begin/PageImage/Commit run under the writer mutex
-// (while the page images are stable) and hand it to the batch leader,
-// which splices whole runs into the log with AppendFrames outside that
-// mutex. Page images are copied at staging time, so a Frames never
-// aliases live pool pages.
+// Frames is a staged run of records, framed byte-for-byte as the log
+// file holds them but kept in memory: the only record encoder. The
+// transaction layer builds a transaction's Begin/PageImage/Commit (or
+// Prepare) run under the writer mutex, while the page images are
+// stable, and whole runs are then spliced into the log with
+// AppendFrames — by the group committer outside that mutex, or inline
+// when there is no fsync to share. Page images are copied at staging
+// time, so a Frames never aliases live pool pages.
 //
 // Records are encoded once, directly into buf: beginRecord reserves the
 // 8-byte frame header, the payload is appended in place with the codec
@@ -268,7 +252,7 @@ func (fr *Frames) Reset() {
 }
 
 // Grow pre-sizes the staging buffer so a transaction whose footprint is
-// known up front (prepare knows its touched-page count and page size)
+// known up front (staging knows its touched-page count and page size)
 // stages without intermediate growth copies.
 func (fr *Frames) Grow(n int) {
 	if free := cap(fr.buf) - len(fr.buf); free < n {
@@ -295,13 +279,18 @@ func (fr *Frames) endRecord(start int) {
 	fr.recs++
 }
 
-// Begin stages tx's begin record.
-func (fr *Frames) Begin(tx oid.TxID) {
+// record stages one record of the common shape: type, transaction id,
+// then body verbatim (nil for the records that carry nothing else).
+func (fr *Frames) record(typ uint8, tx oid.TxID, body []byte) {
 	s := fr.beginRecord()
-	fr.buf = codec.AppendU8(fr.buf, RecBegin)
+	fr.buf = codec.AppendU8(fr.buf, typ)
 	fr.buf = codec.AppendUVarint(fr.buf, uint64(tx))
+	fr.buf = append(fr.buf, body...)
 	fr.endRecord(s)
 }
+
+// Begin stages tx's begin record.
+func (fr *Frames) Begin(tx oid.TxID) { fr.record(RecBegin, tx, nil) }
 
 // PageImage stages a full after-image of page id for tx (copied).
 func (fr *Frames) PageImage(tx oid.TxID, id oid.PageID, image []byte) {
@@ -314,12 +303,7 @@ func (fr *Frames) PageImage(tx oid.TxID, id oid.PageID, image []byte) {
 }
 
 // Commit stages tx's commit record.
-func (fr *Frames) Commit(tx oid.TxID) {
-	s := fr.beginRecord()
-	fr.buf = codec.AppendU8(fr.buf, RecCommit)
-	fr.buf = codec.AppendUVarint(fr.buf, uint64(tx))
-	fr.endRecord(s)
-}
+func (fr *Frames) Commit(tx oid.TxID) { fr.record(RecCommit, tx, nil) }
 
 // Prepare stages tx's 2PC prepare record, carrying the global txn id
 // that ties this shard-local participant to its coordinator decision.
@@ -338,8 +322,8 @@ func (fr *Frames) Len() int { return len(fr.buf) }
 func (fr *Frames) Records() uint64 { return fr.recs }
 
 // AppendFrames appends a staged run to the log and returns the LSN of
-// its first record. Like append it only buffers; the run is durable
-// after the next Sync.
+// its first record. It only buffers; the run is durable after the next
+// Sync.
 func (l *Log) AppendFrames(fr *Frames) (oid.LSN, error) {
 	lsn := l.end
 	if _, err := l.w.Write(fr.buf); err != nil {
@@ -350,68 +334,29 @@ func (l *Log) AppendFrames(fr *Frames) (oid.LSN, error) {
 	return lsn, nil
 }
 
-// AppendBegin logs the start of tx.
-func (l *Log) AppendBegin(tx oid.TxID) (oid.LSN, error) {
-	b := codec.AppendU8(l.scratch[:0], RecBegin)
-	b = codec.AppendUVarint(b, uint64(tx))
-	l.scratch = b
-	return l.append(b)
-}
-
-// AppendPageImage logs a full after-image of page id for tx.
-func (l *Log) AppendPageImage(tx oid.TxID, id oid.PageID, image []byte) (oid.LSN, error) {
-	b := codec.AppendU8(l.scratch[:0], RecPageImage)
-	b = codec.AppendUVarint(b, uint64(tx))
-	b = codec.AppendU32(b, uint32(id))
-	b = append(b, image...)
-	l.scratch = b
-	return l.append(b)
+// appendOne logs a single record outside any transaction's staged run
+// (a 2PC decide or coordinator decision, a shard-map overlay, a
+// checkpoint marker): staged into the log's own Frames and spliced with
+// AppendFrames, so Frames stays the only record encoder.
+func (l *Log) appendOne(typ uint8, tx oid.TxID, body []byte) (oid.LSN, error) {
+	l.one.Reset()
+	l.one.record(typ, tx, body)
+	return l.AppendFrames(&l.one)
 }
 
 // AppendCommit logs tx's commit record.
-func (l *Log) AppendCommit(tx oid.TxID) (oid.LSN, error) {
-	b := codec.AppendU8(l.scratch[:0], RecCommit)
-	b = codec.AppendUVarint(b, uint64(tx))
-	l.scratch = b
-	return l.append(b)
-}
-
-// AppendAbort logs an informational abort record.
-func (l *Log) AppendAbort(tx oid.TxID) (oid.LSN, error) {
-	b := codec.AppendU8(l.scratch[:0], RecAbort)
-	b = codec.AppendUVarint(b, uint64(tx))
-	l.scratch = b
-	return l.append(b)
-}
-
-// AppendPrepare logs tx's 2PC prepare record with its global txn id.
-func (l *Log) AppendPrepare(tx oid.TxID, gtid uint64) (oid.LSN, error) {
-	b := codec.AppendU8(l.scratch[:0], RecPrepare)
-	b = codec.AppendUVarint(b, uint64(tx))
-	b = codec.AppendUVarint(b, gtid)
-	l.scratch = b
-	return l.append(b)
-}
+func (l *Log) AppendCommit(tx oid.TxID) (oid.LSN, error) { return l.appendOne(RecCommit, tx, nil) }
 
 // AppendShardMap logs a shard-map image proposed by global transaction
 // tx. The image takes effect only if tx's commit record follows it in
 // the same log (the coordinator log), so the map flip and the data move
 // it describes share one atomic commit point.
 func (l *Log) AppendShardMap(tx oid.TxID, image []byte) (oid.LSN, error) {
-	b := codec.AppendU8(l.scratch[:0], RecShardMap)
-	b = codec.AppendUVarint(b, uint64(tx))
-	b = append(b, image...)
-	l.scratch = b
-	return l.append(b)
+	return l.appendOne(RecShardMap, tx, image)
 }
 
 // AppendCheckpoint logs a checkpoint marker.
-func (l *Log) AppendCheckpoint() (oid.LSN, error) {
-	b := codec.AppendU8(l.scratch[:0], RecCheckpoint)
-	b = codec.AppendUVarint(b, 0)
-	l.scratch = b
-	return l.append(b)
-}
+func (l *Log) AppendCheckpoint() (oid.LSN, error) { return l.appendOne(RecCheckpoint, 0, nil) }
 
 // Sync flushes buffered appends and fsyncs the log. A commit is durable
 // only after Sync returns.

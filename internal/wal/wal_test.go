@@ -20,18 +20,28 @@ func tempLog(t *testing.T) (*Log, string) {
 	return l, path
 }
 
+// stage appends the records build stages to l as one AppendFrames
+// splice — the only way records reach a log — and returns the LSN of
+// the first.
+func stage(t testing.TB, l *Log, build func(fr *Frames)) oid.LSN {
+	t.Helper()
+	var fr Frames
+	build(&fr)
+	lsn, err := l.AppendFrames(&fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lsn
+}
+
 func TestAppendScanRoundtrip(t *testing.T) {
 	l, _ := tempLog(t)
 	img := bytes.Repeat([]byte{0xAB}, 256)
-	if _, err := l.AppendBegin(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AppendPageImage(1, 7, img); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AppendCommit(1); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, l, func(fr *Frames) {
+		fr.Begin(1)
+		fr.PageImage(1, 7, img)
+		fr.Commit(1)
+	})
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +69,7 @@ func TestAppendScanRoundtrip(t *testing.T) {
 
 func TestReopenFindsEnd(t *testing.T) {
 	l, path := tempLog(t)
-	if _, err := l.AppendBegin(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AppendCommit(3); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, l, func(fr *Frames) { fr.Begin(3); fr.Commit(3) })
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,30 +86,19 @@ func TestReopenFindsEnd(t *testing.T) {
 		t.Fatalf("end %v != %v", l2.End(), end)
 	}
 	// New appends continue after the old end.
-	lsn, err := l2.AppendBegin(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn != end {
+	if lsn := stage(t, l2, func(fr *Frames) { fr.Begin(4) }); lsn != end {
 		t.Fatalf("append lsn %v != old end %v", lsn, end)
 	}
 }
 
 func TestTornTailTruncated(t *testing.T) {
 	l, path := tempLog(t)
-	if _, err := l.AppendBegin(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AppendCommit(1); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, l, func(fr *Frames) { fr.Begin(1); fr.Commit(1) })
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	goodEnd := l.End()
-	if _, err := l.AppendPageImage(2, 9, bytes.Repeat([]byte{1}, 100)); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, l, func(fr *Frames) { fr.PageImage(2, 9, bytes.Repeat([]byte{1}, 100)) })
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +127,12 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestCorruptTailTruncated(t *testing.T) {
 	l, path := tempLog(t)
-	if _, err := l.AppendBegin(1); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, l, func(fr *Frames) { fr.Begin(1) })
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	goodEnd := l.End()
-	if _, err := l.AppendPageImage(1, 3, bytes.Repeat([]byte{7}, 64)); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, l, func(fr *Frames) { fr.PageImage(1, 3, bytes.Repeat([]byte{7}, 64)) })
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +156,7 @@ func TestCorruptTailTruncated(t *testing.T) {
 func TestResetAfterCheckpoint(t *testing.T) {
 	l, _ := tempLog(t)
 	for i := 0; i < 10; i++ {
-		if _, err := l.AppendPageImage(1, oid.PageID(i+1), make([]byte, 128)); err != nil {
-			t.Fatal(err)
-		}
+		stage(t, l, func(fr *Frames) { fr.PageImage(1, oid.PageID(i+1), make([]byte, 128)) })
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -190,9 +178,7 @@ func TestResetAfterCheckpoint(t *testing.T) {
 		t.Fatalf("records after reset: %d", n)
 	}
 	// Log is reusable after reset.
-	if _, err := l.AppendBegin(9); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, l, func(fr *Frames) { fr.Begin(9) })
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,9 +219,7 @@ func TestEmptyFileInitialised(t *testing.T) {
 func TestScanVisibleWithoutSync(t *testing.T) {
 	// Scan must flush the buffered writer so it sees its own appends.
 	l, _ := tempLog(t)
-	if _, err := l.AppendBegin(1); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, l, func(fr *Frames) { fr.Begin(1) })
 	n := 0
 	if err := l.Scan(func(Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)

@@ -152,21 +152,6 @@ type Options struct {
 	// NoSync disables fsync on commit. Much faster; the most recent
 	// commits may be lost on a crash (database integrity is preserved).
 	NoSync bool
-	// NoGroupCommit disables group commit: every Update then appends and
-	// fsyncs its own WAL records while holding the writer lock, instead
-	// of sharing one fsync with every transaction committing in the same
-	// window. Benchmarks use it as the pre-batching baseline.
-	NoGroupCommit bool
-	// CommitBatchSize caps how many concurrent Updates one group-commit
-	// fsync may cover; 0 means txn.DefaultCommitBatchSize (64).
-	CommitBatchSize int
-	// CommitBatchDelay makes the group committer wait that long after a
-	// batch's first commit for more to join. 0 (the default) flushes
-	// immediately: commits batch only as far as they naturally pile up
-	// behind an in-flight fsync, and single-writer latency is unchanged.
-	// A positive delay buys larger batches at exactly that much added
-	// commit latency.
-	CommitBatchDelay time.Duration
 	// CheckpointBytes sets the WAL size that triggers a checkpoint;
 	// <0 disables automatic checkpoints.
 	CheckpointBytes int64
@@ -229,16 +214,13 @@ func Open(dir string, opts *Options) (*DB, error) {
 		o = *opts
 	}
 	topts := txn.Options{
-		Shards:           o.Shards,
-		NoSync:           o.NoSync,
-		NoGroupCommit:    o.NoGroupCommit,
-		CommitBatchSize:  o.CommitBatchSize,
-		CommitBatchDelay: o.CommitBatchDelay,
-		CheckpointBytes:  o.CheckpointBytes,
-		FS:               o.FS,
-		NoMetrics:        o.NoMetrics,
-		Tracer:           o.Tracer,
-		TracerBuffer:     o.TracerBuffer,
+		Shards:          o.Shards,
+		NoSync:          o.NoSync,
+		CheckpointBytes: o.CheckpointBytes,
+		FS:              o.FS,
+		NoMetrics:       o.NoMetrics,
+		Tracer:          o.Tracer,
+		TracerBuffer:    o.TracerBuffer,
 	}
 	topts.Storage.PageSize = o.PageSize
 	topts.Storage.PoolPages = o.PoolPages
@@ -368,8 +350,7 @@ type Stats struct {
 	Checkpoints uint64
 	WALBytes    int64
 	// Batches counts group-commit fsyncs; Commits/Batches is the mean
-	// number of transactions sharing one fsync. Zero with NoGroupCommit
-	// or NoSync.
+	// number of transactions sharing one fsync. Zero with NoSync.
 	Batches uint64
 	// RecoveredTxns counts committed transactions replayed from the WAL
 	// by crash recovery at Open.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -38,6 +39,12 @@ func openDB(t testing.TB, opts *Options) *DB {
 	}
 	t.Cleanup(func() { db.Close() })
 	return db
+}
+
+// TestOptionsFieldCount logs the size of the option surface; `make loc`
+// prints it so consolidation PRs can show the number going down.
+func TestOptionsFieldCount(t *testing.T) {
+	t.Logf("ode.Options has %d fields", reflect.TypeOf(Options{}).NumField())
 }
 
 func TestQuickstartFlow(t *testing.T) {

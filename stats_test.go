@@ -57,8 +57,8 @@ func TestStatsAccuracy(t *testing.T) {
 	// Expected commits: init-structures (1) + RegisterType (1) + k
 	// creates + 1 empty commit. Batches: with group commit every
 	// sequential non-empty commit is its own fsync batch — the empty
-	// commit never enters the pipeline — and NoGroupCommit/NoSync
-	// bypass batching entirely.
+	// commit never enters the pipeline — and under NoSync there is no
+	// fsync to batch: commits append inline and Batches stays 0.
 	const wantCommits = 2 + k + 1
 	cases := []struct {
 		name        string
@@ -66,7 +66,6 @@ func TestStatsAccuracy(t *testing.T) {
 		wantBatches uint64
 	}{
 		{"grouped", Options{CheckpointBytes: -1}, 2 + k},
-		{"nogroupcommit", Options{CheckpointBytes: -1, NoGroupCommit: true}, 0},
 		{"nosync", Options{CheckpointBytes: -1, NoSync: true}, 0},
 		{"nometrics", Options{CheckpointBytes: -1, NoMetrics: true}, 2 + k},
 	}
