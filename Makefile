@@ -23,7 +23,8 @@ help:
 	@echo "           over compactor demotions, deep-chain workload, at"
 	@echo "           ODE_SHARDS=1 and 4, under -race; plus odebench E17 smoke"
 	@echo "  hotpath  allocation-regression gates on the commit and cached"
-	@echo "           deref paths and the B+tree, plus odebench E18 smoke"
+	@echo "           deref paths, read begin/end and the B+tree, the read"
+	@echo "           begin/end microbenchmark, plus odebench E18 smoke"
 	@echo "  fuzz     continuous fuzz over every native target, FUZZTIME=$(FUZZTIME) each"
 	@echo "  fuzz-smoke  same targets at 10s each — the CI tier"
 	@echo "  cover    line coverage, with 85% floors on internal/obs,"
@@ -93,14 +94,18 @@ soak:
 ycsb:
 	$(GO) run -race ./cmd/odebench -scale ci -only E15 -ycsbjson ""
 
-# The hot-path gate (DESIGN.md §15, EXPERIMENTS.md E18): the
+# The hot-path gate (DESIGN.md §15, EXPERIMENTS.md E18, E20): the
 # allocation-regression tests pin the zero-copy commit path, the
-# cached dereference read and the in-place B+tree's Get and Put to
-# their measured allocs/op ceilings, then the E18 benchmark runs at ci
-# scale as an end-to-end smoke — alloc reductions, cache speedup, hit
-# rates.
+# cached dereference read, beginning and ending a read at 1/4/8 shards
+# and the in-place B+tree's Get and Put to their measured allocs/op
+# ceilings; the read begin/end microbenchmark (the router layer's entry
+# in the cost ledger) prints ns/op by shard count, quiet and with a
+# commit every 16 reads; then the E18 benchmark runs at ci scale as an
+# end-to-end smoke — alloc reductions, cache speedup, hit rates.
 hotpath:
 	$(GO) test -count=1 -run 'TestCommitPathAllocs|TestHotDerefAllocs' -v .
+	$(GO) test -count=1 -run 'TestReadBeginEndAllocs' -v ./internal/txn
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkReadBeginEnd' -benchtime 100000x ./internal/txn
 	$(GO) test -count=1 -run 'TestTreeGetAllocs|TestTreePutAllocs' -v ./internal/btree
 	$(GO) run ./cmd/odebench -scale ci -only E18 -hotpathjson ""
 

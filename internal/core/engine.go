@@ -26,8 +26,9 @@
 // as it always did; under N shards it lazily joins the shards the
 // transaction touches and the transaction layer commits across them with
 // two-phase commit. Engine.Write and Engine.Read mint the Tx and scope
-// its lifetime to the callback; read transactions run against
-// epoch-pinned snapshots and never block behind writers.
+// its lifetime to the callback; read transactions run against the
+// coordinator's shared epoch-pinned snapshot and never block behind
+// writers.
 package core
 
 import (
@@ -212,16 +213,21 @@ type Engine struct {
 // shardTx binds one transaction's presence on one shard: the storage
 // view plus tree and heap handles for that shard. All shard-local engine
 // logic is shardTx methods; the routing Tx (route.go) picks the shardTx
-// an operation belongs to and delegates.
+// an operation belongs to and delegates. The bundle is one allocation:
+// the heap handle and the seven tree handles live in it by value (a
+// transaction that reads one object through the dereference cache opens
+// none of them, and should not pay for them).
 type shardTx struct {
 	e    *Engine
 	rt   *Tx // the routing transaction this bundle belongs to
 	s    int // shard slot
 	st   *storage.TxView
-	heap *storage.Heap
+	heap storage.Heap
 	bus  *trigger.Bus
 	opts Options
 
+	// The engine trees, each pointing at its slot (the root-slot index)
+	// of trees below.
 	objTable *btree.Tree // oid → object header
 	verIdx   *btree.Tree // oid+vid → version record
 	tempIdx  *btree.Tree // oid+stamp → vid
@@ -229,9 +235,11 @@ type shardTx struct {
 	extent   *btree.Tree // typeid+oid → ()
 	config   *btree.Tree // configurations, contexts, annotations
 	vidIdx   *btree.Tree // vid → oid
+	trees    [rootVidIdx + 1]btree.Tree
 
 	// indexes caches named secondary-index trees opened by this
-	// transaction (roots live in shard 0's catalog tree).
+	// transaction (roots live in shard 0's catalog tree); made on first
+	// use.
 	indexes map[string]*btree.Tree
 
 	// al caches this shard's batched id-allocator state (alloc.go),
@@ -352,24 +360,27 @@ func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
 // newShardTx binds a shard bundle to v, opening every tree at the root
 // the view's superblock snapshot records.
 func (e *Engine) newShardTx(v *storage.TxView, hs *storage.HeapState, rt *Tx, s int, writable bool) *shardTx {
-	return &shardTx{
+	b := &shardTx{
 		e:        e,
 		rt:       rt,
 		s:        s,
 		st:       v,
-		heap:     storage.NewHeap(v, hs),
+		heap:     *storage.NewHeap(v, hs),
 		bus:      e.bus,
 		opts:     e.opts,
-		objTable: btree.Open(v, v.Root(rootObjTable)),
-		verIdx:   btree.Open(v, v.Root(rootVerIdx)),
-		tempIdx:  btree.Open(v, v.Root(rootTempIdx)),
-		catalog:  btree.Open(v, v.Root(rootCatalog)),
-		extent:   btree.Open(v, v.Root(rootExtent)),
-		config:   btree.Open(v, v.Root(rootConfig)),
-		vidIdx:   btree.Open(v, v.Root(rootVidIdx)),
-		indexes:  make(map[string]*btree.Tree),
 		writable: writable,
 	}
+	for slot := range b.trees {
+		b.trees[slot] = *btree.Open(v, v.Root(slot))
+	}
+	b.objTable = &b.trees[rootObjTable]
+	b.verIdx = &b.trees[rootVerIdx]
+	b.tempIdx = &b.trees[rootTempIdx]
+	b.catalog = &b.trees[rootCatalog]
+	b.extent = &b.trees[rootExtent]
+	b.config = &b.trees[rootConfig]
+	b.vidIdx = &b.trees[rootVidIdx]
+	return b
 }
 
 // takeHeapSpace hands out shard s's heap free-space cache, growing the

@@ -46,6 +46,9 @@ func (tx *shardTx) indexTree(name string, create bool) (*btree.Tree, error) {
 			return nil, err
 		}
 	}
+	if tx.indexes == nil {
+		tx.indexes = make(map[string]*btree.Tree)
+	}
 	tx.indexes[name] = t
 	return t, nil
 }

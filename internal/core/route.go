@@ -22,7 +22,11 @@ import (
 // read-modify-write sees live state under the shard's writer mutex,
 // exactly as the single writer mutex guaranteed before sharding. Only
 // read-only catalog lookups peek a committed snapshot (shardPeek0). A
-// read transaction pins a committed snapshot per shard at first touch.
+// read transaction pins nothing: it holds a reference on the
+// coordinator's cut — one committed snapshot of every shard, pinned
+// once by whoever built it and shared by every reader until the next
+// commit (txn/cut.go) — and binds a bundle to a shard's view of that
+// cut when it first touches the shard.
 type Tx struct {
 	e        *Engine
 	w        *txn.WriteTx

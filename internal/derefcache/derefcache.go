@@ -54,16 +54,22 @@ type Cache struct {
 	buckets []*bucket
 	capPer  int64 // byte budget per bucket
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
 	evictions atomic.Uint64
 	bytes     atomic.Int64
 
-	// Per-storage-shard hit/miss counters, indexed by shard slot, for
-	// the {shard="i"} metric series. Probes beyond the provisioned
-	// range only land in the aggregate counters.
-	shardHits   []atomic.Uint64
-	shardMisses []atomic.Uint64
+	// probes counts hits and misses per storage shard, indexed by shard
+	// slot, for the {shard="i"} metric series; the last element takes the
+	// probes from slots beyond the tracked range. The totals are their
+	// sum: a probe pays one add, on a line readers of other shards do not
+	// write.
+	probes []probeCount
+}
+
+// probeCount is one shard's hit/miss pair, padded to a cache line of
+// its own.
+type probeCount struct {
+	hits, misses atomic.Uint64
+	_            [48]byte
 }
 
 // Stats is a point-in-time snapshot of cache counters.
@@ -94,10 +100,9 @@ func New(capacity int64, nBuckets, maxShards int) *Cache {
 		maxShards = 0
 	}
 	c := &Cache{
-		buckets:     make([]*bucket, n),
-		capPer:      capacity / int64(n),
-		shardHits:   make([]atomic.Uint64, maxShards),
-		shardMisses: make([]atomic.Uint64, maxShards),
+		buckets: make([]*bucket, n),
+		capPer:  capacity / int64(n),
+		probes:  make([]probeCount, maxShards+1),
 	}
 	for i := range c.buckets {
 		c.buckets[i] = &bucket{m: make(map[uint64]*entry)}
@@ -115,19 +120,16 @@ func (c *Cache) bucketOf(o uint64) *bucket {
 	return c.buckets[h&uint64(len(c.buckets)-1)]
 }
 
-func (c *Cache) hit(shard int) {
-	c.hits.Add(1)
-	if shard >= 0 && shard < len(c.shardHits) {
-		c.shardHits[shard].Add(1)
+// probe returns the counters a probe by shard lands in.
+func (c *Cache) probe(shard int) *probeCount {
+	if shard < 0 || shard >= len(c.probes)-1 {
+		shard = len(c.probes) - 1
 	}
+	return &c.probes[shard]
 }
 
-func (c *Cache) miss(shard int) {
-	c.misses.Add(1)
-	if shard >= 0 && shard < len(c.shardMisses) {
-		c.shardMisses[shard].Add(1)
-	}
-}
+func (c *Cache) hit(shard int)  { c.probe(shard).hits.Add(1) }
+func (c *Cache) miss(shard int) { c.probe(shard).misses.Add(1) }
 
 // Get returns the latest vid and a copy of the content for o if an
 // entry exists AND was stored at exactly the caller's (shard, epoch).
@@ -231,10 +233,12 @@ func (c *Cache) Reset() {
 // Stats snapshots the aggregate cache counters.
 func (c *Cache) Stats() Stats {
 	s := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
 		Bytes:     c.bytes.Load(),
+	}
+	for i := range c.probes {
+		s.Hits += c.probes[i].hits.Load()
+		s.Misses += c.probes[i].misses.Load()
 	}
 	for _, b := range c.buckets {
 		b.mu.Lock()
@@ -247,10 +251,10 @@ func (c *Cache) Stats() Stats {
 // ShardStats reads one storage shard's hit/miss counters (zeros when
 // the slot is beyond the tracked range).
 func (c *Cache) ShardStats(shard int) (hits, misses uint64) {
-	if shard < 0 || shard >= len(c.shardHits) {
+	if shard < 0 || shard >= len(c.probes)-1 {
 		return 0, 0
 	}
-	return c.shardHits[shard].Load(), c.shardMisses[shard].Load()
+	return c.probes[shard].hits.Load(), c.probes[shard].misses.Load()
 }
 
 // --- intrusive LRU list (bucket.mu held) ---

@@ -186,3 +186,30 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("negative byte accounting: %+v", st)
 	}
 }
+
+// The totals are the sum of the per-shard counters, and a probe from a
+// shard slot beyond the tracked range still lands in them.
+func TestStatsSumShardsAndOverflow(t *testing.T) {
+	c := New(1<<20, 4, 2)
+	c.Put(1, 0, 1, 10, []byte("a"))
+	c.Put(2, 1, 1, 20, []byte("b"))
+	c.Put(3, 7, 1, 30, []byte("c")) // slot 7 is not tracked
+	for _, p := range []struct {
+		o     uint64
+		shard int
+	}{{1, 0}, {1, 0}, {2, 1}, {3, 7}, {9, 0}, {9, 7}, {9, -1}} {
+		c.Get(p.o, p.shard, 1)
+	}
+	if h, m := c.ShardStats(0); h != 2 || m != 1 {
+		t.Fatalf("shard 0 = %d/%d, want 2/1", h, m)
+	}
+	if h, m := c.ShardStats(1); h != 1 || m != 0 {
+		t.Fatalf("shard 1 = %d/%d, want 1/0", h, m)
+	}
+	if h, m := c.ShardStats(7); h != 0 || m != 0 {
+		t.Fatalf("untracked shard 7 = %d/%d, want 0/0", h, m)
+	}
+	if st := c.Stats(); st.Hits != 4 || st.Misses != 3 {
+		t.Fatalf("totals = %d/%d, want 4/3", st.Hits, st.Misses)
+	}
+}

@@ -205,13 +205,17 @@ type Metrics struct {
 	PoolMisses    Counter
 	PoolEvictions Counter
 
-	// Snapshot-epoch pins: ReaderPins counts every reader admission
-	// since open; ActiveReaders is the in-flight count; SnapshotPages
-	// tracks copy-on-write snapshot pages currently retained for
-	// pinned epochs.
-	ReaderPins    Counter
-	ActiveReaders Gauge
-	SnapshotPages Gauge
+	// Readers: ReaderPins counts every read transaction admitted since
+	// open and ActiveReaders the ones in flight, both where the
+	// transaction begins and ends (internal/txn), whatever snapshot it
+	// shares; ReadSnapshotBuilds counts the snapshots built for them, so
+	// 1 − builds/pins is the share of reads that reused one.
+	// SnapshotPages tracks copy-on-write snapshot pages currently
+	// retained for pinned epochs.
+	ReaderPins         Counter
+	ActiveReaders      Gauge
+	ReadSnapshotBuilds Counter
+	SnapshotPages      Gauge
 
 	// Tracer events dropped because the bounded queue was full (or a
 	// tracer panic was swallowed mid-delivery).

@@ -34,7 +34,7 @@ var ErrNoRecord = errors.New("storage: no such record")
 // HeapState is the heap's cross-transaction space-hunting state. It is
 // advisory only (every entry is re-verified before use, and pageWithSpace
 // self-heals stale entries), so the engine shares one HeapState across
-// its write transactions and hands fresh ones to readers.
+// its write transactions; a reader's heap never needs one.
 type HeapState struct {
 	// space caches known free bytes of slotted pages discovered this
 	// session (populated by inserts, updates, deletes, and the sweep),
@@ -107,13 +107,19 @@ type Heap struct {
 }
 
 // NewHeap returns a heap over the transaction view st. hs carries the
-// space cache across transactions; nil means start fresh (fine for
-// readers and tests).
+// space cache across transactions; nil means start fresh at the first
+// mutation (fine for tests, and free for readers, which never hunt for
+// space).
 func NewHeap(st *TxView, hs *HeapState) *Heap {
-	if hs == nil {
-		hs = NewHeapState()
-	}
 	return &Heap{st: st, hs: hs}
+}
+
+// state returns the space-hunting state, creating it on first use.
+func (h *Heap) state() *HeapState {
+	if h.hs == nil {
+		h.hs = NewHeapState()
+	}
+	return h.hs
 }
 
 // maxInlinePayload returns the largest payload storable inline.
@@ -159,7 +165,7 @@ func (h *Heap) Insert(data []byte) (oid.RID, error) {
 	if err != nil {
 		return oid.NilRID, fmt.Errorf("storage: insert on page %d: %w", p.ID, err)
 	}
-	h.hs.set(p.ID, SlottedFreeSpace(p))
+	h.state().set(p.ID, SlottedFreeSpace(p))
 	return oid.RID{Page: p.ID, Slot: slot}, nil
 }
 
@@ -312,7 +318,7 @@ func (h *Heap) Update(rid oid.RID, data []byte) error {
 		cell := encodeInline(data)
 		err = SlottedUpdate(p, rid.Slot, cell)
 		if err == nil {
-			h.hs.set(p.ID, SlottedFreeSpace(p))
+			h.state().set(p.ID, SlottedFreeSpace(p))
 			if oldChain != oid.NilPage {
 				return h.freeOverflow(oldChain)
 			}
@@ -332,7 +338,7 @@ func (h *Heap) Update(rid oid.RID, data []byte) error {
 	if err := SlottedUpdate(p, rid.Slot, cell); err != nil {
 		return fmt.Errorf("storage: overflow cell update on page %d: %w", p.ID, err)
 	}
-	h.hs.set(p.ID, SlottedFreeSpace(p))
+	h.state().set(p.ID, SlottedFreeSpace(p))
 	if oldChain != oid.NilPage {
 		return h.freeOverflow(oldChain)
 	}
@@ -354,7 +360,7 @@ func (h *Heap) Delete(rid oid.RID) error {
 	if err := SlottedDelete(p, rid.Slot); err != nil {
 		return err
 	}
-	h.hs.set(p.ID, SlottedFreeSpace(p))
+	h.state().set(p.ID, SlottedFreeSpace(p))
 	if chain != oid.NilPage {
 		return h.freeOverflow(chain)
 	}
@@ -364,7 +370,7 @@ func (h *Heap) Delete(rid oid.RID) error {
 // pageWithSpace finds or allocates a slotted page with at least need
 // bytes of cell space.
 func (h *Heap) pageWithSpace(need int) (*Page, error) {
-	hs := h.hs
+	hs := h.state()
 	for c := need / spaceClass; c < len(hs.classes); c++ {
 		// Newest first. An entry that leaves the list mid-walk is replaced
 		// by the list's last, which the walk has already seen.
@@ -401,16 +407,17 @@ func (h *Heap) pageWithSpace(need int) (*Page, error) {
 // recording their free space, and returns the first with enough room.
 func (h *Heap) sweepForSpace(need int) (*Page, error) {
 	const sweepBudget = 16
-	if h.hs.sweepDone {
+	hs := h.state()
+	if hs.sweepDone {
 		return nil, nil
 	}
 	for i := 0; i < sweepBudget; i++ {
-		if uint64(h.hs.sweep) >= h.st.NumPages() {
-			h.hs.sweepDone = true
+		if uint64(hs.sweep) >= h.st.NumPages() {
+			hs.sweepDone = true
 			return nil, nil
 		}
-		id := h.hs.sweep
-		h.hs.sweep++
+		id := hs.sweep
+		hs.sweep++
 		p, err := h.st.Get(id)
 		if err != nil {
 			return nil, err
@@ -419,7 +426,7 @@ func (h *Heap) sweepForSpace(need int) (*Page, error) {
 			continue
 		}
 		free := SlottedFreeSpace(p)
-		h.hs.set(id, free)
+		hs.set(id, free)
 		if free >= need {
 			return p, nil
 		}

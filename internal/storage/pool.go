@@ -68,8 +68,9 @@ type Pool struct {
 	hits, misses, evictions uint64
 
 	// m, when set, mirrors pool activity into the shared observability
-	// registry (hit/miss/eviction counters, reader-pin gauges, snapshot
-	// retention). Nil — the NoMetrics baseline — records nothing.
+	// registry (hit/miss/eviction counters, snapshot retention; readers
+	// are counted where they are admitted, in internal/txn). Nil — the
+	// NoMetrics baseline — records nothing.
 	m *obs.Metrics
 }
 
@@ -138,10 +139,6 @@ func (pl *Pool) PinEpoch() uint64 {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.pins[pl.durable]++
-	if pl.m != nil {
-		pl.m.ReaderPins.Inc()
-		pl.m.ActiveReaders.Inc()
-	}
 	return pl.durable
 }
 
@@ -151,9 +148,6 @@ func (pl *Pool) PinEpoch() uint64 {
 func (pl *Pool) UnpinEpoch(epoch uint64) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if pl.m != nil {
-		pl.m.ActiveReaders.Dec()
-	}
 	if n := pl.pins[epoch]; n > 1 {
 		pl.pins[epoch] = n - 1
 		return
@@ -204,6 +198,25 @@ func (pl *Pool) SnapshotCount() int {
 	return n
 }
 
+// OldestPinned returns the oldest epoch a reader still pins — the
+// durable epoch when none does. Snapshots tagged below it are reclaimed,
+// so it is what a long-lived pin holds back (tests).
+func (pl *Pool) OldestPinned() uint64 {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return pl.oldestPinnedLocked()
+}
+
+func (pl *Pool) oldestPinnedLocked() uint64 {
+	min := pl.durable
+	for e := range pl.pins {
+		if e < min {
+			min = e
+		}
+	}
+	return min
+}
+
 // reclaimLocked drops every snapshot no pinned reader (and no reader
 // that could still pin the durable epoch) can resolve to: a snapshot
 // tagged e serves readers pinned at epochs <= e, so it is garbage once
@@ -212,12 +225,7 @@ func (pl *Pool) SnapshotCount() int {
 // always retained; they are what keeps readers consistent while a
 // group-commit batch is in flight.
 func (pl *Pool) reclaimLocked() {
-	min := pl.durable
-	for e := range pl.pins {
-		if e < min {
-			min = e
-		}
-	}
+	min := pl.oldestPinnedLocked()
 	dropped := 0
 	for id, ss := range pl.snaps {
 		i := 0

@@ -17,9 +17,10 @@ var ErrTxDone = errors.New("ode: transaction has ended (handle escaped its closu
 // superblock access during a transaction goes through one: a writer view
 // (OpenWriter) mutates live pages via copy-on-write Touch and carries
 // the transaction's MutationTracker; a reader view (OpenReader) pins the
-// current epoch and resolves every page — and its private superblock
-// decode — against that epoch's snapshots, so it observes exactly the
-// committed state at its start no matter what writers do concurrently.
+// current epoch and resolves every page — and its superblock decode —
+// against that epoch's snapshots, so it observes exactly the committed
+// state at its start no matter what writers do concurrently. Any number
+// of further handles can Share one reader view's pin and decode.
 //
 // Replacing the old process-global Store.SetTracker seam, the handle is
 // the transaction identity: it is created by the transaction layer,
@@ -29,9 +30,13 @@ type TxView struct {
 	store   *Store
 	tracker MutationTracker // nil for readers
 	epoch   uint64          // pinned epoch (readers only)
-	rsuper  super           // reader's private superblock decode
+	rsuper  *super          // superblock decode at epoch (readers only; immutable)
 	write   bool
 	done    atomic.Bool
+	// ended is set on a Share only: the flag of the transaction it was
+	// made for, which ends all of that transaction's shares with one
+	// store. A share holds no pin of its own.
+	ended *atomic.Bool
 }
 
 // OpenWriter creates the writer view for a transaction. The transaction
@@ -45,7 +50,13 @@ func (s *Store) OpenWriter(tr MutationTracker) *TxView {
 // be Closed to release the pin (and with it any snapshot pages held for
 // this epoch).
 func (s *Store) OpenReader() (*TxView, error) {
-	v := &TxView{store: s, epoch: s.pool.PinEpoch()}
+	// The view and the decode it points at share one allocation.
+	r := &struct {
+		TxView
+		sup super
+	}{}
+	v := &r.TxView
+	v.store, v.epoch, v.rsuper = s, s.pool.PinEpoch(), &r.sup
 	sp, err := s.pool.GetAt(0, v.epoch)
 	if err != nil {
 		s.pool.UnpinEpoch(v.epoch)
@@ -58,15 +69,31 @@ func (s *Store) OpenReader() (*TxView, error) {
 	return v, nil
 }
 
-// Close ends the view. For readers it releases the epoch pin; every
-// later accessor call returns ErrTxDone. Close is idempotent.
+// Share makes dst a further handle on reader view v's snapshot: the same
+// store, pinned epoch and superblock decode, with a lifetime of its own
+// — it ends when ended is set (or it is Closed), after which calls on it
+// return ErrTxDone. It pins nothing, fetches no page and decodes
+// nothing, so v — the owner of the pin — must stay open for as long as
+// any share is in use.
+func (v *TxView) Share(dst *TxView, ended *atomic.Bool) {
+	dst.store, dst.epoch, dst.rsuper, dst.ended = v.store, v.epoch, v.rsuper, ended
+}
+
+// Close ends the view: every later accessor call returns ErrTxDone. A
+// reader view from OpenReader also releases its epoch pin. Close is
+// idempotent.
 func (v *TxView) Close() {
 	if v.done.Swap(true) {
 		return
 	}
-	if !v.write {
+	if !v.write && v.ended == nil {
 		v.store.pool.UnpinEpoch(v.epoch)
 	}
+}
+
+// isDone reports whether the view has ended.
+func (v *TxView) isDone() bool {
+	return v.done.Load() || (v.ended != nil && v.ended.Load())
 }
 
 // Writable reports whether this is a writer view.
@@ -82,17 +109,17 @@ func (v *TxView) Epoch() uint64 {
 }
 
 // sup returns the superblock this view resolves against: the live one
-// for writers, the private epoch-pinned decode for readers.
+// for writers, the epoch-pinned decode for readers.
 func (v *TxView) sup() *super {
 	if v.write {
 		return &v.store.super
 	}
-	return &v.rsuper
+	return v.rsuper
 }
 
 // Get fetches a page as seen by this view.
 func (v *TxView) Get(id oid.PageID) (*Page, error) {
-	if v.done.Load() {
+	if v.isDone() {
 		return nil, ErrTxDone
 	}
 	if v.write {
@@ -124,7 +151,7 @@ func (v *TxView) Touch(p *Page) *Page {
 	if !v.write {
 		panic("storage: Touch on read-only view")
 	}
-	if v.done.Load() {
+	if v.isDone() {
 		panic(ErrTxDone)
 	}
 	if v.tracker != nil && v.tracker.Tracked(p.ID) {
@@ -152,7 +179,7 @@ func (v *TxView) Allocate(t PageType) (*Page, error) {
 	if !v.write {
 		return nil, errors.New("storage: Allocate on read-only view")
 	}
-	if v.done.Load() {
+	if v.isDone() {
 		return nil, ErrTxDone
 	}
 	s := v.store
@@ -190,7 +217,7 @@ func (v *TxView) Free(id oid.PageID) error {
 	if !v.write {
 		return errors.New("storage: Free on read-only view")
 	}
-	if v.done.Load() {
+	if v.isDone() {
 		return ErrTxDone
 	}
 	if id == 0 {

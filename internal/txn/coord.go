@@ -149,13 +149,24 @@ type Coordinator struct {
 
 	// pmu makes cross-shard snapshots atomic with respect to cross-shard
 	// commits: commit2PC publishes a decided transaction's epoch on every
-	// dirty shard under pmu (write side), and BeginReadTx pins its
-	// per-shard snapshots under pmu (read side). Without it a reader
-	// pinning shards sequentially could observe a 2PC transaction on one
-	// shard but not another. Single-shard publications (each individually
-	// atomic) do not take it. Lock order: cmu before pmu; BeginReadTx
-	// takes pmu alone.
+	// dirty shard under pmu (write side), and whoever pins a snapshot —
+	// the builder of a cut, a write transaction's peek — does so under
+	// pmu (read side). Without it a builder pinning shards sequentially
+	// could observe a 2PC transaction on one shard but not another.
+	// Single-shard publications (each individually atomic) do not take
+	// it, and neither does a reader that finds a cut to share. Lock
+	// order: cmu before pmu; the read side takes pmu alone.
 	pmu sync.RWMutex
+
+	// cur is the read snapshot every reader shares (cut.go) and gen the
+	// generation that says whether it may still be handed out: bumped by
+	// every publication — a shard's durable epoch moving, the routing
+	// bundle being swapped, Close — after the change is stored and before
+	// it is acknowledged. buildHook, when a test sets it, runs in the
+	// builder between its generation load and its pins.
+	cur       atomic.Pointer[cut]
+	gen       atomic.Uint64
+	buildHook func()
 
 	// cm is the coordinator-level registry (whole-transaction latency,
 	// cross-shard batch sizes, decision-log fsyncs); with one shard it
@@ -195,6 +206,7 @@ func WrapManager(m *Manager) *Coordinator {
 		cm:       m.m,
 		sink:     m.sink,
 	}
+	m.opts.onPublish = c.published
 	c.routing.Store(&routing{ms: []*Manager{m}, rmap: storage.NewShardMap(1)})
 	return c
 }
@@ -529,15 +541,17 @@ func writeShardsMeta(fsys faultfs.FS, dir string, n int) error {
 }
 
 // shardOpts derives shard i's Options: per-shard file names, the shared
-// sink, and the coordinator-log decision set for recovery.
-func shardOpts(opts Options, i int, decided map[uint64]bool, sink *obs.Sink) Options {
-	so := opts
+// sink, the publication hook, and the coordinator-log decision set for
+// recovery.
+func (c *Coordinator) shardOpts(i int, decided map[uint64]bool) Options {
+	so := c.opts
 	so.dataFile = ShardDataFileName(i)
 	so.walFile = ShardWALFileName(i)
 	so.decided = decided
-	so.sink = sink
+	so.sink = c.sink
 	so.coordinated = true
 	so.shardID = i
+	so.onPublish = c.published
 	return so
 }
 
@@ -585,7 +599,7 @@ func createSharded(fsys faultfs.FS, dir string, opts Options, n int) (*Coordinat
 	c := newShardedCoordinator(dir, opts)
 	var ms []*Manager
 	for i := 0; i < n; i++ {
-		m, err := Create(dir, shardOpts(opts, i, nil, c.sink))
+		m, err := Create(dir, c.shardOpts(i, nil))
 		if err != nil {
 			c.teardownMs(ms)
 			return nil, fmt.Errorf("txn: create shard %d: %w", i, err)
@@ -744,7 +758,7 @@ func openSharded(fsys faultfs.FS, dir string, opts Options) (*Coordinator, error
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ms[i], errs[i] = Open(dir, shardOpts(opts, i, decided, c.sink))
+			ms[i], errs[i] = Open(dir, c.shardOpts(i, decided))
 		}(i)
 	}
 	wg.Wait()
@@ -1304,10 +1318,11 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 	// needs its record. The decide records (with their fsyncs) are
 	// written first, outside pmu; then every dirty shard's epoch is
 	// published under pmu as one atomic step, so a cross-shard reader
-	// (BeginReadTx pins all its shards under pmu) sees this transaction
-	// on all of its shards or on none. A decide failure poisons that
-	// shard but the commit IS durable (prepare record + decision); the
-	// remaining shards — and the poisoned one — still publish.
+	// (a cut is built with all its shards pinned under pmu) sees this
+	// transaction on all of its shards or on none. A decide failure
+	// poisons that shard but the commit IS durable (prepare record +
+	// decision); the remaining shards — and the poisoned one — still
+	// publish.
 	var decErr error
 	for _, s := range dirty {
 		if err := wtx.rt.ms[s].decideJoinedLog(wtx.txids[s]); err != nil && decErr == nil {
@@ -1326,6 +1341,7 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 		c.routing.Store(&routing{ms: wtx.rt.ms, rmap: wtx.newMap})
 		c.mapDirty = true // newest flip lives only in the clog until folded
 	}
+	c.published()
 	c.pmu.Unlock()
 	if decErr != nil {
 		// Recovery of the poisoned shard needs the decision record.
@@ -1346,74 +1362,6 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 	}
 	c.observeCommit(span, start)
 	return nil
-}
-
-// ReadTx is a coordinated read transaction: one snapshot view per
-// shard, each pinned at that shard's durable epoch at begin time. The
-// pins are taken under pmu, which excludes 2PC epoch publication: a
-// cross-shard transaction is therefore visible on either all of its
-// shards or none of them. Single-shard commits publishing concurrently
-// can still land between two pins — but each is confined to one shard,
-// so every shard's view remains individually consistent and no
-// transaction is ever seen torn. A single-shard read (the common case)
-// is exactly a Manager.Read.
-type ReadTx struct {
-	c     *Coordinator
-	rt    *routing
-	views []*storage.TxView
-}
-
-// View returns the pinned snapshot of shard s.
-func (r *ReadTx) View(s int) *storage.TxView { return r.views[s] }
-
-// N returns the physical shard count (one pinned view per shard); Map
-// the shard map snapshot the views were pinned under.
-func (r *ReadTx) N() int                 { return len(r.views) }
-func (r *ReadTx) Map() *storage.ShardMap { return r.rt.rmap }
-
-// BeginReadTx pins a snapshot on every shard, atomically with respect
-// to cross-shard commits (see ReadTx). Pair with EndReadTx. The
-// routing bundle is captured under the same pmu hold as the pins, so
-// the map matches the data: a migrated range's snapshot comes from the
-// shard the captured map routes it to.
-func (c *Coordinator) BeginReadTx() (*ReadTx, error) {
-	if c.clog != nil {
-		// Readers share pmu among themselves; only a 2PC decide (the
-		// write side) excludes them, and only for the duration of the
-		// shard-local decide records — not the decision fsync.
-		c.pmu.RLock()
-		defer c.pmu.RUnlock()
-	}
-	rt := c.routing.Load()
-	views := make([]*storage.TxView, len(rt.ms))
-	for i, m := range rt.ms {
-		v, err := m.BeginRead()
-		if err != nil {
-			for j := 0; j < i; j++ {
-				rt.ms[j].EndRead(views[j])
-			}
-			return nil, err
-		}
-		views[i] = v
-	}
-	return &ReadTx{c: c, rt: rt, views: views}, nil
-}
-
-// EndReadTx releases every shard pin.
-func (c *Coordinator) EndReadTx(r *ReadTx) {
-	for i, v := range r.views {
-		r.rt.ms[i].EndRead(v)
-	}
-}
-
-// Read runs fn against a snapshot of every shard.
-func (c *Coordinator) Read(fn func(*ReadTx) error) error {
-	r, err := c.BeginReadTx()
-	if err != nil {
-		return err
-	}
-	defer c.EndReadTx(r)
-	return fn(r)
 }
 
 // foldShardMap persists the current shard map as a shards.ode frame if
@@ -1582,11 +1530,15 @@ func (c *Coordinator) Exclusive(fn func() error) error {
 
 // Close closes every shard in order, then folds the shard map and
 // resets (if healthy) and closes the decision log, then the shared
-// tracer sink.
+// tracer sink. New readers are refused from the first step on, and the
+// cut no reader holds is retired there: a shard's Close waits for the
+// readers registered with it, and an idle cut is one on every shard.
+// Readers still inside a transaction keep theirs, and are waited for.
 func (c *Coordinator) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	c.published()
 	if c.clog == nil {
 		return c.ms()[0].Close()
 	}

@@ -272,7 +272,7 @@ func (m *Manager) publishBatch(batch []*commitReq) {
 	// durable but not committed — its epoch only becomes visible when
 	// the coordinator decides.
 	if len(normals) > 0 {
-		m.st.Pool().AdvanceDurableTo(normals[len(normals)-1].epoch)
+		m.publish(normals[len(normals)-1].epoch)
 		m.addCommitsBatches(uint64(len(normals)), 1)
 	}
 	for _, r := range batch {

@@ -168,7 +168,7 @@ func (m *Manager) submit(req *commitReq, start time.Time) {
 		// checkpoint so a checkpoint failure cannot strand readers on a
 		// stale epoch. (A prepare is logged but undecided: nothing to
 		// publish yet.)
-		m.st.Pool().AdvanceDurableTo(req.epoch)
+		m.publish(req.epoch)
 		m.addCommitsBatches(1, 0)
 		if cerr := m.maybeCheckpoint(); cerr != nil {
 			// The commit stands — its records are in the WAL, its effects
@@ -262,9 +262,21 @@ func (m *Manager) decideJoinedLog(txid oid.TxID) error {
 // publishJoined makes a decided 2PC participant visible to this shard's
 // readers. Split from decideJoinedLog so the coordinator can publish
 // every dirty shard's epoch as one atomic step under its publication
-// lock — a handful of atomic stores, no I/O.
+// lock — a handful of stores, no I/O — and retire the readers' cut once
+// for all of them.
 func (m *Manager) publishJoined(epoch uint64) {
 	m.st.Pool().AdvanceDurableTo(epoch)
+}
+
+// publish makes a commit visible to new readers: the shard's durable
+// epoch moves to the commit's, then the owning coordinator (if any) is
+// told, so that it stops handing out a snapshot pinned before it. The
+// caller acknowledges the commit only afterwards.
+func (m *Manager) publish(epoch uint64) {
+	m.st.Pool().AdvanceDurableTo(epoch)
+	if m.opts.onPublish != nil {
+		m.opts.onPublish()
+	}
 }
 
 // Shard returns the manager's store tagged with its shard slot.

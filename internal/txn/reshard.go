@@ -229,7 +229,7 @@ func (c *Coordinator) grow(target int) error {
 				return fail(fmt.Errorf("txn: reshard: stat %s: %w", name, err))
 			}
 		}
-		m, err := Create(c.dir, shardOpts(c.opts, i, nil, c.sink))
+		m, err := Create(c.dir, c.shardOpts(i, nil))
 		if err != nil {
 			return fail(fmt.Errorf("txn: reshard: create shard %d: %w", i, err))
 		}
@@ -246,6 +246,7 @@ func (c *Coordinator) grow(target int) error {
 	}
 	c.pmu.Lock()
 	c.routing.Store(&routing{ms: ms, rmap: newMap})
+	c.published()
 	c.pmu.Unlock()
 	c.mapDirty = false // the frame folded any pending flip along the way
 	c.cmu.Unlock()
@@ -264,6 +265,7 @@ func (c *Coordinator) setLogical(target int) error {
 	}
 	c.pmu.Lock()
 	c.routing.Store(&routing{ms: c.ms(), rmap: newMap})
+	c.published()
 	c.pmu.Unlock()
 	c.mapDirty = false
 	c.cmu.Unlock()

@@ -102,13 +102,19 @@ type Options struct {
 	// walFile override the legacy file names for shard slots; decided is
 	// the coordinator-log decision set recovery consults for in-doubt
 	// prepared transactions; sink is the shared tracer sink a
-	// coordinated shard must use (and must not close).
+	// coordinated shard must use (and must not close). onPublish is the
+	// owning coordinator's Coordinator.published: the shard calls it
+	// whenever what a new reader of it must observe has changed — a
+	// commit published (Manager.publish), or Close began — and the
+	// coordinator retires its readers' shared snapshot there. Nil on a
+	// Manager used on its own.
 	dataFile    string
 	walFile     string
 	decided     map[uint64]bool
 	sink        *obs.Sink
 	coordinated bool
 	shardID     int
+	onPublish   func()
 }
 
 // dataFileName and walFileName resolve the shard's file names, falling
@@ -597,7 +603,9 @@ func (m *Manager) Stats() Stats {
 // BeginRead admits a reader and returns its snapshot view, pinned at
 // the epoch of the most recent commit. The caller must pass the view to
 // EndRead exactly once. Readers never take the writer lock: a View is
-// never stalled behind an Update or its commit fsync.
+// never stalled behind an Update or its commit fsync. Its callers are
+// Read, the builder of a coordinator's cut, and a write transaction
+// peeking at a shard it has not joined — not a coordinator's readers.
 func (m *Manager) BeginRead() (*storage.TxView, error) {
 	m.rmu.Lock()
 	if m.closed {
@@ -622,11 +630,18 @@ func (m *Manager) EndRead(v *storage.TxView) {
 }
 
 // Read runs fn against a snapshot of the most recently committed state.
-// The view is only valid until fn returns.
+// The view is only valid until fn returns. This is a Manager used on its
+// own reading; a coordinator's readers share a snapshot (cut.go) and are
+// counted there.
 func (m *Manager) Read(fn func(*storage.TxView) error) error {
 	v, err := m.BeginRead()
 	if err != nil {
 		return err
+	}
+	if m.m != nil {
+		m.m.ReaderPins.Inc()
+		m.m.ActiveReaders.Inc()
+		defer m.m.ActiveReaders.Dec()
 	}
 	defer m.EndRead(v)
 	return fn(v)
@@ -896,6 +911,12 @@ func (m *Manager) Close() error {
 	}
 	m.closed = true
 	m.rmu.Unlock()
+	if m.opts.onPublish != nil {
+		// The coordinator's idle cut is registered here as a reader; it
+		// must go before the wait below, also when the shard is closed
+		// directly rather than through Coordinator.Close.
+		m.opts.onPublish()
+	}
 	// Drain and stop the tracer sink on the way out (after mu is
 	// released): every span source — writers, the committer, the
 	// checkpointer — is gone by then. A tracer stuck inside TraceSpan

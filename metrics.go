@@ -60,12 +60,16 @@ type Metrics struct {
 	PoolMisses    uint64
 	PoolEvictions uint64
 
-	// Snapshot-epoch pinning: ReaderPins counts reader admissions
-	// since open, ActiveReaders is the in-flight count, SnapshotPages
-	// the copy-on-write pages currently retained for pinned epochs.
-	ReaderPins    uint64
-	ActiveReaders int64
-	SnapshotPages int64
+	// Readers: ReaderPins counts the Views admitted since open and
+	// ActiveReaders the ones in flight. Views share one read snapshot
+	// between commits; ReadSnapshotBuilds counts the snapshots built, so
+	// 1 − ReadSnapshotBuilds/ReaderPins is the share of Views that reused
+	// one. SnapshotPages is the copy-on-write pages currently retained
+	// for pinned epochs.
+	ReaderPins         uint64
+	ActiveReaders      int64
+	ReadSnapshotBuilds uint64
+	SnapshotPages      int64
 
 	// TracerDropped counts span events discarded because the tracer
 	// queue was full or the tracer panicked mid-delivery.
@@ -134,6 +138,7 @@ func (db *DB) Metrics() Metrics {
 	ms.PoolEvictions = m.PoolEvictions.Load()
 	ms.ReaderPins = m.ReaderPins.Load()
 	ms.ActiveReaders = m.ActiveReaders.Load()
+	ms.ReadSnapshotBuilds = m.ReadSnapshotBuilds.Load()
 	ms.SnapshotPages = m.SnapshotPages.Load()
 	ms.TracerDropped = m.TracerDropped.Load()
 	ms.CommitLatency = m.CommitLatencyNS.Snapshot()
@@ -154,7 +159,9 @@ func (db *DB) Metrics() Metrics {
 	if db.coord.NumShards() > 1 {
 		// Roll the per-shard registries up: counters and gauges sum,
 		// histograms merge bucket-wise. Physical shards, not logical: a
-		// merged-away shard still serves the ranges it kept.
+		// merged-away shard still serves the ranges it kept. (The reader
+		// families are not here: a View begins and ends at the
+		// coordinator, on no shard in particular.)
 		for _, sm := range db.coord.Shards() {
 			r := sm.Metrics()
 			if r == nil {
@@ -163,8 +170,6 @@ func (db *DB) Metrics() Metrics {
 			ms.PoolHits += r.PoolHits.Load()
 			ms.PoolMisses += r.PoolMisses.Load()
 			ms.PoolEvictions += r.PoolEvictions.Load()
-			ms.ReaderPins += r.ReaderPins.Load()
-			ms.ActiveReaders += r.ActiveReaders.Load()
 			ms.SnapshotPages += r.SnapshotPages.Load()
 			ms.TracerDropped += r.TracerDropped.Load()
 			ms.CommitLatency.Merge(r.CommitLatencyNS.Snapshot())
@@ -196,7 +201,8 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 		{"ode_pool_hits_total", "Buffer-pool page hits.", ms.PoolHits},
 		{"ode_pool_misses_total", "Buffer-pool page misses (faulted from disk).", ms.PoolMisses},
 		{"ode_pool_evictions_total", "Clean pages evicted from the buffer pool.", ms.PoolEvictions},
-		{"ode_reader_pins_total", "Reader snapshot-epoch pins since open.", ms.ReaderPins},
+		{"ode_reader_pins_total", "Views admitted since open (each holds one read snapshot for its duration).", ms.ReaderPins},
+		{"ode_read_snapshot_builds_total", "Read snapshots built; Views between two commits share one.", ms.ReadSnapshotBuilds},
 		{"ode_tracer_dropped_total", "Tracer span events dropped past the bounded queue.", ms.TracerDropped},
 		{"ode_delta_demotions_total", "Full payloads re-encoded as deltas against their D-parent.", ms.DeltaDemotions},
 		{"ode_delta_promotions_total", "Delta payloads re-anchored as full copies.", ms.DeltaPromotions},
@@ -220,7 +226,7 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 	if err := obs.WriteGauge(w, "ode_wal_bytes", "Current WAL size in bytes.", ms.WALBytes); err != nil {
 		return err
 	}
-	if err := obs.WriteGauge(w, "ode_active_readers", "Readers currently pinning a snapshot epoch.", ms.ActiveReaders); err != nil {
+	if err := obs.WriteGauge(w, "ode_active_readers", "Views currently in flight.", ms.ActiveReaders); err != nil {
 		return err
 	}
 	if err := obs.WriteGauge(w, "ode_snapshot_pages", "Copy-on-write snapshot pages retained for pinned epochs.", ms.SnapshotPages); err != nil {
@@ -296,7 +302,7 @@ func (db *DB) writeShardMetrics(w io.Writer) error {
 	label := func(i int) string { return strconv.Itoa(i) }
 	var (
 		commits, aborts, walBytes []obs.LabeledUint
-		hits, misses, pins        []obs.LabeledUint
+		hits, misses              []obs.LabeledUint
 		dHits, dMisses            []obs.LabeledUint
 		allocLeases, allocIDs     []obs.LabeledUint
 		fsync, batch              []obs.LabeledHist
@@ -309,7 +315,6 @@ func (db *DB) writeShardMetrics(w io.Writer) error {
 		if r := sm.Metrics(); r != nil {
 			hits = append(hits, obs.LabeledUint{Label: label(i), V: r.PoolHits.Load()})
 			misses = append(misses, obs.LabeledUint{Label: label(i), V: r.PoolMisses.Load()})
-			pins = append(pins, obs.LabeledUint{Label: label(i), V: r.ReaderPins.Load()})
 			fsync = append(fsync, obs.LabeledHist{Label: label(i), S: r.FsyncLatencyNS.Snapshot()})
 			batch = append(batch, obs.LabeledHist{Label: label(i), S: r.BatchSize.Snapshot()})
 		}
@@ -328,7 +333,6 @@ func (db *DB) writeShardMetrics(w io.Writer) error {
 		{"ode_shard_aborts_total", "Rolled-back write transactions per shard.", aborts},
 		{"ode_shard_pool_hits_total", "Buffer-pool page hits per shard.", hits},
 		{"ode_shard_pool_misses_total", "Buffer-pool page misses per shard.", misses},
-		{"ode_shard_reader_pins_total", "Reader snapshot-epoch pins per shard.", pins},
 		{"ode_shard_derefcache_hits_total", "Dereference cache hits per shard.", dHits},
 		{"ode_shard_derefcache_misses_total", "Dereference cache misses per shard.", dMisses},
 		{"ode_shard_alloc_leases_total", "Id-allocator leases taken per shard.", allocLeases},

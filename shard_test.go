@@ -434,62 +434,6 @@ func TestShardedBackupAtomicCrossShard(t *testing.T) {
 	}
 }
 
-// TestShardedViewAtomicCrossShard asserts a View pins one atomic
-// cross-shard snapshot: a 2PC transaction keeping two objects on
-// different shards at the same revision must never be seen half-applied
-// by a concurrent reader.
-func TestShardedViewAtomicCrossShard(t *testing.T) {
-	db, _ := openShardedDB(t, 2, nil)
-	parts, err := Register[Part](db, "Part")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := crossShardPair(t, db, parts)
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- func() error {
-			for rev := 1; ; rev++ {
-				select {
-				case <-stop:
-					return nil
-				default:
-				}
-				if err := db.Update(func(tx *Tx) error {
-					if err := a.Set(tx, &Part{Name: "a", Rev: rev}); err != nil {
-						return err
-					}
-					return b.Set(tx, &Part{Name: "b", Rev: rev})
-				}); err != nil {
-					return err
-				}
-			}
-		}()
-	}()
-	for i := 0; i < 500; i++ {
-		if err := db.View(func(tx *Tx) error {
-			pa, err := a.Deref(tx)
-			if err != nil {
-				return err
-			}
-			pb, err := b.Deref(tx)
-			if err != nil {
-				return err
-			}
-			if pa.Rev != pb.Rev {
-				return fmt.Errorf("view %d saw a torn cross-shard transaction: a.Rev=%d b.Rev=%d", i, pa.Rev, pb.Rev)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPartialShardedLayoutRefused: shard files without shards.ode — an
 // interrupted create or a deleted superblock — must fail loudly rather
 // than be silently re-created over.

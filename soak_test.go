@@ -49,6 +49,7 @@ type msoakTally struct {
 	aborts       uint64 // deliberate rollbacks
 	historyCalls uint64 // tx.History invocations
 	asofCalls    uint64 // tx.AsOfWalk invocations
+	views        uint64 // db.View invocations
 }
 
 var errMsoakAbort = errors.New("soak: deliberate abort")
@@ -163,6 +164,7 @@ func msoakWorker(t *testing.T, db *DB, tid TypeID, seed int64, nObjs, ops int) (
 			if err != nil {
 				return tally, nil, err
 			}
+			tally.views++
 		case op < 95: // derivation-history walk from the latest version
 			latest := so.latest()
 			err := db.View(func(tx *Tx) error {
@@ -179,6 +181,7 @@ func msoakWorker(t *testing.T, db *DB, tid TypeID, seed int64, nObjs, ops int) (
 				return tally, nil, err
 			}
 			tally.historyCalls++
+			tally.views++
 		default: // temporal as-of walk; at the current stamp it must
 			// resolve to the model's latest live version
 			err := db.View(func(tx *Tx) error {
@@ -195,6 +198,7 @@ func msoakWorker(t *testing.T, db *DB, tid TypeID, seed int64, nObjs, ops int) (
 				return tally, nil, err
 			}
 			tally.asofCalls++
+			tally.views++
 		}
 	}
 	return tally, objs, nil
@@ -217,6 +221,10 @@ func runSoak(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Reads before the workers start (the engine's at open, this call's
+	// own) are not the model's.
+	pinsAtStart := db.Metrics().ReaderPins
 
 	var (
 		wg      sync.WaitGroup
@@ -251,6 +259,7 @@ func runSoak(t *testing.T, seed int64) {
 		total.aborts += tl.aborts
 		total.historyCalls += tl.historyCalls
 		total.asofCalls += tl.asofCalls
+		total.views += tl.views
 	}
 	for _, so := range model {
 		liveVersions += uint64(len(so.order))
@@ -301,6 +310,18 @@ func runSoak(t *testing.T, seed int64) {
 	}
 	if ms.TprevWalkLen.Count != total.asofCalls {
 		t.Errorf("TprevWalk.Count = %d, model %d", ms.TprevWalkLen.Count, total.asofCalls)
+	}
+	// Readers are counted per View, whatever snapshot each shared: the
+	// model's Views plus the two reads just above (Stats, and the one
+	// inside Metrics). Every one of them built a snapshot or shared one.
+	if got, want := ms.ReaderPins-pinsAtStart, total.views+2; got != want {
+		t.Errorf("ReaderPins grew by %d, model %d Views + 2", got, total.views)
+	}
+	if ms.ActiveReaders != 0 {
+		t.Errorf("ActiveReaders = %d at rest", ms.ActiveReaders)
+	}
+	if ms.ReadSnapshotBuilds == 0 || ms.ReadSnapshotBuilds > ms.ReaderPins {
+		t.Errorf("ReadSnapshotBuilds = %d for %d reads", ms.ReadSnapshotBuilds, ms.ReaderPins)
 	}
 
 	// The surviving structure must match the model object-by-object,

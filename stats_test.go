@@ -7,6 +7,7 @@ package ode
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,6 +138,86 @@ func TestStatsAccuracy(t *testing.T) {
 					ms.DprevWalkLen.Count, ms.TprevWalkLen.Count)
 			}
 		})
+	}
+}
+
+// TestStatsReaderCounters pins what the reader families mean now that
+// Views share one read snapshot between commits: ReaderPins and
+// ActiveReaders count Views, ReadSnapshotBuilds counts snapshots, and the
+// share of Views that reused one is 1 − builds/pins.
+func TestStatsReaderCounters(t *testing.T) {
+	db := openDB(t, &Options{CheckpointBytes: -1, NoSync: true})
+	tid, err := db.Engine().RegisterType("StatsBlob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o OID
+	if err := db.Update(func(tx *Tx) error {
+		var err error
+		o, _, err = tx.CreateRaw(tid, []byte("v"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	view := func(inside func()) {
+		t.Helper()
+		if err := db.View(func(tx *Tx) error {
+			if inside != nil {
+				inside()
+			}
+			_, _, err := tx.ReadLatestRaw(o)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// since reports how far the counters moved, not counting the read
+	// db.Metrics makes itself (its Stats half runs before it loads them).
+	since := func(before Metrics) (pins, builds uint64) {
+		after := db.Metrics()
+		return after.ReaderPins - before.ReaderPins - 1, after.ReadSnapshotBuilds - before.ReadSnapshotBuilds
+	}
+
+	const k = 7
+	base := db.Metrics() // its read built (or shared) the current snapshot
+	for i := 0; i < k; i++ {
+		view(nil)
+	}
+	if pins, builds := since(base); pins != k || builds != 0 {
+		t.Errorf("%d Views with no commit between: %d pins, %d builds; want %d, 0", k, pins, builds, k)
+	}
+
+	base = db.Metrics()
+	for i := 0; i < k; i++ {
+		if err := db.Update(func(tx *Tx) error {
+			_, err := tx.UpdateLatestRaw(o, []byte{byte(i)})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		view(nil)
+	}
+	if pins, builds := since(base); pins != k || builds != k {
+		t.Errorf("%d Views each after a commit: %d pins, %d builds; want %d, %d", k, pins, builds, k, k)
+	}
+
+	view(func() {
+		if got := db.Metrics().ActiveReaders; got != 1 {
+			t.Errorf("ActiveReaders = %d inside a View, want 1", got)
+		}
+	})
+	if got := db.Metrics().ActiveReaders; got != 0 {
+		t.Errorf("ActiveReaders = %d at rest", got)
+	}
+
+	var page strings.Builder
+	if err := db.WriteMetrics(&page); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{"ode_reader_pins_total ", "ode_active_readers 0", "ode_read_snapshot_builds_total "} {
+		if !strings.Contains(page.String(), series) {
+			t.Errorf("metrics page has no %q", series)
+		}
 	}
 }
 
