@@ -5,8 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"ode/internal/txn"
 )
 
 // Backup writes a consistent snapshot of the database into dstDir
@@ -18,14 +16,14 @@ import (
 // is one atomic cut of the whole database with empty logs. Writers (and
 // further checkpoints) are blocked for the duration; snapshot readers
 // keep running, since they never touch the data files' mutable tails.
-// A sharded database copies the shard metadata file (creation header
-// plus the current shard-map frame) and every PHYSICAL shard's data
-// file — after a merge there are more files than logical shards; the
-// WALs and the coordinator decision log are empty at the copy point and
-// are recreated on open. The file set is enumerated inside the
-// exclusive section, which also excludes reshards (CheckpointExclusive
-// holds the reshard lock), so a concurrent split cannot add shard files
-// between the enumeration and the copy.
+// The copy is the shard metadata file (creation header plus the
+// current shard-map frame) and every PHYSICAL shard's data file — after
+// a merge there are more files than logical shards; the WALs and the
+// coordinator decision log are empty at the copy point and are
+// recreated on open. The file set is enumerated inside the exclusive
+// section, which also excludes reshards (CheckpointExclusive holds the
+// reshard lock), so a concurrent split cannot add shard files between
+// the enumeration and the copy.
 func (db *DB) Backup(dstDir string) error {
 	if err := os.MkdirAll(dstDir, 0o755); err != nil {
 		return fmt.Errorf("ode: backup mkdir: %w", err)
@@ -37,17 +35,7 @@ func (db *DB) Backup(dstDir string) error {
 		return err
 	}
 	return db.coord.CheckpointExclusive(func() error {
-		var files []string
-		if db.coord.NumShards() == 1 {
-			// One physical shard = the legacy single-file layout (a
-			// sharded database is created with >= 2 and never shrinks).
-			files = []string{txn.DataFileName}
-		} else {
-			files = []string{txn.ShardsFileName}
-			for i := 0; i < db.coord.NumShards(); i++ {
-				files = append(files, txn.ShardDataFileName(i))
-			}
-		}
+		files := db.coord.DataFiles()
 		for _, f := range files {
 			if _, err := os.Stat(filepath.Join(dstDir, f)); err == nil {
 				return fmt.Errorf("ode: backup target %s already exists", filepath.Join(dstDir, f))

@@ -28,18 +28,17 @@ func main() {
 	}
 }
 
-// describeLayout classifies dir without opening it. For a sharded
-// directory it prints the shard metadata and enumerates every shard's
-// data and WAL file with sizes; a directory carrying both layouts is an
-// error (same ErrMixedLayout the open would raise, surfaced early and
-// loudly).
+// describeLayout classifies dir without opening it, with the same
+// detection — and the same ErrMixedLayout/ErrPartialLayout refusals,
+// surfaced early and loudly — the open uses. For a database it prints
+// the shard metadata and enumerates every shard's data and WAL file with
+// sizes.
 func describeLayout(w io.Writer, dir string) (string, error) {
-	_, legacyErr := os.Stat(filepath.Join(dir, txn.DataFileName))
-	_, shardErr := os.Stat(filepath.Join(dir, txn.ShardsFileName))
-	legacy, sharded := legacyErr == nil, shardErr == nil
+	sharded, legacy0, err := txn.DetectLayout(nil, dir)
+	if err != nil {
+		return "", fmt.Errorf("refusing to dump: %w", err)
+	}
 	switch {
-	case legacy && sharded:
-		return "", fmt.Errorf("%w: refusing to dump %s", txn.ErrMixedLayout, dir)
 	case sharded:
 		st, err := txn.ReadShardsState(nil, dir)
 		if err != nil {
@@ -56,9 +55,8 @@ func describeLayout(w io.Writer, dir string) (string, error) {
 			return fmt.Sprintf("%d bytes", fi.Size())
 		}
 		for i := 0; i < st.Phys; i++ {
-			fmt.Fprintf(w, "  %s %s, %s %s\n",
-				txn.ShardDataFileName(i), size(txn.ShardDataFileName(i)),
-				txn.ShardWALFileName(i), size(txn.ShardWALFileName(i)))
+			data, wal := txn.ShardFileNames(legacy0, i)
+			fmt.Fprintf(w, "  %s %s, %s %s\n", data, size(data), wal, size(wal))
 		}
 		fmt.Fprintf(w, "  %s %s\n", txn.CoordWALFileName, size(txn.CoordWALFileName))
 		// The persisted routing map: one line per contiguous id range.
@@ -74,51 +72,13 @@ func describeLayout(w io.Writer, dir string) (string, error) {
 			fmt.Fprintf(w, "  [%#x, %s) -> shard %d\n", r.Start, hi, r.Shard)
 		}
 		return fmt.Sprintf("sharded (%d)", n), nil
-	case legacy:
-		return "legacy (single shard)", nil
+	case legacy0:
+		return "pre-shard (one shard, adopted by this open)", nil
 	default:
-		// No metadata file of either layout. Shard files without their
-		// shards.ode are a damaged directory, not a fresh one: opening
-		// would quietly create a new database next to the orphaned data,
-		// so refuse with the same error the txn layer raises.
-		if names, err := os.ReadDir(dir); err == nil {
-			for _, e := range names {
-				if isOrphanShardFile(e.Name()) {
-					return "", fmt.Errorf("%w: refusing to dump %s (found %s)", txn.ErrPartialLayout, dir, e.Name())
-				}
-			}
-		}
-		// Neither layout: the open below creates a fresh database (the
-		// historical dump-an-empty-dir behavior).
+		// The open below creates a fresh database (the historical
+		// dump-an-empty-dir behavior).
 		return "fresh (created on open)", nil
 	}
-}
-
-// isOrphanShardFile reports whether name is a per-shard data/WAL file
-// or the coordinator log — the files whose presence without shards.ode
-// marks a partial sharded layout.
-func isOrphanShardFile(name string) bool {
-	if name == txn.CoordWALFileName {
-		return true
-	}
-	var rest string
-	switch {
-	case len(name) > 5 && name[:5] == "data.":
-		rest = name[5:]
-	case len(name) > 4 && name[:4] == "wal.":
-		rest = name[4:]
-	default:
-		return false
-	}
-	if len(rest) != 3 {
-		return false
-	}
-	for _, c := range rest {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
 }
 
 // run parses args and dumps the database to w (separated from main for
@@ -136,10 +96,9 @@ func run(args []string, w io.Writer) error {
 	}
 	dir := fs.Arg(0)
 
-	// Classify the on-disk layout before opening: a sharded directory
-	// gets its files enumerated, and a directory carrying both layouts
-	// is refused here with the underlying error (opening it would fail
-	// with the same ErrMixedLayout).
+	// Classify the directory before opening: a database gets its files
+	// enumerated, and a directory the open would refuse is refused here
+	// with the same error.
 	layout, err := describeLayout(w, dir)
 	if err != nil {
 		return err

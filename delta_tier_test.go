@@ -4,8 +4,8 @@ package ode
 // demotion/promotion behavior, the encode→demote→materialize round-trip
 // property test across anchor intervals (with interior D-parent
 // deletes), materialisation-cache correctness, and delta chains
-// surviving a live reshard. Run by `make delta-matrix` at ODE_SHARDS=1
-// and 4 under -race.
+// surviving a live reshard. Run by `make delta-matrix` at ODE_SHARDS=4
+// under -race.
 
 import (
 	"bytes"

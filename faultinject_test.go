@@ -24,8 +24,8 @@ type Widget struct {
 
 // envShardCount mirrors the internal test helper: the matrix Makefile
 // target re-runs this suite with ODE_SHARDS=4 so every injection point
-// is also exercised against the sharded layout (shard WALs plus the
-// coordinator log). Zero (unset) keeps the layout default.
+// is also exercised against four shard WALs and a decision log that
+// decides things. Zero (unset) keeps the Options.Shards default.
 func envShardCount() int {
 	n, _ := strconv.Atoi(os.Getenv("ODE_SHARDS"))
 	return n

@@ -7,8 +7,9 @@ package ode
 // commit BEFORE that change (this file, copied into a checkout of it and
 // run with -args -write-format-fixtures=<dir>, is the generator):
 //
-//   - legacy-unrecovered: the single-file layout (Shards: 1), power cut
-//     with committed transactions still only in the WAL;
+//   - legacy-unrecovered: the pre-shard directory (what Shards: 1 wrote
+//     then: data.ode + wal.ode and nothing else), power cut with
+//     committed transactions still only in the WAL;
 //   - sharded-indoubt: two shards, power cut inside a cross-shard
 //     commit at the exact point where both shards hold a durable 2PC
 //     prepare, the coordinator log holds the decision, and neither
@@ -18,7 +19,13 @@ package ode
 // state their manifest records and pass CheckIntegrity. Backward: the
 // current code, run through the same script to the same cut, writes
 // those same directories — data files byte for byte, logs record for
-// record — so what it writes is what the earlier commit reads.
+// record — so what it writes is what the earlier commit reads. One
+// shard is now the N=1 case of the sharded layout, so for the pre-shard
+// fixture the comparison is by role, not by name: today's data.000 and
+// wal.000 against its data.ode and wal.ode, with the two files it never
+// had (shards.ode, coord.ode) holding nothing but their headers. That
+// is the proof that one shard of the one layout IS the pre-shard engine
+// on disk, and why adopting such a directory rewrites none of it.
 
 import (
 	"bytes"
@@ -36,6 +43,7 @@ import (
 )
 
 const (
+	shardsHeaderLen   = 12 // shards.ode: magic, version, creation count
 	formatFixtureRoot = "testdata/format"
 	formatDBDir       = "/db"
 	formatManifest    = "expect.json"
@@ -44,9 +52,13 @@ const (
 var formatLayouts = []struct {
 	name   string
 	shards int
+	// was maps a file this code writes to the fixture file in the same
+	// role, where the names differ; "" marks a file the fixture's writer
+	// did not have, which must then be empty of everything but its header.
+	was map[string]string
 }{
-	{"legacy-unrecovered", 1},
-	{"sharded-indoubt", 2},
+	{"legacy-unrecovered", 1, map[string]string{"data.000": "data.ode", "wal.000": "wal.ode", "shards.ode": "", "coord.ode": ""}},
+	{"sharded-indoubt", 2, nil},
 }
 
 // formatObject is one manifest row: what a recovered directory must
@@ -279,44 +291,79 @@ func formatFixture(t *testing.T, name string) (map[string][]byte, []formatObject
 	return files, model
 }
 
+// formatCheck holds db to a manifest: every object's latest content and
+// version count, and a clean CheckIntegrity.
+func formatCheck(t *testing.T, db *DB, model []formatObject) {
+	t.Helper()
+	if err := db.View(func(tx *Tx) error {
+		for _, want := range model {
+			got, _, err := tx.ReadLatestRaw(OID(want.OID))
+			if err != nil {
+				return fmt.Errorf("object %d: %w", want.OID, err)
+			}
+			if string(got) != want.Latest {
+				return fmt.Errorf("object %d: latest %q, want %q", want.OID, got, want.Latest)
+			}
+			n, err := tx.VersionCount(OID(want.OID))
+			if err != nil {
+				return err
+			}
+			if n != want.Versions {
+				return fmt.Errorf("object %d: %d versions, want %d", want.OID, n, want.Versions)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// formatFixtureDir copies a checked-in directory into a fresh temp dir.
+func formatFixtureDir(t *testing.T, name string) (string, []formatObject) {
+	t.Helper()
+	files, model := formatFixture(t, name)
+	dir := t.TempDir()
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, model
+}
+
+// formatMem loads a directory's files into an in-memory filesystem,
+// durably: what a machine holding that directory boots with.
+func formatMem(t *testing.T, files map[string][]byte) *faultfs.Mem {
+	t.Helper()
+	mem := faultfs.NewMem()
+	for name, b := range files {
+		f, err := mem.OpenFile(filepath.Join(formatDBDir, name), os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(b, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	return mem
+}
+
 func TestFormatOpensEarlierDirectories(t *testing.T) {
 	for _, l := range formatLayouts {
 		t.Run(l.name, func(t *testing.T) {
-			files, model := formatFixture(t, l.name)
-			dir := t.TempDir()
-			for name, b := range files {
-				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
+			dir, model := formatFixtureDir(t, l.name)
 			check := func(db *DB) {
 				t.Helper()
-				if err := db.View(func(tx *Tx) error {
-					for _, want := range model {
-						got, _, err := tx.ReadLatestRaw(OID(want.OID))
-						if err != nil {
-							return fmt.Errorf("object %d: %w", want.OID, err)
-						}
-						if string(got) != want.Latest {
-							return fmt.Errorf("object %d: latest %q, want %q", want.OID, got, want.Latest)
-						}
-						n, err := tx.VersionCount(OID(want.OID))
-						if err != nil {
-							return err
-						}
-						if n != want.Versions {
-							return fmt.Errorf("object %d: %d versions, want %d", want.OID, n, want.Versions)
-						}
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if err := db.CheckIntegrity(); err != nil {
-					t.Fatal(err)
-				}
+				formatCheck(t, db, model)
 			}
-			db, err := Open(dir, nil) // adopt whatever layout is there
+			db, err := Open(dir, nil) // take whatever is there
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,39 +426,43 @@ func TestFormatWritesWhatEarlierCodeWrote(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(names) != len(want) {
-				t.Fatalf("wrote files %v, fixture has %d", names, len(want))
-			}
+			matched := 0
 			// The fixture's logs, loaded where the scanner can read them.
-			ref := faultfs.NewMem()
-			for name, b := range want {
-				f, err := ref.OpenFile(filepath.Join(formatDBDir, name), os.O_RDWR|os.O_CREATE, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.WriteAt(b, 0); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-			}
+			ref := formatMem(t, want)
 			for _, name := range names {
 				got, err := img.ReadFile(filepath.Join(formatDBDir, name))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := want[name]; !ok {
-					t.Fatalf("wrote %s, which the fixture lacks", name)
+				isLog := strings.HasPrefix(name, "wal.") || name == "coord.ode"
+				was, renamed := l.was[name]
+				if !renamed {
+					was = name
 				}
-				if isLog := strings.HasPrefix(name, "wal.") || name == "coord.ode"; !isLog {
-					if !bytes.Equal(got, want[name]) {
-						t.Errorf("%s: %d bytes differ from the fixture's %d", name, len(got), len(want[name]))
+				if was == "" {
+					bare := shardsHeaderLen
+					if isLog {
+						bare = wal.HeaderSize
+					}
+					if len(got) != bare {
+						t.Errorf("%s: %d bytes, want the bare %d-byte header (the fixture's writer had no such file)", name, len(got), bare)
 					}
 					continue
 				}
-				if len(got) != len(want[name]) {
-					t.Errorf("%s: %d bytes, fixture has %d", name, len(got), len(want[name]))
+				if _, ok := want[was]; !ok {
+					t.Fatalf("wrote %s, which the fixture lacks (as %s)", name, was)
 				}
-				gotRecs, wantRecs := formatRecords(t, img, name), formatRecords(t, ref, name)
+				matched++
+				if !isLog {
+					if !bytes.Equal(got, want[was]) {
+						t.Errorf("%s: %d bytes differ from the fixture's %s (%d)", name, len(got), was, len(want[was]))
+					}
+					continue
+				}
+				if len(got) != len(want[was]) {
+					t.Errorf("%s: %d bytes, fixture's %s has %d", name, len(got), was, len(want[was]))
+				}
+				gotRecs, wantRecs := formatRecords(t, img, name), formatRecords(t, ref, was)
 				formatNormalise(gotRecs)
 				formatNormalise(wantRecs)
 				if len(gotRecs) != len(wantRecs) {
@@ -424,6 +475,9 @@ func TestFormatWritesWhatEarlierCodeWrote(t *testing.T) {
 							name, i, g.Type, g.Tx, g.Page, w.Type, w.Tx, w.Page)
 					}
 				}
+			}
+			if matched != len(want) {
+				t.Fatalf("wrote files %v, which cover %d of the fixture's %d", names, matched, len(want))
 			}
 		})
 	}

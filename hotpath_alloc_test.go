@@ -17,8 +17,8 @@ import (
 //	  cache, append-style encoders), 42 with the B+tree searching and
 //	  editing nodes in place on the page (no decoded node, no
 //	  re-encode; E19).
-//	commit, one write path (PR 14): Shards: 4 — never gated before, and
-//	  the layout everything but the legacy directory runs — 51 → 44,
+//	commit, one write path (PR 14): Shards: 4 — never gated before —
+//	  51 → 44,
 //	  now that the coordinator's commits stage into the same pooled,
 //	  pre-grown Frames; Shards: 1 42 → 44, the price of a one-shard
 //	  database taking the coordinator's path like any other shard count
@@ -89,8 +89,8 @@ func TestCommitPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate skipped in -short mode")
 	}
-	// Shards: 4 is the layout production and every BENCHMARK.json
-	// workload runs; Shards: 1 is the legacy single-file layout.
+	// Shards: 4 is what production and every BENCHMARK.json workload
+	// run; Shards: 1 is the same path with one of everything.
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			db, _, o := hotpathDB(t, shards)

@@ -77,7 +77,7 @@ func TestDatabaseNodesAreReferenceEncoded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := storage.Open(filepath.Join(dir, txn.DataFileName), storage.Options{ReadOnly: true})
+	st, err := storage.Open(filepath.Join(dir, txn.ShardDataFileName(0)), storage.Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

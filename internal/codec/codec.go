@@ -1,7 +1,7 @@
 // Package codec provides the low-level binary encoding helpers shared by
-// every on-disk structure in the store: bounds-checked readers/writers
-// over byte slices, varints, length-prefixed byte strings, and CRC
-// framing. Keeping these in one place means every page, WAL record, and
+// every on-disk structure in the store: append-style encoders and a
+// bounds-checked reader over byte slices, varints, length-prefixed byte
+// strings, and CRC framing. Keeping these in one place means every page, WAL record, and
 // version record round-trips through the same audited primitives.
 package codec
 
@@ -26,103 +26,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Checksum computes the CRC-32C of b.
 func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
-// Writer appends binary data to a growing buffer. The zero value is ready
-// to use. All Put methods return the Writer for chaining.
-type Writer struct {
-	buf []byte
-}
-
-// NewWriter returns a Writer with the given capacity hint.
-func NewWriter(capHint int) *Writer {
-	return &Writer{buf: make([]byte, 0, capHint)}
-}
-
-// Bytes returns the accumulated encoding. The slice aliases the Writer's
-// internal buffer; callers must copy if they keep writing.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// Reset truncates the writer for reuse.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
-
-// U8 appends a single byte.
-func (w *Writer) U8(v uint8) *Writer {
-	w.buf = append(w.buf, v)
-	return w
-}
-
-// U16 appends v in big-endian order.
-func (w *Writer) U16(v uint16) *Writer {
-	w.buf = binary.BigEndian.AppendUint16(w.buf, v)
-	return w
-}
-
-// U32 appends v in big-endian order.
-func (w *Writer) U32(v uint32) *Writer {
-	w.buf = binary.BigEndian.AppendUint32(w.buf, v)
-	return w
-}
-
-// U64 appends v in big-endian order.
-func (w *Writer) U64(v uint64) *Writer {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
-	return w
-}
-
-// UVarint appends v in unsigned LEB128-style varint encoding.
-func (w *Writer) UVarint(v uint64) *Writer {
-	w.buf = binary.AppendUvarint(w.buf, v)
-	return w
-}
-
-// Varint appends v in zig-zag varint encoding.
-func (w *Writer) Varint(v int64) *Writer {
-	w.buf = binary.AppendVarint(w.buf, v)
-	return w
-}
-
-// Bytes32 appends a uvarint length prefix followed by b. The name records
-// that lengths are bounded by MaxBlob (well under 32 bits).
-func (w *Writer) Bytes32(b []byte) *Writer {
-	w.UVarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-	return w
-}
-
-// String32 appends a length-prefixed string.
-func (w *Writer) String32(s string) *Writer {
-	w.UVarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-	return w
-}
-
-// Raw appends b with no framing.
-func (w *Writer) Raw(b []byte) *Writer {
-	w.buf = append(w.buf, b...)
-	return w
-}
-
-// F64 appends an IEEE-754 float64 in big-endian order.
-func (w *Writer) F64(v float64) *Writer {
-	return w.U64(math.Float64bits(v))
-}
-
-// Bool appends a 1-byte boolean.
-func (w *Writer) Bool(v bool) *Writer {
-	if v {
-		return w.U8(1)
-	}
-	return w.U8(0)
-}
-
-// Append-style encoders: the zero-copy counterpart to Writer. Each
-// function appends the same wire encoding its Writer method produces,
-// but into a caller-owned buffer, so hot paths (WAL frame staging) can
-// encode directly into their destination without an intermediate
-// Writer allocation or copy. The two families MUST stay byte-for-byte
-// identical; FuzzAppendEncoder enforces that.
+// Append-style encoders: each function appends one field's wire
+// encoding to a caller-owned buffer and returns it, so every encoder —
+// WAL frame staging included — writes directly into its destination.
+// TestAppendGolden pins the bytes.
 
 // AppendU8 appends a single byte to b.
 func AppendU8(b []byte, v uint8) []byte { return append(b, v) }

@@ -4,8 +4,8 @@ package codec
 // is framed with. Two properties carry the whole storage stack:
 // arbitrary bytes fed to a Reader must never panic (the poisoned-error
 // model must hold: after the first failure every further read is a
-// cheap zero-valued no-op), and anything a Writer produces must read
-// back exactly.
+// cheap zero-valued no-op), and anything the Append* encoders produce
+// must read back exactly.
 
 import (
 	"bytes"
@@ -23,8 +23,9 @@ func FuzzReaderOps(f *testing.F) {
 	// Bytes32 length word far larger than the buffer.
 	f.Add([]byte{0x0a, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0x07, 0xff, 0xff, 0xff, 0xff, 0x00})
-	f.Add(NewWriter(0).U8(1).U16(2).U32(3).U64(4).UVarint(5).Varint(-6).
-		Bytes32([]byte("blob")).String32("str").F64(7.5).Bool(true).Bytes())
+	f.Add(AppendBool(AppendF64(AppendString32(AppendBytes32(AppendVarint(AppendUVarint(
+		AppendU64(AppendU32(AppendU16(AppendU8(nil, 1), 2), 3), 4), 5), -6),
+		[]byte("blob")), "str"), 7.5), true))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
@@ -76,7 +77,8 @@ func FuzzReaderOps(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip writes one of every field type and reads it back; the
+// FuzzRoundTrip appends one of every field type behind a caller-owned
+// prefix and reads it back: the prefix must survive untouched, and the
 // decoded values and the consumed length must match exactly.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint16(0), uint32(0), uint64(0), int64(0), []byte(nil), "", 0.0, false)
@@ -86,14 +88,15 @@ func FuzzRoundTrip(f *testing.F) {
 		bytes.Repeat([]byte{0xab}, 100), "x", -0.0, false)
 
 	f.Fuzz(func(t *testing.T, a uint8, b uint16, c uint32, d uint64, e int64, blob []byte, s string, g float64, h bool) {
-		w := NewWriter(0)
-		w.U8(a).U16(b).U32(c).U64(d).UVarint(d).Varint(e).Bytes32(blob).String32(s).F64(g).Bool(h).Raw(blob)
-		buf := w.Bytes()
-		if w.Len() != len(buf) {
-			t.Fatalf("Len %d != len(Bytes) %d", w.Len(), len(buf))
+		prefix := []byte(s) // any bytes the encoders do not own
+		buf := append([]byte(nil), prefix...)
+		buf = appendAll(buf, a, b, c, d, e, blob, s, g, h)
+		buf = append(buf, blob...)
+		if !bytes.Equal(buf[:len(prefix)], prefix) {
+			t.Fatalf("appender clobbered caller prefix")
 		}
 
-		r := NewReader(buf)
+		r := NewReader(buf[len(prefix):])
 		if got := r.U8(); got != a {
 			t.Fatalf("U8: %v != %v", got, a)
 		}

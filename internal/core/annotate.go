@@ -44,13 +44,13 @@ func encodeAnnotations(m map[string]string) []byte {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	w := codec.NewWriter(16 + 16*len(m))
-	w.UVarint(uint64(len(keys)))
+	w := make([]byte, 0, 16+16*len(m))
+	w = codec.AppendUVarint(w, uint64(len(keys)))
 	for _, k := range keys {
-		w.String32(k)
-		w.String32(m[k])
+		w = codec.AppendString32(w, k)
+		w = codec.AppendString32(w, m[k])
 	}
-	return w.Bytes()
+	return w
 }
 
 func decodeAnnotations(raw []byte) (map[string]string, error) {

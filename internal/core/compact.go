@@ -112,28 +112,7 @@ func (tx *shardTx) promoteVersion(o oid.OID, v oid.VID) (bool, error) {
 	if rec.kind == payFull {
 		return false, nil
 	}
-	content, err := tx.readContent(o, rec)
-	if err != nil {
-		return false, err
-	}
-	if rec.kind == paySame {
-		rid, err := tx.heap.Insert(content)
-		if err != nil {
-			return false, err
-		}
-		rec.payload = rid
-	} else {
-		if err := tx.heap.Update(rec.payload, content); err != nil {
-			return false, err
-		}
-	}
-	rec.kind = payFull
-	rec.depth = 0
-	rec.size = uint64(len(content))
-	if err := tx.storeVer(o, v, rec); err != nil {
-		return false, err
-	}
-	if err := tx.fixDepths(o, v, 0); err != nil {
+	if err := tx.anchor(o, v, rec); err != nil {
 		return false, err
 	}
 	tx.saveRoots()
@@ -141,6 +120,31 @@ func (tx *shardTx) promoteVersion(o oid.OID, v oid.VID) (bool, error) {
 		m.DeltaPromotions.Inc()
 	}
 	return true, nil
+}
+
+// anchor rewrites v's dependent payload (rec is paySame or payDelta) as
+// a full one in place and re-bases its descendants' depth hints.
+func (tx *shardTx) anchor(o oid.OID, v oid.VID, rec verRec) error {
+	content, err := tx.readContent(o, rec)
+	if err != nil {
+		return err
+	}
+	if rec.kind == paySame {
+		rid, err := tx.heap.Insert(content)
+		if err != nil {
+			return err
+		}
+		rec.payload = rid
+	} else if err := tx.heap.Update(rec.payload, content); err != nil {
+		return err
+	}
+	rec.kind = payFull
+	rec.depth = 0
+	rec.size = uint64(len(content))
+	if err := tx.storeVer(o, v, rec); err != nil {
+		return err
+	}
+	return tx.fixDepths(o, v, 0)
 }
 
 // depBelow returns the deepest dependent-descendant chain hanging off

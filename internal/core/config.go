@@ -113,14 +113,14 @@ func (tx *shardTx) deleteConfigValue(key []byte) error {
 }
 
 func encodeBindings(bs []Binding) []byte {
-	w := codec.NewWriter(16 + 24*len(bs))
-	w.UVarint(uint64(len(bs)))
+	w := make([]byte, 0, 16+24*len(bs))
+	w = codec.AppendUVarint(w, uint64(len(bs)))
 	for _, b := range bs {
-		w.String32(b.Slot)
-		w.UVarint(uint64(b.Obj))
-		w.UVarint(uint64(b.VID))
+		w = codec.AppendString32(w, b.Slot)
+		w = codec.AppendUVarint(w, uint64(b.Obj))
+		w = codec.AppendUVarint(w, uint64(b.VID))
 	}
-	return w.Bytes()
+	return w
 }
 
 func decodeBindings(raw []byte) ([]Binding, error) {
@@ -238,17 +238,17 @@ func (tx *shardTx) SetContext(name string, defaults map[oid.OID]oid.VID) error {
 		objs = append(objs, o)
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	w := codec.NewWriter(16 + 16*len(objs))
-	w.UVarint(uint64(len(objs)))
+	w := make([]byte, 0, 16+16*len(objs))
+	w = codec.AppendUVarint(w, uint64(len(objs)))
 	for _, o := range objs {
 		v := defaults[o]
 		if _, err := tx.rt.loadVerOf(o, v); err != nil {
 			return fmt.Errorf("context %q: %w", name, err)
 		}
-		w.UVarint(uint64(o))
-		w.UVarint(uint64(v))
+		w = codec.AppendUVarint(w, uint64(o))
+		w = codec.AppendUVarint(w, uint64(v))
 	}
-	if err := tx.putConfigValue(ctxKey(name), w.Bytes()); err != nil {
+	if err := tx.putConfigValue(ctxKey(name), w); err != nil {
 		return err
 	}
 	tx.saveRoots()

@@ -15,12 +15,12 @@ import (
 // newEngine creates an engine over a fresh temp database.
 func newEngine(t testing.TB, opts Options) *Engine {
 	t.Helper()
-	mgr, err := txn.Create(t.TempDir(), txn.Options{})
+	c, err := txn.OpenCoordinator(t.TempDir(), txn.Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { mgr.Close() })
-	e, err := New(mgr, opts)
+	t.Cleanup(func() { c.Close() })
+	e, err := NewSharded(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,11 +565,11 @@ func TestDeleteDeltaBasePreservesChildren(t *testing.T) {
 
 func TestPersistenceAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	mgr, err := txn.Create(dir, txn.Options{})
+	c, err := txn.OpenCoordinator(dir, txn.Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(mgr, Options{Policy: DeltaChain})
+	e, err := NewSharded(c, Options{Policy: DeltaChain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,16 +593,16 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	mgr2, err := txn.Open(dir, txn.Options{})
+	c2, err := txn.OpenCoordinator(dir, txn.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr2.Close()
-	e2, err := New(mgr2, Options{Policy: DeltaChain})
+	defer c2.Close()
+	e2, err := NewSharded(c2, Options{Policy: DeltaChain})
 	if err != nil {
 		t.Fatal(err)
 	}

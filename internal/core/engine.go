@@ -152,13 +152,9 @@ const DefaultDerefCacheBytes = 4 << 20
 // Engine is the versioned-object store. It holds only cross-transaction
 // state; everything a single transaction needs lives on its Tx.
 type Engine struct {
-	c *txn.Coordinator
-	// single marks a wrapped legacy (Shards=1 layout) database: no
-	// coordinator log, no shard map changes, bit-for-bit pre-shard
-	// behavior (notably the stamp clock living in the shard counter).
-	single bool
-	bus    *trigger.Bus
-	opts   Options
+	c    *txn.Coordinator
+	bus  *trigger.Bus
+	opts Options
 
 	// m is the coordinator's observability registry (nil under
 	// NoMetrics); the engine records version-chain walk lengths into it.
@@ -190,12 +186,12 @@ type Engine struct {
 	// writer mutex; the registry grows when a reshard adds shards.
 	alloc allocState
 
-	// stamp is the global version-creation clock under N > 1: stamps
-	// must be comparable across shards (AsOf, CurrentStamp), so they
-	// cannot be composed per shard the way oids are. Each allocation
-	// mirrors the clock into the allocating shard's ctrStamp counter, so
-	// reopening seeds the clock from the per-shard maxima. With one
-	// shard the counter itself is the clock, exactly as before sharding.
+	// stamp is the global version-creation clock: stamps must be
+	// comparable across shards (AsOf, CurrentStamp), so they cannot be
+	// composed per shard the way oids are. Each allocation mirrors the
+	// clock into the allocating shard's ctrStamp counter, so reopening
+	// seeds the clock from the per-shard maxima. The clock does not roll
+	// back with an aborted transaction: an abort leaves a gap.
 	stamp atomic.Uint64
 
 	// cursor round-robins fresh transactions across shards for object
@@ -249,14 +245,6 @@ type shardTx struct {
 	writable bool
 }
 
-// New wires an engine over a single standalone manager, creating the
-// persistent structures on first use. It is the single-shard form used
-// by tests and tools that build a Manager directly; Open-level callers
-// go through NewSharded.
-func New(mgr *txn.Manager, opts Options) (*Engine, error) {
-	return NewSharded(txn.WrapManager(mgr), opts)
-}
-
 // NewSharded wires an engine over a shard coordinator, creating the
 // persistent structures on every shard on first use.
 func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
@@ -269,7 +257,6 @@ func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
 	phys := c.NumShards()
 	e := &Engine{
 		c:         c,
-		single:    phys == 1,
 		bus:       trigger.NewBus(),
 		opts:      opts,
 		m:         c.Metrics(),
@@ -453,14 +440,10 @@ func (tx *shardTx) newVID() oid.VID {
 	return oid.VID(storage.Compose(tx.allocID(ctrVID), tx.s))
 }
 
-// newStamp allocates a creation stamp. With one shard the shard counter
-// is the clock (bit-for-bit the pre-shard behavior, including counter
-// rollback on abort); with N shards the engine's global clock supplies
-// the value and the shard counter keeps the high-water mark for reopen.
+// newStamp allocates a creation stamp: the engine's global clock
+// supplies the value and the shard counter keeps the high-water mark for
+// reopen.
 func (tx *shardTx) newStamp() oid.Stamp {
-	if tx.e.single {
-		return oid.Stamp(tx.st.NextCounter(ctrStamp))
-	}
 	s := tx.e.stamp.Add(1)
 	if tx.st.Counter(ctrStamp) < s {
 		tx.st.SetCounter(ctrStamp, s)
@@ -565,7 +548,7 @@ func (e *Engine) Write(fn func(tx *Tx) error) error {
 			shards:    make([]*shardTx, w.NumShards()),
 			lastAlloc: -1,
 		}
-		if !e.single && e.idxExist.Load() {
+		if e.idxExist.Load() {
 			if _, err := tx.shardW(0); err != nil {
 				return err
 			}

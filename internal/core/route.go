@@ -433,13 +433,6 @@ func (tx *Tx) AsOfWalk(o oid.OID, s oid.Stamp) (oid.VID, bool, error) {
 // CurrentStamp returns the engine's logical clock value (the stamp of
 // the most recent version-creating operation).
 func (tx *Tx) CurrentStamp() oid.Stamp {
-	if tx.e.single {
-		b, err := tx.shardR(0)
-		if err != nil {
-			return 0
-		}
-		return oid.Stamp(b.st.Counter(ctrStamp))
-	}
 	if tx.writable {
 		return oid.Stamp(tx.e.stamp.Load())
 	}

@@ -335,8 +335,6 @@ func (tx *shardTx) UpdateVersion(o oid.OID, v oid.VID, content []byte) error {
 	if err := tx.detachDependents(o, v); err != nil {
 		return err
 	}
-	// Reload: detachDependents may have rewritten rec's entry? (It only
-	// rewrites children.) rec is still current.
 	if rec.kind == paySame {
 		// Gains its own payload record now.
 		rec.payload = oid.NilRID
@@ -416,28 +414,7 @@ func (tx *shardTx) detachDependents(o oid.OID, v oid.VID) error {
 		if crec.kind == payFull {
 			continue
 		}
-		content, err := tx.readContent(o, crec)
-		if err != nil {
-			return err
-		}
-		if crec.kind == paySame {
-			rid, err := tx.heap.Insert(content)
-			if err != nil {
-				return err
-			}
-			crec.payload = rid
-		} else {
-			if err := tx.heap.Update(crec.payload, content); err != nil {
-				return err
-			}
-		}
-		crec.kind = payFull
-		crec.depth = 0
-		crec.size = uint64(len(content))
-		if err := tx.storeVer(o, c, crec); err != nil {
-			return err
-		}
-		if err := tx.fixDepths(o, c, 0); err != nil {
+		if err := tx.anchor(o, c, crec); err != nil {
 			return err
 		}
 	}

@@ -39,15 +39,15 @@ var ErrCorrupt = errors.New("delta: corrupt delta")
 // the delta degenerates to one big INSERT (with a few bytes of framing
 // overhead).
 func Encode(base, target []byte) []byte {
-	w := codec.NewWriter(64 + len(target)/8)
-	w.UVarint(uint64(len(target)))
+	w := make([]byte, 0, 64+len(target)/8)
+	w = codec.AppendUVarint(w, uint64(len(target)))
 
 	if len(base) < blockSize || len(target) < blockSize {
 		// Too small to match blocks; emit a pure insert.
 		if len(target) > 0 {
-			emitInsert(w, target)
+			w = emitInsert(w, target)
 		}
-		return w.Bytes()
+		return w
 	}
 
 	// Index base: hash of each aligned block -> offsets (chained).
@@ -72,16 +72,16 @@ func Encode(base, target []byte) []byte {
 			continue
 		}
 		if len(pendingInsert) > 0 {
-			emitInsert(w, pendingInsert)
+			w = emitInsert(w, pendingInsert)
 			pendingInsert = pendingInsert[:0]
 		}
-		emitCopy(w, srcOff, matchLen)
+		w = emitCopy(w, srcOff, matchLen)
 		i += matchLen
 	}
 	if len(pendingInsert) > 0 {
-		emitInsert(w, pendingInsert)
+		w = emitInsert(w, pendingInsert)
 	}
-	return w.Bytes()
+	return w
 }
 
 // bestMatch finds the longest forward match among candidate base offsets
@@ -108,15 +108,14 @@ func bestMatch(base, target []byte, candidates []int, i int) (srcOff, matchLen i
 	return srcOff, matchLen
 }
 
-func emitInsert(w *codec.Writer, data []byte) {
-	w.U8(opInsert)
-	w.Bytes32(data)
+func emitInsert(w, data []byte) []byte {
+	return codec.AppendBytes32(codec.AppendU8(w, opInsert), data)
 }
 
-func emitCopy(w *codec.Writer, off, n int) {
-	w.U8(opCopy)
-	w.UVarint(uint64(off))
-	w.UVarint(uint64(n))
+func emitCopy(w []byte, off, n int) []byte {
+	w = codec.AppendU8(w, opCopy)
+	w = codec.AppendUVarint(w, uint64(off))
+	return codec.AppendUVarint(w, uint64(n))
 }
 
 func hashBlock(b []byte) uint64 {

@@ -102,12 +102,11 @@ func FuzzDeltaChain(f *testing.F) {
 // TestApplyCopyOverflow pins the uint64 wrap-around fix: a COPY whose
 // off+n overflows must be rejected, not panic.
 func TestApplyCopyOverflow(t *testing.T) {
-	w := codec.NewWriter(32)
-	w.UVarint(1)                  // declared target length
-	w.U8(opCopy)                  // COPY ...
-	w.UVarint(^uint64(0))         // off = 2^64-1
-	w.UVarint(2)                  // n = 2: off+n wraps to 1
-	if _, err := Apply([]byte("0123456789"), w.Bytes()); err == nil {
+	w := codec.AppendUVarint(nil, 1)       // declared target length
+	w = codec.AppendU8(w, opCopy)          // COPY ...
+	w = codec.AppendUVarint(w, ^uint64(0)) // off = 2^64-1
+	w = codec.AppendUVarint(w, 2)          // n = 2: off+n wraps to 1
+	if _, err := Apply([]byte("0123456789"), w); err == nil {
 		t.Fatal("overflowing copy bounds accepted")
 	}
 }
@@ -117,14 +116,11 @@ func TestApplyCopyOverflow(t *testing.T) {
 // full-base copies before being rejected.
 func TestApplyOutputBounded(t *testing.T) {
 	base := bytes.Repeat([]byte("x"), 1024)
-	w := codec.NewWriter(64)
-	w.UVarint(8) // declares 8 bytes...
+	w := codec.AppendUVarint(nil, 8) // declares 8 bytes...
 	for i := 0; i < 16; i++ {
-		w.U8(opCopy) // ...but copies the whole base 16 times
-		w.UVarint(0)
-		w.UVarint(uint64(len(base)))
+		w = emitCopy(w, 0, len(base)) // ...but copies the whole base 16 times
 	}
-	if _, err := Apply(base, w.Bytes()); err == nil {
+	if _, err := Apply(base, w); err == nil {
 		t.Fatal("over-long output accepted")
 	}
 }

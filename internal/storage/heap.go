@@ -129,25 +129,27 @@ func (h *Heap) maxInlinePayload() int {
 }
 
 func encodeInline(data []byte) []byte {
-	w := codec.NewWriter(1 + 5 + len(data) + minCell)
-	w.U8(cellInline)
-	w.UVarint(uint64(len(data)))
-	w.Raw(data)
-	for w.Len() < minCell {
-		w.U8(0)
+	w := make([]byte, 0, 1+5+len(data)+minCell)
+	w = codec.AppendU8(w, cellInline)
+	w = codec.AppendUVarint(w, uint64(len(data)))
+	w = append(w, data...)
+	return padCell(w)
+}
+
+// padCell zero-pads a cell to minCell bytes.
+func padCell(w []byte) []byte {
+	for len(w) < minCell {
+		w = append(w, 0)
 	}
-	return w.Bytes()
+	return w
 }
 
 func encodeOverflow(totalLen int, first oid.PageID) []byte {
-	w := codec.NewWriter(minCell)
-	w.U8(cellOverflow)
-	w.UVarint(uint64(totalLen))
-	w.U32(uint32(first))
-	for w.Len() < minCell {
-		w.U8(0)
-	}
-	return w.Bytes()
+	w := make([]byte, 0, minCell)
+	w = codec.AppendU8(w, cellOverflow)
+	w = codec.AppendUVarint(w, uint64(totalLen))
+	w = codec.AppendU32(w, uint32(first))
+	return padCell(w)
 }
 
 // Insert stores data as a new record and returns its RID.

@@ -12,9 +12,8 @@ import (
 // transaction layer owns one WAL and one commit pipeline per shard; the
 // shard map below decides which shard a given object id lives on.
 //
-// A single-shard engine (N=1) is exactly the pre-shard engine: the map
-// degenerates to the identity and the on-disk layout keeps the legacy
-// file names.
+// A single-shard engine (N=1) is the same thing with one of each: the
+// map degenerates to the identity.
 
 // Shard is a Store plus its shard slot.
 type Shard struct {

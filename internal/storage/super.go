@@ -42,21 +42,21 @@ type super struct {
 // Fixed layout offsets within the page body for the peek in openStore:
 // magic at body[0:8], version at body[8:12], pageSize at body[12:16].
 func (s *super) marshalInto(p *Page) {
-	w := codec.NewWriter(256)
-	w.U64(Magic)
-	w.U32(FormatVersion)
-	w.U32(s.pageSize)
-	w.U64(s.nPages)
-	w.U32(uint32(s.freeHead))
+	w := make([]byte, 0, 256)
+	w = codec.AppendU64(w, Magic)
+	w = codec.AppendU32(w, FormatVersion)
+	w = codec.AppendU32(w, s.pageSize)
+	w = codec.AppendU64(w, s.nPages)
+	w = codec.AppendU32(w, uint32(s.freeHead))
 	for _, r := range s.roots {
-		w.U32(uint32(r))
+		w = codec.AppendU32(w, uint32(r))
 	}
 	for _, c := range s.counters {
-		w.U64(c)
+		w = codec.AppendU64(w, c)
 	}
-	w.U64(uint64(s.ckptLSN))
+	w = codec.AppendU64(w, uint64(s.ckptLSN))
 	body := p.Body()
-	n := copy(body, w.Bytes())
+	n := copy(body, w)
 	clear(body[n:]) // deterministic checksums
 }
 

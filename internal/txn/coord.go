@@ -22,12 +22,15 @@
 // and recovery commits it iff the coordinator log decided its global
 // id — otherwise it is presumed aborted.
 //
-// With one shard the directory keeps the legacy layout (data.ode/
-// wal.ode, no shard metadata, no coordinator log). Transactions take
-// the same path as at any other shard count — every one of them is a
-// single-shard commit, accounted for here — and only the operations
-// that involve the coordinator log (2PC, resharding, its reset at
-// checkpoint and close) have nothing to do.
+// Every database directory has the same shape at every shard count
+// N >= 1: shards.ode (creation header plus shard-map frames), one page
+// file and one WAL per physical shard, and coord.ode. With one shard
+// every transaction is a single-shard commit and the decision log
+// simply stays empty until a Reshard grows the set. A directory written
+// before shards existed (data.ode + wal.ode alone) is adopted in place
+// on its first writable open: shards.ode is written with count 1 and
+// the old pair goes on serving as shard 0 under the names it has
+// (DESIGN.md §12.4).
 package txn
 
 import (
@@ -35,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -51,11 +55,10 @@ import (
 	"ode/internal/wal"
 )
 
-// Sharded-layout file names. A single-shard database keeps the legacy
-// DataFileName/WALFileName pair and none of these.
+// Directory-level file names.
 const (
-	// ShardsFileName is the shard-count metadata file; its presence
-	// marks a sharded directory.
+	// ShardsFileName is the shard metadata file: its (complete) header
+	// marks a directory as a database of this layout.
 	ShardsFileName = "shards.ode"
 	// CoordWALFileName is the coordinator decision log for cross-shard
 	// transactions.
@@ -75,20 +78,29 @@ func ShardDataFileName(i int) string { return fmt.Sprintf("data.%03d", i) }
 // ShardWALFileName returns shard i's WAL file name.
 func ShardWALFileName(i int) string { return fmt.Sprintf("wal.%03d", i) }
 
-// ErrMixedLayout reports a directory holding both legacy single-shard
-// files and sharded metadata — two generations of the same database.
-// Nothing is guessed: the operator must remove the stale generation.
-var ErrMixedLayout = errors.New("txn: directory has both legacy (data.ode) and sharded (shards.ode) layouts")
+// ShardFileNames returns the names of physical shard i's page file and
+// WAL. legacy0 says shard 0 is an adopted pre-shard database, which
+// keeps the names it was written under (DataFileName, WALFileName).
+func ShardFileNames(legacy0 bool, i int) (data, wal string) {
+	if legacy0 && i == 0 {
+		return DataFileName, WALFileName
+	}
+	return ShardDataFileName(i), ShardWALFileName(i)
+}
+
+// ErrMixedLayout reports a directory holding two candidates for shard
+// 0 — a pre-shard data.ode and a data.000 — two generations of the same
+// database. Nothing is guessed: the operator must remove the stale one.
+var ErrMixedLayout = errors.New("txn: directory has both legacy (data.ode) and sharded (data.000) files for shard 0")
 
 // ErrShardMismatch reports an explicit Options.Shards that contradicts
 // what the directory was created with.
 var ErrShardMismatch = errors.New("txn: Options.Shards does not match the directory's shard count")
 
 // ErrPartialLayout reports a directory holding shard files (data.NNN,
-// wal.NNN, coord.ode) but no shards.ode metadata — an interrupted
-// create whose metadata never became durable, or a deleted metadata
-// file. Re-creating shards over the leftovers could silently mix two
-// generations; the operator must remove the stale files.
+// wal.NNN, coord.ode) but no shards.ode metadata — a deleted metadata
+// file. Re-creating or re-adopting over the leftovers could silently
+// mix two generations; the operator must remove the stale files.
 var ErrPartialLayout = errors.New("txn: directory has shard files but no shards.ode metadata")
 
 // ErrRoutingEpochChanged reports that the shard map moved underneath an
@@ -109,8 +121,8 @@ type routing struct {
 	rmap *storage.ShardMap
 }
 
-// Coordinator owns a database directory as a set of shards plus (for
-// N >= 2) the cross-shard decision log. It is the engine's only entry
+// Coordinator owns a database directory as a set of shards plus the
+// cross-shard decision log. It is the engine's only entry
 // point for transactions; individual Managers are reachable through
 // Shards() for stats, backup and tests.
 type Coordinator struct {
@@ -121,6 +133,7 @@ type Coordinator struct {
 	routing  atomic.Pointer[routing]
 	opts     Options
 	dir      string
+	legacy0  bool // shard 0 is an adopted pre-shard database (ShardFileNames)
 	grouped  bool
 	readOnly bool
 
@@ -141,7 +154,7 @@ type Coordinator struct {
 	// mutexes (ascending) before cmu; a cmu holder never takes a shard
 	// mutex it does not already hold.
 	cmu        sync.Mutex
-	clog       *wal.Log     // nil when wrapped/legacy (no cross-shard transactions)
+	clog       *wal.Log     // nil only on a read-only open that found none (it refuses every writer)
 	cioErr     error        // coordinator log poisoned: no more 2PC decisions
 	noReset    bool         // a shard decide failed; recovery needs the clog
 	shardsFile faultfs.File // open shards.ode handle for frame appends
@@ -169,13 +182,10 @@ type Coordinator struct {
 	buildHook func()
 
 	// cm is the coordinator-level registry (whole-transaction latency,
-	// cross-shard batch sizes, decision-log fsyncs); with one shard it
-	// aliases the Manager's registry. sink is the tracer sink shared by
-	// every shard; the coordinator owns it unless it wrapped a
-	// standalone Manager that already did.
-	cm        *obs.Metrics
-	sink      *obs.Sink
-	closeSink bool
+	// cross-shard batch sizes, decision-log fsyncs). sink is the tracer
+	// sink shared by every shard; the coordinator owns it.
+	cm   *obs.Metrics
+	sink *obs.Sink
 
 	gtidSeq atomic.Uint64 // global txn ids; unique within one clog lifetime
 	ctxSeq  atomic.Uint64 // span ids for coordinator-level trace events
@@ -194,132 +204,102 @@ type Coordinator struct {
 	closed atomic.Bool
 }
 
-// WrapManager lifts a standalone Manager into a single-shard
-// Coordinator sharing its registry and sink. It exists for callers (and
-// the many tests) that build a Manager directly and hand it to the
-// engine; OpenCoordinator is the normal entry point.
-func WrapManager(m *Manager) *Coordinator {
-	c := &Coordinator{
-		opts:     m.opts,
-		grouped:  m.opts.grouped(),
-		readOnly: m.opts.Storage.ReadOnly,
-		cm:       m.m,
-		sink:     m.sink,
-	}
-	m.opts.onPublish = c.published
-	c.routing.Store(&routing{ms: []*Manager{m}, rmap: storage.NewShardMap(1)})
-	return c
-}
-
 // ms returns the current physical shard set; rmap the current map. Both
 // are snapshots — a concurrent reshard swaps the bundle rather than
 // mutating it.
 func (c *Coordinator) ms() []*Manager          { return c.routing.Load().ms }
 func (c *Coordinator) rmap() *storage.ShardMap { return c.routing.Load().rmap }
 
-// OpenCoordinator opens (or creates) a database directory with the
-// layout it finds there. Options.Shards: 0 adopts an existing layout
-// (GOMAXPROCS for a fresh directory); an explicit value must match an
-// existing directory's count. Shards=1 uses the legacy single-file
-// layout, so such a database is indistinguishable from a pre-shard one.
+// OpenCoordinator opens the database in dir, creating it when the
+// directory holds none. Options.Shards: 0 takes whatever an existing
+// directory has (GOMAXPROCS for a fresh one); an explicit value must
+// match an existing directory's logical count — Reshard is how that
+// changes. A pre-shard directory is one shard; its first writable open
+// adopts it by writing shards.ode, and a read-only open of one that was
+// never adopted writes nothing.
 func OpenCoordinator(dir string, opts Options) (*Coordinator, error) {
+	if opts.Shards < 0 {
+		return nil, fmt.Errorf("txn: Shards=%d is negative", opts.Shards)
+	}
 	fsys := opts.fsys()
-	n, layout, err := detectLayout(fsys, dir)
+	sharded, legacy0, err := DetectLayout(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	switch layout {
-	case layoutFresh:
-		n = opts.Shards
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
+	switch {
+	case sharded:
+	case legacy0:
+		if opts.Shards > 1 {
+			return nil, fmt.Errorf("%w: directory has 1, Shards=%d requested", ErrShardMismatch, opts.Shards)
 		}
-		if n < 1 {
-			n = 1
+		if !opts.Storage.ReadOnly {
+			// Adoption is this one file: a cut before it is durable leaves
+			// the directory as it was, a cut after leaves an ordinary
+			// one-shard database (openSharded creates a missing coord.ode;
+			// a pre-shard log holds no prepares to find decisions for).
+			if err := writeShardsMeta(fsys, dir, 1); err != nil {
+				return nil, err
+			}
+			sharded = true
+		}
+	default:
+		if opts.Storage.ReadOnly {
+			return nil, fmt.Errorf("txn: no database at %s", dir)
+		}
+		n := opts.Shards
+		if n == 0 {
+			if n = runtime.GOMAXPROCS(0); n < 1 {
+				n = 1
+			}
 		}
 		if n > maxShards {
 			return nil, fmt.Errorf("txn: Shards=%d exceeds the maximum of %d", n, maxShards)
 		}
-		if n == 1 {
-			m, err := Create(dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return WrapManager(m), nil
-		}
 		return createSharded(fsys, dir, opts, n)
-	case layoutLegacy:
-		if opts.Shards > 1 {
-			return nil, fmt.Errorf("%w: directory is legacy single-shard, Shards=%d requested", ErrShardMismatch, opts.Shards)
-		}
-		m, err := Open(dir, opts)
-		if err != nil {
-			return nil, err
-		}
-		return WrapManager(m), nil
-	default: // layoutSharded
-		// The shard count to validate Options.Shards against is the
-		// LOGICAL count, which lives in the shards.ode frames (and clog
-		// overlays) rather than the creation-time header; openSharded
-		// checks it after resolving the map.
-		_ = n
-		return openSharded(fsys, dir, opts)
 	}
+	return openSharded(fsys, dir, opts, sharded, legacy0)
 }
 
-type layoutKind int
-
-const (
-	layoutFresh layoutKind = iota
-	layoutLegacy
-	layoutSharded
-)
-
-// detectLayout classifies the directory; for a sharded one it also
-// returns the shard count from the metadata file.
-func detectLayout(fsys faultfs.FS, dir string) (int, layoutKind, error) {
-	statOK := func(name string) (bool, error) {
-		_, err := fsys.Stat(filepath.Join(dir, name))
-		if err == nil {
-			return true, nil
-		}
-		if errors.Is(err, fs.ErrNotExist) {
-			return false, nil
-		}
-		return false, err
+// DetectLayout classifies dir without opening anything: sharded says a
+// complete shards.ode header is there, legacy0 that shard 0 lives in
+// the pre-shard files (ShardFileNames); neither means no database. A
+// shards.ode shorter than its header is a create or an adoption cut
+// short before the header was durable — it is written, synced and its
+// directory entry synced before any other file is touched — and counts
+// as absent, so the next writable open writes it again.
+func DetectLayout(fsys faultfs.FS, dir string) (sharded, legacy0 bool, err error) {
+	if fsys == nil {
+		fsys = faultfs.OS
 	}
-	hasShards, err := statOK(ShardsFileName)
+	size := func(name string) int64 {
+		n, serr := fsys.Stat(filepath.Join(dir, name))
+		if serr == nil {
+			return n
+		}
+		if !errors.Is(serr, fs.ErrNotExist) && err == nil {
+			err = serr
+		}
+		return -1
+	}
+	sharded = size(ShardsFileName) >= shardsMetaLen
+	legacy0 = size(DataFileName) >= 0
+	mixed := legacy0 && size(ShardDataFileName(0)) >= 0
 	if err != nil {
-		return 0, layoutFresh, err
+		return false, false, err
 	}
-	hasLegacy, err := statOK(DataFileName)
-	if err != nil {
-		return 0, layoutFresh, err
+	if mixed {
+		return false, false, fmt.Errorf("%w (%s)", ErrMixedLayout, dir)
 	}
-	switch {
-	case hasShards && hasLegacy:
-		return 0, layoutFresh, fmt.Errorf("%w (%s)", ErrMixedLayout, dir)
-	case hasShards:
-		n, err := readShardsMeta(fsys, dir)
-		if err != nil {
-			return 0, layoutFresh, err
-		}
-		return n, layoutSharded, nil
-	case hasLegacy:
-		return 1, layoutLegacy, nil
-	default:
-		// Neither marker file: the directory must be recognisably empty,
-		// not an interrupted sharded create (possible when a crash landed
-		// before shards.ode's directory entry was durable) or a directory
-		// whose metadata file was deleted. Re-creating over either would
-		// mix generations, so fail loudly instead.
+	if !sharded {
+		// Shard files without their metadata: re-creating or re-adopting
+		// over them would mix generations, so fail loudly instead.
 		if name, found, err := findShardFile(fsys, dir); err != nil {
-			return 0, layoutFresh, err
+			return false, false, err
 		} else if found {
-			return 0, layoutFresh, fmt.Errorf("%w (%s holds %s)", ErrPartialLayout, dir, name)
+			return false, false, fmt.Errorf("%w (%s holds %s)", ErrPartialLayout, dir, name)
 		}
-		return 0, layoutFresh, nil
 	}
+	return sharded, legacy0, nil
 }
 
 // findShardFile reports the first sharded-layout file (data.NNN,
@@ -384,18 +364,6 @@ type ShardsState struct {
 	frameEnd int64
 }
 
-// ReadShardsMeta reads and validates the shard-count metadata header and
-// returns the LOGICAL shard count from the newest frame (the creation
-// count when no frames exist). Exported for odedump; ReadShardsState
-// returns the full picture.
-func ReadShardsMeta(fsys faultfs.FS, dir string) (int, error) {
-	st, err := ReadShardsState(fsys, dir)
-	if err != nil {
-		return 0, err
-	}
-	return st.Map.N(), nil
-}
-
 // ReadShardsState reads shards.ode: the creation header plus the newest
 // valid map frame. Exported for odedump.
 func ReadShardsState(fsys faultfs.FS, dir string) (*ShardsState, error) {
@@ -409,16 +377,6 @@ func ReadShardsState(fsys faultfs.FS, dir string) (*ShardsState, error) {
 	}
 	defer f.Close()
 	return readShardsState(f, path)
-}
-
-// readShardsMeta returns the creation-time count from the fixed header
-// (layout detection only; the logical count lives in the frames).
-func readShardsMeta(fsys faultfs.FS, dir string) (int, error) {
-	st, err := ReadShardsState(fsys, dir)
-	if err != nil {
-		return 0, err
-	}
-	return st.Created, nil
 }
 
 // readShardsState parses an open shards.ode: the 12-byte creation
@@ -448,7 +406,7 @@ func readShardsState(f faultfs.File, path string) (*ShardsState, error) {
 		return nil, fmt.Errorf("txn: %s: unsupported version %d", path, v)
 	}
 	n := int(binary.BigEndian.Uint32(buf[8:12]))
-	if n < 2 || n > maxShards {
+	if n < 1 || n > maxShards {
 		return nil, fmt.Errorf("txn: %s: implausible shard count %d", path, n)
 	}
 	st := &ShardsState{Created: n, Phys: n, Map: storage.NewShardMap(n), frameEnd: shardsMetaLen}
@@ -519,6 +477,12 @@ func appendShardsFrame(f faultfs.File, phys int, m *storage.ShardMap) error {
 	return nil
 }
 
+// writeShardsMeta makes dir a database of n shards: the header — its
+// contents AND its directory entry — is durable on return, before the
+// caller creates any file the header accounts for, so a directory is
+// recognisably a database or recognisably not, never ambiguous. The
+// content fsync alone is not enough: a crash could durably hold shard
+// files whose metadata file has no directory entry.
 func writeShardsMeta(fsys faultfs.FS, dir string, n int) error {
 	path := filepath.Join(dir, ShardsFileName)
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -537,7 +501,13 @@ func writeShardsMeta(fsys faultfs.FS, dir string, n int) error {
 		f.Close()
 		return fmt.Errorf("txn: sync %s: %w", path, err)
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("txn: sync %s: %w", dir, err)
+	}
+	return nil
 }
 
 // shardOpts derives shard i's Options: per-shard file names, the shared
@@ -545,8 +515,7 @@ func writeShardsMeta(fsys faultfs.FS, dir string, n int) error {
 // recovery.
 func (c *Coordinator) shardOpts(i int, decided map[uint64]bool) Options {
 	so := c.opts
-	so.dataFile = ShardDataFileName(i)
-	so.walFile = ShardWALFileName(i)
+	so.dataFile, so.walFile = ShardFileNames(c.legacy0, i)
 	so.decided = decided
 	so.sink = c.sink
 	so.coordinated = true
@@ -558,10 +527,11 @@ func (c *Coordinator) shardOpts(i int, decided map[uint64]bool) Options {
 // newShardedCoordinator assembles the coordinator shell (registry,
 // sink) shards are then attached to. The routing bundle is stored by
 // the caller once the shards exist.
-func newShardedCoordinator(dir string, opts Options) *Coordinator {
+func newShardedCoordinator(dir string, opts Options, legacy0 bool) *Coordinator {
 	c := &Coordinator{
 		opts:     opts,
 		dir:      dir,
+		legacy0:  legacy0,
 		grouped:  opts.grouped(),
 		readOnly: opts.Storage.ReadOnly,
 	}
@@ -573,62 +543,49 @@ func newShardedCoordinator(dir string, opts Options) *Coordinator {
 		dropped = &c.cm.TracerDropped
 	}
 	c.sink = obs.NewSink(opts.Tracer, opts.TracerBuffer, dropped)
-	c.closeSink = true
 	return c
 }
 
-func createSharded(fsys faultfs.FS, dir string, opts Options, n int) (*Coordinator, error) {
+func createSharded(fsys faultfs.FS, dir string, opts Options, n int) (_ *Coordinator, err error) {
 	opts.Storage.FS = fsys
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("txn: mkdir %s: %w", dir, err)
 	}
-	// The metadata file goes first and — contents AND directory entry —
-	// is durable before any shard file exists: a directory is either
-	// recognisably sharded or recognisably empty, never ambiguous. The
-	// content fsync alone is not enough: without the directory fsync a
-	// crash could durably hold shard data files whose metadata file has
-	// no directory entry (detectLayout then refuses the directory rather
-	// than re-creating over it, but the invariant is that this state
-	// cannot arise in the first place).
 	if err := writeShardsMeta(fsys, dir, n); err != nil {
 		return nil, err
 	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return nil, fmt.Errorf("txn: sync %s: %w", dir, err)
-	}
-	c := newShardedCoordinator(dir, opts)
+	c := newShardedCoordinator(dir, opts, false)
 	var ms []*Manager
+	var opened []io.Closer
+	defer func() {
+		if err != nil {
+			c.abandon(opened)
+		}
+	}()
 	for i := 0; i < n; i++ {
 		m, err := Create(dir, c.shardOpts(i, nil))
 		if err != nil {
-			c.teardownMs(ms)
 			return nil, fmt.Errorf("txn: create shard %d: %w", i, err)
 		}
-		ms = append(ms, m)
+		ms, opened = append(ms, m), append(opened, m)
 	}
 	clog, err := wal.OpenFS(fsys, filepath.Join(dir, CoordWALFileName))
 	if err != nil {
-		c.teardownMs(ms)
 		return nil, err
 	}
+	opened = append(opened, clog)
+	c.attachClog(clog)
 	// Make the shard files' and decision log's directory entries durable
 	// before create returns: a commit fsyncs WAL contents, which proves
 	// nothing if the WAL's directory entry can vanish in a power cut.
 	if err := fsys.SyncDir(dir); err != nil {
-		clog.Close()
-		c.teardownMs(ms)
 		return nil, fmt.Errorf("txn: sync %s: %w", dir, err)
 	}
 	// Keep shards.ode open for map-frame appends (grow, fold, reshard).
-	sf, err := fsys.OpenFile(filepath.Join(dir, ShardsFileName), os.O_RDWR, 0)
-	if err != nil {
-		clog.Close()
-		c.teardownMs(ms)
+	if c.shardsFile, err = fsys.OpenFile(filepath.Join(dir, ShardsFileName), os.O_RDWR, 0); err != nil {
 		return nil, fmt.Errorf("txn: open %s: %w", ShardsFileName, err)
 	}
-	c.shardsFile = sf
 	c.routing.Store(&routing{ms: ms, rmap: storage.NewShardMap(n)})
-	c.attachClog(clog)
 	return c, nil
 }
 
@@ -666,49 +623,75 @@ func scanDecisions(clog *wal.Log) (map[uint64]bool, []mapOverlay, error) {
 	return decided, overlays, nil
 }
 
-func openSharded(fsys faultfs.FS, dir string, opts Options) (*Coordinator, error) {
+// openSharded opens an existing directory. sharded is false only for a
+// read-only open of a pre-shard directory that was never adopted: the
+// same coordinator is built from the state adoption would have written
+// — one shard, the identity map — and nothing is created.
+func openSharded(fsys faultfs.FS, dir string, opts Options, sharded, legacy0 bool) (_ *Coordinator, err error) {
 	opts.Storage.FS = fsys
+	ro := opts.Storage.ReadOnly
+	c := newShardedCoordinator(dir, opts, legacy0)
+	var opened []io.Closer
+	defer func() {
+		if err != nil {
+			c.abandon(opened)
+		}
+	}()
 	// Read the persisted routing state first: physical shard count, the
 	// newest folded map frame.
-	flags := os.O_RDWR
-	if opts.Storage.ReadOnly {
-		flags = os.O_RDONLY
-	}
-	sf, err := fsys.OpenFile(filepath.Join(dir, ShardsFileName), flags, 0)
-	if err != nil {
-		return nil, fmt.Errorf("txn: open %s: %w", ShardsFileName, err)
-	}
-	st, err := readShardsState(sf, ShardsFileName)
-	if err != nil {
-		sf.Close()
-		return nil, err
-	}
-	if !opts.Storage.ReadOnly {
-		// Truncate a torn frame tail so later appends land where the
-		// scanner stops reading.
-		if size, err := sf.Size(); err != nil {
-			sf.Close()
-			return nil, fmt.Errorf("txn: %s: %w", ShardsFileName, err)
-		} else if size > st.frameEnd {
-			if err := sf.Truncate(st.frameEnd); err != nil {
-				sf.Close()
-				return nil, fmt.Errorf("txn: truncate %s: %w", ShardsFileName, err)
+	st := &ShardsState{Created: 1, Phys: 1, Map: storage.NewShardMap(1)}
+	if sharded {
+		flags := os.O_RDWR
+		if ro {
+			flags = os.O_RDONLY
+		}
+		sf, err := fsys.OpenFile(filepath.Join(dir, ShardsFileName), flags, 0)
+		if err != nil {
+			return nil, fmt.Errorf("txn: open %s: %w", ShardsFileName, err)
+		}
+		c.shardsFile, opened = sf, append(opened, sf)
+		if st, err = readShardsState(sf, ShardsFileName); err != nil {
+			return nil, err
+		}
+		if !ro {
+			// Truncate a torn frame tail so later appends land where the
+			// scanner stops reading.
+			if size, err := sf.Size(); err != nil {
+				return nil, fmt.Errorf("txn: %s: %w", ShardsFileName, err)
+			} else if size > st.frameEnd {
+				if err := sf.Truncate(st.frameEnd); err != nil {
+					return nil, fmt.Errorf("txn: truncate %s: %w", ShardsFileName, err)
+				}
 			}
 		}
 	}
 	// The decision log is read next: shard recovery consults it for
 	// in-doubt prepared transactions, and the map resolution below
-	// consults it for decided-but-unfolded flips.
-	clog, err := wal.OpenFS(fsys, filepath.Join(dir, CoordWALFileName))
-	if err != nil {
-		sf.Close()
-		return nil, err
+	// consults it for decided-but-unfolded flips. A directory adopted a
+	// moment ago (or whose adoption was cut short after shards.ode) has
+	// none yet: a writable open creates it, a read-only open goes
+	// without — a log that never existed decided nothing.
+	decided, overlays := map[uint64]bool{}, []mapOverlay(nil)
+	coordPath := filepath.Join(dir, CoordWALFileName)
+	_, statErr := fsys.Stat(coordPath)
+	if statErr != nil && !errors.Is(statErr, fs.ErrNotExist) {
+		return nil, statErr
 	}
-	decided, overlays, err := scanDecisions(clog)
-	if err != nil {
-		clog.Close()
-		sf.Close()
-		return nil, err
+	if !ro || statErr == nil {
+		clog, err := wal.OpenFS(fsys, coordPath)
+		if err != nil {
+			return nil, err
+		}
+		opened = append(opened, clog)
+		c.attachClog(clog)
+		if statErr != nil {
+			if err := fsys.SyncDir(dir); err != nil {
+				return nil, fmt.Errorf("txn: sync %s: %w", dir, err)
+			}
+		}
+		if decided, overlays, err = scanDecisions(clog); err != nil {
+			return nil, err
+		}
 	}
 	// Effective map: the highest epoch wins between the folded frame and
 	// any DECIDED overlay. An overlay without a decision is a reshard
@@ -722,8 +705,6 @@ func openSharded(fsys faultfs.FS, dir string, opts Options) (*Coordinator, error
 		}
 		m, err := storage.DecodeShardMap(ov.image)
 		if err != nil {
-			clog.Close()
-			sf.Close()
 			return nil, fmt.Errorf("txn: coordinator log shard-map overlay: %w", err)
 		}
 		if m.Epoch() <= rmap.Epoch() {
@@ -734,19 +715,14 @@ func openSharded(fsys faultfs.FS, dir string, opts Options) (*Coordinator, error
 		// beyond the persisted physical set.
 		for _, r := range m.Ranges() {
 			if r.Shard >= phys {
-				clog.Close()
-				sf.Close()
 				return nil, fmt.Errorf("txn: shard-map overlay (epoch %d) routes to shard %d beyond the %d physical shards", m.Epoch(), r.Shard, phys)
 			}
 		}
 		rmap, overlayWon = m, true
 	}
 	if opts.Shards != 0 && opts.Shards != rmap.N() {
-		clog.Close()
-		sf.Close()
 		return nil, fmt.Errorf("%w: directory has %d, Shards=%d requested", ErrShardMismatch, rmap.N(), opts.Shards)
 	}
-	c := newShardedCoordinator(dir, opts)
 	// Shard recovery is independent (disjoint files, the shared decided
 	// map is read-only here), so the WALs replay in parallel. Every
 	// PHYSICAL shard opens — emptied (merged-away) shards still hold
@@ -762,37 +738,32 @@ func openSharded(fsys faultfs.FS, dir string, opts Options) (*Coordinator, error
 		}(i)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			clog.Close()
-			sf.Close()
-			c.teardownMs(ms)
-			return nil, fmt.Errorf("txn: open shard %d: %w", i, err)
+	for i, m := range ms {
+		if errs[i] == nil {
+			opened = append(opened, m)
+		} else if err == nil {
+			err = fmt.Errorf("txn: open shard %d: %w", i, errs[i])
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	// Every shard's recovery ran and reset its log; no prepare records
 	// remain, so the decisions are no longer needed. If a decided map
 	// overlay won, fold it into shards.ode first — the reset erases the
 	// overlay's only other copy.
-	if !opts.Storage.ReadOnly {
+	if !ro {
 		if overlayWon {
-			if err := appendShardsFrame(sf, phys, rmap); err != nil {
-				clog.Close()
-				sf.Close()
-				c.teardownMs(ms)
+			if err := appendShardsFrame(c.shardsFile, phys, rmap); err != nil {
 				return nil, err
 			}
 		}
-		if err := clog.Reset(); err != nil {
-			clog.Close()
-			sf.Close()
-			c.teardownMs(ms)
+		if err := c.clog.Reset(); err != nil {
 			return nil, fmt.Errorf("txn: coordinator log reset: %w", err)
 		}
+		c.clogBytes.Store(c.clog.Size())
 	}
-	c.shardsFile = sf
 	c.routing.Store(&routing{ms: ms, rmap: rmap})
-	c.attachClog(clog)
 	return c, nil
 }
 
@@ -804,18 +775,13 @@ func (c *Coordinator) attachClog(clog *wal.Log) {
 	c.clogBytes.Store(clog.Size())
 }
 
-// teardownMs closes whatever shards were assembled before an
-// open/create failure (nil slots from a failed parallel open are
-// skipped).
-func (c *Coordinator) teardownMs(ms []*Manager) {
-	for _, m := range ms {
-		if m != nil {
-			m.Close()
-		}
+// abandon closes what an open or create had opened — shards, decision
+// log, shards.ode — before it failed, and the sink.
+func (c *Coordinator) abandon(opened []io.Closer) {
+	for _, f := range opened {
+		f.Close()
 	}
-	if c.closeSink {
-		c.sink.Close()
-	}
+	c.sink.Close()
 }
 
 // Map returns the current shard map snapshot.
@@ -836,8 +802,19 @@ func (c *Coordinator) ReadOnly() bool { return c.readOnly }
 // slice must not be mutated.
 func (c *Coordinator) Shards() []*Manager { return c.ms() }
 
+// DataFiles names the files that ARE the database once every shard is
+// checkpointed — shards.ode and each physical shard's page file — which
+// is what a backup copies.
+func (c *Coordinator) DataFiles() []string {
+	files := []string{ShardsFileName}
+	for i := range c.ms() {
+		data, _ := ShardFileNames(c.legacy0, i)
+		files = append(files, data)
+	}
+	return files
+}
+
 // Metrics returns the coordinator-level registry; nil under NoMetrics.
-// With one shard it is the Manager's own registry.
 func (c *Coordinator) Metrics() *obs.Metrics { return c.cm }
 
 func (c *Coordinator) timed() bool { return c.cm != nil || c.sink != nil }
@@ -947,12 +924,7 @@ func (w *WriteTx) Map() *storage.ShardMap { return w.rt.rmap }
 // routing bundle is swapped in the same pmu critical section that
 // publishes the dirty shards' epochs. Reshard chunks use it to flip a
 // migrated range's assignment together with the data move.
-func (w *WriteTx) SetShardMap(m *storage.ShardMap) {
-	if w.c.clog == nil {
-		panic("txn: SetShardMap on a single-shard (legacy layout) database")
-	}
-	w.newMap = m
-}
+func (w *WriteTx) SetShardMap(m *storage.ShardMap) { w.newMap = m }
 
 // Restarted reports whether this is the all-shards rerun after a
 // descending join; triggers that must not re-fire consult it.
@@ -1386,11 +1358,11 @@ func (c *Coordinator) foldShardMap() error {
 // poisoned shard still needs the log for its recovery, or if the
 // current shard map could not be folded into shards.ode first.
 func (c *Coordinator) Checkpoint() error {
-	if c.clog == nil {
-		return c.ms()[0].Checkpoint()
-	}
 	if c.closed.Load() {
 		return ErrClosed
+	}
+	if c.readOnly {
+		return ErrReadOnly
 	}
 	var start time.Time
 	if c.timed() {
@@ -1401,6 +1373,75 @@ func (c *Coordinator) Checkpoint() error {
 			return fmt.Errorf("txn: checkpoint shard %d: %w", i, err)
 		}
 	}
+	return c.checkpointed(start)
+}
+
+// CheckpointExclusive checkpoints every shard and runs fn while STILL
+// holding every shard's writer mutex (acquired ascending, pipelines
+// drained). Because a cross-shard transaction holds its dirty shards'
+// mutexes from prepare through the shard-local decide, holding all of
+// them guarantees no 2PC transaction is partially applied anywhere; the
+// flushes and fn then see one atomic cut of the whole database. When fn
+// runs, the data files hold exactly the committed state and the shard
+// WALs and decision log are empty. Backup uses this to copy a
+// consistent snapshot — checkpointing and copying under separate
+// acquisitions (the old Checkpoint-then-Exclusive sequence) left a
+// window where a 2PC commit reached only the later-checkpointed shards'
+// data files, giving the copy half a transaction with no log to repair
+// it.
+func (c *Coordinator) CheckpointExclusive(fn func() error) error {
+	if c.closed.Load() {
+		return ErrClosed
+	}
+	if c.readOnly {
+		return ErrReadOnly
+	}
+	// Exclude live resharding for the whole quiesced section: the
+	// physical shard set and the map are frozen while fn runs, so
+	// backup's file enumeration cannot race a grow.
+	c.reshardMu.Lock()
+	defer c.reshardMu.Unlock()
+	ms := c.ms()
+	locked := 0
+	var lockErr error
+	for _, m := range ms {
+		if lockErr = m.lockWriterDrained(); lockErr != nil {
+			break
+		}
+		locked++
+	}
+	if lockErr != nil {
+		for i := locked - 1; i >= 0; i-- {
+			ms[i].unlockWriter()
+		}
+		return lockErr
+	}
+	defer func() {
+		for i := len(ms) - 1; i >= 0; i-- {
+			ms[i].unlockWriter()
+		}
+	}()
+	var start time.Time
+	if c.timed() {
+		start = time.Now()
+	}
+	for i, m := range ms {
+		// Quiet: the coordinator counts the checkpoint once at its level.
+		if err := m.checkpointLocked(true); err != nil {
+			return fmt.Errorf("txn: checkpoint shard %d: %w", i, err)
+		}
+	}
+	if err := c.checkpointed(start); err != nil {
+		return err
+	}
+	return fn()
+}
+
+// checkpointed finishes a checkpoint once every shard WAL is empty:
+// fold the shard map, reset the decision log — skipped while a poisoned
+// shard still needs the log for its recovery — and account for the
+// checkpoint. start is the zero time when untimed.
+func (c *Coordinator) checkpointed(start time.Time) error {
 	c.cmu.Lock()
 	if c.cioErr == nil && !c.noReset {
 		if err := c.foldShardMap(); err != nil {
@@ -1424,93 +1465,6 @@ func (c *Coordinator) Checkpoint() error {
 		c.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
 	}
 	return nil
-}
-
-// CheckpointExclusive checkpoints every shard and runs fn while STILL
-// holding every shard's writer mutex (acquired ascending, pipelines
-// drained). Because a cross-shard transaction holds its dirty shards'
-// mutexes from prepare through the shard-local decide, holding all of
-// them guarantees no 2PC transaction is partially applied anywhere; the
-// flushes and fn then see one atomic cut of the whole database. When fn
-// runs, the data files hold exactly the committed state and the shard
-// WALs and decision log are empty. Backup uses this to copy a
-// consistent snapshot — checkpointing and copying under separate
-// acquisitions (the old Checkpoint-then-Exclusive sequence) left a
-// window where a 2PC commit reached only the later-checkpointed shards'
-// data files, giving the copy half a transaction with no log to repair
-// it.
-func (c *Coordinator) CheckpointExclusive(fn func() error) error {
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	single := c.clog == nil
-	if !single {
-		// Exclude live resharding for the whole quiesced section: the
-		// physical shard set and the map are frozen while fn runs, so
-		// backup's file enumeration cannot race a grow.
-		c.reshardMu.Lock()
-		defer c.reshardMu.Unlock()
-	}
-	ms := c.ms()
-	locked := 0
-	var lockErr error
-	for _, m := range ms {
-		if lockErr = m.lockWriterDrained(); lockErr != nil {
-			break
-		}
-		locked++
-	}
-	if lockErr != nil {
-		for i := locked - 1; i >= 0; i-- {
-			ms[i].unlockWriter()
-		}
-		return lockErr
-	}
-	defer func() {
-		for i := len(ms) - 1; i >= 0; i-- {
-			ms[i].unlockWriter()
-		}
-	}()
-	var start time.Time
-	if !single && c.timed() {
-		start = time.Now()
-	}
-	for i, m := range ms {
-		// The wrapped single manager accounts for its own checkpoint
-		// (count + latency), exactly like Manager.Checkpoint; a sharded
-		// coordinator checkpoints quietly and counts once at its level.
-		if err := m.checkpointLocked(!single); err != nil {
-			if single {
-				return err
-			}
-			return fmt.Errorf("txn: checkpoint shard %d: %w", i, err)
-		}
-	}
-	if !single {
-		c.cmu.Lock()
-		if c.cioErr == nil && !c.noReset {
-			if err := c.foldShardMap(); err != nil {
-				c.cmu.Unlock()
-				return fmt.Errorf("txn: checkpoint: %w", err)
-			}
-			if err := c.clog.Reset(); err != nil {
-				c.poisonCoord(err)
-				c.cmu.Unlock()
-				return fmt.Errorf("txn: coordinator log reset: %w", err)
-			}
-			c.clogBytes.Store(c.clog.Size())
-		}
-		c.cmu.Unlock()
-		c.checkpoints.Add(1)
-		if !start.IsZero() {
-			d := time.Since(start)
-			if c.cm != nil {
-				c.cm.CheckpointNS.ObserveDuration(d)
-			}
-			c.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
-		}
-	}
-	return fn()
 }
 
 // Exclusive runs fn with every shard's writer mutex held (ascending):
@@ -1539,9 +1493,6 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.published()
-	if c.clog == nil {
-		return c.ms()[0].Close()
-	}
 	var firstErr error
 	for _, m := range c.ms() {
 		if err := m.Close(); err != nil && firstErr == nil {
@@ -1569,8 +1520,6 @@ func (c *Coordinator) Close() error {
 		}
 	}
 	c.cmu.Unlock()
-	if c.closeSink {
-		c.sink.Close()
-	}
+	c.sink.Close()
 	return firstErr
 }

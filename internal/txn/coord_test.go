@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -29,44 +30,60 @@ func creadH(c *Coordinator, s int, fn func(h *storage.Heap) error) error {
 	})
 }
 
-func TestCoordinatorSingleShardUsesLegacyLayout(t *testing.T) {
+// exists reports which of names dir holds.
+func exists(t *testing.T, dir string, names ...string) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	for _, f := range names {
+		_, err := os.Stat(filepath.Join(dir, f))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
+		}
+		out[f] = err == nil
+	}
+	return out
+}
+
+// One shard is the N=1 case of the one layout: the same files four
+// shards would have, one of each.
+func TestCoordinatorOneShardLayout(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCoordinator(dir, Options{Shards: 1, Storage: storage.Options{PageSize: 512}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rid oid.RID
-	if err := cwriteH(c, 0, func(h *storage.Heap) error {
-		var err error
-		rid, err = h.Insert([]byte("legacy"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Shards=1 must be indistinguishable from a pre-shard database: the
-	// legacy file pair, no shard metadata, no coordinator log.
-	if _, err := os.Stat(filepath.Join(dir, DataFileName)); err != nil {
-		t.Fatalf("legacy data file: %v", err)
-	}
-	for _, f := range []string{ShardsFileName, CoordWALFileName, ShardDataFileName(0)} {
-		if _, err := os.Stat(filepath.Join(dir, f)); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("unexpected %s in single-shard layout", f)
+	got := exists(t, dir, ShardsFileName, CoordWALFileName, ShardDataFileName(0), ShardWALFileName(0), DataFileName, WALFileName)
+	for f, want := range map[string]bool{
+		ShardsFileName: true, CoordWALFileName: true, ShardDataFileName(0): true, ShardWALFileName(0): true,
+		DataFileName: false, WALFileName: false,
+	} {
+		if got[f] != want {
+			t.Errorf("%s present = %v, want %v", f, got[f], want)
 		}
 	}
-	// A plain (pre-shard) Open must read it, proving backward
-	// compatibility of the on-disk format...
-	m, err := Open(dir, Options{Storage: storage.Options{PageSize: 512}})
+	if st, err := ReadShardsState(nil, dir); err != nil || st.Created != 1 || st.Phys != 1 || st.Map.N() != 1 {
+		t.Fatalf("shards.ode: %+v, %v", st, err)
+	}
+}
+
+// A directory a standalone Manager wrote — what every pre-shard release
+// wrote — is adopted in place: shards.ode and coord.ode appear beside
+// it, its own two files stay shard 0 under their names, and a
+// standalone Manager can still open them afterwards.
+func TestCoordinatorAdoptsLegacyDirectory(t *testing.T) {
+	dir := t.TempDir()
+	sopts := Options{Storage: storage.Options{PageSize: 512}}
+	m, err := Create(dir, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := readH(m, func(h *storage.Heap) error {
-		got, err := h.Read(rid)
-		if err == nil && string(got) != "legacy" {
-			err = fmt.Errorf("payload %q", got)
-		}
+	var rid oid.RID
+	if err := writeH(m, func(h *storage.Heap) error {
+		var err error
+		rid, err = h.Insert([]byte("legacy"))
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -74,14 +91,50 @@ func TestCoordinatorSingleShardUsesLegacyLayout(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// ...and a layout-adopting reopen (Shards=0) must stay single-shard.
-	c2, err := OpenCoordinator(dir, Options{Storage: storage.Options{PageSize: 512}})
+	before, err := os.ReadFile(filepath.Join(dir, DataFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	if c2.N() != 1 {
-		t.Fatalf("adopted %d shards, want 1", c2.N())
+	readBack := func(h *storage.Heap) error {
+		got, err := h.Read(rid)
+		if err == nil && string(got) != "legacy" {
+			err = fmt.Errorf("payload %q", got)
+		}
+		return err
+	}
+	for round := 0; round < 2; round++ { // adopt, then reopen adopted
+		c, err := OpenCoordinator(dir, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.N() != 1 || c.NumShards() != 1 {
+			t.Fatalf("round %d: %d logical / %d physical shards, want 1", round, c.N(), c.NumShards())
+		}
+		if err := creadH(c, 0, readBack); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got := exists(t, dir, ShardsFileName, CoordWALFileName, DataFileName, WALFileName, ShardDataFileName(0), ShardWALFileName(0))
+		if !got[ShardsFileName] || !got[CoordWALFileName] || !got[DataFileName] || !got[WALFileName] ||
+			got[ShardDataFileName(0)] || got[ShardWALFileName(0)] {
+			t.Fatalf("round %d: file set %v", round, got)
+		}
+	}
+	after, err := os.ReadFile(filepath.Join(dir, DataFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("adoption rewrote data.ode")
+	}
+	if m, err = Open(dir, sopts); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := readH(m, readBack); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -109,9 +162,8 @@ func TestCoordinatorShardedLayoutAndReopen(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ReadShardsMeta(nil, dir)
-	if err != nil || n != 4 {
-		t.Fatalf("shards meta: %d, %v", n, err)
+	if st, err := ReadShardsState(nil, dir); err != nil || st.Map.N() != 4 {
+		t.Fatalf("shards meta: %+v, %v", st, err)
 	}
 	for s := 0; s < 4; s++ {
 		for _, f := range []string{ShardDataFileName(s), ShardWALFileName(s)} {

@@ -137,13 +137,11 @@ func (c *Coordinator) buildCut(g uint64) (*cut, error) {
 	if c.buildHook != nil {
 		c.buildHook()
 	}
-	if c.clog != nil {
-		// Builders share pmu among themselves; only a two-phase publish or
-		// a routing flip (the write side) excludes them, and neither holds
-		// it across I/O.
-		c.pmu.RLock()
-		defer c.pmu.RUnlock()
-	}
+	// Builders share pmu among themselves; only a two-phase publish or
+	// a routing flip (the write side) excludes them, and neither holds
+	// it across I/O.
+	c.pmu.RLock()
+	defer c.pmu.RUnlock()
 	rt := c.routing.Load()
 	ct := &cut{rt: rt, gen: g, views: make([]*storage.TxView, len(rt.ms))}
 	for i, m := range rt.ms {

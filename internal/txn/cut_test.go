@@ -12,9 +12,7 @@ import (
 	"ode/internal/storage"
 )
 
-// cutShardCounts are the two layouts every cut test runs at: the legacy
-// one-shard directory (no pmu, the coordinator wraps a Manager) and the
-// sharded one.
+// cutShardCounts are the shard counts every cut test runs at.
 var cutShardCounts = []int{1, 4}
 
 func openCutCoord(t testing.TB, shards int, opts Options) *Coordinator {
@@ -68,19 +66,15 @@ func TestCloseWithIdleCut(t *testing.T) {
 	}
 }
 
-// A shard closed directly (the engine tests wrap a Manager and close
-// the Manager) must not hang on the wrapping coordinator's idle cut.
-func TestManagerCloseRetiresWrappedCut(t *testing.T) {
-	m, err := Create(t.TempDir(), Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := WrapManager(m)
+// A shard closed directly, not through its coordinator, must not hang
+// on the coordinator's idle cut.
+func TestManagerCloseRetiresCoordinatorCut(t *testing.T) {
+	c := openCutCoord(t, 1, Options{NoSync: true})
 	if err := c.Read(nothing); err != nil {
 		t.Fatal(err)
 	}
-	within(t, "Manager.Close under a wrapped idle cut", func() {
-		if err := m.Close(); err != nil {
+	within(t, "Manager.Close under the coordinator's idle cut", func() {
+		if err := c.Shards()[0].Close(); err != nil {
 			t.Errorf("Close: %v", err)
 		}
 	})

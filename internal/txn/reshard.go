@@ -82,9 +82,6 @@ func (c *Coordinator) ReshardProgress() ReshardProgress {
 // live traffic. It is idempotent and crash-resumable: re-running after
 // an interruption finishes the remaining moves.
 func (c *Coordinator) Reshard(target int, h ReshardHooks) error {
-	if c.clog == nil {
-		return errors.New("txn: resharding requires a sharded layout (created with Shards >= 2)")
-	}
 	if c.closed.Load() {
 		return ErrClosed
 	}

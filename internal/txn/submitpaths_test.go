@@ -72,12 +72,10 @@ func scriptedWALs(t *testing.T, shards int, noSync bool) map[string][]byte {
 		}
 		read(m.opts.walFileName())
 	}
-	if c.clog != nil {
-		if err := c.clog.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		read(CoordWALFileName)
+	if err := c.clog.Sync(); err != nil {
+		t.Fatal(err)
 	}
+	read(CoordWALFileName)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,9 @@ func TestWALBytesSameInlineAndCommitter(t *testing.T) {
 			}
 			for name, want := range committer {
 				got := inline[name]
-				if len(want) <= 8 {
+				// One shard has no cross-shard commit to decide: its
+				// decision log is there and stays empty.
+				if len(want) <= 8 && !(name == CoordWALFileName && shards == 1) {
 					t.Errorf("%s: committer run logged nothing (%d bytes); the comparison is vacuous", name, len(want))
 				}
 				if !bytes.Equal(got, want) {

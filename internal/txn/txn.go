@@ -36,7 +36,10 @@ import (
 	"ode/internal/wal"
 )
 
-// DataFileName and WALFileName are the files a database directory holds.
+// DataFileName and WALFileName are the files a Manager used on its own
+// keeps in its directory — which is all a database directory held before
+// shards existed, and what shard 0 of such a directory, once adopted by
+// a Coordinator, is still called (ShardFileNames).
 const (
 	DataFileName = "data.ode"
 	WALFileName  = "wal.ode"
@@ -93,13 +96,15 @@ type Options struct {
 	// Shards is consumed by OpenCoordinator: the number of independent
 	// storage shards (heap + pool + WAL + commit pipeline each) a new
 	// database is created with. 0 means GOMAXPROCS for a fresh directory
-	// and "adopt whatever the directory already has" for an existing
-	// one; 1 is the pre-shard engine bit-for-bit (legacy file names, no
-	// shard metadata). Individual Managers ignore it.
+	// and "whatever the directory already has" for an existing one; an
+	// explicit value that contradicts an existing directory is
+	// ErrShardMismatch (Reshard changes the count), a negative one is an
+	// error. Every count, 1 included, is the same directory layout.
+	// Individual Managers ignore it.
 	Shards int
 
 	// Coordinator-internal plumbing (same package only). dataFile and
-	// walFile override the legacy file names for shard slots; decided is
+	// walFile name a shard's files (ShardFileNames); decided is
 	// the coordinator-log decision set recovery consults for in-doubt
 	// prepared transactions; sink is the shared tracer sink a
 	// coordinated shard must use (and must not close). onPublish is the
@@ -117,8 +122,8 @@ type Options struct {
 	onPublish   func()
 }
 
-// dataFileName and walFileName resolve the shard's file names, falling
-// back to the legacy single-shard names.
+// dataFileName and walFileName resolve the manager's file names: a
+// shard's, or DataFileName/WALFileName for a Manager used on its own.
 func (o *Options) dataFileName() string {
 	if o.dataFile != "" {
 		return o.dataFile

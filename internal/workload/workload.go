@@ -84,7 +84,7 @@ type Config struct {
 	Seed int64
 	// Dir is the database directory (created by Run).
 	Dir string
-	// Shards is the store's shard count (1 = legacy layout).
+	// Shards is the store's shard count.
 	Shards int
 	// Workers is the worker-pool size.
 	Workers int

@@ -131,8 +131,7 @@ func (db *DB) Metrics() Metrics {
 		return ms // NoMetrics: counters only
 	}
 	// The coordinator registry: whole-transaction latency, decision-log
-	// fsyncs, traversal walks. With one shard it aliases the shard's
-	// registry, so this is the complete picture.
+	// fsyncs, traversal walks.
 	ms.PoolHits = m.PoolHits.Load()
 	ms.PoolMisses = m.PoolMisses.Load()
 	ms.PoolEvictions = m.PoolEvictions.Load()
@@ -156,29 +155,27 @@ func (db *DB) Metrics() Metrics {
 	ms.CompactObjects = m.CompactObjects.Load()
 	ms.DeltaChainLen = m.DeltaChainLen.Snapshot()
 	ms.CompactDuration = m.CompactNS.Snapshot()
-	if db.coord.NumShards() > 1 {
-		// Roll the per-shard registries up: counters and gauges sum,
-		// histograms merge bucket-wise. Physical shards, not logical: a
-		// merged-away shard still serves the ranges it kept. (The reader
-		// families are not here: a View begins and ends at the
-		// coordinator, on no shard in particular.)
-		for _, sm := range db.coord.Shards() {
-			r := sm.Metrics()
-			if r == nil {
-				continue
-			}
-			ms.PoolHits += r.PoolHits.Load()
-			ms.PoolMisses += r.PoolMisses.Load()
-			ms.PoolEvictions += r.PoolEvictions.Load()
-			ms.SnapshotPages += r.SnapshotPages.Load()
-			ms.TracerDropped += r.TracerDropped.Load()
-			ms.CommitLatency.Merge(r.CommitLatencyNS.Snapshot())
-			ms.WALFsyncLatency.Merge(r.FsyncLatencyNS.Snapshot())
-			ms.CheckpointDuration.Merge(r.CheckpointNS.Snapshot())
-			ms.BatchSize.Merge(r.BatchSize.Snapshot())
-			ms.DprevWalkLen.Merge(r.DprevWalk.Snapshot())
-			ms.TprevWalkLen.Merge(r.TprevWalk.Snapshot())
+	// Roll the per-shard registries up: counters and gauges sum,
+	// histograms merge bucket-wise. Physical shards, not logical: a
+	// merged-away shard still serves the ranges it kept. (The reader
+	// families are not here: a View begins and ends at the
+	// coordinator, on no shard in particular.)
+	for _, sm := range db.coord.Shards() {
+		r := sm.Metrics()
+		if r == nil {
+			continue
 		}
+		ms.PoolHits += r.PoolHits.Load()
+		ms.PoolMisses += r.PoolMisses.Load()
+		ms.PoolEvictions += r.PoolEvictions.Load()
+		ms.SnapshotPages += r.SnapshotPages.Load()
+		ms.TracerDropped += r.TracerDropped.Load()
+		ms.CommitLatency.Merge(r.CommitLatencyNS.Snapshot())
+		ms.WALFsyncLatency.Merge(r.FsyncLatencyNS.Snapshot())
+		ms.CheckpointDuration.Merge(r.CheckpointNS.Snapshot())
+		ms.BatchSize.Merge(r.BatchSize.Snapshot())
+		ms.DprevWalkLen.Merge(r.DprevWalk.Snapshot())
+		ms.TprevWalkLen.Merge(r.TprevWalk.Snapshot())
 	}
 	return ms
 }
@@ -287,16 +284,13 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 			return err
 		}
 	}
-	if db.coord.NumShards() > 1 {
-		return db.writeShardMetrics(w)
-	}
-	return nil
+	return db.writeShardMetrics(w)
 }
 
 // writeShardMetrics renders the per-shard breakdown of the shard-local
-// families, labeled shard="<i>". The unlabeled families above stay the
-// cross-shard aggregates, so dashboards built against a single-shard
-// database keep working.
+// families, labeled shard="<i>", at every shard count. The unlabeled
+// families above stay the cross-shard aggregates, so a dashboard built
+// on them does not care how many shards there are.
 func (db *DB) writeShardMetrics(w io.Writer) error {
 	shards := db.coord.Shards()
 	label := func(i int) string { return strconv.Itoa(i) }

@@ -30,12 +30,9 @@
 package ode
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"time"
 
 	"ode/internal/core"
@@ -70,13 +67,12 @@ var (
 	// ErrShardMismatch reports Options.Shards disagreeing with the
 	// shard count of an existing database directory.
 	ErrShardMismatch = txn.ErrShardMismatch
-	// ErrMixedLayout reports a directory containing both the legacy
-	// single-file layout and the sharded layout.
+	// ErrMixedLayout reports a directory with two candidates for shard
+	// 0: a pre-shard data.ode and a data.000.
 	ErrMixedLayout = txn.ErrMixedLayout
 	// ErrPartialLayout reports a directory containing shard files but no
-	// shard-count metadata (an interrupted create or a deleted
-	// shards.ode); Open refuses it rather than re-create over the
-	// leftovers.
+	// shard metadata (a deleted shards.ode); Open refuses it rather than
+	// re-create over the leftovers.
 	ErrPartialLayout = txn.ErrPartialLayout
 )
 
@@ -107,10 +103,13 @@ type Options struct {
 	// id, so unrelated commits proceed in parallel on distinct shards;
 	// a transaction touching one shard commits exactly as before, one
 	// touching several uses two-phase commit through a coordinator log.
-	// 0 adopts an existing directory's layout (GOMAXPROCS for a fresh
-	// one); an explicit value must match an existing directory. 1 keeps
-	// the legacy single-file layout, byte-compatible with databases
-	// created before sharding existed.
+	// 0 takes an existing directory's count (GOMAXPROCS for a fresh
+	// one); an explicit value must match an existing directory
+	// (ErrShardMismatch — Reshard is how the count changes) and a
+	// negative one is an error. Every count is the same directory
+	// layout, so a one-shard database can grow later; a directory
+	// written before sharding existed is one shard, adopted in place by
+	// its first writable Open (DESIGN.md §12.4).
 	Shards int
 	// Policy selects FullCopy (default) or DeltaChain version storage.
 	Policy StoragePolicy
@@ -226,19 +225,6 @@ func Open(dir string, opts *Options) (*DB, error) {
 	topts.Storage.PoolPages = o.PoolPages
 	topts.Storage.ReadOnly = o.ReadOnly
 
-	fsys := o.FS
-	if fsys == nil {
-		fsys = faultfs.OS
-	}
-	if o.ReadOnly {
-		// A read-only open must never create files; require one of the
-		// two layouts to already exist.
-		_, legacyErr := fsys.Stat(filepath.Join(dir, txn.DataFileName))
-		_, shardErr := fsys.Stat(filepath.Join(dir, txn.ShardsFileName))
-		if errors.Is(legacyErr, os.ErrNotExist) && errors.Is(shardErr, os.ErrNotExist) {
-			return nil, fmt.Errorf("ode: no database at %s", dir)
-		}
-	}
 	coord, err := txn.OpenCoordinator(dir, topts)
 	if err != nil {
 		return nil, err
@@ -282,8 +268,7 @@ func (db *DB) Shards() int { return db.coord.N() }
 // reopening finishes with a consistent map, and an interrupted reshard
 // can simply be issued again to complete the migration. Concurrent
 // Updates are restarted transparently when a chunk's routing flip
-// commits under them. Only databases created with Shards >= 2 can
-// reshard; n may exceed the original count.
+// commits under them. n may exceed the original count.
 func (db *DB) Reshard(n int) error {
 	return db.eng.Reshard(n)
 }

@@ -17,8 +17,8 @@ type Part struct {
 	Data []byte
 }
 
-// envShards returns the shard count forced by ODE_SHARDS, or 0 (layout
-// default) when unset. The matrix and soak Makefile targets run their
+// envShards returns the shard count forced by ODE_SHARDS, or 0 (the
+// Options.Shards default) when unset. The matrix and soak Makefile targets run their
 // suites at both Shards=1 and Shards=4 through this hook.
 func envShards() int {
 	n, _ := strconv.Atoi(os.Getenv("ODE_SHARDS"))

@@ -206,89 +206,83 @@ func TestShardedCrossShardUpdate(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutUpgrade proves a database laid down by the pre-shard
-// code path (txn.Create + core over a bare Manager — exactly what
-// earlier releases wrote) opens through the sharded Open, keeps its
-// data, accepts writes, and stays in the legacy layout.
+// TestLegacyLayoutUpgrade takes a directory a pre-shard release wrote
+// (the legacy-unrecovered fixture: data.ode + wal.ode, crashed with
+// committed work still in the WAL) through everything a database
+// created today can do: adopted in place by its first open, written,
+// split to four shards, reopened by count, backed up and restored —
+// with data.ode remaining shard 0's file throughout.
 func TestLegacyLayoutUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	// Write the fixture with the legacy entry points only.
-	func() {
-		db, err := Open(dir, &Options{Shards: 1})
-		if err != nil {
+	dir, model := formatFixtureDir(t, "legacy-unrecovered")
+	has := func(dir, name string) bool {
+		t.Helper()
+		_, err := os.Stat(filepath.Join(dir, name))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			t.Fatal(err)
 		}
-		defer db.Close()
-		parts, err := Register[Part](db, "Part")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Update(func(tx *Tx) error {
-			p, err := parts.Create(tx, &Part{Name: "fixture", Rev: 0})
-			if err != nil {
-				return err
-			}
-			v, err := p.NewVersion(tx)
-			if err != nil {
-				return err
-			}
-			return v.Set(tx, &Part{Name: "fixture", Rev: 1})
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	// The directory must be the legacy pair — nothing shard-flavored.
-	if _, err := os.Stat(filepath.Join(dir, txn.DataFileName)); err != nil {
-		t.Fatal(err)
+		return err == nil
 	}
-	for _, f := range []string{txn.ShardsFileName, txn.CoordWALFileName} {
-		if _, err := os.Stat(filepath.Join(dir, f)); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("legacy database grew %s", f)
-		}
+	// It is one shard; asking for four is refused before anything is
+	// written, and the answer is Reshard.
+	if _, err := Open(dir, &Options{Shards: 4}); !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("legacy dir with Shards=4: %v", err)
 	}
-	// Default open adopts it as one shard.
+	if has(dir, txn.ShardsFileName) {
+		t.Fatal("a refused open adopted the directory")
+	}
 	db, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	if db.Shards() != 1 {
 		t.Fatalf("legacy adopted as %d shards", db.Shards())
 	}
-	parts, err := Register[Part](db, "Part")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.View(func(tx *Tx) error {
-		var oids []Ptr[Part]
-		if err := parts.Extent(tx, func(p Ptr[Part]) (bool, error) {
-			oids = append(oids, p)
-			return true, nil
-		}); err != nil {
-			return err
-		}
-		if len(oids) != 1 {
-			return fmt.Errorf("extent %d", len(oids))
-		}
-		cur, err := oids[0].Deref(tx)
-		if err != nil {
-			return err
-		}
-		if cur.Name != "fixture" || cur.Rev != 1 {
-			return fmt.Errorf("got %+v", cur)
-		}
-		return nil
+	formatCheck(t, db, model)
+	if err := db.Update(func(tx *Tx) error {
+		_, err := tx.UpdateLatestRaw(OID(model[0].OID), []byte("after-adoption"))
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CheckIntegrity(); err != nil {
+	model[0].Latest = "after-adoption"
+	if err := db.Reshard(4); err != nil {
 		t.Fatal(err)
 	}
-	// Asking for a re-shard of an existing directory is refused.
-	db.Close()
-	if _, err := Open(dir, &Options{Shards: 4}); !errors.Is(err, ErrShardMismatch) {
-		t.Fatalf("legacy dir with Shards=4: %v", err)
+	formatCheck(t, db, model)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
+	if db, err = Open(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.Shards() != 4 {
+		t.Fatalf("reopened with %d shards, want 4", db.Shards())
+	}
+	formatCheck(t, db, model)
+	bdir := filepath.Join(t.TempDir(), "backup")
+	if err := db.Backup(bdir); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{dir, bdir} {
+		for _, f := range []string{txn.ShardsFileName, txn.DataFileName, txn.ShardDataFileName(1), txn.ShardDataFileName(3)} {
+			if !has(d, f) {
+				t.Errorf("%s lacks %s", d, f)
+			}
+		}
+		if has(d, txn.ShardDataFileName(0)) || has(d, txn.ShardWALFileName(0)) {
+			t.Errorf("%s: shard 0 moved out of %s", d, txn.DataFileName)
+		}
+	}
+	bdb, err := Open(bdir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bdb.Close()
+	if bdb.Shards() != 4 {
+		t.Fatalf("backup opened with %d shards, want 4", bdb.Shards())
+	}
+	formatCheck(t, bdb, model)
 }
 
 func TestShardedBackup(t *testing.T) {
