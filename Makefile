@@ -67,6 +67,7 @@ matrix:
 fuzz:
 	$(GO) test -fuzz FuzzScanEnd -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -fuzz FuzzBatchTail -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -fuzz FuzzPageDelta -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -fuzz FuzzCoordDecisionScan -fuzztime $(FUZZTIME) ./internal/txn
 	$(GO) test -fuzz FuzzReaderOps -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/codec

@@ -1,11 +1,13 @@
 package ode
 
 // On-disk format compatibility across the write-path consolidation
-// (PR 14), shown with bytes rather than by inspection.
+// (PR 14) and the page-delta log records (PR 19), shown with bytes
+// rather than by inspection.
 //
-// testdata/format holds two crashed database directories written by the
-// commit BEFORE that change (this file, copied into a checkout of it and
-// run with -args -write-format-fixtures=<dir>, is the generator):
+// testdata/format holds crashed database directories. Two were written
+// by the commit BEFORE PR 14 (this file, copied into a checkout of it and
+// run with -args -write-format-fixtures=<dir>, is the generator), when
+// every touched page was logged as a full image:
 //
 //   - legacy-unrecovered: the pre-shard directory (what Shards: 1 wrote
 //     then: data.ode + wal.ode and nothing else), power cut with
@@ -15,11 +17,22 @@ package ode
 //     prepare, the coordinator log holds the decision, and neither
 //     shard has its local commit record — recovery must finish it.
 //
-// Forward: both directories open under the current code, recover to the
-// state their manifest records and pass CheckIntegrity. Backward: the
+// The third was written by PR 19's own code, so that the next format
+// change has a delta-bearing log to stay compatible with:
+//
+//   - sharded-delta-unrecovered: two shards, the script run to its end
+//     and the power cut then, every commit since the checkpoint still
+//     only in the WALs — first-touch page images, page deltas on top of
+//     them, and a completed two-phase commit.
+//
+// Forward: every directory opens under the current code, recovers to the
+// state its manifest records and passes CheckIntegrity. Backward: the
 // current code, run through the same script to the same cut, writes
-// those same directories — data files byte for byte, logs record for
-// record — so what it writes is what the earlier commit reads. One
+// those same data files byte for byte and logs holding the same
+// transactions over the same pages in the same order; since PR 19 a page
+// record may be a delta where the fixture has an image, so the logs are
+// held to what they are for: recovering today's and recovering the
+// fixture's leaves byte-identical page files. One
 // shard is now the N=1 case of the sharded layout, so for the pre-shard
 // fixture the comparison is by role, not by name: today's data.000 and
 // wal.000 against its data.ode and wal.ode, with the two files it never
@@ -52,13 +65,18 @@ const (
 var formatLayouts = []struct {
 	name   string
 	shards int
+	// inDoubt cuts the power inside the final transaction, where it is
+	// prepared on every shard, decided, and locally uncommitted; otherwise
+	// the script runs to its end and the power goes then.
+	inDoubt bool
 	// was maps a file this code writes to the fixture file in the same
 	// role, where the names differ; "" marks a file the fixture's writer
 	// did not have, which must then be empty of everything but its header.
 	was map[string]string
 }{
-	{"legacy-unrecovered", 1, map[string]string{"data.000": "data.ode", "wal.000": "wal.ode", "shards.ode": "", "coord.ode": ""}},
-	{"sharded-indoubt", 2, nil},
+	{"legacy-unrecovered", 1, false, map[string]string{"data.000": "data.ode", "wal.000": "wal.ode", "shards.ode": "", "coord.ode": ""}},
+	{"sharded-indoubt", 2, true, nil},
+	{"sharded-delta-unrecovered", 2, false, nil},
 }
 
 // formatObject is one manifest row: what a recovered directory must
@@ -146,9 +164,9 @@ func formatScript(t *testing.T, fsys faultfs.FS, shards int, beforeFinal func())
 
 // formatImage runs the script for a layout and returns the crashed
 // filesystem image with its manifest.
-func formatImage(t *testing.T, shards int) (*faultfs.Mem, []formatObject) {
+func formatImage(t *testing.T, shards int, inDoubt bool) (*faultfs.Mem, []formatObject) {
 	t.Helper()
-	if shards == 1 {
+	if !inDoubt {
 		mem := faultfs.NewMem()
 		model, err := formatScript(t, mem, shards, nil)
 		if err != nil {
@@ -237,7 +255,7 @@ func TestFormatWriteFixtures(t *testing.T) {
 		t.Skip("pass -args -write-format-fixtures=<dir> to write the fixtures")
 	}
 	for _, l := range formatLayouts {
-		img, model := formatImage(t, l.shards)
+		img, model := formatImage(t, l.shards, l.inDoubt)
 		dir := filepath.Join(out, l.name)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
@@ -355,6 +373,36 @@ func formatMem(t *testing.T, files map[string][]byte) *faultfs.Mem {
 	return mem
 }
 
+// formatRecover opens the crashed directory on mem — recovering it —
+// closes it, and returns its data files as recovery left them.
+func formatRecover(t *testing.T, mem *faultfs.Mem) map[string][]byte {
+	t.Helper()
+	db, err := Open(formatDBDir, &Options{FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Stats().RecoveredTxns == 0 {
+		t.Fatal("nothing recovered: the image's WAL was not unrecovered")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := mem.ReadDir(formatDBDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := map[string][]byte{}
+	for _, name := range names {
+		if !strings.HasPrefix(name, "data.") {
+			continue
+		}
+		if pages[name], err = mem.ReadFile(filepath.Join(formatDBDir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pages
+}
+
 func TestFormatOpensEarlierDirectories(t *testing.T) {
 	for _, l := range formatLayouts {
 		t.Run(l.name, func(t *testing.T) {
@@ -396,9 +444,34 @@ func TestFormatOpensEarlierDirectories(t *testing.T) {
 	}
 }
 
-// formatNormalise sorts each transaction's run of page images by page:
-// before PR 14 their order within a run followed map iteration.
+// TestFormatDeltaFixtureBearsDeltas keeps the third fixture honest about
+// its name: each shard's log holds first-touch images, deltas, and a
+// prepare that its own commit record completes.
+func TestFormatDeltaFixtureBearsDeltas(t *testing.T) {
+	files, _ := formatFixture(t, "sharded-delta-unrecovered")
+	ref := formatMem(t, files)
+	for _, name := range []string{"wal.000", "wal.001"} {
+		kinds := map[uint8]int{}
+		for _, r := range formatRecords(t, ref, name) {
+			kinds[r.Type]++
+		}
+		if kinds[wal.RecPageImage] == 0 || kinds[wal.RecPageDelta] == 0 || kinds[wal.RecPrepare] != 1 || kinds[wal.RecCommit] < 2 {
+			t.Errorf("%s: records by type %v", name, kinds)
+		}
+	}
+}
+
+// formatNormalise sorts each transaction's run of page records by page
+// (before PR 14 their order within a run followed map iteration) and
+// reduces them to which page they are for: whether a page travels as an
+// image or as a delta is the writer's choice since PR 19, and what the
+// records add up to is compared by recovering them.
 func formatNormalise(recs []wal.Record) {
+	for i := range recs {
+		if recs[i].Type == wal.RecPageDelta || recs[i].Type == wal.RecPageImage {
+			recs[i].Type, recs[i].Data = wal.RecPageImage, nil
+		}
+	}
 	for i := 0; i < len(recs); {
 		j := i
 		for j < len(recs) && recs[j].Type == wal.RecPageImage && recs[j].Tx == recs[i].Tx {
@@ -418,7 +491,7 @@ func TestFormatWritesWhatEarlierCodeWrote(t *testing.T) {
 	for _, l := range formatLayouts {
 		t.Run(l.name, func(t *testing.T) {
 			want, wantModel := formatFixture(t, l.name)
-			img, model := formatImage(t, l.shards)
+			img, model := formatImage(t, l.shards, l.inDoubt)
 			if fmt.Sprint(model) != fmt.Sprint(wantModel) {
 				t.Fatalf("manifest differs:\n  got  %v\n  want %v", model, wantModel)
 			}
@@ -459,9 +532,6 @@ func TestFormatWritesWhatEarlierCodeWrote(t *testing.T) {
 					}
 					continue
 				}
-				if len(got) != len(want[was]) {
-					t.Errorf("%s: %d bytes, fixture's %s has %d", name, len(got), was, len(want[was]))
-				}
 				gotRecs, wantRecs := formatRecords(t, img, name), formatRecords(t, ref, was)
 				formatNormalise(gotRecs)
 				formatNormalise(wantRecs)
@@ -478,6 +548,20 @@ func TestFormatWritesWhatEarlierCodeWrote(t *testing.T) {
 			}
 			if matched != len(want) {
 				t.Fatalf("wrote files %v, which cover %d of the fixture's %d", names, matched, len(want))
+			}
+			// The logs, held to what they are for.
+			gotPages, wantPages := formatRecover(t, img), formatRecover(t, ref)
+			for name, got := range gotPages {
+				was, renamed := l.was[name]
+				if !renamed {
+					was = name
+				}
+				if !bytes.Equal(got, wantPages[was]) {
+					t.Errorf("recovered %s (%d bytes) differs from the fixture's recovered %s (%d)", name, len(got), was, len(wantPages[was]))
+				}
+			}
+			if len(gotPages) != len(wantPages) || len(gotPages) != l.shards {
+				t.Fatalf("recovered %d data files, the fixture %d, of %d shards", len(gotPages), len(wantPages), l.shards)
 			}
 		})
 	}

@@ -200,10 +200,30 @@ func (s HistSnapshot) P99() uint64 { return s.Quantile(0.99) }
 // the WAL, the buffer pool and the engine; a nil *Metrics disables
 // instrumentation entirely (the NoMetrics benchmark baseline).
 type Metrics struct {
-	// Pool activity.
+	// Pool activity. DirtyPages is the pages modified since the last
+	// checkpoint, which the pool holds inside its capacity and cannot
+	// evict.
 	PoolHits      Counter
 	PoolMisses    Counter
 	PoolEvictions Counter
+	DirtyPages    Gauge
+
+	// What commits staged for the log, by page-record kind: a full image
+	// the first time a page is logged since the log was last reset, a
+	// delta after that. The bytes are the framed records as the log holds
+	// them, so (image bytes + delta bytes) ÷ user bytes is the log's write
+	// amplification, short only of the begin and commit records.
+	WALPageImages     Counter
+	WALPageImageBytes Counter
+	WALPageDeltas     Counter
+	WALPageDeltaBytes Counter
+
+	// Automatic checkpoints by the trigger that fired: the log reached
+	// CheckpointBytes, or dirty pages reached the pool's share
+	// (storage.Pool.DirtyDue). Explicit Checkpoint calls and Close count
+	// under neither.
+	CheckpointsByWALBytes   Counter
+	CheckpointsByDirtyPages Counter
 
 	// Readers: ReaderPins counts every read transaction admitted since
 	// open and ActiveReaders the ones in flight, both where the

@@ -96,17 +96,58 @@ func (fl *File) ReadPage(id oid.PageID, buf []byte) error {
 // WritePage seals buf's checksum and writes it as page id, extending the
 // file if necessary. buf is modified in place (checksum field).
 func (fl *File) WritePage(id oid.PageID, buf []byte) error {
+	return fl.writeRun(id, buf)
+}
+
+// writeRun seals each page image in buf — one or more whole pages — and
+// writes them as pages first, first+1, … with one WriteAt.
+func (fl *File) writeRun(first oid.PageID, buf []byte) error {
 	if fl.readonly {
 		return errors.New("storage: write on read-only file")
 	}
-	sealChecksum(buf)
-	if _, err := fl.f.WriteAt(buf, int64(id)*int64(fl.pageSize)); err != nil {
-		return fmt.Errorf("storage: write page %d: %w", id, err)
+	for off := 0; off < len(buf); off += fl.pageSize {
+		sealChecksum(buf[off : off+fl.pageSize])
 	}
-	if uint32(id) >= fl.nPages {
-		fl.nPages = uint32(id) + 1
+	if _, err := fl.f.WriteAt(buf, int64(first)*int64(fl.pageSize)); err != nil {
+		return fmt.Errorf("storage: write page %d: %w", first, err)
+	}
+	if end := uint32(first) + uint32(len(buf)/fl.pageSize); end > fl.nPages {
+		fl.nPages = end
 	}
 	return nil
+}
+
+// maxRunPages bounds how many adjacent pages WriteSorted gathers into
+// one write, and with it the scratch buffer a flush holds.
+const maxRunPages = 64
+
+// WriteSorted writes n page images, which page(i) yields in ascending
+// page-id order, gathering each run of adjacent ids into one scratch
+// buffer and one WriteAt — a checkpoint's dirty set is mostly runs (new
+// heap pages are the file's contiguous tail). The images themselves are
+// not modified (checksums are sealed into the scratch copy), so they may
+// be pages concurrent readers hold. It returns how many of the n were
+// written before the first error.
+func (fl *File) WriteSorted(n int, page func(i int) (oid.PageID, []byte)) (int, error) {
+	ps := fl.pageSize
+	scratch := make([]byte, min(n, maxRunPages)*ps)
+	for written := 0; written < n; {
+		first, img := page(written)
+		copy(scratch, img)
+		k := 1
+		for ; written+k < n && k < maxRunPages; k++ {
+			id, img := page(written + k)
+			if id != first+oid.PageID(k) {
+				break
+			}
+			copy(scratch[k*ps:], img)
+		}
+		if err := fl.writeRun(first, scratch[:k*ps]); err != nil {
+			return written, err
+		}
+		written += k
+	}
+	return n, nil
 }
 
 // Sync flushes the file to stable storage.

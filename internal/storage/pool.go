@@ -10,10 +10,22 @@ import (
 	"ode/internal/oid"
 )
 
-// DefaultPoolPages is the clean-page cache capacity used unless
-// configured otherwise. Dirty pages are held regardless of this limit
-// until the next checkpoint flushes them.
-const DefaultPoolPages = 1024
+// DefaultPoolPages is the pool capacity used unless configured
+// otherwise. Dirty pages count against it: they cannot be evicted before
+// the next checkpoint flushes them, so the clean LRU shrinks as they
+// grow, and a checkpoint is due (DirtyDue) before they crowd it out.
+// 1536 pages is half of what a pool of 1024 clean pages with the dirty
+// ones on top could reach (8 MiB of page images in the log: 2048 more),
+// and a tenth above what it held under a steady writer (EXPERIMENTS.md
+// E21 has what each size costs whom).
+const DefaultPoolPages = 1536
+
+// A checkpoint is due once dirty pages fill dirtyShareNum/dirtyShareDen
+// of the pool. Nothing else bounds them: a page delta costs the log a few
+// bytes, so CheckpointBytes of log can cover any number of dirty pages.
+// Three quarters leaves the clean LRU a quarter of the pool at its
+// smallest, enough that a writer's own reads still hit.
+const dirtyShareNum, dirtyShareDen = 3, 4
 
 // snap is one retained pre-image of a page: the live image the page had
 // at the moment a writer first mutated it during the given epoch. A
@@ -30,7 +42,10 @@ type snap struct {
 
 // Pool is the buffer pool: an in-memory cache of page images keyed by
 // PageID. Clean pages are evictable under an LRU policy; dirty pages are
-// retained until FlushDirty writes them back.
+// retained until FlushDirty writes them back, and both count against
+// the one capacity: clean pages are evicted to make room for dirty ones.
+// Only when dirty pages alone exceed it (automatic checkpoints disabled)
+// does the pool grow past it.
 //
 // The pool also owns the snapshot machinery that gives readers epoch
 // isolation: writers swap in fresh page copies on first mutation
@@ -62,7 +77,11 @@ type Pool struct {
 	// pins refcounts readers per pinned epoch.
 	pins map[uint64]int
 	// snaps holds retained pre-images per page, epoch-ascending.
-	snaps map[oid.PageID][]snap
+	// reclaimed is the oldest pinned epoch reclaimLocked last ran at:
+	// every snapshot published since is tagged at or above it, so until it
+	// moves there is nothing to drop.
+	snaps     map[oid.PageID][]snap
+	reclaimed uint64
 
 	// stats
 	hits, misses, evictions uint64
@@ -80,9 +99,13 @@ func (pl *Pool) SetMetrics(m *obs.Metrics) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.m = m
+	if m != nil {
+		m.DirtyPages.Add(int64(pl.nDirty))
+	}
 }
 
-// NewPool creates a pool over file with room for capacity clean pages.
+// NewPool creates a pool over file with room for capacity pages, clean
+// and dirty together.
 func NewPool(file *File, capacity int) *Pool {
 	if capacity < 8 {
 		capacity = 8
@@ -226,6 +249,10 @@ func (pl *Pool) oldestPinnedLocked() uint64 {
 // group-commit batch is in flight.
 func (pl *Pool) reclaimLocked() {
 	min := pl.oldestPinnedLocked()
+	if min == pl.reclaimed {
+		return
+	}
+	pl.reclaimed = min
 	dropped := 0
 	for id, ss := range pl.snaps {
 		i := 0
@@ -289,9 +316,10 @@ func (pl *Pool) COW(p *Page) (np *Page, before []byte, wasDirty bool) {
 		pinned: basis.pinned,
 	}
 	if !basis.dirty || pl.pages[np.ID] == nil {
-		pl.nDirty++
+		pl.addDirty(1)
 	}
 	pl.pages[np.ID] = np
+	pl.evictOverflow() // a clean basis already evicted gave up no room for np
 	return np, basis.Data, basis.dirty
 }
 
@@ -378,7 +406,8 @@ func (pl *Pool) Install(id oid.PageID, data []byte) *Page {
 	}
 	p := &Page{ID: id, Data: data, dirty: true}
 	pl.pages[id] = p
-	pl.nDirty++
+	pl.addDirty(1)
+	pl.evictOverflow()
 	return p
 }
 
@@ -395,7 +424,7 @@ func (pl *Pool) markDirtyLocked(p *Page) {
 		return
 	}
 	p.dirty = true
-	pl.nDirty++
+	pl.addDirty(1)
 	if el, ok := p.lruElem.(*list.Element); ok && el != nil {
 		pl.cleanLRU.Remove(el)
 		p.lruElem = nil
@@ -411,7 +440,7 @@ func (pl *Pool) MarkClean(p *Page) {
 		return
 	}
 	p.dirty = false
-	pl.nDirty--
+	pl.addDirty(-1)
 	pl.insertCleanExisting(p)
 	pl.evictOverflow()
 }
@@ -444,29 +473,18 @@ func (pl *Pool) dirtyPagesLocked() []*Page {
 //
 // The page I/O happens outside the pool mutex so concurrent readers are
 // never stalled behind a checkpoint's writes; only the writer mutates
-// pages, and it is the one in here. Each image is sealed into a scratch
-// buffer because WritePage stamps the checksum in place, and the page
-// objects being flushed are visible to concurrent readers at the
-// current epoch.
+// pages, and it is the one in here. The images go out in page order, one
+// write per run of adjacent pages (File.WriteSorted), sealed into a
+// scratch buffer: the page objects being flushed are visible to
+// concurrent readers at the current epoch.
 func (pl *Pool) FlushDirty() error {
 	pl.mu.Lock()
 	dirty := pl.dirtyPagesLocked()
 	pl.mu.Unlock()
 
-	var scratch []byte
-	written := 0
-	var werr error
-	for _, p := range dirty {
-		if scratch == nil {
-			scratch = make([]byte, len(p.Data))
-		}
-		copy(scratch, p.Data)
-		if err := pl.file.WritePage(p.ID, scratch); err != nil {
-			werr = err
-			break
-		}
-		written++
-	}
+	written, werr := pl.file.WriteSorted(len(dirty), func(i int) (oid.PageID, []byte) {
+		return dirty[i].ID, dirty[i].Data
+	})
 
 	pl.mu.Lock()
 	for _, p := range dirty[:written] {
@@ -474,7 +492,7 @@ func (pl *Pool) FlushDirty() error {
 			continue
 		}
 		p.dirty = false
-		pl.nDirty--
+		pl.addDirty(-1)
 		pl.insertCleanExisting(p)
 	}
 	pl.evictOverflow()
@@ -490,7 +508,7 @@ func (pl *Pool) DropDirty() {
 	for id, p := range pl.pages {
 		if p.dirty {
 			delete(pl.pages, id)
-			pl.nDirty--
+			pl.addDirty(-1)
 		}
 	}
 }
@@ -505,7 +523,7 @@ func (pl *Pool) Forget(id oid.PageID) {
 		return
 	}
 	if p.dirty {
-		pl.nDirty--
+		pl.addDirty(-1)
 	}
 	if el, ok := p.lruElem.(*list.Element); ok && el != nil {
 		pl.cleanLRU.Remove(el)
@@ -545,8 +563,27 @@ func (pl *Pool) touch(p *Page) {
 	}
 }
 
+// addDirty moves the dirty-page count, and its gauge, by n.
+func (pl *Pool) addDirty(n int) {
+	pl.nDirty += n
+	if pl.m != nil {
+		pl.m.DirtyPages.Add(int64(n))
+	}
+}
+
+// DirtyDue reports whether dirty pages have reached their share of the
+// pool (dirtyShareNum/dirtyShareDen): the transaction layer checkpoints
+// when they have, as it does when the log reaches its size limit.
+func (pl *Pool) DirtyDue() bool {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return pl.nDirty*dirtyShareDen >= pl.capacity*dirtyShareNum
+}
+
+// evictOverflow evicts least-recently-used clean pages until clean and
+// dirty pages together fit the capacity, or no clean page is left.
 func (pl *Pool) evictOverflow() {
-	for pl.cleanLRU.Len() > pl.capacity {
+	for pl.cleanLRU.Len()+pl.nDirty > pl.capacity {
 		back := pl.cleanLRU.Back()
 		if back == nil {
 			return

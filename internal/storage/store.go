@@ -15,8 +15,8 @@ type Options struct {
 	// PageSize applies only when creating a new store. Zero means
 	// DefaultPageSize. Capped at 32768 so slotted offsets fit uint16.
 	PageSize int
-	// PoolPages is the clean-page cache capacity. Zero means
-	// DefaultPoolPages.
+	// PoolPages is the buffer pool's capacity, clean and dirty pages
+	// together. Zero means DefaultPoolPages.
 	PoolPages int
 	// ReadOnly opens the store without write permission.
 	ReadOnly bool

@@ -28,11 +28,14 @@
 //     Only a failure to heal the WAL itself poisons.
 //
 // Batching needs no timer to be effective: while a flush is in flight,
-// new requests pile up in the queue and the next pop takes them all.
+// new requests pile up in the queue and the next pop takes them all; and
+// between two flushes the committer yields once (run), so the writers it
+// has just acknowledged get their next commits into that pop.
 package txn
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -217,6 +220,14 @@ func (gc *groupCommitter) run() {
 		}
 		gc.m.publishBatch(batch)
 		gc.batchDone()
+		// The acknowledgements made this batch's writers runnable, behind
+		// this goroutine on its processor. Let them run before the next
+		// claim: a writer that comes straight back with its next commit
+		// and finds the flush already started by a few microseconds waits
+		// out that flush and then its own, and with every writer doing so
+		// half of all commits cost two flushes. Nothing runnable, nothing
+		// lost: the yield returns at once.
+		runtime.Gosched()
 	}
 }
 
@@ -329,19 +340,17 @@ func (m *Manager) failSuffix(batch []*commitReq, startLSN oid.LSN, cause error) 
 	}
 }
 
-// maybeKickCheckpoint nudges the background checkpointer when the WAL
-// has outgrown the configured threshold. Non-blocking: if a kick is
-// already pending the checkpointer will see the current size anyway.
+// maybeKickCheckpoint nudges the background checkpointer when a
+// checkpoint is due (checkpointDue). Non-blocking: if a kick is already
+// pending the checkpointer will see the current state anyway.
 func (m *Manager) maybeKickCheckpoint(walSize int64) {
-	limit := m.opts.CheckpointBytes
-	if limit == 0 {
-		limit = DefaultCheckpointBytes
-	}
-	if limit < 0 || walSize < limit {
+	due, byDirty := m.checkpointDue(walSize)
+	if !due {
 		return
 	}
 	select {
 	case m.ckptKick <- struct{}{}:
+		m.countTrigger(byDirty)
 	default:
 	}
 }

@@ -6,7 +6,8 @@
 //	            read-only or poisoned shard
 //	begin       a tracker, a writer view and a shard-local txid
 //	fn          the caller's mutations, through the view
-//	stage       encode Begin, the touched pages' after-images and a
+//	stage       encode Begin, what changed on each touched page (a delta,
+//	            or the page's image the first time it is logged) and a
 //	            commit (or 2PC prepare) record into pooled wal.Frames
 //	submit      the in-memory commit point: advance the prepared epoch,
 //	            then hand the run to the group committer or, on a shard
@@ -97,27 +98,47 @@ func (m *Manager) begin() (oid.TxID, *storage.TxView, *tracker) {
 // the allocator.
 var framesPool = sync.Pool{New: func() any { return new(wal.Frames) }}
 
-// stage builds the transaction's WAL run — Begin, one after-image per
-// touched page, then a commit record or, for a 2PC participant, a
-// prepare record carrying gtid — and wraps it in the request submit
-// takes. Caller holds the writer mutex: the images are encoded once,
-// straight into the frame buffer, while they are the transaction's
-// final state. Grow reserves the whole run up front (8-byte frame
-// header plus ≤10 bytes of record prelude per page image, with slack
-// for begin/commit/prepare) so staging never reallocates mid-loop.
+// stage builds the transaction's WAL run — Begin, one record per touched
+// page, then a commit record or, for a 2PC participant, a prepare record
+// carrying gtid — and wraps it in the request submit takes. Caller holds
+// the writer mutex: the pages are encoded once, straight into the frame
+// buffer, while they are the transaction's final state.
+//
+// A page is logged as a delta against the tracker's before-image when
+// that image is what the log already holds for it: the page was dirty
+// when this transaction first touched it, so a standing transaction
+// logged it since the log was last reset (a rolled-back one put the page
+// back as it found it — clean, if it was the first). Otherwise — a clean
+// page, an allocation, or a delta no smaller than the page — the whole
+// image is logged. That first image is also what recovers a page the
+// in-place checkpoint write tore: recovery never reads the data file.
 func (m *Manager) stage(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (*commitReq, error) {
 	touched := tr.touchedPages()
 	fr := framesPool.Get().(*wal.Frames) // empty: recycle resets before Put
 	req := &commitReq{txid: txid, tr: tr, fr: fr, prepare: prepare, done: make(chan error, 1)}
-	fr.Grow(len(touched)*(m.st.PageSize()+18) + 64)
 	fr.Begin(txid)
+	var images, imageBytes, deltas, deltaBytes uint64
 	for _, id := range touched {
 		p, err := m.st.Get(id)
 		if err != nil {
 			req.recycle()
 			return nil, err
 		}
+		mark := fr.Len()
+		if bi, ok := tr.before[id]; ok && bi.wasDirty && fr.PageDelta(txid, id, bi.data, p.Data) {
+			deltas++
+			deltaBytes += uint64(fr.Len() - mark)
+			continue
+		}
 		fr.PageImage(txid, id, p.Data)
+		images++
+		imageBytes += uint64(fr.Len() - mark)
+	}
+	if m.m != nil {
+		m.m.WALPageImages.Add(images)
+		m.m.WALPageImageBytes.Add(imageBytes)
+		m.m.WALPageDeltas.Add(deltas)
+		m.m.WALPageDeltaBytes.Add(deltaBytes)
 	}
 	if prepare {
 		fr.Prepare(txid, gtid)

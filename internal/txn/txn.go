@@ -1,13 +1,14 @@
 // Package txn implements Ode's transaction manager: single-writer /
-// multi-reader snapshot isolation, redo-only write-ahead logging of page
-// after-images, in-memory before-images for abort, crash recovery, and
-// log-truncating checkpoints.
+// multi-reader snapshot isolation, redo-only write-ahead logging of what
+// each transaction changed on its pages (a full image on first touch,
+// positional deltas after), in-memory before-images for abort, crash
+// recovery, and log-truncating checkpoints.
 //
 // The durability contract: when Write returns nil, the transaction's
-// effects survive a crash (its page images and commit record are fsynced
-// in the WAL before Write returns). A transaction that returns an error,
-// or panics, is rolled back completely. The write path itself — the one
-// sequence every write transaction takes — is in joined.go.
+// effects survive a crash (its page records and commit record are
+// fsynced in the WAL before Write returns). A transaction that returns
+// an error, or panics, is rolled back completely. The write path itself
+// — the one sequence every write transaction takes — is in joined.go.
 //
 // Concurrency: writers serialise on a narrow mutex; readers never take
 // it. Read pins a buffer-pool epoch (advanced by each commit after WAL
@@ -46,7 +47,9 @@ const (
 )
 
 // DefaultCheckpointBytes triggers a checkpoint when the WAL exceeds this
-// size at a commit boundary.
+// size at a commit boundary. It is one of two triggers: a checkpoint is
+// also due when dirty pages reach their share of the buffer pool
+// (storage.Pool.DirtyDue), whichever comes first.
 const DefaultCheckpointBytes = 8 << 20
 
 // ErrClosed reports use of a closed manager.
@@ -68,12 +71,15 @@ var ErrPoisoned = errors.New("txn: manager disabled by earlier I/O error; reopen
 type Options struct {
 	// Storage is forwarded to the storage layer.
 	Storage storage.Options
-	// NoSync disables the fsync at commit (and checkpoint). Throughput
-	// rises at the price of durability of the most recent commits; used
-	// by benchmarks to isolate CPU costs.
+	// NoSync disables the fsync at commit: a commit is acknowledged once
+	// its records are in the log's write buffer. Throughput rises at the
+	// price of durability of the most recent commits; used by benchmarks
+	// to isolate CPU costs. Checkpoints fsync as always — the log before
+	// the first page write, the data file, then the log's reset — so what
+	// survives a crash is a committed prefix, never a torn database.
 	NoSync bool
 	// CheckpointBytes overrides DefaultCheckpointBytes; <0 disables
-	// automatic checkpoints.
+	// automatic checkpoints, by either trigger.
 	CheckpointBytes int64
 	// FS is the filesystem the data file and WAL live on. Nil means the
 	// real OS. The crash-consistency matrix installs a fault-injecting
@@ -460,11 +466,21 @@ func committedInLog(log *wal.Log, decided map[uint64]bool) (uint64, error) {
 	return n, nil
 }
 
-// recover2 replays committed transactions' page images into the data
-// file and truncates the log. Named to avoid shadowing builtin recover.
-// It is idempotent: a crash at any point during recovery leaves the WAL
-// intact (it is only reset after the page file is synced), so rerunning
-// it converges to the same state.
+// recover2 rebuilds the pages committed transactions logged, writes them
+// into the data file and truncates the log. Named to avoid shadowing
+// builtin recover. It is idempotent: a crash at any point during
+// recovery leaves the WAL intact (it is only reset after the page file
+// is synced), so rerunning it converges to the same state.
+//
+// Pages are rebuilt from the log alone, in commit order: a page image
+// replaces the page's state, a page delta is applied on top of the state
+// the transactions committed before it left — never on top of the data
+// file, whose copy an interrupted checkpoint may have torn. Every page
+// the log mentions starts with an image (Manager.stage), so a delta
+// without one is a corrupt log and fails recovery. A transaction that
+// never committed — a crash's tail, a 2PC prepare aborted live — was
+// rolled back in memory before the next one began, so its records are
+// skipped, not applied and undone.
 //
 // decided is the coordinator log's decision set (nil for a standalone
 // manager): a prepared transaction without a local commit record — the
@@ -474,43 +490,46 @@ func committedInLog(log *wal.Log, decided map[uint64]bool) (uint64, error) {
 // writer mutex is held from prepare to decide), so applying it after
 // every locally committed transaction preserves redo order.
 func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64]bool) (uint64, error) {
-	type txImages struct {
-		order    []oid.PageID
-		imgs     map[oid.PageID][]byte
+	type txPages struct {
+		recs     []wal.Record // RecPageImage and RecPageDelta, in log order
 		prepared bool
 		gtid     uint64
 		seq      int // begin order, to apply in-doubt commits deterministically
 	}
-	pending := map[oid.TxID]*txImages{}
+	pending := map[oid.TxID]*txPages{}
 	redo := map[oid.PageID][]byte{}
-	var redoOrder []oid.PageID
 	var committed uint64
 	var seq int
-	apply := func(t *txImages) {
+	apply := func(t *txPages) error {
 		committed++
-		for _, pid := range t.order {
-			if _, seen := redo[pid]; !seen {
-				redoOrder = append(redoOrder, pid)
+		for _, rec := range t.recs {
+			if rec.Type == wal.RecPageImage {
+				redo[rec.Page] = rec.Data // Scan allocates each payload afresh
+				continue
 			}
-			redo[pid] = t.imgs[pid]
+			base, ok := redo[rec.Page]
+			if !ok {
+				return fmt.Errorf("page delta at %v for page %d, which no committed transaction in the log imaged", rec.LSN, rec.Page)
+			}
+			if err := wal.ApplyPageDelta(base, rec.Data); err != nil {
+				return fmt.Errorf("page %d at %v: %w", rec.Page, rec.LSN, err)
+			}
 		}
+		return nil
 	}
 	err := log.Scan(func(rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecBegin:
 			seq++
-			pending[rec.Tx] = &txImages{imgs: map[oid.PageID][]byte{}, seq: seq}
-		case wal.RecPageImage:
+			pending[rec.Tx] = &txPages{seq: seq}
+		case wal.RecPageImage, wal.RecPageDelta:
 			t := pending[rec.Tx]
 			if t == nil {
 				seq++
-				t = &txImages{imgs: map[oid.PageID][]byte{}, seq: seq}
+				t = &txPages{seq: seq}
 				pending[rec.Tx] = t
 			}
-			if _, seen := t.imgs[rec.Page]; !seen {
-				t.order = append(t.order, rec.Page)
-			}
-			t.imgs[rec.Page] = append([]byte(nil), rec.Data...)
+			t.recs = append(t.recs, rec)
 		case wal.RecPrepare:
 			if t := pending[rec.Tx]; t != nil {
 				t.prepared = true
@@ -521,8 +540,8 @@ func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64
 			if t == nil {
 				return nil
 			}
-			apply(t)
 			delete(pending, rec.Tx)
+			return apply(t)
 		case wal.RecAbort:
 			delete(pending, rec.Tx)
 		case wal.RecCheckpoint:
@@ -536,7 +555,7 @@ func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64
 	}
 	// Resolve in-doubt prepared transactions by coordinator decision, in
 	// begin order (deterministic; in practice at most one can exist).
-	var doubt []*txImages
+	var doubt []*txPages
 	for _, t := range pending {
 		if t.prepared && decided[t.gtid] {
 			doubt = append(doubt, t)
@@ -544,26 +563,32 @@ func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64
 	}
 	sort.Slice(doubt, func(i, j int) bool { return doubt[i].seq < doubt[j].seq })
 	for _, t := range doubt {
-		apply(t)
+		if err := apply(t); err != nil {
+			return 0, err
+		}
 	}
 	if len(redo) > 0 {
-		// Page size is the image length (all images are full pages).
-		ps := 0
-		for _, img := range redo {
-			ps = len(img)
-			break
+		pids := make([]oid.PageID, 0, len(redo))
+		for pid := range redo {
+			pids = append(pids, pid)
+		}
+		slices.Sort(pids)
+		// Page size is the image length (every redone page began as one).
+		ps := len(redo[pids[0]])
+		for _, pid := range pids {
+			if len(redo[pid]) != ps {
+				return 0, fmt.Errorf("page %d logged with %d bytes, page %d with %d", pid, len(redo[pid]), pids[0], ps)
+			}
 		}
 		f, err := storage.OpenFile(fsys, dataPath, ps, false)
 		if err != nil {
 			return 0, err
 		}
-		for _, pid := range redoOrder {
-			if err := f.WritePage(pid, redo[pid]); err != nil {
-				f.Close()
-				return 0, err
-			}
+		_, err = f.WriteSorted(len(pids), func(i int) (oid.PageID, []byte) { return pids[i], redo[pids[i]] })
+		if err == nil {
+			err = f.Sync()
 		}
-		if err := f.Sync(); err != nil {
+		if err != nil {
 			f.Close()
 			return 0, err
 		}
@@ -822,14 +847,44 @@ func (m *Manager) rollbackQuiet(tr *tracker) {
 	}
 }
 
-func (m *Manager) maybeCheckpoint() error {
+// checkpointDue reports whether an automatic checkpoint is due at a
+// commit boundary, and which of the two triggers says so: the log has
+// reached CheckpointBytes, or (byDirty) dirty pages have reached their
+// share of the pool, which the log's size does not bound (a page delta
+// costs it a few bytes). A negative CheckpointBytes disables both.
+func (m *Manager) checkpointDue(walSize int64) (due, byDirty bool) {
 	limit := m.opts.CheckpointBytes
 	if limit == 0 {
 		limit = DefaultCheckpointBytes
 	}
-	if limit < 0 || m.log.Size() < limit {
+	switch {
+	case limit < 0:
+		return false, false
+	case walSize >= limit:
+		return true, false
+	}
+	return m.st.Pool().DirtyDue(), true
+}
+
+// countTrigger records which trigger an automatic checkpoint fired on.
+func (m *Manager) countTrigger(byDirty bool) {
+	switch {
+	case m.m == nil:
+	case byDirty:
+		m.m.CheckpointsByDirtyPages.Inc()
+	default:
+		m.m.CheckpointsByWALBytes.Inc()
+	}
+}
+
+// maybeCheckpoint runs a due checkpoint inline (a shard without a group
+// committer). Caller holds the writer mutex.
+func (m *Manager) maybeCheckpoint() error {
+	due, byDirty := m.checkpointDue(m.log.Size())
+	if !due {
 		return nil
 	}
+	m.countTrigger(byDirty)
 	return m.checkpointLocked(false)
 }
 
@@ -875,7 +930,7 @@ func (m *Manager) checkpointLocked(quiet bool) error {
 	// being durable), so a later checkpoint could reset the WAL without
 	// its pages actually persisted. Only a reopen re-establishes the
 	// invariant.
-	if err := m.st.FlushAll(); err != nil {
+	if err := m.flushPages(); err != nil {
 		err = fmt.Errorf("txn: checkpoint flush: %w", err)
 		m.poison(err)
 		return err
@@ -901,6 +956,24 @@ func (m *Manager) checkpointLocked(quiet bool) error {
 		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
 	}
 	return nil
+}
+
+// flushPages makes the page file current: every dirty page written and
+// the file synced — after the log. A page may reach the data file only
+// once the log that can redo it (and undo nothing: redo-only) is on
+// stable storage, and under NoSync commits sit in the log's write buffer
+// until someone flushes it; a crash between a page write and that flush
+// would leave pages of transactions the log never heard of. With a group
+// committer the pipeline is drained, everything appended is synced, and
+// the Sync is free. Caller holds the writer mutex with the pipeline idle.
+func (m *Manager) flushPages() error {
+	m.logMu.Lock()
+	err := m.log.Sync()
+	m.logMu.Unlock()
+	if err != nil {
+		return err
+	}
+	return m.st.FlushAll()
 }
 
 // Close checkpoints and closes the database. If the final flush fails
@@ -963,7 +1036,7 @@ func (m *Manager) Close() error {
 		return fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
 	}
 	var firstErr error
-	if err := m.st.FlushAll(); err != nil {
+	if err := m.flushPages(); err != nil {
 		// Keep the WAL: the pages may not be durable.
 		firstErr = err
 	} else if err := m.log.Reset(); err != nil {

@@ -111,20 +111,3 @@ func TestLogGoldenBytes(t *testing.T) {
 		t.Fatalf("scanned %d records, want %d", i, len(wantRecs))
 	}
 }
-
-// TestFramesGrowNoRealloc proves Grow pre-sizing makes staging
-// allocation-free after the initial reservation.
-func TestFramesGrowNoRealloc(t *testing.T) {
-	image := make([]byte, 4096)
-	var fr Frames
-	fr.Grow(3*(len(image)+18) + 64)
-	base := cap(fr.buf)
-	fr.Begin(1)
-	for i := 0; i < 3; i++ {
-		fr.PageImage(1, oid.PageID(i), image)
-	}
-	fr.Commit(1)
-	if cap(fr.buf) != base {
-		t.Fatalf("staging grew the buffer despite Grow: cap %d -> %d", base, cap(fr.buf))
-	}
-}

@@ -1,8 +1,10 @@
 // Package wal implements the write-ahead log that makes Ode commits
 // durable: an append-only file of CRC-framed records. The transaction
-// layer logs full after-images of every page a transaction dirtied,
-// followed by a commit record; recovery replays the images of committed
-// transactions in log order.
+// layer logs what each transaction changed on every page it dirtied —
+// a full after-image the first time a page is logged since the log was
+// last reset, a positional delta against the page's previous logged
+// state after that — followed by a commit record; recovery rebuilds the
+// pages of committed transactions in log order.
 //
 // Framing: the file starts with an 8-byte header (magic, version); each
 // record is [u32 payloadLen][u32 crc32c(payload)][payload]. A record's
@@ -14,12 +16,12 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-
 	"time"
 
 	"ode/internal/codec"
@@ -37,6 +39,7 @@ const (
 	RecCheckpoint uint8 = 5 // page file reflects everything before this LSN
 	RecPrepare    uint8 = 6 // 2PC: shard-local prepare, carries the global txn id
 	RecShardMap   uint8 = 7 // coordinator log only: shard-map image decided by tx
+	RecPageDelta  uint8 = 8 // byte ranges of a page's after-image against its previous logged state
 )
 
 // headerSize is the fixed file header before the first record.
@@ -61,8 +64,8 @@ type Record struct {
 	LSN  oid.LSN
 	Type uint8
 	Tx   oid.TxID
-	Page oid.PageID // RecPageImage only
-	Data []byte     // RecPageImage: the page image; RecShardMap: the map image
+	Page oid.PageID // RecPageImage, RecPageDelta
+	Data []byte     // RecPageImage: the page image; RecPageDelta: its ranges (ApplyPageDelta); RecShardMap: the map image
 	GTID uint64     // RecPrepare only: global (cross-shard) transaction id
 }
 
@@ -87,6 +90,11 @@ type Log struct {
 	w    *bufio.Writer
 	end  oid.LSN // next append offset
 	path string
+	// unsynced is set by an append and cleared by whatever next makes the
+	// file durable up to end (Sync, Reset, TruncateTo): Sync with nothing
+	// appended since is free, so a caller that only needs "the log is on
+	// stable storage" may ask without knowing who synced last.
+	unsynced bool
 
 	appends uint64
 	syncs   uint64
@@ -227,11 +235,11 @@ func (l *Log) Stats() (appends, syncs uint64) { return l.appends, l.syncs }
 
 // Frames is a staged run of records, framed byte-for-byte as the log
 // file holds them but kept in memory: the only record encoder. The
-// transaction layer builds a transaction's Begin/PageImage/Commit (or
-// Prepare) run under the writer mutex, while the page images are
-// stable, and whole runs are then spliced into the log with
+// transaction layer builds a transaction's Begin, PageImage/PageDelta,
+// Commit (or Prepare) run under the writer mutex, while the page images
+// are stable, and whole runs are then spliced into the log with
 // AppendFrames — by the group committer outside that mutex, or inline
-// when there is no fsync to share. Page images are copied at staging
+// when there is no fsync to share. Page bytes are copied at staging
 // time, so a Frames never aliases live pool pages.
 //
 // Records are encoded once, directly into buf: beginRecord reserves the
@@ -249,17 +257,6 @@ type Frames struct {
 func (fr *Frames) Reset() {
 	fr.buf = fr.buf[:0]
 	fr.recs = 0
-}
-
-// Grow pre-sizes the staging buffer so a transaction whose footprint is
-// known up front (staging knows its touched-page count and page size)
-// stages without intermediate growth copies.
-func (fr *Frames) Grow(n int) {
-	if free := cap(fr.buf) - len(fr.buf); free < n {
-		grown := make([]byte, len(fr.buf), len(fr.buf)+n)
-		copy(grown, fr.buf)
-		fr.buf = grown
-	}
 }
 
 // beginRecord reserves the 8-byte [len][crc] frame header and returns
@@ -292,14 +289,103 @@ func (fr *Frames) record(typ uint8, tx oid.TxID, body []byte) {
 // Begin stages tx's begin record.
 func (fr *Frames) Begin(tx oid.TxID) { fr.record(RecBegin, tx, nil) }
 
-// PageImage stages a full after-image of page id for tx (copied).
-func (fr *Frames) PageImage(tx oid.TxID, id oid.PageID, image []byte) {
+// beginPageRecord opens a page record of the given kind — type,
+// transaction id, page id — for the caller to append its body to.
+func (fr *Frames) beginPageRecord(typ uint8, tx oid.TxID, id oid.PageID) int {
 	s := fr.beginRecord()
-	fr.buf = codec.AppendU8(fr.buf, RecPageImage)
+	fr.buf = codec.AppendU8(fr.buf, typ)
 	fr.buf = codec.AppendUVarint(fr.buf, uint64(tx))
 	fr.buf = codec.AppendU32(fr.buf, uint32(id))
+	return s
+}
+
+// PageImage stages a full after-image of page id for tx (copied).
+func (fr *Frames) PageImage(tx oid.TxID, id oid.PageID, image []byte) {
+	s := fr.beginPageRecord(RecPageImage, tx, id)
 	fr.buf = append(fr.buf, image...)
 	fr.endRecord(s)
+}
+
+// diffBlock is the stride PageDelta skips unchanged bytes by.
+const diffBlock = 256
+
+// PageDelta stages what changed on page id between before — the page's
+// previous logged state — and after, as byte ranges
+// [off u16][len u16][bytes]… in ascending offset order. It reports false,
+// staging nothing, when the ranges would not be smaller than the page
+// (or the two images differ in length): the caller logs a PageImage
+// instead. A range closes at the first wholly unchanged word after it,
+// so it never carries more than 7 unchanged bytes in a row.
+func (fr *Frames) PageDelta(tx oid.TxID, id oid.PageID, before, after []byte) bool {
+	if len(before) != len(after) || len(after) > 1<<16 {
+		return false
+	}
+	s := fr.beginPageRecord(RecPageDelta, tx, id)
+	body := len(fr.buf)
+	n := len(after)
+	for i := 0; i < n; {
+		// Skip what is unchanged — most of the page: blocks (bytes.Equal
+		// compares them with vector loads), then words, then the odd bytes.
+		for i+diffBlock <= n && bytes.Equal(before[i:i+diffBlock], after[i:i+diffBlock]) {
+			i += diffBlock
+		}
+		for i+8 <= n && binary.LittleEndian.Uint64(before[i:]) == binary.LittleEndian.Uint64(after[i:]) {
+			i += 8
+		}
+		for i < n && before[i] == after[i] {
+			i++
+		}
+		if i == n {
+			break
+		}
+		// A range runs from the first changed byte through the words that
+		// each hold a change, to the last changed byte of the last of them.
+		start := i
+		for i+8 <= n && binary.LittleEndian.Uint64(before[i:]) != binary.LittleEndian.Uint64(after[i:]) {
+			i += 8
+		}
+		if i+8 > n { // no unchanged word ends it: it takes the odd bytes too
+			i = n
+		}
+		end := i
+		for before[end-1] == after[end-1] {
+			end--
+		}
+		fr.buf = codec.AppendU16(fr.buf, uint16(start))
+		fr.buf = codec.AppendU16(fr.buf, uint16(end-start))
+		fr.buf = append(fr.buf, after[start:end]...)
+		if len(fr.buf)-body >= n {
+			fr.buf = fr.buf[:s-8]
+			return false
+		}
+	}
+	fr.endRecord(s)
+	return true
+}
+
+// ApplyPageDelta overwrites page with the ranges of a RecPageDelta
+// record (Record.Data). A range outside the page, or a truncated one, is
+// an error: the log passed its CRC, so it is a record for another page
+// size or a bug, and recovery must stop rather than guess. page may have
+// been partly overwritten by then.
+func ApplyPageDelta(page, delta []byte) error {
+	for len(delta) > 0 {
+		if len(delta) < 4 {
+			return fmt.Errorf("wal: page delta: truncated range header (%d bytes)", len(delta))
+		}
+		off := int(binary.BigEndian.Uint16(delta[0:2]))
+		n := int(binary.BigEndian.Uint16(delta[2:4]))
+		delta = delta[4:]
+		if n > len(delta) {
+			return fmt.Errorf("wal: page delta: range of %d bytes, %d left in the record", n, len(delta))
+		}
+		if off+n > len(page) {
+			return fmt.Errorf("wal: page delta: range [%d,%d) outside the %d-byte page", off, off+n, len(page))
+		}
+		copy(page[off:], delta[:n])
+		delta = delta[n:]
+	}
+	return nil
 }
 
 // Commit stages tx's commit record.
@@ -331,6 +417,7 @@ func (l *Log) AppendFrames(fr *Frames) (oid.LSN, error) {
 	}
 	l.end += oid.LSN(len(fr.buf))
 	l.appends += fr.recs
+	l.unsynced = true
 	return lsn, nil
 }
 
@@ -359,8 +446,12 @@ func (l *Log) AppendShardMap(tx oid.TxID, image []byte) (oid.LSN, error) {
 func (l *Log) AppendCheckpoint() (oid.LSN, error) { return l.appendOne(RecCheckpoint, 0, nil) }
 
 // Sync flushes buffered appends and fsyncs the log. A commit is durable
-// only after Sync returns.
+// only after Sync returns. With nothing appended since the log was last
+// made durable it does nothing.
 func (l *Log) Sync() error {
+	if !l.unsynced {
+		return nil
+	}
 	var start time.Time
 	if l.m != nil {
 		start = time.Now()
@@ -372,6 +463,7 @@ func (l *Log) Sync() error {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.syncs++
+	l.unsynced = false
 	if l.m != nil {
 		l.m.FsyncLatencyNS.ObserveDuration(time.Since(start))
 	}
@@ -393,6 +485,7 @@ func (l *Log) Reset() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: reset sync: %w", err)
 	}
+	l.unsynced = false
 	return nil
 }
 
@@ -417,6 +510,7 @@ func (l *Log) TruncateTo(lsn oid.LSN) error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: truncate sync: %w", err)
 	}
+	l.unsynced = false
 	return nil
 }
 
@@ -460,7 +554,7 @@ func decode(lsn oid.LSN, payload []byte) (Record, error) {
 	rec := Record{LSN: lsn}
 	rec.Type = r.U8()
 	rec.Tx = oid.TxID(r.UVarint())
-	if rec.Type == RecPageImage {
+	if rec.Type == RecPageImage || rec.Type == RecPageDelta {
 		rec.Page = oid.PageID(r.U32())
 		rec.Data = payload[r.Offset():]
 	}
@@ -474,7 +568,7 @@ func decode(lsn oid.LSN, payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("wal: corrupt record at %v: %w", lsn, r.Err())
 	}
 	switch rec.Type {
-	case RecBegin, RecPageImage, RecCommit, RecAbort, RecCheckpoint, RecPrepare, RecShardMap:
+	case RecBegin, RecPageImage, RecCommit, RecAbort, RecCheckpoint, RecPrepare, RecShardMap, RecPageDelta:
 		return rec, nil
 	default:
 		return Record{}, fmt.Errorf("wal: unknown record type %d at %v", rec.Type, lsn)

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"ode/internal/faultfs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -91,6 +92,49 @@ func TestStatsCounters(t *testing.T) {
 	appends, syncs := l.Stats()
 	if appends != 2 || syncs != 1 {
 		t.Fatalf("stats = %d appends, %d syncs", appends, syncs)
+	}
+}
+
+// TestSyncWithNothingAppendedIsFree: a caller that needs the log on
+// stable storage (a checkpoint, before its first page write) may ask
+// without knowing who synced last. Only an append makes Sync touch the
+// device again; Reset and TruncateTo leave the log synced.
+func TestSyncWithNothingAppendedIsFree(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.NewMem(), faultfs.Plan{})
+	l, err := OpenFS(inj, "/sync.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	syncs := func() uint64 { return inj.Counts().Syncs }
+	base := syncs()
+	if err := l.Sync(); err != nil || syncs() != base {
+		t.Fatalf("Sync of a fresh log: %v, %d device syncs", err, syncs()-base)
+	}
+	stage(t, l, func(fr *Frames) { fr.Begin(1); fr.Commit(1) })
+	for i := 0; i < 3; i++ {
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := syncs() - base; got != 1 {
+		t.Fatalf("one append, three Syncs: %d device syncs, want 1", got)
+	}
+	mid := l.End()
+	stage(t, l, func(fr *Frames) { fr.Begin(2) })
+	if err := l.TruncateTo(mid); err != nil {
+		t.Fatal(err)
+	}
+	stage(t, l, func(fr *Frames) { fr.Begin(3) })
+	if err := l.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	after := syncs()
+	if err := l.Sync(); err != nil || syncs() != after {
+		t.Fatalf("Sync after TruncateTo and Reset: %v, %d device syncs", err, syncs()-after)
+	}
+	if _, n := l.Stats(); n != 1 {
+		t.Fatalf("Stats counts %d syncs, want the 1 that reached the device", n)
 	}
 }
 

@@ -55,10 +55,26 @@ type HistSnapshot = obs.HistSnapshot
 type Metrics struct {
 	Stats
 
-	// Buffer-pool activity.
+	// Buffer-pool activity. DirtyPages is the pages modified since the
+	// last checkpoint, held inside PoolPages until it flushes them.
 	PoolHits      uint64
 	PoolMisses    uint64
 	PoolEvictions uint64
+	DirtyPages    int64
+
+	// What commits staged for the write-ahead log, by page-record kind: a
+	// full image the first time a page is logged since its log was last
+	// reset, a delta of the changed byte ranges after that. The bytes are
+	// the framed records, so their sum over the payload bytes written is
+	// the log's write amplification.
+	WALPageImages     uint64
+	WALPageImageBytes uint64
+	WALPageDeltas     uint64
+	WALPageDeltaBytes uint64
+	// Automatic checkpoints by the trigger that fired: the log reached
+	// CheckpointBytes, or dirty pages reached three quarters of the pool.
+	CheckpointsByWALBytes   uint64
+	CheckpointsByDirtyPages uint64
 
 	// Readers: ReaderPins counts the Views admitted since open and
 	// ActiveReaders the ones in flight. Views share one read snapshot
@@ -168,6 +184,13 @@ func (db *DB) Metrics() Metrics {
 		ms.PoolHits += r.PoolHits.Load()
 		ms.PoolMisses += r.PoolMisses.Load()
 		ms.PoolEvictions += r.PoolEvictions.Load()
+		ms.DirtyPages += r.DirtyPages.Load()
+		ms.WALPageImages += r.WALPageImages.Load()
+		ms.WALPageImageBytes += r.WALPageImageBytes.Load()
+		ms.WALPageDeltas += r.WALPageDeltas.Load()
+		ms.WALPageDeltaBytes += r.WALPageDeltaBytes.Load()
+		ms.CheckpointsByWALBytes += r.CheckpointsByWALBytes.Load()
+		ms.CheckpointsByDirtyPages += r.CheckpointsByDirtyPages.Load()
 		ms.SnapshotPages += r.SnapshotPages.Load()
 		ms.TracerDropped += r.TracerDropped.Load()
 		ms.CommitLatency.Merge(r.CommitLatencyNS.Snapshot())
@@ -198,6 +221,12 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 		{"ode_pool_hits_total", "Buffer-pool page hits.", ms.PoolHits},
 		{"ode_pool_misses_total", "Buffer-pool page misses (faulted from disk).", ms.PoolMisses},
 		{"ode_pool_evictions_total", "Clean pages evicted from the buffer pool.", ms.PoolEvictions},
+		{"ode_wal_page_images_total", "Pages staged for the WAL as full images (first touch since the log was reset).", ms.WALPageImages},
+		{"ode_wal_page_image_bytes_total", "Bytes of full-image page records staged for the WAL.", ms.WALPageImageBytes},
+		{"ode_wal_page_deltas_total", "Pages staged for the WAL as byte-range deltas.", ms.WALPageDeltas},
+		{"ode_wal_page_delta_bytes_total", "Bytes of page-delta records staged for the WAL.", ms.WALPageDeltaBytes},
+		{"ode_checkpoints_by_wal_bytes_total", "Automatic checkpoints triggered by the WAL reaching CheckpointBytes.", ms.CheckpointsByWALBytes},
+		{"ode_checkpoints_by_dirty_pages_total", "Automatic checkpoints triggered by dirty pages reaching their share of the pool.", ms.CheckpointsByDirtyPages},
 		{"ode_reader_pins_total", "Views admitted since open (each holds one read snapshot for its duration).", ms.ReaderPins},
 		{"ode_read_snapshot_builds_total", "Read snapshots built; Views between two commits share one.", ms.ReadSnapshotBuilds},
 		{"ode_tracer_dropped_total", "Tracer span events dropped past the bounded queue.", ms.TracerDropped},
@@ -221,6 +250,9 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 		}
 	}
 	if err := obs.WriteGauge(w, "ode_wal_bytes", "Current WAL size in bytes.", ms.WALBytes); err != nil {
+		return err
+	}
+	if err := obs.WriteGauge(w, "ode_pool_dirty_pages", "Pages modified since the last checkpoint, held inside the pool's capacity.", ms.DirtyPages); err != nil {
 		return err
 	}
 	if err := obs.WriteGauge(w, "ode_active_readers", "Views currently in flight.", ms.ActiveReaders); err != nil {

@@ -146,12 +146,14 @@ type Options struct {
 	CompactInterval time.Duration
 	// PageSize applies when creating a new database (default 4096).
 	PageSize int
-	// PoolPages is the buffer-pool capacity in pages (default 1024).
+	// PoolPages is the buffer-pool capacity in pages, clean and dirty
+	// together (default 1536).
 	PoolPages int
 	// NoSync disables fsync on commit. Much faster; the most recent
 	// commits may be lost on a crash (database integrity is preserved).
 	NoSync bool
-	// CheckpointBytes sets the WAL size that triggers a checkpoint;
+	// CheckpointBytes sets the WAL size that triggers a checkpoint (one
+	// is also due when dirty pages fill three quarters of the pool);
 	// <0 disables automatic checkpoints.
 	CheckpointBytes int64
 	// ReadOnly opens the database without write permission.

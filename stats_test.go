@@ -221,6 +221,94 @@ func TestStatsReaderCounters(t *testing.T) {
 	}
 }
 
+// TestStatsWriteLedger: the write path's cost is derivable from the
+// engine's own counters — what commits staged for the log by record
+// kind (their bytes are the log's growth, short only of the begin and
+// commit records), the dirty pages a checkpoint will have to write, and
+// which trigger fired the automatic ones.
+func TestStatsWriteLedger(t *testing.T) {
+	db, err := Open(t.TempDir()+"/db", &Options{Shards: 1, PageSize: 512, PoolPages: 32, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tid, err := db.Engine().RegisterType("LedgerBlob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	base := db.Metrics()
+	if base.DirtyPages != 0 {
+		t.Fatalf("%d dirty pages right after a checkpoint", base.DirtyPages)
+	}
+	var o OID
+	commit := func(i int) {
+		t.Helper()
+		if err := db.Update(func(tx *Tx) (err error) {
+			if i == 0 {
+				o, _, err = tx.CreateRaw(tid, []byte("v0"))
+				return err
+			}
+			_, err = tx.UpdateLatestRaw(o, []byte(fmt.Sprintf("v%d", i)))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		commit(i)
+	}
+	ms := db.Metrics()
+	images, deltas := ms.WALPageImages-base.WALPageImages, ms.WALPageDeltas-base.WALPageDeltas
+	if images == 0 || deltas == 0 {
+		t.Fatalf("four commits on the same pages staged %d images and %d deltas", images, deltas)
+	}
+	if ms.DirtyPages != int64(images) {
+		t.Fatalf("%d dirty pages, %d pages imaged since the checkpoint: every dirty page is logged whole exactly once", ms.DirtyPages, images)
+	}
+	staged := int64(ms.WALPageImageBytes - base.WALPageImageBytes + ms.WALPageDeltaBytes - base.WALPageDeltaBytes)
+	grown := ms.WALBytes - base.WALBytes
+	// Begin and commit records: 13 framed bytes each at these small ids.
+	if staged >= grown || grown-staged > 4*2*16 {
+		t.Fatalf("staged %d bytes of page records, the log grew %d", staged, grown)
+	}
+	if perDelta := (ms.WALPageDeltaBytes - base.WALPageDeltaBytes) / deltas; perDelta >= 512/2 {
+		t.Fatalf("a delta of a few bytes' change averages %d bytes on a 512-byte page", perDelta)
+	}
+	// Dirty pages reach three quarters of the 32-page pool long before
+	// the log reaches 8 MiB.
+	for i := 4; ms.CheckpointsByDirtyPages == 0 && i < 400; i++ {
+		if err := db.Update(func(tx *Tx) error {
+			_, _, err := tx.CreateRaw(tid, make([]byte, 300))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ms = db.Metrics()
+	}
+	if ms.CheckpointsByDirtyPages == 0 || ms.CheckpointsByWALBytes != 0 || ms.Checkpoints < ms.CheckpointsByDirtyPages {
+		t.Fatalf("checkpoints: %d, by dirty pages %d, by log size %d", ms.Checkpoints, ms.CheckpointsByDirtyPages, ms.CheckpointsByWALBytes)
+	}
+	if ms.DirtyPages >= 24 {
+		t.Fatalf("%d dirty pages in a 32-page pool right after a checkpoint", ms.DirtyPages)
+	}
+	var page strings.Builder
+	if err := db.WriteMetrics(&page); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		"ode_wal_page_images_total ", "ode_wal_page_image_bytes_total ", "ode_wal_page_deltas_total ",
+		"ode_wal_page_delta_bytes_total ", "ode_pool_dirty_pages ", "ode_checkpoints_by_wal_bytes_total 0",
+		"ode_checkpoints_by_dirty_pages_total ",
+	} {
+		if !strings.Contains(page.String(), series) {
+			t.Errorf("metrics page has no %q", series)
+		}
+	}
+}
+
 // TestStatsTornReadRegression is the regression test for the seqlock
 // around the Commits/Batches pair. The writer side adds batches BEFORE
 // commits inside the locked section, so an unsynchronised reader could
