@@ -30,8 +30,9 @@ help:
 	@echo "  cover    line coverage, with 85% floors on internal/obs,"
 	@echo "           internal/workload, internal/delta, internal/matcache and"
 	@echo "           (per-file, over the delta battery) the two compact.go files"
-	@echo "  loc      non-test Go lines per package and the ode.Options field"
-	@echo "           count — the numbers a consolidation PR is judged by"
+	@echo "  loc      non-test Go lines per package, the ode.Options field count"
+	@echo "           and the number of declared /metrics series — the numbers"
+	@echo "           a consolidation PR is judged by"
 	@echo "  check    build + vet + race + matrix + soak + ycsb + delta-matrix + hotpath,"
 	@echo "           then loc"
 
@@ -169,12 +170,14 @@ cover:
 	done
 
 # The consolidation scoreboard: non-test Go lines per package (GoFiles
-# excludes _test.go) and the size of the public option surface. Printed
-# at the end of `make check`, so CI logs carry the numbers.
+# excludes _test.go), the size of the public option surface, and the
+# number of /metrics series declared (the cells of obs.Metrics and the
+# two tables in series.go). Printed at the end of `make check`, so CI
+# logs carry the numbers.
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | while read pkg files; do \
 	  if [ -n "$$files" ]; then printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; fi; done
-	@$(GO) test -count=1 -run 'TestOptionsFieldCount' -v . | grep 'ode.Options has'
+	@$(GO) test -count=1 -run 'TestOptionsFieldCount|TestSeriesDeclaredOnce' -v . | grep -E 'ode.Options has|series are declared'
 
 check: build vet race matrix soak ycsb delta-matrix hotpath loc
 

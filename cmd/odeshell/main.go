@@ -373,7 +373,8 @@ func (s *shell) exec(line string) error {
 		} else {
 			fmt.Fprintln(s.out, "derefcache:  disabled")
 		}
-		leases, ids := s.db.Engine().AllocStats()
+		st := s.db.Stats()
+		leases, ids := st.AllocLeases, st.AllocIDs
 		fmt.Fprintf(s.out, "allocator:   %d leases, %d ids", leases, ids)
 		if leases > 0 {
 			fmt.Fprintf(s.out, " (%.1f ids/lease)", float64(ids)/float64(leases))

@@ -828,7 +828,7 @@ func TestDeltaPromoteShared(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, &Options{
 		Shards: envShards(), PageSize: 1024, NoSync: true,
-		Policy: DeltaChain, MaxChain: 8,
+		Policy:    DeltaChain,
 		DeltaTier: true, AnchorInterval: 8, CompactInterval: -1,
 	})
 	if err != nil {

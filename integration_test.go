@@ -36,7 +36,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 		t.Skip("soak test")
 	}
 	dir := t.TempDir()
-	opts := &Options{Policy: DeltaChain, MaxChain: 6, PageSize: 1024, Shards: envShards()}
+	opts := &Options{Policy: DeltaChain, AnchorInterval: 6, PageSize: 1024, Shards: envShards()}
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -266,7 +266,7 @@ func E2(root string, s Scale) (*Table, error) {
 func E3(root string, s Scale) (*Table, error) {
 	t := &Table{
 		Title:   "E3 — Delta storage: space and tip-read latency vs chain length",
-		Note:    "Each version applies 2 point edits of 16 B to its parent. DeltaChain uses MaxChain=16 keyframes. Space is the whole database directory.",
+		Note:    "Each version applies 2 point edits of 16 B to its parent. DeltaChain writes a keyframe every 16 links (the default AnchorInterval). Space is the whole database directory.",
 		Headers: []string{"object size", "versions", "policy", "db size", "bytes/version", "tip read"},
 	}
 	sizes := []int{1 << 10, 16 << 10}
@@ -854,23 +854,23 @@ func E9(root string, s Scale) (*Table, error) {
 	return t, nil
 }
 
-// E10 — ablation of the MaxChain keyframe interval, the delta policy's
-// central tuning knob: longer chains save space but lengthen the
-// materialisation path; MaxChain=1 degenerates to (near) full copies.
+// E10 — ablation of the keyframe interval (AnchorInterval), the delta
+// policy's central tuning knob: longer chains save space but lengthen the
+// materialisation path; an interval of 1 degenerates to (near) full copies.
 func E10(root string, s Scale) (*Table, error) {
 	t := &Table{
-		Title:   "E10 — Ablation: delta keyframe interval (MaxChain)",
-		Note:    "One object, 128 versions of an 8 KiB payload, 2×16 B edits per version. MaxChain bounds the number of dependent links before a full keyframe.",
-		Headers: []string{"MaxChain", "db size", "bytes/version", "tip read", "random version read"},
+		Title:   "E10 — Ablation: delta keyframe interval (AnchorInterval)",
+		Note:    "One object, 128 versions of an 8 KiB payload, 2×16 B edits per version. AnchorInterval bounds the number of dependent links before a full keyframe.",
+		Headers: []string{"AnchorInterval", "db size", "bytes/version", "tip read", "random version read"},
 	}
 	nVersions := 128
 	if s.Factor > 1 {
 		nVersions = 32
 	}
 	const objSize = 8 << 10
-	for _, maxChain := range []int{1, 4, 16, 64} {
-		dir := filepath.Join(root, fmt.Sprintf("e10-%d", maxChain))
-		db, ty, err := openBench(dir, &ode.Options{Policy: ode.DeltaChain, MaxChain: maxChain})
+	for _, interval := range []int{1, 4, 16, 64} {
+		dir := filepath.Join(root, fmt.Sprintf("e10-%d", interval))
+		db, ty, err := openBench(dir, &ode.Options{Policy: ode.DeltaChain, AnchorInterval: interval})
 		if err != nil {
 			return nil, err
 		}
@@ -933,7 +933,7 @@ func E10(root string, s Scale) (*Table, error) {
 			return nil, err
 		}
 		sz := dirSize(dir)
-		t.AddRow(fmt.Sprintf("%d", maxChain), Bytes(sz),
+		t.AddRow(fmt.Sprintf("%d", interval), Bytes(sz),
 			Bytes(sz/int64(nVersions)), Ns(tipTm.Mean()), Ns(rndTm.Mean()))
 	}
 	return t, nil
@@ -974,7 +974,6 @@ func All() []Experiment {
 		{"E10", "keyframe-interval ablation", E10},
 		{"E11", "concurrent snapshot reads", E11},
 		{"E12", "group commit throughput", E12},
-		{"E13", "observability overhead", E13},
 		{"E14", "shard scaling", E14},
 		{"E15", "ycsb versioned workload", E15},
 		{"E16", "online rebalance impact", E16},

@@ -44,7 +44,7 @@ func usFromNS(ns uint64) float64 { return float64(ns) / 1e3 }
 // goroutines commit small in-place updates back-to-back with real
 // fsyncs for one wall-clock window. It returns total commits, the
 // fsync-batch count, the summed per-commit latency, and the engine's
-// commit-latency histogram snapshot (zero-valued under NoMetrics).
+// commit-latency histogram snapshot.
 func groupCommitCell(dir string, opts *ode.Options, nCommitters int, window time.Duration) (int64, uint64, time.Duration, ode.HistSnapshot, error) {
 	var hist ode.HistSnapshot
 	db, err := ode.Open(dir, opts)

@@ -201,6 +201,17 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[i]
 }
 
+// median of a non-empty slice (sorts a copy).
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
 // e18OpenReadDB opens one store with n shards, seeds the hot object set
 // (one create per transaction so the round-robin allocator spreads them
 // across shards) and pre-warms nothing: each window's first touches
@@ -237,7 +248,7 @@ func e18OpenReadDB(dir string, shards, nObjs int, cache bool) (*ode.DB, []ode.OI
 // zero-copy staging contract is ≥40% fewer commit-path allocations.
 //
 // Part two measures hot-read latency at 1/4/8 shards with the
-// dereference cache on vs off. Cells are ABBA-paired like E13: each rep
+// dereference cache on vs off. Cells are ABBA-paired: each rep
 // runs four windows (nocache, cache, cache, nocache) against two
 // long-lived stores, so slot bias (warm CPU, page cache) cancels within
 // the rep; the reported speedup is the median of per-rep p50 ratios.

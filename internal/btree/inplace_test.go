@@ -435,8 +435,8 @@ func TestPruneReadsStayLogarithmic(t *testing.T) {
 	m, root := benchStore(t, keys)
 	pool := m.Store().Pool()
 	reads := func() uint64 {
-		hits, misses, _ := pool.Stats()
-		return hits + misses
+		m := pool.Metrics()
+		return m.PoolHits.Load() + m.PoolMisses.Load()
 	}
 	err := m.Write(func(v *storage.TxView) error {
 		tr := Open(v, root)

@@ -20,7 +20,8 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
+
+	"ode/internal/obs"
 )
 
 // allocBatch is the lease size: how many ids a shard reserves from the
@@ -40,13 +41,12 @@ type allocLease struct {
 // whose attempt aborted, after it has released the shard — the shard's
 // next writer may be mid-allocation — so the lease pair has its own mutex.
 // It is uncontended on the allocation hot path (the only other taker
-// is the rare abort-time reset); the counters are atomic so Stats can
-// read them from anywhere.
+// is the rare abort-time reset). Leases taken and ids handed out are
+// counted in the shard's registry (AllocLeases, AllocIDs), which is where
+// Stats and /metrics read them.
 type shardAlloc struct {
-	mu     sync.Mutex    // guards lease against abort-time reset
-	lease  [2]allocLease // indexed by ctrOID / ctrVID
-	leases atomic.Uint64 // leases taken (superblock touches saved elsewhere)
-	ids    atomic.Uint64 // ids handed out
+	mu    sync.Mutex    // guards lease against abort-time reset
+	lease [2]allocLease // indexed by ctrOID / ctrVID
 }
 
 // allocState holds every shard's allocator, growing like heapSpace when
@@ -91,48 +91,15 @@ func (a *allocState) reset(s int) {
 	}
 }
 
-// stats sums leases taken and ids handed out across shards.
-func (a *allocState) stats() (leases, ids uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, sa := range a.shards {
-		if sa != nil {
-			leases += sa.leases.Load()
-			ids += sa.ids.Load()
-		}
-	}
-	return leases, ids
-}
-
-// shardStats reads one shard's allocator counters (zero if the shard
-// has never allocated).
-func (a *allocState) shardStats(s int) (leases, ids uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if s < len(a.shards) && a.shards[s] != nil {
-		return a.shards[s].leases.Load(), a.shards[s].ids.Load()
-	}
-	return 0, 0
-}
-
-// AllocStats sums allocator leases taken and ids handed out across
-// shards.
-func (e *Engine) AllocStats() (leases, ids uint64) {
-	return e.alloc.stats()
-}
-
-// AllocShardStats reads one shard's allocator counters.
-func (e *Engine) AllocShardStats(s int) (leases, ids uint64) {
-	return e.alloc.shardStats(s)
-}
-
-// shardAlloc resolves (and caches) this shard's allocator so repeated
-// allocations in one transaction skip the registry lock.
-func (tx *shardTx) shardAlloc() *shardAlloc {
+// shardAlloc resolves (and caches) this shard's allocator, and the
+// shard's registry with it, so repeated allocations in one transaction
+// skip the lock and the routing lookup.
+func (tx *shardTx) shardAlloc() (*shardAlloc, *obs.Metrics) {
 	if tx.al == nil {
 		tx.al = tx.e.alloc.take(tx.s)
+		tx.alm = tx.e.c.Shards()[tx.s].Metrics()
 	}
-	return tx.al
+	return tx.al, tx.alm
 }
 
 // allocID mints the next id for counter ctr (ctrOID or ctrVID) from the
@@ -140,16 +107,13 @@ func (tx *shardTx) shardAlloc() *shardAlloc {
 // is dry and re-asserting the cover invariant described in the package
 // comment.
 func (tx *shardTx) allocID(ctr int) uint64 {
-	sa := tx.shardAlloc()
+	sa, m := tx.shardAlloc()
 	sa.mu.Lock()
 	l := &sa.lease[ctr]
 	if l.next >= l.limit {
 		hw := tx.st.Counter(ctr)
 		l.next, l.limit = hw, hw+allocBatch
-		sa.leases.Add(1)
-		if tx.e.m != nil {
-			tx.e.m.AllocLeases.Inc()
-		}
+		m.AllocLeases.Inc()
 	}
 	l.next++
 	id := l.next
@@ -157,9 +121,6 @@ func (tx *shardTx) allocID(ctr int) uint64 {
 		tx.st.SetCounter(ctr, l.limit)
 	}
 	sa.mu.Unlock()
-	sa.ids.Add(1)
-	if tx.e.m != nil {
-		tx.e.m.AllocIDs.Inc()
-	}
+	m.AllocIDs.Inc()
 	return id
 }

@@ -94,10 +94,8 @@ func (tx *shardTx) demoteVersion(o oid.OID, v oid.VID) (bool, error) {
 		return false, err
 	}
 	tx.saveRoots()
-	if m := tx.e.m; m != nil {
-		m.DeltaDemotions.Inc()
-		m.DeltaBytesSaved.Add(uint64(len(content) - len(d)))
-	}
+	tx.e.m.DeltaDemotions.Inc()
+	tx.e.m.DeltaBytesSaved.Add(uint64(len(content) - len(d)))
 	return true, nil
 }
 
@@ -116,9 +114,7 @@ func (tx *shardTx) promoteVersion(o oid.OID, v oid.VID) (bool, error) {
 		return false, err
 	}
 	tx.saveRoots()
-	if m := tx.e.m; m != nil {
-		m.DeltaPromotions.Inc()
-	}
+	tx.e.m.DeltaPromotions.Inc()
 	return true, nil
 }
 
@@ -369,12 +365,11 @@ func (tx *shardTx) compactObject(o oid.OID, lim int) (CompactStats, error) {
 	if stats.Demoted+stats.Promoted > 0 {
 		tx.saveRoots()
 	}
-	if m := tx.e.m; m != nil {
-		m.CompactObjects.Inc()
-		m.DeltaDemotions.Add(uint64(stats.Demoted))
-		m.DeltaPromotions.Add(uint64(stats.Promoted))
-		m.DeltaBytesSaved.Add(uint64(stats.BytesSaved))
-	}
+	m := tx.e.m
+	m.CompactObjects.Inc()
+	m.DeltaDemotions.Add(uint64(stats.Demoted))
+	m.DeltaPromotions.Add(uint64(stats.Promoted))
+	m.DeltaBytesSaved.Add(uint64(stats.BytesSaved))
 	return stats, nil
 }
 
@@ -434,11 +429,9 @@ func (e *Engine) CompactShard(s int, from oid.OID, lim int) (CompactStats, oid.O
 	if err != nil {
 		return stats, from, err
 	}
-	if m := e.m; m != nil {
-		m.CompactNS.Observe(uint64(time.Since(start).Nanoseconds()))
-		if next == oid.NilOID {
-			m.CompactPasses.Inc()
-		}
+	e.m.CompactDuration.Observe(uint64(time.Since(start).Nanoseconds()))
+	if next == oid.NilOID {
+		e.m.CompactPasses.Inc()
 	}
 	return stats, next, nil
 }

@@ -433,7 +433,7 @@ func TestAsOf(t *testing.T) {
 }
 
 func TestDeltaChainContentFidelity(t *testing.T) {
-	e := newEngine(t, Options{Policy: DeltaChain, MaxChain: 4})
+	e := newEngine(t, Options{Policy: DeltaChain, AnchorInterval: 4})
 	ty := mustType(t, e, "Blob")
 	rng := rand.New(rand.NewSource(42))
 	var o oid.OID
@@ -478,7 +478,7 @@ func TestDeltaChainContentFidelity(t *testing.T) {
 				return err
 			}
 			if info.ChainDepth > 4 {
-				t.Fatalf("chain depth %d exceeds MaxChain", info.ChainDepth)
+				t.Fatalf("chain depth %d exceeds AnchorInterval", info.ChainDepth)
 			}
 		}
 		return nil

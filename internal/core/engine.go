@@ -99,17 +99,15 @@ const (
 	// FullCopy stores every version's payload in full.
 	FullCopy PayloadPolicy = iota
 	// DeltaChain stores a version as a binary delta against its
-	// derived-from parent, up to MaxChain links; every MaxChain-th
-	// version is a full keyframe bounding materialisation cost.
+	// derived-from parent, up to AnchorInterval links; every
+	// AnchorInterval-th version is a full keyframe bounding
+	// materialisation cost.
 	DeltaChain
 )
 
 // Options configures the engine.
 type Options struct {
 	Policy PayloadPolicy
-	// MaxChain bounds delta chains under DeltaChain; 0 means
-	// DefaultMaxChain.
-	MaxChain int
 
 	// DeltaTier enables the delta storage tier (DESIGN.md §14): stored
 	// full payloads are demoted to deltas against their D-parent when
@@ -120,11 +118,13 @@ type Options struct {
 	// additionally reclaims the full payloads DeltaChain leaves behind
 	// (detached dependents, updated versions).
 	DeltaTier bool
-	// AnchorInterval bounds the materialisation chain the delta tier
-	// may build: a version is only demoted while every dependent chain
-	// through it stays within this many links of a full anchor, and the
-	// compactor promotes versions found deeper (interval shrunk across
-	// a reopen). 0 means MaxChain.
+	// AnchorInterval bounds a delta chain however it was built: DeltaChain
+	// writes a full keyframe once a version would sit more than this many
+	// links from one, and the delta tier only demotes a version while
+	// every dependent chain through it stays within this many links of a
+	// full anchor (the compactor promotes versions found deeper, after
+	// the interval shrank across a reopen). 0 means
+	// DefaultAnchorInterval.
 	AnchorInterval int
 	// CacheBytes is the materialisation cache budget; 0 means
 	// DefaultCacheBytes, negative disables the cache.
@@ -138,8 +138,9 @@ type Options struct {
 	DerefCacheBytes int64
 }
 
-// DefaultMaxChain is the delta-chain keyframe interval.
-const DefaultMaxChain = 16
+// DefaultAnchorInterval is how many delta links may separate a version
+// from a full copy of its content.
+const DefaultAnchorInterval = 16
 
 // DefaultCacheBytes is the materialisation cache budget when the delta
 // tier is on and Options.CacheBytes is zero.
@@ -156,8 +157,9 @@ type Engine struct {
 	bus  *trigger.Bus
 	opts Options
 
-	// m is the coordinator's observability registry (nil under
-	// NoMetrics); the engine records version-chain walk lengths into it.
+	// m is the coordinator's registry: the engine counts there what no
+	// shard owns — walk lengths, delta-tier and compaction activity. (Id
+	// allocation is a shard's, and counted in that shard's registry.)
 	m *obs.Metrics
 
 	// cache is the materialisation cache (nil unless the delta tier is
@@ -238,9 +240,11 @@ type shardTx struct {
 	// use.
 	indexes map[string]*btree.Tree
 
-	// al caches this shard's batched id-allocator state (alloc.go),
+	// al caches this shard's batched id-allocator state (alloc.go) and
+	// alm the shard's registry, where allocations are counted; both are
 	// resolved on first allocation.
-	al *shardAlloc
+	al  *shardAlloc
+	alm *obs.Metrics
 
 	writable bool
 }
@@ -248,11 +252,8 @@ type shardTx struct {
 // NewSharded wires an engine over a shard coordinator, creating the
 // persistent structures on every shard on first use.
 func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
-	if opts.MaxChain == 0 {
-		opts.MaxChain = DefaultMaxChain
-	}
 	if opts.AnchorInterval == 0 {
-		opts.AnchorInterval = opts.MaxChain
+		opts.AnchorInterval = DefaultAnchorInterval
 	}
 	phys := c.NumShards()
 	e := &Engine{

@@ -42,7 +42,7 @@ func TestPolicyEquivalenceRandomised(t *testing.T) {
 func runPolicyEquivalence(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	eFull := newEngine(t, Options{Policy: FullCopy})
-	eDelta := newEngine(t, Options{Policy: DeltaChain, MaxChain: 4})
+	eDelta := newEngine(t, Options{Policy: DeltaChain, AnchorInterval: 4})
 	tyF := mustType(t, eFull, "X")
 	tyD := mustType(t, eDelta, "X")
 

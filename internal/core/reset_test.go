@@ -50,7 +50,7 @@ func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
 		objs[s], _ = createOn(t, e, ty, s)
 	}
 	heap := func(s int) *storage.HeapState { return e.takeHeapSpace(s) }
-	leases := func(s int) uint64 { n, _ := e.AllocShardStats(s); return n }
+	leases := func(s int) uint64 { return e.c.Shards()[s].Metrics().AllocLeases.Load() }
 	hs, ls := [3]*storage.HeapState{heap(0), heap(1), heap(2)}, [3]uint64{leases(0), leases(1), leases(2)}
 
 	// An abort that had joined shards 0 and 1.

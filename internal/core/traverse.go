@@ -102,11 +102,9 @@ func (tx *shardTx) History(o oid.OID, v oid.VID) ([]oid.VID, error) {
 		}
 		cur = rec.dprev
 	}
-	if m := tx.e.m; m != nil {
-		// Chain-walk length: versions visited per History call. Growth
-		// here is the signal that derivation chains are getting deep.
-		m.DprevWalk.Observe(uint64(len(out)))
-	}
+	// Chain-walk length: versions visited per History call. Growth here
+	// is the signal that derivation chains are getting deep.
+	tx.e.m.DprevWalkLen.Observe(uint64(len(out)))
 	return out, nil
 }
 
@@ -175,11 +173,7 @@ func (tx *shardTx) AsOfWalk(o oid.OID, s oid.Stamp) (oid.VID, bool, error) {
 		return oid.NilVID, false, err
 	}
 	visited := uint64(0)
-	defer func() {
-		if m := tx.e.m; m != nil {
-			m.TprevWalk.Observe(visited)
-		}
-	}()
+	defer func() { tx.e.m.TprevWalkLen.Observe(visited) }()
 	cur := h.latest
 	for !cur.IsNil() {
 		rec, err := tx.loadVer(o, cur)

@@ -129,7 +129,7 @@ func (tx *shardTx) Create(t oid.TypeID, content []byte) (oid.OID, oid.VID, error
 // readContent materialises the content of (o, rec) by walking the delta
 // chain down to the nearest full payload and applying the deltas back up.
 // Iterative so that long chains cannot exhaust the stack; the chain
-// length is bounded by Options.MaxChain via depth accounting anyway.
+// length is bounded by Options.AnchorInterval via depth accounting anyway.
 func (tx *shardTx) readContent(o oid.OID, rec verRec) ([]byte, error) {
 	var chain [][]byte // deltas from rec down toward the keyframe
 	cur := rec
@@ -137,9 +137,7 @@ func (tx *shardTx) readContent(o oid.OID, rec verRec) ([]byte, error) {
 	for {
 		switch cur.kind {
 		case payFull:
-			if m := tx.e.m; m != nil {
-				m.DeltaChainLen.Observe(visited)
-			}
+			tx.e.m.DeltaChainLen.Observe(visited)
 			base, err := tx.heap.Read(cur.payload)
 			if err != nil {
 				return nil, err
@@ -286,7 +284,7 @@ func (tx *shardTx) writePayload(o oid.OID, rec *verRec, content []byte) error {
 		if err != nil {
 			return err
 		}
-		if int(parent.depth)+1 <= tx.opts.MaxChain {
+		if int(parent.depth)+1 <= tx.opts.AnchorInterval {
 			base, err := tx.readContent(o, parent)
 			if err != nil {
 				return err
@@ -465,7 +463,7 @@ func (tx *shardTx) newVersionFrom(o oid.OID, h objHeader, base oid.VID) (oid.VID
 		tprev: h.latest,
 		size:  baseRec.size,
 	}
-	if tx.opts.Policy == DeltaChain && int(baseRec.depth)+1 <= tx.opts.MaxChain {
+	if tx.opts.Policy == DeltaChain && int(baseRec.depth)+1 <= tx.opts.AnchorInterval {
 		rec.kind = paySame
 		rec.depth = baseRec.depth + 1
 	} else {

@@ -1,34 +1,67 @@
-// Prometheus-style text exposition. The helpers here render one
-// metric family each; the ode package composes them into the full
-// /metrics page (and odeshell's .metrics command reuses that).
+// Prometheus-style text exposition. WriteFamily renders one metric
+// family; the ode package composes the /metrics page from its series
+// table with it (and odeshell's .metrics command reuses that).
 package obs
 
 import (
 	"fmt"
 	"io"
-	"math"
 )
 
-// WriteCounter renders one counter family in exposition format.
-func WriteCounter(w io.Writer, name, help string, v uint64) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	return err
+// Sample is one series of a family: the value of the family's label (""
+// in an unlabeled family, which has one sample) and the series' value.
+// The value's type is the family's kind: a uint64 is a counter, an int64
+// a gauge, a HistSnapshot a histogram.
+type Sample struct {
+	Label string
+	V     any
 }
 
-// WriteGauge renders one gauge family.
-func WriteGauge(w io.Writer, name, help string, v int64) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	return err
-}
-
-// WriteHistogram renders one histogram family with cumulative le
-// buckets. Trailing empty buckets are elided (the +Inf bucket always
-// closes the family), keeping the page readable without changing its
-// meaning — cumulative counts are unaffected by absent empty tails.
-func WriteHistogram(w io.Writer, name, help string, s HistSnapshot) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name); err != nil {
+// WriteFamily renders one family in exposition format: its HELP and TYPE
+// lines, then one series per sample — name{label="v"} value, or the bare
+// name when label is "". A histogram series is its cumulative le buckets
+// (the label, if any, before le), then _sum and _count; trailing empty
+// buckets are elided (the +Inf bucket always closes the series), which
+// keeps the page readable without changing its meaning. A family without
+// samples renders nothing.
+func WriteFamily(w io.Writer, name, help, label string, samples []Sample) error {
+	if len(samples) == 0 {
+		return nil
+	}
+	var kind string
+	switch samples[0].V.(type) {
+	case uint64:
+		kind = "counter"
+	case int64:
+		kind = "gauge"
+	case HistSnapshot:
+		kind = "histogram"
+	default:
+		panic(fmt.Sprintf("obs: %s: a sample is a uint64, an int64 or a HistSnapshot, not %T", name, samples[0].V))
+	}
+	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind); err != nil {
 		return err
 	}
+	for _, s := range samples {
+		var own, first string // {label="v"} on its own, label="v", ahead of le
+		if label != "" {
+			own = fmt.Sprintf("{%s=%q}", label, s.Label)
+			first = fmt.Sprintf("%s=%q,", label, s.Label)
+		}
+		var err error
+		if h, ok := s.V.(HistSnapshot); ok {
+			err = writeBuckets(w, name, own, first, h)
+		} else {
+			_, err = fmt.Fprintf(w, "%s%s %d\n", name, own, s.V)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func writeBuckets(w io.Writer, name, own, first string, s HistSnapshot) error {
 	last := -1
 	for i, n := range s.Counts {
 		if n > 0 {
@@ -38,93 +71,11 @@ func WriteHistogram(w io.Writer, name, help string, s HistSnapshot) error {
 	var cum uint64
 	for i := 0; i <= last && i < NumBuckets-1; i++ {
 		cum += s.Counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, BucketUpper(i), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"%d\"} %d\n", name, first, BucketUpper(i), cum); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, s.Sum, name, s.Count)
-	return err
-}
-
-// LabeledUint is one series of a labeled counter/gauge family.
-type LabeledUint struct {
-	Label string
-	V     uint64
-}
-
-// LabeledHist is one series of a labeled histogram family.
-type LabeledHist struct {
-	Label string
-	S     HistSnapshot
-}
-
-// WriteCounterVec renders one counter family with a series per label
-// value: name{label="v"} count.
-func WriteCounterVec(w io.Writer, name, help, label string, series []LabeledUint) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name); err != nil {
-		return err
-	}
-	for _, s := range series {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, s.Label, s.V); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteGaugeVec renders one gauge family with a series per label value.
-func WriteGaugeVec(w io.Writer, name, help, label string, series []LabeledUint) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name); err != nil {
-		return err
-	}
-	for _, s := range series {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, s.Label, s.V); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteHistogramVec renders one histogram family with a full bucket
-// ladder per label value; every series line carries the label before
-// its le bucket bound.
-func WriteHistogramVec(w io.Writer, name, help, label string, series []LabeledHist) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name); err != nil {
-		return err
-	}
-	for _, ls := range series {
-		s := ls.S
-		last := -1
-		for i, n := range s.Counts {
-			if n > 0 {
-				last = i
-			}
-		}
-		var cum uint64
-		for i := 0; i <= last && i < NumBuckets-1; i++ {
-			cum += s.Counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"%d\"} %d\n", name, label, ls.Label, BucketUpper(i), cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, ls.Label, s.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum{%s=%q} %d\n%s_count{%s=%q} %d\n", name, label, ls.Label, s.Sum, name, label, ls.Label, s.Count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteFloatGauge renders a gauge with a float value (ratios, means).
-func WriteFloatGauge(w io.Writer, name, help string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		v = 0
-	}
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+	_, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n%s_sum%s %d\n%s_count%s %d\n",
+		name, first, s.Count, name, own, s.Sum, name, own, s.Count)
 	return err
 }

@@ -1,23 +1,22 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
 
+// one is the sample list of an unlabeled family.
+func one(v any) []Sample { return []Sample{{V: v}} }
+
 func TestWriteCounterAndGauge(t *testing.T) {
 	var b strings.Builder
-	if err := WriteCounter(&b, "ode_commits_total", "Committed transactions.", 7); err != nil {
+	if err := WriteFamily(&b, "ode_commits_total", "Committed transactions.", "", one(uint64(7))); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteGauge(&b, "ode_active_readers", "In-flight readers.", -1); err != nil {
+	if err := WriteFamily(&b, "ode_active_readers", "In-flight readers.", "", one(int64(-1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFloatGauge(&b, "ode_ratio", "A ratio.", 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFloatGauge(&b, "ode_nan", "NaN clamps to 0.", math.NaN()); err != nil {
+	if err := WriteFamily(&b, "ode_nothing", "No samples, no family.", "shard", nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -26,13 +25,24 @@ func TestWriteCounterAndGauge(t *testing.T) {
 		"ode_commits_total 7",
 		"# TYPE ode_active_readers gauge",
 		"ode_active_readers -1",
-		"ode_ratio 0.5",
-		"ode_nan 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "ode_nothing") {
+		t.Fatalf("a family without samples was rendered:\n%s", out)
+	}
+}
+
+func TestWriteFamilyRejectsUnknownKind(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a float sample was rendered; the page has no float families")
+		}
+	}()
+	var b strings.Builder
+	_ = WriteFamily(&b, "ode_ratio", "A ratio.", "", one(0.5))
 }
 
 func TestWriteHistogramCumulativeBuckets(t *testing.T) {
@@ -42,7 +52,7 @@ func TestWriteHistogramCumulativeBuckets(t *testing.T) {
 	h.Observe(1)
 	h.Observe(6) // bucket 3 (le=7)
 	var b strings.Builder
-	if err := WriteHistogram(&b, "ode_commit_latency_ns", "Commit latency.", h.Snapshot()); err != nil {
+	if err := WriteFamily(&b, "ode_commit_latency_ns", "Commit latency.", "", one(h.Snapshot())); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -69,7 +79,7 @@ func TestWriteHistogramCumulativeBuckets(t *testing.T) {
 func TestWriteHistogramEmpty(t *testing.T) {
 	var h Histogram
 	var b strings.Builder
-	if err := WriteHistogram(&b, "ode_empty", "Nothing yet.", h.Snapshot()); err != nil {
+	if err := WriteFamily(&b, "ode_empty", "Nothing yet.", "", one(h.Snapshot())); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -80,13 +90,13 @@ func TestWriteHistogramEmpty(t *testing.T) {
 
 func TestWriteVecFamilies(t *testing.T) {
 	var b strings.Builder
-	err := WriteCounterVec(&b, "ode_shard_commits_total", "Commits per shard.", "shard",
-		[]LabeledUint{{Label: "0", V: 3}, {Label: "1", V: 5}})
+	err := WriteFamily(&b, "ode_shard_commits_total", "Commits per shard.", "shard",
+		[]Sample{{Label: "0", V: uint64(3)}, {Label: "1", V: uint64(5)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = WriteGaugeVec(&b, "ode_shard_wal_bytes", "WAL bytes per shard.", "shard",
-		[]LabeledUint{{Label: "0", V: 4096}})
+	err = WriteFamily(&b, "ode_shard_wal_bytes", "WAL bytes per shard.", "shard",
+		[]Sample{{Label: "0", V: int64(4096)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +104,8 @@ func TestWriteVecFamilies(t *testing.T) {
 	h.Observe(0)
 	h.Observe(6)
 	var empty Histogram
-	err = WriteHistogramVec(&b, "ode_shard_commit_ns", "Commit latency per shard.", "shard",
-		[]LabeledHist{{Label: "0", S: h.Snapshot()}, {Label: "1", S: empty.Snapshot()}})
+	err = WriteFamily(&b, "ode_shard_commit_ns", "Commit latency per shard.", "shard",
+		[]Sample{{Label: "0", V: h.Snapshot()}, {Label: "1", V: empty.Snapshot()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package obs
 import (
 	"math"
 	"math/bits"
+	"reflect"
 	"sync/atomic"
 	"time"
 )
@@ -195,85 +196,149 @@ func (s HistSnapshot) P95() uint64 { return s.Quantile(0.95) }
 // P99 returns the 99th-percentile estimate.
 func (s HistSnapshot) P99() uint64 { return s.Quantile(0.99) }
 
-// Metrics is the registry of every counter, gauge and histogram the
-// engine maintains. One instance is shared by the transaction manager,
-// the WAL, the buffer pool and the engine; a nil *Metrics disables
-// instrumentation entirely (the NoMetrics benchmark baseline).
+// Metrics is a registry: one cell for every counter, gauge and histogram
+// the engine maintains. A database has one per shard — shared by that
+// shard's transaction manager, log and buffer pool, and holding what
+// happens on that shard — and one at the coordinator, holding what
+// belongs to no shard in particular (readers, whole transactions, the
+// decision log, the engine's walks and compaction). A Manager, Log or
+// Pool used on its own has one of its own. There is always one: a
+// recording site never asks.
+//
+// A cell's field is its whole declaration. The tags give the family it
+// is exposed as (series, help) and the registries it is recorded in
+// (scope: shard, db, or both), which are the ones its total is summed
+// over; the field's name is also the name of the ode.Metrics field that
+// reports it, where there is one. Adding a series is a field here and
+// the site that records into it (DESIGN.md §11).
 type Metrics struct {
 	// Pool activity. DirtyPages is the pages modified since the last
 	// checkpoint, which the pool holds inside its capacity and cannot
-	// evict.
-	PoolHits      Counter
-	PoolMisses    Counter
-	PoolEvictions Counter
-	DirtyPages    Gauge
+	// evict; SnapshotPages the copy-on-write snapshot pages currently
+	// retained for pinned epochs.
+	PoolHits      Counter `series:"ode_pool_hits_total" scope:"shard" help:"Buffer-pool page hits."`
+	PoolMisses    Counter `series:"ode_pool_misses_total" scope:"shard" help:"Buffer-pool page misses (faulted from disk)."`
+	PoolEvictions Counter `series:"ode_pool_evictions_total" scope:"shard" help:"Clean pages evicted from the buffer pool."`
+	DirtyPages    Gauge   `series:"ode_pool_dirty_pages" scope:"shard" help:"Pages modified since the last checkpoint, held inside the pool's capacity."`
+	SnapshotPages Gauge   `series:"ode_snapshot_pages" scope:"shard" help:"Copy-on-write snapshot pages retained for pinned epochs."`
 
 	// What commits staged for the log, by page-record kind: a full image
 	// the first time a page is logged since the log was last reset, a
 	// delta after that. The bytes are the framed records as the log holds
 	// them, so (image bytes + delta bytes) ÷ user bytes is the log's write
 	// amplification, short only of the begin and commit records.
-	WALPageImages     Counter
-	WALPageImageBytes Counter
-	WALPageDeltas     Counter
-	WALPageDeltaBytes Counter
+	WALPageImages     Counter `series:"ode_wal_page_images_total" scope:"shard" help:"Pages staged for the WAL as full images (first touch since the log was reset)."`
+	WALPageImageBytes Counter `series:"ode_wal_page_image_bytes_total" scope:"shard" help:"Bytes of full-image page records staged for the WAL."`
+	WALPageDeltas     Counter `series:"ode_wal_page_deltas_total" scope:"shard" help:"Pages staged for the WAL as byte-range deltas."`
+	WALPageDeltaBytes Counter `series:"ode_wal_page_delta_bytes_total" scope:"shard" help:"Bytes of page-delta records staged for the WAL."`
+
+	// A log's own counts (wal.Log): records appended, of every kind, and
+	// the latency of each Sync that reached the device — whose count is
+	// the number of syncs. The decision log is the coordinator's: it is in
+	// the totals and in no shard's series.
+	WALAppends      Counter   `series:"ode_wal_appends_total" scope:"shard,db" help:"Records appended to the write-ahead logs (every shard's, and the decision log)."`
+	WALFsyncLatency Histogram `series:"ode_wal_fsync_latency_ns" scope:"shard,db" help:"WAL fsync latency."`
 
 	// Automatic checkpoints by the trigger that fired: the log reached
 	// CheckpointBytes, or dirty pages reached the pool's share
 	// (storage.Pool.DirtyDue). Explicit Checkpoint calls and Close count
-	// under neither.
-	CheckpointsByWALBytes   Counter
-	CheckpointsByDirtyPages Counter
+	// under neither. CheckpointDuration times every checkpoint: an
+	// automatic one on its shard, an explicit one (every shard, then the
+	// decision log) once, at the coordinator.
+	CheckpointsByWALBytes   Counter   `series:"ode_checkpoints_by_wal_bytes_total" scope:"shard" help:"Automatic checkpoints triggered by the WAL reaching CheckpointBytes."`
+	CheckpointsByDirtyPages Counter   `series:"ode_checkpoints_by_dirty_pages_total" scope:"shard" help:"Automatic checkpoints triggered by dirty pages reaching their share of the pool."`
+	CheckpointDuration      Histogram `series:"ode_checkpoint_duration_ns" scope:"shard,db" help:"Checkpoint duration (page flush + WAL reset)."`
+
+	// Commits. BatchSize is the transactions one group-commit fsync
+	// covered: a shard committer's batch, or, at the coordinator, the one
+	// cross-shard transaction a decision-record fsync commits.
+	// CommitLatency is the whole write transaction — fn, staging and the
+	// wait for the fsync — observed by whoever ran it: the coordinator,
+	// or a Manager used on its own.
+	BatchSize     Histogram `series:"ode_commit_batch_size" scope:"shard,db" help:"Transactions covered by one group-commit fsync."`
+	CommitLatency Histogram `series:"ode_commit_latency_ns" scope:"db" help:"Whole-Update commit latency (fn + staging + fsync wait)."`
 
 	// Readers: ReaderPins counts every read transaction admitted since
 	// open and ActiveReaders the ones in flight, both where the
 	// transaction begins and ends (internal/txn), whatever snapshot it
 	// shares; ReadSnapshotBuilds counts the snapshots built for them, so
 	// 1 − builds/pins is the share of reads that reused one.
-	// SnapshotPages tracks copy-on-write snapshot pages currently
-	// retained for pinned epochs.
-	ReaderPins         Counter
-	ActiveReaders      Gauge
-	ReadSnapshotBuilds Counter
-	SnapshotPages      Gauge
+	ReaderPins         Counter `series:"ode_reader_pins_total" scope:"db" help:"Views admitted since open (each holds one read snapshot for its duration)."`
+	ActiveReaders      Gauge   `series:"ode_active_readers" scope:"db" help:"Views currently in flight."`
+	ReadSnapshotBuilds Counter `series:"ode_read_snapshot_builds_total" scope:"db" help:"Read snapshots built; Views between two commits share one."`
 
 	// Tracer events dropped because the bounded queue was full (or a
 	// tracer panic was swallowed mid-delivery).
-	TracerDropped Counter
+	TracerDropped Counter `series:"ode_tracer_dropped_total" scope:"db" help:"Tracer span events dropped past the bounded queue."`
 
-	// Latency and size distributions. The *NS histograms record
-	// nanoseconds.
-	CommitLatencyNS Histogram // whole Update: fn + staging + group fsync wait
-	FsyncLatencyNS  Histogram // one WAL Sync call
-	CheckpointNS    Histogram // one checkpoint: flush + WAL reset
-	BatchSize       Histogram // transactions per group-commit fsync
-	DprevWalk       Histogram // versions visited per History call
-	TprevWalk       Histogram // versions visited per AsOfWalk call
+	// Versions visited per History and per AsOfWalk call.
+	DprevWalkLen Histogram `series:"ode_dprev_walk_len" scope:"db" help:"Versions visited per History (derived-from chain) walk."`
+	TprevWalkLen Histogram `series:"ode_tprev_walk_len" scope:"db" help:"Versions visited per AsOfWalk (temporal chain) walk."`
 
 	// Delta storage tier (DESIGN.md §14). Demotions re-encode a full
 	// payload as a delta against its D-parent; promotions insert a full
 	// anchor to bound chain depth. DeltaBytesSaved accumulates the
 	// full-minus-delta payload bytes reclaimed by demotions (gross — a
 	// later promotion re-spends the bytes but does not subtract here).
-	DeltaDemotions  Counter
-	DeltaPromotions Counter
-	DeltaBytesSaved Counter
-	DeltaChainLen   Histogram // payload links walked per materialisation
+	// DeltaChainLen is the payload links walked per materialisation.
+	DeltaDemotions  Counter   `series:"ode_delta_demotions_total" scope:"db" help:"Full payloads re-encoded as deltas against their D-parent."`
+	DeltaPromotions Counter   `series:"ode_delta_promotions_total" scope:"db" help:"Delta payloads re-anchored as full copies."`
+	DeltaBytesSaved Counter   `series:"ode_delta_bytes_saved_total" scope:"db" help:"Cumulative payload-heap bytes reclaimed by demotion."`
+	DeltaChainLen   Histogram `series:"ode_delta_chain_len" scope:"db" help:"Payload records read per delta-chain materialisation."`
 
-	// Background compactor activity: passes over a shard's object
-	// table, objects examined, and the latency of one compaction
-	// transaction.
-	CompactPasses  Counter
-	CompactObjects Counter
-	CompactNS      Histogram
+	// Compactor activity: passes over a shard's object table, objects
+	// examined, and the latency of one compaction transaction.
+	CompactPasses   Counter   `series:"ode_compact_passes_total" scope:"db" help:"Completed whole-store compaction passes."`
+	CompactObjects  Counter   `series:"ode_compact_objects_total" scope:"db" help:"Objects examined by compaction sweeps."`
+	CompactDuration Histogram `series:"ode_compact_duration_ns" scope:"db" help:"Duration of one bounded compaction transaction."`
 
 	// Batched id allocation (core/alloc.go): leases taken from the
 	// persistent counters and ids handed out from them. A healthy ratio
 	// approaches allocBatch ids per lease; a ratio near 1 means leases
 	// are being dropped (aborts) as fast as they are taken.
-	AllocLeases Counter
-	AllocIDs    Counter
+	AllocLeases Counter `series:"ode_alloc_leases_total" scope:"shard" help:"Batched id-allocator leases taken from the superblock counters."`
+	AllocIDs    Counter `series:"ode_alloc_ids_total" scope:"shard" help:"Object/version ids handed out from allocator leases."`
 }
 
 // New returns an empty Metrics registry.
 func New() *Metrics { return &Metrics{} }
+
+// Series is the declaration of one cell of Metrics, read off its field.
+type Series struct {
+	Field           string // the cell's field in Metrics
+	Name, Help      string // the family it is exposed as
+	PerShard, PerDB bool   // the registries it is recorded in: every shard's, the coordinator's
+	index           int
+}
+
+// Registry lists the cells of Metrics in field order. It is built once,
+// at start-up; recording into a cell never goes through it.
+var Registry = func() []Series {
+	t := reflect.TypeOf(Metrics{})
+	out := make([]Series, t.NumField())
+	for i := range out {
+		f := t.Field(i)
+		scope := f.Tag.Get("scope")
+		out[i] = Series{
+			Field: f.Name, Name: f.Tag.Get("series"), Help: f.Tag.Get("help"),
+			PerShard: scope == "shard" || scope == "shard,db",
+			PerDB:    scope == "db" || scope == "shard,db",
+			index:    i,
+		}
+	}
+	return out
+}()
+
+// Read returns what the cell holds in m: a Counter's count as a uint64, a
+// Gauge's level as an int64, a Histogram's snapshot.
+func (s Series) Read(m *Metrics) any {
+	switch c := reflect.ValueOf(m).Elem().Field(s.index).Addr().Interface().(type) {
+	case *Counter:
+		return c.Load()
+	case *Gauge:
+		return c.Load()
+	case *Histogram:
+		return c.Snapshot()
+	}
+	panic("obs: " + s.Field + " is not a Counter, a Gauge or a Histogram")
+}

@@ -3,7 +3,9 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -283,5 +285,52 @@ func TestNewAndMean(t *testing.T) {
 	h.Observe(4)
 	if got := h.Snapshot().Mean(); got != 3 {
 		t.Fatalf("mean: got %v, want 3", got)
+	}
+}
+
+// TestRegistryDeclaresEveryCell: a cell's field tags are its whole
+// declaration, so every field of Metrics carries all three, well-formed,
+// and Read knows its type.
+func TestRegistryDeclaresEveryCell(t *testing.T) {
+	if len(Registry) != reflect.TypeOf(Metrics{}).NumField() {
+		t.Fatalf("Registry lists %d cells of %d", len(Registry), reflect.TypeOf(Metrics{}).NumField())
+	}
+	m := New()
+	names := map[string]bool{}
+	for _, s := range Registry {
+		if !strings.HasPrefix(s.Name, "ode_") || names[s.Name] {
+			t.Errorf("%s: series %q is not a unique ode_ name", s.Field, s.Name)
+		}
+		names[s.Name] = true
+		if s.Help == "" {
+			t.Errorf("%s: no help text", s.Field)
+		}
+		if !s.PerShard && !s.PerDB {
+			t.Errorf(`%s: scope is "shard", "db" or "shard,db"`, s.Field)
+		}
+		switch v := s.Read(m).(type) {
+		case uint64, int64, HistSnapshot:
+		default:
+			t.Errorf("%s reads as a %T", s.Field, v)
+		}
+	}
+	m.PoolHits.Add(3)
+	m.ActiveReaders.Dec()
+	m.BatchSize.Observe(7)
+	for _, s := range Registry {
+		switch v := s.Read(m).(type) {
+		case uint64:
+			if want := map[string]uint64{"PoolHits": 3}[s.Field]; v != want {
+				t.Errorf("%s reads %d, want %d", s.Field, v, want)
+			}
+		case int64:
+			if want := map[string]int64{"ActiveReaders": -1}[s.Field]; v != want {
+				t.Errorf("%s reads %d, want %d", s.Field, v, want)
+			}
+		case HistSnapshot:
+			if want := map[string]uint64{"BatchSize": 7}[s.Field]; v.Sum != want {
+				t.Errorf("%s sums to %d, want %d", s.Field, v.Sum, want)
+			}
+		}
 	}
 }

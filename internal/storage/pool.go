@@ -83,25 +83,27 @@ type Pool struct {
 	snaps     map[oid.PageID][]snap
 	reclaimed uint64
 
-	// stats
-	hits, misses, evictions uint64
-
-	// m, when set, mirrors pool activity into the shared observability
-	// registry (hit/miss/eviction counters, snapshot retention; readers
-	// are counted where they are admitted, in internal/txn). Nil — the
-	// NoMetrics baseline — records nothing.
+	// m is the registry pool activity is counted in — hits, misses,
+	// evictions, dirty pages, snapshot retention — and the only place it
+	// is: the pool's own until a manager hands it its shard's (SetMetrics).
+	// Readers are counted where they are admitted, in internal/txn.
 	m *obs.Metrics
 }
 
-// SetMetrics wires the observability registry in; the manager calls it
-// once at open, before the pool is shared.
+// SetMetrics moves the pool onto its shard's registry; the manager calls
+// it once at open, before the pool is shared.
 func (pl *Pool) SetMetrics(m *obs.Metrics) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.m = m
-	if m != nil {
-		m.DirtyPages.Add(int64(pl.nDirty))
-	}
+	m.DirtyPages.Add(int64(pl.nDirty))
+}
+
+// Metrics returns the registry the pool counts in.
+func (pl *Pool) Metrics() *obs.Metrics {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return pl.m
 }
 
 // NewPool creates a pool over file with room for capacity pages, clean
@@ -117,14 +119,8 @@ func NewPool(file *File, capacity int) *Pool {
 		capacity: capacity,
 		pins:     make(map[uint64]int),
 		snaps:    make(map[oid.PageID][]snap),
+		m:        obs.New(),
 	}
-}
-
-// Stats returns cache hit/miss/eviction counters.
-func (pl *Pool) Stats() (hits, misses, evictions uint64) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.hits, pl.misses, pl.evictions
 }
 
 // Resident returns the number of cached pages and how many are dirty.
@@ -268,7 +264,7 @@ func (pl *Pool) reclaimLocked() {
 		}
 		dropped += i
 	}
-	if pl.m != nil && dropped > 0 {
+	if dropped > 0 {
 		pl.m.SnapshotPages.Add(int64(-dropped))
 	}
 }
@@ -284,9 +280,7 @@ func (pl *Pool) publishLocked(p *Page) {
 	}
 	p.lruElem = nil
 	pl.snaps[p.ID] = append(ss, snap{epoch: pl.epoch, pg: p})
-	if pl.m != nil {
-		pl.m.SnapshotPages.Inc()
-	}
+	pl.m.SnapshotPages.Inc()
 }
 
 // COW performs the copy-on-write swap for a writer's first mutation of
@@ -343,17 +337,11 @@ func (pl *Pool) Get(id oid.PageID) (*Page, error) {
 
 func (pl *Pool) getLocked(id oid.PageID) (*Page, error) {
 	if p, ok := pl.pages[id]; ok {
-		pl.hits++
-		if pl.m != nil {
-			pl.m.PoolHits.Inc()
-		}
+		pl.m.PoolHits.Inc()
 		pl.touch(p)
 		return p, nil
 	}
-	pl.misses++
-	if pl.m != nil {
-		pl.m.PoolMisses.Inc()
-	}
+	pl.m.PoolMisses.Inc()
 	buf := make([]byte, pl.file.PageSize())
 	if err := pl.file.ReadPage(id, buf); err != nil {
 		return nil, err
@@ -566,9 +554,7 @@ func (pl *Pool) touch(p *Page) {
 // addDirty moves the dirty-page count, and its gauge, by n.
 func (pl *Pool) addDirty(n int) {
 	pl.nDirty += n
-	if pl.m != nil {
-		pl.m.DirtyPages.Add(int64(n))
-	}
+	pl.m.DirtyPages.Add(int64(n))
 }
 
 // DirtyDue reports whether dirty pages have reached their share of the
@@ -591,9 +577,6 @@ func (pl *Pool) evictOverflow() {
 		victim := pl.cleanLRU.Remove(back).(*Page)
 		victim.lruElem = nil
 		delete(pl.pages, victim.ID)
-		pl.evictions++
-		if pl.m != nil {
-			pl.m.PoolEvictions.Inc()
-		}
+		pl.m.PoolEvictions.Inc()
 	}
 }

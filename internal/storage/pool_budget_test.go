@@ -78,12 +78,12 @@ func TestPoolBudgetCountsDirtyPages(t *testing.T) {
 		}
 	}
 	// An allocation is a dirty page too: it evicts a clean one.
-	_, _, ev0 := pl.Stats()
+	_, _, ev0 := poolCounts(pl)
 	if _, err := v.Allocate(PageSlotted); err != nil {
 		t.Fatal(err)
 	}
 	total, dirty := pl.Resident()
-	_, _, ev1 := pl.Stats()
+	_, _, ev1 := poolCounts(pl)
 	// The allocation dirtied the superblock as well (nPages). Clean, it
 	// sat pinned outside the LRU and outside the budget; dirty, it counts
 	// like any dirty page — so the clean LRU gave up two pages for one

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"ode/internal/faultfs"
+	"ode/internal/obs"
 	"ode/internal/oid"
 )
 
@@ -68,7 +69,7 @@ func TestPoolReadFaultDoesNotPoisonCache(t *testing.T) {
 	defer st.CloseNoFlush()
 	pl := st.Pool()
 
-	h0, m0, e0 := pl.Stats()
+	h0, m0, e0 := poolCounts(pl)
 	res0, dirty0 := pl.Resident()
 
 	target := rids[2].Page
@@ -77,7 +78,7 @@ func TestPoolReadFaultDoesNotPoisonCache(t *testing.T) {
 	}
 
 	// The failed read must count as a miss, nothing else.
-	h1, m1, e1 := pl.Stats()
+	h1, m1, e1 := poolCounts(pl)
 	if h1 != h0 || m1 != m0+1 || e1 != e0 {
 		t.Fatalf("stats after fault: hits %d→%d misses %d→%d evict %d→%d",
 			h0, h1, m0, m1, e0, e1)
@@ -96,7 +97,7 @@ func TestPoolReadFaultDoesNotPoisonCache(t *testing.T) {
 	if p.ID != target {
 		t.Fatalf("retry returned page %d, want %d", p.ID, target)
 	}
-	h2, m2, _ := pl.Stats()
+	h2, m2, _ := poolCounts(pl)
 	if h2 != h1 || m2 != m1+1 {
 		t.Fatalf("retry stats: hits %d→%d misses %d→%d", h1, h2, m1, m2)
 	}
@@ -113,7 +114,7 @@ func TestPoolReadFaultDoesNotPoisonCache(t *testing.T) {
 	if _, err := pl.Get(target); err != nil {
 		t.Fatal(err)
 	}
-	h3, m3, _ := pl.Stats()
+	h3, m3, _ := poolCounts(pl)
 	if h3 <= h2 || m3 != m2 {
 		t.Fatalf("hit stats: hits %d→%d misses %d→%d", h2, h3, m2, m3)
 	}
@@ -169,4 +170,42 @@ func TestPoolReadFaultSweep(t *testing.T) {
 		st.CloseNoFlush()
 	}
 	t.Logf("pool read-fault sweep: %d read injection points", total)
+}
+
+// poolCounts reads the pool's hit, miss and eviction counters out of the
+// registry it counts in.
+func poolCounts(pl *Pool) (hits, misses, evictions uint64) {
+	m := pl.Metrics()
+	return m.PoolHits.Load(), m.PoolMisses.Load(), m.PoolEvictions.Load()
+}
+
+// TestPoolCountsInItsOwnRegistry: a pool nobody handed a registry has
+// one, and moving it onto its shard's carries the dirty-page gauge over
+// and leaves the counts behind.
+func TestPoolCountsInItsOwnRegistry(t *testing.T) {
+	f, err := OpenFile(faultfs.NewMem(), "/own.ode", 4096, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pl := NewPool(f, 8)
+	pl.Install(1, make([]byte, 4096))
+	if _, err := pl.Get(1); err != nil {
+		t.Fatal(err)
+	}
+	own := pl.Metrics()
+	if h, d := own.PoolHits.Load(), own.DirtyPages.Load(); h != 1 || d != 1 {
+		t.Fatalf("own registry: %d hits, %d dirty pages, want 1 and 1", h, d)
+	}
+	shard := obs.New()
+	pl.SetMetrics(shard)
+	if _, err := pl.Get(1); err != nil {
+		t.Fatal(err)
+	}
+	if h, d := shard.PoolHits.Load(), shard.DirtyPages.Load(); h != 1 || d != 1 {
+		t.Fatalf("shard registry: %d hits, %d dirty pages, want 1 and 1", h, d)
+	}
+	if h := own.PoolHits.Load(); h != 1 {
+		t.Fatalf("the registry the pool left counted on: %d hits", h)
+	}
 }

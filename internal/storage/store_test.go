@@ -176,7 +176,7 @@ func TestPoolEviction(t *testing.T) {
 			t.Fatalf("page %v content lost: %v", id, err)
 		}
 	}
-	_, _, ev := st.Pool().Stats()
+	_, _, ev := poolCounts(st.Pool())
 	if ev == 0 {
 		t.Fatal("expected evictions")
 	}

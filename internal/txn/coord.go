@@ -534,15 +534,9 @@ func newShardedCoordinator(dir string, opts Options, legacy0 bool) *Coordinator 
 		legacy0:  legacy0,
 		grouped:  opts.grouped(),
 		readOnly: opts.Storage.ReadOnly,
+		cm:       obs.New(),
 	}
-	if !opts.NoMetrics {
-		c.cm = obs.New()
-	}
-	var dropped *obs.Counter
-	if c.cm != nil {
-		dropped = &c.cm.TracerDropped
-	}
-	c.sink = obs.NewSink(opts.Tracer, opts.TracerBuffer, dropped)
+	c.sink = obs.NewSink(opts.Tracer, obs.DefaultTracerBuffer, &c.cm.TracerDropped)
 	return c
 }
 
@@ -768,9 +762,7 @@ func openSharded(fsys faultfs.FS, dir string, opts Options, sharded, legacy0 boo
 }
 
 func (c *Coordinator) attachClog(clog *wal.Log) {
-	if c.cm != nil {
-		clog.SetMetrics(c.cm)
-	}
+	clog.SetMetrics(c.cm)
 	c.clog = clog
 	c.clogBytes.Store(clog.Size())
 }
@@ -814,10 +806,9 @@ func (c *Coordinator) DataFiles() []string {
 	return files
 }
 
-// Metrics returns the coordinator-level registry; nil under NoMetrics.
+// Metrics returns the coordinator's registry: what belongs to the
+// database and to no shard in particular.
 func (c *Coordinator) Metrics() *obs.Metrics { return c.cm }
-
-func (c *Coordinator) timed() bool { return c.cm != nil || c.sink != nil }
 
 func (c *Coordinator) addCommitsBatches(commits, batches uint64) {
 	c.statsMu.Lock()
@@ -829,13 +820,8 @@ func (c *Coordinator) addCommitsBatches(commits, batches uint64) {
 }
 
 func (c *Coordinator) observeCommit(span uint64, start time.Time) {
-	if start.IsZero() {
-		return
-	}
 	d := time.Since(start)
-	if c.cm != nil {
-		c.cm.CommitLatencyNS.ObserveDuration(d)
-	}
+	c.cm.CommitLatency.ObserveDuration(d)
 	c.sink.Emit(obs.SpanEvent{Kind: obs.SpanPublish, Tx: span, Dur: d})
 }
 
@@ -1049,10 +1035,7 @@ func (c *Coordinator) Write(fn func(*WriteTx) error) error {
 	if c.readOnly {
 		return ErrReadOnly
 	}
-	var start time.Time
-	if c.timed() {
-		start = time.Now()
-	}
+	start := time.Now()
 	span := c.ctxSeq.Add(1)
 	c.sink.Emit(obs.SpanEvent{Kind: obs.SpanBegin, Tx: span})
 	all, restarted := false, false
@@ -1320,17 +1303,32 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 		c.noReset = true
 	}
 	c.cmu.Unlock()
+	// Each participant is at a commit boundary like any other: no committer
+	// batch ended with this commit and no inline tail ran for it, so the
+	// checkpoint it may have made due is looked for here, under the mutexes
+	// still held. (Not after a failed decide: that shard is poisoned, and
+	// the others' turn comes with their next commit.)
+	var ckptErr error
+	for _, s := range dirty {
+		if decErr != nil {
+			break
+		}
+		if err := wtx.rt.ms[s].checkpointIfDue(); err != nil && ckptErr == nil {
+			ckptErr = err
+		}
+	}
 	wtx.release()
 	var batches uint64
 	if c.grouped {
 		batches = 1
-		if c.cm != nil {
-			c.cm.BatchSize.Observe(1)
-		}
+		c.cm.BatchSize.Observe(1)
 	}
 	c.addCommitsBatches(1, batches)
 	if decErr != nil {
 		return fmt.Errorf("txn: %w", decErr)
+	}
+	if ckptErr != nil {
+		return fmt.Errorf("txn: commit: %w", ckptErr)
 	}
 	c.observeCommit(span, start)
 	return nil
@@ -1364,10 +1362,7 @@ func (c *Coordinator) Checkpoint() error {
 	if c.readOnly {
 		return ErrReadOnly
 	}
-	var start time.Time
-	if c.timed() {
-		start = time.Now()
-	}
+	start := time.Now()
 	for i, m := range c.ms() {
 		if err := m.checkpoint(true); err != nil {
 			return fmt.Errorf("txn: checkpoint shard %d: %w", i, err)
@@ -1421,10 +1416,7 @@ func (c *Coordinator) CheckpointExclusive(fn func() error) error {
 			ms[i].unlockWriter()
 		}
 	}()
-	var start time.Time
-	if c.timed() {
-		start = time.Now()
-	}
+	start := time.Now()
 	for i, m := range ms {
 		// Quiet: the coordinator counts the checkpoint once at its level.
 		if err := m.checkpointLocked(true); err != nil {
@@ -1440,7 +1432,7 @@ func (c *Coordinator) CheckpointExclusive(fn func() error) error {
 // checkpointed finishes a checkpoint once every shard WAL is empty:
 // fold the shard map, reset the decision log — skipped while a poisoned
 // shard still needs the log for its recovery — and account for the
-// checkpoint. start is the zero time when untimed.
+// checkpoint.
 func (c *Coordinator) checkpointed(start time.Time) error {
 	c.cmu.Lock()
 	if c.cioErr == nil && !c.noReset {
@@ -1457,13 +1449,9 @@ func (c *Coordinator) checkpointed(start time.Time) error {
 	}
 	c.cmu.Unlock()
 	c.checkpoints.Add(1)
-	if !start.IsZero() {
-		d := time.Since(start)
-		if c.cm != nil {
-			c.cm.CheckpointNS.ObserveDuration(d)
-		}
-		c.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
-	}
+	d := time.Since(start)
+	c.cm.CheckpointDuration.ObserveDuration(d)
+	c.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
 	return nil
 }
 

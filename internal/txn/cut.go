@@ -114,9 +114,7 @@ func (c *Coordinator) currentCut() (*cut, error) {
 		if old != nil {
 			old.release()
 		}
-		if c.cm != nil {
-			c.cm.ReadSnapshotBuilds.Inc()
-		}
+		c.cm.ReadSnapshotBuilds.Inc()
 		if c.gen.Load() != g {
 			// A publisher that bumped the generation before the swap above
 			// may have looked for a cut to retire before there was one. Its
@@ -187,19 +185,15 @@ func (c *Coordinator) BeginReadTx() (*ReadTx, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.cm != nil {
-		c.cm.ReaderPins.Inc()
-		c.cm.ActiveReaders.Inc()
-	}
+	c.cm.ReaderPins.Inc()
+	c.cm.ActiveReaders.Inc()
 	return &ReadTx{ct: ct}, nil
 }
 
 // EndReadTx ends the transaction's views and gives its reference back.
 func (c *Coordinator) EndReadTx(r *ReadTx) {
 	r.ended.Store(true)
-	if c.cm != nil {
-		c.cm.ActiveReaders.Dec()
-	}
+	c.cm.ActiveReaders.Dec()
 	r.ct.release()
 }
 

@@ -55,7 +55,7 @@ type commitReq struct {
 	tr    *tracker    // for rollback if the commit fails
 	fr    *wal.Frames // staged Begin/PageImage/Commit-or-Prepare run
 	epoch uint64      // prepared epoch assigned at the commit point
-	start time.Time   // the writer's clock, for an abort span; zero untimed
+	start time.Time   // the writer's clock, for an abort span
 	done  chan error  // buffered(1); nil = durable
 	// prepare marks a 2PC participant: its frames end in a prepare
 	// record, not a commit. The coordinator holds the shard's writer
@@ -237,10 +237,7 @@ func (gc *groupCommitter) run() {
 // Close also touch the log); the writer mutex is NOT held, which is the
 // entire point — writers prepare the next batch meanwhile.
 func (m *Manager) publishBatch(batch []*commitReq) {
-	var flushStart time.Time
-	if m.timed() {
-		flushStart = time.Now()
-	}
+	flushStart := time.Now()
 	m.logMu.Lock()
 	startLSN := m.log.End()
 	var err error
@@ -271,18 +268,14 @@ func (m *Manager) publishBatch(batch []*commitReq) {
 	if batch[len(batch)-1].prepare {
 		normals = batch[:len(batch)-1]
 	}
-	if m.m != nil && len(normals) > 0 {
-		m.m.BatchSize.Observe(uint64(len(normals)))
-	}
-	if m.sink != nil && len(normals) > 0 {
-		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanFsync, Batch: len(normals), Dur: time.Since(flushStart)})
-	}
 	// Durable. Advance the readers' epoch to the newest committed member
 	// before acking anyone: a writer whose Write returned nil is
 	// entitled to have the next reader see its transaction. A prepare is
 	// durable but not committed — its epoch only becomes visible when
 	// the coordinator decides.
 	if len(normals) > 0 {
+		m.m.BatchSize.Observe(uint64(len(normals)))
+		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanFsync, Batch: len(normals), Dur: time.Since(flushStart)})
 		m.publish(normals[len(normals)-1].epoch)
 		m.addCommitsBatches(uint64(len(normals)), 1)
 	}

@@ -134,12 +134,10 @@ func (m *Manager) stage(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (
 		images++
 		imageBytes += uint64(fr.Len() - mark)
 	}
-	if m.m != nil {
-		m.m.WALPageImages.Add(images)
-		m.m.WALPageImageBytes.Add(imageBytes)
-		m.m.WALPageDeltas.Add(deltas)
-		m.m.WALPageDeltaBytes.Add(deltaBytes)
-	}
+	m.m.WALPageImages.Add(images)
+	m.m.WALPageImageBytes.Add(imageBytes)
+	m.m.WALPageDeltas.Add(deltas)
+	m.m.WALPageDeltaBytes.Add(deltaBytes)
 	if prepare {
 		fr.Prepare(txid, gtid)
 	} else {
@@ -154,7 +152,7 @@ func (m *Manager) stage(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (
 // until the transaction is published — and hands the staged run to the
 // log. Caller holds the writer mutex, which is what makes log order
 // submit order, and must await the request. start is the writer's
-// clock (zero when untimed), kept for the abort span of a failure.
+// clock, kept for the abort span of a failure.
 //
 // The one branch is on what the shard has. With a group committer the
 // request is queued and the committer splices, fsyncs and acknowledges
@@ -191,17 +189,32 @@ func (m *Manager) submit(req *commitReq, start time.Time) {
 		// publish yet.)
 		m.publish(req.epoch)
 		m.addCommitsBatches(1, 0)
-		if cerr := m.maybeCheckpoint(); cerr != nil {
-			// The commit stands — its records are in the WAL, its effects
-			// published — but the page file and WAL may now disagree with
-			// the pool's clean/dirty bookkeeping, which only recovery
-			// reconciles. Disable further writes and say so; rolling back
-			// would contradict the log.
-			m.poison(cerr)
-			err = fmt.Errorf("post-commit checkpoint (commit IS durable): %w", cerr)
-		}
+		err = m.checkpointIfDue()
 	}
 	req.done <- err
+}
+
+// checkpointIfDue is the automatic-checkpoint check of a commit the
+// writer itself made durable and published: the inline tail of submit,
+// and a 2PC participant once it is decided (commit2PC) — the commits no
+// committer batch ends. Caller holds the writer mutex. With a group
+// committer the checkpointer goroutine is nudged and runs once the mutex
+// is free; without one the checkpoint runs here. If that fails the commit
+// stands — its records are in the WAL, its effects published — but the
+// page file and WAL may now disagree with the pool's clean/dirty
+// bookkeeping, which only recovery reconciles: the shard is disabled for
+// further writes and the error says so; rolling back would contradict the
+// log.
+func (m *Manager) checkpointIfDue() error {
+	if m.gc != nil {
+		m.maybeKickCheckpoint(m.walBytes.Load())
+		return nil
+	}
+	if err := m.maybeCheckpoint(); err != nil {
+		m.poison(err)
+		return fmt.Errorf("post-commit checkpoint (commit IS durable): %w", err)
+	}
+	return nil
 }
 
 // undo rolls a failed request's transaction back in memory. Caller
@@ -215,11 +228,7 @@ func (m *Manager) undo(r *commitReq, cause error) {
 	}
 	m.rollback(r.tr)
 	if m.sink != nil {
-		ev := obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(r.txid), Err: cause.Error()}
-		if !r.start.IsZero() {
-			ev.Dur = time.Since(r.start)
-		}
-		m.sink.Emit(ev)
+		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: uint64(r.txid), Dur: time.Since(r.start), Err: cause.Error()})
 	}
 }
 
@@ -257,27 +266,20 @@ func (r *commitReq) recycle() {
 // pipeline activity and the mutex blocks new entrants), so touching the
 // log under logMu is safe. Visibility is the caller's job
 // (publishJoined): the record-write with its fsync is kept out of the
-// coordinator's publication lock so readers never wait on it.
+// coordinator's publication lock so readers never wait on it. So is the
+// checkpoint the commit may make due (checkpointIfDue, once published).
 func (m *Manager) decideJoinedLog(txid oid.TxID) error {
 	m.logMu.Lock()
 	var err error
 	if _, err = m.log.AppendCommit(txid); err == nil && !m.opts.NoSync {
 		err = m.log.Sync()
 	}
-	size := m.log.Size()
-	m.walBytes.Store(size)
+	m.walBytes.Store(m.log.Size())
 	m.logMu.Unlock()
 	if err != nil {
 		m.poison(fmt.Errorf("2pc decide (decision is durable in the coordinator log): %w", err))
-		return err
 	}
-	if m.gc != nil {
-		// The kick is just a non-blocking channel send; the checkpointer
-		// cannot run until the coordinator releases this shard's mutex,
-		// by which point the epoch is published.
-		m.maybeKickCheckpoint(size)
-	}
-	return nil
+	return err
 }
 
 // publishJoined makes a decided 2PC participant visible to this shard's

@@ -85,20 +85,12 @@ type Options struct {
 	// real OS. The crash-consistency matrix installs a fault-injecting
 	// implementation (internal/faultfs) here.
 	FS faultfs.FS
-	// NoMetrics disables the observability registry entirely: no
-	// counters, no histograms, no timestamps on the commit path. It
-	// exists for the overhead benchmark (E13), which compares the
-	// instrumented default against this uninstrumented baseline.
-	NoMetrics bool
 	// Tracer, when set, receives structured span events for every
 	// write transaction (begin/prepare/fsync/publish/abort) and
-	// checkpoint. Delivery is decoupled through a bounded queue; see
-	// obs.Sink.
+	// checkpoint. Delivery is decoupled through a queue of
+	// obs.DefaultTracerBuffer events; ones past the bound are dropped (and
+	// counted) rather than ever blocking a commit. See obs.Sink.
 	Tracer obs.Tracer
-	// TracerBuffer bounds the tracer event queue; 0 means
-	// obs.DefaultTracerBuffer. Events past the bound are dropped (and
-	// counted) rather than ever blocking a commit.
-	TracerBuffer int
 	// Shards is consumed by OpenCoordinator: the number of independent
 	// storage shards (heap + pool + WAL + commit pipeline each) a new
 	// database is created with. 0 means GOMAXPROCS for a fresh directory
@@ -232,11 +224,11 @@ type Manager struct {
 	statsMu  sync.Mutex
 	statsSeq atomic.Uint64
 
-	// m is the observability registry shared with the pool, the WAL
-	// and the engine; nil when Options.NoMetrics (the benchmark
-	// baseline). sink delivers tracer spans; nil without a tracer. A
-	// coordinated shard shares the coordinator's sink and must not
-	// close it (ownSink).
+	// m is this shard's registry, shared with its pool and its log (and,
+	// for id allocation, the engine): what happens on the shard is counted
+	// there, once. sink delivers tracer spans; nil without a tracer. A
+	// coordinated shard shares the coordinator's sink and must not close
+	// it (ownSink).
 	m       *obs.Metrics
 	sink    *obs.Sink
 	ownSink bool
@@ -337,36 +329,25 @@ func Create(dir string, opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// initObs builds the metrics registry (unless NoMetrics) and the
-// tracer sink (when a tracer is configured), wiring the registry into
-// the pool and the WAL before either is shared across goroutines.
+// initObs builds the shard's registry and the tracer sink (when a tracer
+// is configured), moving the pool and the log onto the registry before
+// either is shared across goroutines.
 func (m *Manager) initObs() {
-	if !m.opts.NoMetrics {
-		m.m = obs.New()
-		m.st.Pool().SetMetrics(m.m)
-		m.log.SetMetrics(m.m)
-	}
+	m.m = obs.New()
+	m.st.Pool().SetMetrics(m.m)
+	m.log.SetMetrics(m.m)
 	if m.opts.coordinated {
 		// Coordinated shard: spans flow through the coordinator's shared
 		// sink (which also owns the dropped counter); never close it here.
 		m.sink = m.opts.sink
 		return
 	}
-	var dropped *obs.Counter
-	if m.m != nil {
-		dropped = &m.m.TracerDropped
-	}
-	m.sink = obs.NewSink(m.opts.Tracer, m.opts.TracerBuffer, dropped)
+	m.sink = obs.NewSink(m.opts.Tracer, obs.DefaultTracerBuffer, &m.m.TracerDropped)
 	m.ownSink = true
 }
 
-// Metrics returns the observability registry; nil under NoMetrics.
+// Metrics returns the shard's registry.
 func (m *Manager) Metrics() *obs.Metrics { return m.m }
-
-// timed reports whether the commit path needs timestamps (either the
-// registry or a tracer consumes them). False — the NoMetrics, no-
-// tracer baseline — keeps even the time.Now calls off the hot path.
-func (m *Manager) timed() bool { return m.m != nil || m.sink != nil }
 
 // addCommitsBatches publishes a commits/batches delta under the stats
 // seqlock. Readers (Stats) retry while statsSeq is odd or changed, so
@@ -668,11 +649,9 @@ func (m *Manager) Read(fn func(*storage.TxView) error) error {
 	if err != nil {
 		return err
 	}
-	if m.m != nil {
-		m.m.ReaderPins.Inc()
-		m.m.ActiveReaders.Inc()
-		defer m.m.ActiveReaders.Dec()
-	}
+	m.m.ReaderPins.Inc()
+	m.m.ActiveReaders.Inc()
+	defer m.m.ActiveReaders.Dec()
 	defer m.EndRead(v)
 	return fn(v)
 }
@@ -698,10 +677,7 @@ func (m *Manager) isClosed() bool {
 // accounts for them at its own level; this entry point serves a Manager
 // used on its own.
 func (m *Manager) Write(fn func(*storage.TxView) error) error {
-	var start time.Time
-	if m.timed() {
-		start = time.Now()
-	}
+	start := time.Now()
 	req, err := m.writeLocked(fn, start)
 	if err != nil {
 		return err
@@ -766,15 +742,10 @@ func (m *Manager) writeLocked(fn func(*storage.TxView) error, start time.Time) (
 }
 
 // observeCommit records a successful commit's whole-Update latency and
-// emits its publish span. start is the zero time when untimed.
+// emits its publish span.
 func (m *Manager) observeCommit(txid uint64, start time.Time) {
-	if start.IsZero() {
-		return
-	}
 	d := time.Since(start)
-	if m.m != nil {
-		m.m.CommitLatencyNS.ObserveDuration(d)
-	}
+	m.m.CommitLatency.ObserveDuration(d)
 	m.sink.Emit(obs.SpanEvent{Kind: obs.SpanPublish, Tx: txid, Dur: d})
 }
 
@@ -868,11 +839,9 @@ func (m *Manager) checkpointDue(walSize int64) (due, byDirty bool) {
 
 // countTrigger records which trigger an automatic checkpoint fired on.
 func (m *Manager) countTrigger(byDirty bool) {
-	switch {
-	case m.m == nil:
-	case byDirty:
+	if byDirty {
 		m.m.CheckpointsByDirtyPages.Inc()
-	default:
+	} else {
 		m.m.CheckpointsByWALBytes.Inc()
 	}
 }
@@ -916,10 +885,7 @@ func (m *Manager) checkpointLocked(quiet bool) error {
 	if m.ioErr != nil {
 		return fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
 	}
-	var start time.Time
-	if m.timed() && !quiet {
-		start = time.Now()
-	}
+	start := time.Now()
 	// Order matters: the WAL may only be reset after every page it
 	// covers is durably in the page file. A failure anywhere leaves the
 	// WAL intact, so recovery can redo the work — but it also poisons
@@ -947,12 +913,8 @@ func (m *Manager) checkpointLocked(quiet bool) error {
 	}
 	if !quiet {
 		m.checkpoints.Add(1)
-	}
-	if !start.IsZero() {
 		d := time.Since(start)
-		if m.m != nil {
-			m.m.CheckpointNS.ObserveDuration(d)
-		}
+		m.m.CheckpointDuration.ObserveDuration(d)
 		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
 	}
 	return nil

@@ -96,21 +96,22 @@ type Log struct {
 	// stable storage" may ask without knowing who synced last.
 	unsynced bool
 
-	appends uint64
-	syncs   uint64
-
 	// one stages the single records appendOne logs. Appends already
 	// serialize on the bufio writer, so one buffer per log is safe.
 	one Frames
 
-	// m, when set, receives the fsync-latency distribution. Nil (the
-	// default, and the NoMetrics baseline) records nothing.
+	// m is the registry the log counts in: records appended, and the
+	// latency of every Sync that reached the device (whose count is the
+	// number of syncs). The log's own until its owner hands it another.
 	m *obs.Metrics
 }
 
-// SetMetrics wires the observability registry in. Call before the log
-// is shared across goroutines (the manager does so at open).
+// SetMetrics moves the log onto its owner's registry. Call before the
+// log is shared across goroutines (the manager does so at open).
 func (l *Log) SetMetrics(m *obs.Metrics) { l.m = m }
+
+// Metrics returns the registry the log counts in.
+func (l *Log) Metrics() *obs.Metrics { return l.m }
 
 // Open opens or creates the log at path on the real OS filesystem.
 func Open(path string) (*Log, error) { return OpenFS(faultfs.OS, path) }
@@ -132,7 +133,7 @@ func OpenFS(fsys faultfs.FS, path string) (*Log, error) {
 		return nil, err
 	}
 	sw := &seqWriter{f: f}
-	l := &Log{f: f, sw: sw, w: bufio.NewWriterSize(sw, 1<<16), path: path}
+	l := &Log{f: f, sw: sw, w: bufio.NewWriterSize(sw, 1<<16), path: path, m: obs.New()}
 	if size < headerSize {
 		// Fresh (or hopelessly torn) log: write a new header.
 		if err := f.Truncate(0); err != nil {
@@ -229,9 +230,6 @@ func (l *Log) End() oid.LSN { return l.end }
 
 // Size returns the current log size in bytes.
 func (l *Log) Size() int64 { return int64(l.end) }
-
-// Stats returns append and sync counters.
-func (l *Log) Stats() (appends, syncs uint64) { return l.appends, l.syncs }
 
 // Frames is a staged run of records, framed byte-for-byte as the log
 // file holds them but kept in memory: the only record encoder. The
@@ -416,7 +414,7 @@ func (l *Log) AppendFrames(fr *Frames) (oid.LSN, error) {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.end += oid.LSN(len(fr.buf))
-	l.appends += fr.recs
+	l.m.WALAppends.Add(fr.recs)
 	l.unsynced = true
 	return lsn, nil
 }
@@ -452,21 +450,15 @@ func (l *Log) Sync() error {
 	if !l.unsynced {
 		return nil
 	}
-	var start time.Time
-	if l.m != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	l.syncs++
 	l.unsynced = false
-	if l.m != nil {
-		l.m.FsyncLatencyNS.ObserveDuration(time.Since(start))
-	}
+	l.m.WALFsyncLatency.ObserveDuration(time.Since(start))
 	return nil
 }
 

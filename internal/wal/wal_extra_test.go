@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"ode/internal/faultfs"
+	"ode/internal/obs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -83,15 +84,30 @@ func TestScanCallbackErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestStatsCounters(t *testing.T) {
+// TestLogCountsInItsOwnRegistry: a log nobody handed a registry (the
+// benchmark's probes open one with Open) has one, and records and syncs
+// are counted there — then in whichever registry its owner moves it to.
+func TestLogCountsInItsOwnRegistry(t *testing.T) {
 	l, _ := tempLog(t)
 	stage(t, l, func(fr *Frames) { fr.Begin(1); fr.Commit(1) })
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	appends, syncs := l.Stats()
-	if appends != 2 || syncs != 1 {
-		t.Fatalf("stats = %d appends, %d syncs", appends, syncs)
+	own := l.Metrics()
+	if appends, syncs := own.WALAppends.Load(), own.WALFsyncLatency.Snapshot().Count; appends != 2 || syncs != 1 {
+		t.Fatalf("own registry: %d appends, %d syncs, want 2 and 1", appends, syncs)
+	}
+	shard := obs.New()
+	l.SetMetrics(shard)
+	stage(t, l, func(fr *Frames) { fr.Begin(2) })
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if appends, syncs := shard.WALAppends.Load(), shard.WALFsyncLatency.Snapshot().Count; appends != 1 || syncs != 1 {
+		t.Fatalf("shard registry: %d appends, %d syncs, want 1 and 1", appends, syncs)
+	}
+	if appends := own.WALAppends.Load(); appends != 2 {
+		t.Fatalf("the registry the log left counted on: %d appends", appends)
 	}
 }
 
@@ -133,8 +149,8 @@ func TestSyncWithNothingAppendedIsFree(t *testing.T) {
 	if err := l.Sync(); err != nil || syncs() != after {
 		t.Fatalf("Sync after TruncateTo and Reset: %v, %d device syncs", err, syncs()-after)
 	}
-	if _, n := l.Stats(); n != 1 {
-		t.Fatalf("Stats counts %d syncs, want the 1 that reached the device", n)
+	if n := l.Metrics().WALFsyncLatency.Snapshot().Count; n != 1 {
+		t.Fatalf("the registry counts %d syncs, want the 1 that reached the device", n)
 	}
 }
 

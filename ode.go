@@ -113,9 +113,6 @@ type Options struct {
 	Shards int
 	// Policy selects FullCopy (default) or DeltaChain version storage.
 	Policy StoragePolicy
-	// MaxChain bounds delta chains (keyframe interval) under DeltaChain;
-	// 0 means core.DefaultMaxChain.
-	MaxChain int
 	// DeltaTier enables the delta storage tier (DESIGN.md §14): stored
 	// full payloads of cold versions are demoted to deltas against
 	// their derived-from parent — inline when a version gains a D-child
@@ -123,9 +120,11 @@ type Options struct {
 	// compactor — and materialised contents are served through an
 	// epoch-tagged LRU cache. Works under either Policy.
 	DeltaTier bool
-	// AnchorInterval bounds how far any version may sit from a full
-	// anchor under DeltaTier; the compactor promotes versions found
-	// deeper (e.g. after the interval was lowered). 0 means MaxChain.
+	// AnchorInterval bounds how many delta links any version may sit from
+	// a full copy of its content, however the chain was built: it is the
+	// keyframe interval under DeltaChain and the anchor interval under
+	// DeltaTier, whose compactor promotes versions found deeper (e.g.
+	// after the interval was lowered). 0 means 16.
 	AnchorInterval int
 	// MatCacheBytes is the materialisation cache budget under
 	// DeltaTier; 0 means core.DefaultCacheBytes (4 MiB), negative
@@ -150,7 +149,14 @@ type Options struct {
 	// together (default 1536).
 	PoolPages int
 	// NoSync disables fsync on commit. Much faster; the most recent
-	// commits may be lost on a crash (database integrity is preserved).
+	// commits may be lost on a crash. What survives is a committed prefix
+	// of each shard's log, so a one-shard database keeps its integrity.
+	// With more shards the logs flush independently and each keeps its
+	// own prefix: a cross-shard Update, whose prepare, decision and commit
+	// records are appended unsynced to three logs, can survive a power
+	// loss on one of its shards and not the other (DESIGN.md §12.3). Every
+	// shard stays structurally sound; atomicity across shards is what
+	// NoSync gives up.
 	NoSync bool
 	// CheckpointBytes sets the WAL size that triggers a checkpoint (one
 	// is also due when dirty pages fill three quarters of the pool);
@@ -165,19 +171,11 @@ type Options struct {
 	// Tracer, when set, receives structured span events for every
 	// write transaction (begin/prepare/fsync/publish/abort) and
 	// checkpoint. The tracer runs on its own goroutine behind a
-	// bounded queue: it may be slow, block, or panic without ever
-	// stalling or corrupting a commit — events past the queue bound
-	// are dropped and counted in Metrics().TracerDropped.
+	// queue of DefaultTracerBuffer events: it may be slow, block, or
+	// panic without ever stalling or corrupting a commit — events past
+	// the queue bound are dropped and counted in
+	// Metrics().TracerDropped.
 	Tracer Tracer
-	// TracerBuffer bounds the tracer event queue; 0 means
-	// DefaultTracerBuffer (1024).
-	TracerBuffer int
-	// NoMetrics disables the observability layer entirely — no
-	// counters, histograms, or commit-path timestamps. It exists as
-	// the uninstrumented baseline for the overhead benchmark (E13);
-	// production should leave it false (the instrumented hot path
-	// costs a few atomic adds per commit).
-	NoMetrics bool
 	// DebugAddr, when non-empty, starts a debug HTTP listener on that
 	// address (e.g. "127.0.0.1:6060" or "127.0.0.1:0") serving
 	// GET /metrics (Prometheus text exposition) and GET /stats
@@ -219,9 +217,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 		NoSync:          o.NoSync,
 		CheckpointBytes: o.CheckpointBytes,
 		FS:              o.FS,
-		NoMetrics:       o.NoMetrics,
 		Tracer:          o.Tracer,
-		TracerBuffer:    o.TracerBuffer,
 	}
 	topts.Storage.PageSize = o.PageSize
 	topts.Storage.PoolPages = o.PoolPages
@@ -233,7 +229,6 @@ func Open(dir string, opts *Options) (*DB, error) {
 	}
 	eng, err := core.NewSharded(coord, core.Options{
 		Policy:          o.Policy,
-		MaxChain:        o.MaxChain,
 		DeltaTier:       o.DeltaTier,
 		AnchorInterval:  o.AnchorInterval,
 		CacheBytes:      o.MatCacheBytes,
@@ -358,25 +353,24 @@ type Stats struct {
 // Stats returns current database statistics.
 func (db *DB) Stats() Stats {
 	es := db.eng.Stats()
-	ms := db.coord.Stats()
+	ts := db.coord.Stats()
 	ds, _ := db.eng.DerefCacheStats()
-	leases, ids := db.eng.AllocStats()
-	return Stats{
+	st := Stats{
 		Objects:             es.Objects,
 		Versions:            es.Versions,
-		Commits:             ms.Commits,
-		Aborts:              ms.Aborts,
-		Checkpoints:         ms.Checkpoints,
-		WALBytes:            ms.WALBytes,
-		Batches:             ms.Batches,
-		RecoveredTxns:       ms.RecoveredTxns,
+		Commits:             ts.Commits,
+		Aborts:              ts.Aborts,
+		Checkpoints:         ts.Checkpoints,
+		WALBytes:            ts.WALBytes,
+		Batches:             ts.Batches,
+		RecoveredTxns:       ts.RecoveredTxns,
 		DerefCacheHits:      ds.Hits,
 		DerefCacheMisses:    ds.Misses,
 		DerefCacheEvictions: ds.Evictions,
 		DerefCacheBytes:     ds.Bytes,
-		AllocLeases:         leases,
-		AllocIDs:            ids,
 	}
+	db.fill(&st) // AllocLeases, AllocIDs: out of the shards' registries
+	return st
 }
 
 // CheckIntegrity validates every structural invariant of every object

@@ -870,3 +870,68 @@ func TestShardedExtentMergeDuringCrossShard2PC(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNoSyncCrossShardCommitsCheckpoint: under NoSync a shard has no
+// committer and no checkpointer, so the automatic-checkpoint check is the
+// committing writer's — and a cross-shard commit, which neither runs
+// submit's inline tail nor ends a committer batch, has to make it too.
+// A database whose every Update spans both of its shards used never to
+// checkpoint at all: the logs and the dirty pages grew until Close.
+func TestNoSyncCrossShardCommitsCheckpoint(t *testing.T) {
+	const limit = 256 << 10
+	db, _ := openShardedDB(t, 2, &Options{NoSync: true, CheckpointBytes: limit})
+	parts, err := Register[Part](db, "Part")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardOf := func(p Ptr[Part]) int { return db.Engine().Coordinator().Map().ShardOf(uint64(p.OID())) }
+	create := func() (p Ptr[Part]) {
+		t.Helper()
+		if err := db.Update(func(tx *Tx) (err error) {
+			p, err = parts.Create(tx, &Part{Name: "p"})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a, b := create(), create()
+	for shardOf(b) == shardOf(a) {
+		b = create()
+	}
+	body := strings.Repeat("x", 1024)
+	before := db.Stats().Checkpoints
+	var maxWAL int64
+	for i := 0; i < 3000; i++ {
+		if err := db.Update(func(tx *Tx) error {
+			for _, p := range []Ptr[Part]{a, b} {
+				v, err := p.NewVersion(tx)
+				if err != nil {
+					return err
+				}
+				if err := v.Set(tx, &Part{Name: body, Rev: i}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 0 {
+			maxWAL = max(maxWAL, db.Stats().WALBytes)
+		}
+	}
+	st := db.Stats()
+	if st.Checkpoints == before {
+		t.Errorf("3000 cross-shard commits, %d WAL bytes, %d dirty pages, and no automatic checkpoint",
+			st.WALBytes, db.Metrics().DirtyPages)
+	}
+	// Each shard's log is reset once it passes the limit; the decision log
+	// (a few bytes a commit) only by an explicit Checkpoint.
+	if maxWAL > 3*limit {
+		t.Errorf("WAL reached %d bytes with CheckpointBytes = %d on each of 2 shards", maxWAL, limit)
+	}
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}

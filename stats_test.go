@@ -68,7 +68,6 @@ func TestStatsAccuracy(t *testing.T) {
 	}{
 		{"grouped", Options{CheckpointBytes: -1}, 2 + k},
 		{"nosync", Options{CheckpointBytes: -1, NoSync: true}, 0},
-		{"nometrics", Options{CheckpointBytes: -1, NoMetrics: true}, 2 + k},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,16 +103,6 @@ func TestStatsAccuracy(t *testing.T) {
 			}
 
 			ms := db.Metrics()
-			if tc.opts.NoMetrics {
-				// NoMetrics: Stats fields populated, distributions empty.
-				if ms.Stats != st {
-					t.Errorf("NoMetrics Stats mismatch: %+v vs %+v", ms.Stats, st)
-				}
-				if ms.CommitLatency.Count != 0 || ms.BatchSize.Count != 0 {
-					t.Errorf("NoMetrics histograms populated: %+v", ms.CommitLatency)
-				}
-				return
-			}
 			if ms.CommitLatency.Count != st.Commits {
 				t.Errorf("CommitLatency.Count = %d, want %d", ms.CommitLatency.Count, st.Commits)
 			}

@@ -185,7 +185,7 @@ func TestTracerPanicDoesNotCorruptCommits(t *testing.T) {
 }
 
 // TestTracerBlockedQueueDropsNotStalls: a tracer that never returns
-// fills the tiny queue; commits must keep completing at full speed,
+// lets the queue fill; commits must keep completing at full speed,
 // overflow events are dropped and counted, and Close must return within
 // the bounded grace period instead of waiting for the tracer.
 func TestTracerBlockedQueueDropsNotStalls(t *testing.T) {
@@ -194,7 +194,6 @@ func TestTracerBlockedQueueDropsNotStalls(t *testing.T) {
 	dir := t.TempDir()
 	db, err := ode.Open(dir, &ode.Options{
 		Tracer:          blockingTracer{block: block},
-		TracerBuffer:    4,
 		CheckpointBytes: -1,
 		Shards:          envShardCount(),
 	})
@@ -202,7 +201,11 @@ func TestTracerBlockedQueueDropsNotStalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	tracerWorkload(t, db, 30) // ~90 events against a 4-slot queue
+	// Four events a durable commit (begin, prepare, fsync, publish): past
+	// the queue's capacity, and the one event the tracer sits on, by a
+	// margin.
+	const commits = ode.DefaultTracerBuffer/4 + 50
+	tracerWorkload(t, db, commits)
 	workDur := time.Since(start)
 	if dropped := db.Metrics().TracerDropped; dropped == 0 {
 		t.Error("blocked tracer queue never dropped")
@@ -218,7 +221,7 @@ func TestTracerBlockedQueueDropsNotStalls(t *testing.T) {
 	if d := time.Since(closeStart); d > 10*time.Second {
 		t.Fatalf("Close took %v with a blocked tracer", d)
 	}
-	t.Logf("30 durable commits in %v with a fully blocked tracer", workDur)
+	t.Logf("%d durable commits in %v with a fully blocked tracer", commits, workDur)
 }
 
 // TestDebugListenerServesMetrics: the optional debug HTTP listener
