@@ -4,6 +4,9 @@ FUZZTIME ?= 30s
 # Empty means the suite's default three (1,2,3).
 ODE_SOAK_SEEDS ?=
 
+# The restart, reset and allocation tests `make race` repeats.
+RESTART_TESTS = CrossOrderRestart|DescendingJoin|RerunLocks|SwallowedRouting|RoutingRestart|ResetsOnlyJoinedShards|BatchFailureResets|IDsUniqueAcrossAbort
+
 # Bare `make` keeps building, as before the help target existed.
 .DEFAULT_GOAL := build
 
@@ -12,7 +15,8 @@ help:
 	@echo "  build    go build ./..."
 	@echo "  test     go test ./..."
 	@echo "  vet      go vet ./..."
-	@echo "  race     full test suite under -race"
+	@echo "  race     full test suite under -race, then the restart, reset and"
+	@echo "           allocation tests twenty times over"
 	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race)"
 	@echo "  soak     metrics-reconciling soak suite at 1 and 4 shards (-race);"
 	@echo "           seeds default to 1,2,3 — override with a comma-separated"
@@ -45,8 +49,13 @@ test:
 vet:
 	$(GO) vet ./...
 
+# The second line reruns the restart, rollback-reset and id-allocation
+# tests twenty times under the race detector: they interleave parked
+# writers, try-locks and reruns, and the allocator's leases are guarded
+# by nothing but the shard's writer mutex that every reset runs under.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy
 
 # The crash-consistency fault matrix (DESIGN.md §8, §12) under the race
 # detector: every WAL/storage injection point plus the engine-level

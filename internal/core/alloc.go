@@ -36,16 +36,12 @@ type allocLease struct {
 	limit uint64
 }
 
-// shardAlloc is one shard's allocator state. Allocation is serialised
-// by the shard's writer mutex, but reset() runs from the goroutine
-// whose attempt aborted, after it has released the shard — the shard's
-// next writer may be mid-allocation — so the lease pair has its own mutex.
-// It is uncontended on the allocation hot path (the only other taker
-// is the rare abort-time reset). Leases taken and ids handed out are
-// counted in the shard's registry (AllocLeases, AllocIDs), which is where
-// Stats and /metrics read them.
+// shardAlloc is one shard's allocator state. Allocation and reset both
+// run under the shard's writer mutex (reset from the coordinator's
+// rollback hook), which is all the synchronisation the leases need.
+// Leases taken and ids handed out are counted in the shard's registry
+// (AllocLeases, AllocIDs), which is where Stats and /metrics read them.
 type shardAlloc struct {
-	mu    sync.Mutex    // guards lease against abort-time reset
 	lease [2]allocLease // indexed by ctrOID / ctrVID
 }
 
@@ -64,30 +60,18 @@ func (a *allocState) take(s int) *shardAlloc {
 	for len(a.shards) <= s {
 		a.shards = append(a.shards, &shardAlloc{})
 	}
-	sa := a.shards[s]
-	if sa == nil {
-		sa = &shardAlloc{}
-		a.shards[s] = sa
-	}
-	return sa
+	return a.shards[s]
 }
 
 // reset drops shard s's leases so its next allocation re-leases from the
-// persisted counter. Called for the shards an aborted attempt had
-// joined, alongside their heap caches: always safe (the persisted
-// counter covers every committed id, so a fresh lease can never
-// re-issue one), at worst leaking a partial lease.
+// persisted counter: always safe (the persisted counter covers every
+// committed id, so a fresh lease can never re-issue one), at worst
+// leaking a partial lease. Caller holds s's writer mutex.
 func (a *allocState) reset(s int) {
 	a.mu.Lock()
-	var sa *shardAlloc
+	defer a.mu.Unlock()
 	if s < len(a.shards) {
-		sa = a.shards[s]
-	}
-	a.mu.Unlock()
-	if sa != nil {
-		sa.mu.Lock()
-		sa.lease = [2]allocLease{}
-		sa.mu.Unlock()
+		a.shards[s].lease = [2]allocLease{}
 	}
 }
 
@@ -108,7 +92,6 @@ func (tx *shardTx) shardAlloc() (*shardAlloc, *obs.Metrics) {
 // comment.
 func (tx *shardTx) allocID(ctr int) uint64 {
 	sa, m := tx.shardAlloc()
-	sa.mu.Lock()
 	l := &sa.lease[ctr]
 	if l.next >= l.limit {
 		hw := tx.st.Counter(ctr)
@@ -120,7 +103,6 @@ func (tx *shardTx) allocID(ctr int) uint64 {
 	if tx.st.Counter(ctr) < l.limit {
 		tx.st.SetCounter(ctr, l.limit)
 	}
-	sa.mu.Unlock()
 	m.AllocIDs.Inc()
 	return id
 }

@@ -176,10 +176,9 @@ type Engine struct {
 	dcache *derefcache.Cache
 
 	// heapSpace holds each shard's heap free-space cache, shared across
-	// write transactions (writers on one shard are serialised by its
-	// writer mutex; hsMu orders the reset-after-abort against the next
-	// writer's pickup). The slice grows under hsMu when a reshard adds
-	// physical shards.
+	// write transactions: writers on one shard are serialised by its
+	// writer mutex, under which resetShard also runs. hsMu guards the
+	// slice, which grows when a reshard adds physical shards.
 	hsMu      sync.Mutex
 	heapSpace []*storage.HeapState
 
@@ -203,8 +202,11 @@ type Engine struct {
 
 	// idxExist notes that at least one named secondary index exists, in
 	// which case write transactions join shard 0 up front: trigger-driven
-	// index maintenance writes shard 0, and joining it first keeps the
-	// ascending join order cheap.
+	// index maintenance writes shard 0 in nearly every such transaction,
+	// and a late join of shard 0 is a join below a held shard — a
+	// try-lock that, with every indexed writer wanting the same mutex,
+	// often fails and restarts the attempt. Joined first, it is an
+	// ordinary wait.
 	idxExist atomic.Bool
 }
 
@@ -266,6 +268,7 @@ func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
 	for i := range e.heapSpace {
 		e.heapSpace[i] = storage.NewHeapState()
 	}
+	c.OnRollback(e.resetShard)
 	if opts.DeltaTier && opts.CacheBytes >= 0 {
 		cap := opts.CacheBytes
 		if cap == 0 {
@@ -380,21 +383,17 @@ func (e *Engine) takeHeapSpace(s int) *storage.HeapState {
 	for len(e.heapSpace) <= s {
 		e.heapSpace = append(e.heapSpace, storage.NewHeapState())
 	}
-	hs := e.heapSpace[s]
-	if hs == nil {
-		hs = storage.NewHeapState()
-		e.heapSpace[s] = hs
-	}
-	return hs
+	return e.heapSpace[s]
 }
 
-// resetShard starts shard s's next writer with a fresh heap cache.
-// Called once a rollback has reverted pages underneath the shared cache:
-// its entries self-heal, but the sweep position may hide reverted pages.
-// The shard's allocation leases are dropped for the same reason:
-// re-leasing from the persisted counter is always safe, while a lease
-// minted against rolled-back counter state is simpler to discard than to
-// reason about.
+// resetShard starts shard s's next writer with a fresh heap cache and
+// no allocation leases. The coordinator calls it after every rollback
+// on s (Coordinator.OnRollback), under s's writer mutex — the mutex
+// every use of both is made under. The heap cache's entries self-heal,
+// but its sweep position may hide reverted pages; a lease minted
+// against rolled-back counter state is simpler to discard than to
+// reason about, and re-leasing from the persisted counter is always
+// safe.
 func (e *Engine) resetShard(s int) {
 	e.hsMu.Lock()
 	if s < len(e.heapSpace) {
@@ -402,25 +401,6 @@ func (e *Engine) resetShard(s int) {
 	}
 	e.hsMu.Unlock()
 	e.alloc.reset(s)
-}
-
-// resetRolledBack resets the shards attempt w had joined, once w has
-// been rolled back. Shards it never joined were not reverted and keep
-// their sweep position and leases.
-func (e *Engine) resetRolledBack(w *txn.WriteTx) {
-	for s := 0; s < w.NumShards(); s++ {
-		if w.Joined(s) {
-			e.resetShard(s)
-		}
-	}
-}
-
-// resetAllShards is resetShard for every shard: for the rare reshard
-// failures and restarts, which do not see the attempt that rolled back.
-func (e *Engine) resetAllShards() {
-	for s := 0; s < e.c.NumShards(); s++ {
-		e.resetShard(s)
-	}
 }
 
 // newOID allocates an oid on this shard: the shard-local counter
@@ -533,22 +513,8 @@ func (e *Engine) ResetDerefCache() {
 // Write runs fn as a write transaction. The Tx is valid only until fn
 // returns; on error or panic every effect is rolled back.
 func (e *Engine) Write(fn func(tx *Tx) error) error {
-	var last *txn.WriteTx // the newest attempt; it answers Joined after it ends
-	err := e.c.Write(func(w *txn.WriteTx) error {
-		if last != nil {
-			// A rerun: the attempt before was rolled back.
-			e.resetRolledBack(last)
-		}
-		last = w
-		tx := &Tx{
-			e:         e,
-			w:         w,
-			writable:  true,
-			n:         w.NumShards(),
-			rmap:      w.Map(),
-			shards:    make([]*shardTx, w.NumShards()),
-			lastAlloc: -1,
-		}
+	return e.c.Write(func(w *txn.WriteTx) error {
+		tx := e.writeTx(w)
 		if e.idxExist.Load() {
 			if _, err := tx.shardW(0); err != nil {
 				return err
@@ -556,10 +522,19 @@ func (e *Engine) Write(fn func(tx *Tx) error) error {
 		}
 		return fn(tx)
 	})
-	if err != nil && last != nil {
-		e.resetRolledBack(last)
+}
+
+// writeTx is the engine handle over one attempt of a write transaction.
+func (e *Engine) writeTx(w *txn.WriteTx) *Tx {
+	return &Tx{
+		e:         e,
+		w:         w,
+		writable:  true,
+		n:         w.NumShards(),
+		rmap:      w.Map(),
+		shards:    make([]*shardTx, w.NumShards()),
+		lastAlloc: -1,
 	}
-	return err
 }
 
 // Read runs fn against a snapshot of the most recently committed state;

@@ -48,17 +48,11 @@ const (
 // serving traffic, migrating data in small transactional chunks. See
 // txn.Coordinator.Reshard for the protocol and crash-safety argument.
 func (e *Engine) Reshard(target int) error {
-	err := e.c.Reshard(target, txn.ReshardHooks{
+	return e.c.Reshard(target, txn.ReshardHooks{
 		Init:    e.reshardInit,
 		Moves:   e.reshardMoves,
 		Migrate: e.migrateChunk,
 	})
-	if err != nil {
-		// A failed migration transaction rolled back under the shared
-		// heap free-space caches, exactly like an aborted engine write.
-		e.resetAllShards()
-	}
-	return err
 }
 
 // ReshardProgress reports the live progress of an in-flight Reshard.
@@ -74,9 +68,6 @@ func (e *Engine) ReshardProgress() txn.ReshardProgress {
 // assignments ride the transaction's shard-map flip.
 func (e *Engine) reshardInit(target int) error {
 	return e.c.Write(func(w *txn.WriteTx) error {
-		if w.Restarted() {
-			e.resetAllShards()
-		}
 		m := w.Map()
 		changed := false
 		for s := 0; s < target; s++ {
@@ -220,20 +211,9 @@ func (e *Engine) reshardMoves(oldN, target int) ([]txn.ReshardStep, error) {
 // reshardChunkVersions vid entries: the smaller of the two cut points
 // (0 meaning the range ran out at the end of the id space).
 func (e *Engine) migrateChunk(w *txn.WriteTx, step txn.ReshardStep, cursor uint64) (txn.MigrateResult, error) {
-	if w.Restarted() {
-		e.resetAllShards()
-	}
-	tx := &Tx{
-		e:         e,
-		w:         w,
-		writable:  true,
-		n:         w.NumShards(),
-		rmap:      w.Map(),
-		shards:    make([]*shardTx, w.NumShards()),
-		lastAlloc: -1,
-	}
+	tx := e.writeTx(w)
 	// Join both shards up front in ascending order: the migration then
-	// cannot hit a cross-order restart mid-copy.
+	// never joins below a held shard mid-copy.
 	lo, hi := step.Src, step.Dst
 	if lo > hi {
 		lo, hi = hi, lo

@@ -22,6 +22,9 @@ import (
 // read-modify-write sees live state under the shard's writer mutex,
 // exactly as the single writer mutex guaranteed before sharding. Only
 // read-only catalog lookups peek a committed snapshot (shardPeek0). A
+// join that ends the attempt instead (a try-lock below a held shard
+// failed, or the shard map moved) unwinds the closure by panic and the
+// coordinator reruns it with a fresh Tx (txn.WriteTx.Join). A
 // read transaction pins nothing: it holds a reference on the
 // coordinator's cut — one committed snapshot of every shard, pinned
 // once by whoever built it and shared by every reader until the next
@@ -35,9 +38,9 @@ type Tx struct {
 
 	// n is the physical shard count and rmap the shard map snapshot,
 	// both pinned at begin from the transaction's routing bundle. A
-	// reshard committing mid-transaction restarts the whole closure
-	// (ErrRoutingEpochChanged), so routing through the pinned map is
-	// always consistent with the data the transaction can see.
+	// reshard committing mid-transaction restarts the whole closure at
+	// its next join or peek, so routing through the pinned map is always
+	// consistent with the data the transaction can see.
 	n    int
 	rmap *storage.ShardMap
 
@@ -85,8 +88,8 @@ func (tx *Tx) shardW(s int) (*shardTx, error) {
 // shard's writer mutex, exactly like the pre-sharding engine where the
 // whole Update ran under the single mutex. Reading from a snapshot peek
 // instead would permit lost updates (two Updates both deriving their
-// write from the same stale image). A join forced out of ascending
-// order restarts the closure with every shard pre-locked, so reads can
+// write from the same stale image). A join below a shard already held
+// only try-locks, restarting the closure if that fails, so reads can
 // never deadlock cross-shard writers.
 func (tx *Tx) shardR(s int) (*shardTx, error) {
 	if b := tx.shards[s]; b != nil {
@@ -108,8 +111,8 @@ func (tx *Tx) shardR(s int) (*shardTx, error) {
 // registered type is equivalent to serializing before the registering
 // transaction — no lost-update cycle is possible, unlike object reads
 // (shardR). The peek keeps the hot create path (type check on shard 0,
-// allocation on a higher shard) free of both shard-0 lock traffic and
-// ascending-join restarts.
+// allocation on a higher shard) free of shard-0 lock traffic: no
+// try-lock that a busy shard 0 would fail, and so no restart.
 func (tx *Tx) shardPeek0() (*shardTx, error) {
 	if !tx.writable || tx.shards[0] != nil {
 		return tx.shardR(0)
@@ -120,9 +123,6 @@ func (tx *Tx) shardPeek0() (*shardTx, error) {
 	v, err := tx.w.View(0)
 	if err != nil {
 		return nil, err
-	}
-	if tx.w.Joined(0) {
-		return tx.shardR(0)
 	}
 	b := tx.e.newShardTx(v, nil, tx, 0, false)
 	tx.metaPeek = b

@@ -267,6 +267,14 @@ type Metrics struct {
 	ActiveReaders      Gauge   `series:"ode_active_readers" scope:"db" help:"Views currently in flight."`
 	ReadSnapshotBuilds Counter `series:"ode_read_snapshot_builds_total" scope:"db" help:"Read snapshots built; Views between two commits share one."`
 
+	// Write-attempt restarts by cause (txn.Coordinator.Write): a join
+	// below a shard the attempt held whose try-lock failed, or a shard-map
+	// flip committed since the attempt began. TryLockJoins counts the
+	// joins below a held shard whose try-lock succeeded instead.
+	RestartsJoinOrder Counter `series:"ode_restarts_join_order_total" scope:"db" help:"Write attempts restarted by a join below a held shard whose try-lock failed."`
+	RestartsRouting   Counter `series:"ode_restarts_routing_total" scope:"db" help:"Write attempts restarted by a shard-map flip committed since they began."`
+	TryLockJoins      Counter `series:"ode_trylock_joins_total" scope:"db" help:"Joins below a held shard that took its writer mutex by try-lock."`
+
 	// Tracer events dropped because the bounded queue was full (or a
 	// tracer panic was swallowed mid-delivery).
 	TracerDropped Counter `series:"ode_tracer_dropped_total" scope:"db" help:"Tracer span events dropped past the bounded queue."`

@@ -26,9 +26,9 @@ type Percolator struct {
 	// transaction (ode.Event.Tx, stable for one transaction attempt).
 	// Keying per transaction keeps concurrent transactions from
 	// suppressing each other's percolations, and entries are cleared by
-	// defer so a cross-shard join-order restart — which unwinds the
-	// handler by panic and reruns the whole closure — cannot leave a
-	// stale entry that would silently skip percolation on the rerun.
+	// defer so a restart — which unwinds the handler by panic and reruns
+	// the whole closure — cannot leave a stale entry that would silently
+	// skip percolation on the rerun.
 	inFlight map[any]map[ode.OID]bool
 	// created counts percolated versions (for the experiment harness).
 	created uint64
@@ -108,10 +108,11 @@ func (p *Percolator) onNewVersion(e ode.Event) {
 		// its handle, so the percolated versions are atomic with the
 		// triggering change. A failure here is recorded and surfaces via
 		// Err (the kernel treats triggers as notifications and does not
-		// let them veto operations). NewVersion may also panic to restart
-		// the closure when the composite lives on a lower shard than the
-		// triggering object (cross-shard join order); the deferred leave
-		// keeps the in-flight set clean through that unwind.
+		// let them veto operations). A restart is not an error and never
+		// reaches err: NewVersion panics to end the attempt — the
+		// composite lives on a lower shard whose try-lock failed, or the
+		// shard map moved — and the whole closure reruns. The deferred
+		// leave keeps the in-flight set clean through that unwind.
 		err := func() error {
 			defer p.leave(e.Tx, comp)
 			_, err := tx.NewVersion(comp)

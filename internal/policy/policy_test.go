@@ -3,6 +3,7 @@ package policy
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"ode"
 )
@@ -462,27 +463,132 @@ func TestRetentionWatchAll(t *testing.T) {
 // TestPercolationSurvivesCrossOrderRestart is the regression for a bug
 // the E15 workload oracle caught at scale: when the composite lives on
 // a LOWER shard than the triggering component, the percolator's
-// tx.NewVersion(composite) forces a descending shard join, which the
-// coordinator handles by panicking out of the closure and rerunning it
-// with every shard pre-locked. The old percolator kept its
-// cycle-breaking in-flight set in plain (non-deferred) code keyed
-// globally, so the panic left the composite permanently marked
-// in-flight and every subsequent percolation of it — including the
-// rerun's — was silently skipped.
+// tx.NewVersion(composite) is a join below a held shard, which
+// try-locks — and when the lower shard is busy, restarts the closure by
+// panicking out of it and rerunning it with both shards pre-locked. The
+// old percolator kept its cycle-breaking in-flight set in plain
+// (non-deferred) code keyed globally, so the panic left the composite
+// permanently marked in-flight and every subsequent percolation of it —
+// including the rerun's — was silently skipped.
 func TestPercolationSurvivesCrossOrderRestart(t *testing.T) {
+	db, composite, component := openPercolationPair(t, 0)
+	p := NewPercolator(db)
+	p.Declare(composite, component)
+	p.Enable()
+	defer p.Disable()
+
+	// A writer parked on shard 0 (it read the composite) makes the
+	// percolation's try-lock fail.
+	held, park, holder := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		holder <- db.Update(func(tx *ode.Tx) error {
+			if _, err := tx.VersionCount(composite); err != nil {
+				return err
+			}
+			close(held)
+			<-park
+			return nil
+		})
+	}()
+	<-held
+
+	// New version of the shard-1 component: the transaction joins shard
+	// 1 first, the in-transaction percolation then tries shard 0 — held,
+	// so the closure must run exactly twice (the lazy attempt and the
+	// pre-locked rerun).
+	runs := 0
+	done := make(chan error, 1)
+	go func() {
+		done <- db.Update(func(tx *ode.Tx) error {
+			runs++
+			_, err := tx.NewVersion(component)
+			return err
+		})
+	}()
+	restarts := &db.Engine().Coordinator().Metrics().RestartsJoinOrder
+	waitUntil(t, "the join-order restart", func() bool { return restarts.Load() == 1 })
+	close(park)
+	if err := <-holder; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if runs != 2 {
+		t.Fatalf("closure ran %d times, want 2 (a contended descending join must restart)", runs)
+	}
+	checkPercolated(t, db, p, composite)
+}
+
+// TestPercolationSurvivesRoutingRestart: a percolation that joins a
+// shard after a Reshard's routing change ends the attempt like any
+// restart. It used to get an error back, which the percolator — a
+// trigger handler, which may not veto — recorded in Err while the
+// Update committed the component's version without the composite's.
+func TestPercolationSurvivesRoutingRestart(t *testing.T) {
+	// The composite lives ABOVE the component, so the percolation's join
+	// is an ordinary ascending one and only the routing change can end
+	// the attempt.
+	db, composite, component := openPercolationPair(t, 1)
+	p := NewPercolator(db)
+	p.Declare(composite, component)
+	p.Enable()
+	defer p.Disable()
+
+	joined, resume, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	runs := 0
+	go func() {
+		done <- db.Update(func(tx *ode.Tx) error {
+			runs++
+			if _, err := tx.VersionCount(component); err != nil { // joins shard 0
+				return err
+			}
+			if runs == 1 {
+				close(joined)
+				<-resume
+			}
+			_, err := tx.NewVersion(component)
+			return err
+		})
+	}()
+	<-joined
+	// The split's first step adds a physical shard and swaps the routing
+	// the attempt began with; its chunks then wait for shard 0.
+	resharded := make(chan error, 1)
+	go func() { resharded <- db.Reshard(3) }()
+	waitUntil(t, "the reshard to grow", func() bool { return db.Engine().Coordinator().NumShards() == 3 })
+	close(resume)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-resharded; err != nil {
+		t.Fatal(err)
+	}
+	if runs < 2 {
+		t.Fatalf("closure ran %d times, want a rerun after the routing change", runs)
+	}
+	if n := db.Engine().Coordinator().Metrics().RestartsRouting.Load(); n == 0 {
+		t.Fatal("no routing restart counted")
+	}
+	checkPercolated(t, db, p, composite)
+}
+
+// openPercolationPair opens a two-shard database holding a component on
+// shard 0 and a composite on shard 1 (compositeShard 1) or the reverse
+// (compositeShard 0). One object per transaction spreads allocations
+// round-robin across the shards; an id's top bits name its birth shard
+// (storage.SlotOf).
+func openPercolationPair(t *testing.T, compositeShard uint64) (db *ode.DB, composite, component ode.OID) {
+	t.Helper()
 	db, err := ode.Open(t.TempDir(), &ode.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	t.Cleanup(func() { db.Close() })
 	tid, err := db.Engine().RegisterType("Part")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One object per transaction spreads allocations round-robin across
-	// the shards; collect one composite on shard 0 and one component on
-	// shard 1 (an id's top bits name its birth shard — storage.SlotOf).
-	var composite, component ode.OID
 	for composite == 0 || component == 0 {
 		var o ode.OID
 		if err := db.Update(func(tx *ode.Tx) error {
@@ -492,37 +598,21 @@ func TestPercolationSurvivesCrossOrderRestart(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		switch uint64(o) >> 54 {
-		case 0:
+		if uint64(o)>>54 == compositeShard {
 			if composite == 0 {
 				composite = o
 			}
-		default:
-			if component == 0 {
-				component = o
-			}
+		} else if component == 0 {
+			component = o
 		}
 	}
-	p := NewPercolator(db)
-	p.Declare(composite, component)
-	p.Enable()
-	defer p.Disable()
+	return db, composite, component
+}
 
-	// New version of the shard-1 component: the transaction joins shard
-	// 1 first, the in-transaction percolation then joins shard 0 —
-	// descending, so the closure must run exactly twice (the lazy
-	// attempt and the pre-locked rerun).
-	runs := 0
-	if err := db.Update(func(tx *ode.Tx) error {
-		runs++
-		_, err := tx.NewVersion(component)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 2 {
-		t.Fatalf("closure ran %d times, want 2 (descending join must restart)", runs)
-	}
+// checkPercolated asserts the percolator saw no error and the composite
+// gained exactly the one percolated version.
+func checkPercolated(t *testing.T, db *ode.DB, p *Percolator, composite ode.OID) {
+	t.Helper()
 	if err := p.Err(); err != nil {
 		t.Fatalf("percolation error: %v", err)
 	}
@@ -537,5 +627,15 @@ func TestPercolationSurvivesCrossOrderRestart(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after a while.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }

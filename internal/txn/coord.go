@@ -14,10 +14,11 @@
 //     record in the coordinator log (coord.ode) is the commit point,
 //     then each shard logs its local commit record and publishes.
 //
-// The shard mutex discipline makes recovery simple: a transaction joins
-// shards in ascending id order only (out-of-order joins restart the
-// transaction with every shard pre-locked), and each dirty shard's
-// mutex is held from prepare until the shard-local decide. An in-doubt
+// The shard mutex discipline makes recovery simple: a transaction waits
+// only for shards above every shard it holds (a join below them
+// try-locks, and restarts the transaction with the shards it asked for
+// pre-locked if the try fails), and each dirty shard's mutex is held
+// from prepare until the shard-local decide. An in-doubt
 // prepare is therefore always the newest transaction in its shard log,
 // and recovery commits it iff the coordinator log decided its global
 // id — otherwise it is presumed aborted.
@@ -43,6 +44,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,13 +104,6 @@ var ErrShardMismatch = errors.New("txn: Options.Shards does not match the direct
 // file. Re-creating or re-adopting over the leftovers could silently
 // mix two generations; the operator must remove the stale files.
 var ErrPartialLayout = errors.New("txn: directory has shard files but no shards.ode metadata")
-
-// ErrRoutingEpochChanged reports that the shard map moved underneath an
-// in-flight write transaction (a reshard chunk committed between the
-// transaction's begin and one of its joins). The transaction's effects
-// are rolled back and the whole closure is retried against the new map;
-// callers inside the closure just propagate it.
-var ErrRoutingEpochChanged = errors.New("txn: shard routing epoch changed; transaction restarted")
 
 // routing is the coordinator's immutable routing bundle: the open
 // physical shards and the shard map assigning id ranges to them. Every
@@ -180,6 +175,9 @@ type Coordinator struct {
 	cur       atomic.Pointer[cut]
 	gen       atomic.Uint64
 	buildHook func()
+
+	// onRollback is the owner's per-shard reset (OnRollback).
+	onRollback func(shard int)
 
 	// cm is the coordinator-level registry (whole-transaction latency,
 	// cross-shard batch sizes, decision-log fsyncs). sink is the tracer
@@ -521,7 +519,22 @@ func (c *Coordinator) shardOpts(i int, decided map[uint64]bool) Options {
 	so.coordinated = true
 	so.shardID = i
 	so.onPublish = c.published
+	so.onRollback = c.rolledBack
 	return so
+}
+
+// OnRollback registers fn to run whenever a shard rolls a transaction
+// back — an abort, a restart, a failed prepare, a failed commit batch —
+// with the shard's slot, under its writer mutex, so state the caller
+// keeps per shard and uses only under that mutex can be reset where the
+// rollback happens. Set it before the first write.
+func (c *Coordinator) OnRollback(fn func(shard int)) { c.onRollback = fn }
+
+// rolledBack is every shard's rollback hook (Options.onRollback).
+func (c *Coordinator) rolledBack(shard int) {
+	if c.onRollback != nil {
+		c.onRollback(shard)
+	}
 }
 
 // newShardedCoordinator assembles the coordinator shell (registry,
@@ -871,12 +884,20 @@ func (c *Coordinator) Stats() Stats {
 	return out
 }
 
-// crossOrderRestart is the internal panic a descending Join raises; the
-// write loop catches it and reruns fn with every shard pre-locked.
-type crossOrderRestart struct{ shard int }
-
-// errCrossOrder is the in-band signal from runFn to the write loop.
-var errCrossOrder = errors.New("txn: cross-shard join order restart")
+// restart ends a write attempt early, for one of two causes: a
+// descending join whose try-lock failed, or a routing bundle swapped
+// since the attempt began (a reshard chunk's map flip committed). Join
+// and View record it on the transaction and raise it as a panic
+// (WriteTx.end), so it unwinds through a closure or a trigger handler
+// that would swallow an error; runFn is the one place it is recovered,
+// and no closure ever sees it — and one that recovers it anyway still
+// cannot commit the attempt. relock is what the rerun pre-locks,
+// ascending: the shards the attempt held plus the one it wanted — nil
+// after a routing restart, which reruns lazily.
+type restart struct {
+	routing bool
+	relock  []int
+}
 
 // WriteTx is a coordinated write transaction's handle: one live view
 // per joined shard, lazily pinned snapshots for shards it only reads.
@@ -891,10 +912,8 @@ type WriteTx struct {
 	epochs    []uint64
 	snaps     []*storage.TxView
 	joined    []bool
-	joinOrder []int
 	maxJoined int
-	all       bool
-	restarted bool
+	ended     *restart // set once the attempt must restart
 }
 
 // NumShards returns the physical shard count the transaction can join.
@@ -902,7 +921,7 @@ func (w *WriteTx) NumShards() int { return len(w.rt.ms) }
 
 // Map returns the shard map snapshot pinned at begin. Every id the
 // transaction touches routes through this snapshot; a concurrent map
-// change restarts the transaction at its next Join.
+// change restarts the transaction at its next Join or View.
 func (w *WriteTx) Map() *storage.ShardMap { return w.rt.rmap }
 
 // SetShardMap stages a replacement shard map to commit atomically with
@@ -912,22 +931,22 @@ func (w *WriteTx) Map() *storage.ShardMap { return w.rt.rmap }
 // migrated range's assignment together with the data move.
 func (w *WriteTx) SetShardMap(m *storage.ShardMap) { w.newMap = m }
 
-// Restarted reports whether this is the all-shards rerun after a
-// descending join; triggers that must not re-fire consult it.
-func (w *WriteTx) Restarted() bool { return w.restarted }
-
-// Joined reports whether shard s is joined (its View is live). Once the
-// attempt has ended it still answers for the shards it had joined: that
-// is the set a rollback reverted, which the engine resets its per-shard
-// caches by.
+// Joined reports whether shard s is joined (its View is live).
 func (w *WriteTx) Joined(s int) bool { return w.joined[s] }
+
+// end ends the attempt with rs.
+func (w *WriteTx) end(rs restart) {
+	w.ended = &rs
+	panic(rs)
+}
 
 // View returns a view of shard s: the live writer view when the shard
 // is joined, otherwise a read snapshot pinned at the shard's durable
 // epoch. Mutating intent must go through Join. The snapshot pin
 // validates the routing bundle under pmu — the same lock a committing
 // reshard swaps the bundle under — so a snapshot can never be pinned
-// after a range it will be read through has already moved away.
+// after a range it will be read through has already moved away; if the
+// bundle moved, the attempt restarts.
 func (w *WriteTx) View(s int) (*storage.TxView, error) {
 	if w.joined[s] {
 		return w.views[s], nil
@@ -936,7 +955,7 @@ func (w *WriteTx) View(s int) (*storage.TxView, error) {
 		w.c.pmu.RLock()
 		if w.c.routing.Load() != w.rt {
 			w.c.pmu.RUnlock()
-			return nil, ErrRoutingEpochChanged
+			w.end(restart{routing: true})
 		}
 		v, err := w.rt.ms[s].BeginRead()
 		w.c.pmu.RUnlock()
@@ -948,24 +967,39 @@ func (w *WriteTx) View(s int) (*storage.TxView, error) {
 	return w.snaps[s], nil
 }
 
-// Join locks shard s for writing and returns its live view. Joins must
-// be ascending; a descending join panics with crossOrderRestart, which
-// the write loop turns into a restart with every shard pre-locked.
-// A snapshot previously handed out for s is released: callers must
-// re-derive any state (tree handles) from the returned live view.
+// Join locks shard s for writing and returns its live view. A join
+// above every shard held waits for the writer mutex; one below only
+// tries it, and restarts the attempt if the mutex is taken — so a
+// transaction only ever waits for a shard above all it holds, and no
+// wait-for cycle can form. A snapshot previously handed out for s is
+// released: callers must re-derive any state (tree handles) from the
+// returned live view.
 func (w *WriteTx) Join(s int) (*storage.TxView, error) {
 	if w.joined[s] {
 		return w.views[s], nil
-	}
-	if s < w.maxJoined {
-		panic(crossOrderRestart{shard: s})
 	}
 	if w.snaps[s] != nil {
 		w.rt.ms[s].EndRead(w.snaps[s])
 		w.snaps[s] = nil
 	}
 	m := w.rt.ms[s]
-	if err := m.lockWriter(); err != nil {
+	if s < w.maxJoined {
+		ok, err := m.tryLockWriter()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			relock := []int{s}
+			for h, held := range w.joined {
+				if held {
+					relock = append(relock, h)
+				}
+			}
+			slices.Sort(relock)
+			w.end(restart{relock: relock})
+		}
+		w.c.cm.TryLockJoins.Inc()
+	} else if err := m.lockWriter(); err != nil {
 		return nil, err
 	}
 	// Routing may have moved while we waited for the writer mutex (a
@@ -974,17 +1008,14 @@ func (w *WriteTx) Join(s int) (*storage.TxView, error) {
 	// here stays valid for the rest of the transaction's use of s.
 	if w.c.routing.Load() != w.rt {
 		m.unlockWriter()
-		return nil, ErrRoutingEpochChanged
+		w.end(restart{routing: true})
 	}
 	txid, v, tr := m.begin()
 	w.views[s] = v
 	w.trs[s] = tr
 	w.txids[s] = txid
 	w.joined[s] = true
-	w.joinOrder = append(w.joinOrder, s)
-	if s > w.maxJoined {
-		w.maxJoined = s
-	}
+	w.maxJoined = max(w.maxJoined, s)
 	return v, nil
 }
 
@@ -998,36 +1029,34 @@ func (w *WriteTx) endSnaps() {
 	}
 }
 
-// release closes every joined view and unlocks the shards without
-// rolling anything back (the commit paths).
-func (w *WriteTx) release() {
-	for i := len(w.joinOrder) - 1; i >= 0; i-- {
-		s := w.joinOrder[i]
+// release closes every joined view and unlocks the shards, rolling
+// each back first when rollback is set; either way the attempt then
+// holds nothing. A rollback resets what the owner keeps per shard there
+// and then, under the shard's mutex (Manager.rollbackQuiet).
+func (w *WriteTx) release(rollback bool) {
+	for s := len(w.joined) - 1; s >= 0; s-- {
+		if !w.joined[s] {
+			continue
+		}
+		w.joined[s] = false
 		w.views[s].Close()
+		if rollback {
+			w.rt.ms[s].rollbackQuiet(w.trs[s])
+		}
 		w.rt.ms[s].unlockWriter()
 	}
-	w.joinOrder = nil
-	w.endSnaps()
-}
-
-// rollbackRelease rolls every joined shard back (newest join first —
-// within a shard there is only this transaction, across shards the
-// order is for symmetry with failSuffix) and unlocks them.
-func (w *WriteTx) rollbackRelease() {
-	for i := len(w.joinOrder) - 1; i >= 0; i-- {
-		s := w.joinOrder[i]
-		w.views[s].Close()
-		w.rt.ms[s].rollbackQuiet(w.trs[s])
-		w.rt.ms[s].unlockWriter()
-	}
-	w.joinOrder = nil
 	w.endSnaps()
 }
 
 // Write runs fn as one transaction across however many shards it
 // touches. See Manager.Write for the single-manager contract; the
-// coordinated additions are the ascending-join restart and two-phase
-// commit for transactions that dirtied more than one shard.
+// coordinated additions are the restart (Join, View) and two-phase
+// commit for transactions that dirtied more than one shard. A restart
+// rolls the attempt back quietly — nothing about fn failed — and runs
+// fn again: after a lost try-lock with the shards it asked for
+// pre-locked, so each such rerun holds one shard more than the last
+// and there is at most one per shard; after a routing change lazily,
+// against the new map.
 func (c *Coordinator) Write(fn func(*WriteTx) error) error {
 	if c.closed.Load() {
 		return ErrClosed
@@ -1038,26 +1067,22 @@ func (c *Coordinator) Write(fn func(*WriteTx) error) error {
 	start := time.Now()
 	span := c.ctxSeq.Add(1)
 	c.sink.Emit(obs.SpanEvent{Kind: obs.SpanBegin, Tx: span})
-	all, restarted := false, false
+	var relock []int
 	for {
-		err, restart := c.writeAttempt(fn, span, start, all, restarted)
-		if restart {
-			// Descending join: rerun with every shard pre-locked.
-			all, restarted = true, true
-			continue
+		rs, err := c.writeAttempt(fn, span, start, relock)
+		if rs == nil {
+			return err
 		}
-		if errors.Is(err, ErrRoutingEpochChanged) {
-			// A reshard chunk swapped the bundle mid-transaction; the
-			// attempt rolled back quietly (not an abort: nothing about fn
-			// failed). Rerun against the new map.
-			restarted = true
-			continue
+		if rs.routing {
+			c.cm.RestartsRouting.Inc()
+		} else {
+			c.cm.RestartsJoinOrder.Inc()
 		}
-		return err
+		relock = rs.relock
 	}
 }
 
-func (c *Coordinator) newWriteTx(all, restarted bool) *WriteTx {
+func (c *Coordinator) newWriteTx() *WriteTx {
 	rt := c.routing.Load()
 	n := len(rt.ms)
 	return &WriteTx{
@@ -1070,69 +1095,55 @@ func (c *Coordinator) newWriteTx(all, restarted bool) *WriteTx {
 		snaps:     make([]*storage.TxView, n),
 		joined:    make([]bool, n),
 		maxJoined: -1,
-		all:       all,
-		restarted: all || restarted,
 	}
 }
 
-// writeAttempt runs fn once. restart reports a descending join on a
-// lazy attempt; the caller reruns with all=true (every shard joined
-// ascending up front, so no further order restart is possible — a
-// routing epoch change can still restart either flavor).
-func (c *Coordinator) writeAttempt(fn func(*WriteTx) error, span uint64, start time.Time, all, restarted bool) (err error, restart bool) {
-	wtx := c.newWriteTx(all, restarted)
-	if all {
-		for s := range wtx.rt.ms {
-			if _, err := wtx.Join(s); err != nil {
-				wtx.rollbackRelease()
-				return err, false
-			}
-		}
+// writeAttempt runs fn once, after joining the shards in relock
+// (ascending, so every wait is for a shard above all those held). A
+// restart comes back as rs, its attempt rolled back.
+func (c *Coordinator) writeAttempt(fn func(*WriteTx) error, span uint64, start time.Time, relock []int) (rs *restart, err error) {
+	wtx := c.newWriteTx()
+	err = c.runFn(wtx, fn, relock)
+	switch {
+	case wtx.ended != nil:
+		wtx.release(true)
+		return wtx.ended, nil
+	case err != nil:
+		wtx.release(true)
+		c.abortObserve(span, start, err)
+		return nil, err
 	}
-	err = c.runFn(wtx, fn)
-	if err == errCrossOrder {
-		return nil, true
-	}
-	if err != nil {
-		wtx.rollbackRelease()
-		if errors.Is(err, ErrRoutingEpochChanged) {
-			// Not an abort: the closure retries against the new map.
-			return err, false
-		}
-		c.aborts.Add(1)
-		if c.sink != nil {
-			c.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: span, Dur: time.Since(start), Err: err.Error()})
-		}
-		return err, false
-	}
-	return c.commitTx(wtx, span, start), false
+	return nil, c.commitTx(wtx, span, start)
 }
 
-// runFn invokes fn, converting a cross-order panic into errCrossOrder
-// (after a quiet rollback) and rolling back before re-raising any other
-// panic.
-func (c *Coordinator) runFn(wtx *WriteTx, fn func(*WriteTx) error) (err error) {
+// runFn joins the relock shards and invokes fn. It is where a restart's
+// unwind ends, and where any other panic rolls the attempt back before
+// it is re-raised.
+func (c *Coordinator) runFn(wtx *WriteTx, fn func(*WriteTx) error, relock []int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			wtx.rollbackRelease()
-			if _, ok := r.(crossOrderRestart); ok && !wtx.all {
-				// Not an abort: the same fn reruns immediately.
-				err = errCrossOrder
-				return
+			if _, ok := r.(restart); ok {
+				return // wtx.ended says so
 			}
+			wtx.release(true)
 			c.aborts.Add(1)
 			panic(r)
 		}
 	}()
+	for _, s := range relock {
+		if _, err := wtx.Join(s); err != nil {
+			return err
+		}
+	}
 	return fn(wtx)
 }
 
 // commitTx commits a transaction whose fn returned nil: nothing dirty,
 // one dirty shard (that shard's own pipeline), or several (2PC).
 func (c *Coordinator) commitTx(wtx *WriteTx, span uint64, start time.Time) error {
-	var dirty []int
-	for _, s := range wtx.joinOrder { // ascending by the join protocol
-		if wtx.trs[s].dirty() {
+	var dirty []int // ascending: 2PC prepares and decides in shard order
+	for s, joined := range wtx.joined {
+		if joined && wtx.trs[s].dirty() {
 			dirty = append(dirty, s)
 		}
 	}
@@ -1144,7 +1155,7 @@ func (c *Coordinator) commitTx(wtx *WriteTx, span uint64, start time.Time) error
 	}
 	switch len(dirty) {
 	case 0:
-		wtx.release()
+		wtx.release(false)
 		c.addCommitsBatches(1, 0)
 		c.observeCommit(span, start)
 		return nil
@@ -1171,7 +1182,7 @@ func (c *Coordinator) commitSingle(wtx *WriteTx, s int, span uint64, start time.
 	m := wtx.rt.ms[s]
 	req, err := m.stage(wtx.txids[s], wtx.trs[s], 0, false)
 	if err != nil {
-		wtx.rollbackRelease()
+		wtx.release(true)
 		c.abortObserve(span, start, err)
 		return fmt.Errorf("txn: commit: %w", err)
 	}
@@ -1179,7 +1190,7 @@ func (c *Coordinator) commitSingle(wtx *WriteTx, s int, span uint64, start time.
 		c.sink.Emit(obs.SpanEvent{Kind: obs.SpanPrepare, Tx: span, Dur: time.Since(start)})
 	}
 	m.submit(req, start)
-	wtx.release()
+	wtx.release(false)
 	if err := req.await(); err != nil {
 		// Whoever failed the commit — the shard's committer (failSuffix)
 		// or submit itself — rolled it back and counted the abort on the
@@ -1211,7 +1222,7 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 			// any other writer can get in.
 			if err = req.await(); err != nil {
 				// Already undone on this shard (await's contract): leave
-				// rollbackRelease nothing to restore here a second time.
+				// release nothing to restore here a second time.
 				wtx.trs[s] = newTracker()
 			}
 		}
@@ -1225,7 +1236,7 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 		// Presumed abort: no decision record exists, so the durable
 		// prepare records on the shards that got one are dead weight a
 		// future recovery ignores.
-		wtx.rollbackRelease()
+		wtx.release(true)
 		c.abortObserve(span, start, perr)
 		return fmt.Errorf("txn: commit: %w", perr)
 	}
@@ -1263,7 +1274,7 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 	}
 	if derr != nil {
 		c.cmu.Unlock()
-		wtx.rollbackRelease()
+		wtx.release(true)
 		c.abortObserve(span, start, derr)
 		return fmt.Errorf("txn: commit: %w", derr)
 	}
@@ -1317,7 +1328,7 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 			ckptErr = err
 		}
 	}
-	wtx.release()
+	wtx.release(false)
 	var batches uint64
 	if c.grouped {
 		batches = 1

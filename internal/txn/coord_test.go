@@ -318,32 +318,33 @@ func TestCoordinatorCrossOrderRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// A writer parked on shard 0 makes the descending join's try-lock
+	// fail; the rerun pre-locks shards 0 and 2 and waits for it.
+	release := holdShard(t, c, 0)
 	runs := 0
 	var rHigh, rLow oid.RID
-	if err := c.Write(func(w *WriteTx) error {
-		runs++
-		if runs == 1 && w.Restarted() {
-			return errors.New("first run must not be flagged restarted")
-		}
-		v2, err := w.Join(2)
-		if err != nil {
+	done := make(chan error, 1)
+	go func() {
+		done <- c.Write(func(w *WriteTx) error {
+			runs++
+			v2, err := w.Join(2)
+			if err != nil {
+				return err
+			}
+			if rHigh, err = storage.NewHeap(v2, nil).Insert([]byte("high")); err != nil {
+				return err
+			}
+			v0, err := w.Join(0)
+			if err != nil {
+				return err
+			}
+			rLow, err = storage.NewHeap(v0, nil).Insert([]byte("low"))
 			return err
-		}
-		if rHigh, err = storage.NewHeap(v2, nil).Insert([]byte("high")); err != nil {
-			return err
-		}
-		// Descending join: the first run panics internally and is rerun
-		// with every shard pre-locked; the rerun must see Restarted().
-		v0, err := w.Join(0)
-		if err != nil {
-			return err
-		}
-		if !w.Restarted() {
-			return errors.New("descending join did not restart")
-		}
-		rLow, err = storage.NewHeap(v0, nil).Insert([]byte("low"))
-		return err
-	}); err != nil {
+		})
+	}()
+	waitFor(t, "the join-order restart", func() bool { return c.Metrics().RestartsJoinOrder.Load() == 1 })
+	release()
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	if runs != 2 {

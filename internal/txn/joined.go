@@ -2,8 +2,9 @@
 // Manager.Write, a coordinated single-shard commit, a 2PC participant —
 // takes the same steps, and each step is written once, here:
 //
-//	lockWriter  take the shard's writer mutex; refuse a closed,
-//	            read-only or poisoned shard
+//	lockWriter  take the shard's writer mutex (or only try it:
+//	            tryLockWriter); refuse a closed, read-only or
+//	            poisoned shard
 //	begin       a tracker, a writer view and a shard-local txid
 //	fn          the caller's mutations, through the view
 //	stage       encode Begin, what changed on each touched page (a delta,
@@ -44,20 +45,34 @@ import (
 // shard can accept a write. On error the mutex is NOT held.
 func (m *Manager) lockWriter() error {
 	m.mu.Lock()
-	if m.isClosed() {
-		m.mu.Unlock()
-		return ErrClosed
+	return m.checkWritable()
+}
+
+// tryLockWriter is lockWriter without the wait: ok is false, and
+// nothing is held, when another writer has the mutex.
+func (m *Manager) tryLockWriter() (ok bool, err error) {
+	if !m.mu.TryLock() {
+		return false, nil
 	}
-	if m.opts.Storage.ReadOnly {
-		m.mu.Unlock()
-		return ErrReadOnly
+	return true, m.checkWritable()
+}
+
+// checkWritable refuses a closed, read-only or poisoned shard, releasing
+// the writer mutex its caller just took.
+func (m *Manager) checkWritable() error {
+	var err error
+	switch {
+	case m.isClosed():
+		err = ErrClosed
+	case m.opts.Storage.ReadOnly:
+		err = ErrReadOnly
+	case m.ioErr != nil:
+		err = fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
+	default:
+		return nil
 	}
-	if m.ioErr != nil {
-		err := fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
-		m.mu.Unlock()
-		return err
-	}
-	return nil
+	m.mu.Unlock()
+	return err
 }
 
 // unlockWriter releases the shard's writer mutex.

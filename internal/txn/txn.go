@@ -109,7 +109,9 @@ type Options struct {
 	// owning coordinator's Coordinator.published: the shard calls it
 	// whenever what a new reader of it must observe has changed — a
 	// commit published (Manager.publish), or Close began — and the
-	// coordinator retires its readers' shared snapshot there. Nil on a
+	// coordinator retires its readers' shared snapshot there. onRollback
+	// is its Coordinator.rolledBack: rollbackQuiet calls it with shardID,
+	// under the writer mutex, after every rollback. Both are nil on a
 	// Manager used on its own.
 	dataFile    string
 	walFile     string
@@ -118,6 +120,7 @@ type Options struct {
 	coordinated bool
 	shardID     int
 	onPublish   func()
+	onRollback  func(shard int)
 }
 
 // dataFileName and walFileName resolve the manager's file names: a
@@ -791,8 +794,9 @@ func (m *Manager) rollback(tr *tracker) {
 
 // rollbackQuiet is rollback without the abort count: the coordinator
 // uses it for shard-local rollbacks of a transaction it accounts for
-// once at its own level (and for internal cross-order restarts, which
-// are not aborts at all).
+// once at its own level (and for restarts, which are not aborts at all).
+// Every rollback on a shard comes through here, under its writer mutex,
+// so this is where the owner's rollback hook runs (Options.onRollback).
 func (m *Manager) rollbackQuiet(tr *tracker) {
 	for id, bi := range tr.before {
 		p, err := m.st.Get(id)
@@ -815,6 +819,9 @@ func (m *Manager) rollbackQuiet(tr *tracker) {
 		// Superblock before-image restore cannot produce an undecodable
 		// superblock unless memory was corrupted.
 		panic(fmt.Sprintf("txn: rollback broke superblock: %v", err))
+	}
+	if m.opts.onRollback != nil {
+		m.opts.onRollback(m.opts.shardID)
 	}
 }
 

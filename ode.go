@@ -263,9 +263,12 @@ func (db *DB) Shards() int { return db.coord.N() }
 // moves in small transactional chunks through the ordinary two-phase
 // commit path, so a crash at any point leaves the database recoverable —
 // reopening finishes with a consistent map, and an interrupted reshard
-// can simply be issued again to complete the migration. Concurrent
-// Updates are restarted transparently when a chunk's routing flip
-// commits under them. n may exceed the original count.
+// can simply be issued again to complete the migration. A concurrent
+// Update that reaches another shard after a chunk's routing flip
+// committed under it is restarted: its attempt is rolled back and its
+// closure run again against the new placement. The restart unwinds the closure (and any trigger handler)
+// by panic rather than returning an error, so code that drops errors
+// cannot commit a partial attempt. n may exceed the original count.
 func (db *DB) Reshard(n int) error {
 	return db.eng.Reshard(n)
 }
@@ -291,8 +294,10 @@ func (db *DB) Close() error {
 
 // Update runs fn in a read-write transaction. If fn returns nil the
 // transaction commits durably; on error or panic it rolls back
-// completely. The Tx is invalid once fn returns (ErrTxDone on later
-// use).
+// completely. On a sharded database fn may run more than once: an
+// attempt that must wait for a shard out of order, or that a Reshard's
+// routing flip overtook, is rolled back and fn rerun (see Reshard). The
+// Tx is invalid once fn returns (ErrTxDone on later use).
 func (db *DB) Update(fn func(tx *Tx) error) error {
 	return db.eng.Write(func(ctx *core.Tx) error {
 		tx := &Tx{db: db, ctx: ctx, writable: true}

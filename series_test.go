@@ -8,8 +8,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ode/internal/obs"
+	"ode/internal/storage"
+	"ode/internal/txn"
 )
 
 // leafFields collects the names of the exported leaf fields of a struct
@@ -132,6 +135,7 @@ func exerciseEverything(t *testing.T) *DB {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	exerciseRestarts(t, db, ps)
 	if _, err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +143,78 @@ func exerciseEverything(t *testing.T) *DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// exerciseRestarts counts each restart series: a join below a held shard
+// that wins its try-lock, one that loses it to a writer parked on the
+// lower shard, and an attempt a shard-map flip overtakes.
+func exerciseRestarts(t *testing.T, db *DB, ps []Ptr[Part]) {
+	t.Helper()
+	var on [2]OID // an object on each shard
+	for _, p := range ps {
+		on[uint64(p.OID())>>54] = p.OID()
+	}
+	touch := func(tx *Tx, shards []int) error {
+		for _, s := range shards {
+			if _, err := tx.VersionCount(on[s]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// park runs an Update that joins the shards in before, waits on its
+	// first attempt until resume is called, then joins those in after.
+	park := func(before, after []int) (resume func()) {
+		parked, unpark, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		first := true
+		go func() {
+			done <- db.Update(func(tx *Tx) error {
+				if err := touch(tx, before); err != nil {
+					return err
+				}
+				if first {
+					first = false
+					close(parked)
+					<-unpark
+				}
+				return touch(tx, after)
+			})
+		}()
+		<-parked
+		return func() {
+			close(unpark)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Update(func(tx *Tx) error { return touch(tx, []int{1, 0}) }); err != nil {
+		t.Fatal(err)
+	}
+	resume := park([]int{0}, nil)
+	done := make(chan error, 1)
+	go func() { done <- db.Update(func(tx *Tx) error { return touch(tx, []int{1, 0}) }) }()
+	for deadline := time.Now().Add(10 * time.Second); db.coord.Metrics().RestartsJoinOrder.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no join-order restart")
+		}
+	}
+	resume()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	resume = park([]int{0}, []int{1})
+	lo := storage.SlotBase(1) + 1<<40
+	if err := db.coord.Write(func(w *txn.WriteTx) error {
+		if _, err := w.Join(1); err != nil {
+			return err
+		}
+		w.SetShardMap(w.Map().Assign(lo, lo+1<<20, 1))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	resume()
 }
 
 // unexercised names the series exerciseEverything leaves at zero: gauges
