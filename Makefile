@@ -6,6 +6,9 @@ ODE_SOAK_SEEDS ?=
 
 # The restart, reset and allocation tests `make race` repeats.
 RESTART_TESTS = CrossOrderRestart|DescendingJoin|RerunLocks|SwallowedRouting|RoutingRestart|ResetsOnlyJoinedShards|BatchFailureResets|IDsUniqueAcrossAbort
+# The commit-pipeline tests `make race` repeats: background checkpoints
+# (with and without NoSync), batch failures and refused submits.
+PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|FailedBatchWithPrepare|SubmitRefused
 
 # Bare `make` keeps building, as before the help target existed.
 .DEFAULT_GOAL := build
@@ -15,8 +18,8 @@ help:
 	@echo "  build    go build ./..."
 	@echo "  test     go test ./..."
 	@echo "  vet      go vet ./..."
-	@echo "  race     full test suite under -race, then the restart, reset and"
-	@echo "           allocation tests twenty times over"
+	@echo "  race     full test suite under -race, then the restart, reset,"
+	@echo "           allocation and commit-pipeline tests twenty times over"
 	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race)"
 	@echo "  soak     metrics-reconciling soak suite at 1 and 4 shards (-race);"
 	@echo "           seeds default to 1,2,3 — override with a comma-separated"
@@ -53,9 +56,15 @@ vet:
 # tests twenty times under the race detector: they interleave parked
 # writers, try-locks and reruns, and the allocator's leases are guarded
 # by nothing but the shard's writer mutex that every reset runs under.
+# The third does the same for the commit pipeline: every shard's
+# committer and checkpointer goroutines, NoSync or not, racing writers
+# for the writer mutex and the log. Its 3,000-commit cross-shard test
+# takes ~30 s under -race, so twenty runs need more than the default
+# ten-minute test timeout.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy
+	$(GO) test -race -count=20 -timeout 30m -run '$(PIPELINE_TESTS)' ./internal/txn .
 
 # The crash-consistency fault matrix (DESIGN.md §8, §12) under the race
 # detector: every WAL/storage injection point plus the engine-level

@@ -8,13 +8,18 @@ package ode_test
 // (CheckIntegrity) — and keep accepting writes.
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"ode"
 	"ode/internal/faultfs"
+	"ode/internal/txn"
 )
 
 type Widget struct {
@@ -189,4 +194,104 @@ func TestEngineCrashMatrixFailedSyncs(t *testing.T) {
 		}
 	}
 	t.Logf("engine crash matrix: %d failed-sync points x2", syncs)
+}
+
+// TestNoSyncCheckpointFailureDoesNotFailCommit: under NoSync an automatic
+// checkpoint runs on the shard's checkpointer, as it does with fsync on,
+// so a checkpoint that fails is no failure of the commit that made it
+// due. That Update returns nil and its write is visible; the failed
+// flush poisons the shard, so a later Update is refused; and a reopen
+// recovers every acknowledged commit from the log.
+func TestNoSyncCheckpointFailureDoesNotFailCommit(t *testing.T) {
+	opts := func(fsys faultfs.FS) *ode.Options {
+		return &ode.Options{Shards: 1, NoSync: true, CheckpointBytes: 64 << 10, FS: fsys}
+	}
+	setup := func(fsys faultfs.FS) (*ode.DB, *ode.Type[Widget]) {
+		t.Helper()
+		db, err := ode.Open("/db", opts(fsys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		widgets, err := ode.Register[Widget](db, "Widget")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, widgets
+	}
+	// No commit syncs under NoSync: the syncs after setup are the first
+	// checkpoint's — the log's, then the data file's.
+	dry := faultfs.NewInjector(faultfs.NewMem(), faultfs.Plan{})
+	db, _ := setup(dry)
+	dataSync := dry.Counts().Syncs + 2
+	db.Close()
+
+	mem := faultfs.NewMem()
+	db, widgets := setup(faultfs.NewInjector(mem, faultfs.Plan{FailSyncN: dataSync}))
+	acked := map[string]ode.Ptr[Widget]{}
+	create := func(i int) (name string, err error) {
+		name = fmt.Sprintf("w%03d-%s", i, strings.Repeat("x", 4000))
+		return name, db.Update(func(tx *ode.Tx) error {
+			p, err := widgets.Create(tx, &Widget{Name: name, Rev: i})
+			if err == nil {
+				acked[name] = p
+			}
+			return err
+		})
+	}
+	visible := func(name string) {
+		t.Helper()
+		if err := db.View(func(tx *ode.Tx) error {
+			w, err := acked[name].Deref(tx)
+			if err == nil && w.Name != name {
+				err = fmt.Errorf("got %.4s", w.Name)
+			}
+			return err
+		}); err != nil {
+			t.Fatalf("acknowledged write %.4s: %v", name, err)
+		}
+	}
+	i := 0
+	for ; db.Metrics().CheckpointsByWALBytes == 0; i++ {
+		if i == 100 {
+			t.Fatal("100 commits of 4 KB and no checkpoint fell due")
+		}
+		name, err := create(i)
+		if err != nil {
+			t.Fatalf("Update %d: %v", i, err)
+		}
+		visible(name)
+	}
+	// The checkpoint fails in the background and poisons the shard.
+	for deadline := time.Now().Add(5 * time.Second); ; i++ {
+		_, err := create(i)
+		if errors.Is(err, txn.ErrPoisoned) {
+			if !strings.Contains(err.Error(), "checkpoint flush: storage: sync") {
+				t.Fatalf("poisoned, but not by the checkpoint's data-file sync: %v", err)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatalf("Update %d: %v, want nil or ErrPoisoned", i, err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the failed checkpoint never poisoned the shard")
+		}
+		runtime.Gosched()
+	}
+	db.Close() // poisoned: keeps the log for the reopen
+
+	db, err := ode.Open("/db", opts(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ode.Register[Widget](db, "Widget"); err != nil {
+		t.Fatal(err)
+	}
+	for name := range acked {
+		visible(name)
+	}
 }

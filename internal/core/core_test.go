@@ -892,14 +892,14 @@ func TestLargeConfigSpillsToHeap(t *testing.T) {
 	// it many times and ensure the store does not balloon.
 	var before uint64
 	w(t, e, func(tx *Tx) error {
-		before = e.Manager().Store().NumPages()
+		before = e.Coordinator().Shards()[0].Store().NumPages()
 		return nil
 	})
 	for i := 0; i < 20; i++ {
 		w(t, e, func(tx *Tx) error { return tx.SaveConfig("big", bindings) })
 	}
 	w(t, e, func(tx *Tx) error {
-		if after := e.Manager().Store().NumPages(); after > before+4 {
+		if after := e.Coordinator().Shards()[0].Store().NumPages(); after > before+4 {
 			t.Fatalf("spilled config leaked pages: %d -> %d", before, after)
 		}
 		return tx.DeleteConfig("big")

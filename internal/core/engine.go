@@ -451,21 +451,11 @@ func (tx *shardTx) saveRoots() {
 // Bus exposes the trigger bus.
 func (e *Engine) Bus() *trigger.Bus { return e.bus }
 
-// Manager exposes shard 0's transaction manager (the only shard when
-// N = 1). Tools that need the whole shard set use Coordinator.
-func (e *Engine) Manager() *txn.Manager { return e.c.Shards()[0] }
-
 // Coordinator exposes the transaction coordinator.
 func (e *Engine) Coordinator() *txn.Coordinator { return e.c }
 
-// Policy returns the configured payload policy.
-func (e *Engine) Policy() PayloadPolicy { return e.opts.Policy }
-
 // DeltaTier reports whether the delta storage tier is enabled.
 func (e *Engine) DeltaTier() bool { return e.opts.DeltaTier }
-
-// AnchorInterval returns the effective delta-tier anchor interval.
-func (e *Engine) AnchorInterval() int { return e.opts.AnchorInterval }
 
 // MatCacheStats snapshots the materialisation cache counters; ok is
 // false when the cache is disabled.
@@ -500,14 +490,6 @@ func (e *Engine) DerefCacheShardStats(s int) (hits, misses uint64) {
 		return 0, 0
 	}
 	return e.dcache.ShardStats(s)
-}
-
-// ResetDerefCache drops every dereference cache entry (benchmarks use
-// this to measure cold reads).
-func (e *Engine) ResetDerefCache() {
-	if e.dcache != nil {
-		e.dcache.Reset()
-	}
 }
 
 // Write runs fn as a write transaction. The Tx is valid only until fn

@@ -249,13 +249,14 @@ type Metrics struct {
 	CheckpointsByDirtyPages Counter   `series:"ode_checkpoints_by_dirty_pages_total" scope:"shard" help:"Automatic checkpoints triggered by dirty pages reaching their share of the pool."`
 	CheckpointDuration      Histogram `series:"ode_checkpoint_duration_ns" scope:"shard,db" help:"Checkpoint duration (page flush + WAL reset)."`
 
-	// Commits. BatchSize is the transactions one group-commit fsync
-	// covered: a shard committer's batch, or, at the coordinator, the one
-	// cross-shard transaction a decision-record fsync commits.
+	// Commits. BatchSize is the transactions one committer batch covered
+	// (one fsync each unless NoSync): a shard committer's batch, or, at
+	// the coordinator, the one cross-shard transaction a decision record
+	// commits.
 	// CommitLatency is the whole write transaction — fn, staging and the
 	// wait for the fsync — observed by whoever ran it: the coordinator,
 	// or a Manager used on its own.
-	BatchSize     Histogram `series:"ode_commit_batch_size" scope:"shard,db" help:"Transactions covered by one group-commit fsync."`
+	BatchSize     Histogram `series:"ode_commit_batch_size" scope:"shard,db" help:"Transactions covered by one committer batch (one fsync each unless NoSync)."`
 	CommitLatency Histogram `series:"ode_commit_latency_ns" scope:"db" help:"Whole-Update commit latency (fn + staging + fsync wait)."`
 
 	// Readers: ReaderPins counts every read transaction admitted since

@@ -129,7 +129,6 @@ type Coordinator struct {
 	opts     Options
 	dir      string
 	legacy0  bool // shard 0 is an adopted pre-shard database (ShardFileNames)
-	grouped  bool
 	readOnly bool
 
 	// reshardMu serialises resharding against itself and against
@@ -545,7 +544,6 @@ func newShardedCoordinator(dir string, opts Options, legacy0 bool) *Coordinator 
 		opts:     opts,
 		dir:      dir,
 		legacy0:  legacy0,
-		grouped:  opts.grouped(),
 		readOnly: opts.Storage.ReadOnly,
 		cm:       obs.New(),
 	}
@@ -1314,32 +1312,11 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 		c.noReset = true
 	}
 	c.cmu.Unlock()
-	// Each participant is at a commit boundary like any other: no committer
-	// batch ended with this commit and no inline tail ran for it, so the
-	// checkpoint it may have made due is looked for here, under the mutexes
-	// still held. (Not after a failed decide: that shard is poisoned, and
-	// the others' turn comes with their next commit.)
-	var ckptErr error
-	for _, s := range dirty {
-		if decErr != nil {
-			break
-		}
-		if err := wtx.rt.ms[s].checkpointIfDue(); err != nil && ckptErr == nil {
-			ckptErr = err
-		}
-	}
 	wtx.release(false)
-	var batches uint64
-	if c.grouped {
-		batches = 1
-		c.cm.BatchSize.Observe(1)
-	}
-	c.addCommitsBatches(1, batches)
+	c.cm.BatchSize.Observe(1)
+	c.addCommitsBatches(1, 1)
 	if decErr != nil {
 		return fmt.Errorf("txn: %w", decErr)
-	}
-	if ckptErr != nil {
-		return fmt.Errorf("txn: commit: %w", ckptErr)
 	}
 	c.observeCommit(span, start)
 	return nil
@@ -1391,10 +1368,9 @@ func (c *Coordinator) Checkpoint() error {
 // runs, the data files hold exactly the committed state and the shard
 // WALs and decision log are empty. Backup uses this to copy a
 // consistent snapshot — checkpointing and copying under separate
-// acquisitions (the old Checkpoint-then-Exclusive sequence) left a
-// window where a 2PC commit reached only the later-checkpointed shards'
-// data files, giving the copy half a transaction with no log to repair
-// it.
+// acquisitions left a window where a 2PC commit reached only the
+// later-checkpointed shards' data files, giving the copy half a
+// transaction with no log to repair it.
 func (c *Coordinator) CheckpointExclusive(fn func() error) error {
 	if c.closed.Load() {
 		return ErrClosed
@@ -1464,21 +1440,6 @@ func (c *Coordinator) checkpointed(start time.Time) error {
 	c.cm.CheckpointDuration.ObserveDuration(d)
 	c.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
 	return nil
-}
-
-// Exclusive runs fn with every shard's writer mutex held (ascending):
-// no transaction, checkpoint or 2PC decision is in flight anywhere
-// while fn runs. Backup uses it to copy the directory's files.
-func (c *Coordinator) Exclusive(fn func() error) error {
-	ms := c.ms()
-	var run func(i int) error
-	run = func(i int) error {
-		if i == len(ms) {
-			return fn()
-		}
-		return ms[i].Exclusive(func() error { return run(i + 1) })
-	}
-	return run(0)
 }
 
 // Close closes every shard in order, then folds the shard map and

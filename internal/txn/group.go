@@ -1,10 +1,11 @@
-// Group commit: the committer's end of submit (joined.go). A writer
-// runs fn, stages its WAL frames and submits under the shard's writer
-// mutex; the append and the fsync — the expensive, latency-dominating
-// step — are done by a single committer goroutine for a whole batch of
-// submitted transactions at once. Writers therefore hold the writer
-// mutex only for their in-memory work, and N concurrent committers cost
-// one fsync instead of N.
+// Group commit: the other end of submit (joined.go). A writer runs fn,
+// stages its WAL frames and submits under the shard's writer mutex; the
+// append and the fsync — the expensive, latency-dominating step — are
+// done by a single committer goroutine for a whole batch of submitted
+// transactions at once. Writers therefore hold the writer mutex only for
+// their in-memory work, and N concurrent committers cost one fsync
+// instead of N. Every shard commits this way; NoSync only skips the
+// fsync (publishBatch).
 //
 // Protocol (DESIGN.md §10):
 //
@@ -14,9 +15,11 @@
 //   - publish (groupCommitter.run, its own goroutine): pop everything
 //     queued (bounded by maxBatch), splice the members' frames into the
 //     log, one fsync, advance the durable epoch to the newest member's,
-//     then ack every member. "Leader election" is degenerate by
-//     construction: the committer goroutine is the standing leader, and
-//     members only ever wait on their own done channel.
+//     then ack every member and kick the checkpointer if a checkpoint is
+//     due — also after a batch that ends in a 2PC prepare. "Leader
+//     election" is degenerate by construction: the committer goroutine is
+//     the standing leader, and members only ever wait on their own done
+//     channel.
 //   - failure (Manager.failSuffix): if the batch's append or fsync
 //     fails, every submitted-but-not-durable transaction — the failed
 //     batch and anything queued behind it — is rolled back newest-first
@@ -235,9 +238,12 @@ func (gc *groupCommitter) run() {
 // frames into the log, one fsync for the group, advance the durable
 // epoch, ack the members. Log access is under logMu (checkpoints and
 // Close also touch the log); the writer mutex is NOT held, which is the
-// entire point — writers prepare the next batch meanwhile.
+// entire point — writers prepare the next batch meanwhile. It is the one
+// place on the commit path NoSync matters: the fsync and its span are
+// skipped, and "durable" means "in the log's write buffer".
 func (m *Manager) publishBatch(batch []*commitReq) {
 	flushStart := time.Now()
+	fsync := !m.opts.NoSync
 	m.logMu.Lock()
 	startLSN := m.log.End()
 	var err error
@@ -246,12 +252,12 @@ func (m *Manager) publishBatch(batch []*commitReq) {
 			break
 		}
 	}
-	if err == nil {
+	if err == nil && fsync {
 		err = m.log.Sync()
 	}
 	if err != nil {
 		m.logMu.Unlock()
-		if m.sink != nil {
+		if fsync {
 			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanFsync, Batch: len(batch), Dur: time.Since(flushStart), Err: err.Error()})
 		}
 		m.failSuffix(batch, startLSN, err)
@@ -275,7 +281,9 @@ func (m *Manager) publishBatch(batch []*commitReq) {
 	// the coordinator decides.
 	if len(normals) > 0 {
 		m.m.BatchSize.Observe(uint64(len(normals)))
-		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanFsync, Batch: len(normals), Dur: time.Since(flushStart)})
+		if fsync {
+			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanFsync, Batch: len(normals), Dur: time.Since(flushStart)})
+		}
 		m.publish(normals[len(normals)-1].epoch)
 		m.addCommitsBatches(uint64(len(normals)), 1)
 	}
@@ -334,18 +342,21 @@ func (m *Manager) failSuffix(batch []*commitReq, startLSN oid.LSN, cause error) 
 }
 
 // maybeKickCheckpoint nudges the background checkpointer when a
-// checkpoint is due (checkpointDue). Non-blocking: if a kick is already
-// pending the checkpointer will see the current state anyway.
+// checkpoint is due (checkpointDue) and none is queued or running: the
+// batches that find the log still due while the kicked checkpoint waits
+// for the writer mutex must not queue a second one, which would run on
+// the log the first has just reset.
 func (m *Manager) maybeKickCheckpoint(walSize int64) {
 	due, byDirty := m.checkpointDue(walSize)
-	if !due {
+	if !due || !m.ckptPending.CompareAndSwap(false, true) {
 		return
 	}
-	select {
-	case m.ckptKick <- struct{}{}:
-		m.countTrigger(byDirty)
-	default:
+	if byDirty {
+		m.m.CheckpointsByDirtyPages.Inc()
+	} else {
+		m.m.CheckpointsByWALBytes.Inc()
 	}
+	m.ckptKick <- struct{}{} // never blocks: the last kick was taken before ckptPending cleared
 }
 
 // checkpointer is the background goroutine that runs checkpoints off
@@ -361,6 +372,7 @@ func (m *Manager) checkpointer() {
 			if err := m.Checkpoint(); err != nil {
 				return // poisoned or closed; either way no more checkpoints
 			}
+			m.ckptPending.Store(false)
 		}
 	}
 }

@@ -11,8 +11,7 @@
 //	            or the page's image the first time it is logged) and a
 //	            commit (or 2PC prepare) record into pooled wal.Frames
 //	submit      the in-memory commit point: advance the prepared epoch,
-//	            then hand the run to the group committer or, on a shard
-//	            without one, append it inline
+//	            then hand the run to the shard's group committer
 //	await       the acknowledgement: durable, or failed and healed
 //
 // and then publishes: a commit's epoch becomes the readers' epoch as
@@ -21,7 +20,7 @@
 //
 // Where the mutex is released relative to the acknowledgement is the
 // caller's one degree of freedom. A commit releases it between submit
-// and await, so the next writer runs during the fsync. A 2PC prepare
+// and await, so the next writer runs during the log write. A 2PC prepare
 // holds it across await and on through the decide, which is what makes
 // an in-doubt prepare the newest transaction in its shard's log.
 //
@@ -91,7 +90,7 @@ func (m *Manager) lockWriterDrained() error {
 			m.mu.Unlock()
 			return ErrClosed
 		}
-		if m.gc == nil || m.gc.pipelineIdle() {
+		if m.gc.pipelineIdle() {
 			return nil
 		}
 		m.mu.Unlock()
@@ -164,72 +163,20 @@ func (m *Manager) stage(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (
 // submit is the in-memory commit point: it advances the shard's
 // prepared epoch — pages later transactions mutate COW against
 // snapshots tagged at it, while readers keep pinning the durable epoch
-// until the transaction is published — and hands the staged run to the
-// log. Caller holds the writer mutex, which is what makes log order
-// submit order, and must await the request. start is the writer's
-// clock, kept for the abort span of a failure.
-//
-// The one branch is on what the shard has. With a group committer the
-// request is queued and the committer splices, fsyncs and acknowledges
-// it with its batch (group.go). Without one — NoSync: there is no fsync
-// to share, so nothing to pay a goroutine hand-off for — the run is
-// appended here and the request is complete when submit returns. Both
-// ends honour one contract (see commitReq.await): a failed run is
-// erased from the log and its transaction rolled back by whoever
-// failed it, before the acknowledgement.
+// until the transaction is published — and queues the staged run for
+// the shard's group committer, which splices, fsyncs (unless NoSync)
+// and acknowledges it with its batch (group.go). Caller holds the
+// writer mutex, which is what makes log order submit order, and must
+// await the request. start is the writer's clock, kept for the abort
+// span of a failure. A request the committer refuses is failed here,
+// under the same contract (see commitReq.await).
 func (m *Manager) submit(req *commitReq, start time.Time) {
 	req.epoch = m.st.Pool().AdvanceEpoch()
 	req.start = start
-	if m.gc != nil {
-		if err := m.gc.enqueue(req); err != nil {
-			m.undo(req, err)
-			req.done <- err
-		}
-		return
-	}
-	// Remember where the run starts so a failed append can erase it:
-	// once an error is reported the transaction must never resurface
-	// via recovery.
-	startLSN := m.log.End()
-	_, err := m.log.AppendFrames(req.fr)
-	if err != nil {
-		m.undoWAL(startLSN)
+	if err := m.gc.enqueue(req); err != nil {
 		m.undo(req, err)
+		req.done <- err
 	}
-	m.walBytes.Store(m.log.Size())
-	if err == nil && !req.prepare {
-		// Under NoSync "durable" means "logged". Publish before the
-		// checkpoint so a checkpoint failure cannot strand readers on a
-		// stale epoch. (A prepare is logged but undecided: nothing to
-		// publish yet.)
-		m.publish(req.epoch)
-		m.addCommitsBatches(1, 0)
-		err = m.checkpointIfDue()
-	}
-	req.done <- err
-}
-
-// checkpointIfDue is the automatic-checkpoint check of a commit the
-// writer itself made durable and published: the inline tail of submit,
-// and a 2PC participant once it is decided (commit2PC) — the commits no
-// committer batch ends. Caller holds the writer mutex. With a group
-// committer the checkpointer goroutine is nudged and runs once the mutex
-// is free; without one the checkpoint runs here. If that fails the commit
-// stands — its records are in the WAL, its effects published — but the
-// page file and WAL may now disagree with the pool's clean/dirty
-// bookkeeping, which only recovery reconciles: the shard is disabled for
-// further writes and the error says so; rolling back would contradict the
-// log.
-func (m *Manager) checkpointIfDue() error {
-	if m.gc != nil {
-		m.maybeKickCheckpoint(m.walBytes.Load())
-		return nil
-	}
-	if err := m.maybeCheckpoint(); err != nil {
-		m.poison(err)
-		return fmt.Errorf("post-commit checkpoint (commit IS durable): %w", err)
-	}
-	return nil
 }
 
 // undo rolls a failed request's transaction back in memory. Caller
@@ -252,8 +199,7 @@ func (m *Manager) undo(r *commitReq, cause error) {
 // readers. An error: the run has been erased from the log (or the shard
 // poisoned if it could not be) and the transaction — commit or prepare
 // — has already been rolled back on this shard; the caller must not
-// roll it back again. The one error that is not a failure to commit
-// says so in its text: the inline post-commit checkpoint.
+// roll it back again.
 //
 // The acknowledgement also means nothing references the staged frames
 // any more — spliced and fsynced, or truncated away — so await is where
@@ -281,8 +227,9 @@ func (r *commitReq) recycle() {
 // pipeline activity and the mutex blocks new entrants), so touching the
 // log under logMu is safe. Visibility is the caller's job
 // (publishJoined): the record-write with its fsync is kept out of the
-// coordinator's publication lock so readers never wait on it. So is the
-// checkpoint the commit may make due (checkpointIfDue, once published).
+// coordinator's publication lock so readers never wait on it. The
+// checkpoint the commit may make due was kicked by its prepare batch
+// and runs once the writer mutex is free.
 func (m *Manager) decideJoinedLog(txid oid.TxID) error {
 	m.logMu.Lock()
 	var err error

@@ -71,12 +71,13 @@ var ErrPoisoned = errors.New("txn: manager disabled by earlier I/O error; reopen
 type Options struct {
 	// Storage is forwarded to the storage layer.
 	Storage storage.Options
-	// NoSync disables the fsync at commit: a commit is acknowledged once
-	// its records are in the log's write buffer. Throughput rises at the
-	// price of durability of the most recent commits; used by benchmarks
-	// to isolate CPU costs. Checkpoints fsync as always — the log before
-	// the first page write, the data file, then the log's reset — so what
-	// survives a crash is a committed prefix, never a torn database.
+	// NoSync skips the fsync of each commit batch; the commit path is the
+	// same. A commit is acknowledged once its records are in the log's
+	// write buffer. Throughput rises at the price of durability of the
+	// most recent commits; used by benchmarks to isolate CPU costs.
+	// Checkpoints fsync as always — the log before the first page write,
+	// the data file, then the log's reset — so what survives a crash is a
+	// committed prefix, never a torn database.
 	NoSync bool
 	// CheckpointBytes overrides DefaultCheckpointBytes; <0 disables
 	// automatic checkpoints, by either trigger.
@@ -139,13 +140,6 @@ func (o *Options) walFileName() string {
 	return WALFileName
 }
 
-// grouped reports whether the manager commits via the group committer:
-// whenever commits fsync. Under NoSync there is no fsync to share, so
-// submit appends inline instead of paying a goroutine hand-off.
-func (o *Options) grouped() bool {
-	return !o.NoSync && !o.Storage.ReadOnly
-}
-
 // fsys resolves the filesystem the manager should use: Options.FS, then
 // the storage-level hook, then the real OS.
 func (o *Options) fsys() faultfs.FS {
@@ -165,8 +159,8 @@ type Stats struct {
 	Checkpoints   uint64
 	RecoveredTxns uint64
 	WALBytes      int64
-	// Batches counts group-commit fsyncs; Commits/Batches is the mean
-	// group size. Zero under NoSync (nothing is fsynced).
+	// Batches counts committer batches, one fsync each unless NoSync;
+	// Commits/Batches is the mean group size.
 	Batches uint64
 }
 
@@ -176,30 +170,31 @@ type Stats struct {
 // an epoch-pinned snapshot view.
 type Manager struct {
 	// mu is the writer lock: write transactions (lockWriter through
-	// submit), Checkpoint, Exclusive, failSuffix, and the tail of Close
-	// serialise on it. st (superblock
-	// mutation), nextTx and ioErr are writer-side state guarded by it.
+	// submit), Checkpoint, failSuffix, and the tail of Close serialise on
+	// it. st (superblock mutation), nextTx and ioErr are writer-side state
+	// guarded by it.
 	mu     sync.Mutex
 	st     *storage.Store
 	opts   Options
 	nextTx uint64 // in-memory: txids only disambiguate within one log lifetime
 
-	// logMu guards the WAL when group commit is on: the committer
-	// goroutine appends and fsyncs batches without holding mu, while
-	// checkpoints (under mu, pipeline drained) append markers and reset.
-	// Lock order is mu before logMu; a logMu holder never takes mu.
-	// Without a group committer (NoSync) all log access is already
-	// serialised under mu and logMu is uncontended.
+	// logMu guards the WAL: the committer goroutine appends (and fsyncs)
+	// batches without holding mu, while checkpoints (under mu, pipeline
+	// drained) append markers and reset. Lock order is mu before logMu; a
+	// logMu holder never takes mu.
 	logMu sync.Mutex
 	log   *wal.Log
 
-	// gc is the group committer (nil when Options.grouped() is false).
-	// The checkpointer goroutine exists under the same condition and
-	// coalesces WAL-size-triggered checkpoints off the commit path.
-	gc       *groupCommitter
-	ckptKick chan struct{}
-	ckptStop chan struct{}
-	ckptWG   sync.WaitGroup
+	// gc is the group committer. The checkpointer goroutine runs beside
+	// it and coalesces automatic checkpoints off the commit path;
+	// ckptPending is set from its kick until the checkpoint has run. Every
+	// Manager has both, a read-only one included (its writers are refused
+	// at lockWriter, so both sit idle until Close).
+	gc          *groupCommitter
+	ckptKick    chan struct{}
+	ckptStop    chan struct{}
+	ckptWG      sync.WaitGroup
+	ckptPending atomic.Bool
 
 	// rmu guards reader admission and closed; Close flips closed and
 	// then drains in-flight readers via the WaitGroup.
@@ -365,11 +360,8 @@ func (m *Manager) addCommitsBatches(commits, batches uint64) {
 }
 
 // startPipeline launches the group committer and the background
-// checkpointer when the options call for them.
+// checkpointer.
 func (m *Manager) startPipeline() {
-	if !m.opts.grouped() {
-		return
-	}
 	m.gc = newGroupCommitter(m)
 	m.ckptKick = make(chan struct{}, 1)
 	m.ckptStop = make(chan struct{})
@@ -674,8 +666,8 @@ func (m *Manager) isClosed() bool {
 //
 // This is the standalone form of the one write path (joined.go):
 // lockWriter, begin, fn, stage and submit under the writer mutex, then
-// the wait for the acknowledgement off it — so with a group committer
-// the next writer runs while this one's batch is fsynced. The
+// the wait for the acknowledgement off it — so the next writer runs
+// while the committer logs this one's batch. The
 // coordinator drives the same steps for a database's transactions and
 // accounts for them at its own level; this entry point serves a Manager
 // used on its own.
@@ -752,28 +744,6 @@ func (m *Manager) observeCommit(txid uint64, start time.Time) {
 	m.sink.Emit(obs.SpanEvent{Kind: obs.SpanPublish, Tx: txid, Dur: d})
 }
 
-// Exclusive runs fn while holding the writer lock, with no transaction
-// in flight and no mutation tracking. Backup uses it to copy the data
-// file without a concurrent writer or checkpoint moving it underneath;
-// readers are unaffected. fn must not mutate the store.
-func (m *Manager) Exclusive(fn func() error) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.isClosed() {
-		return ErrClosed
-	}
-	return fn()
-}
-
-// undoWAL erases a failed commit's records from the log. If even that
-// fails the manager is poisoned: the records might survive a crash and
-// be replayed, which would resurrect a commit we reported as failed.
-func (m *Manager) undoWAL(startLSN oid.LSN) {
-	if err := m.log.TruncateTo(startLSN); err != nil {
-		m.poison(fmt.Errorf("cannot erase failed commit from WAL: %w", err))
-	}
-}
-
 // poison permanently disables writes on this manager (reads stay
 // available; the in-memory state is still consistent).
 func (m *Manager) poison(err error) {
@@ -844,26 +814,6 @@ func (m *Manager) checkpointDue(walSize int64) (due, byDirty bool) {
 	return m.st.Pool().DirtyDue(), true
 }
 
-// countTrigger records which trigger an automatic checkpoint fired on.
-func (m *Manager) countTrigger(byDirty bool) {
-	if byDirty {
-		m.m.CheckpointsByDirtyPages.Inc()
-	} else {
-		m.m.CheckpointsByWALBytes.Inc()
-	}
-}
-
-// maybeCheckpoint runs a due checkpoint inline (a shard without a group
-// committer). Caller holds the writer mutex.
-func (m *Manager) maybeCheckpoint() error {
-	due, byDirty := m.checkpointDue(m.log.Size())
-	if !due {
-		return nil
-	}
-	m.countTrigger(byDirty)
-	return m.checkpointLocked(false)
-}
-
 // Checkpoint forces the page file current and truncates the WAL. It
 // first drains the commit pipeline (lockWriterDrained): the page flush
 // must only ever persist effects of durable transactions (flushing a
@@ -932,8 +882,8 @@ func (m *Manager) checkpointLocked(quiet bool) error {
 // once the log that can redo it (and undo nothing: redo-only) is on
 // stable storage, and under NoSync commits sit in the log's write buffer
 // until someone flushes it; a crash between a page write and that flush
-// would leave pages of transactions the log never heard of. With a group
-// committer the pipeline is drained, everything appended is synced, and
+// would leave pages of transactions the log never heard of. Unless
+// NoSync, everything the drained pipeline appended is synced already and
 // the Sync is free. Caller holds the writer mutex with the pipeline idle.
 func (m *Manager) flushPages() error {
 	m.logMu.Lock()
@@ -976,22 +926,20 @@ func (m *Manager) Close() error {
 	// New readers are now refused; drain the in-flight ones so no
 	// snapshot view outlives the store.
 	m.readers.Wait()
-	if m.gc != nil {
-		// Stop the background checkpointer first: it takes mu inside
-		// Checkpoint, so it must be gone before Close camps on the lock.
-		close(m.ckptStop)
-		m.ckptWG.Wait()
-		// Writer barrier: any Write that passed the closed check holds mu
-		// until it has enqueued, so after one lock/unlock round trip the
-		// queue holds every outstanding commit and no more can arrive.
-		// Then stop the committer, which drains (and acks) that queue.
-		// mu must NOT be held across the wait: a failing final batch
-		// takes it to roll the suffix back.
-		m.mu.Lock()
-		m.mu.Unlock() //nolint:staticcheck // empty critical section is the point
-		m.gc.stop()
-		m.gc.wait()
-	}
+	// Stop the background checkpointer first: it takes mu inside
+	// Checkpoint, so it must be gone before Close camps on the lock.
+	close(m.ckptStop)
+	m.ckptWG.Wait()
+	// Writer barrier: any Write that passed the closed check holds mu
+	// until it has enqueued, so after one lock/unlock round trip the
+	// queue holds every outstanding commit and no more can arrive. Then
+	// stop the committer, which drains (and acks) that queue. mu must NOT
+	// be held across the wait: a failing final batch takes it to roll the
+	// suffix back.
+	m.mu.Lock()
+	m.mu.Unlock() //nolint:staticcheck // empty critical section is the point
+	m.gc.stop()
+	m.gc.wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.opts.Storage.ReadOnly {

@@ -236,9 +236,8 @@ func (l *Log) Size() int64 { return int64(l.end) }
 // transaction layer builds a transaction's Begin, PageImage/PageDelta,
 // Commit (or Prepare) run under the writer mutex, while the page images
 // are stable, and whole runs are then spliced into the log with
-// AppendFrames — by the group committer outside that mutex, or inline
-// when there is no fsync to share. Page bytes are copied at staging
-// time, so a Frames never aliases live pool pages.
+// AppendFrames by the group committer, outside that mutex. Page bytes
+// are copied at staging time, so a Frames never aliases live pool pages.
 //
 // Records are encoded once, directly into buf: beginRecord reserves the
 // 8-byte frame header, the payload is appended in place with the codec

@@ -148,8 +148,8 @@ type Options struct {
 	// PoolPages is the buffer-pool capacity in pages, clean and dirty
 	// together (default 1536).
 	PoolPages int
-	// NoSync disables fsync on commit. Much faster; the most recent
-	// commits may be lost on a crash. What survives is a committed prefix
+	// NoSync skips the fsync of each commit batch; the commit path is the
+	// same. Much faster; the most recent commits may be lost on a crash. What survives is a committed prefix
 	// of each shard's log, so a one-shard database keeps its integrity.
 	// With more shards the logs flush independently and each keeps its
 	// own prefix: a cross-shard Update, whose prepare, decision and commit
@@ -336,8 +336,8 @@ type Stats struct {
 	Aborts      uint64
 	Checkpoints uint64
 	WALBytes    int64
-	// Batches counts group-commit fsyncs; Commits/Batches is the mean
-	// number of transactions sharing one fsync. Zero with NoSync.
+	// Batches counts committer batches, one fsync each unless NoSync;
+	// Commits/Batches is the mean number of transactions sharing one.
 	Batches uint64
 	// RecoveredTxns counts committed transactions replayed from the WAL
 	// by crash recovery at Open.

@@ -2,8 +2,8 @@ package ode
 
 // What a View may see now that Views share one read snapshot between
 // commits (internal/txn/cut.go, DESIGN.md §15.5): these tests race every
-// kind of publication — single-shard commits on the inline (NoSync) path
-// and through the group committer, cross-shard two-phase commits,
+// kind of publication — single-shard commits through the group committer,
+// with and without NoSync, cross-shard two-phase commits,
 // compaction demotions, live Reshard flips — against readers that check
 // the three things a shared snapshot could break.
 
@@ -263,8 +263,7 @@ func TestViewSeesAckedCommit(t *testing.T) {
 // cross-shard snapshot: a 2PC transaction keeping two objects on
 // different shards at the same revision must never be seen half-applied
 // by a concurrent reader — with single-shard commits retiring and
-// rebuilding the shared snapshot all the while, on the inline path and
-// through the group committer.
+// rebuilding the shared snapshot all the while, with and without NoSync.
 func TestShardedViewAtomicCrossShard(t *testing.T) {
 	for _, nosync := range []bool{true, false} {
 		t.Run(fmt.Sprintf("nosync=%v", nosync), func(t *testing.T) {

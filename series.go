@@ -25,7 +25,7 @@ var seriesTable = []series{
 	{name: "ode_commits_total", help: "Committed write transactions.", field: "Commits"},
 	{name: "ode_aborts_total", help: "Rolled-back write transactions.", field: "Aborts"},
 	{name: "ode_checkpoints_total", help: "Checkpoints completed.", field: "Checkpoints"},
-	{name: "ode_commit_batches_total", help: "Group-commit fsync batches.", field: "Batches"},
+	{name: "ode_commit_batches_total", help: "Committer batches, one fsync each unless NoSync.", field: "Batches"},
 	{name: "ode_recovered_txns_total", help: "Transactions replayed by crash recovery at open.", field: "RecoveredTxns"},
 	{name: "ode_wal_bytes", help: "Current WAL size in bytes.", field: "WALBytes"},
 

@@ -871,12 +871,11 @@ func TestShardedExtentMergeDuringCrossShard2PC(t *testing.T) {
 	}
 }
 
-// TestNoSyncCrossShardCommitsCheckpoint: under NoSync a shard has no
-// committer and no checkpointer, so the automatic-checkpoint check is the
-// committing writer's — and a cross-shard commit, which neither runs
-// submit's inline tail nor ends a committer batch, has to make it too.
-// A database whose every Update spans both of its shards used never to
-// checkpoint at all: the logs and the dirty pages grew until Close.
+// TestNoSyncCrossShardCommitsCheckpoint: a cross-shard commit ends no
+// committer batch of its own, so its checkpoint is kicked by its
+// participants' prepare batches — under NoSync as with fsync on. A
+// database whose every Update spans both of its shards once never
+// checkpointed at all: the logs and the dirty pages grew until Close.
 func TestNoSyncCrossShardCommitsCheckpoint(t *testing.T) {
 	const limit = 256 << 10
 	db, _ := openShardedDB(t, 2, &Options{NoSync: true, CheckpointBytes: limit})

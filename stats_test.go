@@ -7,10 +7,12 @@ package ode
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 var errStatsAbort = errors.New("stats: deliberate abort")
@@ -56,10 +58,9 @@ func statsScript(t *testing.T, db *DB, k, j int) {
 func TestStatsAccuracy(t *testing.T) {
 	const k, j = 5, 3
 	// Expected commits: init-structures (1) + RegisterType (1) + k
-	// creates + 1 empty commit. Batches: with group commit every
-	// sequential non-empty commit is its own fsync batch — the empty
-	// commit never enters the pipeline — and under NoSync there is no
-	// fsync to batch: commits append inline and Batches stays 0.
+	// creates + 1 empty commit. Batches: every sequential non-empty commit
+	// is its own committer batch — the empty commit never enters the
+	// pipeline — with or without NoSync, which only skips the fsync.
 	const wantCommits = 2 + k + 1
 	cases := []struct {
 		name        string
@@ -67,7 +68,7 @@ func TestStatsAccuracy(t *testing.T) {
 		wantBatches uint64
 	}{
 		{"grouped", Options{CheckpointBytes: -1}, 2 + k},
-		{"nosync", Options{CheckpointBytes: -1, NoSync: true}, 0},
+		{"nosync", Options{CheckpointBytes: -1, NoSync: true}, 2 + k},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,15 +113,13 @@ func TestStatsAccuracy(t *testing.T) {
 			if ms.BatchSize.Count != st.Batches {
 				t.Errorf("BatchSize.Count = %d, want %d", ms.BatchSize.Count, st.Batches)
 			}
-			if tc.wantBatches > 0 {
-				// Every batched commit was non-empty, so the batch-size
-				// histogram sums to the non-empty commit count.
-				if ms.BatchSize.Sum != wantCommits-1 {
-					t.Errorf("Sum(BatchSize) = %d, want %d", ms.BatchSize.Sum, wantCommits-1)
-				}
-				if ms.WALFsyncLatency.Count == 0 {
-					t.Error("durable run recorded no WAL fsyncs")
-				}
+			// Every batched commit was non-empty, so the batch-size
+			// histogram sums to the non-empty commit count.
+			if ms.BatchSize.Sum != wantCommits-1 {
+				t.Errorf("Sum(BatchSize) = %d, want %d", ms.BatchSize.Sum, wantCommits-1)
+			}
+			if !tc.opts.NoSync && ms.WALFsyncLatency.Count == 0 {
+				t.Error("durable run recorded no WAL fsyncs")
 			}
 			if ms.DprevWalkLen.Count != 0 || ms.TprevWalkLen.Count != 0 {
 				t.Errorf("walk histograms populated without walks: %d/%d",
@@ -275,6 +274,11 @@ func TestStatsWriteLedger(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		ms = db.Metrics()
+	}
+	// The checkpointer runs in the background; wait for the ones kicked.
+	for deadline := time.Now().Add(5 * time.Second); ms.Checkpoints-base.Checkpoints < ms.CheckpointsByDirtyPages && time.Now().Before(deadline); {
+		runtime.Gosched()
 		ms = db.Metrics()
 	}
 	if ms.CheckpointsByDirtyPages == 0 || ms.CheckpointsByWALBytes != 0 || ms.Checkpoints < ms.CheckpointsByDirtyPages {
