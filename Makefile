@@ -7,8 +7,10 @@ ODE_SOAK_SEEDS ?=
 # The restart, reset and allocation tests `make race` repeats.
 RESTART_TESTS = CrossOrderRestart|DescendingJoin|RerunLocks|SwallowedRouting|RoutingRestart|ResetsOnlyJoinedShards|BatchFailureResets|IDsUniqueAcrossAbort
 # The commit-pipeline tests `make race` repeats: background checkpoints
-# (with and without NoSync), batch failures and refused submits.
-PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|FailedBatchWithPrepare|SubmitRefused
+# (with and without NoSync), batch failures, failures spanning
+# overlapping flushes, acknowledged flushes left to the collector, and
+# refused submits.
+PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused
 
 # Bare `make` keeps building, as before the help target existed.
 .DEFAULT_GOAL := build

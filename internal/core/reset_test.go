@@ -162,7 +162,7 @@ func waitRestarts(t *testing.T, e *Engine, n uint64) {
 }
 
 // TestBatchFailureResetsOnlyItsShard: a group-commit batch whose fsync
-// fails is rolled back by the shard's committer (failSuffix), not by the
+// fails is rolled back by the shard's commit pipeline (failFlights), not by the
 // writer — the writer had already released the shard — and the reset
 // hook runs there: the failed shard's heap cache and leases start over,
 // the other shards keep theirs.

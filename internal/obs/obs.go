@@ -252,12 +252,16 @@ type Metrics struct {
 	// Commits. BatchSize is the transactions one committer batch covered
 	// (one fsync each unless NoSync): a shard committer's batch, or, at
 	// the coordinator, the one cross-shard transaction a decision record
-	// commits.
+	// commits. FlushesInFlight is, at each claim of a shard's committer,
+	// how many of its batches are in flight counting the one claimed: at
+	// the bound on overlapping fsyncs (4), the next claim waits — a
+	// power-of-two bucket of its own.
 	// CommitLatency is the whole write transaction — fn, staging and the
 	// wait for the fsync — observed by whoever ran it: the coordinator,
 	// or a Manager used on its own.
-	BatchSize     Histogram `series:"ode_commit_batch_size" scope:"shard,db" help:"Transactions covered by one committer batch (one fsync each unless NoSync)."`
-	CommitLatency Histogram `series:"ode_commit_latency_ns" scope:"db" help:"Whole-Update commit latency (fn + staging + fsync wait)."`
+	BatchSize       Histogram `series:"ode_commit_batch_size" scope:"shard,db" help:"Transactions covered by one committer batch (one fsync each unless NoSync; a shard's batches' fsyncs may overlap)."`
+	FlushesInFlight Histogram `series:"ode_commit_flushes_in_flight" scope:"shard" help:"Batches a shard's committer has in flight (claimed, not yet acknowledged) at each claim, counting the one claimed; at 4 the next claim waits."`
+	CommitLatency   Histogram `series:"ode_commit_latency_ns" scope:"db" help:"Whole-Update commit latency (fn + staging + fsync wait)."`
 
 	// Readers: ReaderPins counts every read transaction admitted since
 	// open and ActiveReaders the ones in flight, both where the

@@ -1190,8 +1190,8 @@ func (c *Coordinator) commitSingle(wtx *WriteTx, s int, span uint64, start time.
 	m.submit(req, start)
 	wtx.release(false)
 	if err := req.await(); err != nil {
-		// Whoever failed the commit — the shard's committer (failSuffix)
-		// or submit itself — rolled it back and counted the abort on the
+		// Whoever failed the commit — the shard's commit pipeline
+		// (failFlights) or submit itself — rolled it back and counted the abort on the
 		// shard before this ack.
 		return fmt.Errorf("txn: commit: %w", err)
 	}
@@ -1214,10 +1214,10 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 		if err == nil {
 			m.submit(req, start)
 			// Await while still holding the shard mutex: the prepare stays
-			// the newest transaction in the shard's log, and if its batch
-			// fails the committer rolls it back — this shard's part first,
-			// then the commits batched ahead of it — under our hold, before
-			// any other writer can get in.
+			// the newest transaction in the shard's log, and if its flight
+			// or an older one fails, the pipeline rolls it back — this
+			// shard's part first, then the commits ahead of it — under our
+			// hold, before any other writer can get in.
 			if err = req.await(); err != nil {
 				// Already undone on this shard (await's contract): leave
 				// release nothing to restore here a second time.

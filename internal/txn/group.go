@@ -1,44 +1,52 @@
 // Group commit: the other end of submit (joined.go). A writer runs fn,
 // stages its WAL frames and submits under the shard's writer mutex; the
 // append and the fsync — the expensive, latency-dominating step — are
-// done by a single committer goroutine for a whole batch of submitted
-// transactions at once. Writers therefore hold the writer mutex only for
-// their in-memory work, and N concurrent committers cost one fsync
-// instead of N. Every shard commits this way; NoSync only skips the
-// fsync (publishBatch).
+// done for a whole batch of submitted transactions at once, by the
+// shard's committer goroutine and one goroutine per fsync. Writers hold
+// the writer mutex only for their in-memory work, N concurrent
+// committers cost one fsync instead of N, and the fsyncs of up to
+// maxFlights batches overlap. Every shard commits this way; NoSync only
+// skips the fsync.
 //
 // Protocol (DESIGN.md §10):
 //
 //   - submit (Manager.submit, writer mutex held): advance the pool's
 //     prepared epoch, enqueue the commitReq. Queue order is submit order
 //     because enqueue happens under the mutex.
-//   - publish (groupCommitter.run, its own goroutine): pop everything
-//     queued (bounded by maxBatch), splice the members' frames into the
-//     log, one fsync, advance the durable epoch to the newest member's,
-//     then ack every member and kick the checkpointer if a checkpoint is
-//     due — also after a batch that ends in a 2PC prepare. "Leader
-//     election" is degenerate by construction: the committer goroutine is
-//     the standing leader, and members only ever wait on their own done
+//   - claim (groupCommitter.run, its own goroutine): pop everything
+//     queued (bounded by maxBatch) as one flight, splice its members'
+//     frames into the log and hand them to the file, issue the flight's
+//     fsync without waiting for it, claim the next. At most maxFlights
+//     flights are appended and unacknowledged at once. Under NoSync there
+//     is no fsync and the committer settles each flight inline.
+//   - ack (groupCommitter.settle): flights are acknowledged strictly in
+//     log order. Whoever's fsync returns settles its flight; if it is the
+//     oldest, that goroutine lands it — durable LSN, durable epoch to the
+//     newest member's, counters, every member's ack, the checkpointer's
+//     kick if one is due — and then every younger flight whose fsync has
+//     returned too. An fsync covers every byte written before it was
+//     issued, so a flight is durable once its own fsync and every older
+//     flight's have returned. Members only ever wait on their own done
 //     channel.
-//   - failure (Manager.failSuffix): if the batch's append or fsync
-//     fails, every submitted-but-not-durable transaction — the failed
-//     batch and anything queued behind it — is rolled back newest-first
-//     (their before-images only compose in that order), the WAL is
-//     truncated back to the batch start so the failed commits can never
-//     be replayed, and only then does each member get its own error.
-//     The manager is NOT poisoned: durable state is intact and the next
-//     commit must succeed (see TestFailedCommitSyncNeverResurfaces).
-//     Only a failure to heal the WAL itself poisons.
+//   - failure (Manager.failFlights): when the oldest unacknowledged
+//     flight's append or fsync failed, every submitted-but-not-durable
+//     transaction — that flight, every younger one, even one whose fsync
+//     succeeded (it was staged on the failed flight's effects), and
+//     anything queued — is rolled back newest-first (their before-images
+//     only compose in that order), the WAL is truncated back to the failed
+//     flight's start so the failed commits can never be replayed, and only
+//     then does each member get its own error. The manager is NOT
+//     poisoned: durable state is intact and the next commit must succeed
+//     (see TestFailedCommitSyncNeverResurfaces). Only a failure to heal
+//     the WAL itself poisons.
 //
-// Batching needs no timer to be effective: while a flush is in flight,
-// new requests pile up in the queue and the next pop takes them all; and
-// between two flushes the committer yields once (run), so the writers it
-// has just acknowledged get their next commits into that pop.
+// Batching needs no timer: while flights are in the air, new requests
+// pile up in the queue and the next claim takes them all.
 package txn
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,9 +55,12 @@ import (
 	"ode/internal/wal"
 )
 
-// maxBatch bounds how many submitted transactions one group-commit
-// fsync may cover.
-const maxBatch = 64
+// maxBatch bounds how many submitted transactions one flight may cover,
+// maxFlights how many flights may be appended and unacknowledged at once.
+const (
+	maxBatch   = 64
+	maxFlights = 4
+)
 
 // commitReq is one staged transaction on its way into the log: built by
 // stage, handed over by submit, acknowledged through done (await).
@@ -63,27 +74,43 @@ type commitReq struct {
 	// prepare marks a 2PC participant: its frames end in a prepare
 	// record, not a commit. The coordinator holds the shard's writer
 	// mutex from enqueue until after the ack, so a prepare request is
-	// always the LAST member of its batch: nothing can be enqueued
-	// behind it. It is not a commit — the batch's counters, durable
-	// epoch and BatchSize skip it — and a batch that ends in one is
-	// failed under its owner's hold of the writer mutex (failSuffix).
+	// always the NEWEST request: last in the queue, or last in the
+	// youngest flight. It is not a commit — the flight's counters, durable
+	// epoch and BatchSize skip it — and a failure that takes it down runs
+	// under its owner's hold of the writer mutex (failFlights).
 	prepare bool
 }
 
-// groupCommitter owns the commit queue and the goroutine that publishes
-// batches. Writers enqueue while holding the Manager's writer mutex;
-// the queue is unbounded (a slice) so enqueue never blocks — essential,
-// because the committer itself takes the writer mutex on the failure
-// path and a bounded queue could deadlock against it.
+// flight is one claimed batch on its way to the device: appended as one
+// run, made durable by one fsync, acknowledged as a unit.
+type flight struct {
+	batch []*commitReq
+	start oid.LSN   // the log's end before the batch: where a failure truncates to
+	end   oid.LSN   // the log's end after it: durable once the flight lands
+	began time.Time // claim time, for the fsync span
+	// synced is set, under qmu, once the flight's fsync has returned (or
+	// its append failed, or NoSync skipped the fsync); err is the outcome.
+	synced bool
+	err    error
+}
+
+// groupCommitter owns the commit queue, the flights and the goroutine
+// that claims them. Writers enqueue while holding the Manager's writer
+// mutex; the queue is unbounded (a slice) so enqueue never blocks —
+// essential, because the failure path takes the writer mutex and a
+// bounded queue could deadlock against it.
 type groupCommitter struct {
 	m *Manager
 
-	qmu     sync.Mutex
-	more    *sync.Cond // signalled on enqueue and stop
-	idle    *sync.Cond // signalled when the pipeline may have drained
-	q       []*commitReq
-	busy    bool  // a batch is being flushed right now
-	failing error // a batch failed and the committer wants the writer mutex
+	qmu  sync.Mutex
+	more *sync.Cond // the committer may claim: enqueue, stop, a landed flight, a handled failure
+	idle *sync.Cond // a flight synced or left: the pipeline may have drained
+	q    []*commitReq
+	// flights are the claimed and not yet acknowledged batches, oldest
+	// first; landing says some goroutine is acknowledging them (settle).
+	flights []*flight
+	landing bool
+	failing error // a flight failed: no claims, and enqueue refuses, until failFlights is done
 	stopped bool
 	exited  chan struct{}
 }
@@ -98,10 +125,10 @@ func newGroupCommitter(m *Manager) *groupCommitter {
 
 // enqueue hands a submitted transaction to the committer. Callers hold
 // the writer mutex, which is what makes queue order submit order. It
-// refuses — the request is not queued and the caller fails it — while
-// the committer is waiting for the writer mutex to fail a batch: the
-// transaction was staged on that batch's doomed effects, and a 2PC
-// owner queued now would wait under the very mutex the committer needs.
+// refuses — the request is not queued and the caller fails it — while a
+// flight's failure is pending: the transaction was staged on that
+// flight's doomed effects, and a 2PC owner queued now would wait under
+// the very mutex failFlights needs.
 func (gc *groupCommitter) enqueue(req *commitReq) error {
 	gc.qmu.Lock()
 	defer gc.qmu.Unlock()
@@ -120,68 +147,26 @@ func (gc *groupCommitter) enqueue(req *commitReq) error {
 	return nil
 }
 
-// next blocks until there is work, then claims up to maxBatch requests.
-// It returns nil only when stopped with an empty queue. busy is raised
-// before the queue lock is released so pipelineIdle stays accurate.
-func (gc *groupCommitter) next() []*commitReq {
+// next blocks until there is work and room for another flight, then
+// claims up to maxBatch requests as one. It returns nil only when
+// stopped with nothing queued or in flight.
+func (gc *groupCommitter) next() *flight {
 	gc.qmu.Lock()
 	defer gc.qmu.Unlock()
-	for len(gc.q) == 0 {
-		if gc.stopped {
+	for len(gc.q) == 0 || len(gc.flights) == maxFlights || gc.failing != nil {
+		if gc.stopped && len(gc.q) == 0 && len(gc.flights) == 0 {
 			return nil
 		}
 		gc.more.Wait()
 	}
-	n := len(gc.q)
-	if n > maxBatch {
-		n = maxBatch
-	}
-	batch := gc.q[:n:n]
+	n := min(len(gc.q), maxBatch)
+	f := &flight{batch: gc.q[:n:n], began: time.Now()}
 	rest := make([]*commitReq, len(gc.q)-n)
 	copy(rest, gc.q[n:])
 	gc.q = rest
-	gc.busy = true
-	return batch
-}
-
-// beginFail opens the failure path for batch: it reports whether the
-// writer mutex is already held on the committer's behalf, and if not,
-// closes the queue (enqueue refuses) until endFail so the committer can
-// take the mutex itself. The mutex is lent when a 2PC prepare is
-// waiting — last in the batch or last in the queue: its owner holds the
-// mutex until the committer acks it, and nothing can be queued behind.
-func (gc *groupCommitter) beginFail(batch []*commitReq, cause error) (lent bool) {
-	gc.qmu.Lock()
-	defer gc.qmu.Unlock()
-	last := batch[len(batch)-1]
-	if n := len(gc.q); n > 0 {
-		last = gc.q[n-1]
-	}
-	if last.prepare {
-		return true
-	}
-	gc.failing = cause
-	return false
-}
-
-// endFail empties the queue — everything still in it was staged on top
-// of the failed batch and goes down with it — and reopens it. Called
-// under the writer mutex, held or lent.
-func (gc *groupCommitter) endFail() []*commitReq {
-	gc.qmu.Lock()
-	defer gc.qmu.Unlock()
-	q := gc.q
-	gc.q = nil
-	gc.failing = nil
-	return q
-}
-
-// batchDone lowers busy and wakes pipeline-idle waiters.
-func (gc *groupCommitter) batchDone() {
-	gc.qmu.Lock()
-	gc.busy = false
-	gc.idle.Broadcast()
-	gc.qmu.Unlock()
+	gc.flights = append(gc.flights, f)
+	gc.m.m.FlushesInFlight.Observe(uint64(len(gc.flights)))
+	return f
 }
 
 // pipelineIdle reports whether no commit is queued or in flight. Only
@@ -190,21 +175,21 @@ func (gc *groupCommitter) batchDone() {
 func (gc *groupCommitter) pipelineIdle() bool {
 	gc.qmu.Lock()
 	defer gc.qmu.Unlock()
-	return len(gc.q) == 0 && !gc.busy
+	return len(gc.q) == 0 && len(gc.flights) == 0
 }
 
 // waitIdle blocks until the pipeline drains. The caller must NOT hold
-// the writer mutex (the committer needs it to fail a batch).
+// the writer mutex (failFlights may need it).
 func (gc *groupCommitter) waitIdle() {
 	gc.qmu.Lock()
-	for len(gc.q) > 0 || gc.busy {
+	for len(gc.q) > 0 || len(gc.flights) > 0 {
 		gc.idle.Wait()
 	}
 	gc.qmu.Unlock()
 }
 
-// stop makes the committer exit once the queue is drained; wait blocks
-// until it has.
+// stop makes the committer exit once nothing is queued or in flight;
+// wait blocks until it has.
 func (gc *groupCommitter) stop() {
 	gc.qmu.Lock()
 	gc.stopped = true
@@ -216,112 +201,168 @@ func (gc *groupCommitter) wait() { <-gc.exited }
 
 func (gc *groupCommitter) run() {
 	defer close(gc.exited)
+	m := gc.m
 	for {
-		batch := gc.next()
-		if batch == nil {
+		f := gc.next()
+		if f == nil {
 			return
 		}
-		gc.m.publishBatch(batch)
-		gc.batchDone()
-		// The acknowledgements made this batch's writers runnable, behind
-		// this goroutine on its processor. Let them run before the next
-		// claim: a writer that comes straight back with its next commit
-		// and finds the flush already started by a few microseconds waits
-		// out that flush and then its own, and with every writer doing so
-		// half of all commits cost two flushes. Nothing runnable, nothing
-		// lost: the yield returns at once.
-		runtime.Gosched()
+		if err := m.appendFlight(f); err != nil || m.opts.NoSync {
+			gc.settle(f, err)
+			continue
+		}
+		go func() { gc.settle(f, m.log.SyncFile()) }()
 	}
 }
 
-// publishBatch makes a batch durable: splice every member's staged
-// frames into the log, one fsync for the group, advance the durable
-// epoch, ack the members. Log access is under logMu (checkpoints and
-// Close also touch the log); the writer mutex is NOT held, which is the
-// entire point — writers prepare the next batch meanwhile. It is the one
-// place on the commit path NoSync matters: the fsync and its span are
-// skipped, and "durable" means "in the log's write buffer".
-func (m *Manager) publishBatch(batch []*commitReq) {
-	flushStart := time.Now()
-	fsync := !m.opts.NoSync
+// appendFlight splices a flight's frames into the log and, unless
+// NoSync, hands them to the file, so that an fsync issued next covers
+// them. Log access is under logMu (checkpoints and Close also touch the
+// log); the writer mutex is NOT held, which is the entire point — writers
+// prepare the next flight meanwhile.
+func (m *Manager) appendFlight(f *flight) error {
 	m.logMu.Lock()
-	startLSN := m.log.End()
-	var err error
-	for _, r := range batch {
-		if _, err = m.log.AppendFrames(r.fr); err != nil {
-			break
+	defer m.logMu.Unlock()
+	f.start = m.log.End()
+	for _, r := range f.batch {
+		if _, err := m.log.AppendFrames(r.fr); err != nil {
+			return err
 		}
 	}
-	if err == nil && fsync {
-		err = m.log.Sync()
+	f.end = m.log.End()
+	m.walBytes.Store(m.log.Size())
+	if m.opts.NoSync {
+		return nil
 	}
-	if err != nil {
-		m.logMu.Unlock()
-		if fsync {
-			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanFsync, Batch: len(batch), Dur: time.Since(flushStart), Err: err.Error()})
-		}
-		m.failSuffix(batch, startLSN, err)
-		return
-	}
-	size := m.log.Size()
-	m.walBytes.Store(size)
-	m.logMu.Unlock()
+	return m.log.Flush()
+}
 
+// settle records how a flight's fsync (or its append) ended, then lands
+// flights in log order: unless another goroutine is already doing so,
+// this one acknowledges the oldest flight if it has synced, and every
+// younger one behind it that has — or, reaching one that failed, fails
+// it and everything younger. A failed flight also stops claims and
+// submits at once: whatever comes after it was staged on its effects.
+func (gc *groupCommitter) settle(f *flight, err error) {
+	gc.qmu.Lock()
+	defer gc.qmu.Unlock()
+	f.synced, f.err = true, err
+	if err != nil && gc.failing == nil {
+		gc.failing = err
+	}
+	gc.idle.Broadcast()
+	if gc.landing {
+		return // the goroutine landing flights takes this one in turn
+	}
+	gc.landing = true
+	for len(gc.flights) > 0 && gc.flights[0].synced {
+		head := gc.flights[0]
+		gc.qmu.Unlock()
+		if head.err != nil {
+			gc.m.failFlights(head.err) // drops every flight
+		} else {
+			gc.m.land(head)
+		}
+		gc.qmu.Lock()
+		if head.err == nil {
+			gc.flights = slices.Delete(gc.flights, 0, 1)
+		}
+		gc.more.Signal()
+		gc.idle.Broadcast()
+	}
+	gc.landing = false
+}
+
+// land acknowledges a durable flight: the log's durable LSN, the
+// readers' epoch, the counters, then every member's ack and the
+// checkpointer's kick if one is due. Under NoSync "durable" means "in the
+// log's write buffer", so the log is not told it is synced.
+func (m *Manager) land(f *flight) {
+	if !m.opts.NoSync {
+		m.logMu.Lock()
+		m.log.MarkDurable(f.end)
+		m.logMu.Unlock()
+	}
 	// A 2PC prepare request can only be the last member (its owner holds
 	// the writer mutex until it is acked, so nothing enqueues behind it).
 	// It is durable now but not a commit: the rest is about the others.
-	normals := batch
-	if batch[len(batch)-1].prepare {
-		normals = batch[:len(batch)-1]
+	normals := f.batch
+	if f.batch[len(f.batch)-1].prepare {
+		normals = f.batch[:len(f.batch)-1]
 	}
-	// Durable. Advance the readers' epoch to the newest committed member
-	// before acking anyone: a writer whose Write returned nil is
-	// entitled to have the next reader see its transaction. A prepare is
-	// durable but not committed — its epoch only becomes visible when
-	// the coordinator decides.
+	// Advance the readers' epoch to the newest committed member before
+	// acking anyone: a writer whose Write returned nil is entitled to have
+	// the next reader see its transaction. A prepare is durable but not
+	// committed — its epoch only becomes visible when the coordinator
+	// decides.
 	if len(normals) > 0 {
 		m.m.BatchSize.Observe(uint64(len(normals)))
-		if fsync {
-			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanFsync, Batch: len(normals), Dur: time.Since(flushStart)})
+		if !m.opts.NoSync {
+			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanFsync, Batch: len(normals), Dur: time.Since(f.began)})
 		}
 		m.publish(normals[len(normals)-1].epoch)
 		m.addCommitsBatches(uint64(len(normals)), 1)
 	}
-	for _, r := range batch {
+	for _, r := range f.batch {
 		r.done <- nil
 	}
-	m.maybeKickCheckpoint(size)
+	m.maybeKickCheckpoint(int64(f.end))
 }
 
-// failSuffix handles a failed batch append/fsync: every submitted-but-
-// not-durable transaction — the batch plus anything queued behind it
-// (staged on top of the batch's in-memory effects) — is rolled back
-// newest-first, the WAL is healed back to the batch start, and then
-// each member is acked with an error. Batch members get the cause;
-// queued members get a wrapper naming why an fsync they were not part
-// of took them down. The prepared epochs burned here are simply never
-// made durable, so no reader ever pins them.
+// failFlights handles the failed append or fsync of the oldest
+// unacknowledged flight: every submitted-but-not-durable transaction —
+// that flight, every younger one and everything queued — is rolled back
+// newest-first once every younger fsync has returned, the WAL is healed
+// back to the failed flight's start, and then each member is acked with
+// an error. Members of the failed flight get the cause; the others a
+// wrapper naming why an fsync they were not part of took them down. The
+// prepared epochs burned here are simply never made durable, so no reader
+// ever pins them.
 //
 // All of it happens under the writer mutex, so no transaction is ever
-// staged on state that is being rolled back. Normally the committer
-// takes the mutex; writers that reach submit while it waits are failed
-// there (enqueue refuses), newest first by construction. But when a 2PC
-// prepare is in the batch or queued behind it, its owner holds the
-// mutex, parked in await until the ack below — taking the mutex would
-// deadlock against it, and acking it first would let other writers in
-// between the ack and the heal. So the committer works under the
-// owner's hold: the mutex is lent (beginFail).
-func (m *Manager) failSuffix(batch []*commitReq, startLSN oid.LSN, cause error) {
-	lent := m.gc.beginFail(batch, cause)
+// staged on state that is being rolled back. Normally failFlights takes
+// the mutex; writers that reach submit while it waits are refused there
+// (enqueue), newest first by construction. But when the newest request
+// is a 2PC prepare — queued, or last in the youngest flight — its owner
+// holds the mutex, parked in await until the ack below: taking the mutex
+// would deadlock against it, and acking it first would let other writers
+// in between the ack and the heal. So failFlights works under the
+// owner's hold: the mutex is lent.
+func (m *Manager) failFlights(cause error) {
+	gc := m.gc
+	gc.qmu.Lock()
+	for slices.ContainsFunc(gc.flights, func(f *flight) bool { return !f.synced }) {
+		gc.idle.Wait()
+	}
+	failed := gc.flights[0]
+	newest := gc.flights[len(gc.flights)-1].batch
+	if len(gc.q) > 0 {
+		newest = gc.q
+	}
+	lent := newest[len(newest)-1].prepare
+	gc.qmu.Unlock()
+	if !m.opts.NoSync {
+		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanFsync, Batch: len(failed.batch), Dur: time.Since(failed.began), Err: cause.Error()})
+	}
 	if !lent {
 		m.mu.Lock()
 	}
-	suffix := append(batch, m.gc.endFail()...)
+	// The mutex keeps the queue as it is; empty it with the flights, and
+	// reopen both for the writers that come after the heal.
+	gc.qmu.Lock()
+	var suffix []*commitReq
+	for _, f := range gc.flights {
+		suffix = append(suffix, f.batch...)
+	}
+	suffix = append(suffix, gc.q...)
+	clear(gc.flights)
+	gc.flights, gc.q, gc.failing = gc.flights[:0], nil, nil
+	gc.qmu.Unlock()
 	for i := len(suffix) - 1; i >= 0; i-- {
 		m.undo(suffix[i], cause)
 	}
 	m.logMu.Lock()
-	if err := m.log.TruncateTo(startLSN); err != nil {
+	if err := m.log.TruncateTo(failed.start); err != nil {
 		// The failed commits might survive in the log and be replayed
 		// after a crash even though we are about to report them failed.
 		// That is the one thing recovery cannot fix: stop writing.
@@ -333,7 +374,7 @@ func (m *Manager) failSuffix(batch []*commitReq, startLSN oid.LSN, cause error) 
 		m.mu.Unlock()
 	}
 	for i, r := range suffix {
-		if i < len(batch) {
+		if i < len(failed.batch) {
 			r.done <- cause
 		} else {
 			r.done <- fmt.Errorf("aborted with failed commit group: %w", cause)
@@ -343,7 +384,7 @@ func (m *Manager) failSuffix(batch []*commitReq, startLSN oid.LSN, cause error) 
 
 // maybeKickCheckpoint nudges the background checkpointer when a
 // checkpoint is due (checkpointDue) and none is queued or running: the
-// batches that find the log still due while the kicked checkpoint waits
+// flights that find the log still due while the kicked checkpoint waits
 // for the writer mutex must not queue a second one, which would run on
 // the log the first has just reset.
 func (m *Manager) maybeKickCheckpoint(walSize int64) {

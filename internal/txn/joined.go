@@ -94,7 +94,7 @@ func (m *Manager) lockWriterDrained() error {
 			return nil
 		}
 		m.mu.Unlock()
-		m.gc.waitIdle() // off-lock: the committer may need mu to fail a batch
+		m.gc.waitIdle() // off-lock: failFlights may need mu
 	}
 }
 
@@ -165,11 +165,11 @@ func (m *Manager) stage(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (
 // snapshots tagged at it, while readers keep pinning the durable epoch
 // until the transaction is published — and queues the staged run for
 // the shard's group committer, which splices, fsyncs (unless NoSync)
-// and acknowledges it with its batch (group.go). Caller holds the
-// writer mutex, which is what makes log order submit order, and must
-// await the request. start is the writer's clock, kept for the abort
-// span of a failure. A request the committer refuses is failed here,
-// under the same contract (see commitReq.await).
+// and acknowledges it with its flight, in log order (group.go). Caller
+// holds the writer mutex, which is what makes log order submit order,
+// and must await the request. start is the writer's clock, kept for the
+// abort span of a failure. A request the committer refuses is failed
+// here, under the same contract (see commitReq.await).
 func (m *Manager) submit(req *commitReq, start time.Time) {
 	req.epoch = m.st.Pool().AdvanceEpoch()
 	req.start = start
@@ -180,7 +180,7 @@ func (m *Manager) submit(req *commitReq, start time.Time) {
 }
 
 // undo rolls a failed request's transaction back in memory. Caller
-// holds the writer mutex (or works under its owner's hold, failSuffix).
+// holds the writer mutex (or works under its owner's hold, failFlights).
 // A commit is counted and traced as an abort on the shard; a 2PC
 // prepare is one part of a transaction its coordinator accounts for.
 func (m *Manager) undo(r *commitReq, cause error) {
@@ -223,9 +223,9 @@ func (r *commitReq) recycle() {
 // shard is poisoned (recovery will finish the job from the prepare
 // record plus the coordinator log) and the caller still publishes — the
 // commit IS durable. Caller holds the writer mutex; the shard's
-// committer is idle for this shard (the prepare ack was the last
-// pipeline activity and the mutex blocks new entrants), so touching the
-// log under logMu is safe. Visibility is the caller's job
+// pipeline is idle (the prepare was the newest request, its ack came
+// after every older flight's, and the mutex blocks new entrants), so
+// touching the log under logMu is safe. Visibility is the caller's job
 // (publishJoined): the record-write with its fsync is kept out of the
 // coordinator's publication lock so readers never wait on it. The
 // checkpoint the commit may make due was kicked by its prepare batch

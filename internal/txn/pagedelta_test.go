@@ -540,7 +540,7 @@ func TestPageDeltaBatchChainCrashMatrix(t *testing.T) {
 func (gc *groupCommitter) noBatchInFlight() bool {
 	gc.qmu.Lock()
 	defer gc.qmu.Unlock()
-	return !gc.busy
+	return len(gc.flights) == 0
 }
 
 // logRecords scans a WAL file on fsys through a second handle.

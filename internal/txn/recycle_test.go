@@ -2,7 +2,7 @@ package txn
 
 // Staged frames come from a pool and go back to it at the request's
 // acknowledgement — on every path: a durable batch, a failed batch
-// (failSuffix), a failed 2PC prepare. Returned any earlier, the next
+// (failFlights), a failed 2PC prepare. Returned any earlier, the next
 // writer would stage into a buffer the committer is still splicing into
 // the log. This test drives all three paths on the sharded coordinator
 // with eight concurrent committers; run under -race (make race / make
@@ -28,14 +28,15 @@ import (
 )
 
 // failOneSync fails the next Sync of the file named name after arm().
-// onSync and onTruncate, when set, run first in every Sync / Truncate
-// of that file (set them before the calls they are to observe); an
-// error from onSync fails that Sync.
+// onSync, onWrite and onTruncate, when set, run first in every Sync /
+// WriteAt / Truncate of that file (set them before the calls they are to
+// observe); an error from onSync fails that Sync.
 type failOneSync struct {
 	faultfs.FS
 	name       string
 	armed      atomic.Bool
 	onSync     func() error
+	onWrite    func()
 	onTruncate func()
 }
 
@@ -64,6 +65,13 @@ func (h *failOneSyncFile) Sync() error {
 		return faultfs.ErrInjected
 	}
 	return h.File.Sync()
+}
+
+func (h *failOneSyncFile) WriteAt(p []byte, off int64) (int, error) {
+	if h.fs.onWrite != nil {
+		h.fs.onWrite()
+	}
+	return h.File.WriteAt(p, off)
 }
 
 func (h *failOneSyncFile) Truncate(size int64) error {
@@ -139,7 +147,7 @@ func TestFramesRecycledOnlyAfterAck(t *testing.T) {
 	}
 
 	// Round 1: single-shard commits only, so the one failed fsync on
-	// shard 1's WAL is a commit batch — the failSuffix path. (With 2PC in
+	// shard 1's WAL is a commit flight — the failFlights path. (With 2PC in
 	// the mix it could land on a shard-local decide, which poisons.)
 	storm("r1", perWriter/2)
 	failed := 0
@@ -201,33 +209,44 @@ func TestFramesRecycledOnlyAfterAck(t *testing.T) {
 	}
 }
 
-// TestFailedBatchWithPrepareWaiting fails a batch fsync while a 2PC
+// TestFailedBatchWithPrepareWaiting fails a flight's fsync while a 2PC
 // owner waits, under the shard's writer mutex, for its prepare — queued
-// behind the failing batch, or its last member. The committer cannot
-// take the mutex then; it must undo everything newest first and heal
-// the WAL under the owner's hold, before any writer hears of the
-// failure. (Taking the mutex deadlocks against the owner. Acking the
-// prepare first and locking afterwards let the next writer in between:
-// aborted for nothing, or deadlocked if itself a 2PC.) Nothing may be
-// undone twice either: commit A and the prepare of B share a heap page,
-// B's before-images hold A's bytes, and restoring them again after A's
+// behind the flights, or the last member of the youngest flight, which
+// fails itself or goes down with an older one. The pipeline cannot take
+// the mutex then; it must undo everything newest first and heal the WAL
+// under the owner's hold, before any writer hears of the failure.
+// (Taking the mutex deadlocks against the owner. Acking the prepare
+// first and locking afterwards let the next writer in between: aborted
+// for nothing, or deadlocked if itself a 2PC.) Nothing may be undone
+// twice either: commit A and the prepare of B share a heap page, B's
+// before-images hold A's bytes, and restoring them again after A's
 // rollback would bring A back.
+//
+// A flight is claimed as soon as there is room for one, so the requests
+// are made to queue by holding the log: the committer parks appending a
+// flight, and what is submitted meanwhile waits in the queue.
 func TestFailedBatchWithPrepareWaiting(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		failSync int32 // which flush fails: 1 = blocker's, 2 = the batch {A, B's prepare}
+		name string
+		// queued: B's prepare is still queued when the blocker's fsync
+		// fails, behind A's flight; otherwise A and B share the flight
+		// after the blocker's.
+		queued   bool
+		failSync int32 // which fsync fails: 1 = the blocker's, 2 = the flight after it
 		want1    []string
 	}{
-		{"queued behind the batch", 1, []string{"after", "after-2pc", "base"}},
-		{"last in the batch", 2, []string{"after", "after-2pc", "base", "blocker"}},
+		{"queued behind the batch", true, 1, []string{"after", "after-2pc", "base"}},
+		{"last in the batch", false, 2, []string{"after", "after-2pc", "base", "blocker"}},
+		{"last in the batch, an older one fails", false, 1, []string{"after", "after-2pc", "base"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const dir = "/db"
 			mem := faultfs.NewMem()
 			fsys := &failOneSync{FS: mem, name: ShardWALFileName(1)}
 			entered, release := make(chan struct{}), make(chan struct{})
-			var syncs atomic.Int32
+			var syncs, writes atomic.Int32
 			syncs.Store(-1 << 30) // not counting yet
+			writes.Store(-1 << 30)
 			fsys.onSync = func() error {
 				n := syncs.Add(1)
 				if n == 1 {
@@ -239,34 +258,44 @@ func TestFailedBatchWithPrepareWaiting(t *testing.T) {
 				}
 				return nil
 			}
+			// The flight after the blocker's reaches the file only once the
+			// blocker's fsync is parked: fsyncs are issued off the
+			// committer, and this keeps the blocker's the first.
+			fsys.onWrite = func() {
+				if writes.Add(1) == 2 {
+					<-entered
+				}
+			}
 			opts := Options{Shards: 4, Storage: storage.Options{PageSize: 512}, CheckpointBytes: -1, FS: fsys}
 			c, err := OpenCoordinator(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			m := c.routing.Load().ms[1]
-			queued := func(n int) {
+			// pipeline waits until shard 1 has q requests queued and f
+			// flights claimed.
+			pipeline := func(q, f int) {
 				t.Helper()
 				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 					m.gc.qmu.Lock()
-					got := len(m.gc.q)
+					gotQ, gotF := len(m.gc.q), len(m.gc.flights)
 					m.gc.qmu.Unlock()
-					if got == n {
+					if gotQ == q && gotF == f {
 						return
 					}
 					if time.Now().After(deadline) {
-						t.Fatalf("commit queue holds %d requests, want %d", got, n)
+						t.Fatalf("shard 1 holds %d queued requests and %d flights, want %d and %d", gotQ, gotF, q, f)
 					}
 				}
 			}
 			if err := c.Write(insertOn("base", 1)); err != nil {
 				t.Fatal(err)
 			}
+			// A flight leaves the pipeline just after its writers hear of it.
+			pipeline(0, 0)
 
-			// Park the committer in the blocker's flush so the next two
-			// requests queue up behind it and share the next batch:
-			// commit A, then the shard-1 prepare of the 2PC B.
 			syncs.Store(0)
+			writes.Store(0)
 			errs := map[string]chan error{}
 			var failed atomic.Int32 // writers that have been told of a failure
 			write := func(name string, on ...int) {
@@ -280,12 +309,27 @@ func TestFailedBatchWithPrepareWaiting(t *testing.T) {
 					ch <- err
 				}()
 			}
-			write("blocker", 1)
-			<-entered
-			write("A", 1)
-			queued(1)
-			write("B", 1, 2)
-			queued(2)
+			if tc.queued {
+				// The blocker's fsync parks; A's flight parks on the log;
+				// B's prepare queues behind it.
+				write("blocker", 1)
+				<-entered
+				m.logMu.Lock()
+				write("A", 1)
+				pipeline(0, 2)
+				write("B", 1, 2)
+				pipeline(1, 2)
+			} else {
+				// The blocker's flight parks on the log; A and B's prepare
+				// queue behind it and leave together as the next flight.
+				m.logMu.Lock()
+				write("blocker", 1)
+				pipeline(0, 1)
+				write("A", 1)
+				pipeline(1, 1)
+				write("B", 1, 2)
+				pipeline(2, 1)
+			}
 			healed := false
 			fsys.onTruncate = func() {
 				healed = true
@@ -297,7 +341,22 @@ func TestFailedBatchWithPrepareWaiting(t *testing.T) {
 					t.Errorf("%d writers heard of the failure before the WAL was healed", n)
 				}
 			}
-			close(release)
+			if tc.queued {
+				// Let the blocker's fsync fail, and A's flight reach the
+				// file only once that has stopped the claims: B stays queued.
+				close(release)
+				waitFor(t, "the failure to stop the claims", func() bool {
+					m.gc.qmu.Lock()
+					defer m.gc.qmu.Unlock()
+					return m.gc.failing != nil
+				})
+				m.logMu.Unlock()
+			} else {
+				m.logMu.Unlock()
+				<-entered
+				pipeline(0, 2)
+				close(release)
+			}
 			for _, name := range []string{"blocker", "A", "B"} {
 				err := <-errs[name]
 				if name == "blocker" && tc.failSync == 2 {
@@ -305,11 +364,11 @@ func TestFailedBatchWithPrepareWaiting(t *testing.T) {
 						t.Fatalf("blocker: %v", err)
 					}
 				} else if !errors.Is(err, faultfs.ErrInjected) {
-					t.Fatalf("%s over the failing batch fsync returned %v", name, err)
+					t.Fatalf("%s over the failing fsync returned %v", name, err)
 				}
 			}
 			if !healed {
-				t.Fatal("the failed batch was not truncated out of the WAL")
+				t.Fatal("the failed flights were not truncated out of the WAL")
 			}
 
 			// The shard healed, for commits and for prepares.

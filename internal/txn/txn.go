@@ -170,7 +170,7 @@ type Stats struct {
 // an epoch-pinned snapshot view.
 type Manager struct {
 	// mu is the writer lock: write transactions (lockWriter through
-	// submit), Checkpoint, failSuffix, and the tail of Close serialise on
+	// submit), Checkpoint, failFlights, and the tail of Close serialise on
 	// it. st (superblock mutation), nextTx and ioErr are writer-side state
 	// guarded by it.
 	mu     sync.Mutex
@@ -178,10 +178,10 @@ type Manager struct {
 	opts   Options
 	nextTx uint64 // in-memory: txids only disambiguate within one log lifetime
 
-	// logMu guards the WAL: the committer goroutine appends (and fsyncs)
-	// batches without holding mu, while checkpoints (under mu, pipeline
-	// drained) append markers and reset. Lock order is mu before logMu; a
-	// logMu holder never takes mu.
+	// logMu guards the WAL: the committer goroutine appends batches
+	// without holding mu (their fsyncs, Log.SyncFile, run off both locks),
+	// while checkpoints (under mu, pipeline drained) append markers and
+	// reset. Lock order is mu before logMu; a logMu holder never takes mu.
 	logMu sync.Mutex
 	log   *wal.Log
 
@@ -213,7 +213,7 @@ type Manager struct {
 	batches     atomic.Uint64
 	checkpoints atomic.Uint64
 	recovered   uint64       // set once at open, read-only after
-	walBytes    atomic.Int64 // mirror of log.Size(), updated under mu
+	walBytes    atomic.Int64 // mirror of log.Size(), updated under logMu
 
 	// statsMu serialises commits/batches updaters (the committer
 	// goroutine and writers committing empty transactions can otherwise

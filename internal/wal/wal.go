@@ -90,11 +90,12 @@ type Log struct {
 	w    *bufio.Writer
 	end  oid.LSN // next append offset
 	path string
-	// unsynced is set by an append and cleared by whatever next makes the
-	// file durable up to end (Sync, Reset, TruncateTo): Sync with nothing
-	// appended since is free, so a caller that only needs "the log is on
-	// stable storage" may ask without knowing who synced last.
-	unsynced bool
+	// durable is how far the file is known to be on stable storage: moved
+	// to end by whatever makes it so (Sync, Reset, TruncateTo) and by
+	// MarkDurable after a SyncFile. Sync while durable == end is free, so
+	// a caller that only needs "the log is on stable storage" may ask
+	// without knowing who synced last.
+	durable oid.LSN
 
 	// one stages the single records appendOne logs. Appends already
 	// serialize on the bufio writer, so one buffer per log is safe.
@@ -147,7 +148,7 @@ func OpenFS(fsys faultfs.FS, path string) (*Log, error) {
 			f.Close()
 			return nil, err
 		}
-		l.end = headerSize
+		l.end, l.durable = headerSize, headerSize
 		sw.off = headerSize
 		return l, nil
 	}
@@ -175,7 +176,7 @@ func OpenFS(fsys faultfs.FS, path string) (*Log, error) {
 			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
 	}
-	l.end = end
+	l.end, l.durable = end, end
 	sw.off = int64(end)
 	return l, nil
 }
@@ -414,7 +415,6 @@ func (l *Log) AppendFrames(fr *Frames) (oid.LSN, error) {
 	}
 	l.end += oid.LSN(len(fr.buf))
 	l.m.WALAppends.Add(fr.recs)
-	l.unsynced = true
 	return lsn, nil
 }
 
@@ -446,20 +446,44 @@ func (l *Log) AppendCheckpoint() (oid.LSN, error) { return l.appendOne(RecCheckp
 // only after Sync returns. With nothing appended since the log was last
 // made durable it does nothing.
 func (l *Log) Sync() error {
-	if !l.unsynced {
+	if l.durable == l.end {
 		return nil
 	}
-	start := time.Now()
+	if err := l.Flush(); err != nil {
+		return err
+	}
+	if err := l.SyncFile(); err != nil {
+		return err
+	}
+	l.durable = l.end
+	return nil
+}
+
+// Flush hands buffered appends to the file without syncing it: what a
+// SyncFile issued afterwards covers.
+func (l *Log) Flush() error {
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
+	return nil
+}
+
+// SyncFile fsyncs the file and touches no other log state, so it may
+// run beside appends and beside other SyncFiles: it makes durable what
+// was flushed before it was issued. The caller reports what it covered
+// with MarkDurable, once every older sync has returned too.
+func (l *Log) SyncFile() error {
+	start := time.Now()
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	l.unsynced = false
 	l.m.WALFsyncLatency.ObserveDuration(time.Since(start))
 	return nil
 }
+
+// MarkDurable records that the log is on stable storage up to lsn (a
+// SyncFile covered it), so that Sync is free until the next append.
+func (l *Log) MarkDurable(lsn oid.LSN) { l.durable = lsn }
 
 // Reset truncates the log back to its header after a checkpoint has made
 // the page file current.
@@ -476,7 +500,7 @@ func (l *Log) Reset() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: reset sync: %w", err)
 	}
-	l.unsynced = false
+	l.durable = l.end
 	return nil
 }
 
@@ -501,7 +525,7 @@ func (l *Log) TruncateTo(lsn oid.LSN) error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: truncate sync: %w", err)
 	}
-	l.unsynced = false
+	l.durable = lsn
 	return nil
 }
 

@@ -152,6 +152,23 @@ func TestSyncWithNothingAppendedIsFree(t *testing.T) {
 	if n := l.Metrics().WALFsyncLatency.Snapshot().Count; n != 1 {
 		t.Fatalf("the registry counts %d syncs, want the 1 that reached the device", n)
 	}
+	// A sync issued apart from Sync — Flush, SyncFile, then MarkDurable
+	// once the caller knows what it covered — counts too.
+	stage(t, l, func(fr *Frames) { fr.Begin(4); fr.Commit(4) })
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SyncFile(); err != nil {
+		t.Fatal(err)
+	}
+	l.MarkDurable(l.End())
+	pipelined := syncs()
+	if err := l.Sync(); err != nil || syncs() != pipelined {
+		t.Fatalf("Sync after SyncFile and MarkDurable: %v, %d device syncs", err, syncs()-pipelined)
+	}
+	if pipelined != after+1 {
+		t.Fatalf("Flush and SyncFile: %d device syncs, want 1", pipelined-after)
+	}
 }
 
 func TestOpenDirectoryFails(t *testing.T) {
