@@ -33,7 +33,8 @@ help:
 	@echo "           ODE_SHARDS=4, under -race; plus odebench E17 smoke"
 	@echo "  hotpath  allocation-regression gates on the commit and cached"
 	@echo "           deref paths, read begin/end and the B+tree, the read"
-	@echo "           begin/end microbenchmark, plus odebench E18 smoke"
+	@echo "           begin/end microbenchmark, the hot-write page guard and"
+	@echo "           the DChildren microbenchmark, plus odebench E18 smoke"
 	@echo "  fuzz     continuous fuzz over every native target, FUZZTIME=$(FUZZTIME) each"
 	@echo "  fuzz-smoke  same targets at 10s each — the CI tier"
 	@echo "  cover    line coverage, with 85% floors on internal/obs,"
@@ -135,6 +136,7 @@ hotpath:
 	$(GO) test -count=1 -run 'TestReadBeginEndAllocs' -v ./internal/txn
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkReadBeginEnd' -benchtime 100000x ./internal/txn
 	$(GO) test -count=1 -run 'TestTreeGetAllocs|TestTreePutAllocs' -v ./internal/btree
+	$(GO) test -count=1 -run 'TestHotWritePagesFlatInVersions' -bench 'BenchmarkDChildren' -benchtime 200x -v ./internal/core
 	$(GO) run ./cmd/odebench -scale ci -only E18 -hotpathjson ""
 
 # The delta-tier battery (DESIGN.md §14, EXPERIMENTS.md E17): the

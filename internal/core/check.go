@@ -13,11 +13,12 @@ import (
 //  1. the temporal chain (tprev/tnext) is a doubly-linked total order
 //     over exactly the live versions, with strictly increasing stamps;
 //  2. the object header's latest is the temporal maximum;
-//  3. the derived-from relation is acyclic, with every dprev pointing at
-//     a live version of the same object (a forest rooted at versions
-//     with nil dprev);
+//  3. every dprev points at a live version of the same object;
 //  4. the temporal index and vid index agree with the version records;
-//  5. delta/shared payloads have a live parent and consistent depth.
+//  5. delta/shared payloads have a live parent and consistent depth;
+//  6. every dprev precedes its child on the temporal chain, so the
+//     derived-from relation is a forest and DChildren may look for a
+//     version's children among its temporal successors.
 //
 // It is used by property tests, figure tests, and odedump --check.
 func (tx *shardTx) CheckObject(o oid.OID) error {
@@ -45,9 +46,9 @@ func (tx *shardTx) CheckObject(o oid.OID) error {
 		return fmt.Errorf("%v: latest %v is not a live version", o, h.latest)
 	}
 
-	// (1) temporal chain.
+	// (1) temporal chain; visited holds each version's chain position.
 	cur := h.firstVID
-	visited := map[oid.VID]bool{}
+	visited := map[oid.VID]int{}
 	var prev oid.VID
 	var prevStamp oid.Stamp
 	for !cur.IsNil() {
@@ -55,10 +56,10 @@ func (tx *shardTx) CheckObject(o oid.OID) error {
 		if !ok {
 			return fmt.Errorf("%v: temporal chain reaches dead version %v", o, cur)
 		}
-		if visited[cur] {
+		if _, ok := visited[cur]; ok {
 			return fmt.Errorf("%v: temporal chain cycles at %v", o, cur)
 		}
-		visited[cur] = true
+		visited[cur] = len(visited)
 		if rec.tprev != prev {
 			return fmt.Errorf("%v: %v.tprev = %v, want %v", o, cur, rec.tprev, prev)
 		}
@@ -76,7 +77,8 @@ func (tx *shardTx) CheckObject(o oid.OID) error {
 		return fmt.Errorf("%v: chain tail %v but latest %v", o, prev, h.latest)
 	}
 
-	// (3) derived-from acyclicity and liveness.
+	// (3) and (6): a live parent strictly earlier on the chain, which
+	// also rules out derived-from cycles.
 	for v, rec := range recs {
 		if rec.dprev.IsNil() {
 			continue
@@ -84,14 +86,8 @@ func (tx *shardTx) CheckObject(o oid.OID) error {
 		if _, ok := recs[rec.dprev]; !ok {
 			return fmt.Errorf("%v: %v derived from dead version %v", o, v, rec.dprev)
 		}
-		// Walk to the root; a cycle would exceed len(recs) hops.
-		cur, hops := v, 0
-		for !cur.IsNil() {
-			if hops > len(recs) {
-				return fmt.Errorf("%v: derived-from cycle through %v", o, v)
-			}
-			cur = recs[cur].dprev
-			hops++
+		if visited[rec.dprev] >= visited[v] {
+			return fmt.Errorf("%v: %v derived from %v, which does not precede it temporally", o, v, rec.dprev)
 		}
 	}
 

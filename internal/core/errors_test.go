@@ -74,6 +74,9 @@ func TestOpsOnMissingVersion(t *testing.T) {
 		if _, err := tx.Info(o, ghost); !errors.Is(err, ErrNoVersion) {
 			t.Fatalf("Info: %v", err)
 		}
+		if _, err := tx.DChildren(o, ghost); !errors.Is(err, ErrNoVersion) {
+			t.Fatalf("DChildren: %v", err)
+		}
 		return nil
 	})
 	// Engine state undamaged by all the failures.

@@ -11,14 +11,14 @@ import (
 	"ode/internal/txn"
 )
 
-func newShardedEngine(t *testing.T, shards int) *Engine {
+func newShardedEngine(t testing.TB, shards int, opts Options) *Engine {
 	t.Helper()
 	c, err := txn.OpenCoordinator(t.TempDir(), txn.Options{Shards: shards, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	e, err := NewSharded(c, Options{})
+	e, err := NewSharded(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func createOn(t *testing.T, e *Engine, ty oid.TypeID, s int) (o oid.OID, v oid.V
 // wipe shard 2's as well — a fresh lease and a free-space sweep from
 // page 1 for every shard, on every descending-join restart.
 func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
-	e := newShardedEngine(t, 3)
+	e := newShardedEngine(t, 3, Options{})
 	ty := mustType(t, e, "T")
 	var objs [3]oid.OID
 	for s := range objs {
@@ -222,7 +222,7 @@ func TestBatchFailureResetsOnlyItsShard(t *testing.T) {
 // and aborts loses the lease with its rollback; the ids handed out
 // afterwards never repeat a committed one.
 func TestIDsUniqueAcrossAbortOnLeasingShard(t *testing.T) {
-	e := newShardedEngine(t, 3)
+	e := newShardedEngine(t, 3, Options{})
 	ty := mustType(t, e, "T")
 	boom := errors.New("boom")
 	oids, vids := map[oid.OID]bool{}, map[oid.VID]bool{}

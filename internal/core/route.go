@@ -376,7 +376,9 @@ func (tx *Tx) Tnext(o oid.OID, v oid.VID) (oid.VID, error) {
 	return b.Tnext(o, v)
 }
 
-// DChildren returns the versions directly derived from v.
+// DChildren returns the versions directly derived from v, in vid order:
+// a few point lookups when v is near the latest version, a scan of the
+// object's version records deeper in history.
 func (tx *Tx) DChildren(o oid.OID, v oid.VID) ([]oid.VID, error) {
 	b, err := tx.shardR(tx.byO(o))
 	if err != nil {

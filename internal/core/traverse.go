@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"ode/internal/oid"
 )
@@ -70,12 +71,46 @@ func (tx *shardTx) Tnext(o oid.OID, v oid.VID) (oid.VID, error) {
 	return rec.tnext, nil
 }
 
-// DChildren returns the versions directly derived from v, in vid
-// (creation) order. Multiple children are the paper's alternatives
-// (§4.3): parallel versions derived from the same ancestor.
+// walkLimit is how many temporal successors DChildren inspects before
+// it gives up and scans the object's version records. A point lookup
+// costs as much as 5–25 scanned records (EXPERIMENTS.md E24), so the
+// walk pays only near the tail, which is where the write path asks.
+const walkLimit = 4
+
+// DChildren returns the versions directly derived from v, in vid order.
+// Multiple children are the paper's alternatives (§4.3): parallel
+// versions derived from the same ancestor.
+//
+// A version is created after the version it derives from, so every
+// D-child of v follows v on the temporal chain (CheckObject invariant
+// 6). When v is at most walkLimit versions from the tail, its children
+// are found among those successors in at most walkLimit+1 point
+// lookups, at any history length. Deeper in history it scans the
+// object's version records, O(versions).
 func (tx *shardTx) DChildren(o oid.OID, v oid.VID) ([]oid.VID, error) {
+	rec, err := tx.loadVer(o, v)
+	if err != nil {
+		return nil, err
+	}
 	var out []oid.VID
-	err := tx.verIdx.AscendPrefix(objKey(o), func(k, val []byte) (bool, error) {
+	cur := rec.tnext
+	for i := 0; i < walkLimit && !cur.IsNil(); i++ {
+		next, err := tx.loadVer(o, cur)
+		if err != nil {
+			return nil, err
+		}
+		if next.dprev == v {
+			out = append(out, cur)
+		}
+		cur = next.tnext
+	}
+	if cur.IsNil() {
+		// Temporal and vid order differ once a reshard composed vids.
+		slices.Sort(out)
+		return out, nil
+	}
+	out = nil
+	err = tx.verIdx.AscendPrefix(objKey(o), func(k, val []byte) (bool, error) {
 		rec, err := decodeVerRec(val)
 		if err != nil {
 			return false, err

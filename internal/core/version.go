@@ -330,7 +330,7 @@ func (tx *shardTx) UpdateVersion(o oid.OID, v oid.VID, content []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := tx.detachDependents(o, v); err != nil {
+	if _, err := tx.detachDependents(o, v); err != nil {
 		return err
 	}
 	if rec.kind == paySame {
@@ -399,24 +399,25 @@ func (tx *shardTx) fixDepths(o oid.OID, v oid.VID, vDepth uint16) error {
 
 // detachDependents rewrites every child version whose payload depends on
 // v's content (paySame or payDelta with dprev == v) as a full payload.
-func (tx *shardTx) detachDependents(o oid.OID, v oid.VID) error {
+// It returns all of v's D-children, dependent or not.
+func (tx *shardTx) detachDependents(o oid.OID, v oid.VID) ([]oid.VID, error) {
 	children, err := tx.DChildren(o, v)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, c := range children {
 		crec, err := tx.loadVer(o, c)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if crec.kind == payFull {
 			continue
 		}
 		if err := tx.anchor(o, c, crec); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return children, nil
 }
 
 // --- newversion ---
@@ -538,10 +539,7 @@ func (tx *shardTx) DeleteVersion(o oid.OID, v oid.VID) error {
 	}
 	// Children depending on v's bytes must be made self-sufficient, then
 	// re-parented onto v's parent.
-	if err := tx.detachDependents(o, v); err != nil {
-		return err
-	}
-	children, err := tx.DChildren(o, v)
+	children, err := tx.detachDependents(o, v)
 	if err != nil {
 		return err
 	}

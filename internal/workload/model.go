@@ -155,7 +155,7 @@ func (ob *object) expectHistory(v ode.VID) []ode.VID {
 }
 
 // expectDChildren lists the live versions directly derived from v, in
-// vid order (the kernel scans the version index, which is vid-sorted).
+// vid order, which the kernel promises whichever way it found them.
 func (ob *object) expectDChildren(v ode.VID) []ode.VID {
 	var out []ode.VID
 	for c, p := range ob.dprev {

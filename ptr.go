@@ -334,7 +334,9 @@ func (v VPtr[T]) Tnext(tx *Tx) (VPtr[T], error) {
 	return v.sibling(n), nil
 }
 
-// DChildren returns the versions derived from this one.
+// DChildren returns the versions derived from this one, in vid order.
+// It is cheap near the latest version and scans the object's whole
+// history for an old one.
 func (v VPtr[T]) DChildren(tx *Tx) ([]VPtr[T], error) {
 	vids, err := tx.DChildren(v.obj, v.vid)
 	if err != nil {

@@ -202,7 +202,8 @@ func (tx *Tx) Tnext(o OID, v VID) (VID, error) {
 }
 
 // DChildren returns the versions directly derived from v (alternatives
-// when there are several).
+// when there are several), in vid order. Near the latest version it
+// costs a few lookups; deeper in history it scans every version of o.
 func (tx *Tx) DChildren(o OID, v VID) ([]VID, error) {
 	if err := tx.guard(); err != nil {
 		return nil, err
