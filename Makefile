@@ -6,11 +6,14 @@ ODE_SOAK_SEEDS ?=
 
 # The restart, reset and allocation tests `make race` repeats.
 RESTART_TESTS = CrossOrderRestart|DescendingJoin|RerunLocks|SwallowedRouting|RoutingRestart|ResetsOnlyJoinedShards|BatchFailureResets|IDsUniqueAcrossAbort
+# The writer-led pipeline's liveness tests: one background goroutine per
+# shard, and no queued request left without a writer to lead it.
+LIVENESS_TESTS = ShardRunsOneBackgroundGoroutine|NoRequestStranded
 # The commit-pipeline tests `make race` repeats: background checkpoints
 # (with and without NoSync), batch failures, failures spanning
-# overlapping flushes, acknowledged flushes left to the collector, and
-# refused submits.
-PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused
+# overlapping flushes, acknowledged flushes left to the collector,
+# refused submits, and the liveness tests.
+PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused|$(LIVENESS_TESTS)
 
 # Bare `make` keeps building, as before the help target existed.
 .DEFAULT_GOAL := build
@@ -21,7 +24,8 @@ help:
 	@echo "  test     go test ./..."
 	@echo "  vet      go vet ./..."
 	@echo "  race     full test suite under -race, then the restart, reset,"
-	@echo "           allocation and commit-pipeline tests twenty times over"
+	@echo "           allocation and commit-pipeline tests twenty times over,"
+	@echo "           and the pipeline liveness tests at GOMAXPROCS 1 and 2"
 	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race)"
 	@echo "  soak     metrics-reconciling soak suite at 1 and 4 shards (-race);"
 	@echo "           seeds default to 1,2,3 — override with a comma-separated"
@@ -59,15 +63,19 @@ vet:
 # tests twenty times under the race detector: they interleave parked
 # writers, try-locks and reruns, and the allocator's leases are guarded
 # by nothing but the shard's writer mutex that every reset runs under.
-# The third does the same for the commit pipeline: every shard's
-# committer and checkpointer goroutines, NoSync or not, racing writers
-# for the writer mutex and the log. Its 3,000-commit cross-shard test
-# takes ~30 s under -race, so twenty runs need more than the default
-# ten-minute test timeout.
+# The third does the same for the commit pipeline: writers leading
+# their own flights and fsyncs beside every shard's checkpointer
+# goroutine, NoSync or not, racing for the writer mutex and the log. Its
+# 3,000-commit cross-shard test takes ~30 s under -race, so twenty runs
+# need more than the default ten-minute test timeout. The fourth runs
+# the liveness tests at GOMAXPROCS 1 and 2: at 1, a missed hand-off
+# between writers hangs instead of passing by luck. It also runs the
+# probe that a View is the state at one instant.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy
 	$(GO) test -race -count=20 -timeout 30m -run '$(PIPELINE_TESTS)' ./internal/txn .
+	$(GO) test -race -count=20 -cpu 1,2 -run '$(LIVENESS_TESTS)|ViewSeesAckedPrefix' ./internal/txn
 
 # The crash-consistency fault matrix (DESIGN.md §8, §12) under the race
 # detector: every WAL/storage injection point plus the engine-level

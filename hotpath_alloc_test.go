@@ -33,8 +33,11 @@ import (
 //	  shard bundle is one allocation where it was a heap, a heap state
 //	  with its map, seven trees and an index map. The same bundle took
 //	  the commit path from 44 to 35 at both shard counts.
+//	commit, writer-led group commit: 37 at both shard counts before it
+//	  (the batch's fsync ran on a goroutine of its own, one closure per
+//	  flight), 36 with the waiting writer running it — ceiling 47 → 46.
 //
-// The ceilings pin those wins: the commit ceiling (47, at both shard
+// The ceilings pin those wins: the commit ceiling (46, at both shard
 // counts) keeps the in-place tree's saving on top of the ≥40% reduction
 // from the 92-alloc baseline, the deref ceiling (10, at both shard
 // counts) keeps the cache on the hot path and the shards off it. They
@@ -43,7 +46,7 @@ import (
 // extra copy chain, a cache bypass or a per-shard pin) costs far more
 // than that.
 const (
-	maxCommitAllocs = 47
+	maxCommitAllocs = 46
 	maxDerefAllocs  = 10
 )
 

@@ -18,10 +18,13 @@ import (
 // durable epoch with its superblock decoded. It is immutable once built.
 // The pins are taken under pmu's read side, which excludes two-phase
 // publication and routing flips: a cross-shard transaction is in a cut on
-// all of its shards or on none, and the map matches the data. Single-
-// shard commits publishing while a cut is built can land between two
-// pins — each is confined to one shard, so every shard's view is
-// individually consistent and no transaction is ever seen torn.
+// all of its shards or on none, and the map matches the data. A served
+// cut is the state at one instant — a prefix of the temporal order over
+// acknowledged commits: with any commit it holds, it holds every commit
+// acknowledged before that one began. Single-shard commits take no lock
+// against the builder; the generation recheck (gen) discards any cut
+// that a publication acknowledged mid-build could have split
+// (TestViewSeesAckedPrefix).
 type cut struct {
 	rt    *routing
 	views []*storage.TxView

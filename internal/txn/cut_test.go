@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -474,6 +475,106 @@ func BenchmarkReadBeginEnd(b *testing.B) {
 					if err := c.Read(nothing); err != nil {
 						b.Fatal(err)
 					}
+				}
+			})
+		}
+	}
+}
+
+// TestViewSeesAckedPrefix: a View is the state at one instant. Commit A
+// on shard 0 is acknowledged, then commit B begins and commits on shard
+// 1; a View that holds B must hold A. Single-shard commits publish
+// without excluding builders, so this rests on the generation recheck
+// alone: A's publication bumps the generation before A is acknowledged,
+// so a builder that pinned shard 0 before A and shard 1 after B sees the
+// generation moved and discards its cut. The builder hook yields between
+// the generation load and the pins of every other build, so that
+// commits land inside builds and the recheck is exercised — it must
+// discard some cuts.
+func TestViewSeesAckedPrefix(t *testing.T) {
+	const commits = 200
+	for _, n := range cutShardCounts {
+		for _, nosync := range []bool{true, false} {
+			t.Run(fmt.Sprintf("shards=%d/nosync=%v", n, nosync), func(t *testing.T) {
+				c := openCutCoord(t, n, Options{NoSync: nosync})
+				sa, sb := 0, min(1, n-1)
+				var ra, rb oid.RID
+				for _, x := range []struct {
+					s   int
+					rid *oid.RID
+				}{{sa, &ra}, {sb, &rb}} {
+					if err := cwriteH(c, x.s, func(h *storage.Heap) error {
+						var err error
+						*x.rid, err = h.Insert([]byte{0, 0})
+						return err
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var builds atomic.Uint64
+				c.buildHook = func() {
+					if builds.Add(1)%2 == 0 {
+						runtime.Gosched() // every other build, so that some survive at GOMAXPROCS 1
+					}
+				}
+				installed := c.cm.ReadSnapshotBuilds.Load()
+				seq := func(r *ReadTx, s int, rid oid.RID) (uint16, error) {
+					b, err := storage.NewHeap(r.View(s), nil).Read(rid)
+					if err != nil {
+						return 0, err
+					}
+					return uint16(b[0])<<8 | uint16(b[1]), nil
+				}
+				var stop atomic.Bool
+				var reads atomic.Int64
+				var wg sync.WaitGroup
+				for reader := 0; reader < 2; reader++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for !stop.Load() {
+							if err := c.Read(func(r *ReadTx) error {
+								b, err := seq(r, sb, rb)
+								if err != nil {
+									return err
+								}
+								a, err := seq(r, sa, ra)
+								if err != nil {
+									return err
+								}
+								if a < b {
+									return fmt.Errorf("a View holds B%d on shard %d but only A%d on shard %d, acknowledged before B%d began", b, sb, a, sa, b)
+								}
+								reads.Add(1)
+								return nil
+							}); err != nil {
+								t.Error(err)
+								return
+							}
+							runtime.Gosched()
+						}
+					}()
+				}
+				for i := 1; i <= commits && !t.Failed(); i++ {
+					for _, x := range []struct {
+						s   int
+						rid oid.RID
+					}{{sa, ra}, {sb, rb}} {
+						if err := cwriteH(c, x.s, func(h *storage.Heap) error {
+							return h.Update(x.rid, []byte{byte(i >> 8), byte(i)})
+						}); err != nil {
+							t.Fatal(err)
+						}
+						runtime.Gosched() // let the readers in at GOMAXPROCS 1 too
+					}
+				}
+				stop.Store(true)
+				wg.Wait()
+				c.buildHook = nil
+				discarded := builds.Load() - (c.cm.ReadSnapshotBuilds.Load() - installed)
+				t.Logf("%d reads, %d cuts built, %d discarded by the generation recheck", reads.Load(), builds.Load(), discarded)
+				if discarded == 0 {
+					t.Error("no cut was discarded: the probe never raced a build against a commit")
 				}
 			})
 		}

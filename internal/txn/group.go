@@ -1,24 +1,25 @@
 // Group commit: the other end of submit (joined.go). A writer runs fn,
 // stages its WAL frames and submits under the shard's writer mutex; the
 // append and the fsync — the expensive, latency-dominating step — are
-// done for a whole batch of submitted transactions at once, by the
-// shard's committer goroutine and one goroutine per fsync. Writers hold
-// the writer mutex only for their in-memory work, N concurrent
-// committers cost one fsync instead of N, and the fsyncs of up to
-// maxFlights batches overlap. Every shard commits this way; NoSync only
-// skips the fsync.
+// done for a whole batch of submitted transactions at once, by one of the
+// writers waiting for them. Writers hold the writer mutex only for their
+// in-memory work, N concurrent committers cost one fsync instead of N,
+// and the fsyncs of up to maxFlights batches overlap. Every shard commits
+// this way; NoSync only skips the fsync.
 //
 // Protocol (DESIGN.md §10):
 //
 //   - submit (Manager.submit, writer mutex held): advance the pool's
 //     prepared epoch, enqueue the commitReq. Queue order is submit order
 //     because enqueue happens under the mutex.
-//   - claim (groupCommitter.run, its own goroutine): pop everything
-//     queued (bounded by maxBatch) as one flight, splice its members'
-//     frames into the log and hand them to the file, issue the flight's
-//     fsync without waiting for it, claim the next. At most maxFlights
-//     flights are appended and unacknowledged at once. Under NoSync there
-//     is no fsync and the committer settles each flight inline.
+//   - lead (groupCommitter.lead, from await): "committer" is a token
+//     under qmu, not a goroutine. A writer whose request is still queued
+//     takes it when it is free, fewer than maxFlights flights are up and
+//     no failure is pending, pops everything queued (bounded by maxBatch)
+//     as one flight, splices it into the log and hands it to the file,
+//     releases the token and runs the flight's fsync itself. A commit's
+//     writer leads after releasing the writer mutex, a 2PC prepare's still
+//     holding it. Under NoSync the leader settles instead of fsyncing.
 //   - ack (groupCommitter.settle): flights are acknowledged strictly in
 //     log order. Whoever's fsync returns settles its flight; if it is the
 //     oldest, that goroutine lands it — durable LSN, durable epoch to the
@@ -26,26 +27,30 @@
 //     kick if one is due — and then every younger flight whose fsync has
 //     returned too. An fsync covers every byte written before it was
 //     issued, so a flight is durable once its own fsync and every older
-//     flight's have returned. Members only ever wait on their own done
-//     channel.
-//   - failure (Manager.failFlights): when the oldest unacknowledged
-//     flight's append or fsync failed, every submitted-but-not-durable
-//     transaction — that flight, every younger one, even one whose fsync
-//     succeeded (it was staged on the failed flight's effects), and
-//     anything queued — is rolled back newest-first (their before-images
-//     only compose in that order), the WAL is truncated back to the failed
-//     flight's start so the failed commits can never be replayed, and only
-//     then does each member get its own error. The manager is NOT
-//     poisoned: durable state is intact and the next commit must succeed
-//     (see TestFailedCommitSyncNeverResurfaces). Only a failure to heal
-//     the WAL itself poisons.
+//     flight's have returned.
+//   - failure (Manager.failFlights, run by the writer landing the failed
+//     flight): when the oldest unacknowledged flight's append or fsync
+//     failed, every submitted-but-not-durable transaction — that flight,
+//     every younger one, even one whose fsync succeeded (it was staged on
+//     the failed flight's effects), and anything queued — is rolled back
+//     newest-first (their before-images only compose in that order), the
+//     WAL is truncated back to the failed flight's start so the failed
+//     commits can never be replayed, and only then does each member get
+//     its own error. The manager is NOT poisoned: durable state is intact
+//     and the next commit must succeed (see
+//     TestFailedCommitSyncNeverResurfaces). Only a failure to heal the WAL
+//     itself poisons.
 //
-// Batching needs no timer: while flights are in the air, new requests
-// pile up in the queue and the next claim takes them all.
+// Liveness: a queued request always has a goroutine that is claiming it
+// or will be woken to claim it. Its writer awaits it, and leads unless
+// the token is taken, maxFlights flights are up or a failure is pending;
+// each of those ends in a broadcast on changed — the token released, a
+// flight landed, the heal — that wakes it to try again.
 package txn
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -65,6 +70,7 @@ const (
 // commitReq is one staged transaction on its way into the log: built by
 // stage, handed over by submit, acknowledged through done (await).
 type commitReq struct {
+	gc    *groupCommitter
 	txid  oid.TxID
 	tr    *tracker    // for rollback if the commit fails
 	fr    *wal.Frames // staged Begin/PageImage/Commit-or-Prepare run
@@ -94,37 +100,29 @@ type flight struct {
 	err    error
 }
 
-// groupCommitter owns the commit queue, the flights and the goroutine
-// that claims them. Writers enqueue while holding the Manager's writer
-// mutex; the queue is unbounded (a slice) so enqueue never blocks —
-// essential, because the failure path takes the writer mutex and a
-// bounded queue could deadlock against it.
+// groupCommitter owns a shard's commit queue and its flights. Writers
+// enqueue while holding the Manager's writer mutex; the queue is
+// unbounded (a slice) so enqueue never blocks — essential, because the
+// failure path takes the writer mutex and a bounded queue could deadlock
+// against it.
 type groupCommitter struct {
 	m *Manager
 
-	qmu  sync.Mutex
-	more *sync.Cond // the committer may claim: enqueue, stop, a landed flight, a handled failure
-	idle *sync.Cond // a flight synced or left: the pipeline may have drained
-	q    []*commitReq
+	qmu sync.Mutex
+	// changed is broadcast when a waiter's condition may hold: the token
+	// released, a flight synced or landed, a failure healed.
+	changed *sync.Cond
+	q       []*commitReq
 	// flights are the claimed and not yet acknowledged batches, oldest
 	// first; landing says some goroutine is acknowledging them (settle).
-	flights []*flight
-	landing bool
-	failing error // a flight failed: no claims, and enqueue refuses, until failFlights is done
-	stopped bool
-	exited  chan struct{}
+	flights  []*flight
+	landing  bool
+	claiming bool  // the committer token: a writer is claiming and appending a flight
+	failing  error // a flight failed: no claims, and enqueue refuses, until failFlights is done
 }
 
-func newGroupCommitter(m *Manager) *groupCommitter {
-	gc := &groupCommitter{m: m, exited: make(chan struct{})}
-	gc.more = sync.NewCond(&gc.qmu)
-	gc.idle = sync.NewCond(&gc.qmu)
-	go gc.run()
-	return gc
-}
-
-// enqueue hands a submitted transaction to the committer. Callers hold
-// the writer mutex, which is what makes queue order submit order. It
+// enqueue queues a submitted transaction for its writer to lead. Callers
+// hold the writer mutex, which is what makes queue order submit order. It
 // refuses — the request is not queued and the caller fails it — while a
 // flight's failure is pending: the transaction was staged on that
 // flight's doomed effects, and a 2PC owner queued now would wait under
@@ -135,38 +133,51 @@ func (gc *groupCommitter) enqueue(req *commitReq) error {
 	if gc.failing != nil {
 		return fmt.Errorf("aborted with failed commit group: %w", gc.failing)
 	}
-	if gc.stopped {
-		// Unreachable by Close's ordering (writers are barred before the
-		// committer stops), but an unacked request would hang its writer
-		// forever, so fail it rather than trust that reasoning with a
-		// goroutine's life.
-		return ErrClosed
-	}
 	gc.q = append(gc.q, req)
-	gc.more.Signal()
 	return nil
 }
 
-// next blocks until there is work and room for another flight, then
-// claims up to maxBatch requests as one. It returns nil only when
-// stopped with nothing queued or in flight.
-func (gc *groupCommitter) next() *flight {
+// lead returns once r has left the queue — claimed into a flight, or
+// taken out by a failure — leading flights of the first maxBatch queued
+// requests while it is still there.
+func (gc *groupCommitter) lead(r *commitReq) {
 	gc.qmu.Lock()
 	defer gc.qmu.Unlock()
-	for len(gc.q) == 0 || len(gc.flights) == maxFlights || gc.failing != nil {
-		if gc.stopped && len(gc.q) == 0 && len(gc.flights) == 0 {
-			return nil
+	for slices.Contains(gc.q, r) {
+		if gc.claiming || len(gc.flights) == maxFlights || gc.failing != nil {
+			gc.changed.Wait()
+			continue
 		}
-		gc.more.Wait()
+		n := min(len(gc.q), maxBatch)
+		f := &flight{batch: gc.q[:n:n], began: time.Now()}
+		gc.q = append([]*commitReq(nil), gc.q[n:]...) // drop the claimed requests' array
+		gc.flights = append(gc.flights, f)
+		gc.claiming = true
+		gc.m.m.FlushesInFlight.Observe(uint64(len(gc.flights)))
+		gc.qmu.Unlock()
+		gc.fly(f)
+		gc.qmu.Lock()
 	}
-	n := min(len(gc.q), maxBatch)
-	f := &flight{batch: gc.q[:n:n], began: time.Now()}
-	rest := make([]*commitReq, len(gc.q)-n)
-	copy(rest, gc.q[n:])
-	gc.q = rest
-	gc.flights = append(gc.flights, f)
-	gc.m.m.FlushesInFlight.Observe(uint64(len(gc.flights)))
-	return f
+}
+
+// fly appends a claimed flight, releases the token and settles the
+// flight once its fsync returns, all off the writer mutex and qmu. A
+// failed append, or a NoSync flight, is settled before the token goes:
+// nothing is claimed behind a failed append before settle has stopped
+// the claims, and a NoSync shard lands each flight before the next.
+func (gc *groupCommitter) fly(f *flight) {
+	err := gc.m.appendFlight(f)
+	fsync := err == nil && !gc.m.opts.NoSync
+	if !fsync {
+		gc.settle(f, err)
+	}
+	gc.qmu.Lock()
+	gc.claiming = false
+	gc.changed.Broadcast()
+	gc.qmu.Unlock()
+	if fsync {
+		gc.settle(f, gc.m.log.SyncFile())
+	}
 }
 
 // pipelineIdle reports whether no commit is queued or in flight. Only
@@ -183,36 +194,9 @@ func (gc *groupCommitter) pipelineIdle() bool {
 func (gc *groupCommitter) waitIdle() {
 	gc.qmu.Lock()
 	for len(gc.q) > 0 || len(gc.flights) > 0 {
-		gc.idle.Wait()
+		gc.changed.Wait()
 	}
 	gc.qmu.Unlock()
-}
-
-// stop makes the committer exit once nothing is queued or in flight;
-// wait blocks until it has.
-func (gc *groupCommitter) stop() {
-	gc.qmu.Lock()
-	gc.stopped = true
-	gc.more.Broadcast()
-	gc.qmu.Unlock()
-}
-
-func (gc *groupCommitter) wait() { <-gc.exited }
-
-func (gc *groupCommitter) run() {
-	defer close(gc.exited)
-	m := gc.m
-	for {
-		f := gc.next()
-		if f == nil {
-			return
-		}
-		if err := m.appendFlight(f); err != nil || m.opts.NoSync {
-			gc.settle(f, err)
-			continue
-		}
-		go func() { gc.settle(f, m.log.SyncFile()) }()
-	}
 }
 
 // appendFlight splices a flight's frames into the log and, unless
@@ -250,7 +234,7 @@ func (gc *groupCommitter) settle(f *flight, err error) {
 	if err != nil && gc.failing == nil {
 		gc.failing = err
 	}
-	gc.idle.Broadcast()
+	gc.changed.Broadcast()
 	if gc.landing {
 		return // the goroutine landing flights takes this one in turn
 	}
@@ -267,8 +251,7 @@ func (gc *groupCommitter) settle(f *flight, err error) {
 		if head.err == nil {
 			gc.flights = slices.Delete(gc.flights, 0, 1)
 		}
-		gc.more.Signal()
-		gc.idle.Broadcast()
+		gc.changed.Broadcast()
 	}
 	gc.landing = false
 }
@@ -332,7 +315,7 @@ func (m *Manager) failFlights(cause error) {
 	gc := m.gc
 	gc.qmu.Lock()
 	for slices.ContainsFunc(gc.flights, func(f *flight) bool { return !f.synced }) {
-		gc.idle.Wait()
+		gc.changed.Wait()
 	}
 	failed := gc.flights[0]
 	newest := gc.flights[len(gc.flights)-1].batch
@@ -398,6 +381,9 @@ func (m *Manager) maybeKickCheckpoint(walSize int64) {
 		m.m.CheckpointsByWALBytes.Inc()
 	}
 	m.ckptKick <- struct{}{} // never blocks: the last kick was taken before ckptPending cleared
+	// The kick readies the checkpointer behind this goroutine, and a writer
+	// leading its own flights may not block for many commits: let it run.
+	runtime.Gosched()
 }
 
 // checkpointer is the background goroutine that runs checkpoints off

@@ -11,8 +11,9 @@
 //	            or the page's image the first time it is logged) and a
 //	            commit (or 2PC prepare) record into pooled wal.Frames
 //	submit      the in-memory commit point: advance the prepared epoch,
-//	            then hand the run to the shard's group committer
-//	await       the acknowledgement: durable, or failed and healed
+//	            then queue the run for the shard's group commit
+//	await       lead the run's flight to the log if nobody has; then the
+//	            acknowledgement: durable, or failed and healed
 //
 // and then publishes: a commit's epoch becomes the readers' epoch as
 // part of its acknowledgement; a prepare's only when the coordinator
@@ -129,7 +130,7 @@ var framesPool = sync.Pool{New: func() any { return new(wal.Frames) }}
 func (m *Manager) stage(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (*commitReq, error) {
 	touched := tr.touchedPages()
 	fr := framesPool.Get().(*wal.Frames) // empty: recycle resets before Put
-	req := &commitReq{txid: txid, tr: tr, fr: fr, prepare: prepare, done: make(chan error, 1)}
+	req := &commitReq{gc: m.gc, txid: txid, tr: tr, fr: fr, prepare: prepare, done: make(chan error, 1)}
 	fr.Begin(txid)
 	var images, imageBytes, deltas, deltaBytes uint64
 	for _, id := range touched {
@@ -163,13 +164,13 @@ func (m *Manager) stage(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (
 // submit is the in-memory commit point: it advances the shard's
 // prepared epoch — pages later transactions mutate COW against
 // snapshots tagged at it, while readers keep pinning the durable epoch
-// until the transaction is published — and queues the staged run for
-// the shard's group committer, which splices, fsyncs (unless NoSync)
-// and acknowledges it with its flight, in log order (group.go). Caller
+// until the transaction is published — and queues the staged run. Caller
 // holds the writer mutex, which is what makes log order submit order,
-// and must await the request. start is the writer's clock, kept for the
-// abort span of a failure. A request the committer refuses is failed
-// here, under the same contract (see commitReq.await).
+// and must await the request: in await this writer, or one queued behind
+// it, leads the flight that splices, fsyncs (unless NoSync) and
+// acknowledges it, in log order (group.go). start is the writer's clock,
+// kept for the abort span of a failure. A request the pipeline refuses
+// is failed here, under the same contract (see commitReq.await).
 func (m *Manager) submit(req *commitReq, start time.Time) {
 	req.epoch = m.st.Pool().AdvanceEpoch()
 	req.start = start
@@ -195,16 +196,18 @@ func (m *Manager) undo(r *commitReq, cause error) {
 }
 
 // await blocks until the request is acknowledged and returns its
-// outcome. nil: the run is durable, and a commit is visible to new
-// readers. An error: the run has been erased from the log (or the shard
-// poisoned if it could not be) and the transaction — commit or prepare
-// — has already been rolled back on this shard; the caller must not
-// roll it back again.
+// outcome, leading the flights that carry it to the log while it is
+// still queued (groupCommitter.lead). nil: the run is durable, and a
+// commit is visible to new readers. An error: the run has been erased
+// from the log (or the shard poisoned if it could not be) and the
+// transaction — commit or prepare — has already been rolled back on this
+// shard; the caller must not roll it back again.
 //
 // The acknowledgement also means nothing references the staged frames
 // any more — spliced and fsynced, or truncated away — so await is where
 // they return to the pool, whatever the outcome.
 func (r *commitReq) await() error {
+	r.gc.lead(r)
 	err := <-r.done
 	r.recycle()
 	return err

@@ -450,11 +450,12 @@ func TestPageDeltaBatchChainCrashMatrix(t *testing.T) {
 			}
 			return req, err
 		}
-		// Hold the log: the committer takes the first request as a batch
-		// of one and parks on logMu; the next two queue up behind it and
-		// leave together.
+		// Hold the log: the first writer leads its request as a batch of
+		// one and parks on logMu; the next two queue up behind it, and
+		// the second's writer leads both together.
 		m.logMu.Lock()
 		var reqs []*commitReq
+		first := make(chan error, 1)
 		for i, tag := range []string{"head", "chain-a", "chain-b"} {
 			req, err := step(tag)
 			if err != nil {
@@ -462,13 +463,21 @@ func TestPageDeltaBatchChainCrashMatrix(t *testing.T) {
 				return states, 0, err
 			}
 			reqs = append(reqs, req)
-			for i == 0 && m.gc.noBatchInFlight() {
-				runtime.Gosched()
+			if i == 0 {
+				go func() { first <- req.await() }()
+				for m.gc.noBatchInFlight() {
+					runtime.Gosched()
+				}
 			}
 		}
 		m.logMu.Unlock()
-		for _, req := range reqs {
-			if err := req.await(); err != nil {
+		for i, req := range reqs {
+			if i == 0 {
+				err = <-first
+			} else {
+				err = req.await()
+			}
+			if err != nil {
 				return states, acked, err
 			}
 			acked++
@@ -535,8 +544,7 @@ func TestPageDeltaBatchChainCrashMatrix(t *testing.T) {
 	}
 }
 
-// noBatchInFlight reports whether the committer has yet to claim a
-// batch.
+// noBatchInFlight reports whether no writer has claimed a batch yet.
 func (gc *groupCommitter) noBatchInFlight() bool {
 	gc.qmu.Lock()
 	defer gc.qmu.Unlock()

@@ -3,8 +3,8 @@ package txn
 // Staged frames come from a pool and go back to it at the request's
 // acknowledgement — on every path: a durable batch, a failed batch
 // (failFlights), a failed 2PC prepare. Returned any earlier, the next
-// writer would stage into a buffer the committer is still splicing into
-// the log. This test drives all three paths on the sharded coordinator
+// writer would stage into a buffer a flight's leader is still splicing
+// into the log. This test drives all three paths on the sharded coordinator
 // with eight concurrent committers; run under -race (make race / make
 // matrix) a premature recycle is a reported data race, and in any mode
 // it corrupts the WAL, which the crash-and-reopen check at the end
@@ -223,8 +223,9 @@ func TestFramesRecycledOnlyAfterAck(t *testing.T) {
 // rollback would bring A back.
 //
 // A flight is claimed as soon as there is room for one, so the requests
-// are made to queue by holding the log: the committer parks appending a
-// flight, and what is submitted meanwhile waits in the queue.
+// are made to queue by holding the log: the writer leading a flight parks
+// appending it, holding the committer token, and what is submitted
+// meanwhile waits in the queue.
 func TestFailedBatchWithPrepareWaiting(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -259,8 +260,8 @@ func TestFailedBatchWithPrepareWaiting(t *testing.T) {
 				return nil
 			}
 			// The flight after the blocker's reaches the file only once the
-			// blocker's fsync is parked: fsyncs are issued off the
-			// committer, and this keeps the blocker's the first.
+			// blocker's fsync is parked: its leader releases the committer
+			// token before it fsyncs, and this keeps the blocker's the first.
 			fsys.onWrite = func() {
 				if writes.Add(1) == 2 {
 					<-entered
@@ -421,10 +422,10 @@ func payloads(t *testing.T, c *Coordinator) [][]string {
 // TestSubmitRefusedWhileBatchFails: a batch fsync fails while another
 // writer is inside its transaction on the shard. That writer staged on
 // the failed batch's effects, so it must go down with it — and it must
-// not be queued: the committer is waiting for the writer mutex, and a
-// 2PC owner queued now would wait for the committer under that mutex.
-// submit fails it on the spot, it rolls back first (it is the newest),
-// and the committer then undoes the batch.
+// not be queued: the writer landing the failed batch is waiting for the
+// writer mutex, and a 2PC owner queued now would wait for the heal under
+// that mutex. submit fails it on the spot, it rolls back first (it is the
+// newest), and the landing writer then undoes the batch.
 func TestSubmitRefusedWhileBatchFails(t *testing.T) {
 	for _, on := range [][]int{{1}, {1, 2}} {
 		t.Run(fmt.Sprintf("writer on %v", on), func(t *testing.T) {
@@ -442,7 +443,7 @@ func TestSubmitRefusedWhileBatchFails(t *testing.T) {
 			}
 			entered, release := make(chan struct{}), make(chan struct{})
 			fsys.onSync = func() error {
-				fsys.onSync = nil // the committer is the only caller
+				fsys.onSync = nil // the doomed flight's leader is the only caller
 				close(entered)
 				<-release
 				return faultfs.ErrInjected
@@ -472,7 +473,7 @@ func TestSubmitRefusedWhileBatchFails(t *testing.T) {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatal("the committer never asked for the writer mutex")
+					t.Fatal("the failed batch's heal never asked for the writer mutex")
 				}
 			}
 			close(finish)

@@ -159,8 +159,8 @@ type Stats struct {
 	Checkpoints   uint64
 	RecoveredTxns uint64
 	WALBytes      int64
-	// Batches counts committer batches, one fsync each unless NoSync;
-	// Commits/Batches is the mean group size.
+	// Batches counts group-commit batches (flights), one fsync each
+	// unless NoSync; Commits/Batches is the mean group size.
 	Batches uint64
 }
 
@@ -178,18 +178,18 @@ type Manager struct {
 	opts   Options
 	nextTx uint64 // in-memory: txids only disambiguate within one log lifetime
 
-	// logMu guards the WAL: the committer goroutine appends batches
-	// without holding mu (their fsyncs, Log.SyncFile, run off both locks),
+	// logMu guards the WAL: the writer leading a flight appends it
+	// without holding mu (its fsync, Log.SyncFile, runs off both locks),
 	// while checkpoints (under mu, pipeline drained) append markers and
 	// reset. Lock order is mu before logMu; a logMu holder never takes mu.
 	logMu sync.Mutex
 	log   *wal.Log
 
-	// gc is the group committer. The checkpointer goroutine runs beside
-	// it and coalesces automatic checkpoints off the commit path;
-	// ckptPending is set from its kick until the checkpoint has run. Every
-	// Manager has both, a read-only one included (its writers are refused
-	// at lockWriter, so both sit idle until Close).
+	// gc is the commit pipeline, which the writers run themselves; the
+	// checkpointer, the shard's one goroutine, coalesces automatic
+	// checkpoints off the commit path. ckptPending is set from its kick
+	// until the checkpoint has run. Every Manager has both, a read-only one
+	// included (its writers are refused at lockWriter; both idle until Close).
 	gc          *groupCommitter
 	ckptKick    chan struct{}
 	ckptStop    chan struct{}
@@ -215,8 +215,8 @@ type Manager struct {
 	recovered   uint64       // set once at open, read-only after
 	walBytes    atomic.Int64 // mirror of log.Size(), updated under logMu
 
-	// statsMu serialises commits/batches updaters (the committer
-	// goroutine and writers committing empty transactions can otherwise
+	// statsMu serialises commits/batches updaters (the writer landing a
+	// flight and writers committing empty transactions can otherwise
 	// race); statsSeq is the seqlock generation — odd while an update is
 	// in flight.
 	statsMu  sync.Mutex
@@ -359,10 +359,11 @@ func (m *Manager) addCommitsBatches(commits, batches uint64) {
 	m.statsMu.Unlock()
 }
 
-// startPipeline launches the group committer and the background
-// checkpointer.
+// startPipeline sets up the group commit pipeline and launches the
+// background checkpointer.
 func (m *Manager) startPipeline() {
-	m.gc = newGroupCommitter(m)
+	m.gc = &groupCommitter{m: m}
+	m.gc.changed = sync.NewCond(&m.gc.qmu)
 	m.ckptKick = make(chan struct{}, 1)
 	m.ckptStop = make(chan struct{})
 	m.ckptWG.Add(1)
@@ -666,8 +667,8 @@ func (m *Manager) isClosed() bool {
 //
 // This is the standalone form of the one write path (joined.go):
 // lockWriter, begin, fn, stage and submit under the writer mutex, then
-// the wait for the acknowledgement off it — so the next writer runs
-// while the committer logs this one's batch. The
+// await off it — leading this one's flight to the log, or waiting for
+// the writer that does — so the next writer runs meanwhile. The
 // coordinator drives the same steps for a database's transactions and
 // accounts for them at its own level; this entry point serves a Manager
 // used on its own.
@@ -895,11 +896,12 @@ func (m *Manager) flushPages() error {
 	return m.st.FlushAll()
 }
 
-// Close checkpoints and closes the database. If the final flush fails
-// (or the manager was already poisoned) the WAL is deliberately NOT
-// reset: it is then the only durable copy of recent commits, and the
-// next open replays it. Resetting it regardless — as this method once
-// did — silently discarded acked commits on a failing disk.
+// Close waits out every commit already submitted, then checkpoints and
+// closes the database. If the final flush fails (or the manager was
+// already poisoned) the WAL is deliberately NOT reset: it is then the
+// only durable copy of recent commits, and the next open replays it.
+// Resetting it regardless — as this method once did — silently
+// discarded acked commits on a failing disk.
 func (m *Manager) Close() error {
 	m.rmu.Lock()
 	if m.closed {
@@ -915,8 +917,8 @@ func (m *Manager) Close() error {
 		m.opts.onPublish()
 	}
 	// Drain and stop the tracer sink on the way out (after mu is
-	// released): every span source — writers, the committer, the
-	// checkpointer — is gone by then. A tracer stuck inside TraceSpan
+	// released): every span source — writers, which also land flights,
+	// and the checkpointer — is gone by then. A tracer stuck inside TraceSpan
 	// forfeits the queue after a grace period rather than hanging Close.
 	// A coordinated shard shares the coordinator's sink and leaves it
 	// alone (the coordinator closes it after every shard is down).
@@ -932,14 +934,13 @@ func (m *Manager) Close() error {
 	m.ckptWG.Wait()
 	// Writer barrier: any Write that passed the closed check holds mu
 	// until it has enqueued, so after one lock/unlock round trip the
-	// queue holds every outstanding commit and no more can arrive. Then
-	// stop the committer, which drains (and acks) that queue. mu must NOT
-	// be held across the wait: a failing final batch takes it to roll the
+	// queue holds every outstanding commit and no more can arrive. Their
+	// writers lead them to the log; wait until they have. mu must NOT be
+	// held across the wait: a failing final batch takes it to roll the
 	// suffix back.
 	m.mu.Lock()
 	m.mu.Unlock() //nolint:staticcheck // empty critical section is the point
-	m.gc.stop()
-	m.gc.wait()
+	m.gc.waitIdle()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.opts.Storage.ReadOnly {

@@ -336,7 +336,7 @@ type Stats struct {
 	Aborts      uint64
 	Checkpoints uint64
 	WALBytes    int64
-	// Batches counts committer batches, one fsync each unless NoSync;
+	// Batches counts group-commit batches, one fsync each unless NoSync;
 	// Commits/Batches is the mean number of transactions sharing one.
 	Batches uint64
 	// RecoveredTxns counts committed transactions replayed from the WAL
