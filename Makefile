@@ -13,7 +13,11 @@ LIVENESS_TESTS = ShardRunsOneBackgroundGoroutine|NoRequestStranded
 # (with and without NoSync), batch failures, failures spanning
 # overlapping flushes, acknowledged flushes left to the collector,
 # refused submits, and the liveness tests.
-PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused|$(LIVENESS_TESTS)
+PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|WriterWaitsOutPendingCheckpoint|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused|$(LIVENESS_TESTS)
+# The B+tree entry-offset table tests `make race` repeats: readers racing
+# to build a published leaf's table while the writer edits its copy, and
+# a rollback retiring the table of the bytes it undid.
+BTREE_TESTS = ReadersRaceToIndexPublishedLeaf|RollbackRetiresOffsetTable
 
 # Bare `make` keeps building, as before the help target existed.
 .DEFAULT_GOAL := build
@@ -37,8 +41,9 @@ help:
 	@echo "           ODE_SHARDS=4, under -race; plus odebench E17 smoke"
 	@echo "  hotpath  allocation-regression gates on the commit and cached"
 	@echo "           deref paths, read begin/end and the B+tree, the read"
-	@echo "           begin/end microbenchmark, the hot-write page guard and"
-	@echo "           the DChildren microbenchmark, plus odebench E18 smoke"
+	@echo "           begin/end microbenchmark, the B+tree microbenchmarks,"
+	@echo "           the hot-write page guard and the DChildren"
+	@echo "           microbenchmark, plus odebench E18 smoke"
 	@echo "  fuzz     continuous fuzz over every native target, FUZZTIME=$(FUZZTIME) each"
 	@echo "  fuzz-smoke  same targets at 10s each — the CI tier"
 	@echo "  cover    line coverage, with 85% floors on internal/obs,"
@@ -70,12 +75,15 @@ vet:
 # need more than the default ten-minute test timeout. The fourth runs
 # the liveness tests at GOMAXPROCS 1 and 2: at 1, a missed hand-off
 # between writers hangs instead of passing by luck. It also runs the
-# probe that a View is the state at one instant.
+# probe that a View is the state at one instant. The fifth repeats the
+# B+tree's entry-offset table tests: tables built, shared and rebuilt
+# in place beside a writer that copies and edits the same leaf.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy
 	$(GO) test -race -count=20 -timeout 30m -run '$(PIPELINE_TESTS)' ./internal/txn .
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(LIVENESS_TESTS)|ViewSeesAckedPrefix' ./internal/txn
+	$(GO) test -race -count=20 -run '$(BTREE_TESTS)' ./internal/btree
 
 # The crash-consistency fault matrix (DESIGN.md §8, §12) under the race
 # detector: every WAL/storage injection point plus the engine-level
@@ -137,13 +145,16 @@ ycsb:
 # and the in-place B+tree's Get and Put to their measured allocs/op
 # ceilings; the read begin/end microbenchmark (the router layer's entry
 # in the cost ledger) prints ns/op by shard count, quiet and with a
-# commit every 16 reads; then the E18 benchmark runs at ci scale as an
-# end-to-end smoke — alloc reductions, cache speedup, hit rates.
+# commit every 16 reads; the B+tree microbenchmarks print Get, SeekLE,
+# Put and Ascend ns/op at a fixed iteration count (EXPERIMENTS.md E26);
+# then the E18 benchmark runs at ci scale as an end-to-end smoke — alloc
+# reductions, cache speedup, hit rates.
 hotpath:
 	$(GO) test -count=1 -run 'TestCommitPathAllocs|TestHotDerefAllocs' -v .
 	$(GO) test -count=1 -run 'TestReadBeginEndAllocs' -v ./internal/txn
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkReadBeginEnd' -benchtime 100000x ./internal/txn
 	$(GO) test -count=1 -run 'TestTreeGetAllocs|TestTreePutAllocs' -v ./internal/btree
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkTree(Get|SeekLE|Put|Ascend)$$' -benchtime 200000x ./internal/btree
 	$(GO) test -count=1 -run 'TestHotWritePagesFlatInVersions' -bench 'BenchmarkDChildren' -benchtime 200x -v ./internal/core
 	$(GO) run ./cmd/odebench -scale ci -only E18 -hotpathjson ""
 

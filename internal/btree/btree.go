@@ -17,10 +17,20 @@
 //
 // Entries are sorted by key; entry i of a branch carries separator i and
 // child i+1, a separator being a lower bound of the keys under the child
-// beside it. Bytes past the last entry are zero. Lookups walk the entries
-// with a cursor and compare keys where they lie; a mutation touches the
-// page once and edits the bytes in place, fitting by arithmetic on the
-// entry's size and the node's used length.
+// beside it. Bytes past the last entry are zero. A lookup binary-searches
+// a node through its entry-offset table — where each entry starts, then
+// the node's used length — and compares keys where they lie; Ascend
+// walks a leaf's entries with a cursor. A mutation touches the page once
+// and edits the bytes in place, fitting by arithmetic on the entry's
+// size and the used length the table holds.
+//
+// The table is derived from the page bytes and never written to disk:
+// storage.TxView.Offsets keeps it on the page. A published page never
+// changes, so readers build and share its table; a writer's private page
+// changes only after Touch (or a rollback's Restore) has marked its table
+// stale, and the writer rebuilds it in place on its next search. Tables
+// are built only where a search or a node's end needs one, never by
+// Ascend's walk along the leaf chain.
 //
 // Aliasing rests on what the storage layer guarantees: a page reachable
 // from a read view is immutable (writers copy on write), and an evicted
@@ -111,11 +121,15 @@ func (t *Tree) bodyCap() int { return t.st.PageSize() - storage.HeaderSize }
 // --- nodes in place ---
 
 // cursor walks the entries of one node where they lie in the page body.
+// at, when a lookup has loaded it (Tree.index), is the node's
+// entry-offset table: at[i] is where entry i starts and at[count] the
+// node's used length.
 type cursor struct {
 	b    []byte
 	leaf bool
 	off  int // offset of the next unread entry
 	n    int // entries not yet read
+	at   []uint16
 }
 
 // openNode starts a cursor on a node body. No page is smaller than
@@ -139,6 +153,41 @@ func (t *Tree) open(id oid.PageID, depth int) (*storage.Page, cursor, error) {
 		return nil, cursor{}, err
 	}
 	return p, openNode(p.Body()), nil
+}
+
+// openIndexed is open plus the node's entry-offset table, for the
+// callers that search a node or read its end: Ascend's walk along the
+// leaf chain never needs one and so never builds one.
+func (t *Tree) openIndexed(id oid.PageID, depth int) (*storage.Page, cursor, error) {
+	pg, c, err := t.open(id, depth)
+	if err == nil {
+		var ok bool
+		if c.at, ok = t.st.Offsets(pg, offsets); !ok {
+			err = corrupt(id)
+		}
+	}
+	return pg, c, err
+}
+
+// offsets builds a node's entry-offset table (storage.OffsetBuilder)
+// with the checked walk of next, so it fails exactly where the walk
+// does; every offset in a table it returns starts an entry that lies
+// within the body.
+func offsets(body []byte, at []uint16) ([]uint16, bool) {
+	c := openNode(body)
+	if at == nil {
+		// A count the body cannot hold (an entry takes two bytes at
+		// least) fails in the walk; it must not size the allocation.
+		at = make([]uint16, 0, min(c.n, (len(body)-c.off)/2)+1)
+	}
+	at = append(at, uint16(c.off))
+	for c.n > 0 {
+		if _, _, ok := c.next(); !ok {
+			return at, false
+		}
+		at = append(at, uint16(c.off))
+	}
+	return at, true
 }
 
 func corrupt(id oid.PageID) error { return fmt.Errorf("%w: page %d", ErrCorrupt, id) }
@@ -192,16 +241,21 @@ func (c *cursor) next() (k, v []byte, ok bool) {
 	return k, v, true
 }
 
-// last reads every remaining entry and returns the final one (v as given
-// when none remain) with the node's used length.
-func (c *cursor) last(v []byte) (k, lv []byte, used int, ok bool) {
-	for ok = true; ok && c.n > 0; {
-		k, v, ok = c.next()
-	}
-	return k, v, c.off, ok
+// entry reads the entry at off, which the table says starts an entry
+// within the body.
+func (c *cursor) entry(off int) (k, v []byte) {
+	e := cursor{b: c.b, leaf: c.leaf, off: off}
+	k, v, _ = e.next()
+	return k, v
 }
 
-// pos is where the walk for a key stops in a node: at the last entry
+// used is the node's used length: where its last entry ends.
+func (c *cursor) used() int { return int(c.at[len(c.at)-1]) }
+
+// last reads the node's last entry; the node has one.
+func (c *cursor) last() (k, v []byte) { return c.entry(int(c.at[len(c.at)-2])) }
+
+// pos is where the search for a key stops in a node: at the last entry
 // whose key is ≤ the key. In a branch that entry names the child
 // covering the key; in a leaf it is the key's own entry or the one the
 // key would follow.
@@ -213,42 +267,45 @@ type pos struct {
 	exact    bool   // k equals the key
 }
 
-func (c *cursor) seek(key []byte) (p pos, ok bool) {
-	p.off, p.end = c.off, c.off
-	if !c.leaf {
-		p.v = c.b[hdrSize:c.off]
-	}
-	// The walk tracks offsets only; the entries it settles on are read
-	// again afterwards.
-	prevAt := 0
-	for c.n > 0 && !p.exact {
-		at := c.off
-		k, _, ok := c.next()
-		if !ok {
-			return p, false
+// seek binary-searches the node's entry-offset table for key. Every
+// offset in the table starts an entry within the body, so the key at it
+// is read unchecked, its one-byte length prefix inline.
+func (c *cursor) seek(key []byte) (p pos) {
+	b, at := c.b, c.at
+	lo, hi := 0, len(at)-1 // entries [0, lo) are ≤ key, [hi, count) greater
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		off := int(at[m])
+		kl := int(b[off])
+		if kl < 0x80 {
+			off++
+		} else {
+			kl, off = longLength(b, off)
 		}
-		cmp := bytes.Compare(k, key)
-		if cmp > 0 {
+		cmp := bytes.Compare(b[off:off+kl], key)
+		if cmp == 0 {
+			lo, p.exact = m+1, true
 			break
 		}
-		prevAt, p.off, p.end = p.off, at, c.off
-		p.n++
-		p.exact = cmp == 0
+		if cmp < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	p.n = lo
+	p.off, p.end = int(at[0]), int(at[0])
+	if !c.leaf {
+		p.v = c.b[hdrSize:p.off]
 	}
 	if p.n > 0 {
 		if p.prev = p.v; p.n > 1 {
-			_, p.prev = c.entry(prevAt)
+			_, p.prev = c.entry(int(at[p.n-2]))
 		}
+		p.off, p.end = int(at[p.n-1]), int(at[p.n])
 		p.k, p.v = c.entry(p.off)
 	}
-	return p, true
-}
-
-// entry reads again the entry at off, which a walk has already checked.
-func (c *cursor) entry(off int) (k, v []byte) {
-	e := cursor{b: c.b, leaf: c.leaf, off: off}
-	k, v, _ = e.next()
-	return k, v
+	return p
 }
 
 // leafFor descends to the leaf that covers key and seeks key in it.
@@ -259,14 +316,10 @@ func (c *cursor) entry(off int) (k, v []byte) {
 func (t *Tree) leafFor(key []byte) (id oid.PageID, c cursor, p pos, left oid.PageID, err error) {
 	id = t.root
 	for depth := 0; ; depth++ {
-		if _, c, err = t.open(id, depth); err != nil {
+		if _, c, err = t.openIndexed(id, depth); err != nil {
 			return id, c, p, left, err
 		}
-		var ok bool
-		if p, ok = c.seek(key); !ok {
-			return id, c, p, left, corrupt(id)
-		}
-		if c.leaf {
+		if p = c.seek(key); c.leaf {
 			return id, c, p, left, nil
 		}
 		if p.prev != nil {
@@ -360,28 +413,25 @@ func (t *Tree) Max() (k, v []byte, ok bool, err error) {
 
 // max is Max of the subtree under id.
 func (t *Tree) max(id oid.PageID, depth int) ([]byte, []byte, bool, error) {
-	pg, c, err := t.lastLeaf(id, depth)
+	_, c, err := t.lastLeaf(id, depth)
 	if err != nil || c.n == 0 {
 		return nil, nil, false, err
 	}
-	k, v, _, ok := c.last(nil)
-	if !ok {
-		return nil, nil, false, corrupt(pg.ID)
-	}
-	k, v = clonePair(k, v)
+	k, v := clonePair(c.last())
 	return k, v, true, nil
 }
 
-// lastLeaf descends from id through last children to a leaf.
+// lastLeaf descends from id through last children to a leaf, which it
+// returns with its entry-offset table.
 func (t *Tree) lastLeaf(id oid.PageID, depth int) (*storage.Page, cursor, error) {
 	for ; ; depth++ {
-		pg, c, err := t.open(id, depth)
+		pg, c, err := t.openIndexed(id, depth)
 		if err != nil || c.leaf {
 			return pg, c, err
 		}
-		_, child, _, ok := c.last(c.b[hdrSize:c.off])
-		if !ok {
-			return nil, c, corrupt(id)
+		child := c.b[hdrSize:c.off]
+		if c.n > 0 {
+			_, child = c.last()
 		}
 		id = pageID(child)
 	}
@@ -418,15 +468,12 @@ func (t *Tree) Put(key, val []byte) error {
 // and new right sibling for the caller to absorb. The separator is only
 // valid until the caller has stored it.
 func (t *Tree) insert(id oid.PageID, key, val []byte, depth int) ([]byte, oid.PageID, error) {
-	pg, c, err := t.open(id, depth)
+	pg, c, err := t.openIndexed(id, depth)
 	if err != nil {
 		return nil, oid.NilPage, err
 	}
 	n := c.n
-	p, ok := c.seek(key)
-	if !ok {
-		return nil, oid.NilPage, corrupt(id)
-	}
+	p := c.seek(key)
 	if c.leaf {
 		if p.exact {
 			return t.store(pg, &c, p.off, p.end, n, key, val)
@@ -444,10 +491,11 @@ func (t *Tree) insert(id oid.PageID, key, val []byte, depth int) ([]byte, oid.Pa
 
 // store replaces bytes off:end of node pg with the entry (k, v) — an
 // insertion when the range is empty — leaving n entries, and splits the
-// node when the result does not fit. c is pg's cursor, at or past end.
+// node when the result does not fit. c is pg's cursor with its table.
 func (t *Tree) store(pg *storage.Page, c *cursor, off, end, n int, k, v []byte) ([]byte, oid.PageID, error) {
-	_, _, used, ok := c.last(nil)
-	if !ok {
+	used := c.used()
+	if used < end {
+		// Only a cyclic image can edit a node under its own descent.
 		return nil, oid.NilPage, corrupt(pg.ID)
 	}
 	size := entrySize(k, v, c.leaf)
@@ -551,15 +599,12 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 // remove deletes key under id, returning (deleted, nowEmpty). leftSub
 // roots the nearest subtree left of the descent path, as in leafFor.
 func (t *Tree) remove(id oid.PageID, key []byte, leftSub oid.PageID, depth int) (bool, bool, error) {
-	pg, c, err := t.open(id, depth)
+	pg, c, err := t.openIndexed(id, depth)
 	if err != nil {
 		return false, false, err
 	}
 	n := c.n
-	p, ok := c.seek(key)
-	if !ok {
-		return false, false, corrupt(id)
-	}
+	p := c.seek(key)
 	if c.leaf && !p.exact {
 		return false, false, nil
 	}
@@ -583,9 +628,9 @@ func (t *Tree) remove(id oid.PageID, key []byte, leftSub oid.PageID, depth int) 
 			return true, false, err
 		}
 	}
-	_, _, used, ok := c.last(nil)
-	if !ok {
-		return true, false, corrupt(id)
+	used := c.used()
+	if used < p.end {
+		return true, false, corrupt(id) // as in store
 	}
 	b := t.st.Touch(pg).Body()
 	switch {
@@ -596,7 +641,7 @@ func (t *Tree) remove(id oid.PageID, key []byte, leftSub oid.PageID, depth int) 
 		// that entry's child becomes the first.
 		first := openNode(b)
 		_, v, ok := first.next()
-		if !ok {
+		if !ok || first.off > used {
 			return true, false, corrupt(id)
 		}
 		copy(b[hdrSize:], v)

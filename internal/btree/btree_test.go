@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"ode/internal/oid"
 	"ode/internal/storage"
 )
 
@@ -20,13 +21,22 @@ func testTree(t testing.TB, pageSize int) (*Tree, *storage.TxView) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	v := st.OpenWriter(nil)
+	v := st.OpenWriter(pageSet{})
 	tr, err := Create(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tr, v
 }
+
+// pageSet is the least storage.MutationTracker: it remembers the pages
+// the view has copied or allocated, so that — as under the transaction
+// manager — a second Touch edits the writer's own copy in place.
+type pageSet map[oid.PageID]bool
+
+func (s pageSet) BeforeMutate(id oid.PageID, _ []byte, _ bool) { s[id] = true }
+func (s pageSet) DidAllocate(id oid.PageID)                    { s[id] = true }
+func (s pageSet) Tracked(id oid.PageID) bool                   { return s[id] }
 
 func TestPutGetBasic(t *testing.T) {
 	tr, _ := testTree(t, 512)

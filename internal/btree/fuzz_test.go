@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"ode/internal/faultfs"
@@ -10,12 +11,14 @@ import (
 	"ode/internal/storage"
 )
 
+const fuzzPageSize = 512
+
 // fuzzStore is a small store holding a valid two-level tree (so child
 // ids in a fuzzed node may land on real nodes) plus one page whose body
 // the fuzzer owns.
 func fuzzStore(tb testing.TB, body []byte) (*storage.TxView, oid.PageID) {
 	tb.Helper()
-	st, err := storage.Create("fuzz.ode", storage.Options{PageSize: 512, FS: faultfs.NewMem()})
+	st, err := storage.Create("fuzz.ode", storage.Options{PageSize: fuzzPageSize, FS: faultfs.NewMem()})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -39,10 +42,79 @@ func fuzzStore(tb testing.TB, body []byte) (*storage.TxView, oid.PageID) {
 	return v, p.ID
 }
 
+// checkTable holds the entry-offset table over a node body to the
+// checked walk it is built with: it is built exactly when the walk gets
+// through every entry, and then holds each entry's start, none past the
+// body. On a node the reference decoder also parses, with keys in
+// strictly ascending order, a binary search over the table must stop
+// where the reference model's search does, for every key in the node,
+// for keys just beside each, and for key.
+func checkTable(t *testing.T, b, key []byte) {
+	at, ok := offsets(b, nil)
+	c := openNode(b)
+	walk, wok := []uint16{uint16(c.off)}, true
+	for wok && c.n > 0 {
+		if _, _, wok = c.next(); wok {
+			walk = append(walk, uint16(c.off))
+		}
+	}
+	if ok != wok {
+		t.Fatalf("table built: %v; walk got through: %v", ok, wok)
+	}
+	if !ok {
+		return
+	}
+	if !slices.Equal(at, walk) || int(at[len(at)-1]) > len(b) {
+		t.Fatalf("table %v, walk %v over a %d-byte body", at, walk, len(b))
+	}
+	n, err := decodeNode(b)
+	if err != nil {
+		return
+	}
+	for i := 1; i < len(n.keys); i++ {
+		if bytes.Compare(n.keys[i-1], n.keys[i]) >= 0 {
+			return
+		}
+	}
+	probes := [][]byte{nil, key}
+	for _, k := range n.keys {
+		probes = append(probes, k, append(k[:len(k):len(k)], 0))
+		if len(k) > 0 {
+			probes = append(probes, k[:len(k)-1])
+		}
+	}
+	c = openNode(b)
+	c.at = at
+	for _, k := range probes {
+		p := c.seek(k)
+		i, found := search(n.keys, k)
+		if found {
+			i++
+		}
+		if p.n != i || p.exact != found {
+			t.Fatalf("seek(%x) stops after %d entries (exact %v); the model after %d (%v)", k, p.n, p.exact, i, found)
+		}
+		switch {
+		case !c.leaf:
+			var prev []byte
+			if i > 0 {
+				prev = binary.BigEndian.AppendUint32(nil, uint32(n.children[i-1]))
+			}
+			if pageID(p.v) != n.children[i] || !bytes.Equal(p.prev, prev) {
+				t.Fatalf("seek(%x) in a branch: child %d, left %x; the model: %d, %x", k, pageID(p.v), p.prev, n.children[i], prev)
+			}
+		case i > 0 && (!bytes.Equal(p.k, n.keys[i-1]) || !bytes.Equal(p.v, n.vals[i-1])):
+			t.Fatalf("seek(%x) in a leaf: %x=%x; the model: %x=%x", k, p.k, p.v, n.keys[i-1], n.vals[i-1])
+		}
+	}
+}
+
 // FuzzBTreeNode installs arbitrary bytes as a node and runs every
 // operation over it: each returns a result or an error — never a panic,
 // an out-of-range slice or a walk that does not end — and what a
-// mutation leaves behind can still be read the same way.
+// mutation leaves behind can still be read the same way. The node's
+// entry-offset table must agree with the walk and the reference model
+// (checkTable).
 func FuzzBTreeNode(f *testing.F) {
 	leaf := func(next uint32, count uint16, entries ...[]byte) []byte {
 		b := []byte{1, 0, 0, 0, 0, 0, 0}
@@ -62,6 +134,9 @@ func FuzzBTreeNode(f *testing.F) {
 			key = key[:31]
 		}
 		val := bytes.Repeat([]byte{0xAB}, len(body)%62)
+		node := make([]byte, fuzzPageSize-storage.HeaderSize) // the body as fuzzStore installs it
+		copy(node, body)
+		checkTable(t, node, key)
 		// Errors are as good as results here; only a panic or a hang fails.
 		read := func(tr *Tree) {
 			tr.Get(key)

@@ -169,6 +169,14 @@ func (d *diffPair) samePages(when string) {
 	}
 }
 
+// offsetsCurrent demands that every table the tree has built describes
+// its node's bytes as they are now.
+func (d *diffPair) offsetsCurrent(when string) {
+	if err := d.tr.CheckOffsets(); err != nil {
+		d.t.Fatalf("%s: %v", when, err)
+	}
+}
+
 func (d *diffPair) height() int {
 	h := 1
 	for id := d.ref.root; ; h++ {
@@ -187,7 +195,10 @@ func (d *diffPair) height() int {
 // decode/re-encode reference with the same seeded operations through
 // growth to three levels and more, churn, a drain down to an empty root
 // (prunes, root collapse) and regrowth: identical answers, and
-// byte-identical stores.
+// byte-identical stores. Every entry-offset table the tree has built
+// must describe its node's bytes: checked after every step at 512-byte
+// pages, and after every 32nd at 4096, where the check's walk over
+// every entry of a five-times-larger tree would dominate the run.
 func TestDifferentialAgainstReference(t *testing.T) {
 	for _, tc := range []struct{ pageSize, grow int }{{512, 6000}, {4096, 30000}} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -220,6 +231,9 @@ func TestDifferentialAgainstReference(t *testing.T) {
 						if !step(puts, overwrites, deletes) {
 							return false
 						}
+						if tc.pageSize == 512 || i%32 == 0 {
+							d.offsetsCurrent(fmt.Sprintf("%s step %d", name, i))
+						}
 						if i%997 == 0 {
 							d.samePages(fmt.Sprintf("%s step %d", name, i))
 						}
@@ -238,6 +252,9 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				}
 				for len(d.keys) > 0 { // drain: prunes, then root collapse
 					d.del(d.liveKey(rng))
+					if tc.pageSize == 512 || len(d.keys)%32 == 0 {
+						d.offsetsCurrent(fmt.Sprintf("drain at %d keys", len(d.keys)))
+					}
 					if len(d.keys)%499 == 0 {
 						d.samePages(fmt.Sprintf("drain at %d keys", len(d.keys)))
 					}

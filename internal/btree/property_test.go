@@ -39,6 +39,9 @@ func assertMatchesModel(t *testing.T, tr *Tree, model map[string]string, step in
 	if err := tr.Check(); err != nil {
 		fail("structural invariant broken: %v", err)
 	}
+	if err := tr.CheckOffsets(); err != nil {
+		fail("offset table: %v", err)
+	}
 	n, err := tr.Len()
 	if err != nil {
 		fail("Len: %v", err)

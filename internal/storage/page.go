@@ -16,6 +16,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"ode/internal/codec"
 	"ode/internal/oid"
@@ -95,6 +96,12 @@ type Page struct {
 	// lruElem is the page's position in the pool's clean-page LRU
 	// (a *list.Element), or nil while the page is dirty.
 	lruElem any
+
+	// offs is the page's entry-offset table (TxView.Offsets), nil when
+	// none is current; spare is the buffer of a table marked stale, which
+	// only the writer touches.
+	offs  atomic.Pointer[[]uint16]
+	spare *[]uint16
 }
 
 // Type returns the page's type tag.
@@ -109,6 +116,65 @@ func (p *Page) Dirty() bool { return p.dirty }
 // Body returns the page body after the header. Mutations require
 // MarkDirty via the pool.
 func (p *Page) Body() []byte { return p.Data[HeaderSize:] }
+
+// Restore overwrites the page image with data — a rollback's
+// before-image, or an image Install puts over a resident page — and
+// marks its entry-offset table stale.
+func (p *Page) Restore(data []byte) {
+	copy(p.Data, data)
+	p.staleOffsets()
+}
+
+// staleOffsets marks the entry-offset table stale before the writer
+// changes the page's bytes, keeping its buffer for the next build. Only
+// a page private to the writer — or one no reader can reach yet — is
+// ever marked, so no reader holds the table it retires.
+func (p *Page) staleOffsets() {
+	if t := p.offs.Swap(nil); t != nil {
+		p.spare = t
+	}
+}
+
+// OffsetBuilder derives a page's entry-offset table from its body,
+// appending to buf; ok is false for a body it cannot parse.
+type OffsetBuilder func(body []byte, buf []uint16) (offs []uint16, ok bool)
+
+// Offsets returns page p's entry-offset table: a []uint16 derived from
+// the page body by build, cached on the page and never written to disk.
+// The storage layer does not know what the offsets mean; the page's
+// owner (the B+tree) does. A published page's bytes never change, so
+// concurrent readers build and share its table through an atomic
+// pointer. Only a writer's private page changes, and every change
+// comes through Touch, Install or Restore, which mark the table stale;
+// the writer rebuilds a stale table in place, reusing its buffer. ok is
+// false, and nothing is kept, when build fails.
+func (v *TxView) Offsets(p *Page, build OffsetBuilder) (offs []uint16, ok bool) {
+	if t := p.offs.Load(); t != nil {
+		return *t, true
+	}
+	var t *[]uint16
+	if v.write {
+		t = p.spare
+	}
+	inPlace := t != nil
+	if !inPlace {
+		t = new([]uint16)
+	}
+	built, ok := build(p.Body(), (*t)[:0])
+	if !ok {
+		return nil, false
+	}
+	*t = built
+	if inPlace {
+		p.spare = nil
+		p.offs.Store(t)
+		return *t, true
+	}
+	if !p.offs.CompareAndSwap(nil, t) {
+		t = p.offs.Load()
+	}
+	return *t, true
+}
 
 // sealChecksum stamps the CRC into buf (a full page image) prior to a
 // stable write.

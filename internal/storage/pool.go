@@ -388,7 +388,7 @@ func (pl *Pool) Install(id oid.PageID, data []byte) *Page {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	if old, ok := pl.pages[id]; ok {
-		copy(old.Data, data)
+		old.Restore(data)
 		pl.markDirtyLocked(old)
 		return old
 	}

@@ -157,10 +157,11 @@ func (v *TxView) Touch(p *Page) *Page {
 	if v.tracker != nil && v.tracker.Tracked(p.ID) {
 		// Already copied (or freshly allocated) this transaction; make
 		// sure the caller holds the live object, not a stale pre-COW
-		// pointer.
+		// pointer. Its bytes are about to change under its table.
 		if live := v.store.pool.Live(p.ID); live != nil {
-			return live
+			p = live
 		}
+		p.staleOffsets()
 		return p
 	}
 	np, before, wasDirty := v.store.pool.COW(p)

@@ -50,7 +50,6 @@ package txn
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -372,7 +371,16 @@ func (m *Manager) failFlights(cause error) {
 // the log the first has just reset.
 func (m *Manager) maybeKickCheckpoint(walSize int64) {
 	due, byDirty := m.checkpointDue(walSize)
-	if !due || !m.ckptPending.CompareAndSwap(false, true) {
+	if !due {
+		return
+	}
+	m.ckptMu.Lock()
+	pending := m.ckptDone != nil
+	if !pending {
+		m.ckptDone = make(chan struct{})
+	}
+	m.ckptMu.Unlock()
+	if pending {
 		return
 	}
 	if byDirty {
@@ -380,10 +388,31 @@ func (m *Manager) maybeKickCheckpoint(walSize int64) {
 	} else {
 		m.m.CheckpointsByWALBytes.Inc()
 	}
-	m.ckptKick <- struct{}{} // never blocks: the last kick was taken before ckptPending cleared
-	// The kick readies the checkpointer behind this goroutine, and a writer
-	// leading its own flights may not block for many commits: let it run.
-	runtime.Gosched()
+	m.ckptKick <- struct{}{} // never blocks: the last kick was taken before ckptDone cleared
+}
+
+// awaitCheckpoint holds a writer back, before it takes the writer
+// mutex, while its shard's log has passed CheckpointBytes by a quarter
+// with a checkpoint pending: writers that lead their own flights can
+// otherwise outrun a kicked checkpointer waiting for that mutex, and the
+// log grows without bound. Below the slack nobody waits, so a
+// checkpointer that gets the mutex soon after its kick costs the writers
+// nothing. It returns when the checkpoint has run (or failed) or the
+// shard closes.
+func (m *Manager) awaitCheckpoint() {
+	if limit := m.checkpointBytes(); limit < 0 || m.walBytes.Load() < limit+limit/4 {
+		return
+	}
+	m.ckptMu.Lock()
+	done := m.ckptDone
+	m.ckptMu.Unlock()
+	if done == nil {
+		return
+	}
+	select {
+	case <-done:
+	case <-m.ckptStop:
+	}
 }
 
 // checkpointer is the background goroutine that runs checkpoints off
@@ -396,10 +425,16 @@ func (m *Manager) checkpointer() {
 		case <-m.ckptStop:
 			return
 		case <-m.ckptKick:
-			if err := m.Checkpoint(); err != nil {
+			err := m.Checkpoint()
+			m.ckptMu.Lock()
+			close(m.ckptDone)
+			if err == nil {
+				m.ckptDone = nil
+			}
+			m.ckptMu.Unlock()
+			if err != nil {
 				return // poisoned or closed; either way no more checkpoints
 			}
-			m.ckptPending.Store(false)
 		}
 	}
 }

@@ -41,9 +41,11 @@ import (
 	"ode/internal/wal"
 )
 
-// lockWriter takes the shard's writer mutex and validates that the
+// lockWriter takes the shard's writer mutex, after any checkpoint the
+// log's size makes it wait for (awaitCheckpoint), and validates that the
 // shard can accept a write. On error the mutex is NOT held.
 func (m *Manager) lockWriter() error {
+	m.awaitCheckpoint()
 	m.mu.Lock()
 	return m.checkWritable()
 }

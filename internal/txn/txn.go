@@ -187,14 +187,18 @@ type Manager struct {
 
 	// gc is the commit pipeline, which the writers run themselves; the
 	// checkpointer, the shard's one goroutine, coalesces automatic
-	// checkpoints off the commit path. ckptPending is set from its kick
-	// until the checkpoint has run. Every Manager has both, a read-only one
-	// included (its writers are refused at lockWriter; both idle until Close).
-	gc          *groupCommitter
-	ckptKick    chan struct{}
-	ckptStop    chan struct{}
-	ckptWG      sync.WaitGroup
-	ckptPending atomic.Bool
+	// checkpoints off the commit path. ckptDone is made with its kick and
+	// closed when that checkpoint has run; nil when none is pending. A
+	// failed checkpoint leaves it closed and in place, so no further kick
+	// is sent to a checkpointer that has stopped. Every Manager has both,
+	// a read-only one included (its writers are refused at lockWriter;
+	// both idle until Close).
+	gc       *groupCommitter
+	ckptKick chan struct{}
+	ckptStop chan struct{}
+	ckptWG   sync.WaitGroup
+	ckptMu   sync.Mutex
+	ckptDone chan struct{}
 
 	// rmu guards reader admission and closed; Close flips closed and
 	// then drains in-flight readers via the WaitGroup.
@@ -776,7 +780,7 @@ func (m *Manager) rollbackQuiet(tr *tracker) {
 			// cannot fail for it. Guard anyway.
 			continue
 		}
-		copy(p.Data, bi.data)
+		p.Restore(bi.data)
 		if !bi.wasDirty {
 			m.st.Pool().MarkClean(p)
 		}
@@ -802,10 +806,7 @@ func (m *Manager) rollbackQuiet(tr *tracker) {
 // share of the pool, which the log's size does not bound (a page delta
 // costs it a few bytes). A negative CheckpointBytes disables both.
 func (m *Manager) checkpointDue(walSize int64) (due, byDirty bool) {
-	limit := m.opts.CheckpointBytes
-	if limit == 0 {
-		limit = DefaultCheckpointBytes
-	}
+	limit := m.checkpointBytes()
 	switch {
 	case limit < 0:
 		return false, false
@@ -813,6 +814,15 @@ func (m *Manager) checkpointDue(walSize int64) (due, byDirty bool) {
 		return true, false
 	}
 	return m.st.Pool().DirtyDue(), true
+}
+
+// checkpointBytes is the log size that makes a checkpoint due; negative
+// when automatic checkpoints are off.
+func (m *Manager) checkpointBytes() int64 {
+	if m.opts.CheckpointBytes == 0 {
+		return DefaultCheckpointBytes
+	}
+	return m.opts.CheckpointBytes
 }
 
 // Checkpoint forces the page file current and truncates the WAL. It

@@ -273,6 +273,64 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 }
 
+// TestWriterWaitsOutPendingCheckpoint: a writer that finds its shard's
+// log past CheckpointBytes by a quarter with a checkpoint pending waits
+// for that checkpoint before it takes the writer mutex — below that it
+// does not — and Close releases a writer still waiting.
+func TestWriterWaitsOutPendingCheckpoint(t *testing.T) {
+	const limit = 64 << 10
+	m, _ := createDB(t, Options{NoSync: true, CheckpointBytes: limit})
+	defer m.Close()
+	// stall stands in for a kicked checkpointer that has not yet got the
+	// writer mutex, over a log of walBytes.
+	stall := func(walBytes int64) chan struct{} {
+		done := make(chan struct{})
+		m.ckptMu.Lock()
+		m.ckptDone = done
+		m.ckptMu.Unlock()
+		m.walBytes.Store(walBytes)
+		return done
+	}
+	write := func() chan error {
+		res := make(chan error, 1)
+		go func() {
+			res <- writeH(m, func(h *storage.Heap) error { _, err := h.Insert([]byte("w")); return err })
+		}()
+		return res
+	}
+
+	const slack = limit + limit/4
+	stall(slack - 1)
+	if err := <-write(); err != nil {
+		t.Fatalf("below the slack: %v", err)
+	}
+
+	done := stall(slack)
+	res := write()
+	select {
+	case err := <-res:
+		t.Fatalf("writer ran past a pending checkpoint with the log past the slack: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	m.ckptMu.Lock()
+	m.ckptDone = nil
+	m.ckptMu.Unlock()
+	close(done)
+	if err := <-res; err != nil {
+		t.Fatalf("after the checkpoint: %v", err)
+	}
+
+	stall(slack)
+	res = write()
+	time.Sleep(20 * time.Millisecond) // let it reach the wait
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-res; !errors.Is(err, ErrClosed) {
+		t.Fatalf("writer waiting at Close: %v, want ErrClosed", err)
+	}
+}
+
 func TestReadOnlyWriteTxnLogsNothing(t *testing.T) {
 	m, _ := createDB(t, Options{})
 	defer m.Close()
