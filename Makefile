@@ -4,8 +4,10 @@ FUZZTIME ?= 30s
 # Empty means the suite's default three (1,2,3).
 ODE_SOAK_SEEDS ?=
 
-# The restart, reset and allocation tests `make race` repeats.
-RESTART_TESTS = CrossOrderRestart|DescendingJoin|RerunLocks|SwallowedRouting|RoutingRestart|ResetsOnlyJoinedShards|BatchFailureResets|IDsUniqueAcrossAbort
+# The restart, reset and allocation tests `make race` repeats. A reset
+# is what every rollback does to its shard: the id leases are dropped and
+# the heap free-space cache is repaired, its sweep keeping its place.
+RESTART_TESTS = CrossOrderRestart|DescendingJoin|RerunLocks|SwallowedRouting|RoutingRestart|ResetsOnlyJoinedShards|RestartKeepsHeapSweep|BatchFailureResets|IDsUniqueAcrossAbort
 # The writer-led pipeline's liveness tests: one background goroutine per
 # shard, and no queued request left without a writer to lead it.
 LIVENESS_TESTS = ShardRunsOneBackgroundGoroutine|NoRequestStranded
@@ -15,9 +17,11 @@ LIVENESS_TESTS = ShardRunsOneBackgroundGoroutine|NoRequestStranded
 # refused submits, and the liveness tests.
 PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|WriterWaitsOutPendingCheckpoint|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused|$(LIVENESS_TESTS)
 # The B+tree entry-offset table tests `make race` repeats: readers racing
-# to build a published leaf's table while the writer edits its copy, and
-# a rollback retiring the table of the bytes it undid.
-BTREE_TESTS = ReadersRaceToIndexPublishedLeaf|RollbackRetiresOffsetTable
+# to build a published leaf's table while the writer edits its copy, a
+# rollback retiring the table of the bytes it undid, the writer's edits
+# deriving the leaf's table alongside its bytes, and readers keeping the
+# published table a first-touch edit derives its copy's from.
+BTREE_TESTS = ReadersRaceToIndexPublishedLeaf|RollbackRetiresOffsetTable|EditsUpdateOffsetTable|EditKeepsReadersTable
 
 # Bare `make` keeps building, as before the help target existed.
 .DEFAULT_GOAL := build
@@ -28,8 +32,9 @@ help:
 	@echo "  test     go test ./..."
 	@echo "  vet      go vet ./..."
 	@echo "  race     full test suite under -race, then the restart, reset,"
-	@echo "           allocation and commit-pipeline tests twenty times over,"
-	@echo "           and the pipeline liveness tests at GOMAXPROCS 1 and 2"
+	@echo "           allocation, commit-pipeline and B+tree offset-table"
+	@echo "           tests twenty times over, and the pipeline liveness"
+	@echo "           tests at GOMAXPROCS 1 and 2"
 	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race)"
 	@echo "  soak     metrics-reconciling soak suite at 1 and 4 shards (-race);"
 	@echo "           seeds default to 1,2,3 — override with a comma-separated"
@@ -66,8 +71,9 @@ vet:
 
 # The second line reruns the restart, rollback-reset and id-allocation
 # tests twenty times under the race detector: they interleave parked
-# writers, try-locks and reruns, and the allocator's leases are guarded
-# by nothing but the shard's writer mutex that every reset runs under.
+# writers, try-locks and reruns, and the allocator's leases and the heap
+# cache a rollback repairs are guarded by nothing but the shard's writer
+# mutex that every reset runs under.
 # The third does the same for the commit pipeline: writers leading
 # their own flights and fsyncs beside every shard's checkpointer
 # goroutine, NoSync or not, racing for the writer mutex and the log. Its
@@ -76,8 +82,10 @@ vet:
 # the liveness tests at GOMAXPROCS 1 and 2: at 1, a missed hand-off
 # between writers hangs instead of passing by luck. It also runs the
 # probe that a View is the state at one instant. The fifth repeats the
-# B+tree's entry-offset table tests: tables built, shared and rebuilt
-# in place beside a writer that copies and edits the same leaf.
+# B+tree's entry-offset table tests: tables built and shared by readers,
+# derived by the writer alongside its edits — in its own page's buffer,
+# or a fresh one after a first-touch copy — and rebuilt in place after a
+# rollback, beside readers holding the published leaf.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy

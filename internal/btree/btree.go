@@ -22,13 +22,19 @@
 // the node's used length — and compares keys where they lie; Ascend
 // walks a leaf's entries with a cursor. A mutation touches the page once
 // and edits the bytes in place, fitting by arithmetic on the entry's
-// size and the used length the table holds.
+// size and the used length the table holds, and edits the table with
+// them.
 //
 // The table is derived from the page bytes and never written to disk:
 // storage.TxView.Offsets keeps it on the page. A published page never
-// changes, so readers build and share its table; a writer's private page
-// changes only after Touch (or a rollback's Restore) has marked its table
-// stale, and the writer rebuilds it in place on its next search. Tables
+// changes, so readers build and share its table. A writer's private page
+// changes only after Touch has marked its table stale; an edit that keeps
+// the node derives the new table from the one it searched with (retable)
+// and installs it (storage.TxView.SetOffsets) — in the page's own buffer,
+// or in a fresh one after a first-touch copy, never in the published
+// page's. Any other change — a split, a new root, a prune mending the
+// leaf chain, a rollback's Restore — leaves the table stale, for the
+// next search to rebuild in place with offsets, the one builder. Tables
 // are built only where a search or a node's end needs one, never by
 // Ascend's walk along the leaf chain.
 //
@@ -472,13 +478,12 @@ func (t *Tree) insert(id oid.PageID, key, val []byte, depth int) ([]byte, oid.Pa
 	if err != nil {
 		return nil, oid.NilPage, err
 	}
-	n := c.n
 	p := c.seek(key)
 	if c.leaf {
 		if p.exact {
-			return t.store(pg, &c, p.off, p.end, n, key, val)
+			return t.store(pg, &c, p.n-1, 1, key, val)
 		}
-		return t.store(pg, &c, p.end, p.end, n+1, key, val)
+		return t.store(pg, &c, p.n, 0, key, val)
 	}
 	sep, right, err := t.insert(pageID(p.v), key, val, depth+1)
 	if err != nil || right == oid.NilPage {
@@ -486,22 +491,24 @@ func (t *Tree) insert(id oid.PageID, key, val []byte, depth int) ([]byte, oid.Pa
 	}
 	// The child's work touched no byte of this node, so the cursor and
 	// the offsets still describe it.
-	return t.store(pg, &c, p.end, p.end, n+1, sep, branchVal(right))
+	return t.store(pg, &c, p.n, 0, sep, branchVal(right))
 }
 
-// store replaces bytes off:end of node pg with the entry (k, v) — an
-// insertion when the range is empty — leaving n entries, and splits the
-// node when the result does not fit. c is pg's cursor with its table.
-func (t *Tree) store(pg *storage.Page, c *cursor, off, end, n int, k, v []byte) ([]byte, oid.PageID, error) {
-	used := c.used()
+// store puts the entry (k, v) at index i of node pg in place of the
+// drop entries there — 1 to replace entry i, 0 to insert before it —
+// and splits the node when the result does not fit. c is pg's cursor
+// with its table.
+func (t *Tree) store(pg *storage.Page, c *cursor, i, drop int, k, v []byte) ([]byte, oid.PageID, error) {
+	off, end, used := int(c.at[i]), int(c.at[i+drop]), c.used()
 	if used < end {
 		// Only a cyclic image can edit a node under its own descent.
 		return nil, oid.NilPage, corrupt(pg.ID)
 	}
 	size := entrySize(k, v, c.leaf)
 	grown := used - (end - off) + size
-	pg = t.st.Touch(pg)
-	b := pg.Body()
+	np := t.st.Touch(pg)
+	b := np.Body()
+	n := c.n + 1 - drop
 	if grown <= len(b) {
 		copy(b[off+size:], b[end:used])
 		if grown < used {
@@ -509,6 +516,7 @@ func (t *Tree) store(pg *storage.Page, c *cursor, off, end, n int, k, v []byte) 
 		}
 		writeEntry(b[off:], k, v, c.leaf)
 		setCount(b, n)
+		t.retable(pg, np, c.at, i, 1-drop, size-(end-off))
 		return nil, oid.NilPage, nil
 	}
 	// Build the over-full node aside, then deal its halves to the pages.
@@ -517,7 +525,37 @@ func (t *Tree) store(pg *storage.Page, c *cursor, off, end, n int, k, v []byte) 
 	writeEntry(s[off:], k, v, c.leaf)
 	copy(s[off+size:], b[end:used])
 	setCount(s, n)
-	return t.split(pg, s)
+	return t.split(np, s)
+}
+
+// retable installs the table of node np, the page Touch returned for pg
+// and whose bytes the writer has just edited, derived from at, the
+// table pg was searched with: entries before index i keep their
+// offsets, grow entries (1 inserted, 0 replaced, -1 removed) come or go
+// at i — an inserted one starting where entry i did — and every later
+// entry and the used length move by shift bytes. When Touch handed back
+// pg itself, at is the array Touch just retired on it and is edited in
+// place (an insertion shifts back to front, as copy does); after a
+// first-touch copy at is the published page's table, which readers
+// share, and the new one goes into a fresh buffer, with a quarter to
+// spare so that the transaction's next insertions into the page reuse it.
+func (t *Tree) retable(pg, np *storage.Page, at []uint16, i, grow, shift int) {
+	var dst []uint16
+	if np == pg {
+		dst = at
+	}
+	n := len(at) + grow
+	if cap(dst) < n {
+		dst = make([]uint16, n, n+n/4+1)
+	}
+	dst = dst[:n]
+	copy(dst, at[:i+1])
+	tail := dst[i+1:]
+	copy(tail, at[i+1-grow:])
+	for j := range tail {
+		tail[j] += uint16(shift)
+	}
+	t.st.SetOffsets(np, dst)
 }
 
 // split deals the over-full node s between pg, which keeps the first
@@ -628,31 +666,35 @@ func (t *Tree) remove(id oid.PageID, key []byte, leftSub oid.PageID, depth int) 
 			return true, false, err
 		}
 	}
-	used := c.used()
-	if used < p.end {
-		return true, false, corrupt(id) // as in store
-	}
-	b := t.st.Touch(pg).Body()
-	switch {
-	case p.n > 0: // the key's entry, or the entry naming the pruned child
-		cut(b, p.off, p.end, used)
-	case n > 0:
-		// A branch's first child goes, and the first separator with it:
-		// that entry's child becomes the first.
-		first := openNode(b)
-		_, v, ok := first.next()
-		if !ok || first.off > used {
-			return true, false, corrupt(id)
-		}
-		copy(b[hdrSize:], v)
-		cut(b, hdrSize+childSize, first.off, used)
-	default:
+	if n == 0 {
 		// A branch's only child goes: the caller frees the node.
-		binary.BigEndian.PutUint32(b[hdrSize:], uint32(oid.NilPage))
+		binary.BigEndian.PutUint32(t.st.Touch(pg).Body()[hdrSize:], uint32(oid.NilPage))
 		return true, true, nil
 	}
-	setCount(b, n-1)
-	return true, c.leaf && n == 1, nil
+	// Cut the key's entry, or the one naming the pruned child. When the
+	// pruned child is a branch's first, the first separator goes with
+	// it and that entry's child becomes the first.
+	return true, c.leaf && n == 1, t.cutEntry(pg, &c, max(p.n-1, 0), p.n == 0)
+}
+
+// cutEntry removes entry i of node pg, c being pg's cursor with its
+// table. With promote, entry i's child first replaces the branch's first
+// child.
+func (t *Tree) cutEntry(pg *storage.Page, c *cursor, i int, promote bool) error {
+	off, end, used := int(c.at[i]), int(c.at[i+1]), c.used()
+	if used < end {
+		return corrupt(pg.ID) // as in store
+	}
+	np := t.st.Touch(pg)
+	b := np.Body()
+	if promote {
+		_, v := c.entry(off)
+		copy(b[hdrSize:], v)
+	}
+	cut(b, off, end, used)
+	setCount(b, c.n-1)
+	t.retable(pg, np, c.at, i, -1, off-end)
+	return nil
 }
 
 // unlinkLeaf takes leaf victim, about to be pruned, out of the leaf

@@ -15,15 +15,16 @@ const fuzzPageSize = 512
 
 // fuzzStore is a small store holding a valid two-level tree (so child
 // ids in a fuzzed node may land on real nodes) plus one page whose body
-// the fuzzer owns.
-func fuzzStore(tb testing.TB, body []byte) (*storage.TxView, oid.PageID) {
+// the fuzzer owns. tracker is the writer view's: nil copies a page on
+// every touch, pageSet{} edits the writer's own copies in place.
+func fuzzStore(tb testing.TB, body []byte, tracker storage.MutationTracker) (*storage.TxView, oid.PageID) {
 	tb.Helper()
 	st, err := storage.Create("fuzz.ode", storage.Options{PageSize: fuzzPageSize, FS: faultfs.NewMem()})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { st.Close() })
-	v := st.OpenWriter(nil)
+	v := st.OpenWriter(tracker)
 	valid, err := Create(v)
 	if err != nil {
 		tb.Fatal(err)
@@ -109,12 +110,53 @@ func checkTable(t *testing.T, b, key []byte) {
 	}
 }
 
+// checkEdit applies one store or cut, chosen by sel, to the node body
+// installs — on the writer's own page with pageSet{}, on the copy a
+// first touch makes with nil — and holds the table the edit derives to
+// what the edited bytes build. A store that splits the node leaves its
+// table to be built later, and is not checked.
+func checkEdit(t *testing.T, body, key, val []byte, sel byte, tracker storage.MutationTracker) {
+	v, root := fuzzStore(t, body, tracker)
+	tr := Open(v, root)
+	pg, c, err := tr.openIndexed(root, 0)
+	if err != nil {
+		return
+	}
+	i, right := int(sel>>2)%(c.n+1), oid.NilPage
+	if sel&3 == 3 && c.n > 0 {
+		i %= c.n
+		err = tr.cutEntry(pg, &c, i, !c.leaf && i == 0 && sel&0x80 != 0)
+	} else {
+		drop := int(sel & 1)
+		if i == c.n {
+			drop = 0
+		}
+		if !c.leaf {
+			val = branchVal(oid.PageID(sel))
+		}
+		_, right, err = tr.store(pg, &c, i, drop, key, val)
+	}
+	if err != nil || right != oid.NilPage {
+		return
+	}
+	live, err := v.GetTyped(root, storage.PageBTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := v.Offsets(live, func([]byte, []uint16) ([]uint16, bool) { return nil, false })
+	want, wok := offsets(live.Body(), nil)
+	if !ok || !wok || !slices.Equal(got, want) {
+		t.Fatalf("edit %#x at entry %d: the table %v (current %v), the bytes build %v (%v)", sel, i, got, ok, want, wok)
+	}
+}
+
 // FuzzBTreeNode installs arbitrary bytes as a node and runs every
 // operation over it: each returns a result or an error — never a panic,
 // an out-of-range slice or a walk that does not end — and what a
 // mutation leaves behind can still be read the same way. The node's
 // entry-offset table must agree with the walk and the reference model
-// (checkTable).
+// (checkTable), and an edit must derive the table its result builds
+// (checkEdit).
 func FuzzBTreeNode(f *testing.F) {
 	leaf := func(next uint32, count uint16, entries ...[]byte) []byte {
 		b := []byte{1, 0, 0, 0, 0, 0, 0}
@@ -137,6 +179,12 @@ func FuzzBTreeNode(f *testing.F) {
 		node := make([]byte, fuzzPageSize-storage.HeaderSize) // the body as fuzzStore installs it
 		copy(node, body)
 		checkTable(t, node, key)
+		sel := byte(len(body))
+		if len(key) > 0 {
+			sel ^= key[len(key)-1]
+		}
+		checkEdit(t, body, key, val, sel, nil)
+		checkEdit(t, body, key, val, sel, pageSet{})
 		// Errors are as good as results here; only a panic or a hang fails.
 		read := func(tr *Tree) {
 			tr.Get(key)
@@ -158,7 +206,7 @@ func FuzzBTreeNode(f *testing.F) {
 				return nil
 			},
 		} {
-			v, root := fuzzStore(t, body)
+			v, root := fuzzStore(t, body, nil)
 			tr := Open(v, root)
 			read(tr)
 			_ = mutate(tr) // any error is fine; reading on must still be safe

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -189,5 +190,153 @@ func TestReadersRaceToIndexPublishedLeaf(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// countingBuilder wraps the table builder, counting the tables it
+// builds.
+func countingBuilder(builds *int) storage.OffsetBuilder {
+	return func(body []byte, buf []uint16) ([]uint16, bool) {
+		*builds++
+		return offsets(body, buf)
+	}
+}
+
+// TestEditsUpdateOffsetTable: one transaction inserts into a published
+// leaf (its first touch copies the page), then replaces that entry with
+// one of the same size, a longer and a shorter one, deletes it, and
+// inserts and deletes at both ends of the leaf. Each edit derives the
+// leaf's table alongside its bytes: after every step the page's current
+// table is what its bytes build, and no table is built in between — a
+// table the writer did not keep would be rebuilt by the next search.
+func TestEditsUpdateOffsetTable(t *testing.T) {
+	m, root, key := oneLeaf(t)
+	err := m.Write(func(v *storage.TxView) error {
+		tr := Open(v, root)
+		builds := 0
+		current := func(step string) error {
+			pg, err := v.GetTyped(root, storage.PageBTree)
+			if err != nil {
+				return err
+			}
+			got, ok := v.Offsets(pg, countingBuilder(&builds))
+			want, wok := offsets(pg.Body(), nil)
+			if !ok || !wok || !slices.Equal(got, want) {
+				return fmt.Errorf("%s: current table %v (%v), the bytes build %v (%v)", step, got, ok, want, wok)
+			}
+			if builds != 0 {
+				return fmt.Errorf("%s: %d tables built since the last step", step, builds)
+			}
+			return tr.CheckOffsets()
+		}
+		// The published leaf's table, built once by a reader of it.
+		if _, _, err := tr.Get(key(0)); err != nil {
+			return err
+		}
+		if err := current("before the edits"); err != nil {
+			return err
+		}
+		for _, step := range []struct {
+			name string
+			k    []byte
+			v    string // "" deletes k
+		}{
+			{"insert", key(5), "ab"},
+			{"same-size replace", key(5), "cd"},
+			{"grow", key(5), "a longer value"},
+			{"shrink", key(5), "e"},
+			{"delete", key(5), ""},
+			{"insert first", []byte("a"), "f"},
+			{"insert last", key(999), "g"},
+			{"delete first", []byte("a"), ""},
+			{"delete last", key(999), ""},
+			{"delete the old first", key(0), ""},
+		} {
+			if step.v == "" {
+				if ok, err := tr.Delete(step.k); err != nil || !ok {
+					return fmt.Errorf("%s: Delete = %v, %v", step.name, ok, err)
+				}
+			} else if err := tr.Put(step.k, []byte(step.v)); err != nil {
+				return fmt.Errorf("%s: %w", step.name, err)
+			}
+			if tr.Root() != root {
+				return fmt.Errorf("%s split the leaf", step.name)
+			}
+			if err := current(step.name); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEditKeepsReadersTable: readers hold a published leaf's table
+// while a writer's first touch copies the leaf and edits the copy — a
+// Put in one transaction, a Delete in the next, each deriving the copy's
+// table. The edited table must go into a buffer of the copy's own:
+// every reader's slice stays as it was and still matches the bytes it
+// reads. Run under -race as well.
+func TestEditKeepsReadersTable(t *testing.T) {
+	m, root, key := oneLeaf(t)
+	type held struct {
+		table, kept []uint16
+		release     chan struct{}
+		done        chan error
+	}
+	// hold parks a reader holding the leaf's table as of now; its done
+	// reports whether, once released, that table is unchanged and still
+	// what the reader's bytes build.
+	hold := func() *held {
+		h := &held{release: make(chan struct{}), done: make(chan error, 1)}
+		ready := make(chan struct{})
+		go func() {
+			h.done <- m.Read(func(v *storage.TxView) error {
+				defer func() { <-h.release }()
+				pg, err := v.GetTyped(root, storage.PageBTree)
+				if err != nil {
+					close(ready)
+					return err
+				}
+				h.table, _ = v.Offsets(pg, offsets)
+				h.kept = slices.Clone(h.table)
+				close(ready)
+				<-h.release
+				want, _ := offsets(pg.Body(), nil)
+				if !slices.Equal(h.table, h.kept) || !slices.Equal(h.table, want) {
+					return fmt.Errorf("the reader's table went from %v to %v; its bytes build %v", h.kept, h.table, want)
+				}
+				return Open(v, root).CheckOffsets()
+			})
+		}()
+		<-ready
+		return h
+	}
+	edit := func(fn func(*Tree) error) {
+		if err := m.Write(func(v *storage.TxView) error { return fn(Open(v, root)) }); err != nil {
+			t.Error(err)
+		}
+	}
+	first := hold()
+	edit(func(tr *Tree) error { return tr.Put(key(5), []byte("inserted")) })
+	// The leaf the Put published carries the table the Put derived.
+	second := hold()
+	edit(func(tr *Tree) error {
+		ok, err := tr.Delete(key(0))
+		if err == nil && !ok {
+			err = errors.New("Delete found nothing")
+		}
+		return err
+	})
+	for _, h := range []*held{first, second} {
+		close(h.release)
+		if err := <-h.done; err != nil {
+			t.Error(err)
+		}
+	}
+	if len(second.table) != len(first.table)+1 {
+		t.Errorf("the second reader's table has %d offsets, the first's %d: want one entry more", len(second.table), len(first.table))
 	}
 }

@@ -176,8 +176,9 @@ type Engine struct {
 	dcache *derefcache.Cache
 
 	// heapSpace holds each shard's heap free-space cache, shared across
-	// write transactions: writers on one shard are serialised by its
-	// writer mutex, under which resetShard also runs. hsMu guards the
+	// write transactions for as long as the engine is open: writers on
+	// one shard are serialised by its writer mutex, under which
+	// resetShard also repairs the cache after a rollback. hsMu guards the
 	// slice, which grows when a reshard adds physical shards.
 	hsMu      sync.Mutex
 	heapSpace []*storage.HeapState
@@ -386,20 +387,17 @@ func (e *Engine) takeHeapSpace(s int) *storage.HeapState {
 	return e.heapSpace[s]
 }
 
-// resetShard starts shard s's next writer with a fresh heap cache and
-// no allocation leases. The coordinator calls it after every rollback
-// on s (Coordinator.OnRollback), under s's writer mutex — the mutex
-// every use of both is made under. The heap cache's entries self-heal,
-// but its sweep position may hide reverted pages; a lease minted
-// against rolled-back counter state is simpler to discard than to
-// reason about, and re-leasing from the persisted counter is always
-// safe.
-func (e *Engine) resetShard(s int) {
-	e.hsMu.Lock()
-	if s < len(e.heapSpace) {
-		e.heapSpace[s] = storage.NewHeapState()
-	}
-	e.hsMu.Unlock()
+// resetShard repairs shard s's heap cache and drops its allocation
+// leases after a rollback that restored and forgot the given pages. The
+// coordinator calls it after every rollback on s
+// (Coordinator.OnRollback), under s's writer mutex — the mutex every use
+// of both is made under. The rollback says exactly which pages changed
+// under the heap cache, so the cache keeps what it knows of every other
+// page and its sweep position (HeapState.Repair); a lease minted against
+// rolled-back counter state is simpler to discard than to reason about,
+// and re-leasing from the persisted counter is always safe.
+func (e *Engine) resetShard(s int, restored []*storage.Page, forgotten []oid.PageID) {
+	e.takeHeapSpace(s).Repair(restored, forgotten)
 	e.alloc.reset(s)
 }
 

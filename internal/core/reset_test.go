@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"maps"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,11 +43,60 @@ func createOn(t *testing.T, e *Engine, ty oid.TypeID, s int) (o oid.OID, v oid.V
 	return o, v
 }
 
+// checkRepairs wraps e's rollback hook. After each repair it holds the
+// shard's heap cache to the rollback's pages — every restored slotted
+// page's entry is the page's free space, no entry names a forgotten
+// page — and it returns the shards rolled back so far, in order. Every
+// rollback it sees must have restored a slotted page: each test's
+// rolled-back attempts insert a version record.
+func checkRepairs(t *testing.T, e *Engine) (rolledBack func() []int) {
+	var mu sync.Mutex
+	var shards []int
+	e.c.OnRollback(func(s int, restored []*storage.Page, forgotten []oid.PageID) {
+		e.resetShard(s, restored, forgotten)
+		known, _ := e.takeHeapSpace(s).Known()
+		slotted := 0
+		for _, p := range restored {
+			if p.Type() != storage.PageSlotted {
+				continue
+			}
+			slotted++
+			if got, ok := known[p.ID]; !ok || got != storage.SlottedFreeSpace(p) {
+				t.Errorf("shard %d: restored page %d: cache holds %d (%v), the page has %d free", s, p.ID, got, ok, storage.SlottedFreeSpace(p))
+			}
+		}
+		if slotted == 0 {
+			t.Errorf("shard %d: the rollback restored no slotted page", s)
+		}
+		for _, id := range forgotten {
+			if _, ok := known[id]; ok {
+				t.Errorf("shard %d: the cache still names forgotten page %d", s, id)
+			}
+		}
+		mu.Lock()
+		shards = append(shards, s)
+		mu.Unlock()
+	})
+	return func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(shards)
+	}
+}
+
+// knownHeap is what shard s's heap cache knows.
+func knownHeap(e *Engine, s int) map[oid.PageID]int {
+	known, _ := e.takeHeapSpace(s).Known()
+	return known
+}
+
 // TestRollbackResetsOnlyJoinedShards: a rolled-back attempt reverts
-// pages only on the shards it had joined, so only their heap caches and
-// id leases start over. A restart or an abort on shards {0,1} used to
-// wipe shard 2's as well — a fresh lease and a free-space sweep from
-// page 1 for every shard, on every descending-join restart.
+// pages only on the shards it had joined, so only their heap caches are
+// repaired and their id leases dropped. A restart or an abort on shards
+// {0,1} used to wipe shard 2's as well — a fresh lease and a free-space
+// sweep from page 1 for every shard, on every descending-join restart.
+// A joined shard's cache survives the rollback, repaired
+// (checkRepairs); the others' are untouched.
 func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
 	e := newShardedEngine(t, 3, Options{})
 	ty := mustType(t, e, "T")
@@ -51,9 +104,11 @@ func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
 	for s := range objs {
 		objs[s], _ = createOn(t, e, ty, s)
 	}
+	rolledBack := checkRepairs(t, e)
 	heap := func(s int) *storage.HeapState { return e.takeHeapSpace(s) }
 	leases := func(s int) uint64 { return e.c.Shards()[s].Metrics().AllocLeases.Load() }
 	hs, ls := [3]*storage.HeapState{heap(0), heap(1), heap(2)}, [3]uint64{leases(0), leases(1), leases(2)}
+	known2 := knownHeap(e, 2)
 
 	// An abort that had joined shards 0 and 1.
 	boom := errors.New("boom")
@@ -68,11 +123,14 @@ func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("Write = %v, want boom", err)
 	}
-	if heap(0) == hs[0] || heap(1) == hs[1] {
-		t.Error("a rolled-back shard kept its heap cache")
+	if got := rolledBack(); len(got) != 2 || got[0]+got[1] != 1 {
+		t.Fatalf("rollbacks on shards %v, want 0 and 1", got)
 	}
-	if heap(2) != hs[2] {
-		t.Error("shard 2 lost its heap cache to an abort on shards 0 and 1")
+	if heap(0) != hs[0] || heap(1) != hs[1] {
+		t.Error("a rolled-back shard lost its heap cache")
+	}
+	if heap(2) != hs[2] || !maps.Equal(knownHeap(e, 2), known2) {
+		t.Error("shard 2's heap cache changed with an abort on shards 0 and 1")
 	}
 	for s := range objs {
 		createOn(t, e, ty, s)
@@ -87,7 +145,8 @@ func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
 	// A descending join whose try-lock fails — a writer is parked on
 	// shard 0 — restarts: the attempt that is rolled back had joined shard
 	// 1 only, and the rerun (shards 0 and 1 pre-locked) commits.
-	hs, ls = [3]*storage.HeapState{heap(0), heap(1), heap(2)}, [3]uint64{leases(0), leases(1), leases(2)}
+	ls = [3]uint64{leases(0), leases(1), leases(2)}
+	known2 = knownHeap(e, 2)
 	release := holdShardOf(t, e, objs[0])
 	runs := 0
 	done := make(chan error, 1)
@@ -109,15 +168,95 @@ func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
 	if runs != 2 {
 		t.Fatalf("closure ran %d times, want 2 (a contended descending join restarts)", runs)
 	}
-	if heap(1) == hs[1] {
-		t.Error("the restarted attempt's shard kept its heap cache")
+	if got := rolledBack(); len(got) != 3 || got[2] != 1 {
+		t.Fatalf("rollbacks on shards %v, want a third on shard 1", got)
 	}
-	if heap(0) != hs[0] || heap(2) != hs[2] {
+	if heap(1) != hs[1] {
+		t.Error("the restarted attempt's shard lost its heap cache")
+	}
+	if heap(0) != hs[0] || heap(2) != hs[2] || !maps.Equal(knownHeap(e, 2), known2) {
 		t.Error("a restart reset shards its rolled-back attempt never joined")
 	}
 	createOn(t, e, ty, 2)
 	if leases(2) != ls[2] {
 		t.Errorf("shard 2 took %d new leases after a restart on shard 1", leases(2)-ls[2])
+	}
+}
+
+// TestRestartKeepsHeapSweep: after a restart rolls an attempt back on
+// a shard, the rerun's insert into that shard's heap carries on where
+// the free-space sweep had got to; it reads no page the sweep had
+// already passed. The sweep used to start over from page 1 after every
+// rollback.
+func TestRestartKeepsHeapSweep(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*Engine, *txn.Coordinator) {
+		c, err := txn.OpenCoordinator(dir, txn.Options{Shards: 2, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewSharded(c, Options{})
+		if err != nil {
+			c.Close()
+			t.Fatal(err)
+		}
+		return e, c
+	}
+	// Three records a page on shard 1, so its file is full pages. After
+	// a reopen the heap cache knows none of them: every insert that fills
+	// a page sends the next to the sweep, which passes 16 pages a time.
+	e, c := open()
+	ty := mustType(t, e, "T")
+	o0, _ := createOn(t, e, ty, 0)
+	big := bytes.Repeat([]byte("x"), 1200)
+	create := func() (o oid.OID) {
+		w(t, e, func(tx *Tx) (err error) {
+			tx.lastAlloc = 1
+			o, _, err = tx.Create(ty, big)
+			return err
+		})
+		return o
+	}
+	for i := 0; i < 300; i++ {
+		create()
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e, c = open()
+	defer c.Close()
+	var o1 oid.OID
+	for i := 0; i < 100; i++ {
+		if o1 = create(); func() bool { _, at := e.takeHeapSpace(1).Known(); return at > 40 }() {
+			break
+		}
+	}
+	rolledBack := checkRepairs(t, e)
+	_, before := e.takeHeapSpace(1).Known()
+	if before <= 40 || uint64(before) >= e.c.Shards()[1].Store().NumPages() {
+		t.Fatalf("the sweep is at page %d of %d; the test needs it past page 40 and short of the end", before, e.c.Shards()[1].Store().NumPages())
+	}
+	release := holdShardOf(t, e, o0)
+	done := make(chan error, 1)
+	go func() {
+		done <- e.Write(func(tx *Tx) error {
+			if _, err := tx.NewVersion(o1); err != nil {
+				return err
+			}
+			_, err := tx.NewVersion(o0)
+			return err
+		})
+	}()
+	waitRestarts(t, e, 1)
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := rolledBack(); !slices.Equal(got, []int{1}) {
+		t.Fatalf("rollbacks on shards %v, want one on shard 1", got)
+	}
+	if _, after := e.takeHeapSpace(1).Known(); after < before {
+		t.Errorf("the sweep went back from page %d to %d after the restart", before, after)
 	}
 }
 
@@ -164,8 +303,9 @@ func waitRestarts(t *testing.T, e *Engine, n uint64) {
 // TestBatchFailureResetsOnlyItsShard: a group-commit batch whose fsync
 // fails is rolled back by the shard's commit pipeline (failFlights), not by the
 // writer — the writer had already released the shard — and the reset
-// hook runs there: the failed shard's heap cache and leases start over,
-// the other shards keep theirs.
+// hook runs there: the failed shard's heap cache is repaired
+// (checkRepairs) and its leases start over, the other shards keep
+// theirs.
 func TestBatchFailureResetsOnlyItsShard(t *testing.T) {
 	open := func(fsys faultfs.FS) (*Engine, oid.TypeID, [3]oid.OID) {
 		c, err := txn.OpenCoordinator("db", txn.Options{Shards: 3, CheckpointBytes: -1, FS: fsys})
@@ -191,9 +331,11 @@ func TestBatchFailureResetsOnlyItsShard(t *testing.T) {
 	open(dry)
 	e, ty, objs := open(faultfs.NewInjector(faultfs.NewMem(), faultfs.Plan{FailSyncN: dry.Counts().Syncs + 1}))
 
+	rolledBack := checkRepairs(t, e)
 	heap := func(s int) *storage.HeapState { return e.takeHeapSpace(s) }
 	leases := func(s int) uint64 { return e.c.Shards()[s].Metrics().AllocLeases.Load() }
 	hs, ls := [3]*storage.HeapState{heap(0), heap(1), heap(2)}, [3]uint64{leases(0), leases(1), leases(2)}
+	known0, known2 := knownHeap(e, 0), knownHeap(e, 2)
 	err := e.Write(func(tx *Tx) error {
 		_, err := tx.NewVersion(objs[1])
 		return err
@@ -201,11 +343,14 @@ func TestBatchFailureResetsOnlyItsShard(t *testing.T) {
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("Write = %v, want the injected fsync failure", err)
 	}
-	if heap(1) == hs[1] {
-		t.Error("the failed batch's shard kept its heap cache")
+	if got := rolledBack(); !slices.Equal(got, []int{1}) {
+		t.Fatalf("rollbacks on shards %v, want one on shard 1", got)
 	}
-	if heap(0) != hs[0] || heap(2) != hs[2] {
-		t.Error("a batch failure on shard 1 reset another shard's heap cache")
+	if heap(1) != hs[1] {
+		t.Error("the failed batch's shard lost its heap cache")
+	}
+	if heap(0) != hs[0] || heap(2) != hs[2] || !maps.Equal(knownHeap(e, 0), known0) || !maps.Equal(knownHeap(e, 2), known2) {
+		t.Error("a batch failure on shard 1 changed another shard's heap cache")
 	}
 	for s := range objs {
 		createOn(t, e, ty, s)

@@ -34,7 +34,9 @@ var ErrNoRecord = errors.New("storage: no such record")
 // HeapState is the heap's cross-transaction space-hunting state. It is
 // advisory only (every entry is re-verified before use, and pageWithSpace
 // self-heals stale entries), so the engine shares one HeapState across
-// its write transactions; a reader's heap never needs one.
+// its write transactions; a reader's heap never needs one. A rollback
+// does not discard it: Repair re-records the pages the rollback put back
+// and forgets the ones it dropped, so the sweep never starts over.
 type HeapState struct {
 	// space caches known free bytes of slotted pages discovered this
 	// session (populated by inserts, updates, deletes, and the sweep),
@@ -95,6 +97,36 @@ func (hs *HeapState) drop(id oid.PageID) {
 	hs.space[last] = spaceEntry{hs.space[last].free, e.at}
 	hs.classes[e.free/spaceClass] = list[:len(list)-1]
 	delete(hs.space, id)
+}
+
+// Repair brings the cache in line with a rollback: restored are the
+// live pages it put back to their before-images, forgotten the pages it
+// dropped from the file. A restored slotted page's free space is
+// recorded afresh; every other restored page and every forgotten one
+// leaves the cache. Pages the rollback did not touch keep their
+// entries, and the sweep keeps its place: a page it passed either was
+// not touched, and is as it found it, or is one of these.
+func (hs *HeapState) Repair(restored []*Page, forgotten []oid.PageID) {
+	for _, p := range restored {
+		if p.Type() == PageSlotted {
+			hs.set(p.ID, SlottedFreeSpace(p))
+		} else {
+			hs.drop(p.ID)
+		}
+	}
+	for _, id := range forgotten {
+		hs.drop(id)
+	}
+}
+
+// Known returns a copy of what the cache knows — each recorded page's
+// free bytes — and the next page id its sweep will examine (tests).
+func (hs *HeapState) Known() (free map[oid.PageID]int, sweep oid.PageID) {
+	free = make(map[oid.PageID]int, len(hs.space))
+	for id, e := range hs.space {
+		free[id] = e.free
+	}
+	return free, hs.sweep
 }
 
 // Heap is the record heap: variable-length records addressed by stable
@@ -383,13 +415,13 @@ func (h *Heap) pageWithSpace(need int) (*Page, error) {
 			}
 			p, err := h.st.GetTyped(id, PageSlotted)
 			if err != nil {
-				// The cache can go stale across transaction aborts (the page
-				// may have been rolled out of existence or repurposed);
-				// self-heal by dropping the entry.
+				// The cache is advisory (a rollback repairs it, but
+				// nothing else vouches for it): a page that no longer
+				// reads as slotted leaves it.
 				hs.drop(id)
 				continue
 			}
-			// Re-verify: the cached value may also be stale after an abort.
+			// Re-verify: the cached value is advisory too.
 			got := SlottedFreeSpace(p)
 			if got >= need {
 				return p, nil

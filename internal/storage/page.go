@@ -126,9 +126,11 @@ func (p *Page) Restore(data []byte) {
 }
 
 // staleOffsets marks the entry-offset table stale before the writer
-// changes the page's bytes, keeping its buffer for the next build. Only
-// a page private to the writer — or one no reader can reach yet — is
-// ever marked, so no reader holds the table it retires.
+// changes the page's bytes, keeping its buffer as the spare: the writer
+// either writes the edited table into it (SetOffsets) or, where it
+// derived none, rebuilds into it on its next search. Only a page
+// private to the writer — or one no reader can reach yet — is ever
+// marked, so no reader holds the table it retires.
 func (p *Page) staleOffsets() {
 	if t := p.offs.Swap(nil); t != nil {
 		p.spare = t
@@ -145,9 +147,11 @@ type OffsetBuilder func(body []byte, buf []uint16) (offs []uint16, ok bool)
 // owner (the B+tree) does. A published page's bytes never change, so
 // concurrent readers build and share its table through an atomic
 // pointer. Only a writer's private page changes, and every change
-// comes through Touch, Install or Restore, which mark the table stale;
-// the writer rebuilds a stale table in place, reusing its buffer. ok is
-// false, and nothing is kept, when build fails.
+// comes through Touch, Install or Restore, which mark the table stale.
+// A writer that derives the edited table alongside the bytes installs
+// it with SetOffsets; any other stale table the writer rebuilds here,
+// in place, reusing its buffer. build is the one way a table is derived
+// from bytes. ok is false, and nothing is kept, when build fails.
 func (v *TxView) Offsets(p *Page, build OffsetBuilder) (offs []uint16, ok bool) {
 	if t := p.offs.Load(); t != nil {
 		return *t, true
@@ -174,6 +178,25 @@ func (v *TxView) Offsets(p *Page, build OffsetBuilder) (offs []uint16, ok bool) 
 		t = p.offs.Load()
 	}
 	return *t, true
+}
+
+// SetOffsets installs offs as the entry-offset table of p, a page this
+// transaction has touched and whose bytes the writer has just edited,
+// deriving the table alongside them. offs must be the array of the
+// table Touch retired on p (the one the writer searched p with) or one
+// nobody else holds — never a published page's table. It reuses the
+// retired table's pointer when there is one.
+func (v *TxView) SetOffsets(p *Page, offs []uint16) {
+	if !v.write || p.offs.Load() != nil {
+		panic("storage: SetOffsets on a page the writer has not touched")
+	}
+	t := p.spare
+	if t == nil {
+		t = new([]uint16)
+	}
+	*t = offs
+	p.spare = nil
+	p.offs.Store(t)
 }
 
 // sealChecksum stamps the CRC into buf (a full page image) prior to a

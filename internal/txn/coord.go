@@ -175,8 +175,8 @@ type Coordinator struct {
 	gen       atomic.Uint64
 	buildHook func()
 
-	// onRollback is the owner's per-shard reset (OnRollback).
-	onRollback func(shard int)
+	// onRollback is the owner's per-shard repair (OnRollback).
+	onRollback func(shard int, restored []*storage.Page, forgotten []oid.PageID)
 
 	// cm is the coordinator-level registry (whole-transaction latency,
 	// cross-shard batch sizes, decision-log fsyncs). sink is the tracer
@@ -525,14 +525,19 @@ func (c *Coordinator) shardOpts(i int, decided map[uint64]bool) Options {
 // OnRollback registers fn to run whenever a shard rolls a transaction
 // back — an abort, a restart, a failed prepare, a failed commit batch —
 // with the shard's slot, under its writer mutex, so state the caller
-// keeps per shard and uses only under that mutex can be reset where the
-// rollback happens. Set it before the first write.
-func (c *Coordinator) OnRollback(fn func(shard int)) { c.onRollback = fn }
+// keeps per shard and uses only under that mutex can be repaired where
+// the rollback happens. restored holds the live pages the rollback put
+// back to their before-images; forgotten names the pages it dropped
+// from the pool, the ones the transaction had added to the file. Set it
+// before the first write.
+func (c *Coordinator) OnRollback(fn func(shard int, restored []*storage.Page, forgotten []oid.PageID)) {
+	c.onRollback = fn
+}
 
 // rolledBack is every shard's rollback hook (Options.onRollback).
-func (c *Coordinator) rolledBack(shard int) {
+func (c *Coordinator) rolledBack(shard int, restored []*storage.Page, forgotten []oid.PageID) {
 	if c.onRollback != nil {
-		c.onRollback(shard)
+		c.onRollback(shard, restored, forgotten)
 	}
 }
 

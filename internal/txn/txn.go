@@ -111,9 +111,9 @@ type Options struct {
 	// whenever what a new reader of it must observe has changed — a
 	// commit published (Manager.publish), or Close began — and the
 	// coordinator retires its readers' shared snapshot there. onRollback
-	// is its Coordinator.rolledBack: rollbackQuiet calls it with shardID,
-	// under the writer mutex, after every rollback. Both are nil on a
-	// Manager used on its own.
+	// is its Coordinator.rolledBack: rollbackQuiet calls it with shardID
+	// and the pages it restored and forgot, under the writer mutex, after
+	// every rollback. Both are nil on a Manager used on its own.
 	dataFile    string
 	walFile     string
 	decided     map[uint64]bool
@@ -121,7 +121,7 @@ type Options struct {
 	coordinated bool
 	shardID     int
 	onPublish   func()
-	onRollback  func(shard int)
+	onRollback  func(shard int, restored []*storage.Page, forgotten []oid.PageID)
 }
 
 // dataFileName and walFileName resolve the manager's file names: a
@@ -773,21 +773,26 @@ func (m *Manager) rollback(tr *tracker) {
 // Every rollback on a shard comes through here, under its writer mutex,
 // so this is where the owner's rollback hook runs (Options.onRollback).
 func (m *Manager) rollbackQuiet(tr *tracker) {
+	restored := make([]*storage.Page, 0, len(tr.before))
+	var forgotten []oid.PageID
 	for id, bi := range tr.before {
 		p, err := m.st.Get(id)
 		if err != nil {
 			// The page was touched, so it is dirty and resident; Get
-			// cannot fail for it. Guard anyway.
+			// cannot fail for it. Guard anyway: the hook forgets it.
+			forgotten = append(forgotten, id)
 			continue
 		}
 		p.Restore(bi.data)
 		if !bi.wasDirty {
 			m.st.Pool().MarkClean(p)
 		}
+		restored = append(restored, p)
 	}
 	for id := range tr.allocated {
 		if _, hadBefore := tr.before[id]; !hadBefore {
 			m.st.Pool().Forget(id)
+			forgotten = append(forgotten, id)
 		}
 	}
 	if err := m.st.ReloadSuper(); err != nil {
@@ -796,7 +801,7 @@ func (m *Manager) rollbackQuiet(tr *tracker) {
 		panic(fmt.Sprintf("txn: rollback broke superblock: %v", err))
 	}
 	if m.opts.onRollback != nil {
-		m.opts.onRollback(m.opts.shardID)
+		m.opts.onRollback(m.opts.shardID, restored, forgotten)
 	}
 }
 
