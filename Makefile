@@ -41,9 +41,10 @@ help:
 	@echo "           list, e.g. make soak ODE_SOAK_SEEDS=1,2,3,17,99"
 	@echo "  ycsb     odebench E15 smoke: oracle-checked YCSB workload, every"
 	@echo "           version shape at 1 and 4 shards, under -race"
-	@echo "  delta-matrix  delta-tier battery: round-trip property, crash matrix"
-	@echo "           over compactor demotions, deep-chain workload, at"
-	@echo "           ODE_SHARDS=4, under -race; plus odebench E17 smoke"
+	@echo "  delta-matrix  delta-tier battery: round-trip and inline-fixpoint"
+	@echo "           properties, crash matrix over demotions, deep-chain"
+	@echo "           workload, at ODE_SHARDS=4, under -race; plus odebench"
+	@echo "           E17 smoke"
 	@echo "  hotpath  allocation-regression gates on the commit and cached"
 	@echo "           deref paths, read begin/end and the B+tree, the read"
 	@echo "           begin/end microbenchmark, the B+tree microbenchmarks,"
@@ -167,9 +168,10 @@ hotpath:
 	$(GO) run ./cmd/odebench -scale ci -only E18 -hotpathjson ""
 
 # The delta-tier battery (DESIGN.md §14, EXPERIMENTS.md E17): the
-# random-edit round-trip property across anchor intervals, the crash
-# matrix over compactor demotion commits, the materialisation cache and
-# reshard-interaction tests, and the deep-chain oracle workload — at
+# random-edit round-trip property across anchor intervals, the property
+# that the write paths leave Compact nothing to do, the crash matrix
+# over demotion commits, the materialisation cache and reshard-
+# interaction tests, and the deep-chain oracle workload — at
 # four shards under -race (the one-shard run covered no statement this
 # one misses, so it went; plain `go test` still runs the battery at the
 # default count) — then the E17 benchmark at ci scale as an end-to-end
@@ -205,8 +207,8 @@ cover:
 	  printf "internal/matcache coverage: %s (floor 85%%)\n", $$3; \
 	  if (pct < 85) { print "FAIL: internal/matcache below 85% coverage"; exit 1 } }'
 	# The compaction write-side lives in internal/core/compact.go and
-	# the sweeper pacing in compact.go, both exercised from the root
-	# delta battery (including its read-fault and crash matrices) — so
+	# DB.Compact in compact.go, both exercised from the root delta
+	# battery (including its read-fault and crash matrices) — so
 	# the 85% floors here are per-file, measured over that battery. The
 	# uncovered remainder is I/O-error returns the fault matrices don't
 	# reach.

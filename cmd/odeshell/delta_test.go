@@ -12,7 +12,7 @@ import (
 // sweep, and the contents still reading back exactly afterwards.
 func TestShellPayloadsAndCompact(t *testing.T) {
 	db, err := ode.Open(t.TempDir(), &ode.Options{
-		Shards: 1, DeltaTier: true, AnchorInterval: 4, CompactInterval: -1,
+		Shards: 1, DeltaTier: true, AnchorInterval: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

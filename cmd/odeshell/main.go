@@ -24,9 +24,10 @@
 //	check                         integrity check
 //	quit
 //
-// The shell opens with the delta tier enabled but the background
-// compactor off: inspecting a store never rewrites payloads on its own,
-// and the explicit compact command does exactly one sweep when asked.
+// The shell opens with the delta tier enabled. Inspecting a store never
+// rewrites payloads, since the tier demotes only on the writes that make
+// a version cold, and the explicit compact command does exactly one
+// sweep when asked.
 package main
 
 import (
@@ -45,7 +46,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: odeshell <dbdir>")
 		os.Exit(2)
 	}
-	db, err := ode.Open(os.Args[1], &ode.Options{DeltaTier: true, CompactInterval: -1})
+	db, err := ode.Open(os.Args[1], &ode.Options{DeltaTier: true})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "odeshell: %v\n", err)
 		os.Exit(1)

@@ -2,11 +2,8 @@ package ode
 
 import (
 	"errors"
-	"sync"
-	"time"
 
 	"ode/internal/core"
-	"ode/internal/oid"
 )
 
 // CompactStats reports the effect of a compaction sweep: objects
@@ -14,102 +11,21 @@ import (
 // promoted to full anchors, and payload bytes reclaimed.
 type CompactStats = core.CompactStats
 
-// DefaultCompactInterval paces the background compactor when
-// Options.CompactInterval is zero.
-const DefaultCompactInterval = 250 * time.Millisecond
-
-// compactBatch caps demotions+promotions per background compaction
-// transaction, bounding both commit size and how long the compactor
-// holds a shard's writer mutex — a checkpoint or backup waiting on
-// CheckpointExclusive is never stalled behind an unbounded sweep.
+// compactBatch caps demotions+promotions per compaction transaction,
+// bounding both commit size and how long a sweep holds a shard's writer
+// mutex — a checkpoint or backup waiting on CheckpointExclusive is never
+// stalled behind an unbounded sweep.
 const compactBatch = 64
 
 // Compact synchronously sweeps every shard to completion in bounded
 // transactions: cold full payloads are demoted to deltas, over-deep
-// chains get full anchors inserted. It is the deterministic form of the
-// background compactor — tests and odeshell call it to reach the
-// compacted fixpoint on demand. Works even when the background
-// goroutines are disabled (CompactInterval < 0), but requires
-// Options.DeltaTier.
+// chains get full anchors inserted. The write paths already demote each
+// version as it goes cold; Compact is for history they never saw —
+// written while Options.DeltaTier was off, or before AnchorInterval was
+// lowered across a reopen. It requires Options.DeltaTier.
 func (db *DB) Compact() (CompactStats, error) {
 	if !db.eng.DeltaTier() {
 		return CompactStats{}, errors.New("ode: Compact requires Options.DeltaTier")
 	}
 	return db.eng.CompactAll(compactBatch)
-}
-
-// startCompactor launches one paced sweeper goroutine per physical
-// shard plus a supervisor that spawns sweepers for shards a later
-// Reshard adds. Each sweeper advances a cursor one bounded transaction
-// per tick, so compaction trickles along behind foreground work.
-func (db *DB) startCompactor(interval time.Duration) {
-	if interval <= 0 {
-		interval = DefaultCompactInterval
-	}
-	db.compactStop = make(chan struct{})
-	db.compactDone = make(chan struct{})
-
-	var wg sync.WaitGroup
-	sweeper := func(s int) {
-		defer wg.Done()
-		cursor := oid.NilOID
-		for {
-			select {
-			case <-db.compactStop:
-				return
-			case <-time.After(interval):
-			}
-			// Checkpoint/reshard awareness: batches are small by
-			// construction, and while a reshard is migrating chunks the
-			// compactor stands down entirely rather than contending for
-			// shard mutexes with the migration's 2PC transactions.
-			if db.ReshardProgress().Active {
-				continue
-			}
-			stats, next, err := db.eng.CompactShard(s, cursor, compactBatch)
-			if err != nil {
-				if errors.Is(err, ErrClosed) {
-					return
-				}
-				continue // transient (e.g. routing epoch change mid-join)
-			}
-			_ = stats
-			cursor = next
-		}
-	}
-
-	go func() {
-		defer close(db.compactDone)
-		spawned := db.eng.Coordinator().NumShards()
-		for s := 0; s < spawned; s++ {
-			wg.Add(1)
-			go sweeper(s)
-		}
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-db.compactStop:
-				wg.Wait()
-				return
-			case <-ticker.C:
-				for n := db.eng.Coordinator().NumShards(); spawned < n; spawned++ {
-					wg.Add(1)
-					go sweeper(spawned)
-				}
-			}
-		}
-	}()
-}
-
-// stopCompactor stops the background sweepers and waits for them to
-// drain; safe to call when none were started.
-func (db *DB) stopCompactor() {
-	if db.compactStop == nil {
-		return
-	}
-	close(db.compactStop)
-	<-db.compactDone
-	db.compactStop = nil
-	db.compactDone = nil
 }

@@ -1,6 +1,6 @@
 package ode_test
 
-// Crash matrix over the delta tier's compactor: a 2-shard store builds
+// Crash matrix over the delta tier's demotions: a 2-shard store builds
 // edit chains (inline demotion on NewVersion), then explicit Compact
 // sweeps demote the rest — and the power dies after every mutating I/O
 // operation, or every fsync fails, across the whole run. The reopened
@@ -27,7 +27,7 @@ type deltaAcked struct {
 func deltaCrashOpts(fsys faultfs.FS) *ode.Options {
 	return &ode.Options{
 		PageSize: 512, CheckpointBytes: -1, FS: fsys, Shards: 2,
-		DeltaTier: true, AnchorInterval: 4, CompactInterval: -1,
+		DeltaTier: true, AnchorInterval: 4,
 	}
 }
 
@@ -210,7 +210,7 @@ func TestDeltaCrashMatrixPowerCut(t *testing.T) {
 }
 
 // TestDeltaCrashMatrixFailedSyncs fails every fsync point instead: the
-// failing commit (possibly a compactor demotion batch) must surface the
+// failing commit (possibly a Compact demotion batch) must surface the
 // error and leave a recoverable store.
 func TestDeltaCrashMatrixFailedSyncs(t *testing.T) {
 	dry := faultfs.NewInjector(faultfs.NewMem(), faultfs.Plan{})
@@ -255,7 +255,6 @@ func TestDeltaCompactReadFaults(t *testing.T) {
 		o := buildOpts(fsys)
 		o.DeltaTier = true
 		o.AnchorInterval = 4
-		o.CompactInterval = -1
 		return o
 	}
 	build := func(fsys faultfs.FS) (deltaAcked, error) {

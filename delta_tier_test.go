@@ -11,10 +11,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
-	"time"
 
 	"ode/internal/core"
+	"ode/internal/faultfs"
 	"ode/internal/oid"
 )
 
@@ -89,7 +91,7 @@ func TestDeltaTierDemotion(t *testing.T) {
 	dir := t.TempDir()
 	opts := &Options{
 		Shards: envShards(), PageSize: 1024, NoSync: true,
-		DeltaTier: true, AnchorInterval: 8, CompactInterval: -1,
+		DeltaTier: true, AnchorInterval: 8,
 	}
 	db, err := Open(dir, opts)
 	if err != nil {
@@ -162,7 +164,7 @@ func TestDeltaTierDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen with a tighter bound: the compactor must insert anchors.
+	// Reopen with a tighter bound: Compact must insert anchors.
 	opts2 := *opts
 	opts2.AnchorInterval = 2
 	db, err = Open(dir, &opts2)
@@ -214,7 +216,7 @@ func testDeltaRoundTrip(t *testing.T, policy StoragePolicy, interval int, seed i
 	dir := t.TempDir()
 	opts := &Options{
 		Shards: envShards(), PageSize: 1024, NoSync: true, Policy: policy,
-		DeltaTier: true, AnchorInterval: interval, CompactInterval: -1,
+		DeltaTier: true, AnchorInterval: interval,
 	}
 	db, err := Open(dir, opts)
 	if err != nil {
@@ -358,7 +360,7 @@ func testDeltaRoundTrip(t *testing.T, policy StoragePolicy, interval int, seed i
 func TestDeltaMatCache(t *testing.T) {
 	db, err := Open(t.TempDir(), &Options{
 		Shards: envShards(), PageSize: 1024, NoSync: true,
-		DeltaTier: true, AnchorInterval: 4, CompactInterval: -1,
+		DeltaTier: true, AnchorInterval: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +472,7 @@ func TestDeltaMatCache(t *testing.T) {
 func TestDeltaReshardCarriesChains(t *testing.T) {
 	db, err := Open(t.TempDir(), &Options{
 		Shards: 2, PageSize: 1024, NoSync: true,
-		DeltaTier: true, AnchorInterval: 4, CompactInterval: -1,
+		DeltaTier: true, AnchorInterval: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -544,21 +546,21 @@ func TestDeltaReshardCarriesChains(t *testing.T) {
 	}
 }
 
-// TestDeltaBackgroundCompactor proves the paced per-shard sweepers do
-// the demotion work on their own: with a short CompactInterval and no
-// explicit Compact call, edit chains demote in the background (the
-// supervisor also picks up shards a live Reshard adds), every version
-// keeps materialising exactly, and Close drains the sweepers cleanly.
-func TestDeltaBackgroundCompactor(t *testing.T) {
+// TestDeltaCompactTierOffHistory proves the explicit sweep does the
+// demotion work the write paths never saw: history built with the tier
+// off demotes on the first Compact after a reopen with it on, a sweep
+// reaches every physical shard a live Reshard adds and skips the ones a
+// merge empties (as does PayloadStats), and every version keeps
+// materialising exactly.
+func TestDeltaCompactTierOffHistory(t *testing.T) {
 	dir := t.TempDir()
 	shards := envShards()
 	if shards < 2 {
 		shards = 2 // the mid-test Reshard needs the sharded layout
 	}
 	// Build the history with the delta tier OFF: every payload lands as
-	// a full copy and the inline NewVersion demotion hook never fires,
-	// so any delta that appears after the reopen below can only have
-	// been written by the background sweepers.
+	// a full copy and no write demotes, so any delta that appears after
+	// the reopen below was written by Compact.
 	db, err := Open(dir, &Options{Shards: shards, PageSize: 1024, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -591,7 +593,8 @@ func TestDeltaBackgroundCompactor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for r := 0; r < 12; r++ {
+	editAll := func() {
+		t.Helper()
 		for _, o := range objs {
 			content := editBytes(rng, latest[o])
 			err := db.Update(func(tx *Tx) error {
@@ -609,6 +612,9 @@ func TestDeltaBackgroundCompactor(t *testing.T) {
 			latest[o] = content
 		}
 	}
+	for r := 0; r < 12; r++ {
+		editAll()
+	}
 	if ps := payloadStats(t, db); ps.Delta+ps.Same != 0 {
 		t.Fatalf("delta tier off, yet %d deltas / %d shared payloads", ps.Delta, ps.Same)
 	}
@@ -616,68 +622,54 @@ func TestDeltaBackgroundCompactor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen with the tier on and fast ticks. No explicit Compact: the
-	// only writers of deltas from here on are the background sweepers.
 	db, err = Open(dir, &Options{
 		Shards: shards, PageSize: 1024, NoSync: true,
 		DeltaTier: true, AnchorInterval: 4,
-		CompactInterval: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDelta := func(stage string) {
+	// sweep runs Compact and checks it examined every object, wherever
+	// the shard map has put it.
+	sweep := func(stage string) CompactStats {
 		t.Helper()
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			if ps := payloadStats(t, db); ps.Delta > 0 {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: background compactor demoted nothing: %+v", stage, payloadStats(t, db))
-			}
-			time.Sleep(5 * time.Millisecond)
+		st, err := db.Compact()
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
 		}
+		if st.Objects != len(objs) {
+			t.Fatalf("%s: sweep examined %d objects, want %d", stage, st.Objects, len(objs))
+		}
+		return st
 	}
-	waitDelta("after reopen")
+	if st := sweep("after reopen"); st.Demoted == 0 {
+		t.Fatalf("Compact demoted nothing of the tier-off history: %+v", st)
+	}
+	if ps := payloadStats(t, db); ps.Delta == 0 || ps.MaxDepth > 4 {
+		t.Fatalf("after the first sweep: %+v", ps)
+	}
 
-	// Live reshard while the sweepers run: the supervisor must start
-	// sweepers for the added physical shards, and chains rebuilt on the
-	// new shards must be demoted again.
+	// Split while the chains are deltas, edit on the new placement, and
+	// sweep the added physical shards.
 	if err := db.Reshard(shards * 2); err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range objs {
-		content := editBytes(rng, latest[o])
-		err := db.Update(func(tx *Tx) error {
-			v, err := tx.NewVersion(o)
-			if err != nil {
-				return err
-			}
-			want[v] = content
-			owner[v] = o
-			return tx.UpdateVersionRaw(o, v, content)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		latest[o] = content
-	}
-	waitDelta("after reshard")
-	// Give the supervisor a few ticks to start sweepers for the added
-	// shards before shrinking back: the merged-away physical shards
-	// must then be skipped cleanly by both the sweep and the stats
-	// scan.
-	time.Sleep(25 * time.Millisecond)
+	editAll()
+	sweep("after the split")
+	// Merge back: the merged-away physical shards must be skipped
+	// cleanly by both the sweep and the stats scan.
 	if err := db.Reshard(shards); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Compact(); err != nil {
-		t.Fatal(err)
+	if st := sweep("after the merge"); st.Demoted+st.Promoted != 0 {
+		t.Fatalf("a sweep after a sweep found work: %+v", st)
 	}
 	verifyAll(t, db, want, owner)
 	if ps := payloadStats(t, db); ps.MaxDepth > 4 {
 		t.Fatalf("chain depth %d exceeds anchor interval 4", ps.MaxDepth)
+	}
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -694,7 +686,7 @@ func TestDeltaPrimitives(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, &Options{
 		Shards: envShards(), PageSize: 1024, NoSync: true,
-		DeltaTier: true, AnchorInterval: 1, CompactInterval: -1,
+		DeltaTier: true, AnchorInterval: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -829,7 +821,7 @@ func TestDeltaPromoteShared(t *testing.T) {
 	db, err := Open(dir, &Options{
 		Shards: envShards(), PageSize: 1024, NoSync: true,
 		Policy:    DeltaChain,
-		DeltaTier: true, AnchorInterval: 8, CompactInterval: -1,
+		DeltaTier: true, AnchorInterval: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -883,23 +875,6 @@ func TestDeltaPromoteShared(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDeltaCompactorDefaultPacing opens with CompactInterval: 0 — the
-// documented "use DefaultCompactInterval" setting — and closes again:
-// the sweepers and supervisor must start and drain cleanly without a
-// single tick having fired.
-func TestDeltaCompactorDefaultPacing(t *testing.T) {
-	db, err := Open(t.TempDir(), &Options{
-		Shards: envShards(), PageSize: 1024, NoSync: true,
-		DeltaTier: true, AnchorInterval: 4, CompactInterval: 0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -989,7 +964,7 @@ func TestDeltaCompactBudget(t *testing.T) {
 	// Demotion side, one mutation per transaction.
 	db, err = Open(dir, &Options{
 		Shards: shards, PageSize: 1024, NoSync: true,
-		DeltaTier: true, AnchorInterval: 8, CompactInterval: -1,
+		DeltaTier: true, AnchorInterval: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1024,7 +999,7 @@ func TestDeltaCompactBudget(t *testing.T) {
 	// sweeps.
 	db, err = Open(dir, &Options{
 		Shards: shards, PageSize: 1024, NoSync: true,
-		DeltaTier: true, AnchorInterval: 2, CompactInterval: -1,
+		DeltaTier: true, AnchorInterval: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1047,4 +1022,269 @@ func TestDeltaCompactBudget(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDeltaInlineFixpoint is the property that the write paths demote
+// every version as it goes cold: after random public-API edits under
+// the delta tier, Compact finds nothing left to do. It drives 20 seeds
+// of five shapes: a linear chain, branches from random versions,
+// in-place updates of random versions, deletes of random versions, and
+// all of these mixed. Linear and branching histories must reach the
+// fixpoint exactly. An update or a delete can also make a chain
+// shallower above a full version further down, which no hook retries
+// (DESIGN.md §14.2), so those shapes may leave Compact a demotion; how
+// many runs did is logged.
+func TestDeltaInlineFixpoint(t *testing.T) {
+	const seeds, edits, interval = 20, 30, 4
+	shapes := []struct {
+		name  string
+		gated bool
+		// mix weights linear, branch, update and delete steps.
+		mix [4]int
+	}{
+		{"linear", true, [4]int{1, 0, 0, 0}},
+		{"branch", true, [4]int{0, 1, 0, 0}},
+		{"update", false, [4]int{1, 0, 1, 0}},
+		{"delete", false, [4]int{3, 0, 0, 2}},
+		{"mixed", false, [4]int{2, 2, 1, 1}},
+	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			residue := 0
+			for seed := int64(1); seed <= seeds; seed++ {
+				st := inlineFixpointRun(t, shape.mix, seed, edits, interval)
+				if st.Demoted+st.Promoted > 0 {
+					residue++
+					if shape.gated {
+						t.Errorf("seed %d: Compact still found work: %+v", seed, st)
+					}
+				}
+			}
+			t.Logf("%s: Compact found work after %d of %d runs", shape.name, residue, seeds)
+		})
+	}
+}
+
+// inlineFixpointRun makes edits random edits of one object in the given
+// mix, checks every version still reads back, and returns what a
+// Compact then did.
+func inlineFixpointRun(t *testing.T, mix [4]int, seed int64, edits, interval int) CompactStats {
+	t.Helper()
+	db, err := Open("/db", &Options{
+		Shards: 1, PageSize: 1024, NoSync: true, FS: faultfs.NewMem(),
+		DeltaTier: true, AnchorInterval: interval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tid, err := db.Engine().RegisterType("FixpointBlob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	want := map[VID][]byte{}
+	owner := map[VID]OID{}
+	var live []VID
+	var o OID
+	content := make([]byte, 512)
+	rng.Read(content)
+	err = db.Update(func(tx *Tx) error {
+		var v VID
+		var err error
+		o, v, err = tx.CreateRaw(tid, content)
+		want[v], owner[v], live = content, o, append(live, v)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := mix[0] + mix[1] + mix[2] + mix[3]
+	for i := 0; i < edits; i++ {
+		r := rng.Intn(total)
+		err := db.Update(func(tx *Tx) error {
+			switch {
+			case r < mix[0]+mix[1]: // linear or branch: derive, then edit
+				base, err := tx.Latest(o)
+				if err != nil {
+					return err
+				}
+				if r >= mix[0] {
+					base = live[rng.Intn(len(live))]
+				}
+				v, err := tx.NewVersionFrom(o, base)
+				if err != nil {
+					return err
+				}
+				c := editBytes(rng, want[base])
+				want[v], owner[v], live = c, o, append(live, v)
+				return tx.UpdateVersionRaw(o, v, c)
+			case r < mix[0]+mix[1]+mix[2]: // in-place update
+				v := live[rng.Intn(len(live))]
+				c := editBytes(rng, want[v])
+				want[v] = c
+				return tx.UpdateVersionRaw(o, v, c)
+			default: // delete, keeping two versions alive
+				if len(live) < 3 {
+					return nil
+				}
+				k := rng.Intn(len(live))
+				v := live[k]
+				delete(want, v)
+				live = append(live[:k:k], live[k+1:]...)
+				return tx.DeleteVersion(o, v)
+			}
+		})
+		if err != nil {
+			t.Fatalf("seed %d edit %d: %v", seed, i, err)
+		}
+	}
+	verifyAll(t, db, want, owner)
+	st, err := db.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return st
+}
+
+// TestDeltaDeleteLatestAnchors pins that deleting the latest version
+// leaves a full payload as the latest: the rebound latest, a delta deep
+// in its chain, is anchored in the same transaction, and Compact then
+// has nothing to promote.
+func TestDeltaDeleteLatestAnchors(t *testing.T) {
+	db, err := Open(t.TempDir(), &Options{
+		Shards: envShards(), PageSize: 1024, NoSync: true,
+		DeltaTier: true, AnchorInterval: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tid, err := db.Engine().RegisterType("LatestBlob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	want := map[VID][]byte{}
+	owner := map[VID]OID{}
+	content := make([]byte, 1024)
+	rng.Read(content)
+	var o OID
+	var vids []VID
+	err = db.Update(func(tx *Tx) error {
+		var v VID
+		var err error
+		o, v, err = tx.CreateRaw(tid, content)
+		want[v], owner[v], vids = content, o, append(vids, v)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 5; i++ {
+		content = editBytes(rng, content)
+		c := content
+		err := db.Update(func(tx *Tx) error {
+			v, err := tx.NewVersion(o)
+			if err != nil {
+				return err
+			}
+			want[v], owner[v], vids = c, o, append(vids, v)
+			return tx.UpdateVersionRaw(o, v, c)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta := func(v VID) bool {
+		t.Helper()
+		var info VersionInfo
+		err := db.View(func(tx *Tx) error {
+			var err error
+			info, err = tx.Info(o, v)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Delta
+	}
+	if !delta(vids[3]) || delta(vids[4]) {
+		t.Fatalf("before the delete: want v3 a delta and the latest v4 full")
+	}
+	err = db.Update(func(tx *Tx) error { return tx.DeleteVersion(o, vids[4]) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(want, vids[4])
+	if delta(vids[3]) {
+		t.Fatalf("the rebound latest is still a delta")
+	}
+	st, err := db.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Demoted+st.Promoted != 0 {
+		t.Fatalf("Compact found work after the delete: %+v", st)
+	}
+	verifyAll(t, db, want, owner)
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaTierStartsNoGoroutine pins that the delta tier runs inside
+// the transactions that make versions cold: Open with DeltaTier starts
+// no goroutine that Open without it does not start.
+func TestDeltaTierStartsNoGoroutine(t *testing.T) {
+	started := func(deltaTier bool) map[string]int {
+		t.Helper()
+		base := goroutineStacks()
+		db, err := Open("/db", &Options{
+			Shards: 2, NoSync: true, FS: faultfs.NewMem(), DeltaTier: deltaTier,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		creators := map[string]int{}
+		for id, stack := range goroutineStacks() {
+			if _, ok := base[id]; ok {
+				continue
+			}
+			_, creator, _ := strings.Cut(stack, "\ncreated by ")
+			creator, _, _ = strings.Cut(creator, " in goroutine")
+			creators[creator]++
+		}
+		return creators
+	}
+	off, on := started(false), started(true)
+	for creator, n := range on {
+		if n > off[creator] {
+			t.Errorf("DeltaTier starts %d goroutines created by %s, %d without it", n, creator, off[creator])
+		}
+	}
+}
+
+// goroutineStacks returns every goroutine's stack by goroutine id.
+func goroutineStacks() map[string]string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	stacks := map[string]string{}
+	for _, stack := range strings.Split(string(buf), "\n\n") {
+		if id, _, ok := strings.Cut(strings.TrimPrefix(stack, "goroutine "), " "); ok {
+			stacks[id] = stack
+		}
+	}
+	return stacks
 }

@@ -26,12 +26,12 @@ type DeltaResult struct {
 	PayloadBytes   int    `json:"payload_bytes"`
 
 	// Physical representation after the compaction fixpoint.
-	FullPayloads  int `json:"full_payloads"`
-	DeltaPayloads int `json:"delta_payloads"`
-	SamePayloads  int `json:"same_payloads"`
-	HeapBytes     int64  `json:"heap_bytes"`
-	LogicalBytes  int64  `json:"logical_bytes"`
-	MaxDepth      int    `json:"max_depth"`
+	FullPayloads  int   `json:"full_payloads"`
+	DeltaPayloads int   `json:"delta_payloads"`
+	SamePayloads  int   `json:"same_payloads"`
+	HeapBytes     int64 `json:"heap_bytes"`
+	LogicalBytes  int64 `json:"logical_bytes"`
+	MaxDepth      int   `json:"max_depth"`
 	// SpaceReduction is fullHeapBytes / heapBytes (1.0 for the baseline
 	// itself; the delta rows are the headline claim).
 	SpaceReduction float64 `json:"space_reduction_vs_full"`
@@ -102,10 +102,7 @@ func E17(root string, s Scale) (*Table, error) {
 	var fullHotMeanUS float64
 	for ci, c := range cfgs {
 		dir := filepath.Join(root, fmt.Sprintf("e17-%d", ci))
-		opts := &ode.Options{
-			NoSync: true, CheckpointBytes: -1, Shards: 1,
-			CompactInterval: -1, // sweeps below are explicit and deterministic
-		}
+		opts := &ode.Options{NoSync: true, CheckpointBytes: -1, Shards: 1}
 		if c.mode == "delta" {
 			opts.DeltaTier = true
 			opts.AnchorInterval = c.interval

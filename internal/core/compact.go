@@ -25,38 +25,80 @@ import (
 // Both are ordinary logged mutations inside a write transaction, so
 // crash safety falls out of the WAL/2PC machinery: a demotion either
 // committed (delta on disk, chain intact) or it didn't (full payload
-// untouched). The background compactor (ode.DB) sweeps shards through
+// untouched). The write paths demote a version when it goes cold
+// (version.go); ode.DB.Compact sweeps older history through
 // CompactShard below.
 
-// maybeDemote demotes (o, v) if the delta tier is on and v is eligible;
-// it reports whether a demotion happened. Ineligibility is not an
-// error: the caller is an opportunistic hook on NewVersion/delete.
-func (tx *shardTx) maybeDemote(o oid.OID, v oid.VID) (bool, error) {
-	if !tx.opts.DeltaTier {
-		return false, nil
-	}
-	return tx.demoteVersion(o, v)
+// demotable is the one demotion rule, shared by demoteVersion and
+// compactObject's walk. A version may have its full payload re-encoded
+// as a delta against its D-parent when it is neither the object's
+// latest version (the hot dereference target stays cheap) nor a
+// derivation root, and when every dependent chain through it stays
+// within AnchorInterval links of a full anchor: parentDepth links down
+// to the D-parent's anchor, one for v, below for its deepest dependent
+// descendant. Whether the delta is worth keeping is demoteTo's call.
+func (tx *shardTx) demotable(v, latest oid.VID, rec verRec, parentDepth, below int) bool {
+	return rec.kind == payFull && v != latest && !rec.dprev.IsNil() &&
+		parentDepth+1+below <= tx.opts.AnchorInterval
 }
 
-// demoteVersion re-encodes a stored full payload as a delta against its
-// D-parent. It refuses (returning false, nil) when v is not a full
-// payload, is a derivation root, is the object's latest version (the
-// hot dereference target stays cheap), when the resulting dependent
-// chains would exceed AnchorInterval, or when the delta would not
-// actually be smaller.
-func (tx *shardTx) demoteVersion(o oid.OID, v oid.VID) (bool, error) {
+// demoteTo overwrites rec's full payload with the delta from base (the
+// D-parent's content, at chain depth parentDepth) to content, provided
+// the delta is strictly smaller. It returns the bytes saved: 0 when the
+// delta would not shrink the payload and rec is left as it was.
+func (tx *shardTx) demoteTo(rec *verRec, parentDepth int, base, content []byte) (int, error) {
+	d := delta.Encode(base, content)
+	if len(d) >= len(content) {
+		return 0, nil
+	}
+	if err := tx.heap.Update(rec.payload, d); err != nil {
+		return 0, err
+	}
+	rec.kind = payDelta
+	rec.depth = uint16(parentDepth + 1)
+	return len(content) - len(d), nil
+}
+
+// setFull makes rec a full anchor holding content.
+func (tx *shardTx) setFull(rec *verRec, content []byte) error {
+	if err := tx.putPayload(rec, content); err != nil {
+		return err
+	}
+	rec.kind = payFull
+	rec.depth = 0
+	rec.size = uint64(len(content))
+	return nil
+}
+
+// putPayload stores b as rec's payload record: a version without one (a
+// new or paySame version) gets a record inserted, any other has its
+// record overwritten.
+func (tx *shardTx) putPayload(rec *verRec, b []byte) error {
+	if !rec.payload.IsNil() {
+		return tx.heap.Update(rec.payload, b)
+	}
+	rid, err := tx.heap.Insert(b)
+	if err != nil {
+		return err
+	}
+	rec.payload = rid
+	return nil
+}
+
+// demoteVersion re-encodes (o, v)'s stored full payload as a delta
+// against its D-parent when demotable allows it and the delta is
+// smaller; latest is the object's latest version. It reports whether a
+// demotion happened: a refusal is not an error, since most callers are
+// write-path hooks trying versions that may have gone cold.
+func (tx *shardTx) demoteVersion(o oid.OID, v, latest oid.VID) (bool, error) {
 	rec, err := tx.loadVer(o, v)
 	if err != nil {
 		return false, err
 	}
-	if rec.kind != payFull || rec.dprev.IsNil() {
-		return false, nil
-	}
-	h, err := tx.loadHeader(o)
-	if err != nil {
-		return false, err
-	}
-	if h.latest == v {
+	// The rule with the shortest chain it could see refuses most
+	// versions (dependents, roots, the latest) before the lookups the
+	// real chain length costs.
+	if !tx.demotable(v, latest, rec, 0, 0) {
 		return false, nil
 	}
 	parent, err := tx.loadVer(o, rec.dprev)
@@ -67,7 +109,7 @@ func (tx *shardTx) demoteVersion(o oid.OID, v oid.VID) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if int(parent.depth)+1+below > tx.opts.AnchorInterval {
+	if !tx.demotable(v, latest, rec, int(parent.depth), below) {
 		return false, nil
 	}
 	base, err := tx.readContent(o, parent)
@@ -78,15 +120,10 @@ func (tx *shardTx) demoteVersion(o oid.OID, v oid.VID) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	d := delta.Encode(base, content)
-	if len(d) >= len(content) {
-		return false, nil
-	}
-	if err := tx.heap.Update(rec.payload, d); err != nil {
+	saved, err := tx.demoteTo(&rec, int(parent.depth), base, content)
+	if err != nil || saved == 0 {
 		return false, err
 	}
-	rec.kind = payDelta
-	rec.depth = parent.depth + 1
 	if err := tx.storeVer(o, v, rec); err != nil {
 		return false, err
 	}
@@ -95,8 +132,25 @@ func (tx *shardTx) demoteVersion(o oid.OID, v oid.VID) (bool, error) {
 	}
 	tx.saveRoots()
 	tx.e.m.DeltaDemotions.Inc()
-	tx.e.m.DeltaBytesSaved.Add(uint64(len(content) - len(d)))
+	tx.e.m.DeltaBytesSaved.Add(uint64(saved))
 	return true, nil
+}
+
+// demoteAnchorOf retries demotion of the full anchor v's content hangs
+// from (v itself when full, else its nearest full D-ancestor) after a
+// dependent chain below that anchor got shorter.
+func (tx *shardTx) demoteAnchorOf(o oid.OID, v, latest oid.VID) error {
+	for {
+		rec, err := tx.loadVer(o, v)
+		if err != nil {
+			return err
+		}
+		if rec.kind == payFull {
+			_, err := tx.demoteVersion(o, v, latest)
+			return err
+		}
+		v = rec.dprev
+	}
 }
 
 // promoteVersion rewrites a dependent payload as a full anchor (depth
@@ -125,18 +179,9 @@ func (tx *shardTx) anchor(o oid.OID, v oid.VID, rec verRec) error {
 	if err != nil {
 		return err
 	}
-	if rec.kind == paySame {
-		rid, err := tx.heap.Insert(content)
-		if err != nil {
-			return err
-		}
-		rec.payload = rid
-	} else if err := tx.heap.Update(rec.payload, content); err != nil {
+	if err := tx.setFull(&rec, content); err != nil {
 		return err
 	}
-	rec.kind = payFull
-	rec.depth = 0
-	rec.size = uint64(len(content))
 	if err := tx.storeVer(o, v, rec); err != nil {
 		return err
 	}
@@ -285,45 +330,30 @@ func (tx *shardTx) compactObject(o oid.OID, lim int) (CompactStats, error) {
 		dirty := false
 		switch {
 		case rec.kind == payFull:
-			// Demote when cold (not latest, not a root), within the
-			// anchor bound, affordable, and actually smaller.
-			if budget > 0 && n.v != h.latest && !rec.dprev.IsNil() &&
-				parentDepth+1+n.depBelow <= tx.opts.AnchorInterval {
-				d := delta.Encode(parentContent, content)
-				if len(d) < len(content) {
-					if err := tx.heap.Update(rec.payload, d); err != nil {
-						return err
-					}
-					rec.kind = payDelta
-					rec.depth = uint16(parentDepth + 1)
-					depth = parentDepth + 1
-					dirty = true
-					budget--
-					stats.Demoted++
-					stats.BytesSaved += int64(len(content) - len(d))
-				}
+			if !tx.demotable(n.v, h.latest, *rec, parentDepth, n.depBelow) {
+				break
 			}
-			if !dirty && budget <= 0 && n.v != h.latest && !rec.dprev.IsNil() &&
-				parentDepth+1+n.depBelow <= tx.opts.AnchorInterval {
+			if budget <= 0 {
 				stats.More = true
+				break
+			}
+			saved, err := tx.demoteTo(rec, parentDepth, parentContent, content)
+			if err != nil {
+				return err
+			}
+			if saved > 0 {
+				depth = parentDepth + 1
+				dirty = true
+				budget--
+				stats.Demoted++
+				stats.BytesSaved += int64(saved)
 			}
 		case parentDepth+1 > tx.opts.AnchorInterval:
 			// Over-deep dependent: insert a full anchor here.
 			if budget > 0 {
-				if rec.kind == paySame {
-					rid, err := tx.heap.Insert(content)
-					if err != nil {
-						return err
-					}
-					rec.payload = rid
-				} else {
-					if err := tx.heap.Update(rec.payload, content); err != nil {
-						return err
-					}
+				if err := tx.setFull(rec, content); err != nil {
+					return err
 				}
-				rec.kind = payFull
-				rec.depth = 0
-				rec.size = uint64(len(content))
 				dirty = true
 				budget--
 				stats.Promoted++
@@ -545,7 +575,11 @@ func (tx *Tx) DemoteVersion(o oid.OID, v oid.VID) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return b.demoteVersion(o, v)
+	h, err := b.loadHeader(o)
+	if err != nil {
+		return false, err
+	}
+	return b.demoteVersion(o, v, h.latest)
 }
 
 // PromoteVersion anchors one version as a full payload through the

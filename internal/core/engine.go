@@ -110,8 +110,8 @@ type Options struct {
 	Policy PayloadPolicy
 
 	// DeltaTier enables the delta storage tier (DESIGN.md §14): stored
-	// full payloads are demoted to deltas against their D-parent when
-	// they gain a dependent child or when the compactor sweeps them,
+	// full payloads are demoted to deltas against their D-parent by the
+	// write that makes them cold, or when a compaction sweep finds them,
 	// and materialised contents flow through the epoch-tagged LRU
 	// cache. Orthogonal to Policy — FullCopy with DeltaTier writes full
 	// copies that are demoted after the fact; DeltaChain with DeltaTier
@@ -122,8 +122,8 @@ type Options struct {
 	// writes a full keyframe once a version would sit more than this many
 	// links from one, and the delta tier only demotes a version while
 	// every dependent chain through it stays within this many links of a
-	// full anchor (the compactor promotes versions found deeper, after
-	// the interval shrank across a reopen). 0 means
+	// full anchor (a compaction sweep promotes versions found deeper,
+	// after the interval shrank across a reopen). 0 means
 	// DefaultAnchorInterval.
 	AnchorInterval int
 	// CacheBytes is the materialisation cache budget; 0 means

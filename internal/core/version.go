@@ -303,16 +303,8 @@ func (tx *shardTx) writePayload(o oid.OID, rec *verRec, content []byte) error {
 		depth = 0
 	}
 
-	if rec.payload.IsNil() {
-		rid, err := tx.heap.Insert(encoded)
-		if err != nil {
-			return err
-		}
-		rec.payload = rid
-	} else {
-		if err := tx.heap.Update(rec.payload, encoded); err != nil {
-			return err
-		}
+	if err := tx.putPayload(rec, encoded); err != nil {
+		return err
 	}
 	rec.kind = kind
 	rec.depth = depth
@@ -330,13 +322,11 @@ func (tx *shardTx) UpdateVersion(o oid.OID, v oid.VID, content []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tx.detachDependents(o, v); err != nil {
+	children, err := tx.detachDependents(o, v)
+	if err != nil {
 		return err
 	}
-	if rec.kind == paySame {
-		// Gains its own payload record now.
-		rec.payload = oid.NilRID
-	}
+	dependent := rec.kind != payFull
 	if err := tx.writePayload(o, &rec, content); err != nil {
 		return err
 	}
@@ -349,6 +339,27 @@ func (tx *shardTx) UpdateVersion(o oid.OID, v oid.VID, content []byte) error {
 	h, err := tx.loadHeader(o)
 	if err != nil {
 		return err
+	}
+	if tx.opts.DeltaTier {
+		// Under the delta tier, versions this rewrite let go cold are
+		// demoted now, top down: the anchor v's chain hung from when v
+		// stopped depending on it, v itself unless it is the latest,
+		// then the children detachDependents made full.
+		if dependent && rec.kind == payFull {
+			if err := tx.demoteAnchorOf(o, rec.dprev, h.latest); err != nil {
+				return err
+			}
+		}
+		if v != h.latest {
+			if _, err := tx.demoteVersion(o, v, h.latest); err != nil {
+				return err
+			}
+		}
+		for _, c := range children {
+			if _, err := tx.demoteVersion(o, c, h.latest); err != nil {
+				return err
+			}
+		}
 	}
 	tx.saveRoots()
 	tx.bus.Fire(trigger.Event{Kind: trigger.KindUpdate, Obj: o, VID: v, Type: h.typ, Stamp: rec.stamp, Tx: tx.rt})
@@ -483,12 +494,13 @@ func (tx *shardTx) newVersionFrom(o oid.OID, h objHeader, base oid.VID) (oid.VID
 		return oid.NilVID, err
 	}
 	// Temporal chain: the old latest gains a successor.
-	prevRec, err := tx.loadVer(o, h.latest)
+	prev := h.latest
+	prevRec, err := tx.loadVer(o, prev)
 	if err != nil {
 		return oid.NilVID, err
 	}
 	prevRec.tnext = v
-	if err := tx.storeVer(o, h.latest, prevRec); err != nil {
+	if err := tx.storeVer(o, prev, prevRec); err != nil {
 		return oid.NilVID, err
 	}
 	h.latest = v
@@ -503,11 +515,20 @@ func (tx *shardTx) newVersionFrom(o oid.OID, h objHeader, base oid.VID) (oid.VID
 		return oid.NilVID, err
 	}
 	tx.st.SetCounter(ctrVersion, tx.st.Counter(ctrVersion)+1)
-	// The base just gained a D-child and stopped being the write
-	// target: under the delta tier its full payload is re-encoded as a
-	// delta against its own D-parent right away (DESIGN.md §14).
-	if _, err := tx.maybeDemote(o, base); err != nil {
-		return oid.NilVID, err
+	// The base just gained a D-child, and the old latest stopped being
+	// the write target: under the delta tier each full payload is
+	// re-encoded as a delta against its own D-parent right away
+	// (DESIGN.md §14), the base first, as it is never below the old
+	// latest.
+	if tx.opts.DeltaTier {
+		if _, err := tx.demoteVersion(o, base, v); err != nil {
+			return oid.NilVID, err
+		}
+		if prev != base {
+			if _, err := tx.demoteVersion(o, prev, v); err != nil {
+				return oid.NilVID, err
+			}
+		}
 	}
 	tx.saveRoots()
 	tx.bus.Fire(trigger.Event{
@@ -602,16 +623,49 @@ func (tx *shardTx) DeleteVersion(o oid.OID, v oid.VID) error {
 		return err
 	}
 	tx.st.SetCounter(ctrVersion, tx.st.Counter(ctrVersion)-1)
-	// detachDependents turned v's children into full copies before the
-	// splice; now that they hang off v's parent, the delta tier tries
-	// to re-encode each against its new D-parent.
-	for _, c := range children {
-		if _, err := tx.maybeDemote(o, c); err != nil {
+	if tx.opts.DeltaTier {
+		if err := tx.demoteAfterDelete(o, h.latest, rec, children); err != nil {
 			return err
 		}
 	}
 	tx.saveRoots()
 	tx.bus.Fire(trigger.Event{Kind: trigger.KindDeleteVersion, Obj: o, VID: v, Type: h.typ, Stamp: rec.stamp, Tx: tx.rt})
+	return nil
+}
+
+// demoteAfterDelete restores the delta tier's shape after DeleteVersion
+// removed the version rec described; latest is the object's latest
+// version now. A latest rebound onto a dependent version is anchored,
+// so the hot dereference target stays a full payload. Chains that ran
+// through the deleted version, or through the rebound latest, got
+// shorter, so the anchors they hung from get another try; then the
+// deleted version's children, which detachDependents made full and the
+// splice hung off its D-parent, are re-encoded against that parent.
+func (tx *shardTx) demoteAfterDelete(o oid.OID, latest oid.VID, rec verRec, children []oid.VID) error {
+	if rec.tnext.IsNil() {
+		lrec, err := tx.loadVer(o, latest)
+		if err != nil {
+			return err
+		}
+		if lrec.kind != payFull {
+			if err := tx.anchor(o, latest, lrec); err != nil {
+				return err
+			}
+			if err := tx.demoteAnchorOf(o, lrec.dprev, latest); err != nil {
+				return err
+			}
+		}
+	}
+	if !rec.dprev.IsNil() {
+		if err := tx.demoteAnchorOf(o, rec.dprev, latest); err != nil {
+			return err
+		}
+	}
+	for _, c := range children {
+		if _, err := tx.demoteVersion(o, c, latest); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

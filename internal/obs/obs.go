@@ -299,7 +299,7 @@ type Metrics struct {
 	DeltaBytesSaved Counter   `series:"ode_delta_bytes_saved_total" scope:"db" help:"Cumulative payload-heap bytes reclaimed by demotion."`
 	DeltaChainLen   Histogram `series:"ode_delta_chain_len" scope:"db" help:"Payload records read per delta-chain materialisation."`
 
-	// Compactor activity: passes over a shard's object table, objects
+	// Compaction sweeps: passes over a shard's object table, objects
 	// examined, and the latency of one compaction transaction.
 	CompactPasses   Counter   `series:"ode_compact_passes_total" scope:"db" help:"Completed whole-store compaction passes."`
 	CompactObjects  Counter   `series:"ode_compact_objects_total" scope:"db" help:"Objects examined by compaction sweeps."`

@@ -3,19 +3,18 @@ package workload
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"ode"
 )
 
 // TestDeepChainShape is the delta tier's workload-scale acceptance net:
 // the deep shape grows a 1000+ version linear chain of small edits with
-// the delta tier ON and the background compactor sweeping every 10ms,
-// while every as-of probe, random-depth deref and latest read validates
-// against the reference model — and a live split+merge reshard migrates
-// the delta chains mid-run. Afterwards the store must reopen, pass
-// integrity, show real delta compression, and hold the anchor-interval
-// depth bound at the compacted fixpoint.
+// the delta tier ON, while every as-of probe, random-depth deref and
+// latest read validates against the reference model — and, mid-run, a
+// live split+merge reshard migrates the delta chains, with a Compact
+// between the two racing the workload's writers. Afterwards the store
+// must reopen, pass integrity, show real delta compression, and hold
+// the anchor-interval depth bound at the compacted fixpoint.
 func TestDeepChainShape(t *testing.T) {
 	const interval = 8
 	opsPerWorker, wantDepth := 800, 1000
@@ -33,16 +32,18 @@ func TestDeepChainShape(t *testing.T) {
 		PayloadBytes: 192,
 		ExtentEvery:  200,
 		Options: &ode.Options{
-			NoSync:          true,
-			DeltaTier:       true,
-			AnchorInterval:  interval,
-			CompactInterval: 10 * time.Millisecond,
-			MatCacheBytes:   1 << 20,
+			NoSync:         true,
+			DeltaTier:      true,
+			AnchorInterval: interval,
+			MatCacheBytes:  1 << 20,
 		},
 	}
 	cfg.Mid = func(db *ode.DB) error {
 		if err := db.Reshard(4); err != nil {
 			return fmt.Errorf("split 2->4: %w", err)
+		}
+		if _, err := db.Compact(); err != nil {
+			return fmt.Errorf("compact at 4 shards: %w", err)
 		}
 		if err := db.Reshard(2); err != nil {
 			return fmt.Errorf("merge 4->2: %w", err)
@@ -57,11 +58,10 @@ func TestDeepChainShape(t *testing.T) {
 		t.Fatalf("degenerate run: mutations=%d reads=%d", res.Mutations, res.Reads)
 	}
 
-	// The store must stand on its own after the run: reopen (background
-	// compactor off — the sweep below is explicit), check integrity, and
-	// confirm the hot chain actually went deep.
+	// The store must stand on its own after the run: reopen, check
+	// integrity, and confirm the hot chain actually went deep.
 	db, err := ode.Open(cfg.Dir, &ode.Options{
-		DeltaTier: true, AnchorInterval: interval, CompactInterval: -1,
+		DeltaTier: true, AnchorInterval: interval,
 	})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)

@@ -98,9 +98,8 @@ type Metrics struct {
 	DeltaDemotions  uint64
 	DeltaPromotions uint64
 	DeltaBytesSaved uint64
-	// Compaction sweeps: completed whole-store passes and objects
-	// examined (by both explicit Compact calls and the background
-	// compactor).
+	// Compaction sweeps (DB.Compact): completed whole-store passes and
+	// objects examined.
 	CompactPasses  uint64
 	CompactObjects uint64
 	// Materialisation cache counters and occupancy.

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"ode/internal/core"
 	"ode/internal/faultfs"
@@ -113,17 +112,18 @@ type Options struct {
 	Shards int
 	// Policy selects FullCopy (default) or DeltaChain version storage.
 	Policy StoragePolicy
-	// DeltaTier enables the delta storage tier (DESIGN.md §14): stored
-	// full payloads of cold versions are demoted to deltas against
-	// their derived-from parent — inline when a version gains a D-child
-	// or loses one to pdelete, and in the background by a per-shard
-	// compactor — and materialised contents are served through an
-	// epoch-tagged LRU cache. Works under either Policy.
+	// DeltaTier enables the delta storage tier (DESIGN.md §14): a
+	// version's stored full payload is demoted to a delta against its
+	// derived-from parent by the write that makes the version cold — a
+	// newversion, an update or a pdelete — and materialised contents
+	// are served through an epoch-tagged LRU cache. History written
+	// while the tier was off is demoted by DB.Compact. Works under
+	// either Policy.
 	DeltaTier bool
 	// AnchorInterval bounds how many delta links any version may sit from
 	// a full copy of its content, however the chain was built: it is the
 	// keyframe interval under DeltaChain and the anchor interval under
-	// DeltaTier, whose compactor promotes versions found deeper (e.g.
+	// DeltaTier, where DB.Compact promotes versions found deeper (e.g.
 	// after the interval was lowered). 0 means 16.
 	AnchorInterval int
 	// MatCacheBytes is the materialisation cache budget under
@@ -137,12 +137,6 @@ type Options struct {
 	// DeltaTier. 0 means core.DefaultDerefCacheBytes (4 MiB), negative
 	// disables it.
 	DerefCacheBytes int64
-	// CompactInterval paces the background compactor under DeltaTier:
-	// each physical shard is swept in bounded transactions at most this
-	// often. 0 means DefaultCompactInterval; negative disables the
-	// background goroutines (inline demotion and the cache remain, and
-	// Compact still runs sweeps on demand).
-	CompactInterval time.Duration
 	// PageSize applies when creating a new database (default 4096).
 	PageSize int
 	// PoolPages is the buffer-pool capacity in pages, clean and dirty
@@ -190,11 +184,6 @@ type DB struct {
 	eng   *core.Engine
 	path  string
 
-	// background compactor state (compact.go); nil unless DeltaTier is
-	// on with a non-negative CompactInterval.
-	compactStop chan struct{}
-	compactDone chan struct{}
-
 	// debug HTTP listener state (metrics.go); nil without DebugAddr.
 	debugLis net.Listener
 	debugSrv *http.Server
@@ -239,12 +228,8 @@ func Open(dir string, opts *Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{coord: coord, eng: eng, path: dir}
-	if o.DeltaTier && !o.ReadOnly && o.CompactInterval >= 0 {
-		db.startCompactor(o.CompactInterval)
-	}
 	if o.DebugAddr != "" {
 		if err := db.startDebugServer(o.DebugAddr); err != nil {
-			db.stopCompactor()
 			coord.Close()
 			return nil, fmt.Errorf("ode: debug listener: %w", err)
 		}
@@ -288,7 +273,6 @@ func (db *DB) ReshardProgress() txn.ReshardProgress {
 // Close checkpoints and closes the database.
 func (db *DB) Close() error {
 	db.stopDebugServer()
-	db.stopCompactor()
 	return db.coord.Close()
 }
 

@@ -27,7 +27,7 @@ import (
 //	      all its shards or none;
 //	(iii) no object's Rev is lower than this reader saw it before.
 //
-// Each extra (a compactor, a resharder) runs alongside, once per
+// Each extra (a Compact sweep, a resharder) runs alongside, once per
 // acknowledged Update, until the writers are done.
 func snapshotRace(t *testing.T, db *DB, updates int, extra ...func() error) {
 	t.Helper()
@@ -233,10 +233,10 @@ func TestViewSeesAckedCommit(t *testing.T) {
 				updates := raceUpdates(nosync)
 				atGOMAXPROCS(t, func(t *testing.T) {
 					// Inline demotion runs inside the writers' own Updates;
-					// the explicit Compact loop below adds the compactor's
-					// commits, which publish without changing any content.
+					// the explicit Compact loop below adds sweep commits,
+					// which publish without changing any content.
 					db, _ := openShardedDB(t, shards, &Options{
-						NoSync: nosync, DeltaTier: true, AnchorInterval: 4, CompactInterval: -1,
+						NoSync: nosync, DeltaTier: true, AnchorInterval: 4,
 					})
 					// A live reshard at every starting count: the one-shard
 					// database splits like any other.

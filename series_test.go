@@ -86,7 +86,7 @@ func TestSeriesDeclaredOnce(t *testing.T) {
 // reach.
 func exerciseEverything(t *testing.T) *DB {
 	t.Helper()
-	db, _ := openShardedDB(t, 2, &Options{DeltaTier: true, AnchorInterval: 4, CompactInterval: -1, PoolPages: 16, CheckpointBytes: 32 << 10})
+	db, _ := openShardedDB(t, 2, &Options{DeltaTier: true, AnchorInterval: 4, PoolPages: 16, CheckpointBytes: 32 << 10})
 	statsScript(t, db, 5, 3)
 	parts, err := Register[Part](db, "Part")
 	if err != nil {
