@@ -6,7 +6,7 @@ import (
 )
 
 func TestAnnotationsLifecycle(t *testing.T) {
-	db := openDB(t, &Options{Policy: DeltaChain})
+	db := openDB(t, &Options{DeltaTier: true})
 	parts, _ := Register[Part](db, "Part")
 	var p Ptr[Part]
 	var v0, v1 VPtr[Part]
@@ -177,7 +177,7 @@ func TestAnnotateErrors(t *testing.T) {
 // marked released, and the release context is built from the partition
 // query.
 func TestReleaseWorkflowWithAnnotations(t *testing.T) {
-	db := openDB(t, &Options{Policy: DeltaChain})
+	db := openDB(t, &Options{DeltaTier: true})
 	parts, _ := Register[Part](db, "Part")
 	var p Ptr[Part]
 	if err := db.Update(func(tx *Tx) error {

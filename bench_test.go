@@ -152,8 +152,8 @@ func BenchmarkE2DerefSpecific(b *testing.B) { benchmarkE2(b, false) }
 
 // --- E3: delta vs full-copy tip reads ---
 
-func benchmarkE3(b *testing.B, policy StoragePolicy, chain int) {
-	db, ty := benchDB(b, &Options{Policy: policy})
+func benchmarkE3(b *testing.B, tier bool, chain int) {
+	db, ty := benchDB(b, &Options{DeltaTier: tier})
 	rng := rand.New(rand.NewSource(3))
 	content := payload(rng, 4096)
 	var p Ptr[blob]
@@ -195,13 +195,13 @@ func benchmarkE3(b *testing.B, policy StoragePolicy, chain int) {
 	}
 }
 
-func BenchmarkE3TipReadFullCopy32(b *testing.B)   { benchmarkE3(b, FullCopy, 32) }
-func BenchmarkE3TipReadDeltaChain32(b *testing.B) { benchmarkE3(b, DeltaChain, 32) }
+func BenchmarkE3TipReadFullCopy32(b *testing.B)  { benchmarkE3(b, false, 32) }
+func BenchmarkE3TipReadDeltaTier32(b *testing.B) { benchmarkE3(b, true, 32) }
 
 // --- E4: alternatives, tree vs linear replay ---
 
 func benchmarkE4(b *testing.B, linear bool) {
-	db, ty := benchDB(b, &Options{Policy: DeltaChain})
+	db, ty := benchDB(b, &Options{DeltaTier: true})
 	rng := rand.New(rand.NewSource(4))
 	const depth = 64
 	var p Ptr[blob]
@@ -421,7 +421,7 @@ func BenchmarkE7Triggers256(b *testing.B) { benchmarkE7(b, 256) }
 // --- E8: as-of lookups ---
 
 func benchmarkE8(b *testing.B, walk bool, history int) {
-	db, ty := benchDB(b, &Options{Policy: DeltaChain})
+	db, ty := benchDB(b, &Options{DeltaTier: true})
 	rng := rand.New(rand.NewSource(8))
 	var p Ptr[blob]
 	var stamps []Stamp
@@ -585,10 +585,10 @@ func BenchmarkE9ExtentScan(b *testing.B) {
 	}
 }
 
-// --- E10: keyframe-interval ablation ---
+// --- E10: anchor-interval ablation ---
 
 func benchmarkE10(b *testing.B, interval int) {
-	db, err := Open(b.TempDir(), &Options{Policy: DeltaChain, AnchorInterval: interval, NoSync: true})
+	db, err := Open(b.TempDir(), &Options{DeltaTier: true, AnchorInterval: interval, NoSync: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,7 +17,7 @@ type widget struct {
 func buildTestDB(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	db, err := ode.Open(dir, &ode.Options{Policy: ode.DeltaChain})
+	db, err := ode.Open(dir, &ode.Options{DeltaTier: true})
 	if err != nil {
 		t.Fatal(err)
 	}

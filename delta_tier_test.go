@@ -199,23 +199,37 @@ func TestDeltaTierDemotion(t *testing.T) {
 // TestDeltaRoundTripProperty is the satellite property test: random
 // edit sequences with branching, interior D-parent deletes, in-place
 // updates and interleaved compaction sweeps round-trip bit-for-bit at
-// every version, across anchor intervals {1, 4, 16}, under both
-// storage policies, including after a reopen.
+// every version, across anchor intervals {1, 4, 16}, including after a
+// reopen. (The name's policy=0 is Options.Policy, whose one value is
+// FullCopy.)
 func TestDeltaRoundTripProperty(t *testing.T) {
-	for _, policy := range []StoragePolicy{FullCopy, DeltaChain} {
-		for _, interval := range []int{1, 4, 16} {
-			name := fmt.Sprintf("policy=%d/interval=%d", policy, interval)
-			t.Run(name, func(t *testing.T) {
-				testDeltaRoundTrip(t, policy, interval, 64+int64(interval))
-			})
-		}
+	for _, interval := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("policy=0/interval=%d", interval), func(t *testing.T) {
+			testDeltaRoundTrip(t, interval, 64+int64(interval))
+		})
 	}
 }
 
-func testDeltaRoundTrip(t *testing.T, policy StoragePolicy, interval int, seed int64) {
+// dependentAt reports whether (o, v) is stored as a delta or has a
+// D-child that is: the shape an update or delete of v must detach.
+func dependentAt(tx *Tx, o OID, v VID) (bool, error) {
+	children, err := tx.DChildren(o, v)
+	if err != nil {
+		return false, err
+	}
+	for _, c := range append(children, v) {
+		info, err := tx.Info(o, c)
+		if err != nil || info.Delta {
+			return info.Delta, err
+		}
+	}
+	return false, nil
+}
+
+func testDeltaRoundTrip(t *testing.T, interval int, seed int64) {
 	dir := t.TempDir()
 	opts := &Options{
-		Shards: envShards(), PageSize: 1024, NoSync: true, Policy: policy,
+		Shards: envShards(), PageSize: 1024, NoSync: true,
 		DeltaTier: true, AnchorInterval: interval,
 	}
 	db, err := Open(dir, opts)
@@ -262,6 +276,16 @@ func testDeltaRoundTrip(t *testing.T, policy StoragePolicy, interval int, seed i
 		return vs[rng.Intn(len(vs))]
 	}
 
+	// onDependent counts the updates and deletes whose target was
+	// dependentAt: the ones that exercise detaching.
+	onDependent := 0
+	countDependent := func(tx *Tx, o OID, v VID) error {
+		dep, err := dependentAt(tx, o, v)
+		if dep {
+			onDependent++
+		}
+		return err
+	}
 	const ops = 180
 	for i := 0; i < ops; i++ {
 		o := objs[rng.Intn(len(objs))]
@@ -290,6 +314,9 @@ func testDeltaRoundTrip(t *testing.T, policy StoragePolicy, interval int, seed i
 				record(o, v, want[latest])
 			case r < 75: // in-place edit of a random version
 				v := pickVID(o)
+				if err := countDependent(tx, o, v); err != nil {
+					return err
+				}
 				content := editBytes(rng, want[v])
 				if err := tx.UpdateVersionRaw(o, v, content); err != nil {
 					return err
@@ -303,6 +330,9 @@ func testDeltaRoundTrip(t *testing.T, policy StoragePolicy, interval int, seed i
 				}
 				idx := rng.Intn(len(perObj[o]))
 				v := perObj[o][idx]
+				if err := countDependent(tx, o, v); err != nil {
+					return err
+				}
 				if err := tx.DeleteVersion(o, v); err != nil {
 					return err
 				}
@@ -335,8 +365,8 @@ func testDeltaRoundTrip(t *testing.T, policy StoragePolicy, interval int, seed i
 	if ps.MaxDepth > interval {
 		t.Fatalf("stored depth %d exceeds anchor interval %d", ps.MaxDepth, interval)
 	}
-	if ps.Delta == 0 {
-		t.Fatalf("property run never demoted anything (vacuous): %+v", ps)
+	if ps.Delta == 0 || onDependent == 0 {
+		t.Fatalf("property run vacuous: %d updates or deletes on a delta, payloads %+v", onDependent, ps)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -813,40 +843,30 @@ func TestDeltaPrimitives(t *testing.T) {
 }
 
 // TestDeltaPromoteShared promotes a version that shares its parent's
-// bytes outright (the DeltaChain policy's copy-free NewVersion): the
-// promotion must insert a fresh heap record rather than updating the
-// parent's.
+// bytes outright (a shared payload, which only the encode-at-write delta
+// scheme wrote; deltachain_fixture_test.go): the promotion must insert a
+// fresh heap record rather than updating the parent's.
 func TestDeltaPromoteShared(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, &Options{
-		Shards: envShards(), PageSize: 1024, NoSync: true,
-		Policy:    DeltaChain,
-		DeltaTier: true, AnchorInterval: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	tid, err := db.Engine().RegisterType("DeltaPrim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	content := bytes.Repeat([]byte("shared-bytes "), 40)
-	var o OID
-	var shared VID
-	err = db.Update(func(tx *Tx) error {
-		var err error
-		o, _, err = tx.CreateRaw(tid, content)
-		if err != nil {
-			return err
+	db, model := openDeltaChainFixture(t, &Options{NoSync: true, DeltaTier: true, AnchorInterval: deltaChainInterval})
+	// Object A's shared payload is its one version whose content is its
+	// D-parent's.
+	o, shared := OID(model[0].OID), VID(0)
+	err := db.View(func(tx *Tx) error {
+		for _, ver := range model[0].Versions {
+			d, err := tx.Dprev(o, VID(ver.VID))
+			if err != nil || d == 0 {
+				continue
+			}
+			for _, p := range model[0].Versions {
+				if p.VID == uint64(d) && p.Content == ver.Content {
+					shared = VID(ver.VID)
+				}
+			}
 		}
-		// No UpdateVersionRaw: under DeltaChain this version shares its
-		// parent's payload record.
-		shared, err = tx.NewVersion(o)
-		return err
+		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || shared == 0 || payloadStats(t, db).Same == 0 {
+		t.Fatalf("fixture holds no shared payload (%v)", err)
 	}
 	err = db.Engine().Write(func(tx *core.Tx) error {
 		if ok, err := tx.DemoteVersion(o, shared); err != nil || ok {
@@ -864,19 +884,7 @@ func TestDeltaPromoteShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = db.View(func(tx *Tx) error {
-		got, err := tx.ReadVersionRaw(o, shared)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(got, content) {
-			return fmt.Errorf("shared version content changed across promotion")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkDeltaChainModel(t, db, model)
 }
 
 // TestDeltaCompactBudget drives CompactShard/CompactAll with a

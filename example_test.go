@@ -25,7 +25,7 @@ func tempDB() (*ode.DB, func()) {
 	// Shards: 1 — example outputs print raw object/version ids, which
 	// only render as o1/v1/v2... under the single-shard layout (sharded
 	// layouts compose the shard into the id, oid = raw*N + s).
-	db, err := ode.Open(dir, &ode.Options{Policy: ode.DeltaChain, Shards: 1})
+	db, err := ode.Open(dir, &ode.Options{DeltaTier: true, Shards: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

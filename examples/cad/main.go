@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	db, err := ode.Open(dir, &ode.Options{Policy: ode.DeltaChain})
+	db, err := ode.Open(dir, &ode.Options{DeltaTier: true})
 	if err != nil {
 		log.Fatal(err)
 	}

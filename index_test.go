@@ -67,7 +67,7 @@ func TestIndexBasicLookup(t *testing.T) {
 }
 
 func TestIndexFollowsLatestVersion(t *testing.T) {
-	db := openDB(t, &Options{Policy: DeltaChain})
+	db := openDB(t, &Options{DeltaTier: true})
 	emps, _ := Register[Employee](db, "Employee")
 	byDept, err := emps.EnsureIndex("dept", func(e *Employee) ([]byte, bool) {
 		return KeyString(e.Dept), true

@@ -36,7 +36,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 		t.Skip("soak test")
 	}
 	dir := t.TempDir()
-	opts := &Options{Policy: DeltaChain, AnchorInterval: 6, PageSize: 1024, Shards: envShards()}
+	opts := &Options{DeltaTier: true, AnchorInterval: 6, PageSize: 1024, Shards: envShards()}
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestLargeScale(t *testing.T) {
 		t.Skip("large-scale test")
 	}
 	dir := t.TempDir()
-	opts := &Options{Policy: DeltaChain, NoSync: true, PoolPages: 256}
+	opts := &Options{DeltaTier: true, NoSync: true, PoolPages: 256}
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)

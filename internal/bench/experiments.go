@@ -261,13 +261,13 @@ func E2(root string, s Scale) (*Table, error) {
 	return t, nil
 }
 
-// E3 — delta chains vs full copies: space and materialisation latency
+// E3 — delta tier vs full copies: space and materialisation latency
 // across chain lengths and object sizes.
 func E3(root string, s Scale) (*Table, error) {
 	t := &Table{
 		Title:   "E3 — Delta storage: space and tip-read latency vs chain length",
-		Note:    "Each version applies 2 point edits of 16 B to its parent. DeltaChain writes a keyframe every 16 links (the default AnchorInterval). Space is the whole database directory.",
-		Headers: []string{"object size", "versions", "policy", "db size", "bytes/version", "tip read"},
+		Note:    "Each version applies 2 point edits of 16 B to its parent. The delta tier keeps the latest full and demotes older versions, anchoring every 16 links (the default AnchorInterval), so the tip read is one full payload by construction. Space is the whole database directory.",
+		Headers: []string{"object size", "versions", "storage", "db size", "bytes/version", "tip read"},
 	}
 	sizes := []int{1 << 10, 16 << 10}
 	chains := []int{4, 32, 128}
@@ -278,10 +278,10 @@ func E3(root string, s Scale) (*Table, error) {
 		for _, chainLen := range chains {
 			for _, pol := range []struct {
 				name string
-				p    ode.StoragePolicy
-			}{{"full-copy", ode.FullCopy}, {"delta-chain", ode.DeltaChain}} {
+				tier bool
+			}{{"full-copy", false}, {"delta-tier", true}} {
 				dir := filepath.Join(root, fmt.Sprintf("e3-%d-%d-%s", size, chainLen, pol.name))
-				db, ty, err := openBench(dir, &ode.Options{Policy: pol.p})
+				db, ty, err := openBench(dir, &ode.Options{DeltaTier: pol.tier})
 				if err != nil {
 					return nil, err
 				}
@@ -356,7 +356,7 @@ func E4(root string, s Scale) (*Table, error) {
 	for _, depth := range depths {
 		for _, model := range []string{"tree", "linear"} {
 			dir := filepath.Join(root, fmt.Sprintf("e4-%d-%s", depth, model))
-			db, ty, err := openBench(dir, &ode.Options{Policy: ode.DeltaChain})
+			db, ty, err := openBench(dir, &ode.Options{DeltaTier: true})
 			if err != nil {
 				return nil, err
 			}
@@ -684,7 +684,7 @@ func E8(root string, s Scale) (*Table, error) {
 	}
 	for _, n := range lengths {
 		dir := filepath.Join(root, fmt.Sprintf("e8-%d", n))
-		db, ty, err := openBench(dir, &ode.Options{Policy: ode.DeltaChain})
+		db, ty, err := openBench(dir, &ode.Options{DeltaTier: true})
 		if err != nil {
 			return nil, err
 		}
@@ -854,13 +854,14 @@ func E9(root string, s Scale) (*Table, error) {
 	return t, nil
 }
 
-// E10 — ablation of the keyframe interval (AnchorInterval), the delta
-// policy's central tuning knob: longer chains save space but lengthen the
-// materialisation path; an interval of 1 degenerates to (near) full copies.
+// E10 — ablation of the anchor interval (AnchorInterval), the delta
+// tier's central tuning knob: longer chains save space but lengthen the
+// materialisation path of old versions; an interval of 1 degenerates to
+// (near) full copies. The latest is full at every interval.
 func E10(root string, s Scale) (*Table, error) {
 	t := &Table{
-		Title:   "E10 — Ablation: delta keyframe interval (AnchorInterval)",
-		Note:    "One object, 128 versions of an 8 KiB payload, 2×16 B edits per version. AnchorInterval bounds the number of dependent links before a full keyframe.",
+		Title:   "E10 — Ablation: delta anchor interval (AnchorInterval)",
+		Note:    "One object, 128 versions of an 8 KiB payload, 2×16 B edits per version, delta tier on. AnchorInterval bounds the number of dependent links below a full anchor; the latest is always full, so the tip read is flat by construction.",
 		Headers: []string{"AnchorInterval", "db size", "bytes/version", "tip read", "random version read"},
 	}
 	nVersions := 128
@@ -870,7 +871,7 @@ func E10(root string, s Scale) (*Table, error) {
 	const objSize = 8 << 10
 	for _, interval := range []int{1, 4, 16, 64} {
 		dir := filepath.Join(root, fmt.Sprintf("e10-%d", interval))
-		db, ty, err := openBench(dir, &ode.Options{Policy: ode.DeltaChain, AnchorInterval: interval})
+		db, ty, err := openBench(dir, &ode.Options{DeltaTier: true, AnchorInterval: interval})
 		if err != nil {
 			return nil, err
 		}
@@ -971,7 +972,7 @@ func All() []Experiment {
 		{"E7", "trigger overhead", E7},
 		{"E8", "as-of access", E8},
 		{"E9", "substrate soundness", E9},
-		{"E10", "keyframe-interval ablation", E10},
+		{"E10", "anchor-interval ablation", E10},
 		{"E11", "concurrent snapshot reads", E11},
 		{"E12", "group commit throughput", E12},
 		{"E14", "shard scaling", E14},

@@ -118,22 +118,16 @@ func (tx *shardTx) CheckObject(o oid.OID) error {
 			if rec.depth != 0 {
 				return fmt.Errorf("%v: %v full payload with depth %d", o, v, rec.depth)
 			}
-		case paySame:
-			if !rec.payload.IsNil() {
-				return fmt.Errorf("%v: %v shared payload with a record", o, v)
+		case paySame, payDelta:
+			if rec.payload.IsNil() != (rec.kind == paySame) {
+				return fmt.Errorf("%v: %v payload kind %d with record %v", o, v, rec.kind, rec.payload)
 			}
 			if rec.dprev.IsNil() {
-				return fmt.Errorf("%v: %v shared payload with no parent", o, v)
+				return fmt.Errorf("%v: %v dependent payload with no parent", o, v)
 			}
-			if parent := recs[rec.dprev]; rec.depth != parent.depth+1 {
-				return fmt.Errorf("%v: %v depth %d but parent depth %d", o, v, rec.depth, parent.depth)
-			}
-		case payDelta:
-			if rec.payload.IsNil() || rec.dprev.IsNil() {
-				return fmt.Errorf("%v: %v delta payload missing record or parent", o, v)
-			}
-			parent := recs[rec.dprev]
-			if rec.depth != parent.depth+1 {
+			// Depth 0 is a full payload's; parent.depth+1 wraps to it at
+			// the 16-bit limit.
+			if parent := recs[rec.dprev]; rec.depth == 0 || rec.depth != parent.depth+1 {
 				return fmt.Errorf("%v: %v depth %d but parent depth %d", o, v, rec.depth, parent.depth)
 			}
 		default:

@@ -71,8 +71,8 @@ func (tx *shardTx) setFull(rec *verRec, content []byte) error {
 }
 
 // putPayload stores b as rec's payload record: a version without one (a
-// new or paySame version) gets a record inserted, any other has its
-// record overwritten.
+// paySame version) gets a record inserted, any other has its record
+// overwritten.
 func (tx *shardTx) putPayload(rec *verRec, b []byte) error {
 	if !rec.payload.IsNil() {
 		return tx.heap.Update(rec.payload, b)
@@ -278,15 +278,16 @@ func (tx *shardTx) compactObject(o oid.OID, lim int) (CompactStats, error) {
 			roots = append(roots, n)
 		}
 	}
-	// Scan-time dependent depths, bottom-up. A node's decision below
-	// only ever extends chains whose other links are re-checked with
-	// exact post-decision depths, so these stay valid during the walk.
+	// Scan-time dependent depths, bottom-up, counting the latest as the
+	// anchor the walk makes it. A node's decision below only ever
+	// extends chains whose other links are re-checked with exact
+	// post-decision depths, so these stay valid during the walk.
 	var fillDep func(n *verNode) int
 	fillDep = func(n *verNode) int {
 		max := 0
 		for _, c := range n.children {
 			d := fillDep(c)
-			if c.rec.kind != payFull && 1+d > max {
+			if c.rec.kind != payFull && c.v != h.latest && 1+d > max {
 				max = 1 + d
 			}
 		}
@@ -348,8 +349,9 @@ func (tx *shardTx) compactObject(o oid.OID, lim int) (CompactStats, error) {
 				stats.Demoted++
 				stats.BytesSaved += int64(saved)
 			}
-		case parentDepth+1 > tx.opts.AnchorInterval:
-			// Over-deep dependent: insert a full anchor here.
+		case n.v == h.latest || parentDepth+1 > tx.opts.AnchorInterval:
+			// A dependent latest (only earlier code wrote one) or an
+			// over-deep dependent: insert a full anchor here.
 			if budget > 0 {
 				if err := tx.setFull(rec, content); err != nil {
 					return err

@@ -121,9 +121,13 @@ func TestRegisterTypeIdempotent(t *testing.T) {
 // claim (§3): an object id dynamically binds to the latest version; a
 // version id statically pins one version.
 func TestGenericVsSpecificBinding(t *testing.T) {
-	for _, policy := range []PayloadPolicy{FullCopy, DeltaChain} {
-		t.Run(fmt.Sprintf("policy%d", policy), func(t *testing.T) {
-			e := newEngine(t, Options{Policy: policy})
+	// policy0 stores every version whole; tier runs the delta tier.
+	for _, c := range []struct {
+		name string
+		tier bool
+	}{{"policy0", false}, {"tier", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEngine(t, Options{DeltaTier: c.tier})
 			ty := mustType(t, e, "Doc")
 			var o oid.OID
 			var v0, v1 oid.VID
@@ -332,7 +336,7 @@ func TestDeleteSoleVersionDeletesObject(t *testing.T) {
 }
 
 func TestDeleteObjectRemovesEverything(t *testing.T) {
-	e := newEngine(t, Options{Policy: DeltaChain})
+	e := newEngine(t, Options{DeltaTier: true})
 	ty := mustType(t, e, "T")
 	var o, other oid.OID
 	w(t, e, func(tx *Tx) error {
@@ -433,7 +437,7 @@ func TestAsOf(t *testing.T) {
 }
 
 func TestDeltaChainContentFidelity(t *testing.T) {
-	e := newEngine(t, Options{Policy: DeltaChain, AnchorInterval: 4})
+	e := newEngine(t, Options{DeltaTier: true, AnchorInterval: 4})
 	ty := mustType(t, e, "Blob")
 	rng := rand.New(rand.NewSource(42))
 	var o oid.OID
@@ -449,7 +453,7 @@ func TestDeltaChainContentFidelity(t *testing.T) {
 		}
 		contents[v] = append([]byte(nil), base...)
 		cur := append([]byte(nil), base...)
-		// A long linear chain with edits: crosses several keyframes.
+		// A long linear chain with edits: crosses several anchors.
 		for i := 0; i < 20; i++ {
 			v, err = tx.NewVersion(o)
 			if err != nil {
@@ -465,6 +469,22 @@ func TestDeltaChainContentFidelity(t *testing.T) {
 		return nil
 	})
 	w(t, e, func(tx *Tx) error {
+		// The shape under test: chains run the full interval, so reads
+		// below cross several anchors.
+		var full, deepest int
+		for v := range contents {
+			info, err := tx.Info(o, v)
+			if err != nil {
+				return err
+			}
+			if !info.Delta {
+				full++
+			}
+			deepest = max(deepest, info.ChainDepth)
+		}
+		if full < 4 || deepest != 4 {
+			t.Fatalf("%d full payloads, deepest chain %d: want several anchors and chains of 4", full, deepest)
+		}
 		for v, want := range contents {
 			got, err := tx.ReadVersion(o, v)
 			if err != nil {
@@ -485,81 +505,95 @@ func TestDeltaChainContentFidelity(t *testing.T) {
 	})
 }
 
-func TestUpdateParentDoesNotCorruptDeltaChildren(t *testing.T) {
-	e := newEngine(t, Options{Policy: DeltaChain})
+// similar returns a 512-byte content that differs from every other
+// similar(tag) only in the tag, so the delta tier demotes a version
+// holding one against a parent holding another.
+func similar(tag string) []byte {
+	b := bytes.Repeat([]byte("derived-from "), 40)
+	copy(b[200:], tag)
+	return b
+}
+
+// linearChain creates an object and n more versions, each derived from
+// the one before and holding similar(i): under the delta tier every
+// version but the root and the latest is then a delta on its parent.
+func linearChain(t *testing.T, e *Engine, n int) (oid.OID, []oid.VID) {
+	t.Helper()
 	ty := mustType(t, e, "Blob")
 	var o oid.OID
-	var v0, v1 oid.VID
-	childContent := []byte("child content derived from parent .....................")
+	var vs []oid.VID
 	w(t, e, func(tx *Tx) error {
+		var v oid.VID
 		var err error
-		o, v0, err = tx.Create(ty, []byte("parent content ........................................"))
+		o, v, err = tx.Create(ty, similar("0"))
+		vs = append(vs, v)
+		for i := 1; i <= n && err == nil; i++ {
+			if v, err = tx.NewVersion(o); err == nil {
+				vs = append(vs, v)
+				err = tx.UpdateVersion(o, v, similar(fmt.Sprint(i)))
+			}
+		}
+		return err
+	})
+	return o, vs
+}
+
+// mustDependOn fails the test unless child is stored as a delta on
+// parent.
+func mustDependOn(t *testing.T, e *Engine, o oid.OID, child, parent oid.VID) {
+	t.Helper()
+	w(t, e, func(tx *Tx) error {
+		info, err := tx.Info(o, child)
 		if err != nil {
 			return err
 		}
-		v1, err = tx.NewVersion(o)
-		if err != nil {
-			return err
-		}
-		return tx.UpdateVersion(o, v1, childContent)
-	})
-	// Mutating the parent must not change the child's materialised
-	// content even though the child may be stored as a delta against it.
-	w(t, e, func(tx *Tx) error {
-		return tx.UpdateVersion(o, v0, []byte("REWRITTEN"))
-	})
-	w(t, e, func(tx *Tx) error {
-		got, err := tx.ReadVersion(o, v1)
-		if err != nil || !bytes.Equal(got, childContent) {
-			t.Fatalf("child corrupted: %q %v", got, err)
-		}
-		p, err := tx.ReadVersion(o, v0)
-		if err != nil || string(p) != "REWRITTEN" {
-			t.Fatalf("parent: %q %v", p, err)
+		if !info.Delta || info.Dprev != parent {
+			t.Fatalf("%v: %+v, want a delta on %v", child, info, parent)
 		}
 		return nil
 	})
 }
 
-func TestDeleteDeltaBasePreservesChildren(t *testing.T) {
-	e := newEngine(t, Options{Policy: DeltaChain})
-	ty := mustType(t, e, "Blob")
-	var o oid.OID
-	var v0, v1, v2 oid.VID
-	c2 := bytes.Repeat([]byte("z"), 500)
+func TestUpdateParentDoesNotCorruptDeltaChildren(t *testing.T) {
+	e := newEngine(t, Options{DeltaTier: true})
+	// v0 → v1 → v2 → v3: v1 and v2 are deltas, v2's on v1.
+	o, vs := linearChain(t, e, 3)
+	mustDependOn(t, e, o, vs[2], vs[1])
+	// Mutating the parent must not change the child's materialised
+	// content although the child is stored as a delta against it.
 	w(t, e, func(tx *Tx) error {
-		var err error
-		o, v0, err = tx.Create(ty, bytes.Repeat([]byte("a"), 500))
-		if err != nil {
-			return err
-		}
-		v1, err = tx.NewVersion(o)
-		if err != nil {
-			return err
-		}
-		if err := tx.UpdateVersion(o, v1, bytes.Repeat([]byte("b"), 500)); err != nil {
-			return err
-		}
-		v2, err = tx.NewVersion(o)
-		if err != nil {
-			return err
-		}
-		return tx.UpdateVersion(o, v2, c2)
+		return tx.UpdateVersion(o, vs[1], similar("REWRITTEN"))
 	})
-	// v2 is (likely) a delta against v1; deleting v1 must rewrite v2 so
-	// its content survives.
-	w(t, e, func(tx *Tx) error { return tx.DeleteVersion(o, v1) })
 	w(t, e, func(tx *Tx) error {
-		got, err := tx.ReadVersion(o, v2)
-		if err != nil || !bytes.Equal(got, c2) {
+		got, err := tx.ReadVersion(o, vs[2])
+		if err != nil || !bytes.Equal(got, similar("2")) {
+			t.Fatalf("child corrupted: %q %v", got, err)
+		}
+		p, err := tx.ReadVersion(o, vs[1])
+		if err != nil || !bytes.Equal(p, similar("REWRITTEN")) {
+			t.Fatalf("parent: %q %v", p, err)
+		}
+		return tx.CheckObject(o)
+	})
+}
+
+func TestDeleteDeltaBasePreservesChildren(t *testing.T) {
+	e := newEngine(t, Options{DeltaTier: true})
+	o, vs := linearChain(t, e, 3)
+	mustDependOn(t, e, o, vs[2], vs[1])
+	// v2 is a delta against v1; deleting v1 must rewrite v2 so its
+	// content survives.
+	w(t, e, func(tx *Tx) error { return tx.DeleteVersion(o, vs[1]) })
+	w(t, e, func(tx *Tx) error {
+		got, err := tx.ReadVersion(o, vs[2])
+		if err != nil || !bytes.Equal(got, similar("2")) {
 			t.Fatalf("orphaned delta child: %v", err)
 		}
-		d, err := tx.Dprev(o, v2)
-		if err != nil || d != v0 {
+		d, err := tx.Dprev(o, vs[2])
+		if err != nil || d != vs[0] {
 			t.Fatalf("Dprev(v2) = %v, %v", d, err)
 		}
-		_ = v0
-		return nil
+		return tx.CheckObject(o)
 	})
 }
 
@@ -569,7 +603,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewSharded(c, Options{Policy: DeltaChain})
+	e, err := NewSharded(c, Options{DeltaTier: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +636,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	e2, err := NewSharded(c2, Options{Policy: DeltaChain})
+	e2, err := NewSharded(c2, Options{DeltaTier: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -783,7 +817,7 @@ func TestContexts(t *testing.T) {
 }
 
 func TestAbortRestoresEngineConsistency(t *testing.T) {
-	e := newEngine(t, Options{Policy: DeltaChain})
+	e := newEngine(t, Options{DeltaTier: true})
 	ty := mustType(t, e, "T")
 	var o oid.OID
 	w(t, e, func(tx *Tx) error {
@@ -979,17 +1013,20 @@ func TestDeleteRootCreatesForest(t *testing.T) {
 }
 
 func TestInfoFields(t *testing.T) {
-	e := newEngine(t, Options{Policy: DeltaChain})
+	e := newEngine(t, Options{DeltaTier: true})
 	ty := mustType(t, e, "T")
 	var o oid.OID
-	var v0, v1 oid.VID
+	var v0, v1, v2 oid.VID
 	w(t, e, func(tx *Tx) error {
 		var err error
 		o, v0, err = tx.Create(ty, bytes.Repeat([]byte("a"), 100))
 		if err != nil {
 			return err
 		}
-		v1, err = tx.NewVersion(o)
+		if v1, err = tx.NewVersion(o); err != nil {
+			return err
+		}
+		v2, err = tx.NewVersion(o) // v1 goes cold: demoted onto v0
 		return err
 	})
 	w(t, e, func(tx *Tx) error {
@@ -1007,15 +1044,44 @@ func TestInfoFields(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if i1.Dprev != v0 || i1.Tprev != v0 || !i1.Tnext.IsNil() {
+		if i1.Dprev != v0 || i1.Tprev != v0 || i1.Tnext != v2 {
 			t.Fatalf("i1 = %+v", i1)
 		}
 		if !i1.Delta || i1.ChainDepth != 1 || i1.Size != 100 {
-			t.Fatalf("i1 storage = %+v (expected shared payload)", i1)
+			t.Fatalf("i1 storage = %+v (expected a delta)", i1)
 		}
 		if i1.Stamp <= i0.Stamp {
 			t.Fatalf("stamps not increasing: %v %v", i0.Stamp, i1.Stamp)
 		}
 		return nil
 	})
+}
+
+// TestCheckObjectRejectsDependentAtDepthZero: depth 0 is a full
+// payload's, so a dependent there is refused whatever its parent's
+// depth. (The parent.depth+1 rule alone refuses this one too; it would
+// accept one under a parent at depth 65535, where the 16-bit hint
+// wraps, which takes a 65,536-link chain to reach.)
+func TestCheckObjectRejectsDependentAtDepthZero(t *testing.T) {
+	e := newEngine(t, Options{DeltaTier: true})
+	o, vs := linearChain(t, e, 3)
+	mustDependOn(t, e, o, vs[1], vs[0])
+	err := e.Write(func(tx *Tx) error {
+		b, err := tx.shardW(tx.byO(o))
+		if err != nil {
+			return err
+		}
+		rec, err := b.loadVer(o, vs[1])
+		if err != nil {
+			return err
+		}
+		rec.depth = 0
+		if err := b.storeVer(o, vs[1], rec); err != nil {
+			return err
+		}
+		return tx.CheckObject(o)
+	})
+	if err == nil || !strings.Contains(err.Error(), "depth 0") {
+		t.Fatalf("CheckObject on a delta at depth 0: %v", err)
+	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 func TestDMSScenario(t *testing.T) {
-	e := newEngine(t, Options{Policy: DeltaChain})
+	e := newEngine(t, Options{DeltaTier: true})
 	tySchem := mustType(t, e, "SchematicData")
 	tyVec := mustType(t, e, "Vectors")
 	tyTim := mustType(t, e, "TimingCommands")

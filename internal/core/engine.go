@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -84,47 +85,27 @@ const (
 
 // Errors surfaced by the engine (re-exported by the ode package).
 var (
-	ErrNoObject   = errors.New("ode: no such object")
-	ErrNoVersion  = errors.New("ode: no such version")
-	ErrNoType     = errors.New("ode: type not registered")
-	ErrWrongType  = errors.New("ode: object has different type")
-	ErrCorrupt    = errors.New("ode: corrupt database structure")
-	ErrChainDepth = errors.New("ode: delta chain too deep")
-)
-
-// PayloadPolicy selects how version payloads are stored.
-type PayloadPolicy uint8
-
-const (
-	// FullCopy stores every version's payload in full.
-	FullCopy PayloadPolicy = iota
-	// DeltaChain stores a version as a binary delta against its
-	// derived-from parent, up to AnchorInterval links; every
-	// AnchorInterval-th version is a full keyframe bounding
-	// materialisation cost.
-	DeltaChain
+	ErrNoObject  = errors.New("ode: no such object")
+	ErrNoVersion = errors.New("ode: no such version")
+	ErrNoType    = errors.New("ode: type not registered")
+	ErrWrongType = errors.New("ode: object has different type")
+	ErrCorrupt   = errors.New("ode: corrupt database structure")
 )
 
 // Options configures the engine.
 type Options struct {
-	Policy PayloadPolicy
-
-	// DeltaTier enables the delta storage tier (DESIGN.md §14): stored
-	// full payloads are demoted to deltas against their D-parent by the
-	// write that makes them cold, or when a compaction sweep finds them,
-	// and materialised contents flow through the epoch-tagged LRU
-	// cache. Orthogonal to Policy — FullCopy with DeltaTier writes full
-	// copies that are demoted after the fact; DeltaChain with DeltaTier
-	// additionally reclaims the full payloads DeltaChain leaves behind
-	// (detached dependents, updated versions).
+	// DeltaTier enables the delta storage tier (DESIGN.md §14): every
+	// version is written as a full payload, and the write that makes it
+	// cold, or a compaction sweep, demotes it to a delta against its
+	// D-parent. Materialised contents flow through the epoch-tagged LRU
+	// cache. Off, payloads stay as written; deltas written by earlier
+	// code are still read.
 	DeltaTier bool
-	// AnchorInterval bounds a delta chain however it was built: DeltaChain
-	// writes a full keyframe once a version would sit more than this many
-	// links from one, and the delta tier only demotes a version while
-	// every dependent chain through it stays within this many links of a
-	// full anchor (a compaction sweep promotes versions found deeper,
-	// after the interval shrank across a reopen). 0 means
-	// DefaultAnchorInterval.
+	// AnchorInterval bounds a delta chain: the delta tier only demotes a
+	// version while every dependent chain through it stays within this
+	// many links of a full anchor, and a compaction sweep promotes
+	// versions found deeper (after the interval shrank across a reopen).
+	// 0 means DefaultAnchorInterval; at most MaxAnchorInterval.
 	AnchorInterval int
 	// CacheBytes is the materialisation cache budget; 0 means
 	// DefaultCacheBytes, negative disables the cache.
@@ -141,6 +122,10 @@ type Options struct {
 // DefaultAnchorInterval is how many delta links may separate a version
 // from a full copy of its content.
 const DefaultAnchorInterval = 16
+
+// MaxAnchorInterval is the largest AnchorInterval: a version record
+// holds its chain depth in 16 bits.
+const MaxAnchorInterval = math.MaxUint16
 
 // DefaultCacheBytes is the materialisation cache budget when the delta
 // tier is on and Options.CacheBytes is zero.

@@ -7,6 +7,7 @@ package core
 // against a golden string in the same notation.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -187,14 +188,39 @@ func TestFigurePdelete(t *testing.T) {
 	}
 }
 
-// TestFiguresIdenticalUnderDeltaPolicy re-runs the F3 state under
-// DeltaChain storage: the storage policy must be invisible in the
-// version graph (policy/mechanism separation).
+// TestFiguresIdenticalUnderDeltaPolicy re-runs the F3 state under the
+// delta tier, with contents that make every cold version a delta: the
+// storage representation must be invisible in the version graph
+// (policy/mechanism separation).
 func TestFiguresIdenticalUnderDeltaPolicy(t *testing.T) {
-	eFull := newEngine(t, Options{Policy: FullCopy})
-	eDelta := newEngine(t, Options{Policy: DeltaChain})
-	oF, _ := figureObject(t, eFull, 4)
-	oD, _ := figureObject(t, eDelta, 4)
+	eFull := newEngine(t, Options{})
+	eDelta := newEngine(t, Options{DeltaTier: true})
+	oF, vF := figureObject(t, eFull, 4)
+	oD, vD := figureObject(t, eDelta, 4)
+	// Parents first, so each version is written against its parent's
+	// final content.
+	for _, pair := range []struct {
+		e  *Engine
+		o  oid.OID
+		vs []oid.VID
+	}{{eFull, oF, vF}, {eDelta, oD, vD}} {
+		w(t, pair.e, func(tx *Tx) error {
+			for i, v := range pair.vs {
+				if err := tx.UpdateVersion(pair.o, v, similar(fmt.Sprint(i))); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	w(t, eDelta, func(tx *Tx) error {
+		for _, v := range vD[1:3] {
+			if info, err := tx.Info(oD, v); err != nil || !info.Delta {
+				t.Fatalf("%v: %+v %v, want a delta", v, info, err)
+			}
+		}
+		return nil
+	})
 	if a, b := renderOf(t, eFull, oF), renderOf(t, eDelta, oD); a != b {
 		t.Fatalf("policies diverge:\n%s\nvs\n%s", a, b)
 	}

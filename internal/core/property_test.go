@@ -1,8 +1,8 @@
 package core
 
 // Property tests: a random operation sequence is applied to (a) an
-// in-memory model of the paper's semantics, (b) a FullCopy engine, and
-// (c) a DeltaChain engine. After every burst the three must agree on all
+// in-memory model of the paper's semantics, (b) a full-copy engine, and
+// (c) a delta-tier engine. After every burst the three must agree on all
 // version contents, latest bindings, derivation parents, and temporal
 // order — and both engines must pass the full invariant check. This is
 // the strongest statement that delta storage is a pure storage policy
@@ -41,8 +41,8 @@ func TestPolicyEquivalenceRandomised(t *testing.T) {
 
 func runPolicyEquivalence(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	eFull := newEngine(t, Options{Policy: FullCopy})
-	eDelta := newEngine(t, Options{Policy: DeltaChain, AnchorInterval: 4})
+	eFull := newEngine(t, Options{})
+	eDelta := newEngine(t, Options{DeltaTier: true, AnchorInterval: 4})
 	tyF := mustType(t, eFull, "X")
 	tyD := mustType(t, eDelta, "X")
 
@@ -68,6 +68,38 @@ func runPolicyEquivalence(t *testing.T, seed int64) {
 			if m.alive {
 				out = append(out, i)
 			}
+		}
+		return out
+	}
+
+	// onDependent counts updates and deletes whose target, in the
+	// delta engine, is a delta or has a delta child: the paths that must
+	// detach or re-encode dependents.
+	onDependent := 0
+	countDependent := func(o, v uint64) {
+		if err := eDelta.Read(func(tx *Tx) error {
+			vs, err := tx.DChildren(toOID(o), toVID(v))
+			for _, c := range append(vs, toVID(v)) {
+				info, err := tx.Info(toOID(o), c)
+				if err != nil {
+					return err
+				}
+				if info.Delta {
+					onDependent++
+					break
+				}
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// edit returns b with a few bytes changed, so the delta engine can
+	// demote an updated version against its parent.
+	edit := func(b []byte) []byte {
+		out := append([]byte(nil), b...)
+		for i := 0; i < 3 && len(out) > 0; i++ {
+			out[rng.Intn(len(out))] ^= byte(rng.Intn(255) + 1)
 		}
 		return out
 	}
@@ -147,7 +179,11 @@ func runPolicyEquivalence(t *testing.T, seed int64) {
 				m, id := objects[oi], objIDs[oi]
 				seq := m.temporal[rng.Intn(len(m.temporal))]
 				content := randContent()
+				if rng.Intn(2) == 0 {
+					content = edit(m.versions[seq])
+				}
 				m.versions[seq] = content
+				countDependent(id.delta.o, id.delta.v[seq])
 				applyUp := func(e *Engine, o uint64, vm map[int]uint64) {
 					if err := e.Write(func(tx *Tx) error {
 						return tx.UpdateVersion(toOID(o), toVID(vm[seq]), content)
@@ -162,6 +198,7 @@ func runPolicyEquivalence(t *testing.T, seed int64) {
 				oi := alive[rng.Intn(len(alive))]
 				m, id := objects[oi], objIDs[oi]
 				seq := m.temporal[rng.Intn(len(m.temporal))]
+				countDependent(id.delta.o, id.delta.v[seq])
 				applyDel := func(e *Engine, o uint64, vm map[int]uint64) {
 					if err := e.Write(func(tx *Tx) error {
 						return tx.DeleteVersion(toOID(o), toVID(vm[seq]))
@@ -285,9 +322,13 @@ func runPolicyEquivalence(t *testing.T, seed int64) {
 			t.Fatalf("burst %d FullCopy invariants: %v", burst, err)
 		}
 		if err := eDelta.Read(func(tx *Tx) error { return tx.CheckAll() }); err != nil {
-			t.Fatalf("burst %d DeltaChain invariants: %v", burst, err)
+			t.Fatalf("burst %d delta-tier invariants: %v", burst, err)
 		}
 	}
+	if onDependent == 0 {
+		t.Fatal("no update or delete reached a delta payload: the delta engine was never tested")
+	}
+	t.Logf("%d updates and deletes reached a delta payload", onDependent)
 }
 
 // Tiny conversion helpers keep the table-driven loops readable.

@@ -37,7 +37,7 @@ func (tx *shardTx) Info(o oid.OID, v oid.VID) (VersionInfo, error) {
 		Size:  rec.size,
 		Delta: rec.kind != payFull,
 		// ChainDepth counts materialisation links (deltas and shared
-		// payloads) to the keyframe.
+		// payloads) to the nearest full payload.
 		ChainDepth: int(rec.depth),
 	}, nil
 }

@@ -14,7 +14,7 @@ import (
 const (
 	payFull  = 0 // payload record holds the content verbatim
 	payDelta = 1 // payload record holds a delta against dprev's content
-	paySame  = 2 // content identical to dprev's; no payload record
+	paySame  = 2 // content identical to dprev's; no payload record (only read: nothing writes one)
 )
 
 // verRec is the per-version record in the version index. The paper's two
@@ -131,7 +131,7 @@ func (tx *shardTx) Create(t oid.TypeID, content []byte) (oid.OID, oid.VID, error
 // Iterative so that long chains cannot exhaust the stack; the chain
 // length is bounded by Options.AnchorInterval via depth accounting anyway.
 func (tx *shardTx) readContent(o oid.OID, rec verRec) ([]byte, error) {
-	var chain [][]byte // deltas from rec down toward the keyframe
+	var chain [][]byte // deltas from rec down toward the full anchor
 	cur := rec
 	visited := uint64(1)
 	for {
@@ -142,7 +142,7 @@ func (tx *shardTx) readContent(o oid.OID, rec verRec) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Apply collected deltas in reverse (keyframe-first) order.
+			// Apply collected deltas in reverse (anchor-first) order.
 			for i := len(chain) - 1; i >= 0; i-- {
 				base, err = delta.Apply(base, chain[i])
 				if err != nil {
@@ -268,50 +268,6 @@ func (tx *shardTx) ReadLatest(o oid.OID) ([]byte, oid.VID, error) {
 	return content, h.latest, nil
 }
 
-// --- payload write policy ---
-
-// writePayload stores content for a version whose derived-from parent is
-// dprev, choosing full or delta representation per policy. It updates
-// rec's payload/kind/depth/size fields in place; rec.payload must be
-// NilRID or an existing record to overwrite.
-func (tx *shardTx) writePayload(o oid.OID, rec *verRec, content []byte) error {
-	kind := uint8(payFull)
-	var encoded []byte
-	var depth uint16
-
-	if tx.opts.Policy == DeltaChain && !rec.dprev.IsNil() {
-		parent, err := tx.loadVer(o, rec.dprev)
-		if err != nil {
-			return err
-		}
-		if int(parent.depth)+1 <= tx.opts.AnchorInterval {
-			base, err := tx.readContent(o, parent)
-			if err != nil {
-				return err
-			}
-			d := delta.Encode(base, content)
-			// Keep the delta only when it actually saves space.
-			if len(d) < len(content) {
-				kind = payDelta
-				encoded = d
-				depth = parent.depth + 1
-			}
-		}
-	}
-	if kind == payFull {
-		encoded = content
-		depth = 0
-	}
-
-	if err := tx.putPayload(rec, encoded); err != nil {
-		return err
-	}
-	rec.kind = kind
-	rec.depth = depth
-	rec.size = uint64(len(content))
-	return nil
-}
-
 // UpdateVersion overwrites the content of one version in place (no new
 // version is created — in O++ a version is an object you may mutate
 // through a specific reference). Children stored as deltas against this
@@ -327,13 +283,10 @@ func (tx *shardTx) UpdateVersion(o oid.OID, v oid.VID, content []byte) error {
 		return err
 	}
 	dependent := rec.kind != payFull
-	if err := tx.writePayload(o, &rec, content); err != nil {
+	if err := tx.setFull(&rec, content); err != nil {
 		return err
 	}
 	if err := tx.storeVer(o, v, rec); err != nil {
-		return err
-	}
-	if err := tx.fixDepths(o, v, rec.depth); err != nil {
 		return err
 	}
 	h, err := tx.loadHeader(o)
@@ -465,30 +418,23 @@ func (tx *shardTx) newVersionFrom(o oid.OID, h objHeader, base oid.VID) (oid.VID
 	v := tx.newVID()
 	stamp := tx.newStamp()
 
-	// The new version starts with content identical to its base. Under
-	// DeltaChain (and within depth budget) that is represented without
-	// copying anything — the paper's "small changes should have small
-	// impact" principle. Under FullCopy the content is duplicated.
-	rec := verRec{
-		stamp: stamp,
-		dprev: base,
-		tprev: h.latest,
-		size:  baseRec.size,
+	// The new version starts as a full copy of its base: the latest is
+	// the hot read, and the delta tier demotes it once it goes cold.
+	content, err := tx.readContent(o, baseRec)
+	if err != nil {
+		return oid.NilVID, err
 	}
-	if tx.opts.Policy == DeltaChain && int(baseRec.depth)+1 <= tx.opts.AnchorInterval {
-		rec.kind = paySame
-		rec.depth = baseRec.depth + 1
-	} else {
-		content, err := tx.readContent(o, baseRec)
-		if err != nil {
-			return oid.NilVID, err
-		}
-		rid, err := tx.heap.Insert(content)
-		if err != nil {
-			return oid.NilVID, err
-		}
-		rec.kind = payFull
-		rec.payload = rid
+	rid, err := tx.heap.Insert(content)
+	if err != nil {
+		return oid.NilVID, err
+	}
+	rec := verRec{
+		stamp:   stamp,
+		dprev:   base,
+		tprev:   h.latest,
+		payload: rid,
+		kind:    payFull,
+		size:    baseRec.size,
 	}
 	if err := tx.storeVer(o, v, rec); err != nil {
 		return oid.NilVID, err

@@ -15,7 +15,7 @@ type Doc struct {
 
 func openDB(t testing.TB) *ode.DB {
 	t.Helper()
-	db, err := ode.Open(t.TempDir(), &ode.Options{Policy: ode.DeltaChain})
+	db, err := ode.Open(t.TempDir(), &ode.Options{DeltaTier: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -489,8 +489,9 @@ func BenchmarkReadBeginEnd(b *testing.B) {
 // so a builder that pinned shard 0 before A and shard 1 after B sees the
 // generation moved and discards its cut. The builder hook yields between
 // the generation load and the pins of every other build, so that
-// commits land inside builds and the recheck is exercised — it must
-// discard some cuts.
+// commits land inside builds, and every 16th build commits there
+// itself, so that the recheck is exercised on every run — it must
+// discard at least those cuts.
 func TestViewSeesAckedPrefix(t *testing.T) {
 	const commits = 200
 	for _, n := range cutShardCounts {
@@ -511,9 +512,27 @@ func TestViewSeesAckedPrefix(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				var builds atomic.Uint64
+				// Every 16th build, from the first, commits on shard sa
+				// itself, rewriting A's current value in one write
+				// transaction, so that readers' a >= b is untouched: that
+				// commit lands between the build's generation load and its
+				// pins on every run, and the recheck must discard the cut.
+				var builds, forced atomic.Uint64
 				c.buildHook = func() {
-					if builds.Add(1)%2 == 0 {
+					n := builds.Add(1)
+					if n%16 == 1 {
+						if err := cwriteH(c, sa, func(h *storage.Heap) error {
+							cur, err := h.Read(ra)
+							if err != nil {
+								return err
+							}
+							return h.Update(ra, cur)
+						}); err != nil {
+							t.Error(err)
+						}
+						forced.Add(1)
+					}
+					if n%2 == 0 {
 						runtime.Gosched() // every other build, so that some survive at GOMAXPROCS 1
 					}
 				}
@@ -572,9 +591,12 @@ func TestViewSeesAckedPrefix(t *testing.T) {
 				wg.Wait()
 				c.buildHook = nil
 				discarded := builds.Load() - (c.cm.ReadSnapshotBuilds.Load() - installed)
-				t.Logf("%d reads, %d cuts built, %d discarded by the generation recheck", reads.Load(), builds.Load(), discarded)
+				t.Logf("%d reads, %d cuts built, %d discarded by the generation recheck, %d builds raced by a commit of their own", reads.Load(), builds.Load(), discarded, forced.Load())
 				if discarded == 0 {
 					t.Error("no cut was discarded: the probe never raced a build against a commit")
+				}
+				if discarded < forced.Load() {
+					t.Errorf("%d cuts discarded, fewer than the %d builds a commit raced", discarded, forced.Load())
 				}
 			})
 		}

@@ -77,22 +77,16 @@ var (
 
 // (ErrTxDone is declared alongside Tx in tx.go.)
 
-// StoragePolicy selects how version payloads are stored on disk.
-type StoragePolicy = core.PayloadPolicy
+// StoragePolicy is the type of Options.Policy.
+type StoragePolicy uint8
 
 // FS is the pluggable filesystem seam beneath the storage stack (see
 // internal/faultfs). Production never sets it; the crash-consistency
 // test matrix injects deterministic device faults through it.
 type FS = faultfs.FS
 
-// Storage policies: FullCopy stores each version whole; DeltaChain
-// stores versions as binary deltas against their derived-from parent
-// with periodic full keyframes (the SCCS/RCS-style policy the paper
-// describes).
-const (
-	FullCopy   = core.FullCopy
-	DeltaChain = core.DeltaChain
-)
+// FullCopy, the one StoragePolicy, writes each version whole.
+const FullCopy StoragePolicy = 0
 
 // Options configures Open. The zero value (or nil) gives a 4 KiB page
 // size, synchronous commits, and full-copy version storage.
@@ -110,21 +104,21 @@ type Options struct {
 	// written before sharding existed is one shard, adopted in place by
 	// its first writable Open (DESIGN.md §12.4).
 	Shards int
-	// Policy selects FullCopy (default) or DeltaChain version storage.
+	// Policy must be FullCopy, its one value (the zero value); delta
+	// storage is DeltaTier.
 	Policy StoragePolicy
-	// DeltaTier enables the delta storage tier (DESIGN.md §14): a
-	// version's stored full payload is demoted to a delta against its
-	// derived-from parent by the write that makes the version cold — a
-	// newversion, an update or a pdelete — and materialised contents
-	// are served through an epoch-tagged LRU cache. History written
-	// while the tier was off is demoted by DB.Compact. Works under
-	// either Policy.
+	// DeltaTier enables the delta storage tier (DESIGN.md §14), the one
+	// writer of deltas (the SCCS/RCS-style storage the paper describes):
+	// the write that makes a version cold — a newversion, an update or a
+	// pdelete — demotes its full payload to a delta against its
+	// derived-from parent, so the latest stays full, and materialised
+	// contents are served through an epoch-tagged LRU cache. DB.Compact
+	// demotes history written while the tier was off.
 	DeltaTier bool
 	// AnchorInterval bounds how many delta links any version may sit from
-	// a full copy of its content, however the chain was built: it is the
-	// keyframe interval under DeltaChain and the anchor interval under
-	// DeltaTier, where DB.Compact promotes versions found deeper (e.g.
-	// after the interval was lowered). 0 means 16.
+	// a full copy of its content: the tier demotes a version only within
+	// it, and DB.Compact promotes versions found deeper (e.g. after the
+	// interval was lowered). 0 means 16; it must lie in 0..65535.
 	AnchorInterval int
 	// MatCacheBytes is the materialisation cache budget under
 	// DeltaTier; 0 means core.DefaultCacheBytes (4 MiB), negative
@@ -201,6 +195,12 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if opts != nil {
 		o = *opts
 	}
+	if o.Policy != FullCopy {
+		return nil, fmt.Errorf("ode: Options.Policy %d: FullCopy is the only policy; set DeltaTier for delta storage", o.Policy)
+	}
+	if o.AnchorInterval < 0 || o.AnchorInterval > core.MaxAnchorInterval {
+		return nil, fmt.Errorf("ode: Options.AnchorInterval %d outside 0..%d", o.AnchorInterval, core.MaxAnchorInterval)
+	}
 	topts := txn.Options{
 		Shards:          o.Shards,
 		NoSync:          o.NoSync,
@@ -217,7 +217,6 @@ func Open(dir string, opts *Options) (*DB, error) {
 		return nil, err
 	}
 	eng, err := core.NewSharded(coord, core.Options{
-		Policy:          o.Policy,
 		DeltaTier:       o.DeltaTier,
 		AnchorInterval:  o.AnchorInterval,
 		CacheBytes:      o.MatCacheBytes,

@@ -3,9 +3,11 @@ package ode
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -51,6 +53,45 @@ func TestOptionsFieldCount(t *testing.T) {
 	t.Logf("ode.Options has %d fields", n)
 	if n > ceiling {
 		t.Errorf("ode.Options has %d fields, more than the %d it has been brought down to", n, ceiling)
+	}
+}
+
+// TestOpenValidatesDeltaOptions: Policy has one value, and
+// AnchorInterval must fit the 16-bit chain depth a version record keeps.
+func TestOpenValidatesDeltaOptions(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts Options
+		want string // substring of the error; "" opens
+	}{
+		{"full-copy", Options{Policy: FullCopy}, ""},
+		{"old-delta-policy", Options{Policy: 1}, "DeltaTier"},
+		{"unknown-policy", Options{Policy: 7}, "DeltaTier"},
+		{"interval-zero", Options{DeltaTier: true}, ""},
+		{"interval-max", Options{DeltaTier: true, AnchorInterval: math.MaxUint16}, ""},
+		{"interval-negative", Options{DeltaTier: true, AnchorInterval: -1}, "AnchorInterval"},
+		{"interval-too-large", Options{DeltaTier: true, AnchorInterval: math.MaxUint16 + 1}, "AnchorInterval"},
+		{"interval-too-large-tier-off", Options{AnchorInterval: 1 << 20}, "AnchorInterval"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := c.opts
+			opts.Shards = envShards()
+			db, err := Open(t.TempDir(), &opts)
+			if c.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				db.Close()
+				return
+			}
+			if err == nil {
+				db.Close()
+				t.Fatalf("Open accepted %+v", c.opts)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Open(%+v): %v, want an error naming %s", c.opts, err, c.want)
+			}
+		})
 	}
 }
 
@@ -212,7 +253,7 @@ func TestAddressBookGenericReferences(t *testing.T) {
 		Name    string
 		Address string
 	}
-	db := openDB(t, &Options{Policy: DeltaChain})
+	db := openDB(t, &Options{DeltaTier: true})
 	people, _ := Register[Person](db, "Person")
 
 	var alice Ptr[Person]
@@ -434,7 +475,7 @@ func TestReadersAndWriterInterleave(t *testing.T) {
 
 func TestReopenPreservesTypedData(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, &Options{Policy: DeltaChain})
+	db, err := Open(dir, &Options{DeltaTier: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +498,7 @@ func TestReopenPreservesTypedData(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(dir, &Options{Policy: DeltaChain})
+	db2, err := Open(dir, &Options{DeltaTier: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +585,7 @@ func TestOpenReadOnlyMissing(t *testing.T) {
 }
 
 func TestBackupAndRestore(t *testing.T) {
-	db := openDB(t, &Options{Policy: DeltaChain})
+	db := openDB(t, &Options{DeltaTier: true})
 	parts, _ := Register[Part](db, "Part")
 	var p Ptr[Part]
 	if err := db.Update(func(tx *Tx) error {
@@ -572,7 +613,7 @@ func TestBackupAndRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Open the backup as an independent database.
-	restored, err := Open(backupDir, &Options{Policy: DeltaChain})
+	restored, err := Open(backupDir, &Options{DeltaTier: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestTxFacadeSurface(t *testing.T) {
-	db := openDB(t, &Options{Policy: DeltaChain})
+	db := openDB(t, &Options{DeltaTier: true})
 	parts, _ := Register[Part](db, "Part")
 	var p Ptr[Part]
 	var v0, v1 VPtr[Part]
