@@ -12,10 +12,11 @@ RESTART_TESTS = CrossOrderRestart|DescendingJoin|RerunLocks|SwallowedRouting|Rou
 # shard, and no queued request left without a writer to lead it.
 LIVENESS_TESTS = ShardRunsOneBackgroundGoroutine|NoRequestStranded
 # The commit-pipeline tests `make race` repeats: background checkpoints
-# (with and without NoSync), batch failures, failures spanning
-# overlapping flushes, acknowledged flushes left to the collector,
-# refused submits, and the liveness tests.
-PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|WriterWaitsOutPendingCheckpoint|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused|$(LIVENESS_TESTS)
+# (with and without NoSync), the decision log's trim by the cross-shard
+# commit that fills it, batch failures, failures spanning overlapping
+# flushes, acknowledged flushes left to the collector, refused submits,
+# and the liveness tests.
+PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|DecisionLogBounded|WriterWaitsOutPendingCheckpoint|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused|$(LIVENESS_TESTS)
 # The B+tree entry-offset table tests `make race` repeats: readers racing
 # to build a published leaf's table while the writer edits its copy, a
 # rollback retiring the table of the bytes it undid, the writer's edits
@@ -102,7 +103,8 @@ race:
 # matrices in ./internal/txn and ./internal/storage; ODE_SHARDS=4
 # re-runs the engine-level matrix against four shard WALs plus the 2PC
 # coordinator log (the coordinator's own fault matrix runs in
-# ./internal/txn either way).
+# ./internal/txn either way). Both lines run the decision log's trim
+# faults (TestDecisionTrimFaultMatrix), at two shards and at four.
 matrix:
 	ODE_SHARDS=1 $(GO) test -race -run 'FaultMatrix|RecoveryDeterministic|PoolReadFault|EngineCrashMatrix|FailedCommitSync' ./internal/txn ./internal/storage .
 	ODE_SHARDS=4 $(GO) test -race -count=1 -run 'FaultMatrix|EngineCrashMatrix|FailedCommitSync' .

@@ -471,6 +471,18 @@ func TestDeltaMatCache(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// A Deref of the latest reads through the dereference cache alone:
+	// its miss at the new epoch leaves the materialisation cache as it was.
+	st2, _ := db.Engine().MatCacheStats()
+	if err := db.View(func(tx *Tx) error {
+		_, _, err := tx.ReadLatestRaw(o)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st3, _ := db.Engine().MatCacheStats(); st3.Hits != st2.Hits || st3.Misses != st2.Misses || st3.Entries != st2.Entries {
+		t.Fatalf("a Deref of the latest went through the materialisation cache: %+v -> %+v", st2, st3)
+	}
 	if got := read(target); !bytes.Equal(got, newContent) {
 		t.Fatalf("stale cache entry served after commit: got %d bytes, want %d", len(got), len(newContent))
 	}

@@ -242,7 +242,9 @@ func (tx *shardTx) ReadVersion(o oid.OID, v oid.VID) ([]byte, error) {
 
 // ReadLatest returns the latest version's content and its vid — the
 // paper's generic-reference dereference (*p on an object id binds to the
-// latest version at access time).
+// latest version at access time). It reads through the dereference
+// cache alone: the materialisation cache is for older versions, and the
+// latest is full under the delta tier (DESIGN.md §14.2).
 func (tx *shardTx) ReadLatest(o oid.OID) ([]byte, oid.VID, error) {
 	if content, v, ok := tx.derefGet(o); ok {
 		return content, v, nil
@@ -250,10 +252,6 @@ func (tx *shardTx) ReadLatest(o oid.OID) ([]byte, oid.VID, error) {
 	h, err := tx.loadHeader(o)
 	if err != nil {
 		return nil, oid.NilVID, err
-	}
-	if content, ok := tx.cacheGet(o, h.latest); ok {
-		tx.derefPut(o, h.latest, content)
-		return content, h.latest, nil
 	}
 	rec, err := tx.loadVer(o, h.latest)
 	if err != nil {
@@ -263,7 +261,6 @@ func (tx *shardTx) ReadLatest(o oid.OID) ([]byte, oid.VID, error) {
 	if err != nil {
 		return nil, oid.NilVID, err
 	}
-	tx.cachePut(o, h.latest, content)
 	tx.derefPut(o, h.latest, content)
 	return content, h.latest, nil
 }

@@ -152,7 +152,7 @@ type Coordinator struct {
 	cioErr     error        // coordinator log poisoned: no more 2PC decisions
 	noReset    bool         // a shard decide failed; recovery needs the clog
 	shardsFile faultfs.File // open shards.ode handle for frame appends
-	mapDirty   bool         // newest map flip lives only in the clog; fold before reset
+	mapDirty   bool         // newest map flip lives only in the clog; trimDecisionLog folds it
 
 	// pmu makes cross-shard snapshots atomic with respect to cross-shard
 	// commits: commit2PC publishes a decided transaction's epoch on every
@@ -188,15 +188,15 @@ type Coordinator struct {
 	ctxSeq  atomic.Uint64 // span ids for coordinator-level trace events
 
 	// Coordinator-level activity: empty and cross-shard transactions
-	// (single-shard ones count on their shard). Same seqlock discipline
-	// as Manager so Stats sums stay torn-free pair-wise.
-	commits     atomic.Uint64
-	batches     atomic.Uint64
-	aborts      atomic.Uint64
-	checkpoints atomic.Uint64
-	statsMu     sync.Mutex
-	statsSeq    atomic.Uint64
-	clogBytes   atomic.Int64
+	// (single-shard ones count on their shard), and checkpoints, which
+	// cm.CheckpointDuration counts. Same seqlock discipline as Manager so
+	// Stats sums stay torn-free pair-wise.
+	commits   atomic.Uint64
+	batches   atomic.Uint64
+	aborts    atomic.Uint64
+	statsMu   sync.Mutex
+	statsSeq  atomic.Uint64
+	clogBytes atomic.Int64
 
 	closed atomic.Bool
 }
@@ -759,21 +759,15 @@ func openSharded(fsys faultfs.FS, dir string, opts Options, sharded, legacy0 boo
 		return nil, err
 	}
 	// Every shard's recovery ran and reset its log; no prepare records
-	// remain, so the decisions are no longer needed. If a decided map
-	// overlay won, fold it into shards.ode first — the reset erases the
-	// overlay's only other copy.
-	if !ro {
-		if overlayWon {
-			if err := appendShardsFrame(c.shardsFile, phys, rmap); err != nil {
-				return nil, err
-			}
-		}
-		if err := c.clog.Reset(); err != nil {
-			return nil, fmt.Errorf("txn: coordinator log reset: %w", err)
-		}
-		c.clogBytes.Store(c.clog.Size())
-	}
+	// remain, so the decisions are no longer needed. A decided map
+	// overlay that won is folded on the way.
 	c.routing.Store(&routing{ms: ms, rmap: rmap})
+	if !ro {
+		c.mapDirty = overlayWon
+		if err := c.trimDecisionLog(); err != nil {
+			return nil, err
+		}
+	}
 	return c, nil
 }
 
@@ -869,7 +863,7 @@ func (c *Coordinator) Stats() Stats {
 		Commits:     commits,
 		Batches:     batches,
 		Aborts:      c.aborts.Load(),
-		Checkpoints: c.checkpoints.Load(),
+		Checkpoints: c.cm.CheckpointDuration.Snapshot().Count,
 		WALBytes:    wal.HeaderSize,
 	}
 	for _, m := range c.ms() {
@@ -1316,6 +1310,14 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 		// Recovery of the poisoned shard needs the decision record.
 		c.noReset = true
 	}
+	// Every decision in the log is now backed by its participants' local
+	// commit records (DESIGN.md §12.2), so none is needed any more: empty
+	// the log once it has reached the checkpoint limit. A failed trim has
+	// poisoned the log; its error is not this commit's, which is durable
+	// and published.
+	if limit := c.opts.checkpointBytes(); limit >= 0 && c.clogBytes.Load() >= limit {
+		_ = c.trimDecisionLog()
+	}
 	c.cmu.Unlock()
 	wtx.release(false)
 	c.cm.BatchSize.Observe(1)
@@ -1327,27 +1329,42 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 	return nil
 }
 
-// foldShardMap persists the current shard map as a shards.ode frame if
-// the newest flip still lives only in the decision log. It MUST run
-// (and succeed) before any clog.Reset: the reset erases the overlay
-// record that is the flip's only durable copy. Caller holds cmu.
-func (c *Coordinator) foldShardMap() error {
-	if !c.mapDirty {
+// trimDecisionLog empties the decision log; nothing else does. It runs
+// at open, at every coordinator checkpoint, at Close, and after a 2PC
+// commit that leaves the log at the checkpoint limit — each a point where
+// every decision the log holds is backed by its participants' local
+// commit records or by nothing (presumed abort), so recovery needs none
+// of them. It first folds an unfolded map flip into shards.ode, because
+// the reset erases the flip's only other copy. It does nothing while a
+// poisoned shard or the poisoned log itself needs the log for recovery
+// (noReset), and a failure poisons the log: a fold that tore its frame
+// must not be retried behind the torn bytes, and a reset that failed
+// left the log in an unknown state. Caller holds cmu (or is open).
+func (c *Coordinator) trimDecisionLog() error {
+	if c.noReset {
 		return nil
 	}
-	rt := c.routing.Load()
-	if err := appendShardsFrame(c.shardsFile, len(rt.ms), rt.rmap); err != nil {
+	var err error
+	if c.mapDirty {
+		rt := c.routing.Load()
+		err = appendShardsFrame(c.shardsFile, len(rt.ms), rt.rmap)
+		c.mapDirty = err != nil
+	}
+	if err == nil {
+		if err = c.clog.Reset(); err != nil {
+			err = fmt.Errorf("txn: coordinator log reset: %w", err)
+		}
+	}
+	if err != nil {
+		c.poisonCoord(err)
 		return err
 	}
-	c.mapDirty = false
+	c.clogBytes.Store(c.clog.Size())
 	return nil
 }
 
 // Checkpoint checkpoints every shard (draining each shard's pipeline)
-// and then resets the decision log: once every shard WAL is empty no
-// prepare record can reference a decision. The reset is skipped if a
-// poisoned shard still needs the log for its recovery, or if the
-// current shard map could not be folded into shards.ode first.
+// and then trims the decision log (trimDecisionLog).
 func (c *Coordinator) Checkpoint() error {
 	if c.closed.Load() {
 		return ErrClosed
@@ -1357,7 +1374,14 @@ func (c *Coordinator) Checkpoint() error {
 	}
 	start := time.Now()
 	for i, m := range c.ms() {
-		if err := m.checkpoint(true); err != nil {
+		// The coordinator counts the checkpoint once at its level.
+		m.lockWriterDrained()
+		err := ErrClosed
+		if !m.isClosed() {
+			err = m.checkpointLocked()
+		}
+		m.unlockWriter()
+		if err != nil {
 			return fmt.Errorf("txn: checkpoint shard %d: %w", i, err)
 		}
 	}
@@ -1389,29 +1413,17 @@ func (c *Coordinator) CheckpointExclusive(fn func() error) error {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
 	ms := c.ms()
-	locked := 0
-	var lockErr error
 	for _, m := range ms {
-		if lockErr = m.lockWriterDrained(); lockErr != nil {
-			break
+		m.lockWriterDrained()
+		defer m.unlockWriter() // descending, once fn has run
+		if m.isClosed() {
+			return ErrClosed
 		}
-		locked++
 	}
-	if lockErr != nil {
-		for i := locked - 1; i >= 0; i-- {
-			ms[i].unlockWriter()
-		}
-		return lockErr
-	}
-	defer func() {
-		for i := len(ms) - 1; i >= 0; i-- {
-			ms[i].unlockWriter()
-		}
-	}()
 	start := time.Now()
 	for i, m := range ms {
-		// Quiet: the coordinator counts the checkpoint once at its level.
-		if err := m.checkpointLocked(true); err != nil {
+		// The coordinator counts the checkpoint once at its level.
+		if err := m.checkpointLocked(); err != nil {
 			return fmt.Errorf("txn: checkpoint shard %d: %w", i, err)
 		}
 	}
@@ -1422,33 +1434,22 @@ func (c *Coordinator) CheckpointExclusive(fn func() error) error {
 }
 
 // checkpointed finishes a checkpoint once every shard WAL is empty:
-// fold the shard map, reset the decision log — skipped while a poisoned
-// shard still needs the log for its recovery — and account for the
-// checkpoint.
+// trim the decision log, then account for the checkpoint.
 func (c *Coordinator) checkpointed(start time.Time) error {
 	c.cmu.Lock()
-	if c.cioErr == nil && !c.noReset {
-		if err := c.foldShardMap(); err != nil {
-			c.cmu.Unlock()
-			return fmt.Errorf("txn: checkpoint: %w", err)
-		}
-		if err := c.clog.Reset(); err != nil {
-			c.poisonCoord(err)
-			c.cmu.Unlock()
-			return fmt.Errorf("txn: coordinator log reset: %w", err)
-		}
-		c.clogBytes.Store(c.clog.Size())
-	}
+	err := c.trimDecisionLog()
 	c.cmu.Unlock()
-	c.checkpoints.Add(1)
+	if err != nil {
+		return fmt.Errorf("txn: checkpoint: %w", err)
+	}
 	d := time.Since(start)
 	c.cm.CheckpointDuration.ObserveDuration(d)
 	c.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
 	return nil
 }
 
-// Close closes every shard in order, then folds the shard map and
-// resets (if healthy) and closes the decision log, then the shared
+// Close closes every shard in order, then trims (if every shard closed
+// cleanly) and closes the decision log, then the shared
 // tracer sink. New readers are refused from the first step on, and the
 // cut no reader holds is retired there: a shard's Close waits for the
 // readers registered with it, and an idle cut is one on every shard.
@@ -1466,14 +1467,8 @@ func (c *Coordinator) Close() error {
 	}
 	c.cmu.Lock()
 	if c.clog != nil {
-		if firstErr == nil && c.cioErr == nil && !c.noReset && !c.readOnly {
-			// The reset erases any unfolded map overlay, so the fold gates
-			// it: fold failure leaves the log intact for the next recovery.
-			if err := c.foldShardMap(); err != nil {
-				firstErr = err
-			} else if err := c.clog.Reset(); err != nil {
-				firstErr = err
-			}
+		if firstErr == nil && !c.readOnly {
+			firstErr = c.trimDecisionLog()
 		}
 		if err := c.clog.Close(); err != nil && firstErr == nil {
 			firstErr = err

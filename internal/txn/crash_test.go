@@ -301,3 +301,61 @@ func TestNoSyncCrashLosesTailButStaysConsistent(t *testing.T) {
 	survivors := countSurvivors(t, dir, rids)
 	t.Logf("NoSync crash: %d/10 commits survived", survivors)
 }
+
+// TestRecoveryReplaysAcrossCheckpointMarker: earlier versions logged a
+// RecCheckpoint just before each checkpoint's reset, so a crash between
+// the two leaves one in the log, with committed transactions after it
+// once the log grows again. Recovery must replay what is on both sides.
+func TestRecoveryReplaysAcrossCheckpointMarker(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Create(dir, Options{Storage: storage.Options{PageSize: 512}, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(payload string) (rid oid.RID) {
+		t.Helper()
+		if err := writeH(m, func(h *storage.Heap) error {
+			var err error
+			rid, err = h.Insert([]byte(payload))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return rid
+	}
+	r1 := insert("committed-1")
+	mark := int(m.log.End())
+	r2 := insert("committed-2")
+	// Crash, then splice a marker — [len][crc32c][type, uvarint tx 0] —
+	// between the two transactions' runs.
+	rec := codec.AppendUVarint([]byte{wal.RecCheckpoint}, 0)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(rec)))
+	frame = binary.BigEndian.AppendUint32(frame, codec.Checksum(rec))
+	path := filepath.Join(dir, WALFileName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spliced := append(append(append([]byte(nil), b[:mark]...), frame...), rec...)
+	if err := os.WriteFile(path, append(spliced, b[mark:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Open(dir, Options{Storage: storage.Options{PageSize: 512}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if got := m2.Stats().RecoveredTxns; got != 2 {
+		t.Fatalf("recovered %d txns, want 2", got)
+	}
+	if err := readH(m2, func(h *storage.Heap) error {
+		for rid, want := range map[oid.RID]string{r1: "committed-1", r2: "committed-2"} {
+			if got, err := h.Read(rid); err != nil || string(got) != want {
+				return fmt.Errorf("%v: %q %v", rid, got, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

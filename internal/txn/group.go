@@ -200,9 +200,9 @@ func (gc *groupCommitter) waitIdle() {
 
 // appendFlight splices a flight's frames into the log and, unless
 // NoSync, hands them to the file, so that an fsync issued next covers
-// them. Log access is under logMu (checkpoints and Close also touch the
-// log); the writer mutex is NOT held, which is the entire point — writers
-// prepare the next flight meanwhile.
+// them. Log access is under logMu (checkpoints also touch the log); the
+// writer mutex is NOT held, which is the entire point — writers prepare
+// the next flight meanwhile.
 func (m *Manager) appendFlight(f *flight) error {
 	m.logMu.Lock()
 	defer m.logMu.Unlock()
@@ -400,7 +400,7 @@ func (m *Manager) maybeKickCheckpoint(walSize int64) {
 // nothing. It returns when the checkpoint has run (or failed) or the
 // shard closes.
 func (m *Manager) awaitCheckpoint() {
-	if limit := m.checkpointBytes(); limit < 0 || m.walBytes.Load() < limit+limit/4 {
+	if limit := m.opts.checkpointBytes(); limit < 0 || m.walBytes.Load() < limit+limit/4 {
 		return
 	}
 	m.ckptMu.Lock()

@@ -82,19 +82,14 @@ func (m *Manager) unlockWriter() { m.mu.Unlock() }
 
 // lockWriterDrained takes the shard's writer mutex with the commit
 // pipeline idle: no batch queued or in flight. Holding the mutex keeps
-// it that way (submitting requires the mutex). On error the mutex is
-// NOT held. Unlike lockWriter it tolerates a poisoned or read-only
-// shard: its callers checkpoint, and checkpointLocked surfaces both
-// itself — the lock must not deadlock or mask them.
-func (m *Manager) lockWriterDrained() error {
+// it that way (submitting requires the mutex). Unlike lockWriter it
+// refuses nothing: its callers checkpoint or close, and checkpointLocked
+// surfaces a poisoned or read-only shard itself.
+func (m *Manager) lockWriterDrained() {
 	for {
 		m.mu.Lock()
-		if m.isClosed() {
-			m.mu.Unlock()
-			return ErrClosed
-		}
 		if m.gc.pipelineIdle() {
-			return nil
+			return
 		}
 		m.mu.Unlock()
 		m.gc.waitIdle() // off-lock: failFlights may need mu

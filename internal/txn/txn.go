@@ -80,7 +80,9 @@ type Options struct {
 	// committed prefix, never a torn database.
 	NoSync bool
 	// CheckpointBytes overrides DefaultCheckpointBytes; <0 disables
-	// automatic checkpoints, by either trigger.
+	// automatic checkpoints, by either trigger. It bounds a coordinator's
+	// decision log (coord.ode) too: a cross-shard commit that leaves that
+	// log at this size empties it (Coordinator.trimDecisionLog).
 	CheckpointBytes int64
 	// FS is the filesystem the data file and WAL live on. Nil means the
 	// real OS. The crash-consistency matrix installs a fault-injecting
@@ -152,6 +154,16 @@ func (o *Options) fsys() faultfs.FS {
 	return faultfs.OS
 }
 
+// checkpointBytes is the log size that makes a checkpoint due — a
+// shard's, or the decision log's trim; negative when automatic
+// checkpoints are off.
+func (o *Options) checkpointBytes() int64 {
+	if o.CheckpointBytes == 0 {
+		return DefaultCheckpointBytes
+	}
+	return o.CheckpointBytes
+}
+
 // Stats reports manager activity since open.
 type Stats struct {
 	Commits       uint64
@@ -180,8 +192,8 @@ type Manager struct {
 
 	// logMu guards the WAL: the writer leading a flight appends it
 	// without holding mu (its fsync, Log.SyncFile, runs off both locks),
-	// while checkpoints (under mu, pipeline drained) append markers and
-	// reset. Lock order is mu before logMu; a logMu holder never takes mu.
+	// while checkpoints (under mu, pipeline drained) sync and reset it.
+	// Lock order is mu before logMu; a logMu holder never takes mu.
 	logMu sync.Mutex
 	log   *wal.Log
 
@@ -211,13 +223,13 @@ type Manager struct {
 	// batches additionally move together under a seqlock (statsMu +
 	// statsSeq) so Stats returns a mutually consistent pair: a batch's
 	// publication is never visible half-applied (Batches advanced but
-	// not its Commits, or vice versa).
-	commits     atomic.Uint64
-	aborts      atomic.Uint64
-	batches     atomic.Uint64
-	checkpoints atomic.Uint64
-	recovered   uint64       // set once at open, read-only after
-	walBytes    atomic.Int64 // mirror of log.Size(), updated under logMu
+	// not its Commits, or vice versa). Checkpoints are counted once, by
+	// the CheckpointDuration histogram in m.
+	commits   atomic.Uint64
+	aborts    atomic.Uint64
+	batches   atomic.Uint64
+	recovered uint64       // set once at open, read-only after
+	walBytes  atomic.Int64 // mirror of log.Size(), updated under logMu
 
 	// statsMu serialises commits/batches updaters (the writer landing a
 	// flight and writers committing empty transactions can otherwise
@@ -525,10 +537,9 @@ func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64
 			return apply(t)
 		case wal.RecAbort:
 			delete(pending, rec.Tx)
-		case wal.RecCheckpoint:
-			// Everything before this point is already in the data file;
-			// replaying it anyway is idempotent, so no action needed.
 		}
+		// A RecCheckpoint, which earlier versions logged just before a
+		// reset, needs nothing: replaying what precedes it is idempotent.
 		return nil
 	})
 	if err != nil {
@@ -604,7 +615,7 @@ func (m *Manager) Stats() Stats {
 	return Stats{
 		Commits:       commits,
 		Aborts:        m.aborts.Load(),
-		Checkpoints:   m.checkpoints.Load(),
+		Checkpoints:   m.m.CheckpointDuration.Snapshot().Count,
 		RecoveredTxns: m.recovered,
 		WALBytes:      m.walBytes.Load(),
 		Batches:       batches,
@@ -811,7 +822,7 @@ func (m *Manager) rollbackQuiet(tr *tracker) {
 // share of the pool, which the log's size does not bound (a page delta
 // costs it a few bytes). A negative CheckpointBytes disables both.
 func (m *Manager) checkpointDue(walSize int64) (due, byDirty bool) {
-	limit := m.checkpointBytes()
+	limit := m.opts.checkpointBytes()
 	switch {
 	case limit < 0:
 		return false, false
@@ -821,98 +832,75 @@ func (m *Manager) checkpointDue(walSize int64) (due, byDirty bool) {
 	return m.st.Pool().DirtyDue(), true
 }
 
-// checkpointBytes is the log size that makes a checkpoint due; negative
-// when automatic checkpoints are off.
-func (m *Manager) checkpointBytes() int64 {
-	if m.opts.CheckpointBytes == 0 {
-		return DefaultCheckpointBytes
-	}
-	return m.opts.CheckpointBytes
-}
-
-// Checkpoint forces the page file current and truncates the WAL. It
+// Checkpoint forces the page file current and truncates the WAL, and
+// counts and traces the checkpoint on the shard — before it lets the
+// writer mutex go, so a writer that gets it next sees the count. It
 // first drains the commit pipeline (lockWriterDrained): the page flush
 // must only ever persist effects of durable transactions (flushing a
 // prepared-but-unfsynced transaction and then resetting the WAL could
 // make a commit durable that its writer was told failed).
-func (m *Manager) Checkpoint() error { return m.checkpoint(false) }
-
-// checkpoint is Checkpoint; quiet drops the count and span, for the
-// coordinator, which checkpoints every shard and accounts for the whole
-// operation once at its own level.
-func (m *Manager) checkpoint(quiet bool) error {
-	if err := m.lockWriterDrained(); err != nil {
+func (m *Manager) Checkpoint() error {
+	m.lockWriterDrained()
+	defer m.unlockWriter()
+	if m.isClosed() {
+		return ErrClosed
+	}
+	start := time.Now()
+	if err := m.checkpointLocked(); err != nil {
 		return err
 	}
-	defer m.unlockWriter()
-	return m.checkpointLocked(quiet)
+	d := time.Since(start)
+	m.m.CheckpointDuration.ObserveDuration(d)
+	m.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
+	return nil
 }
 
-// checkpointLocked is the checkpoint itself. Caller holds the writer
-// mutex with the commit pipeline idle. A poisoned or read-only manager
-// refuses here, not in lockWriterDrained, which tolerates both.
-func (m *Manager) checkpointLocked(quiet bool) error {
+// checkpointLocked is the checkpoint itself, and the only code that
+// empties the shard's log once it is open (recover2 empties it at open).
+// Caller holds the writer mutex with the commit pipeline idle. A
+// poisoned or read-only manager refuses here.
+func (m *Manager) checkpointLocked() error {
 	if m.opts.Storage.ReadOnly {
 		return ErrReadOnly
 	}
 	if m.ioErr != nil {
 		return fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
 	}
-	start := time.Now()
-	// Order matters: the WAL may only be reset after every page it
-	// covers is durably in the page file. A failure anywhere leaves the
-	// WAL intact, so recovery can redo the work — but it also poisons
-	// the manager: after a failed flush the pool's clean/dirty
-	// bookkeeping no longer proves what is on disk (and a kernel that
-	// reported the fsync failure may have dropped the writes while
-	// clearing the error — retrying could "succeed" without the data
-	// being durable), so a later checkpoint could reset the WAL without
-	// its pages actually persisted. Only a reopen re-establishes the
-	// invariant.
-	if err := m.flushPages(); err != nil {
-		err = fmt.Errorf("txn: checkpoint flush: %w", err)
-		m.poison(err)
-		return err
-	}
 	m.logMu.Lock()
 	defer func() { m.walBytes.Store(m.log.Size()); m.logMu.Unlock() }()
-	if _, err := m.log.AppendCheckpoint(); err != nil {
-		m.poison(err)
-		return err
-	}
-	if err := m.log.Reset(); err != nil {
-		m.poison(err)
-		return err
-	}
-	if !quiet {
-		m.checkpoints.Add(1)
-		d := time.Since(start)
-		m.m.CheckpointDuration.ObserveDuration(d)
-		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
-	}
-	return nil
-}
-
-// flushPages makes the page file current: every dirty page written and
-// the file synced — after the log. A page may reach the data file only
-// once the log that can redo it (and undo nothing: redo-only) is on
-// stable storage, and under NoSync commits sit in the log's write buffer
-// until someone flushes it; a crash between a page write and that flush
-// would leave pages of transactions the log never heard of. Unless
-// NoSync, everything the drained pipeline appended is synced already and
-// the Sync is free. Caller holds the writer mutex with the pipeline idle.
-func (m *Manager) flushPages() error {
-	m.logMu.Lock()
+	// Order matters. A page may reach the data file only once the log
+	// that can redo it (and undo nothing: redo-only) is on stable
+	// storage, and under NoSync commits sit in the log's write buffer
+	// until someone flushes it: a crash between a page write and that
+	// flush would leave pages of transactions the log never heard of. So
+	// the log is synced first (free unless NoSync: the drained pipeline
+	// synced what it appended), then every dirty page is written and the
+	// data file synced, and only then is the log reset. A failure
+	// anywhere leaves the WAL intact, so recovery can redo the work — but
+	// it also poisons the manager: after a failed flush the pool's
+	// clean/dirty bookkeeping no longer proves what is on disk (and a
+	// kernel that reported the fsync failure may have dropped the writes
+	// while clearing the error — retrying could "succeed" without the
+	// data being durable), so a later checkpoint could reset the WAL
+	// without its pages actually persisted. Only a reopen re-establishes
+	// the invariant.
 	err := m.log.Sync()
-	m.logMu.Unlock()
-	if err != nil {
-		return err
+	if err == nil {
+		err = m.st.FlushAll()
 	}
-	return m.st.FlushAll()
+	if err != nil {
+		err = fmt.Errorf("txn: checkpoint flush: %w", err)
+	} else {
+		err = m.log.Reset()
+	}
+	if err != nil {
+		m.poison(err)
+	}
+	return err
 }
 
 // Close waits out every commit already submitted, then checkpoints and
-// closes the database. If the final flush fails (or the manager was
+// closes the database. If the checkpoint fails (or the manager was
 // already poisoned) the WAL is deliberately NOT reset: it is then the
 // only durable copy of recent commits, and the next open replays it.
 // Resetting it regardless — as this method once did — silently
@@ -947,33 +935,14 @@ func (m *Manager) Close() error {
 	// Checkpoint, so it must be gone before Close camps on the lock.
 	close(m.ckptStop)
 	m.ckptWG.Wait()
-	// Writer barrier: any Write that passed the closed check holds mu
-	// until it has enqueued, so after one lock/unlock round trip the
-	// queue holds every outstanding commit and no more can arrive. Their
-	// writers lead them to the log; wait until they have. mu must NOT be
-	// held across the wait: a failing final batch takes it to roll the
-	// suffix back.
-	m.mu.Lock()
-	m.mu.Unlock() //nolint:staticcheck // empty critical section is the point
-	m.gc.waitIdle()
-	m.mu.Lock()
+	// Any Write that passed the closed check holds mu until it has
+	// enqueued, and no more can arrive: once the pipeline is drained
+	// under mu, every outstanding commit has been led to the log.
+	m.lockWriterDrained()
 	defer m.mu.Unlock()
-	if m.opts.Storage.ReadOnly {
-		m.log.Close()
-		// Read-only stores have nothing dirty to flush.
-		return m.st.CloseNoFlush()
-	}
-	if m.ioErr != nil {
-		m.log.Close()
-		m.st.CloseNoFlush()
-		return fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
-	}
 	var firstErr error
-	if err := m.flushPages(); err != nil {
-		// Keep the WAL: the pages may not be durable.
-		firstErr = err
-	} else if err := m.log.Reset(); err != nil {
-		firstErr = err
+	if !m.opts.Storage.ReadOnly {
+		firstErr = m.checkpointLocked()
 	}
 	if err := m.log.Close(); err != nil && firstErr == nil {
 		firstErr = err

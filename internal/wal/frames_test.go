@@ -70,7 +70,7 @@ func TestLogGoldenBytes(t *testing.T) {
 	if _, err := l.AppendShardMap(goldenTx, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendCheckpoint(); err != nil {
+	if _, err := l.appendOne(RecCheckpoint, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {

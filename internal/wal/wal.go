@@ -36,7 +36,7 @@ const (
 	RecPageImage  uint8 = 2 // full page after-image
 	RecCommit     uint8 = 3 // transaction durable
 	RecAbort      uint8 = 4 // informational; aborted txns are ignored anyway
-	RecCheckpoint uint8 = 5 // page file reflects everything before this LSN
+	RecCheckpoint uint8 = 5 // nothing writes it now (earlier versions did, just before a reset); recovery ignores it
 	RecPrepare    uint8 = 6 // 2PC: shard-local prepare, carries the global txn id
 	RecShardMap   uint8 = 7 // coordinator log only: shard-map image decided by tx
 	RecPageDelta  uint8 = 8 // byte ranges of a page's after-image against its previous logged state
@@ -419,8 +419,7 @@ func (l *Log) AppendFrames(fr *Frames) (oid.LSN, error) {
 }
 
 // appendOne logs a single record outside any transaction's staged run
-// (a 2PC decide or coordinator decision, a shard-map overlay, a
-// checkpoint marker): staged into the log's own Frames and spliced with
+// (a 2PC decide or coordinator decision, a shard-map overlay): staged into the log's own Frames and spliced with
 // AppendFrames, so Frames stays the only record encoder.
 func (l *Log) appendOne(typ uint8, tx oid.TxID, body []byte) (oid.LSN, error) {
 	l.one.Reset()
@@ -438,9 +437,6 @@ func (l *Log) AppendCommit(tx oid.TxID) (oid.LSN, error) { return l.appendOne(Re
 func (l *Log) AppendShardMap(tx oid.TxID, image []byte) (oid.LSN, error) {
 	return l.appendOne(RecShardMap, tx, image)
 }
-
-// AppendCheckpoint logs a checkpoint marker.
-func (l *Log) AppendCheckpoint() (oid.LSN, error) { return l.appendOne(RecCheckpoint, 0, nil) }
 
 // Sync flushes buffered appends and fsyncs the log. A commit is durable
 // only after Sync returns. With nothing appended since the log was last
@@ -485,8 +481,10 @@ func (l *Log) SyncFile() error {
 // SyncFile covered it), so that Sync is free until the next append.
 func (l *Log) MarkDurable(lsn oid.LSN) { l.durable = lsn }
 
-// Reset truncates the log back to its header after a checkpoint has made
-// the page file current.
+// Reset truncates the log back to its header once nothing in it is
+// needed: after a checkpoint has made the page file current (a shard's
+// log), or once every decision is backed by local commit records (the
+// coordinator's).
 func (l *Log) Reset() error {
 	if err := l.w.Flush(); err != nil {
 		return err

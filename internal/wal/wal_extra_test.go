@@ -12,10 +12,11 @@ import (
 
 func TestAbortRecordRoundtrip(t *testing.T) {
 	l, _ := tempLog(t)
-	// No code writes abort records any more, but the format defines
-	// them and recovery honours them, so stage one by hand.
+	// No code writes abort or checkpoint records any more, but the
+	// format defines them and recovery honours them, so stage them by
+	// hand.
 	stage(t, l, func(fr *Frames) { fr.Begin(5); fr.record(RecAbort, 5, nil) })
-	if _, err := l.AppendCheckpoint(); err != nil {
+	if _, err := l.appendOne(RecCheckpoint, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	var kinds []uint8

@@ -148,7 +148,9 @@ type Options struct {
 	NoSync bool
 	// CheckpointBytes sets the WAL size that triggers a checkpoint (one
 	// is also due when dirty pages fill three quarters of the pool);
-	// <0 disables automatic checkpoints.
+	// <0 disables automatic checkpoints. It bounds the decision log
+	// (coord.ode) too: a cross-shard Update that leaves it at this size
+	// empties it.
 	CheckpointBytes int64
 	// ReadOnly opens the database without write permission.
 	ReadOnly bool
