@@ -12,11 +12,11 @@ RESTART_TESTS = CrossOrderRestart|DescendingJoin|RerunLocks|SwallowedRouting|Rou
 # shard, and no queued request left without a writer to lead it.
 LIVENESS_TESTS = ShardRunsOneBackgroundGoroutine|NoRequestStranded
 # The commit-pipeline tests `make race` repeats: background checkpoints
-# (with and without NoSync), the decision log's trim by the cross-shard
-# commit that fills it, batch failures, failures spanning overlapping
-# flushes, acknowledged flushes left to the collector, refused submits,
-# and the liveness tests.
-PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|DecisionLogBounded|WriterWaitsOutPendingCheckpoint|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused|$(LIVENESS_TESTS)
+# and writers' checkpoints past the slack (with and without NoSync), the
+# decision log's trim by the cross-shard commit that fills it, batch
+# failures, failures spanning overlapping flushes, acknowledged flushes
+# left to the collector, refused submits, and the liveness tests.
+PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|DecisionLogBounded|WriterCheckpointsPastTheSlack|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused|$(LIVENESS_TESTS)
 # The B+tree entry-offset table tests `make race` repeats: readers racing
 # to build a published leaf's table while the writer edits its copy, a
 # rollback retiring the table of the bytes it undid, the writer's edits

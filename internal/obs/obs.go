@@ -245,8 +245,8 @@ type Metrics struct {
 	// under neither. CheckpointDuration times every checkpoint: an
 	// automatic one on its shard, an explicit one (every shard, then the
 	// decision log) once, at the coordinator.
-	CheckpointsByWALBytes   Counter   `series:"ode_checkpoints_by_wal_bytes_total" scope:"shard" help:"Automatic checkpoints triggered by the WAL reaching CheckpointBytes."`
-	CheckpointsByDirtyPages Counter   `series:"ode_checkpoints_by_dirty_pages_total" scope:"shard" help:"Automatic checkpoints triggered by dirty pages reaching their share of the pool."`
+	CheckpointsByWALBytes   Counter   `series:"ode_checkpoints_by_wal_bytes_total" scope:"shard" help:"Automatic checkpoints triggered by the WAL reaching CheckpointBytes, counted when the kick is queued."`
+	CheckpointsByDirtyPages Counter   `series:"ode_checkpoints_by_dirty_pages_total" scope:"shard" help:"Automatic checkpoints triggered by dirty pages reaching their share of the pool, counted when the kick is queued."`
 	CheckpointDuration      Histogram `series:"ode_checkpoint_duration_ns" scope:"shard,db" help:"Checkpoint duration (page flush + WAL reset)."`
 
 	// Commits. BatchSize is the transactions one committer batch covered

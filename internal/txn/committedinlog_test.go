@@ -7,10 +7,10 @@ import (
 	"ode/internal/wal"
 )
 
-// TestCommittedInLogCountsDecidedPrepareOnce: a transaction whose shard
-// log holds both a decided prepare and a local commit record (the
-// normal 2PC fast path) must count once, not twice, when sizing the
-// post-recovery checkpoint threshold.
+// TestCommittedInLogCountsDecidedPrepareOnce: replay counts a
+// transaction whose shard log holds both a decided prepare and a local
+// commit record (the normal 2PC fast path) once, not twice, and a
+// decided prepare without its commit record once too.
 func TestCommittedInLogCountsDecidedPrepareOnce(t *testing.T) {
 	log, err := wal.OpenFS(faultfs.NewMem(), "wal.000")
 	if err != nil {
@@ -39,11 +39,11 @@ func TestCommittedInLogCountsDecidedPrepareOnce(t *testing.T) {
 		fr.PageImage(4, 1, page)
 		fr.Prepare(4, 9)
 	})
-	n, err := committedInLog(log, map[uint64]bool{7: true, 8: true})
+	_, n, err := replay(log, map[uint64]bool{7: true, 8: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 {
-		t.Fatalf("committedInLog = %d, want 3", n)
+		t.Fatalf("replay counted %d committed, want 3", n)
 	}
 }

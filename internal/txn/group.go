@@ -40,6 +40,9 @@
 //     and the next commit must succeed (see
 //     TestFailedCommitSyncNeverResurfaces). Only a failure to heal the WAL
 //     itself poisons.
+//   - checkpoint (Manager.checkpointIfDue): a landed flight that leaves
+//     one due kicks the checkpointer; a writer that finds the log past
+//     CheckpointBytes by a quarter runs it itself (lockWriter).
 //
 // Liveness: a queued request always has a goroutine that is claiming it
 // or will be woken to claim it. Its writer awaits it, and leads unless
@@ -365,22 +368,18 @@ func (m *Manager) failFlights(cause error) {
 }
 
 // maybeKickCheckpoint nudges the background checkpointer when a
-// checkpoint is due (checkpointDue) and none is queued or running: the
-// flights that find the log still due while the kicked checkpoint waits
-// for the writer mutex must not queue a second one, which would run on
-// the log the first has just reset.
+// checkpoint is due (checkpointDue). The kick is a send on a one-slot
+// channel that never blocks: a kick already queued covers this one, and
+// a kick taken by a checkpoint that has since reset the log finds it no
+// longer due (checkpointIfDue). The trigger counters count queued kicks.
 func (m *Manager) maybeKickCheckpoint(walSize int64) {
 	due, byDirty := m.checkpointDue(walSize)
 	if !due {
 		return
 	}
-	m.ckptMu.Lock()
-	pending := m.ckptDone != nil
-	if !pending {
-		m.ckptDone = make(chan struct{})
-	}
-	m.ckptMu.Unlock()
-	if pending {
+	select {
+	case m.ckptKick <- struct{}{}:
+	default:
 		return
 	}
 	if byDirty {
@@ -388,36 +387,10 @@ func (m *Manager) maybeKickCheckpoint(walSize int64) {
 	} else {
 		m.m.CheckpointsByWALBytes.Inc()
 	}
-	m.ckptKick <- struct{}{} // never blocks: the last kick was taken before ckptDone cleared
-}
-
-// awaitCheckpoint holds a writer back, before it takes the writer
-// mutex, while its shard's log has passed CheckpointBytes by a quarter
-// with a checkpoint pending: writers that lead their own flights can
-// otherwise outrun a kicked checkpointer waiting for that mutex, and the
-// log grows without bound. Below the slack nobody waits, so a
-// checkpointer that gets the mutex soon after its kick costs the writers
-// nothing. It returns when the checkpoint has run (or failed) or the
-// shard closes.
-func (m *Manager) awaitCheckpoint() {
-	if limit := m.opts.checkpointBytes(); limit < 0 || m.walBytes.Load() < limit+limit/4 {
-		return
-	}
-	m.ckptMu.Lock()
-	done := m.ckptDone
-	m.ckptMu.Unlock()
-	if done == nil {
-		return
-	}
-	select {
-	case <-done:
-	case <-m.ckptStop:
-	}
 }
 
 // checkpointer is the background goroutine that runs checkpoints off
-// the commit path. Errors are already recorded by Checkpoint (poisoned
-// manager); ErrClosed just means shutdown won the race.
+// the commit path, one checkpointIfDue per kick.
 func (m *Manager) checkpointer() {
 	defer m.ckptWG.Done()
 	for {
@@ -425,16 +398,7 @@ func (m *Manager) checkpointer() {
 		case <-m.ckptStop:
 			return
 		case <-m.ckptKick:
-			err := m.Checkpoint()
-			m.ckptMu.Lock()
-			close(m.ckptDone)
-			if err == nil {
-				m.ckptDone = nil
-			}
-			m.ckptMu.Unlock()
-			if err != nil {
-				return // poisoned or closed; either way no more checkpoints
-			}
+			m.checkpointIfDue()
 		}
 	}
 }

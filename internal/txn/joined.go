@@ -41,16 +41,19 @@ import (
 	"ode/internal/wal"
 )
 
-// lockWriter takes the shard's writer mutex, after any checkpoint the
-// log's size makes it wait for (awaitCheckpoint), and validates that the
-// shard can accept a write. On error the mutex is NOT held.
+// lockWriter takes the shard's writer mutex, after the due checkpoint if
+// the log is past CheckpointBytes by a quarter (writers leading their own
+// flights could otherwise outrun the checkpointer), and validates that
+// the shard can accept a write. On error the mutex is NOT held.
 func (m *Manager) lockWriter() error {
-	m.awaitCheckpoint()
+	if limit := m.opts.checkpointBytes(); limit >= 0 && m.walBytes.Load() >= limit+limit/4 {
+		m.checkpointIfDue()
+	}
 	m.mu.Lock()
 	return m.checkWritable()
 }
 
-// tryLockWriter is lockWriter without the wait: ok is false, and
+// tryLockWriter is lockWriter without the checkpoint: ok is false, and
 // nothing is held, when another writer has the mutex.
 func (m *Manager) tryLockWriter() (ok bool, err error) {
 	if !m.mu.TryLock() {

@@ -198,19 +198,13 @@ type Manager struct {
 	log   *wal.Log
 
 	// gc is the commit pipeline, which the writers run themselves; the
-	// checkpointer, the shard's one goroutine, coalesces automatic
-	// checkpoints off the commit path. ckptDone is made with its kick and
-	// closed when that checkpoint has run; nil when none is pending. A
-	// failed checkpoint leaves it closed and in place, so no further kick
-	// is sent to a checkpointer that has stopped. Every Manager has both,
-	// a read-only one included (its writers are refused at lockWriter;
-	// both idle until Close).
+	// checkpointer, the shard's one goroutine, runs automatic checkpoints
+	// off the commit path, one per kick (ckptKick holds one, so kicks
+	// coalesce). Every Manager has both, a read-only one included.
 	gc       *groupCommitter
 	ckptKick chan struct{}
 	ckptStop chan struct{}
 	ckptWG   sync.WaitGroup
-	ckptMu   sync.Mutex
-	ckptDone chan struct{}
 
 	// rmu guards reader admission and closed; Close flips closed and
 	// then drains in-flight readers via the WaitGroup.
@@ -400,7 +394,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	}
 	var recovered uint64
 	if opts.Storage.ReadOnly {
-		pending, err := committedInLog(log, opts.decided)
+		_, pending, err := replay(log, opts.decided)
 		if err != nil {
 			log.Close()
 			return nil, err
@@ -429,41 +423,10 @@ func Open(dir string, opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// committedInLog counts committed transactions present in the log: ones
-// with a local commit record, plus prepared ones whose global id the
-// coordinator log decided but whose shard-local commit record never
-// landed. A transaction that completed 2PC normally has both its
-// prepare and its commit record in the log; it must count once, not
-// twice.
-func committedInLog(log *wal.Log, decided map[uint64]bool) (uint64, error) {
-	committed := map[oid.TxID]bool{}
-	prepared := map[oid.TxID]uint64{}
-	err := log.Scan(func(rec wal.Record) error {
-		switch rec.Type {
-		case wal.RecCommit:
-			committed[rec.Tx] = true
-		case wal.RecPrepare:
-			prepared[rec.Tx] = rec.GTID
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	n := uint64(len(committed))
-	for tx, gtid := range prepared {
-		if decided[gtid] && !committed[tx] {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// recover2 rebuilds the pages committed transactions logged, writes them
-// into the data file and truncates the log. Named to avoid shadowing
-// builtin recover. It is idempotent: a crash at any point during
-// recovery leaves the WAL intact (it is only reset after the page file
-// is synced), so rerunning it converges to the same state.
+// replay rebuilds, in memory, the pages the log's committed
+// transactions wrote, and counts those transactions; it is the one rule
+// for which logged transactions committed. Recovery writes redo back
+// (recover2); a read-only open only asks whether committed is zero.
 //
 // Pages are rebuilt from the log alone, in commit order: a page image
 // replaces the page's state, a page delta is applied on top of the state
@@ -482,7 +445,7 @@ func committedInLog(log *wal.Log, decided map[uint64]bool) (uint64, error) {
 // Such a transaction is always the newest in its log (the shard's
 // writer mutex is held from prepare to decide), so applying it after
 // every locally committed transaction preserves redo order.
-func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64]bool) (uint64, error) {
+func replay(log *wal.Log, decided map[uint64]bool) (redo map[oid.PageID][]byte, committed uint64, err error) {
 	type txPages struct {
 		recs     []wal.Record // RecPageImage and RecPageDelta, in log order
 		prepared bool
@@ -490,8 +453,7 @@ func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64
 		seq      int // begin order, to apply in-doubt commits deterministically
 	}
 	pending := map[oid.TxID]*txPages{}
-	redo := map[oid.PageID][]byte{}
-	var committed uint64
+	redo = map[oid.PageID][]byte{}
 	var seq int
 	apply := func(t *txPages) error {
 		committed++
@@ -510,7 +472,7 @@ func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64
 		}
 		return nil
 	}
-	err := log.Scan(func(rec wal.Record) error {
+	err = log.Scan(func(rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecBegin:
 			seq++
@@ -543,7 +505,7 @@ func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	// Resolve in-doubt prepared transactions by coordinator decision, in
 	// begin order (deterministic; in practice at most one can exist).
@@ -556,8 +518,19 @@ func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64
 	sort.Slice(doubt, func(i, j int) bool { return doubt[i].seq < doubt[j].seq })
 	for _, t := range doubt {
 		if err := apply(t); err != nil {
-			return 0, err
+			return nil, 0, err
 		}
+	}
+	return redo, committed, nil
+}
+
+// recover2 writes the pages replay rebuilt into the data file, syncs it
+// and only then resets the log, so a crash anywhere in it leaves the log
+// to rerun it. Named to avoid shadowing builtin recover.
+func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64]bool) (uint64, error) {
+	redo, committed, err := replay(log, decided)
+	if err != nil {
+		return 0, err
 	}
 	if len(redo) > 0 {
 		pids := make([]oid.PageID, 0, len(redo))
@@ -845,6 +818,26 @@ func (m *Manager) Checkpoint() error {
 	if m.isClosed() {
 		return ErrClosed
 	}
+	return m.checkpointCounted()
+}
+
+// checkpointIfDue is the only code that decides whether an automatic
+// checkpoint runs (callers: checkpointer, lockWriter). Under the drained
+// writer mutex a closed, poisoned or no longer due shard does nothing.
+func (m *Manager) checkpointIfDue() {
+	m.lockWriterDrained()
+	defer m.unlockWriter()
+	if m.isClosed() || m.ioErr != nil {
+		return
+	}
+	if due, _ := m.checkpointDue(m.walBytes.Load()); due {
+		_ = m.checkpointCounted() // a failure poisons the shard: its next write reports it
+	}
+}
+
+// checkpointCounted runs checkpointLocked and, if it succeeds, records
+// its duration and span. Caller holds the drained writer mutex.
+func (m *Manager) checkpointCounted() error {
 	start := time.Now()
 	if err := m.checkpointLocked(); err != nil {
 		return err

@@ -7,9 +7,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ode/internal/faultfs"
 	"ode/internal/oid"
 	"ode/internal/storage"
 )
@@ -273,62 +277,126 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 }
 
-// TestWriterWaitsOutPendingCheckpoint: a writer that finds its shard's
-// log past CheckpointBytes by a quarter with a checkpoint pending waits
-// for that checkpoint before it takes the writer mutex — below that it
-// does not — and Close releases a writer still waiting.
-func TestWriterWaitsOutPendingCheckpoint(t *testing.T) {
-	const limit = 64 << 10
-	m, _ := createDB(t, Options{NoSync: true, CheckpointBytes: limit})
-	defer m.Close()
-	// stall stands in for a kicked checkpointer that has not yet got the
-	// writer mutex, over a log of walBytes.
-	stall := func(walBytes int64) chan struct{} {
-		done := make(chan struct{})
-		m.ckptMu.Lock()
-		m.ckptDone = done
-		m.ckptMu.Unlock()
-		m.walBytes.Store(walBytes)
-		return done
+// TestWriterCheckpointsPastTheSlack: a writer that finds its shard's
+// log past CheckpointBytes by a quarter runs the due checkpoint itself,
+// so four writers keep the log within the slack plus one commit each —
+// also with the background checkpointer stopped. Below the slack a
+// writer runs none, and Close during a writer's checkpoint returns while
+// the writer gets ErrClosed.
+func TestWriterCheckpointsPastTheSlack(t *testing.T) {
+	const (
+		limit   = 64 << 10
+		slack   = limit + limit/4
+		writers = 4
+	)
+	insert := func(m *Manager) error {
+		return writeH(m, func(h *storage.Heap) error { _, err := h.Insert(bytes.Repeat([]byte("s"), 800)); return err })
 	}
-	write := func() chan error {
+	for _, noSync := range []bool{true, false} {
+		for _, background := range []bool{true, false} {
+			t.Run(fmt.Sprintf("NoSync=%v/checkpointer=%v", noSync, background), func(t *testing.T) {
+				m, _ := createDB(t, Options{NoSync: noSync, CheckpointBytes: limit})
+				defer m.Close()
+				// The most one commit logs: the largest growth of the log
+				// across one write, over a few checkpoints' worth of them
+				// (the first commits after a reset log whole pages).
+				var perCommit int64
+				for i := 0; i < 300; i++ {
+					ckpts, before := m.Stats().Checkpoints, m.walBytes.Load()
+					if err := insert(m); err != nil {
+						t.Fatal(err)
+					}
+					if after := m.walBytes.Load(); m.Stats().Checkpoints == ckpts && after > before {
+						perCommit = max(perCommit, after-before)
+					}
+				}
+				if !background {
+					close(m.ckptStop)
+					m.ckptWG.Wait()
+					m.ckptStop = make(chan struct{}) // for Close
+				}
+				base := m.Stats().Checkpoints
+				var peak atomic.Int64
+				done := make(chan struct{})
+				sampled := make(chan struct{})
+				go func() {
+					defer close(sampled)
+					for {
+						if n := m.walBytes.Load(); n > peak.Load() {
+							peak.Store(n)
+						}
+						select {
+						case <-done:
+							return
+						default:
+							runtime.Gosched()
+						}
+					}
+				}()
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < 100; i++ {
+							if err := insert(m); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				close(done)
+				<-sampled
+				if bound := slack + writers*perCommit; peak.Load() > bound {
+					t.Fatalf("log peaked at %d bytes, over %d (slack %d + %d writers x %d bytes a commit)", peak.Load(), bound, slack, writers, perCommit)
+				}
+				if m.Stats().Checkpoints == base {
+					t.Fatal("400 commits of 800 bytes and no checkpoint ran")
+				}
+			})
+		}
+	}
+
+	t.Run("Close", func(t *testing.T) {
+		fsys := &failOneSync{FS: faultfs.NewMem(), name: DataFileName}
+		m, err := Create("/db", Options{NoSync: true, CheckpointBytes: limit, FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.walBytes.Store(slack - 1) // due, but below the slack: the writer runs none
+		if err := insert(m); err != nil {
+			t.Fatal(err)
+		}
+		if n := m.Stats().Checkpoints; n != 0 {
+			t.Fatalf("%d checkpoints below the slack", n)
+		}
+		// Only a checkpoint syncs the data file: park the writer's there.
+		parked, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		fsys.onSync = func() error { once.Do(func() { close(parked); <-release }); return nil }
+		m.walBytes.Store(slack) // no flight lands, so the checkpointer is not kicked
 		res := make(chan error, 1)
-		go func() {
-			res <- writeH(m, func(h *storage.Heap) error { _, err := h.Insert([]byte("w")); return err })
-		}()
-		return res
-	}
-
-	const slack = limit + limit/4
-	stall(slack - 1)
-	if err := <-write(); err != nil {
-		t.Fatalf("below the slack: %v", err)
-	}
-
-	done := stall(slack)
-	res := write()
-	select {
-	case err := <-res:
-		t.Fatalf("writer ran past a pending checkpoint with the log past the slack: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	m.ckptMu.Lock()
-	m.ckptDone = nil
-	m.ckptMu.Unlock()
-	close(done)
-	if err := <-res; err != nil {
-		t.Fatalf("after the checkpoint: %v", err)
-	}
-
-	stall(slack)
-	res = write()
-	time.Sleep(20 * time.Millisecond) // let it reach the wait
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-res; !errors.Is(err, ErrClosed) {
-		t.Fatalf("writer waiting at Close: %v, want ErrClosed", err)
-	}
+		go func() { res <- insert(m) }()
+		select {
+		case <-parked:
+		case err := <-res:
+			t.Fatalf("writer past the slack ran no checkpoint: %v", err)
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- m.Close() }()
+		for !m.isClosed() {
+			runtime.Gosched()
+		}
+		close(release)
+		if err := <-closed; err != nil {
+			t.Fatalf("Close during a writer's checkpoint: %v", err)
+		}
+		if err := <-res; !errors.Is(err, ErrClosed) {
+			t.Fatalf("writer whose checkpoint Close waited out: %v, want ErrClosed", err)
+		}
+	})
 }
 
 func TestReadOnlyWriteTxnLogsNothing(t *testing.T) {
