@@ -32,6 +32,7 @@ help:
 	@echo "  build    go build ./..."
 	@echo "  test     go test ./..."
 	@echo "  vet      go vet ./..."
+	@echo "  fmt      fail if gofmt would reformat any file"
 	@echo "  race     full test suite under -race, then the restart, reset,"
 	@echo "           allocation, commit-pipeline and B+tree offset-table"
 	@echo "           tests twenty times over, and the pipeline liveness"
@@ -59,8 +60,8 @@ help:
 	@echo "  loc      non-test Go lines per package, the ode.Options field count"
 	@echo "           and the number of declared /metrics series — the numbers"
 	@echo "           a consolidation PR is judged by"
-	@echo "  check    build + vet + race + matrix + soak + ycsb + delta-matrix + hotpath,"
-	@echo "           then loc"
+	@echo "  check    build + vet + fmt + race + matrix + soak + ycsb + delta-matrix"
+	@echo "           + hotpath, then loc"
 
 build:
 	$(GO) build ./...
@@ -70,6 +71,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file as gofmt would write it; the list of those that are not
+# is printed on failure.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # The second line reruns the restart, rollback-reset and id-allocation
 # tests twenty times under the race detector: they interleave parked
@@ -232,6 +238,6 @@ loc:
 	  if [ -n "$$files" ]; then printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; fi; done
 	@$(GO) test -count=1 -run 'TestOptionsFieldCount|TestSeriesDeclaredOnce' -v . | grep -E 'ode.Options has|series are declared'
 
-check: build vet race matrix soak ycsb delta-matrix hotpath loc
+check: build vet fmt race matrix soak ycsb delta-matrix hotpath loc
 
-.PHONY: help build test vet race matrix fuzz fuzz-smoke soak ycsb delta-matrix hotpath cover loc check
+.PHONY: help build test vet fmt race matrix fuzz fuzz-smoke soak ycsb delta-matrix hotpath cover loc check

@@ -36,10 +36,14 @@ import (
 //	commit, writer-led group commit: 37 at both shard counts before it
 //	  (the batch's fsync ran on a goroutine of its own, one closure per
 //	  flight), 36 with the waiting writer running it — ceiling 47 → 46.
+//	hot deref, probed at the routing Tx: 7 → 4 at both shard counts, no
+//	  bundle on a hit — the cache is probed with the shard's epoch in the
+//	  cut, so a hit makes no view, no shard bundle and no bundle slice;
+//	  ceiling 10 → 6.
 //
 // The ceilings pin those wins: the commit ceiling (46, at both shard
 // counts) keeps the in-place tree's saving on top of the ≥40% reduction
-// from the 92-alloc baseline, the deref ceiling (10, at both shard
+// from the 92-alloc baseline, the deref ceiling (6, at both shard
 // counts) keeps the cache on the hot path and the shards off it. They
 // include a few allocs of headroom over the measured values so unrelated
 // runtime/toolchain noise doesn't flake the gate; a real regression (an
@@ -47,7 +51,7 @@ import (
 // than that.
 const (
 	maxCommitAllocs = 46
-	maxDerefAllocs  = 10
+	maxDerefAllocs  = 6
 )
 
 // rawCodec stores byte slices verbatim so the gate counts engine

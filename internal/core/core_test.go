@@ -1085,3 +1085,33 @@ func TestCheckObjectRejectsDependentAtDepthZero(t *testing.T) {
 		t.Fatalf("CheckObject on a delta at depth 0: %v", err)
 	}
 }
+
+// A read Tx that escapes its Engine.Read fails with ErrTxDone on a
+// latest-version read, whether or not the dereference cache holds the
+// object at the Tx's cut.
+func TestReadLatestAfterReadEnds(t *testing.T) {
+	e := newEngine(t, Options{})
+	ty := mustType(t, e, "Part")
+	var o oid.OID
+	w(t, e, func(tx *Tx) error {
+		var err error
+		o, _, err = tx.Create(ty, []byte("v0"))
+		return err
+	})
+	for _, warm := range []bool{false, true} {
+		var escaped *Tx
+		if err := e.Read(func(tx *Tx) error {
+			escaped = tx
+			if warm {
+				_, _, err := tx.ReadLatest(o)
+				return err
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := escaped.ReadLatest(o); !errors.Is(err, ErrTxDone) {
+			t.Fatalf("warm %v: ReadLatest after Read returned: %v, want ErrTxDone", warm, err)
+		}
+	}
+}

@@ -511,7 +511,6 @@ func (e *Engine) Read(fn func(tx *Tx) error) error {
 			r:         r,
 			n:         r.N(),
 			rmap:      r.Map(),
-			shards:    make([]*shardTx, r.N()),
 			lastAlloc: -1,
 		})
 	})

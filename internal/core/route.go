@@ -46,7 +46,7 @@ type Tx struct {
 
 	// shards holds the bundle for every shard this transaction is live
 	// on: joined (mutable) shards of a write transaction, or pinned
-	// snapshot bundles of a read transaction.
+	// snapshot bundles of a read transaction (nil until its first).
 	shards []*shardTx
 	// metaPeek is a snapshot bundle of shard 0 a write transaction uses
 	// for read-only catalog lookups only (see shardPeek); a later join
@@ -63,11 +63,11 @@ type Tx struct {
 // snapshot bundle — the mutation then fails downstream exactly as it
 // did before sharding.
 func (tx *Tx) shardW(s int) (*shardTx, error) {
-	if b := tx.shards[s]; b != nil {
-		return b, nil
-	}
 	if !tx.writable {
 		return tx.shardR(s)
+	}
+	if b := tx.shards[s]; b != nil {
+		return b, nil
 	}
 	v, err := tx.w.Join(s)
 	if err != nil {
@@ -90,17 +90,20 @@ func (tx *Tx) shardW(s int) (*shardTx, error) {
 // instead would permit lost updates (two Updates both deriving their
 // write from the same stale image). A join below a shard already held
 // only try-locks, restarting the closure if that fails, so reads can
-// never deadlock cross-shard writers.
+// never deadlock cross-shard writers. A read transaction makes the
+// slice with its first bundle (a cache hit needs none, see ReadLatest).
 func (tx *Tx) shardR(s int) (*shardTx, error) {
-	if b := tx.shards[s]; b != nil {
+	if tx.writable {
+		return tx.shardW(s)
+	}
+	if tx.shards == nil {
+		tx.shards = make([]*shardTx, tx.n)
+	} else if b := tx.shards[s]; b != nil {
 		return b, nil
 	}
-	if !tx.writable {
-		b := tx.e.newShardTx(tx.r.View(s), nil, tx, s, false)
-		tx.shards[s] = b
-		return b, nil
-	}
-	return tx.shardW(s)
+	b := tx.e.newShardTx(tx.r.View(s), nil, tx, s, false)
+	tx.shards[s] = b
+	return b, nil
 }
 
 // shardPeek returns a bundle for a read-only CATALOG lookup on shard 0:
@@ -275,13 +278,31 @@ func (tx *Tx) ReadVersion(o oid.OID, v oid.VID) ([]byte, error) {
 	return b.ReadVersion(o, v)
 }
 
-// ReadLatest returns the latest version's content and its vid.
+// ReadLatest returns the latest version's content and its vid. A read
+// transaction probes the dereference cache at the shard's epoch in its
+// cut, so a hit builds no bundle, and a miss fills the entry. A writer
+// reads its own in-flight latest, which the cache must not see.
 func (tx *Tx) ReadLatest(o oid.OID) ([]byte, oid.VID, error) {
-	b, err := tx.shardR(tx.byO(o))
+	s, c := tx.byO(o), tx.e.dcache
+	var epoch uint64
+	if c != nil && !tx.writable {
+		var err error
+		if epoch, err = tx.r.Epoch(s); err != nil {
+			return nil, oid.NilVID, err
+		}
+		if v, content, ok := c.Get(uint64(o), s, epoch); ok {
+			return content, oid.VID(v), nil
+		}
+	}
+	b, err := tx.shardR(s)
 	if err != nil {
 		return nil, oid.NilVID, err
 	}
-	return b.ReadLatest(o)
+	content, v, err := b.ReadLatest(o)
+	if err == nil && c != nil && !tx.writable {
+		c.Put(uint64(o), s, epoch, uint64(v), content)
+	}
+	return content, v, err
 }
 
 // UpdateVersion overwrites the content of one version in place.

@@ -195,33 +195,6 @@ func (tx *shardTx) cachePut(o oid.OID, v oid.VID, content []byte) {
 	c.Put(uint64(o), uint64(v), tx.s, tx.st.Epoch(), content)
 }
 
-// derefGet consults the dereference cache for o's latest version. Like
-// cacheGet, only snapshot transactions participate: their (shard,
-// epoch) pin matches the tag entries are stored under exactly, while a
-// writer observes its own in-flight latest which the cache must neither
-// serve nor absorb.
-func (tx *shardTx) derefGet(o oid.OID) ([]byte, oid.VID, bool) {
-	c := tx.e.dcache
-	if c == nil || tx.writable {
-		return nil, oid.NilVID, false
-	}
-	vid, content, ok := c.Get(uint64(o), tx.s, tx.st.Epoch())
-	if !ok {
-		return nil, oid.NilVID, false
-	}
-	return content, oid.VID(vid), true
-}
-
-// derefPut stores o's materialised latest under the reading snapshot's
-// (shard, epoch) tag; no-op on write transactions.
-func (tx *shardTx) derefPut(o oid.OID, v oid.VID, content []byte) {
-	c := tx.e.dcache
-	if c == nil || tx.writable {
-		return
-	}
-	c.Put(uint64(o), tx.s, tx.st.Epoch(), uint64(v), content)
-}
-
 // ReadVersion returns the content of a specific version — the paper's
 // specific-reference dereference (*vp on a version id).
 func (tx *shardTx) ReadVersion(o oid.OID, v oid.VID) ([]byte, error) {
@@ -242,13 +215,11 @@ func (tx *shardTx) ReadVersion(o oid.OID, v oid.VID) ([]byte, error) {
 
 // ReadLatest returns the latest version's content and its vid — the
 // paper's generic-reference dereference (*p on an object id binds to the
-// latest version at access time). It reads through the dereference
-// cache alone: the materialisation cache is for older versions, and the
-// latest is full under the delta tier (DESIGN.md §14.2).
+// latest version at access time). The routing Tx probes and fills the
+// dereference cache around it; the materialisation cache is for older
+// versions, and the latest is full under the delta tier (DESIGN.md
+// §14.2).
 func (tx *shardTx) ReadLatest(o oid.OID) ([]byte, oid.VID, error) {
-	if content, v, ok := tx.derefGet(o); ok {
-		return content, v, nil
-	}
 	h, err := tx.loadHeader(o)
 	if err != nil {
 		return nil, oid.NilVID, err
@@ -261,7 +232,6 @@ func (tx *shardTx) ReadLatest(o oid.OID) ([]byte, oid.VID, error) {
 	if err != nil {
 		return nil, oid.NilVID, err
 	}
-	tx.derefPut(o, h.latest, content)
 	return content, h.latest, nil
 }
 

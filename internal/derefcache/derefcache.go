@@ -1,6 +1,6 @@
 // Package derefcache is the read-side dereference cache: a sharded,
-// byte-bounded LRU mapping an object id to its latest version id and
-// fully materialised content, sitting in front of the buffer pool so a
+// byte-bounded CLOCK cache mapping an object id to its latest version id
+// and fully materialised content, sitting in front of the buffer pool so a
 // hot Deref/latest-version read skips the header probe, version-record
 // decode, heap read and delta walk entirely.
 //
@@ -17,6 +17,11 @@
 // object moves to a different physical shard whose independent epoch
 // counter happens to coincide with the old one, so a live reshard
 // never serves stale placement.
+//
+// Eviction is CLOCK: a hit sets its entry's reference bit, writing it
+// only when it is clear so a hot entry's line is not dirtied per hit, and
+// relinks nothing; Put's sweep passes a referenced entry once, clearing
+// the bit, before it evicts an unreferenced one.
 //
 // The cache is safe for concurrent use. Get copies content out and Put
 // copies content in, so callers can never alias cache-owned bytes.
@@ -37,19 +42,20 @@ type entry struct {
 	epoch      uint64
 	vid        uint64
 	content    []byte
-	prev, next *entry // LRU list; next is more recent
+	ref        bool   // hit since the sweep last passed it
+	prev, next *entry // clock list; next was inserted or passed later
 }
 
-// bucket is one independently locked LRU segment.
+// bucket is one independently locked CLOCK segment.
 type bucket struct {
 	mu    sync.Mutex
 	m     map[uint64]*entry
-	head  *entry // least recently used
-	tail  *entry // most recently used
+	head  *entry // next for the eviction sweep
+	tail  *entry // last inserted or passed
 	bytes int64
 }
 
-// Cache is a sharded LRU of latest-version dereference results.
+// Cache is a sharded CLOCK cache of latest-version dereference results.
 type Cache struct {
 	buckets []*bucket
 	capPer  int64 // byte budget per bucket
@@ -162,19 +168,22 @@ func (c *Cache) Get(o uint64, shard int, epoch uint64) (uint64, []byte, bool) {
 		c.miss(shard)
 		return 0, nil, false
 	}
-	b.touch(e)
-	out := make([]byte, len(e.content))
-	copy(out, e.content)
-	vid := e.vid
+	if !e.ref {
+		e.ref = true
+	}
+	vid, content := e.vid, e.content
 	b.mu.Unlock()
 	c.hit(shard)
+	// Content is never written after its Put, so it is copied unlocked.
+	out := make([]byte, len(content))
+	copy(out, content)
 	return vid, out, true
 }
 
 // Put stores a copy of content as o's latest-version result tagged with
-// (shard, epoch), evicting least-recently-used entries until the bucket
-// fits its budget. Content larger than the per-bucket budget is not
-// cached.
+// (shard, epoch), evicting entries in CLOCK order until the bucket fits
+// its budget; the entry just stored is never the victim. Content larger
+// than the per-bucket budget is not cached.
 func (c *Cache) Put(o uint64, shard int, epoch uint64, vid uint64, content []byte) {
 	cost := int64(len(content)) + entryOverhead
 	if cost > c.capPer {
@@ -203,6 +212,11 @@ func (c *Cache) Put(o uint64, shard int, epoch uint64, vid uint64, content []byt
 	var evicted int
 	for b.bytes > c.capPer && b.head != nil {
 		victim := b.head
+		if victim.ref || victim.o == o {
+			victim.ref = false
+			b.touch(victim)
+			continue
+		}
 		b.unlink(victim)
 		delete(b.m, victim.o)
 		freed := int64(len(victim.content)) + entryOverhead
@@ -257,7 +271,7 @@ func (c *Cache) ShardStats(shard int) (hits, misses uint64) {
 	return c.probes[shard].hits.Load(), c.probes[shard].misses.Load()
 }
 
-// --- intrusive LRU list (bucket.mu held) ---
+// --- intrusive clock list (bucket.mu held) ---
 
 func (b *bucket) append(e *entry) {
 	e.prev, e.next = b.tail, nil

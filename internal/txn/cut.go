@@ -175,6 +175,15 @@ func (r *ReadTx) View(s int) *storage.TxView {
 	return v
 }
 
+// Epoch returns shard s's epoch in the cut without making a view, or
+// ErrTxDone once the transaction has ended.
+func (r *ReadTx) Epoch(s int) (uint64, error) {
+	if r.ended.Load() {
+		return 0, storage.ErrTxDone
+	}
+	return r.ct.views[s].Epoch(), nil
+}
+
 // N returns the physical shard count; Map the shard map snapshot the
 // cut was pinned under.
 func (r *ReadTx) N() int                 { return len(r.ct.views) }

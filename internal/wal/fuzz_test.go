@@ -119,7 +119,7 @@ func FuzzScanEnd(f *testing.F) {
 // before the old end.
 func FuzzBatchTail(f *testing.F) {
 	f.Add([]byte("\x02page-image-payload"), []byte("torn"))
-	f.Add([]byte("\x05" + string(make([]byte, 64))), []byte{0xff, 0x00, 0x01, 0xfe})
+	f.Add([]byte("\x05"+string(make([]byte, 64))), []byte{0xff, 0x00, 0x01, 0xfe})
 	f.Add([]byte{0x01}, []byte{})
 
 	f.Fuzz(func(t *testing.T, seed, tail []byte) {
