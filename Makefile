@@ -23,6 +23,13 @@ PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|Deci
 # deriving the leaf's table alongside its bytes, and readers keeping the
 # published table a first-touch edit derives its copy's from.
 BTREE_TESTS = ReadersRaceToIndexPublishedLeaf|RollbackRetiresOffsetTable|EditsUpdateOffsetTable|EditKeepsReadersTable
+# The dereference cache's invalidation tests `make race` repeats: writers
+# closing entries at increasing epochs while readers fill the cache, and
+# every mutation of a warm object's latest through the engine, a View
+# pinned before the commit and a reshard round trip among them.
+DEREF_TESTS = InvalidationNeverServesSuperseded|DerefStalenessMatrix
+# The packages `make cover` holds to an 85% line-coverage floor.
+COVER_FLOOR_PKGS = obs workload delta matcache derefcache
 
 # Bare `make` keeps building, as before the help target existed.
 .DEFAULT_GOAL := build
@@ -34,9 +41,9 @@ help:
 	@echo "  vet      go vet ./..."
 	@echo "  fmt      fail if gofmt would reformat any file"
 	@echo "  race     full test suite under -race, then the restart, reset,"
-	@echo "           allocation, commit-pipeline and B+tree offset-table"
-	@echo "           tests twenty times over, and the pipeline liveness"
-	@echo "           tests at GOMAXPROCS 1 and 2"
+	@echo "           allocation, commit-pipeline, B+tree offset-table and"
+	@echo "           dereference-cache invalidation tests twenty times over,"
+	@echo "           and the pipeline liveness tests at GOMAXPROCS 1 and 2"
 	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race)"
 	@echo "  soak     metrics-reconciling soak suite at 1 and 4 shards (-race);"
 	@echo "           seeds default to 1,2,3 — override with a comma-separated"
@@ -55,8 +62,9 @@ help:
 	@echo "  fuzz     continuous fuzz over every native target, FUZZTIME=$(FUZZTIME) each"
 	@echo "  fuzz-smoke  same targets at 10s each — the CI tier"
 	@echo "  cover    line coverage, with 85% floors on internal/obs,"
-	@echo "           internal/workload, internal/delta, internal/matcache and"
-	@echo "           (per-file, over the delta battery) the two compact.go files"
+	@echo "           internal/workload, internal/delta, internal/matcache,"
+	@echo "           internal/derefcache and (per-file, over the delta"
+	@echo "           battery) the two compact.go files"
 	@echo "  loc      non-test Go lines per package, the ode.Options field count"
 	@echo "           and the number of declared /metrics series — the numbers"
 	@echo "           a consolidation PR is judged by"
@@ -93,13 +101,16 @@ fmt:
 # B+tree's entry-offset table tests: tables built and shared by readers,
 # derived by the writer alongside its edits — in its own page's buffer,
 # or a fresh one after a first-touch copy — and rebuilt in place after a
-# rollback, beside readers holding the published leaf.
+# rollback, beside readers holding the published leaf. The sixth repeats
+# the dereference cache's invalidation tests, whose races are between a
+# reader's fill and a writer's invalidation.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy
 	$(GO) test -race -count=20 -timeout 30m -run '$(PIPELINE_TESTS)' ./internal/txn .
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(LIVENESS_TESTS)|ViewSeesAckedPrefix' ./internal/txn
 	$(GO) test -race -count=20 -run '$(BTREE_TESTS)' ./internal/btree
+	$(GO) test -race -count=20 -run '$(DEREF_TESTS)' ./internal/derefcache .
 
 # The crash-consistency fault matrix (DESIGN.md §8, §12) under the race
 # detector: every WAL/storage injection point plus the engine-level
@@ -189,43 +200,32 @@ delta-matrix:
 	$(GO) test -race -count=1 -run 'TestDeepChainShape' ./internal/workload
 	$(GO) run -race ./cmd/odebench -scale ci -only E17 -deltajson ""
 
-# Line coverage, with hard floors on internal/obs and internal/workload:
-# the observability layer is pure bookkeeping and the workload harness
-# is the correctness oracle — uncovered lines there are untested claims.
+# Line coverage, with hard floors on COVER_FLOOR_PKGS: the observability
+# layer is pure bookkeeping, the workload harness is the correctness
+# oracle and the caches decide what a read may serve — uncovered lines
+# there are untested claims. The compaction write-side lives in
+# internal/core/compact.go and DB.Compact in compact.go, both exercised
+# from the root delta battery (including its read-fault and crash
+# matrices) — so the 85% floors there are per-file, measured over that
+# battery; the uncovered remainder is I/O-error returns the fault
+# matrices don't reach. The profiles go to a temporary directory,
+# removed when the recipe ends.
 cover:
 	$(GO) test -cover ./...
-	$(GO) test -coverprofile=/tmp/obs.cover ./internal/obs
-	@$(GO) tool cover -func=/tmp/obs.cover | awk '/^total:/ { \
-	  pct = $$3 + 0; \
-	  printf "internal/obs coverage: %s (floor 85%%)\n", $$3; \
-	  if (pct < 85) { print "FAIL: internal/obs below 85% coverage"; exit 1 } }'
-	$(GO) test -coverprofile=/tmp/workload.cover ./internal/workload
-	@$(GO) tool cover -func=/tmp/workload.cover | awk '/^total:/ { \
-	  pct = $$3 + 0; \
-	  printf "internal/workload coverage: %s (floor 85%%)\n", $$3; \
-	  if (pct < 85) { print "FAIL: internal/workload below 85% coverage"; exit 1 } }'
-	$(GO) test -coverprofile=/tmp/delta.cover ./internal/delta
-	@$(GO) tool cover -func=/tmp/delta.cover | awk '/^total:/ { \
-	  pct = $$3 + 0; \
-	  printf "internal/delta coverage: %s (floor 85%%)\n", $$3; \
-	  if (pct < 85) { print "FAIL: internal/delta below 85% coverage"; exit 1 } }'
-	$(GO) test -coverprofile=/tmp/matcache.cover ./internal/matcache
-	@$(GO) tool cover -func=/tmp/matcache.cover | awk '/^total:/ { \
-	  pct = $$3 + 0; \
-	  printf "internal/matcache coverage: %s (floor 85%%)\n", $$3; \
-	  if (pct < 85) { print "FAIL: internal/matcache below 85% coverage"; exit 1 } }'
-	# The compaction write-side lives in internal/core/compact.go and
-	# DB.Compact in compact.go, both exercised from the root delta
-	# battery (including its read-fault and crash matrices) — so
-	# the 85% floors here are per-file, measured over that battery. The
-	# uncovered remainder is I/O-error returns the fault matrices don't
-	# reach.
-	$(GO) test -count=1 -run 'TestDelta' -coverprofile=/tmp/deltatier.cover -coverpkg=./internal/core,. .
-	@for f in ode/internal/core/compact.go ode/compact.go; do \
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	for p in $(COVER_FLOOR_PKGS); do \
+	  $(GO) test -coverprofile=$$d/$$p.cover ./internal/$$p; \
+	  $(GO) tool cover -func=$$d/$$p.cover | awk -v pkg=internal/$$p '/^total:/ { \
+	    pct = $$3 + 0; \
+	    printf "%s coverage: %s (floor 85%%)\n", pkg, $$3; \
+	    if (pct < 85) { printf "FAIL: %s below 85%% coverage\n", pkg; exit 1 } }'; \
+	done; \
+	$(GO) test -count=1 -run 'TestDelta' -coverprofile=$$d/deltatier.cover -coverpkg=./internal/core,. .; \
+	for f in ode/internal/core/compact.go ode/compact.go; do \
 	  awk -v file="$$f" '$$1 ~ "^"file { t += $$2; if ($$3 > 0) c += $$2 } END { \
 	    pct = 100*c/t; \
 	    printf "%s coverage: %.1f%% (floor 85%%)\n", file, pct; \
-	    if (pct < 85) { printf "FAIL: %s below 85%% coverage\n", file; exit 1 } }' /tmp/deltatier.cover || exit 1; \
+	    if (pct < 85) { printf "FAIL: %s below 85%% coverage\n", file; exit 1 } }' $$d/deltatier.cover; \
 	done
 
 # The consolidation scoreboard: non-test Go lines per package (GoFiles

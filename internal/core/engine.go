@@ -112,8 +112,8 @@ type Options struct {
 	CacheBytes int64
 
 	// DerefCacheBytes is the read-side dereference cache budget (latest
-	// version id + materialised content keyed by oid, epoch-tagged like
-	// the materialisation cache); 0 means DefaultDerefCacheBytes,
+	// version id + materialised content keyed by oid, valid until a
+	// commit changes the object); 0 means DefaultDerefCacheBytes,
 	// negative disables it. Unlike CacheBytes it is independent of the
 	// delta tier: the hot Deref path benefits under every policy.
 	DerefCacheBytes int64
@@ -154,10 +154,11 @@ type Engine struct {
 	cache *matcache.Cache
 
 	// dcache is the read-side dereference cache (nil when disabled):
-	// oid → (latest vid, content), tagged with the reading snapshot's
-	// (shard, epoch) under the same exact-match rule as cache, so a hot
-	// Deref skips the header probe and payload walk entirely and a live
-	// reshard can never serve stale placement.
+	// oid → (latest vid, content) on a shard, valid from the epoch it
+	// was read at until a writer changing the object there invalidates
+	// it at its commit epoch (shardTx.invalidate), so a hot Deref skips
+	// the header probe and payload walk entirely until its own object
+	// changes.
 	dcache *derefcache.Cache
 
 	// heapSpace holds each shard's heap free-space cache, shared across
@@ -233,6 +234,10 @@ type shardTx struct {
 	// resolved on first allocation.
 	al  *shardAlloc
 	alm *obs.Metrics
+
+	// invalLast is the object this bundle last invalidated in the
+	// dereference cache (invalidate).
+	invalLast oid.OID
 
 	writable bool
 }
@@ -602,7 +607,37 @@ func (tx *shardTx) loadHeader(o oid.OID) (objHeader, error) {
 }
 
 func (tx *shardTx) storeHeader(o oid.OID, h objHeader) error {
+	tx.invalidate(o)
 	return tx.objTable.Put(objKey(o), h.encode())
+}
+
+// invalidate closes o's dereference-cache entry on this shard at the
+// epoch this transaction's commit publishes at. Every write of o's
+// object-table record or version records calls it. The writes of one
+// operation, and of a bulk load, come in a run per object, so the call
+// reaches the cache once per run: a repeat within the attempt closes
+// the entry at the same epoch again, which changes nothing, and a set
+// of every object seen would cost a bulk load more than the repeats it
+// saves.
+//
+// That epoch is exactly the write view's Epoch()+1. The bundle is
+// joined, so the transaction holds the shard's writer mutex from the
+// join to its commit or rollback. Pool.AdvanceEpoch has one caller,
+// Manager.submit, which runs under that mutex, for a commit and for a
+// 2PC prepare alike: no other commit can take the next epoch first. An
+// attempt that rolls back burns the epoch or leaves it to the next
+// commit; no reader pins a burned epoch, so the early close costs a
+// miss, never a stale read. Nothing looser would do: an epoch below the
+// commit's would let a reader pinned just before the commit store the
+// old latest above the floor, one above it would leave the entry open
+// to readers of the commit.
+func (tx *shardTx) invalidate(o oid.OID) {
+	c := tx.e.dcache
+	if c == nil || tx.invalLast == o {
+		return
+	}
+	tx.invalLast = o
+	c.Invalidate(uint64(o), tx.s, tx.st.Epoch()+1)
 }
 
 // Exists reports whether an object is present.

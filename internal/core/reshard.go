@@ -314,6 +314,8 @@ func moveObject(src, dst *shardTx, o oid.OID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	src.invalidate(o)
+	dst.invalidate(o)
 
 	type entry struct{ k, val []byte }
 	var vers []entry

@@ -77,6 +77,7 @@ func (tx *shardTx) loadVer(o oid.OID, v oid.VID) (verRec, error) {
 }
 
 func (tx *shardTx) storeVer(o oid.OID, v oid.VID, rec verRec) error {
+	tx.invalidate(o)
 	return tx.verIdx.Put(verKey(o, v), rec.encode())
 }
 
@@ -526,6 +527,7 @@ func (tx *shardTx) DeleteVersion(o oid.OID, v oid.VID) error {
 	if err := tx.dropAnnotations(o, v); err != nil {
 		return err
 	}
+	tx.invalidate(o)
 	if _, err := tx.verIdx.Delete(verKey(o, v)); err != nil {
 		return err
 	}
@@ -593,6 +595,7 @@ func (tx *shardTx) DeleteObject(o oid.OID) error {
 		v   oid.VID
 		rec verRec
 	}
+	tx.invalidate(o)
 	var versions []entry
 	err = tx.verIdx.AscendPrefix(objKey(o), func(k, val []byte) (bool, error) {
 		v := oid.VID(binary.BigEndian.Uint64(k[8:16]))

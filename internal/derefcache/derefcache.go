@@ -4,19 +4,24 @@
 // hot Deref/latest-version read skips the header probe, version-record
 // decode, heap read and delta walk entirely.
 //
-// The design is the materialisation cache's (matcache) epoch-tagging
-// model applied to the latest-version lookup, which — unlike a
-// (oid, vid) materialisation — is mutable: an update changes which
-// version is latest. Correctness still does not rely on invalidation.
-// Every entry is tagged with the (storage shard, commit epoch) it was
-// read at, and a lookup only hits when the reader's own pinned
-// (shard, epoch) pair matches exactly. A commit advances the shard's
-// epoch, making every entry cached under the previous epoch
-// unreachable — a stale latest can never be served, it can only age
-// out. The shard slot in the tag covers the reshard corner where an
-// object moves to a different physical shard whose independent epoch
-// counter happens to coincide with the old one, so a live reshard
-// never serves stale placement.
+// An entry is valid over an interval of its storage shard's commit
+// epochs. It holds from the epoch of the reader that stored it, and it
+// stays open until the writer that changes the object on that shard
+// closes it (Invalidate) at the epoch its commit publishes at: a Get by
+// a reader pinned at (shard, E) hits only when from <= E < until. A
+// commit to one object therefore leaves every other object's entry
+// serving, and a commit to this one keeps serving readers pinned before
+// it. The shard in the entry covers placement: an object moved by a
+// reshard is invalidated on both shards, and a reader routed to another
+// shard never hits.
+//
+// One race remains: a reader pinned before a commit misses, reads the
+// old latest and stores it after the writer invalidated. So Invalidate
+// also raises a per-shard floor in the entry's bucket to the commit
+// epoch, and a Put read below the floor is refused. The floor is the
+// newest invalidation's epoch, never an older one: a Put read between
+// two commits to the object would otherwise reopen the entry at content
+// the second one replaced.
 //
 // Eviction is CLOCK: a hit sets its entry's reference bit, writing it
 // only when it is clear so a hot entry's line is not dirtied per hit, and
@@ -36,13 +41,16 @@ import (
 // top of its content.
 const entryOverhead = 104
 
+// entry is 80 bytes, shard and ref sharing a word, so that a hit reads
+// and writes only its first 64.
 type entry struct {
 	o          uint64
-	shard      int
-	epoch      uint64
+	shard      int32
+	ref        bool   // hit since the sweep last passed it
+	from       uint64 // epoch of the reader that stored it
+	until      uint64 // epoch it was invalidated at; 0 while open
 	vid        uint64
 	content    []byte
-	ref        bool   // hit since the sweep last passed it
 	prev, next *entry // clock list; next was inserted or passed later
 }
 
@@ -53,6 +61,11 @@ type bucket struct {
 	head  *entry // next for the eviction sweep
 	tail  *entry // last inserted or passed
 	bytes int64
+
+	// floor holds, per storage shard (indexed like Cache.probes), the
+	// newest epoch an invalidation in this bucket was made at: a Put
+	// read below it is refused.
+	floor []uint64
 }
 
 // Cache is a sharded CLOCK cache of latest-version dereference results.
@@ -111,7 +124,7 @@ func New(capacity int64, nBuckets, maxShards int) *Cache {
 		probes:  make([]probeCount, maxShards+1),
 	}
 	for i := range c.buckets {
-		c.buckets[i] = &bucket{m: make(map[uint64]*entry)}
+		c.buckets[i] = &bucket{m: make(map[uint64]*entry), floor: make([]uint64, maxShards+1)}
 	}
 	return c
 }
@@ -126,44 +139,29 @@ func (c *Cache) bucketOf(o uint64) *bucket {
 	return c.buckets[h&uint64(len(c.buckets)-1)]
 }
 
-// probe returns the counters a probe by shard lands in.
-func (c *Cache) probe(shard int) *probeCount {
+// slot returns the index of shard's probe counters and bucket floors:
+// the last one takes every shard beyond the tracked range.
+func (c *Cache) slot(shard int) int {
 	if shard < 0 || shard >= len(c.probes)-1 {
-		shard = len(c.probes) - 1
+		return len(c.probes) - 1
 	}
-	return &c.probes[shard]
+	return shard
 }
+
+// probe returns the counters a probe by shard lands in.
+func (c *Cache) probe(shard int) *probeCount { return &c.probes[c.slot(shard)] }
 
 func (c *Cache) hit(shard int)  { c.probe(shard).hits.Add(1) }
 func (c *Cache) miss(shard int) { c.probe(shard).misses.Add(1) }
 
 // Get returns the latest vid and a copy of the content for o if an
-// entry exists AND was stored at exactly the caller's (shard, epoch).
-// An entry found under the same shard but an older epoch is provably
-// stale (epochs only advance) and is deleted on the way out.
+// entry exists for shard and is valid at epoch: stored by a reader at
+// or below it, and not invalidated at or below it.
 func (c *Cache) Get(o uint64, shard int, epoch uint64) (uint64, []byte, bool) {
 	b := c.bucketOf(o)
 	b.mu.Lock()
 	e, ok := b.m[o]
-	if !ok {
-		b.mu.Unlock()
-		c.miss(shard)
-		return 0, nil, false
-	}
-	if e.shard != shard || e.epoch != epoch {
-		// Drop only the provably stale: same shard, older epoch than the
-		// probing reader's. A probe from a reader pinned at an OLDER
-		// epoch, or from a different shard slot, must not evict a fresh
-		// entry.
-		if e.shard == shard && e.epoch < epoch {
-			b.unlink(e)
-			delete(b.m, o)
-			b.bytes -= int64(len(e.content)) + entryOverhead
-			b.mu.Unlock()
-			c.bytes.Add(-(int64(len(e.content)) + entryOverhead))
-			c.miss(shard)
-			return 0, nil, false
-		}
+	if !ok || int(e.shard) != shard || epoch < e.from || (e.until != 0 && epoch >= e.until) {
 		b.mu.Unlock()
 		c.miss(shard)
 		return 0, nil, false
@@ -180,10 +178,13 @@ func (c *Cache) Get(o uint64, shard int, epoch uint64) (uint64, []byte, bool) {
 	return vid, out, true
 }
 
-// Put stores a copy of content as o's latest-version result tagged with
-// (shard, epoch), evicting entries in CLOCK order until the bucket fits
-// its budget; the entry just stored is never the victim. Content larger
-// than the per-bucket budget is not cached.
+// Put stores a copy of content as o's latest-version result read on
+// shard at epoch, valid from epoch until an invalidation closes it, and
+// evicts entries in CLOCK order until the bucket fits its budget; the
+// entry just stored is never the victim. A read below the bucket's
+// floor for shard is refused: an invalidation may already have passed
+// the entry it would open. Content larger than the per-bucket budget is
+// not cached.
 func (c *Cache) Put(o uint64, shard int, epoch uint64, vid uint64, content []byte) {
 	cost := int64(len(content)) + entryOverhead
 	if cost > c.capPer {
@@ -194,16 +195,20 @@ func (c *Cache) Put(o uint64, shard int, epoch uint64, vid uint64, content []byt
 	copy(cp, content)
 
 	b.mu.Lock()
+	if epoch < b.floor[c.slot(shard)] {
+		b.mu.Unlock()
+		return
+	}
 	var delta int64
 	if old, ok := b.m[o]; ok {
 		delta -= int64(len(old.content)) + entryOverhead
 		b.bytes += delta
-		old.shard, old.epoch, old.vid, old.content = shard, epoch, vid, cp
+		old.shard, old.from, old.until, old.vid, old.content = int32(shard), epoch, 0, vid, cp
 		b.bytes += cost
 		delta += cost
 		b.touch(old)
 	} else {
-		e := &entry{o: o, shard: shard, epoch: epoch, vid: vid, content: cp}
+		e := &entry{o: o, shard: int32(shard), from: epoch, vid: vid, content: cp}
 		b.m[o] = e
 		b.append(e)
 		b.bytes += cost
@@ -231,7 +236,25 @@ func (c *Cache) Put(o uint64, shard int, epoch uint64, vid uint64, content []byt
 	}
 }
 
-// Reset drops every entry.
+// Invalidate closes o's entry for shard at epoch, the epoch the commit
+// that changes o on shard publishes at, and raises the bucket's floor
+// for shard to it. The caller invalidates before that commit is
+// published, so no reader that sees the change has stored an entry yet.
+// It allocates nothing.
+func (c *Cache) Invalidate(o uint64, shard int, epoch uint64) {
+	b := c.bucketOf(o)
+	b.mu.Lock()
+	if f := &b.floor[c.slot(shard)]; *f < epoch {
+		*f = epoch
+	}
+	if e, ok := b.m[o]; ok && int(e.shard) == shard && (e.until == 0 || epoch < e.until) {
+		e.until = epoch
+	}
+	b.mu.Unlock()
+}
+
+// Reset drops every entry. The floors stay: a reader pinned before an
+// invalidation must not store an entry afterwards.
 func (c *Cache) Reset() {
 	for _, b := range c.buckets {
 		b.mu.Lock()

@@ -31,16 +31,21 @@ func TestEpochTagMismatchNeverServes(t *testing.T) {
 	c := New(1<<20, 1, 8)
 	c.Put(7, 0, 5, 42, []byte("v5"))
 
-	// Newer reader epoch on the same shard: entry is provably stale,
-	// must miss AND be dropped.
-	if _, _, ok := c.Get(7, 0, 6); ok {
-		t.Fatal("served entry tagged with an older epoch")
+	// Newer reader epoch on the same shard: the entry serves every epoch
+	// until its invalidation, and none from it on.
+	if _, _, ok := c.Get(7, 0, 6); !ok {
+		t.Fatal("open entry missed at a newer epoch")
 	}
-	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("stale entry not dropped: %+v", st)
+	c.Invalidate(7, 0, 8)
+	if _, _, ok := c.Get(7, 0, 7); !ok {
+		t.Fatal("entry missed below its invalidation")
+	}
+	if _, _, ok := c.Get(7, 0, 8); ok {
+		t.Fatal("served entry at the epoch it was invalidated at")
 	}
 
 	// Older reader epoch: must miss but must NOT evict the fresh entry.
+	c = New(1<<20, 1, 8)
 	c.Put(7, 0, 5, 42, []byte("v5"))
 	if _, _, ok := c.Get(7, 0, 4); ok {
 		t.Fatal("served entry tagged with a newer epoch")

@@ -125,10 +125,10 @@ type Options struct {
 	// disables the cache.
 	MatCacheBytes int64
 	// DerefCacheBytes is the read-side dereference cache budget: a
-	// sharded, epoch-tagged LRU of (latest vid, materialised content)
-	// keyed by object id, letting hot Deref/latest reads on snapshot
-	// transactions skip page decoding entirely. Independent of
-	// DeltaTier. 0 means core.DefaultDerefCacheBytes (4 MiB), negative
+	// sharded CLOCK cache of (latest vid, materialised content) keyed by
+	// object id, letting hot Deref/latest reads on snapshot transactions
+	// skip page decoding entirely. An entry serves until a commit changes
+	// its own object. Independent of DeltaTier. 0 means core.DefaultDerefCacheBytes (4 MiB), negative
 	// disables it.
 	DerefCacheBytes int64
 	// PageSize applies when creating a new database (default 4096).
