@@ -17,6 +17,11 @@ LIVENESS_TESTS = ShardRunsOneBackgroundGoroutine|NoRequestStranded
 # failures, failures spanning overlapping flushes, acknowledged flushes
 # left to the collector, refused submits, and the liveness tests.
 PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|DecisionLogBounded|WriterCheckpointsPastTheSlack|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused|$(LIVENESS_TESTS)
+# The read-snapshot tests `make race` repeats at GOMAXPROCS 1 and 2: a
+# View is the state at one instant, an open publication bracket holds
+# every cut builder off, and a View never sees a cross-shard Update on
+# one shard and not the other.
+CUT_TESTS = ViewSeesAckedPrefix|PublishBracketHoldsBuildersOff|ShardedViewAtomicCrossShard
 # The B+tree entry-offset table tests `make race` repeats: readers racing
 # to build a published leaf's table while the writer edits its copy, a
 # rollback retiring the table of the bytes it undid, the writer's edits
@@ -43,7 +48,8 @@ help:
 	@echo "  race     full test suite under -race, then the restart, reset,"
 	@echo "           allocation, commit-pipeline, B+tree offset-table and"
 	@echo "           dereference-cache invalidation tests twenty times over,"
-	@echo "           and the pipeline liveness tests at GOMAXPROCS 1 and 2"
+	@echo "           and the pipeline liveness and read-snapshot tests at"
+	@echo "           GOMAXPROCS 1 and 2"
 	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race)"
 	@echo "  soak     metrics-reconciling soak suite at 1 and 4 shards (-race);"
 	@echo "           seeds default to 1,2,3 — override with a comma-separated"
@@ -97,7 +103,9 @@ fmt:
 # need more than the default ten-minute test timeout. The fourth runs
 # the liveness tests at GOMAXPROCS 1 and 2: at 1, a missed hand-off
 # between writers hangs instead of passing by luck. It also runs the
-# probe that a View is the state at one instant. The fifth repeats the
+# read-snapshot tests there (CUT_TESTS): the only guard of a cut against
+# a multi-shard publication is the generation's parity, and a builder
+# that slipped into a bracket would show as a torn View. The fifth repeats the
 # B+tree's entry-offset table tests: tables built and shared by readers,
 # derived by the writer alongside its edits — in its own page's buffer,
 # or a fresh one after a first-touch copy — and rebuilt in place after a
@@ -108,7 +116,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy
 	$(GO) test -race -count=20 -timeout 30m -run '$(PIPELINE_TESTS)' ./internal/txn .
-	$(GO) test -race -count=20 -cpu 1,2 -run '$(LIVENESS_TESTS)|ViewSeesAckedPrefix' ./internal/txn
+	$(GO) test -race -count=20 -cpu 1,2 -run '$(LIVENESS_TESTS)|$(CUT_TESTS)' ./internal/txn .
 	$(GO) test -race -count=20 -run '$(BTREE_TESTS)' ./internal/btree
 	$(GO) test -race -count=20 -run '$(DEREF_TESTS)' ./internal/derefcache .
 

@@ -353,12 +353,6 @@ func (s *shell) exec(line string) error {
 			}
 			return 100 * float64(h) / float64(h+m)
 		}
-		if cs, ok := s.db.Engine().MatCacheStats(); ok {
-			fmt.Fprintf(s.out, "matcache:    %d hits, %d misses (%.1f%% hit rate), %d evictions, %d entries, %d bytes\n",
-				cs.Hits, cs.Misses, hitRate(cs.Hits, cs.Misses), cs.Evictions, cs.Entries, cs.Bytes)
-		} else {
-			fmt.Fprintln(s.out, "matcache:    disabled")
-		}
 		if ds, ok := s.db.Engine().DerefCacheStats(); ok {
 			fmt.Fprintf(s.out, "derefcache:  %d hits, %d misses (%.1f%% hit rate), %d evictions, %d entries, %d bytes\n",
 				ds.Hits, ds.Misses, hitRate(ds.Hits, ds.Misses), ds.Evictions, ds.Entries, ds.Bytes)

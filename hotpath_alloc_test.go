@@ -40,8 +40,11 @@ import (
 //	  bundle on a hit — the cache is probed with the shard's epoch in the
 //	  cut, so a hit makes no view, no shard bundle and no bundle slice;
 //	  ceiling 10 → 6.
+//	commit, peeks from the readers' cut: 37 → 36 at both shard counts —
+//	  a write transaction keeps no per-shard snapshot slice, it takes a
+//	  reference on the cut at its first peek — ceiling 46 → 40.
 //
-// The ceilings pin those wins: the commit ceiling (46, at both shard
+// The ceilings pin those wins: the commit ceiling (40, at both shard
 // counts) keeps the in-place tree's saving on top of the ≥40% reduction
 // from the 92-alloc baseline, the deref ceiling (6, at both shard
 // counts) keeps the cache on the hot path and the shards off it. They
@@ -50,7 +53,7 @@ import (
 // extra copy chain, a cache bypass or a per-shard pin) costs far more
 // than that.
 const (
-	maxCommitAllocs = 46
+	maxCommitAllocs = 40
 	maxDerefAllocs  = 6
 )
 

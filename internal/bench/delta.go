@@ -36,8 +36,7 @@ type DeltaResult struct {
 	// itself; the delta rows are the headline claim).
 	SpaceReduction float64 `json:"space_reduction_vs_full"`
 
-	// Cold reads: random-depth derefs with the materialisation cache
-	// reset before every read, so each one walks its delta chain from
+	// Cold reads: random-depth derefs, each walking its delta chain from
 	// the nearest full anchor.
 	ColdP50US float64 `json:"cold_p50_us"`
 	ColdP99US float64 `json:"cold_p99_us"`
@@ -46,16 +45,13 @@ type DeltaResult struct {
 	// anchor interval plus the anchor itself.
 	ColdMaxLinks uint64 `json:"cold_max_links"`
 
-	// Hot reads: the same version re-read with a warm cache, against
-	// the full-copy baseline's read of the same version.
+	// Hot reads: the same deep version re-read with its pages warm,
+	// against the full-copy baseline's read of the same version.
 	HotMeanUS float64 `json:"hot_mean_us"`
 	HotP99US  float64 `json:"hot_p99_us"`
-	// HotVsFull is hotMean / baselineHotMean (≤ ~1.0 expected: a cache
-	// hit skips the version-index lookup and the heap read).
+	// HotVsFull is hotMean / baselineHotMean: what applying up to an
+	// anchor interval of deltas costs over reading one full payload.
 	HotVsFull float64 `json:"hot_vs_full_ratio"`
-
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
 }
 
 // deltaEdit mutates a copy of prev: a short random splice, the shape of
@@ -74,7 +70,7 @@ func deltaEdit(rng *rand.Rand, prev []byte) []byte {
 // delta tier at anchor intervals 4 and 16. After compacting to the
 // fixpoint we measure the payload heap against the logical payload
 // volume, cold reads that materialise through the delta chain, and hot
-// cache-hit reads against the full-copy baseline.
+// re-reads of one deep version against the full-copy baseline.
 func E17(root string, s Scale) (*Table, error) {
 	nVersions := s.n(1000)
 	if nVersions < 40 {
@@ -86,7 +82,7 @@ func E17(root string, s Scale) (*Table, error) {
 
 	t := &Table{
 		Title: "E17 — delta-compressed version storage (deep-history chain)",
-		Note: fmt.Sprintf("one object, %d-version linear chain of 24-byte edits on a %d-byte payload; delta rows are compacted to the fixpoint before measuring. space reduction = full-copy heap / delta heap. cold = cache reset before every read (full chain walk); hot = warm-cache re-reads of one deep version vs the full-copy baseline.",
+		Note: fmt.Sprintf("one object, %d-version linear chain of 24-byte edits on a %d-byte payload; delta rows are compacted to the fixpoint before measuring. space reduction = full-copy heap / delta heap. cold = random-depth reads, each a chain walk; hot = re-reads of one deep version vs the full-copy baseline.",
 			nVersions, payloadBytes),
 		Headers: []string{"mode", "anchor", "payload heap", "space vs full", "max depth", "cold p50/p99 (µs)", "max links", "hot mean (µs)", "hot vs full"},
 	}
@@ -106,7 +102,6 @@ func E17(root string, s Scale) (*Table, error) {
 		if c.mode == "delta" {
 			opts.DeltaTier = true
 			opts.AnchorInterval = c.interval
-			opts.MatCacheBytes = 8 << 20
 		}
 		db, err := ode.Open(dir, opts)
 		if err != nil {
@@ -162,14 +157,13 @@ func E17(root string, s Scale) (*Table, error) {
 			return nil, err
 		}
 
-		// Cold: reset the cache before every read so each deref walks
-		// its chain from the nearest anchor.
+		// Cold: random versions, so each deref walks its chain from the
+		// nearest anchor through pages it has not just read.
 		readRng := rand.New(rand.NewSource(1701))
 		var coldTm Timer
 		err = db.View(func(tx *ode.Tx) error {
 			for i := 0; i < coldReads; i++ {
 				v := vids[readRng.Intn(len(vids))]
-				db.Engine().ResetMatCache()
 				coldTm.Time(func() {
 					if _, err := tx.ReadVersionRaw(o, v); err != nil {
 						panic(err)
@@ -183,7 +177,7 @@ func E17(root string, s Scale) (*Table, error) {
 			return nil, err
 		}
 
-		// Hot: one deep (delta-encoded) version, warm cache.
+		// Hot: one deep (delta-encoded) version, read again and again.
 		hotV := vids[len(vids)-2]
 		var hotTm Timer
 		err = db.View(func(tx *ode.Tx) error {
@@ -218,7 +212,6 @@ func E17(root string, s Scale) (*Table, error) {
 			ColdMaxLinks: ms.DeltaChainLen.Max,
 			HotMeanUS:    float64(hotTm.Mean().Nanoseconds()) / 1e3,
 			HotP99US:     float64(hotTm.P99().Nanoseconds()) / 1e3,
-			CacheHits:    ms.CacheHits, CacheMisses: ms.CacheMisses,
 		}
 		if c.mode == "full" {
 			fullHeap = r.HeapBytes

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the delta storage tier's write side (DESIGN.md §14).
-// Reads materialise through readContent/the cache; here live the two
+// Reads materialise through readContent; here live the two
 // primitives that change how a version's payload is REPRESENTED without
 // changing its content:
 //

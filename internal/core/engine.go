@@ -42,7 +42,6 @@ import (
 	"ode/internal/btree"
 	"ode/internal/codec"
 	"ode/internal/derefcache"
-	"ode/internal/matcache"
 	"ode/internal/obs"
 	"ode/internal/oid"
 	"ode/internal/storage"
@@ -97,8 +96,7 @@ type Options struct {
 	// DeltaTier enables the delta storage tier (DESIGN.md §14): every
 	// version is written as a full payload, and the write that makes it
 	// cold, or a compaction sweep, demotes it to a delta against its
-	// D-parent. Materialised contents flow through the epoch-tagged LRU
-	// cache. Off, payloads stay as written; deltas written by earlier
+	// D-parent. Off, payloads stay as written; deltas written by earlier
 	// code are still read.
 	DeltaTier bool
 	// AnchorInterval bounds a delta chain: the delta tier only demotes a
@@ -107,15 +105,12 @@ type Options struct {
 	// versions found deeper (after the interval shrank across a reopen).
 	// 0 means DefaultAnchorInterval; at most MaxAnchorInterval.
 	AnchorInterval int
-	// CacheBytes is the materialisation cache budget; 0 means
-	// DefaultCacheBytes, negative disables the cache.
-	CacheBytes int64
 
 	// DerefCacheBytes is the read-side dereference cache budget (latest
 	// version id + materialised content keyed by oid, valid until a
 	// commit changes the object); 0 means DefaultDerefCacheBytes,
-	// negative disables it. Unlike CacheBytes it is independent of the
-	// delta tier: the hot Deref path benefits under every policy.
+	// negative disables it. It is independent of the delta tier: the hot
+	// Deref path benefits under every policy.
 	DerefCacheBytes int64
 }
 
@@ -127,8 +122,9 @@ const DefaultAnchorInterval = 16
 // holds its chain depth in 16 bits.
 const MaxAnchorInterval = math.MaxUint16
 
-// DefaultCacheBytes is the materialisation cache budget when the delta
-// tier is on and Options.CacheBytes is zero.
+// DefaultCacheBytes was the budget of the retired materialisation cache;
+// nothing in the engine reads it. It stays while the benchmark's matcache
+// probe sizes its cache with it.
 const DefaultCacheBytes = 4 << 20
 
 // DefaultDerefCacheBytes is the dereference cache budget when
@@ -146,12 +142,6 @@ type Engine struct {
 	// shard owns — walk lengths, delta-tier and compaction activity. (Id
 	// allocation is a shard's, and counted in that shard's registry.)
 	m *obs.Metrics
-
-	// cache is the materialisation cache (nil unless the delta tier is
-	// on and Options.CacheBytes >= 0). Entries are tagged with the
-	// (shard, epoch) they were built at and only served to readers
-	// pinned at exactly that pair, so no invalidation is needed.
-	cache *matcache.Cache
 
 	// dcache is the read-side dereference cache (nil when disabled):
 	// oid → (latest vid, content) on a shard, valid from the epoch it
@@ -260,13 +250,6 @@ func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
 		e.heapSpace[i] = storage.NewHeapState()
 	}
 	c.OnRollback(e.resetShard)
-	if opts.DeltaTier && opts.CacheBytes >= 0 {
-		cap := opts.CacheBytes
-		if cap == 0 {
-			cap = DefaultCacheBytes
-		}
-		e.cache = matcache.New(cap, 16)
-	}
 	if opts.DerefCacheBytes >= 0 {
 		cap := opts.DerefCacheBytes
 		if cap == 0 {
@@ -444,23 +427,6 @@ func (e *Engine) Coordinator() *txn.Coordinator { return e.c }
 
 // DeltaTier reports whether the delta storage tier is enabled.
 func (e *Engine) DeltaTier() bool { return e.opts.DeltaTier }
-
-// MatCacheStats snapshots the materialisation cache counters; ok is
-// false when the cache is disabled.
-func (e *Engine) MatCacheStats() (matcache.Stats, bool) {
-	if e.cache == nil {
-		return matcache.Stats{}, false
-	}
-	return e.cache.Stats(), true
-}
-
-// ResetMatCache drops every materialisation cache entry (benchmarks use
-// this to measure cold chain walks).
-func (e *Engine) ResetMatCache() {
-	if e.cache != nil {
-		e.cache.Reset()
-	}
-}
 
 // DerefCacheStats snapshots the dereference cache counters; ok is false
 // when the cache is disabled.

@@ -49,8 +49,8 @@ type Tx struct {
 	// snapshot bundles of a read transaction (nil until its first).
 	shards []*shardTx
 	// metaPeek is a snapshot bundle of shard 0 a write transaction uses
-	// for read-only catalog lookups only (see shardPeek); a later join
-	// of shard 0 drops it.
+	// for read-only catalog lookups only (see shardPeek0); once shard 0
+	// is joined the live bundle serves them instead.
 	metaPeek *shardTx
 	// lastAlloc is the shard this transaction allocated its first object
 	// on (-1 before the first Create); later allocations reuse it so a
@@ -72,9 +72,6 @@ func (tx *Tx) shardW(s int) (*shardTx, error) {
 	v, err := tx.w.Join(s)
 	if err != nil {
 		return nil, err
-	}
-	if s == 0 {
-		tx.metaPeek = nil // Join released the peek's snapshot
 	}
 	b := tx.e.newShardTx(v, tx.e.takeHeapSpace(s), tx, s, true)
 	tx.shards[s] = b
@@ -108,9 +105,10 @@ func (tx *Tx) shardR(s int) (*shardTx, error) {
 
 // shardPeek returns a bundle for a read-only CATALOG lookup on shard 0:
 // the live bundle when shard 0 is joined, the pinned snapshot on a read
-// transaction, otherwise a committed-snapshot peek that does NOT join
-// the shard. The type catalog is append-only (types are registered,
-// never removed or rebound), so a lookup that misses a concurrently
+// transaction, otherwise a peek at shard 0 in the readers' cut
+// (txn.WriteTx.View) that does NOT join the shard. The type catalog is
+// append-only (types are registered, never removed or rebound), so a
+// lookup that misses a concurrently
 // registered type is equivalent to serializing before the registering
 // transaction — no lost-update cycle is possible, unlike object reads
 // (shardR). The peek keeps the hot create path (type check on shard 0,
@@ -201,15 +199,6 @@ func (tx *Tx) loadVerOf(o oid.OID, v oid.VID) (verRec, error) {
 
 // Writable reports whether this transaction may mutate.
 func (tx *Tx) Writable() bool { return tx.writable }
-
-// Epoch returns the snapshot epoch this transaction reads shard 0 at.
-func (tx *Tx) Epoch() uint64 {
-	b, err := tx.shardR(0)
-	if err != nil {
-		return 0
-	}
-	return b.st.Epoch()
-}
 
 // --- objects and versions (routed by oid/vid) ---
 

@@ -174,52 +174,22 @@ func (tx *shardTx) readContent(o oid.OID, rec verRec) ([]byte, error) {
 	}
 }
 
-// cacheGet consults the materialisation cache. Only snapshot (read)
-// transactions use the cache: their (shard, epoch) pin is exactly the
-// tag entries are stored under, while a writer reads its own in-flight
-// state which the cache must neither serve nor absorb.
-func (tx *shardTx) cacheGet(o oid.OID, v oid.VID) ([]byte, bool) {
-	c := tx.e.cache
-	if c == nil || tx.writable {
-		return nil, false
-	}
-	return c.Get(uint64(o), uint64(v), tx.s, tx.st.Epoch())
-}
-
-// cachePut stores a materialised content under the reading snapshot's
-// (shard, epoch) tag; no-op on write transactions.
-func (tx *shardTx) cachePut(o oid.OID, v oid.VID, content []byte) {
-	c := tx.e.cache
-	if c == nil || tx.writable {
-		return
-	}
-	c.Put(uint64(o), uint64(v), tx.s, tx.st.Epoch(), content)
-}
-
 // ReadVersion returns the content of a specific version — the paper's
-// specific-reference dereference (*vp on a version id).
+// specific-reference dereference (*vp on a version id): its record, and
+// the payload chain applied back to a full anchor.
 func (tx *shardTx) ReadVersion(o oid.OID, v oid.VID) ([]byte, error) {
-	if content, ok := tx.cacheGet(o, v); ok {
-		return content, nil
-	}
 	rec, err := tx.loadVer(o, v)
 	if err != nil {
 		return nil, err
 	}
-	content, err := tx.readContent(o, rec)
-	if err != nil {
-		return nil, err
-	}
-	tx.cachePut(o, v, content)
-	return content, nil
+	return tx.readContent(o, rec)
 }
 
 // ReadLatest returns the latest version's content and its vid — the
 // paper's generic-reference dereference (*p on an object id binds to the
 // latest version at access time). The routing Tx probes and fills the
-// dereference cache around it; the materialisation cache is for older
-// versions, and the latest is full under the delta tier (DESIGN.md
-// §14.2).
+// dereference cache around it; the latest is full under the delta tier
+// (DESIGN.md §14.2).
 func (tx *shardTx) ReadLatest(o oid.OID) ([]byte, oid.VID, error) {
 	h, err := tx.loadHeader(o)
 	if err != nil {

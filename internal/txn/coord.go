@@ -109,8 +109,9 @@ var ErrPartialLayout = errors.New("txn: directory has shard files but no shards.
 // physical shards and the shard map assigning id ranges to them. Every
 // transaction captures one bundle pointer at begin; a pointer compare
 // at join time detects concurrent map changes. The bundle is replaced
-// as a whole (never mutated) under pmu, in the same critical section
-// that publishes the map-flipping transaction's epochs.
+// as a whole (never mutated) inside a publication bracket
+// (beginPublish), the same one that publishes the map-flipping
+// transaction's epochs.
 type routing struct {
 	ms   []*Manager
 	rmap *storage.ShardMap
@@ -122,9 +123,9 @@ type routing struct {
 // Shards() for stats, backup and tests.
 type Coordinator struct {
 	// routing is the current bundle: physical shards + shard map. It is
-	// swapped atomically (under pmu) when a map-changing transaction
-	// commits or a reshard grows the physical shard set; readers load it
-	// once and work against the snapshot.
+	// swapped atomically (in a publication bracket) when a map-changing
+	// transaction commits or a reshard grows the physical shard set;
+	// readers load it once and work against the snapshot.
 	routing  atomic.Pointer[routing]
 	opts     Options
 	dir      string
@@ -154,22 +155,15 @@ type Coordinator struct {
 	shardsFile faultfs.File // open shards.ode handle for frame appends
 	mapDirty   bool         // newest map flip lives only in the clog; trimDecisionLog folds it
 
-	// pmu makes cross-shard snapshots atomic with respect to cross-shard
-	// commits: commit2PC publishes a decided transaction's epoch on every
-	// dirty shard under pmu (write side), and whoever pins a snapshot —
-	// the builder of a cut, a write transaction's peek — does so under
-	// pmu (read side). Without it a builder pinning shards sequentially
-	// could observe a 2PC transaction on one shard but not another.
-	// Single-shard publications (each individually atomic) do not take
-	// it, and neither does a reader that finds a cut to share. Lock
-	// order: cmu before pmu; the read side takes pmu alone.
-	pmu sync.RWMutex
-
 	// cur is the read snapshot every reader shares (cut.go) and gen the
 	// generation that says whether it may still be handed out: bumped by
 	// every publication — a shard's durable epoch moving, the routing
 	// bundle being swapped, Close — after the change is stored and before
-	// it is acknowledged. buildHook, when a test sets it, runs in the
+	// it is acknowledged. A publication that stores on several shards, or
+	// swaps the bundle, also bumps it before its first store, holding it
+	// odd while it stores (beginPublish, under cmu): builders pin only at
+	// an even generation, so a cut never holds a 2PC transaction on one
+	// shard and not another. buildHook, when a test sets it, runs in the
 	// builder between its generation load and its pins.
 	cur       atomic.Pointer[cut]
 	gen       atomic.Uint64
@@ -897,8 +891,9 @@ type restart struct {
 }
 
 // WriteTx is a coordinated write transaction's handle: one live view
-// per joined shard, lazily pinned snapshots for shards it only reads.
-// It is only valid inside the fn passed to Write.
+// per joined shard, and for shards it only reads, the readers' cut,
+// referenced from the first such read to the end of the attempt. It is
+// only valid inside the fn passed to Write.
 type WriteTx struct {
 	c         *Coordinator
 	rt        *routing // bundle pinned at begin; joins validate against it
@@ -907,7 +902,7 @@ type WriteTx struct {
 	trs       []*tracker
 	txids     []oid.TxID
 	epochs    []uint64
-	snaps     []*storage.TxView
+	peek      *ReadTx // nil until the first View of an unjoined shard
 	joined    []bool
 	maxJoined int
 	ended     *restart // set once the attempt must restart
@@ -923,7 +918,7 @@ func (w *WriteTx) Map() *storage.ShardMap { return w.rt.rmap }
 
 // SetShardMap stages a replacement shard map to commit atomically with
 // the transaction's data: the image rides the decision record, and the
-// routing bundle is swapped in the same pmu critical section that
+// routing bundle is swapped in the same publication bracket that
 // publishes the dirty shards' epochs. Reshard chunks use it to flip a
 // migrated range's assignment together with the data move.
 func (w *WriteTx) SetShardMap(m *storage.ShardMap) { w.newMap = m }
@@ -938,46 +933,40 @@ func (w *WriteTx) end(rs restart) {
 }
 
 // View returns a view of shard s: the live writer view when the shard
-// is joined, otherwise a read snapshot pinned at the shard's durable
-// epoch. Mutating intent must go through Join. The snapshot pin
-// validates the routing bundle under pmu — the same lock a committing
-// reshard swaps the bundle under — so a snapshot can never be pinned
-// after a range it will be read through has already moved away; if the
-// bundle moved, the attempt restarts.
+// is joined, otherwise a handle on the shard's snapshot in the readers'
+// cut, which the first such call takes a reference on for the rest of
+// the attempt, so every peek of one attempt is of one instant. Mutating
+// intent must go through Join. A cut pinned under another routing
+// bundle than the attempt's may hold a range the attempt routes
+// elsewhere: the attempt restarts.
 func (w *WriteTx) View(s int) (*storage.TxView, error) {
 	if w.joined[s] {
 		return w.views[s], nil
 	}
-	if w.snaps[s] == nil {
-		w.c.pmu.RLock()
-		if w.c.routing.Load() != w.rt {
-			w.c.pmu.RUnlock()
-			w.end(restart{routing: true})
-		}
-		v, err := w.rt.ms[s].BeginRead()
-		w.c.pmu.RUnlock()
+	if w.peek == nil {
+		ct, err := w.c.currentCut()
 		if err != nil {
 			return nil, err
 		}
-		w.snaps[s] = v
+		if ct.rt != w.rt {
+			ct.release()
+			w.end(restart{routing: true})
+		}
+		w.peek = &ReadTx{ct: ct}
 	}
-	return w.snaps[s], nil
+	return w.peek.View(s), nil
 }
 
 // Join locks shard s for writing and returns its live view. A join
 // above every shard held waits for the writer mutex; one below only
 // tries it, and restarts the attempt if the mutex is taken — so a
 // transaction only ever waits for a shard above all it holds, and no
-// wait-for cycle can form. A snapshot previously handed out for s is
-// released: callers must re-derive any state (tree handles) from the
-// returned live view.
+// wait-for cycle can form. A snapshot handle View handed out for s
+// stays a view of the cut: callers must re-derive any state (tree
+// handles) from the returned live view.
 func (w *WriteTx) Join(s int) (*storage.TxView, error) {
 	if w.joined[s] {
 		return w.views[s], nil
-	}
-	if w.snaps[s] != nil {
-		w.rt.ms[s].EndRead(w.snaps[s])
-		w.snaps[s] = nil
 	}
 	m := w.rt.ms[s]
 	if s < w.maxJoined {
@@ -1016,20 +1005,11 @@ func (w *WriteTx) Join(s int) (*storage.TxView, error) {
 	return v, nil
 }
 
-// endSnaps releases every read snapshot.
-func (w *WriteTx) endSnaps() {
-	for s, v := range w.snaps {
-		if v != nil {
-			w.rt.ms[s].EndRead(v)
-			w.snaps[s] = nil
-		}
-	}
-}
-
 // release closes every joined view and unlocks the shards, rolling
-// each back first when rollback is set; either way the attempt then
-// holds nothing. A rollback resets what the owner keeps per shard there
-// and then, under the shard's mutex (Manager.rollbackQuiet).
+// each back first when rollback is set, and gives the cut back; either
+// way the attempt then holds nothing. A rollback resets what the owner
+// keeps per shard there and then, under the shard's mutex
+// (Manager.rollbackQuiet).
 func (w *WriteTx) release(rollback bool) {
 	for s := len(w.joined) - 1; s >= 0; s-- {
 		if !w.joined[s] {
@@ -1042,7 +1022,10 @@ func (w *WriteTx) release(rollback bool) {
 		}
 		w.rt.ms[s].unlockWriter()
 	}
-	w.endSnaps()
+	if w.peek != nil {
+		w.peek.end()
+		w.peek = nil
+	}
 }
 
 // Write runs fn as one transaction across however many shards it
@@ -1089,7 +1072,6 @@ func (c *Coordinator) newWriteTx() *WriteTx {
 		trs:       make([]*tracker, n),
 		txids:     make([]oid.TxID, n),
 		epochs:    make([]uint64, n),
-		snaps:     make([]*storage.TxView, n),
 		joined:    make([]bool, n),
 		maxJoined: -1,
 	}
@@ -1279,10 +1261,11 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 	// Phase 3: shard-local decides, still under cmu so a concurrent
 	// checkpoint cannot reset the decision log while any shard still
 	// needs its record. The decide records (with their fsyncs) are
-	// written first, outside pmu; then every dirty shard's epoch is
-	// published under pmu as one atomic step, so a cross-shard reader
-	// (a cut is built with all its shards pinned under pmu) sees this
-	// transaction on all of its shards or on none. A decide failure
+	// written first, outside the publication bracket; then every dirty
+	// shard's epoch is published inside it as one step, so a cross-shard
+	// reader (a cut is pinned only at an even generation, outside every
+	// bracket) sees this transaction on all of its shards or on none. A
+	// decide failure
 	// poisons that shard but the commit IS durable (prepare record +
 	// decision); the remaining shards — and the poisoned one — still
 	// publish.
@@ -1292,20 +1275,18 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 			decErr = err
 		}
 	}
-	c.pmu.Lock()
+	c.beginPublish()
 	for _, s := range dirty {
-		wtx.rt.ms[s].publishJoined(wtx.epochs[s])
+		wtx.rt.ms[s].publish(wtx.epochs[s])
 	}
 	if wtx.newMap != nil {
-		// The bundle swap shares the epoch-publication critical section:
-		// a reader pinning its snapshots under pmu sees the new map with
-		// the moved data, or the old map with the data still at the
-		// source — never a mix.
+		// The bundle swap shares the epochs' bracket: a cut sees the new
+		// map with the moved data, or the old map with the data still at
+		// the source — never a mix.
 		c.routing.Store(&routing{ms: wtx.rt.ms, rmap: wtx.newMap})
 		c.mapDirty = true // newest flip lives only in the clog until folded
 	}
-	c.published()
-	c.pmu.Unlock()
+	c.endPublish()
 	if decErr != nil {
 		// Recovery of the poisoned shard needs the decision record.
 		c.noReset = true

@@ -8,6 +8,7 @@
 package txn
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"ode/internal/storage"
@@ -16,23 +17,25 @@ import (
 // cut is one consistent read snapshot of the whole database: the routing
 // bundle and, per physical shard, a reader view pinned at that shard's
 // durable epoch with its superblock decoded. It is immutable once built.
-// The pins are taken under pmu's read side, which excludes two-phase
-// publication and routing flips: a cross-shard transaction is in a cut on
-// all of its shards or on none, and the map matches the data. A served
-// cut is the state at one instant — a prefix of the temporal order over
-// acknowledged commits: with any commit it holds, it holds every commit
-// acknowledged before that one began. Single-shard commits take no lock
-// against the builder; the generation recheck (gen) discards any cut
-// that a publication acknowledged mid-build could have split
-// (TestViewSeesAckedPrefix).
+// The pins are taken at an even generation and kept only if the
+// generation has not moved by the end: a two-phase publication or a
+// routing flip holds the generation odd while it stores (beginPublish),
+// so a cross-shard transaction is in a cut on all of its shards or on
+// none, and the map matches the data. A served cut is the state at one
+// instant — a prefix of the temporal order over acknowledged commits:
+// with any commit it holds, it holds every commit acknowledged before
+// that one began. No publisher takes a lock against the builder; the
+// generation recheck discards any cut that a publication could have
+// split (TestViewSeesAckedPrefix, TestPublishBracketHoldsBuildersOff).
 type cut struct {
 	rt    *routing
 	views []*storage.TxView
-	// gen is the coordinator's generation the builder read before it
-	// pinned. The cut may be handed to a reader only while it still equals
-	// the coordinator's: every publication bumps that after storing its
-	// epoch, so an equal generation proves no publication completed
-	// between the pins and the check.
+	// gen is the (even) coordinator generation the builder read before
+	// it pinned. The cut may be handed to a reader only while it still
+	// equals the coordinator's: a single-shard publication bumps that
+	// after storing its epoch, a multi-shard one before its first store
+	// and again after its last, so an equal generation proves no
+	// publication began or completed between the pins and the check.
 	gen uint64
 	// refs counts the holders: one per open ReadTx, plus one for the
 	// coordinator while the cut is installed as its current one. The
@@ -76,9 +79,22 @@ func (ct *cut) unpin() {
 // moved and cannot be handed a cut pinned before the change. The
 // coordinator's reference goes with it: once the last reader holding the
 // old cut ends, its pins are gone, so a stretch of commits with no
-// reader retains no snapshot page.
-func (c *Coordinator) published() {
-	g := c.gen.Add(1)
+// reader retains no snapshot page. It adds 2, so inside another
+// publisher's bracket the generation stays odd.
+func (c *Coordinator) published() { c.retire(c.gen.Add(2)) }
+
+// beginPublish and endPublish bracket a publication that stores more
+// than one thing a reader must see together — a two-phase commit's
+// epochs on every dirty shard, a routing bundle swap — so that no cut
+// is built across it: the generation is odd in between, and builders
+// wait for it to be even. Every bracket is taken under cmu, so two
+// never overlap; no I/O runs inside one.
+func (c *Coordinator) beginPublish() { c.gen.Add(1) }
+func (c *Coordinator) endPublish()   { c.retire(c.gen.Add(1)) }
+
+// retire drops the coordinator's reference on the current cut if it is
+// older than generation g.
+func (c *Coordinator) retire(g uint64) {
 	if ct := c.cur.Load(); ct != nil && ct.gen < g && c.cur.CompareAndSwap(ct, nil) {
 		ct.release()
 	}
@@ -86,7 +102,8 @@ func (c *Coordinator) published() {
 
 // currentCut returns the current cut with a reference taken for the
 // caller, building and installing a new one when there is none or a
-// publication has retired it.
+// publication has retired it. It builds only at an even generation, and
+// waits out an open publication bracket to get one.
 func (c *Coordinator) currentCut() (*cut, error) {
 	for {
 		if c.closed.Load() {
@@ -99,6 +116,10 @@ func (c *Coordinator) currentCut() (*cut, error) {
 				return old, nil
 			}
 			continue // released: it has been retired since the load above
+		}
+		if g&1 != 0 {
+			runtime.Gosched() // a bracket is storing; it does no I/O
+			continue
 		}
 		ct, err := c.buildCut(g)
 		if err != nil {
@@ -138,11 +159,6 @@ func (c *Coordinator) buildCut(g uint64) (*cut, error) {
 	if c.buildHook != nil {
 		c.buildHook()
 	}
-	// Builders share pmu among themselves; only a two-phase publish or
-	// a routing flip (the write side) excludes them, and neither holds
-	// it across I/O.
-	c.pmu.RLock()
-	defer c.pmu.RUnlock()
 	rt := c.routing.Load()
 	ct := &cut{rt: rt, gen: g, views: make([]*storage.TxView, len(rt.ms))}
 	for i, m := range rt.ms {
@@ -161,7 +177,8 @@ func (c *Coordinator) buildCut(g uint64) (*cut, error) {
 // ReadTx is a coordinated read transaction: a reference on a cut. The
 // views it hands out are this transaction's own handles on the cut's
 // snapshot — they end with the transaction (ErrTxDone afterwards) while
-// the pins they read through live on with the cut.
+// the pins they read through live on with the cut. A write transaction
+// peeks at the shards it has not joined through one (WriteTx.View).
 type ReadTx struct {
 	ct    *cut
 	ended atomic.Bool // ends every view handed out, at once
@@ -204,8 +221,13 @@ func (c *Coordinator) BeginReadTx() (*ReadTx, error) {
 
 // EndReadTx ends the transaction's views and gives its reference back.
 func (c *Coordinator) EndReadTx(r *ReadTx) {
-	r.ended.Store(true)
 	c.cm.ActiveReaders.Dec()
+	r.end()
+}
+
+// end ends every view handed out and gives the reference back.
+func (r *ReadTx) end() {
+	r.ended.Store(true)
 	r.ct.release()
 }
 

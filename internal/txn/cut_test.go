@@ -602,3 +602,45 @@ func TestViewSeesAckedPrefix(t *testing.T) {
 		}
 	}
 }
+
+// An open publication bracket holds every cut builder off: a reader that
+// begins inside it waits for its end, and is served a cut built at an
+// even generation after it. A builder that pinned inside the bracket
+// could hold a two-phase commit on one shard and not on another.
+func TestPublishBracketHoldsBuildersOff(t *testing.T) {
+	for _, n := range cutShardCounts {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			c := openCutCoord(t, n, Options{NoSync: true})
+			c.cmu.Lock() // brackets are taken under cmu
+			c.beginPublish()
+			bracket := c.gen.Load()
+			served := make(chan *cut, 1)
+			go func() {
+				if err := c.Read(func(r *ReadTx) error {
+					served <- r.ct
+					return nil
+				}); err != nil {
+					t.Error(err)
+					close(served)
+				}
+			}()
+			select {
+			case <-served:
+				c.endPublish()
+				c.cmu.Unlock()
+				t.Fatal("a reader was served inside an open publication bracket")
+			case <-time.After(50 * time.Millisecond):
+			}
+			c.endPublish()
+			c.cmu.Unlock()
+			var ct *cut
+			within(t, "a reader after the bracket ended", func() { ct = <-served })
+			if ct == nil {
+				t.FailNow()
+			}
+			if ct.gen%2 != 0 || ct.gen <= bracket {
+				t.Errorf("served a cut of generation %d, want an even one after the bracket's %d", ct.gen, bracket)
+			}
+		})
+	}
+}

@@ -17,7 +17,7 @@
 //
 // and then publishes: a commit's epoch becomes the readers' epoch as
 // part of its acknowledgement; a prepare's only when the coordinator
-// has decided (decideJoinedLog, publishJoined).
+// has decided (decideJoinedLog, then publish).
 //
 // Where the mutex is released relative to the acknowledgement is the
 // caller's one degree of freedom. A commit releases it between submit
@@ -229,8 +229,8 @@ func (r *commitReq) recycle() {
 // pipeline is idle (the prepare was the newest request, its ack came
 // after every older flight's, and the mutex blocks new entrants), so
 // touching the log under logMu is safe. Visibility is the caller's job
-// (publishJoined): the record-write with its fsync is kept out of the
-// coordinator's publication lock so readers never wait on it. The
+// (publish): the record-write with its fsync is kept out of the
+// coordinator's publication bracket so readers never wait on it. The
 // checkpoint the commit may make due was kicked by its prepare batch
 // and runs once the writer mutex is free.
 func (m *Manager) decideJoinedLog(txid oid.TxID) error {
@@ -245,15 +245,6 @@ func (m *Manager) decideJoinedLog(txid oid.TxID) error {
 		m.poison(fmt.Errorf("2pc decide (decision is durable in the coordinator log): %w", err))
 	}
 	return err
-}
-
-// publishJoined makes a decided 2PC participant visible to this shard's
-// readers. Split from decideJoinedLog so the coordinator can publish
-// every dirty shard's epoch as one atomic step under its publication
-// lock — a handful of stores, no I/O — and retire the readers' cut once
-// for all of them.
-func (m *Manager) publishJoined(epoch uint64) {
-	m.st.Pool().AdvanceDurableTo(epoch)
 }
 
 // publish makes a commit visible to new readers: the shard's durable

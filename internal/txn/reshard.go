@@ -241,10 +241,9 @@ func (c *Coordinator) grow(target int) error {
 		c.cmu.Unlock()
 		return fail(err)
 	}
-	c.pmu.Lock()
+	c.beginPublish()
 	c.routing.Store(&routing{ms: ms, rmap: newMap})
-	c.published()
-	c.pmu.Unlock()
+	c.endPublish()
 	c.mapDirty = false // the frame folded any pending flip along the way
 	c.cmu.Unlock()
 	return nil
@@ -260,10 +259,9 @@ func (c *Coordinator) setLogical(target int) error {
 		c.cmu.Unlock()
 		return err
 	}
-	c.pmu.Lock()
+	c.beginPublish()
 	c.routing.Store(&routing{ms: c.ms(), rmap: newMap})
-	c.published()
-	c.pmu.Unlock()
+	c.endPublish()
 	c.mapDirty = false
 	c.cmu.Unlock()
 	return nil

@@ -599,8 +599,9 @@ func (m *Manager) Stats() Stats {
 // the epoch of the most recent commit. The caller must pass the view to
 // EndRead exactly once. Readers never take the writer lock: a View is
 // never stalled behind an Update or its commit fsync. Its callers are
-// Read, the builder of a coordinator's cut, and a write transaction
-// peeking at a shard it has not joined — not a coordinator's readers.
+// Read and the builder of a coordinator's cut — not a coordinator's
+// readers, nor a write transaction peeking at a shard it has not joined,
+// which share the cut.
 func (m *Manager) BeginRead() (*storage.TxView, error) {
 	m.rmu.Lock()
 	if m.closed {

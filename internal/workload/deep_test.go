@@ -35,7 +35,6 @@ func TestDeepChainShape(t *testing.T) {
 			NoSync:         true,
 			DeltaTier:      true,
 			AnchorInterval: interval,
-			MatCacheBytes:  1 << 20,
 		},
 	}
 	cfg.Mid = func(db *ode.DB) error {

@@ -102,7 +102,9 @@ type Metrics struct {
 	// objects examined.
 	CompactPasses  uint64
 	CompactObjects uint64
-	// Materialisation cache counters and occupancy.
+	// The retired materialisation cache's counters and occupancy: the
+	// engine has no such cache any more, so they read 0. They stay while
+	// the benchmark's counters read them.
 	CacheHits      uint64
 	CacheMisses    uint64
 	CacheEvictions uint64
@@ -137,16 +139,9 @@ func (db *DB) Metrics() Metrics {
 	return ms
 }
 
-// cacheStats copies the two caches' own counters into the snapshot (the
-// dereference cache's hit/miss/eviction/bytes counters are Stats').
+// cacheStats copies the dereference cache's occupancy into the snapshot
+// (its hit/miss/eviction/bytes counters are Stats').
 func (db *DB) cacheStats(ms *Metrics) {
-	if cs, ok := db.eng.MatCacheStats(); ok {
-		ms.CacheHits = cs.Hits
-		ms.CacheMisses = cs.Misses
-		ms.CacheEvictions = cs.Evictions
-		ms.CacheBytes = cs.Bytes
-		ms.CacheEntries = cs.Entries
-	}
 	if ds, ok := db.eng.DerefCacheStats(); ok {
 		ms.DerefCacheEntries = ds.Entries
 	}

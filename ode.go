@@ -111,19 +111,15 @@ type Options struct {
 	// writer of deltas (the SCCS/RCS-style storage the paper describes):
 	// the write that makes a version cold — a newversion, an update or a
 	// pdelete — demotes its full payload to a delta against its
-	// derived-from parent, so the latest stays full, and materialised
-	// contents are served through an epoch-tagged LRU cache. DB.Compact
-	// demotes history written while the tier was off.
+	// derived-from parent, so the latest stays full; an older version is
+	// read by applying its delta chain. DB.Compact demotes history written
+	// while the tier was off.
 	DeltaTier bool
 	// AnchorInterval bounds how many delta links any version may sit from
 	// a full copy of its content: the tier demotes a version only within
 	// it, and DB.Compact promotes versions found deeper (e.g. after the
 	// interval was lowered). 0 means 16; it must lie in 0..65535.
 	AnchorInterval int
-	// MatCacheBytes is the materialisation cache budget under
-	// DeltaTier; 0 means core.DefaultCacheBytes (4 MiB), negative
-	// disables the cache.
-	MatCacheBytes int64
 	// DerefCacheBytes is the read-side dereference cache budget: a
 	// sharded CLOCK cache of (latest vid, materialised content) keyed by
 	// object id, letting hot Deref/latest reads on snapshot transactions
@@ -134,7 +130,7 @@ type Options struct {
 	// PageSize applies when creating a new database (default 4096).
 	PageSize int
 	// PoolPages is the buffer-pool capacity in pages, clean and dirty
-	// together (default 1536).
+	// together; 0 means 1536, and a negative value is an error.
 	PoolPages int
 	// NoSync skips the fsync of each commit batch; the commit path is the
 	// same. Much faster; the most recent commits may be lost on a crash. What survives is a committed prefix
@@ -203,6 +199,9 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if o.AnchorInterval < 0 || o.AnchorInterval > core.MaxAnchorInterval {
 		return nil, fmt.Errorf("ode: Options.AnchorInterval %d outside 0..%d", o.AnchorInterval, core.MaxAnchorInterval)
 	}
+	if o.PoolPages < 0 {
+		return nil, fmt.Errorf("ode: Options.PoolPages %d is negative", o.PoolPages)
+	}
 	topts := txn.Options{
 		Shards:          o.Shards,
 		NoSync:          o.NoSync,
@@ -221,7 +220,6 @@ func Open(dir string, opts *Options) (*DB, error) {
 	eng, err := core.NewSharded(coord, core.Options{
 		DeltaTier:       o.DeltaTier,
 		AnchorInterval:  o.AnchorInterval,
-		CacheBytes:      o.MatCacheBytes,
 		DerefCacheBytes: o.DerefCacheBytes,
 	})
 	if err != nil {

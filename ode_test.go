@@ -48,7 +48,7 @@ func openDB(t testing.TB, opts *Options) *DB {
 // count so consolidation PRs can show it going down; a PR that takes
 // fields away lowers the ceiling with them.
 func TestOptionsFieldCount(t *testing.T) {
-	const ceiling = 14
+	const ceiling = 13
 	n := reflect.TypeOf(Options{}).NumField()
 	t.Logf("ode.Options has %d fields", n)
 	if n > ceiling {
@@ -56,8 +56,9 @@ func TestOptionsFieldCount(t *testing.T) {
 	}
 }
 
-// TestOpenValidatesDeltaOptions: Policy has one value, and
-// AnchorInterval must fit the 16-bit chain depth a version record keeps.
+// TestOpenValidatesDeltaOptions: Policy has one value, AnchorInterval
+// must fit the 16-bit chain depth a version record keeps, and PoolPages
+// may not be negative.
 func TestOpenValidatesDeltaOptions(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -72,6 +73,7 @@ func TestOpenValidatesDeltaOptions(t *testing.T) {
 		{"interval-negative", Options{DeltaTier: true, AnchorInterval: -1}, "AnchorInterval"},
 		{"interval-too-large", Options{DeltaTier: true, AnchorInterval: math.MaxUint16 + 1}, "AnchorInterval"},
 		{"interval-too-large-tier-off", Options{AnchorInterval: 1 << 20}, "AnchorInterval"},
+		{"pool-pages-negative", Options{PoolPages: -1}, "PoolPages"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opts := c.opts
