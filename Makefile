@@ -33,6 +33,13 @@ BTREE_TESTS = ReadersRaceToIndexPublishedLeaf|RollbackRetiresOffsetTable|EditsUp
 # every mutation of a warm object's latest through the engine, a View
 # pinned before the commit and a reshard round trip among them.
 DEREF_TESTS = InvalidationNeverServesSuperseded|DerefStalenessMatrix
+# The buffer pool's lock-free read path tests `make race` repeats at
+# GOMAXPROCS 1 and 2: readers pinned at several epochs resolving pages
+# without the pool mutex while the writer copies, flushes and evicts
+# under them (in the pool, and through the engine with a 16-page pool at
+# 1 and 4 shards), and misses on one page that share one read or its
+# error.
+POOL_TESTS = PoolReadersUnderEviction|PoolConcurrentMissReadsOnce|PoolFailedMissWakesEveryWaiter|ConcurrentReadersUnderPoolPressure
 # The packages `make cover` holds to an 85% line-coverage floor.
 COVER_FLOOR_PKGS = obs workload delta matcache derefcache
 
@@ -48,8 +55,8 @@ help:
 	@echo "  race     full test suite under -race, then the restart, reset,"
 	@echo "           allocation, commit-pipeline, B+tree offset-table and"
 	@echo "           dereference-cache invalidation tests twenty times over,"
-	@echo "           and the pipeline liveness and read-snapshot tests at"
-	@echo "           GOMAXPROCS 1 and 2"
+	@echo "           and the pipeline liveness, read-snapshot and buffer-pool"
+	@echo "           read-path tests at GOMAXPROCS 1 and 2"
 	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race)"
 	@echo "  soak     metrics-reconciling soak suite at 1 and 4 shards (-race);"
 	@echo "           seeds default to 1,2,3 — override with a comma-separated"
@@ -64,13 +71,15 @@ help:
 	@echo "           deref paths, read begin/end and the B+tree, the read"
 	@echo "           begin/end microbenchmark, the B+tree microbenchmarks,"
 	@echo "           the hot-write page guard and the DChildren"
-	@echo "           microbenchmark, plus odebench E18 smoke"
+	@echo "           microbenchmark, the pool-hit allocation gate and"
+	@echo "           microbenchmark at 1 and 2 CPUs, plus odebench E18 smoke"
 	@echo "  fuzz     continuous fuzz over every native target, FUZZTIME=$(FUZZTIME) each"
 	@echo "  fuzz-smoke  same targets at 10s each — the CI tier"
 	@echo "  cover    line coverage, with 85% floors on internal/obs,"
 	@echo "           internal/workload, internal/delta, internal/matcache,"
-	@echo "           internal/derefcache and (per-file, over the delta"
-	@echo "           battery) the two compact.go files"
+	@echo "           internal/derefcache, (per-file, over the delta"
+	@echo "           battery) the two compact.go files and (per-file, over"
+	@echo "           internal/storage) internal/storage/pool.go"
 	@echo "  loc      non-test Go lines per package, the ode.Options field count"
 	@echo "           and the number of declared /metrics series — the numbers"
 	@echo "           a consolidation PR is judged by"
@@ -111,7 +120,10 @@ fmt:
 # or a fresh one after a first-touch copy — and rebuilt in place after a
 # rollback, beside readers holding the published leaf. The sixth repeats
 # the dereference cache's invalidation tests, whose races are between a
-# reader's fill and a writer's invalidation.
+# reader's fill and a writer's invalidation. The seventh runs the buffer
+# pool's read-path tests at GOMAXPROCS 1 and 2: a hit reads a page's slot
+# without the pool mutex, and only the order of its two loads against
+# the writer's two stores keeps a reader off a page being edited.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy
@@ -119,6 +131,7 @@ race:
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(LIVENESS_TESTS)|$(CUT_TESTS)' ./internal/txn .
 	$(GO) test -race -count=20 -run '$(BTREE_TESTS)' ./internal/btree
 	$(GO) test -race -count=20 -run '$(DEREF_TESTS)' ./internal/derefcache .
+	$(GO) test -race -count=20 -cpu 1,2 -run '$(POOL_TESTS)' ./internal/storage .
 
 # The crash-consistency fault matrix (DESIGN.md §8, §12) under the race
 # detector: every WAL/storage injection point plus the engine-level
@@ -183,6 +196,8 @@ ycsb:
 # in the cost ledger) prints ns/op by shard count, quiet and with a
 # commit every 16 reads; the B+tree microbenchmarks print Get, SeekLE,
 # Put and Ascend ns/op at a fixed iteration count (EXPERIMENTS.md E26);
+# a buffer-pool hit, Get or GetAt, must allocate nothing, and the pool-hit
+# microbenchmark prints ns/op at one and two CPUs (EXPERIMENTS.md E35);
 # then the E18 benchmark runs at ci scale as an end-to-end smoke — alloc
 # reductions, cache speedup, hit rates.
 hotpath:
@@ -192,6 +207,7 @@ hotpath:
 	$(GO) test -count=1 -run 'TestTreeGetAllocs|TestTreePutAllocs' -v ./internal/btree
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkTree(Get|SeekLE|Put|Ascend)$$' -benchtime 200000x ./internal/btree
 	$(GO) test -count=1 -run 'TestHotWritePagesFlatInVersions' -bench 'BenchmarkDChildren' -benchtime 200x -v ./internal/core
+	$(GO) test -count=1 -run 'TestPoolHitAllocs' -bench 'BenchmarkPoolGetHit' -benchtime 2000000x -cpu 1,2 -v ./internal/storage
 	$(GO) run ./cmd/odebench -scale ci -only E18 -hotpathjson ""
 
 # The delta-tier battery (DESIGN.md §14, EXPERIMENTS.md E17): the
@@ -216,8 +232,10 @@ delta-matrix:
 # from the root delta battery (including its read-fault and crash
 # matrices) — so the 85% floors there are per-file, measured over that
 # battery; the uncovered remainder is I/O-error returns the fault
-# matrices don't reach. The profiles go to a temporary directory,
-# removed when the recipe ends.
+# matrices don't reach. The buffer pool's internal/storage/pool.go has a
+# per-file 85% floor over its own package's tests, which drive its
+# lock-free hits, off-lock misses and CLOCK eviction directly. The
+# profiles go to a temporary directory, removed when the recipe ends.
 cover:
 	$(GO) test -cover ./...
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
@@ -229,11 +247,12 @@ cover:
 	    if (pct < 85) { printf "FAIL: %s below 85%% coverage\n", pkg; exit 1 } }'; \
 	done; \
 	$(GO) test -count=1 -run 'TestDelta' -coverprofile=$$d/deltatier.cover -coverpkg=./internal/core,. .; \
-	for f in ode/internal/core/compact.go ode/compact.go; do \
-	  awk -v file="$$f" '$$1 ~ "^"file { t += $$2; if ($$3 > 0) c += $$2 } END { \
+	$(GO) test -count=1 -coverprofile=$$d/storage.cover ./internal/storage; \
+	for fp in ode/internal/core/compact.go:deltatier ode/compact.go:deltatier ode/internal/storage/pool.go:storage; do \
+	  f=$${fp%%:*}; awk -v file="$$f" '$$1 ~ "^"file { t += $$2; if ($$3 > 0) c += $$2 } END { \
 	    pct = 100*c/t; \
 	    printf "%s coverage: %.1f%% (floor 85%%)\n", file, pct; \
-	    if (pct < 85) { printf "FAIL: %s below 85%% coverage\n", file; exit 1 } }' $$d/deltatier.cover; \
+	    if (pct < 85) { printf "FAIL: %s below 85%% coverage\n", file; exit 1 } }' $$d/$${fp##*:}.cover; \
 	done
 
 # The consolidation scoreboard: non-test Go lines per package (GoFiles

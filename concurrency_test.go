@@ -1,6 +1,7 @@
 package ode
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -194,5 +195,137 @@ func TestConcurrentReadersConsistentSnapshots(t *testing.T) {
 	}
 	if err := db.CheckIntegrity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentReadersUnderPoolPressure is the reader/writer stress test
+// above with a 16-page buffer pool and the dereference cache off, at one
+// shard and at four: the pages readers resolve without the pool mutex
+// are evicted, faulted back in and copied by the writer under them. A
+// version's content is its revision repeated, so a View handed a page
+// from the wrong epoch, or one the writer is still editing, sees a torn
+// payload, a version set that moves, or a revision older than one it
+// already saw.
+func TestConcurrentReadersUnderPoolPressure(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// A small log makes the writer checkpoint itself: the
+			// background checkpointer alone falls behind it, and dirty
+			// pages, which are never evicted, would fill the pool.
+			db := openDB(t, &Options{NoSync: true, Shards: shards, PoolPages: 16, DerefCacheBytes: -1, CheckpointBytes: 32 << 10})
+			parts, err := Register[Part](db, "Part")
+			if err != nil {
+				t.Fatal(err)
+			}
+			const objects, readers, writerIters = 24, 3, 144
+			content := func(i, rev int) *Part {
+				return &Part{Name: fmt.Sprint(i), Rev: rev, Data: bytes.Repeat([]byte{byte(rev)}, 1500)}
+			}
+			ptrs := make([]Ptr[Part], objects)
+			if err := db.Update(func(tx *Tx) error {
+				for i := range ptrs {
+					if ptrs[i], err = parts.Create(tx, content(i, 0)); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			check := func(i int, p *Part) error {
+				if want := content(i, p.Rev); p.Name != want.Name || !bytes.Equal(p.Data, want.Data) {
+					return fmt.Errorf("object %d revision %d: torn content %q/%x…", i, p.Rev, p.Name, p.Data[:8])
+				}
+				return nil
+			}
+
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			errs := make(chan error, readers+1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer stop.Store(true)
+				for n := 0; n < writerIters; n++ {
+					i := n % objects
+					if err := db.Update(func(tx *Tx) error {
+						v, err := ptrs[i].NewVersion(tx)
+						if err != nil {
+							return err
+						}
+						if err := v.Set(tx, content(i, n/objects+1)); err != nil {
+							return err
+						}
+						vs, err := ptrs[i].Versions(tx)
+						if err != nil || len(vs) <= 5 {
+							return err
+						}
+						return vs[1].Delete(tx)
+					}); err != nil {
+						errs <- fmt.Errorf("writer iter %d: %w", n, err)
+						return
+					}
+				}
+			}()
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					seen := make([]int, objects)
+					for n := r; !stop.Load(); n++ {
+						i := n * 7 % objects
+						err := db.View(func(tx *Tx) error {
+							latest, err := ptrs[i].Deref(tx)
+							if err != nil {
+								return err
+							}
+							if err := check(i, latest); err != nil {
+								return err
+							}
+							if latest.Rev < seen[i] {
+								return fmt.Errorf("object %d went back from revision %d to %d", i, seen[i], latest.Rev)
+							}
+							seen[i] = latest.Rev
+							vs, err := ptrs[i].Versions(tx)
+							if err != nil {
+								return err
+							}
+							for _, v := range vs {
+								p, err := v.Deref(tx)
+								if err != nil {
+									return fmt.Errorf("object %d version %v vanished mid-view: %w", i, v, err)
+								}
+								if err := check(i, p); err != nil {
+									return err
+								}
+								if p.Rev > latest.Rev {
+									return fmt.Errorf("object %d: version %v at revision %d beyond the latest's %d", i, v, p.Rev, latest.Rev)
+								}
+							}
+							again, err := ptrs[i].Versions(tx)
+							if err == nil && len(again) != len(vs) {
+								err = fmt.Errorf("object %d: snapshot moved under view: %d -> %d versions", i, len(vs), len(again))
+							}
+							return err
+						})
+						if err != nil {
+							errs <- fmt.Errorf("reader %d: %w", r, err)
+							return
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if err := db.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+			if m := db.Metrics(); m.PoolEvictions == 0 {
+				t.Fatal("no pool evictions: the test put the pool under no pressure")
+			}
+		})
 	}
 }

@@ -131,11 +131,16 @@ func TestInvalidationNeverServesSuperseded(t *testing.T) {
 	}
 	content := func(vid uint64) []byte { return binary.BigEndian.AppendUint64(nil, vid) }
 
+	// The writers start once every reader runs: otherwise a loaded
+	// machine can finish the commits before a reader is scheduled.
+	var started sync.WaitGroup
+	started.Add(readers)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			started.Wait()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < commits/writers; i++ {
 				o := rng.Intn(objects)
@@ -158,6 +163,7 @@ func TestInvalidationNeverServesSuperseded(t *testing.T) {
 		rg.Add(1)
 		go func(r int) {
 			defer rg.Done()
+			started.Done()
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			for !done.Load() {
 				e := published.Load() // one pinned read transaction

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 
 	"ode/internal/faultfs"
 	"ode/internal/oid"
@@ -20,7 +21,10 @@ var ErrOutOfRange = errors.New("storage: page out of range")
 type File struct {
 	f        faultfs.File
 	pageSize int
-	nPages   uint32 // pages physically present in the file
+	// nPages is the number of pages physically present in the file. A
+	// pool miss reads it off the pool mutex while a checkpoint extends
+	// the file.
+	nPages   atomic.Uint32
 	readonly bool
 }
 
@@ -61,25 +65,30 @@ func OpenFile(fsys faultfs.FS, path string, pageSize int, readonly bool) (*File,
 		}
 		size = st0
 	}
-	return &File{
-		f:        f,
-		pageSize: pageSize,
-		nPages:   uint32(size / int64(pageSize)),
-		readonly: readonly,
-	}, nil
+	fl := &File{f: f, pageSize: pageSize, readonly: readonly}
+	fl.nPages.Store(uint32(size / int64(pageSize)))
+	return fl, nil
 }
 
 // PageSize returns the configured page size.
 func (fl *File) PageSize() int { return fl.pageSize }
 
 // NumPages returns the number of pages physically in the file.
-func (fl *File) NumPages() uint32 { return fl.nPages }
+func (fl *File) NumPages() uint32 { return fl.nPages.Load() }
+
+// inRange returns ErrOutOfRange for a page beyond the end of the file.
+func (fl *File) inRange(id oid.PageID) error {
+	if n := fl.nPages.Load(); uint32(id) >= n {
+		return fmt.Errorf("%w: page %d of %d", ErrOutOfRange, id, n)
+	}
+	return nil
+}
 
 // ReadPage reads page id into buf (which must be pageSize long) and
 // verifies its checksum.
 func (fl *File) ReadPage(id oid.PageID, buf []byte) error {
-	if uint32(id) >= fl.nPages {
-		return fmt.Errorf("%w: page %d of %d", ErrOutOfRange, id, fl.nPages)
+	if err := fl.inRange(id); err != nil {
+		return err
 	}
 	if _, err := fl.f.ReadAt(buf, int64(id)*int64(fl.pageSize)); err != nil {
 		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -111,8 +120,8 @@ func (fl *File) writeRun(first oid.PageID, buf []byte) error {
 	if _, err := fl.f.WriteAt(buf, int64(first)*int64(fl.pageSize)); err != nil {
 		return fmt.Errorf("storage: write page %d: %w", first, err)
 	}
-	if end := uint32(first) + uint32(len(buf)/fl.pageSize); end > fl.nPages {
-		fl.nPages = end
+	if end := uint32(first) + uint32(len(buf)/fl.pageSize); end > fl.nPages.Load() {
+		fl.nPages.Store(end)
 	}
 	return nil
 }

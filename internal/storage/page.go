@@ -93,9 +93,12 @@ type Page struct {
 	dirty  bool
 	pinned bool // excluded from eviction (superblock)
 
-	// lruElem is the page's position in the pool's clean-page LRU
-	// (a *list.Element), or nil while the page is dirty.
-	lruElem any
+	// ref is the page's CLOCK reference bit: a hit sets it, the pool's
+	// eviction sweep clears it and passes the page over once. at is the
+	// page's index in the pool's resident ring while it is resident.
+	// dirty, pinned and at are the pool's, under its mutex.
+	ref atomic.Bool
+	at  int
 
 	// offs is the page's entry-offset table (TxView.Offsets), nil when
 	// none is current; spare is the buffer of a table marked stale, which
@@ -107,14 +110,12 @@ type Page struct {
 // Type returns the page's type tag.
 func (p *Page) Type() PageType { return PageType(p.Data[offType]) }
 
-// SetType sets the page's type tag. The caller must MarkDirty.
+// SetType sets the page's type tag. p must be writable: a page from a
+// writer view's Touch or Allocate, or the pool's Install.
 func (p *Page) SetType(t PageType) { p.Data[offType] = uint8(t) }
 
-// Dirty reports whether the page has unflushed modifications.
-func (p *Page) Dirty() bool { return p.dirty }
-
-// Body returns the page body after the header. Mutations require
-// MarkDirty via the pool.
+// Body returns the page body after the header. Only a writable page
+// (see SetType) may have it mutated.
 func (p *Page) Body() []byte { return p.Data[HeaderSize:] }
 
 // Restore overwrites the page image with data — a rollback's

@@ -1,10 +1,10 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ode/internal/obs"
 	"ode/internal/oid"
@@ -12,18 +12,22 @@ import (
 
 // DefaultPoolPages is the pool capacity used unless configured
 // otherwise. Dirty pages count against it: they cannot be evicted before
-// the next checkpoint flushes them, so the clean LRU shrinks as they
-// grow, and a checkpoint is due (DirtyDue) before they crowd it out.
+// the next checkpoint flushes them, so the clean pages shrink as they
+// grow, and a checkpoint is due (DirtyDue) before they crowd them out.
 // 1536 pages is half of what a pool of 1024 clean pages with the dirty
 // ones on top could reach (8 MiB of page images in the log: 2048 more),
 // and a tenth above what it held under a steady writer (EXPERIMENTS.md
 // E21 has what each size costs whom).
 const DefaultPoolPages = 1536
 
+// MinPoolPages is the smallest pool capacity: NewPool raises anything
+// below it.
+const MinPoolPages = 8
+
 // A checkpoint is due once dirty pages fill dirtyShareNum/dirtyShareDen
 // of the pool. Nothing else bounds them: a page delta costs the log a few
 // bytes, so CheckpointBytes of log can cover any number of dirty pages.
-// Three quarters leaves the clean LRU a quarter of the pool at its
+// Three quarters leaves clean pages a quarter of the pool at its
 // smallest, enough that a writer's own reads still hit.
 const dirtyShareNum, dirtyShareDen = 3, 4
 
@@ -35,34 +39,92 @@ const dirtyShareNum, dirtyShareDen = 3, 4
 // since r). Snapshot pages are immutable: the copy-on-write swap in COW
 // guarantees no writer ever mutates a page object once it is published
 // here.
+//
+// A page's snapshots form a list, newest first, linked through older.
+// Publishing puts a new head in front; reclaiming cuts the list after
+// the last snapshot it keeps. Neither changes what a reader already
+// walking the list can reach before the cut, and a reader never needs
+// what lies after it.
 type snap struct {
 	epoch uint64
 	pg    *Page
+	older atomic.Pointer[snap]
+}
+
+// slot is one page id's entry in the pool's table: the live page and
+// the snapshot list's head, each published through an atomic pointer so
+// that a hit reads them without the pool mutex. Only setLive and
+// setSnaps store them, under mu.
+//
+// The rest is guarded by mu. reading is set while a miss reads the page
+// from the file with mu released: it is the placeholder a concurrent
+// miss on the same page waits behind. reads counts the reads finished
+// and err is what the last one returned; gen counts the stores of the
+// live page.
+type slot struct {
+	page  atomic.Pointer[Page]
+	snaps atomic.Pointer[snap]
+
+	reading bool
+	reads   uint32
+	err     error
+	gen     uint32
+}
+
+// at returns the earliest snapshot tagged at or after epoch, or nil.
+// Lists are short: one entry per epoch a reader still pins.
+func (s *slot) at(epoch uint64) *Page {
+	var pg *Page
+	for sn := s.snaps.Load(); sn != nil && sn.epoch >= epoch; sn = sn.older.Load() {
+		pg = sn.pg
+	}
+	return pg
 }
 
 // Pool is the buffer pool: an in-memory cache of page images keyed by
-// PageID. Clean pages are evictable under an LRU policy; dirty pages are
-// retained until FlushDirty writes them back, and both count against
-// the one capacity: clean pages are evicted to make room for dirty ones.
-// Only when dirty pages alone exceed it (automatic checkpoints disabled)
-// does the pool grow past it.
+// PageID. Clean pages are evictable under a CLOCK policy; dirty pages
+// are retained until FlushDirty writes them back, and both count
+// against the one capacity: clean pages are evicted to make room for
+// dirty ones. Only when dirty pages alone exceed it (automatic
+// checkpoints disabled) does the pool grow past it.
 //
 // The pool also owns the snapshot machinery that gives readers epoch
 // isolation: writers swap in fresh page copies on first mutation
 // (copy-on-write), publishing the previous image into an epoch-tagged
-// snapshot table; readers pin the epoch current at their start and
-// resolve every page against that table. Snapshots are reclaimed when
+// snapshot list; readers pin the epoch current at their start and
+// resolve every page against that list. Snapshots are reclaimed when
 // the last reader that could need them unpins.
+//
+// A hit takes no lock: Get and GetAt read the page's slot from a table
+// published through an atomic pointer, and mark the page referenced for
+// the CLOCK sweep. A miss registers a placeholder under mu and reads the
+// file with mu released (DESIGN.md §9.2).
 type Pool struct {
-	// mu guards all pool state. The transaction layer serialises
-	// writers, but any number of readers share the pool concurrently,
-	// and even a read-path Get mutates the LRU and may fault a page in.
-	mu       sync.Mutex
+	// mu guards the pool's writer-side state: the table's growth, every
+	// store into a slot, the resident ring and its counts, the pins and
+	// the snapshot bookkeeping. The transaction layer serialises
+	// writers, but any number of readers share the pool concurrently and
+	// fault pages in.
+	mu sync.Mutex
+	// filled is signalled, on mu, whenever a miss's read finishes.
+	filled   sync.Cond
 	file     *File
-	pages    map[oid.PageID]*Page
-	cleanLRU *list.List // of *Page, front = most recent
 	capacity int
-	nDirty   int
+
+	// table holds a slot per page id the pool has seen, indexed by id.
+	// It grows copy-on-grow under mu; the slots themselves never move,
+	// so a grown table copies only their pointers, and a slot is never
+	// dropped.
+	table atomic.Pointer[[]atomic.Pointer[slot]]
+
+	// clock is the resident ring, every live page in it once (Page.at is
+	// its index); hand is where the CLOCK sweep resumes. nClean counts
+	// its clean unpinned pages, the evictable ones, and nDirty its dirty
+	// ones; clean pinned pages count in neither.
+	clock  []*Page
+	hand   int
+	nClean int
+	nDirty int
 
 	// epoch counts prepared write transactions this session: it advances
 	// when a transaction reaches its in-memory commit point (its live
@@ -71,16 +133,17 @@ type Pool struct {
 	// pin durable, so a prepared-but-not-yet-durable transaction is never
 	// visible to a new reader. With group commit several transactions can
 	// sit in the gap at once; their COW snapshots (tagged with the epoch
-	// at first mutation) keep every pinned reader consistent.
-	epoch   uint64
-	durable uint64
+	// at first mutation) keep every pinned reader consistent. Both are
+	// stored under mu and loaded without it.
+	epoch   atomic.Uint64
+	durable atomic.Uint64
 	// pins refcounts readers per pinned epoch.
 	pins map[uint64]int
-	// snaps holds retained pre-images per page, epoch-ascending.
-	// reclaimed is the oldest pinned epoch reclaimLocked last ran at:
-	// every snapshot published since is tagged at or above it, so until it
-	// moves there is nothing to drop.
-	snaps     map[oid.PageID][]snap
+	// snapped holds the slots that have snapshots, so reclaiming visits
+	// only those. reclaimed is the oldest pinned epoch reclaimLocked last
+	// ran at: every snapshot published since is tagged at or above it, so
+	// until it moves there is nothing to drop.
+	snapped   map[oid.PageID]*slot
 	reclaimed uint64
 
 	// m is the registry pool activity is counted in — hits, misses,
@@ -107,47 +170,130 @@ func (pl *Pool) Metrics() *obs.Metrics {
 }
 
 // NewPool creates a pool over file with room for capacity pages, clean
-// and dirty together.
+// and dirty together; a capacity below MinPoolPages is raised to it.
 func NewPool(file *File, capacity int) *Pool {
-	if capacity < 8 {
-		capacity = 8
-	}
-	return &Pool{
+	pl := &Pool{
 		file:     file,
-		pages:    make(map[oid.PageID]*Page),
-		cleanLRU: list.New(),
-		capacity: capacity,
+		capacity: max(capacity, MinPoolPages),
 		pins:     make(map[uint64]int),
-		snaps:    make(map[oid.PageID][]snap),
+		snapped:  make(map[oid.PageID]*slot),
 		m:        obs.New(),
 	}
+	pl.filled.L = &pl.mu
+	pl.table.Store(new([]atomic.Pointer[slot]))
+	return pl
 }
 
 // Resident returns the number of cached pages and how many are dirty.
 func (pl *Pool) Resident() (total, dirty int) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return len(pl.pages), pl.nDirty
+	return len(pl.clock), pl.nDirty
+}
+
+// --- the slot table ---
+
+// slot returns id's slot, or nil if the pool has never held the page.
+// It takes no lock.
+func (pl *Pool) slot(id oid.PageID) *slot {
+	if t := *pl.table.Load(); int(id) < len(t) {
+		return t[id].Load()
+	}
+	return nil
+}
+
+// slotLocked returns id's slot, making it, and growing the table to
+// reach it, if there is none.
+func (pl *Pool) slotLocked(id oid.PageID) *slot {
+	t := *pl.table.Load()
+	if int(id) >= len(t) {
+		nt := make([]atomic.Pointer[slot], max(int(id)+1, 2*len(t), 64))
+		for i := range t {
+			nt[i].Store(t[i].Load())
+		}
+		pl.table.Store(&nt)
+		t = nt
+	}
+	s := t[id].Load()
+	if s == nil {
+		s = new(slot)
+		t[id].Store(s)
+	}
+	return s
+}
+
+// setLive makes p the live page of s — nil removes the page — keeping
+// the resident ring and its counts. It is the one store into a slot's
+// live page: p takes the place of the page it replaces in the ring.
+func (pl *Pool) setLive(s *slot, p *Page) {
+	if old := s.page.Load(); old != nil {
+		pl.count(old, -1)
+		if p != nil {
+			p.at = old.at
+			pl.clock[p.at] = p
+		} else {
+			last := pl.clock[len(pl.clock)-1]
+			pl.clock[old.at], last.at = last, old.at
+			pl.clock[len(pl.clock)-1] = nil
+			pl.clock = pl.clock[:len(pl.clock)-1]
+		}
+	} else if p != nil {
+		p.at = len(pl.clock)
+		pl.clock = append(pl.clock, p)
+	}
+	if p != nil {
+		pl.count(p, 1)
+	}
+	s.gen++
+	s.page.Store(p)
+}
+
+// setSnaps makes head the newest snapshot of s, the slot of page id. It
+// is the one store into a slot's list head; reclaimLocked alone cuts a
+// list's tail.
+func (pl *Pool) setSnaps(id oid.PageID, s *slot, head *snap) {
+	s.snaps.Store(head)
+	if head == nil {
+		delete(pl.snapped, id)
+	} else {
+		pl.snapped[id] = s
+	}
+}
+
+// setFlags changes a page's dirty and pinned flags, moving its counts
+// if it is resident.
+func (pl *Pool) setFlags(p *Page, dirty, pinned bool) {
+	resident := p.at < len(pl.clock) && pl.clock[p.at] == p
+	if resident {
+		pl.count(p, -1)
+	}
+	p.dirty, p.pinned = dirty, pinned
+	if resident {
+		pl.count(p, 1)
+	}
+}
+
+// count adds n (1 or -1) to the tally p's flags put it in.
+func (pl *Pool) count(p *Page, n int) {
+	switch {
+	case p.dirty:
+		pl.nDirty += n
+		pl.m.DirtyPages.Add(int64(n))
+	case !p.pinned:
+		pl.nClean += n
+	}
 }
 
 // --- epochs and snapshots ---
 
 // Epoch returns the current prepared epoch (the count of write
 // transactions that reached their in-memory commit point this session).
-func (pl *Pool) Epoch() uint64 {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.epoch
-}
+func (pl *Pool) Epoch() uint64 { return pl.epoch.Load() }
 
 // DurableEpoch returns the durable epoch: the newest epoch whose
 // transactions' WAL records are known to be on stable storage. This is
 // the epoch readers pin.
-func (pl *Pool) DurableEpoch() uint64 {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.durable
-}
+func (pl *Pool) DurableEpoch() uint64 { return pl.durable.Load() }
 
 // PinEpoch registers a reader at the current durable epoch and returns
 // it. The reader sees exactly the durably committed state as of this
@@ -157,8 +303,9 @@ func (pl *Pool) DurableEpoch() uint64 {
 func (pl *Pool) PinEpoch() uint64 {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	pl.pins[pl.durable]++
-	return pl.durable
+	e := pl.durable.Load()
+	pl.pins[e]++
+	return e
 }
 
 // UnpinEpoch releases a reader's pin. When the last reader of the
@@ -183,9 +330,9 @@ func (pl *Pool) UnpinEpoch(epoch uint64) {
 func (pl *Pool) AdvanceEpoch() uint64 {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	pl.epoch++
+	e := pl.epoch.Add(1)
 	pl.reclaimLocked()
-	return pl.epoch
+	return e
 }
 
 // AdvanceDurableTo raises the durable epoch to e (typically the epoch
@@ -196,11 +343,9 @@ func (pl *Pool) AdvanceEpoch() uint64 {
 func (pl *Pool) AdvanceDurableTo(e uint64) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if e > pl.epoch {
-		e = pl.epoch
-	}
-	if e > pl.durable {
-		pl.durable = e
+	e = min(e, pl.epoch.Load())
+	if e > pl.durable.Load() {
+		pl.durable.Store(e)
 		pl.reclaimLocked()
 	}
 }
@@ -211,8 +356,10 @@ func (pl *Pool) SnapshotCount() int {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	n := 0
-	for _, ss := range pl.snaps {
-		n += len(ss)
+	for _, s := range pl.snapped {
+		for sn := s.snaps.Load(); sn != nil; sn = sn.older.Load() {
+			n++
+		}
 	}
 	return n
 }
@@ -227,7 +374,7 @@ func (pl *Pool) OldestPinned() uint64 {
 }
 
 func (pl *Pool) oldestPinnedLocked() uint64 {
-	min := pl.durable
+	min := pl.durable.Load()
 	for e := range pl.pins {
 		if e < min {
 			min = e
@@ -250,19 +397,23 @@ func (pl *Pool) reclaimLocked() {
 	}
 	pl.reclaimed = min
 	dropped := 0
-	for id, ss := range pl.snaps {
-		i := 0
-		for i < len(ss) && ss[i].epoch < min {
-			i++
+	for id, s := range pl.snapped {
+		var keep *snap // the oldest snapshot kept
+		sn := s.snaps.Load()
+		for ; sn != nil && sn.epoch >= min; sn = sn.older.Load() {
+			keep = sn
 		}
-		switch {
-		case i == 0:
-		case i == len(ss):
-			delete(pl.snaps, id)
-		default:
-			pl.snaps[id] = append([]snap(nil), ss[i:]...)
+		if sn == nil {
+			continue
 		}
-		dropped += i
+		if keep == nil {
+			pl.setSnaps(id, s, nil)
+		} else {
+			keep.older.Store(nil)
+		}
+		for ; sn != nil; sn = sn.older.Load() {
+			dropped++
+		}
 	}
 	if dropped > 0 {
 		pl.m.SnapshotPages.Add(int64(-dropped))
@@ -273,13 +424,14 @@ func (pl *Pool) reclaimLocked() {
 // current epoch. Publishing is keep-first: if this epoch already has a
 // snapshot of the page (a previous transaction in the same epoch
 // aborted), the existing image is byte-identical and is kept.
-func (pl *Pool) publishLocked(p *Page) {
-	ss := pl.snaps[p.ID]
-	if len(ss) > 0 && ss[len(ss)-1].epoch == pl.epoch {
+func (pl *Pool) publishLocked(s *slot, p *Page) {
+	head, e := s.snaps.Load(), pl.epoch.Load()
+	if head != nil && head.epoch == e {
 		return
 	}
-	p.lruElem = nil
-	pl.snaps[p.ID] = append(ss, snap{epoch: pl.epoch, pg: p})
+	sn := &snap{epoch: e, pg: p}
+	sn.older.Store(head)
+	pl.setSnaps(p.ID, s, sn)
 	pl.m.SnapshotPages.Inc()
 }
 
@@ -287,32 +439,29 @@ func (pl *Pool) publishLocked(p *Page) {
 // a page this transaction: the current image is published as this
 // epoch's snapshot (so in-flight and future readers of the epoch keep a
 // stable view), and a fresh writable copy replaces it as the live page.
-// It returns the writable copy plus the pre-image the transaction layer
-// needs for abort; before aliases the immutable snapshot (both stay
-// untouched by construction), so no extra copy is made.
+// The snapshot is published before the copy is stored, which is what
+// lets GetAt read the two without mu. It returns the writable copy plus
+// the pre-image the transaction layer needs for abort; before aliases
+// the immutable snapshot (both stay untouched by construction), so no
+// extra copy is made.
 func (pl *Pool) COW(p *Page) (np *Page, before []byte, wasDirty bool) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	basis := pl.pages[p.ID]
+	s := pl.slotLocked(p.ID)
+	basis := s.page.Load()
 	if basis == nil {
 		// Evicted between the caller's Get and now; the caller's (clean)
 		// image is still the current one.
 		basis = p
 	}
-	if el, ok := basis.lruElem.(*list.Element); ok && el != nil {
-		pl.cleanLRU.Remove(el)
-	}
-	pl.publishLocked(basis)
+	pl.publishLocked(s, basis)
 	np = &Page{
 		ID:     basis.ID,
 		Data:   append([]byte(nil), basis.Data...),
 		dirty:  true,
 		pinned: basis.pinned,
 	}
-	if !basis.dirty || pl.pages[np.ID] == nil {
-		pl.addDirty(1)
-	}
-	pl.pages[np.ID] = np
+	pl.setLive(s, np)
 	pl.evictOverflow() // a clean basis already evicted gave up no room for np
 	return np, basis.Data, basis.dirty
 }
@@ -321,34 +470,23 @@ func (pl *Pool) COW(p *Page) (np *Page, before []byte, wasDirty bool) {
 // resident. Writers use it to re-resolve page pointers taken before a
 // COW swap.
 func (pl *Pool) Live(id oid.PageID) *Page {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.pages[id]
+	if s := pl.slot(id); s != nil {
+		return s.page.Load()
+	}
+	return nil
 }
 
 // Get returns the live page with the given id, reading it from the file
 // if it is not resident. The returned Page is shared; callers mutating
 // Data must go through a write view's Touch.
 func (pl *Pool) Get(id oid.PageID) (*Page, error) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.getLocked(id)
-}
-
-func (pl *Pool) getLocked(id oid.PageID) (*Page, error) {
-	if p, ok := pl.pages[id]; ok {
-		pl.m.PoolHits.Inc()
-		pl.touch(p)
-		return p, nil
+	if s := pl.slot(id); s != nil {
+		if p := s.page.Load(); p != nil {
+			pl.hit(p)
+			return p, nil
+		}
 	}
-	pl.m.PoolMisses.Inc()
-	buf := make([]byte, pl.file.PageSize())
-	if err := pl.file.ReadPage(id, buf); err != nil {
-		return nil, err
-	}
-	p := &Page{ID: id, Data: buf}
-	pl.insertClean(p)
-	return p, nil
+	return pl.fault(id, false, 0)
 }
 
 // GetAt returns the page as it was at the given pinned epoch: the
@@ -356,18 +494,97 @@ func (pl *Pool) getLocked(id oid.PageID) (*Page, error) {
 // since, otherwise the live page (whose image is then unchanged since
 // that epoch). The returned page must be treated as immutable.
 func (pl *Pool) GetAt(id oid.PageID, epoch uint64) (*Page, error) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if ss := pl.snaps[id]; len(ss) > 0 {
-		// Epoch-ascending: linear scan; chains are short (one entry per
-		// epoch with a pinned reader).
-		for _, s := range ss {
-			if s.epoch >= epoch {
-				return s.pg, nil
-			}
+	if s := pl.slot(id); s != nil {
+		// The live page first, the snapshots second: COW publishes the
+		// old image before it stores the copy it edits, so a reader that
+		// loads the copy finds the snapshot that stands in for it.
+		p := s.page.Load()
+		if sp := s.at(epoch); sp != nil {
+			return sp, nil
+		}
+		if p != nil {
+			pl.hit(p)
+			return p, nil
 		}
 	}
-	return pl.getLocked(id)
+	return pl.fault(id, true, epoch)
+}
+
+// hit counts a hit on p and marks it referenced for the CLOCK sweep,
+// writing the bit only when it is clear.
+func (pl *Pool) hit(p *Page) {
+	pl.m.PoolHits.Inc()
+	if !p.ref.Load() {
+		p.ref.Store(true)
+	}
+}
+
+// fault is the slow path of Get, and of GetAt (at set) at epoch. Under
+// mu it resolves the page again — between the caller's look and now a
+// writer may have loaded the page and copied it, publishing the image
+// the reader needs as a snapshot — and otherwise reads it from the file
+// with mu released. The first miss on a page marks the slot reading;
+// later ones wait for that read and take its page, or its error. A read
+// is installed only if the slot's live page did not move meanwhile:
+// otherwise the image read may predate one a checkpoint wrote, and the
+// page is resolved again.
+func (pl *Pool) fault(id oid.PageID, at bool, epoch uint64) (*Page, error) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	s := pl.slot(id)
+	if s == nil {
+		if err := pl.file.inRange(id); err != nil {
+			// A page the pool never held and the file lacks: no slot for
+			// it, so a corrupt page id cannot grow the table.
+			pl.m.PoolMisses.Inc()
+			return nil, err
+		}
+		s = pl.slotLocked(id)
+	}
+	read := false
+	for {
+		if at {
+			if sp := s.at(epoch); sp != nil {
+				return sp, nil
+			}
+		}
+		if p := s.page.Load(); p != nil {
+			if !read {
+				pl.hit(p)
+			}
+			return p, nil
+		}
+		if s.reading {
+			for n := s.reads; s.reads == n; {
+				pl.filled.Wait()
+			}
+			if s.err != nil {
+				return nil, s.err
+			}
+			continue
+		}
+		s.reading = true
+		gen := s.gen
+		pl.mu.Unlock()
+		pl.m.PoolMisses.Inc()
+		p := &Page{ID: id, Data: make([]byte, pl.file.PageSize())}
+		p.ref.Store(true) // the miss is the page's first reference
+		err := pl.file.ReadPage(id, p.Data)
+		pl.mu.Lock()
+		stale := s.gen != gen
+		s.reading, s.err = false, err
+		s.reads++
+		pl.filled.Broadcast()
+		if err != nil {
+			return nil, err
+		}
+		read = true
+		if !stale {
+			pl.setLive(s, p)
+			pl.evictOverflow()
+			return p, nil
+		}
+	}
 }
 
 // GetTyped is Get plus a page-type assertion.
@@ -387,36 +604,16 @@ func (pl *Pool) GetTyped(id oid.PageID, want PageType) (*Page, error) {
 func (pl *Pool) Install(id oid.PageID, data []byte) *Page {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if old, ok := pl.pages[id]; ok {
+	s := pl.slotLocked(id)
+	if old := s.page.Load(); old != nil {
 		old.Restore(data)
-		pl.markDirtyLocked(old)
+		pl.setFlags(old, true, old.pinned)
 		return old
 	}
 	p := &Page{ID: id, Data: data, dirty: true}
-	pl.pages[id] = p
-	pl.addDirty(1)
+	pl.setLive(s, p)
 	pl.evictOverflow()
 	return p
-}
-
-// MarkDirty flags a page as modified, removing it from the clean LRU so
-// it cannot be evicted before the next flush.
-func (pl *Pool) MarkDirty(p *Page) {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	pl.markDirtyLocked(p)
-}
-
-func (pl *Pool) markDirtyLocked(p *Page) {
-	if p.dirty {
-		return
-	}
-	p.dirty = true
-	pl.addDirty(1)
-	if el, ok := p.lruElem.(*list.Element); ok && el != nil {
-		pl.cleanLRU.Remove(el)
-		p.lruElem = nil
-	}
 }
 
 // MarkClean clears a page's dirty flag without writing it (used when an
@@ -427,9 +624,7 @@ func (pl *Pool) MarkClean(p *Page) {
 	if !p.dirty {
 		return
 	}
-	p.dirty = false
-	pl.addDirty(-1)
-	pl.insertCleanExisting(p)
+	pl.setFlags(p, false, p.pinned)
 	pl.evictOverflow()
 }
 
@@ -442,7 +637,7 @@ func (pl *Pool) DirtyPages() []*Page {
 
 func (pl *Pool) dirtyPagesLocked() []*Page {
 	out := make([]*Page, 0, pl.nDirty)
-	for _, p := range pl.pages {
+	for _, p := range pl.clock {
 		if p.dirty {
 			out = append(out, p)
 		}
@@ -455,7 +650,7 @@ func (pl *Pool) dirtyPagesLocked() []*Page {
 }
 
 // FlushDirty writes every dirty page to the page file (without syncing)
-// and moves the pages to the clean LRU. The caller (the writer path) is
+// and marks the pages clean. The caller (the writer path) is
 // responsible for ordering this after WAL durability and for the final
 // Sync.
 //
@@ -476,12 +671,9 @@ func (pl *Pool) FlushDirty() error {
 
 	pl.mu.Lock()
 	for _, p := range dirty[:written] {
-		if !p.dirty {
-			continue
+		if p.dirty {
+			pl.setFlags(p, false, p.pinned)
 		}
-		p.dirty = false
-		pl.addDirty(-1)
-		pl.insertCleanExisting(p)
 	}
 	pl.evictOverflow()
 	pl.mu.Unlock()
@@ -493,10 +685,11 @@ func (pl *Pool) FlushDirty() error {
 func (pl *Pool) DropDirty() {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	for id, p := range pl.pages {
-		if p.dirty {
-			delete(pl.pages, id)
-			pl.addDirty(-1)
+	// Backwards: a removal moves the last page into the hole, and every
+	// page behind i has been looked at.
+	for i := len(pl.clock) - 1; i >= 0; i-- {
+		if p := pl.clock[i]; p.dirty {
+			pl.setLive(pl.slot(p.ID), nil)
 		}
 	}
 }
@@ -506,17 +699,9 @@ func (pl *Pool) DropDirty() {
 func (pl *Pool) Forget(id oid.PageID) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	p, ok := pl.pages[id]
-	if !ok {
-		return
+	if s := pl.slot(id); s != nil && s.page.Load() != nil {
+		pl.setLive(s, nil)
 	}
-	if p.dirty {
-		pl.addDirty(-1)
-	}
-	if el, ok := p.lruElem.(*list.Element); ok && el != nil {
-		pl.cleanLRU.Remove(el)
-	}
-	delete(pl.pages, id)
 }
 
 // Pin marks p as never evictable (used for the superblock, whose decoded
@@ -524,37 +709,7 @@ func (pl *Pool) Forget(id oid.PageID) {
 func (pl *Pool) Pin(p *Page) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	p.pinned = true
-	if el, ok := p.lruElem.(*list.Element); ok && el != nil {
-		pl.cleanLRU.Remove(el)
-		p.lruElem = nil
-	}
-}
-
-func (pl *Pool) insertClean(p *Page) {
-	pl.pages[p.ID] = p
-	if !p.pinned {
-		p.lruElem = pl.cleanLRU.PushFront(p)
-	}
-	pl.evictOverflow()
-}
-
-func (pl *Pool) insertCleanExisting(p *Page) {
-	if !p.pinned {
-		p.lruElem = pl.cleanLRU.PushFront(p)
-	}
-}
-
-func (pl *Pool) touch(p *Page) {
-	if el, ok := p.lruElem.(*list.Element); ok && el != nil {
-		pl.cleanLRU.MoveToFront(el)
-	}
-}
-
-// addDirty moves the dirty-page count, and its gauge, by n.
-func (pl *Pool) addDirty(n int) {
-	pl.nDirty += n
-	pl.m.DirtyPages.Add(int64(n))
+	pl.setFlags(p, p.dirty, true)
 }
 
 // DirtyDue reports whether dirty pages have reached their share of the
@@ -566,17 +721,25 @@ func (pl *Pool) DirtyDue() bool {
 	return pl.nDirty*dirtyShareDen >= pl.capacity*dirtyShareNum
 }
 
-// evictOverflow evicts least-recently-used clean pages until clean and
-// dirty pages together fit the capacity, or no clean page is left.
+// evictOverflow evicts clean pages in CLOCK order until clean and dirty
+// pages together fit the capacity, or no clean page is left. The hand
+// passes over dirty and pinned pages, and gives a referenced page a
+// second chance, clearing its bit; after two turns of the ring without
+// a victim (readers setting bits as fast as it clears them) it takes
+// the next clean page regardless.
 func (pl *Pool) evictOverflow() {
-	for pl.cleanLRU.Len()+pl.nDirty > pl.capacity {
-		back := pl.cleanLRU.Back()
-		if back == nil {
-			return
+	for swept := 0; pl.nClean > 0 && pl.nClean+pl.nDirty > pl.capacity; {
+		if pl.hand >= len(pl.clock) {
+			pl.hand = 0
 		}
-		victim := pl.cleanLRU.Remove(back).(*Page)
-		victim.lruElem = nil
-		delete(pl.pages, victim.ID)
+		p := pl.clock[pl.hand]
+		if p.dirty || p.pinned || (p.ref.Swap(false) && swept < 2*len(pl.clock)) {
+			pl.hand++
+			swept++
+			continue
+		}
+		pl.setLive(pl.slot(p.ID), nil)
 		pl.m.PoolEvictions.Inc()
+		swept = 0
 	}
 }

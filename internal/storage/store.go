@@ -16,7 +16,8 @@ type Options struct {
 	// DefaultPageSize. Capped at 32768 so slotted offsets fit uint16.
 	PageSize int
 	// PoolPages is the buffer pool's capacity, clean and dirty pages
-	// together. Zero means DefaultPoolPages.
+	// together. Zero means DefaultPoolPages; a value below MinPoolPages
+	// is raised to it.
 	PoolPages int
 	// ReadOnly opens the store without write permission.
 	ReadOnly bool

@@ -37,6 +37,7 @@ import (
 	"ode/internal/core"
 	"ode/internal/faultfs"
 	"ode/internal/oid"
+	"ode/internal/storage"
 	"ode/internal/txn"
 )
 
@@ -130,7 +131,8 @@ type Options struct {
 	// PageSize applies when creating a new database (default 4096).
 	PageSize int
 	// PoolPages is the buffer-pool capacity in pages, clean and dirty
-	// together; 0 means 1536, and a negative value is an error.
+	// together; 0 means 1536, and a value from 1 to 7 or a negative one
+	// is an error (a pool holds at least 8 pages).
 	PoolPages int
 	// NoSync skips the fsync of each commit batch; the commit path is the
 	// same. Much faster; the most recent commits may be lost on a crash. What survives is a committed prefix
@@ -199,8 +201,8 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if o.AnchorInterval < 0 || o.AnchorInterval > core.MaxAnchorInterval {
 		return nil, fmt.Errorf("ode: Options.AnchorInterval %d outside 0..%d", o.AnchorInterval, core.MaxAnchorInterval)
 	}
-	if o.PoolPages < 0 {
-		return nil, fmt.Errorf("ode: Options.PoolPages %d is negative", o.PoolPages)
+	if o.PoolPages < 0 || (o.PoolPages > 0 && o.PoolPages < storage.MinPoolPages) {
+		return nil, fmt.Errorf("ode: Options.PoolPages %d: 0 or at least %d", o.PoolPages, storage.MinPoolPages)
 	}
 	topts := txn.Options{
 		Shards:          o.Shards,

@@ -58,7 +58,7 @@ func TestOptionsFieldCount(t *testing.T) {
 
 // TestOpenValidatesDeltaOptions: Policy has one value, AnchorInterval
 // must fit the 16-bit chain depth a version record keeps, and PoolPages
-// may not be negative.
+// is 0 or at least storage.MinPoolPages.
 func TestOpenValidatesDeltaOptions(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -74,6 +74,9 @@ func TestOpenValidatesDeltaOptions(t *testing.T) {
 		{"interval-too-large", Options{DeltaTier: true, AnchorInterval: math.MaxUint16 + 1}, "AnchorInterval"},
 		{"interval-too-large-tier-off", Options{AnchorInterval: 1 << 20}, "AnchorInterval"},
 		{"pool-pages-negative", Options{PoolPages: -1}, "PoolPages"},
+		{"pool-pages-below-floor", Options{PoolPages: 7}, "PoolPages"},
+		{"pool-pages-one", Options{PoolPages: 1}, "PoolPages"},
+		{"pool-pages-floor", Options{PoolPages: 8}, ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opts := c.opts
