@@ -19,9 +19,11 @@ LIVENESS_TESTS = ShardRunsOneBackgroundGoroutine|NoRequestStranded
 PIPELINE_TESTS = NoSyncCheckpointFailure|DirtyPagesTrigger|NoSyncCrossShard|DecisionLogBounded|WriterCheckpointsPastTheSlack|FailedBatchWithPrepare|YoungerFlightFailsWithOlder|AckedFlightsAreUnreachable|SubmitRefused|$(LIVENESS_TESTS)
 # The read-snapshot tests `make race` repeats at GOMAXPROCS 1 and 2: a
 # View is the state at one instant, an open publication bracket holds
-# every cut builder off, and a View never sees a cross-shard Update on
-# one shard and not the other.
-CUT_TESTS = ViewSeesAckedPrefix|PublishBracketHoldsBuildersOff|ShardedViewAtomicCrossShard
+# every cut builder off, a View never sees a cross-shard Update on one
+# shard and not the other, and the striped references on a cut that
+# readers take and commits retire unpin it exactly once, never under a
+# reader.
+CUT_TESTS = ViewSeesAckedPrefix|PublishBracketHoldsBuildersOff|ShardedViewAtomicCrossShard|CutRefsUnderChurn
 # The B+tree entry-offset table tests `make race` repeats: readers racing
 # to build a published leaf's table while the writer edits its copy, a
 # rollback retiring the table of the bytes it undid, the writer's edits
@@ -72,7 +74,9 @@ help:
 	@echo "           begin/end microbenchmark, the B+tree microbenchmarks,"
 	@echo "           the hot-write page guard and the DChildren"
 	@echo "           microbenchmark, the pool-hit allocation gate and"
-	@echo "           microbenchmark at 1 and 2 CPUs, plus odebench E18 smoke"
+	@echo "           microbenchmark, the cached-View and striped-counter"
+	@echo "           microbenchmarks, each at 1 and 2 CPUs, plus odebench"
+	@echo "           E18 smoke"
 	@echo "  fuzz     continuous fuzz over every native target, FUZZTIME=$(FUZZTIME) each"
 	@echo "  fuzz-smoke  same targets at 10s each — the CI tier"
 	@echo "  cover    line coverage, with 85% floors on internal/obs,"
@@ -114,7 +118,9 @@ fmt:
 # between writers hangs instead of passing by luck. It also runs the
 # read-snapshot tests there (CUT_TESTS): the only guard of a cut against
 # a multi-shard publication is the generation's parity, and a builder
-# that slipped into a bracket would show as a torn View. The fifth repeats the
+# that slipped into a bracket would show as a torn View; and a reader
+# that took a reference on a cut a commit had just retired would show as
+# a View of an unpinned cut. The fifth repeats the
 # B+tree's entry-offset table tests: tables built and shared by readers,
 # derived by the writer alongside its edits — in its own page's buffer,
 # or a fresh one after a first-touch copy — and rebuilt in place after a
@@ -198,8 +204,10 @@ ycsb:
 # Put and Ascend ns/op at a fixed iteration count (EXPERIMENTS.md E26);
 # a buffer-pool hit, Get or GetAt, must allocate nothing, and the pool-hit
 # microbenchmark prints ns/op at one and two CPUs (EXPERIMENTS.md E35);
-# then the E18 benchmark runs at ci scale as an end-to-end smoke — alloc
-# reductions, cache speedup, hit rates.
+# so do the cached-View microbenchmark, one reader per CPU, and a striped
+# counter's add from every CPU (E36): at two CPUs neither should cost
+# more per op than at one; then the E18 benchmark runs at ci scale as an
+# end-to-end smoke — alloc reductions, cache speedup, hit rates.
 hotpath:
 	$(GO) test -count=1 -run 'TestCommitPathAllocs|TestHotDerefAllocs' -v .
 	$(GO) test -count=1 -run 'TestReadBeginEndAllocs' -v ./internal/txn
@@ -208,6 +216,8 @@ hotpath:
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkTree(Get|SeekLE|Put|Ascend)$$' -benchtime 200000x ./internal/btree
 	$(GO) test -count=1 -run 'TestHotWritePagesFlatInVersions' -bench 'BenchmarkDChildren' -benchtime 200x -v ./internal/core
 	$(GO) test -count=1 -run 'TestPoolHitAllocs' -bench 'BenchmarkPoolGetHit' -benchtime 2000000x -cpu 1,2 -v ./internal/storage
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkHotDeref$$' -benchtime 200000x -cpu 1,2 .
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkCounterInc$$' -benchtime 5000000x -cpu 1,2 ./internal/obs
 	$(GO) run ./cmd/odebench -scale ci -only E18 -hotpathjson ""
 
 # The delta-tier battery (DESIGN.md §14, EXPERIMENTS.md E17): the

@@ -329,3 +329,83 @@ func TestConcurrentReadersUnderPoolPressure(t *testing.T) {
 		})
 	}
 }
+
+// TestWriterCheckpointsAtPoolCapacity: back-to-back Updates on a small
+// pool, with the default CheckpointBytes the log never reaches, must not
+// outrun the checkpointer. Dirty pages cannot be evicted, so a writer
+// that finds its shard's dirty pages at the pool's capacity checkpoints
+// before it starts: checkpoints run, and the resident dirty pages of
+// every shard stay within the capacity plus what one transaction
+// dirties.
+func TestWriterCheckpointsAtPoolCapacity(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			const poolPages, objects, updates = 16, 24, 146
+			db := openDB(t, &Options{NoSync: true, Shards: shards, PoolPages: poolPages, DerefCacheBytes: -1})
+			parts, err := Register[Part](db, "Part")
+			if err != nil {
+				t.Fatal(err)
+			}
+			content := func(i, rev int) *Part {
+				return &Part{Name: fmt.Sprint(i), Rev: rev, Data: bytes.Repeat([]byte{byte(rev)}, 1500)}
+			}
+			ptrs := make([]Ptr[Part], objects)
+			if err := db.Update(func(tx *Tx) error {
+				for i := range ptrs {
+					if ptrs[i], err = parts.Create(tx, content(i, 0)); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			dirty := func() []int {
+				out := make([]int, 0, shards)
+				for _, m := range db.coord.Shards() {
+					_, d := m.Store().Pool().Resident()
+					out = append(out, d)
+				}
+				return out
+			}
+			// perTx is the most dirty pages one Update added to a shard;
+			// peak the most any shard held after one.
+			perTx, peak := 0, 0
+			for n := 0; n < updates; n++ {
+				i := n % objects
+				before := dirty()
+				if err := db.Update(func(tx *Tx) error {
+					v, err := ptrs[i].NewVersion(tx)
+					if err != nil {
+						return err
+					}
+					if err := v.Set(tx, content(i, n/objects+1)); err != nil {
+						return err
+					}
+					vs, err := ptrs[i].Versions(tx)
+					if err != nil || len(vs) <= 5 {
+						return err
+					}
+					return vs[1].Delete(tx)
+				}); err != nil {
+					t.Fatalf("update %d: %v", n, err)
+				}
+				for s, d := range dirty() {
+					perTx = max(perTx, d-before[s])
+					peak = max(peak, d)
+				}
+			}
+			st := db.Stats()
+			t.Logf("%d checkpoints; peak %d dirty pages in a shard, at most %d added by one Update", st.Checkpoints, peak, perTx)
+			if st.Checkpoints == 0 {
+				t.Error("no checkpoint ran: the writer outran the checkpointer")
+			}
+			if peak > poolPages+perTx {
+				t.Errorf("a shard held %d dirty pages, past the pool's %d plus one Update's %d", peak, poolPages, perTx)
+			}
+			if err := db.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -475,15 +475,22 @@ func (e *Engine) writeTx(w *txn.WriteTx) *Tx {
 
 // Read runs fn against a snapshot of the most recently committed state;
 // it neither blocks nor is blocked by concurrent writers.
-func (e *Engine) Read(fn func(tx *Tx) error) error {
-	return e.c.Read(func(r *txn.ReadTx) error {
-		return fn(&Tx{
-			e:         e,
-			r:         r,
-			n:         r.N(),
-			rmap:      r.Map(),
-			lastAlloc: -1,
-		})
+func (e *Engine) Read(fn func(tx *Tx) error) error { return e.ReadIn(new(ReadFrame), fn) }
+
+// ReadFrame holds a read transaction's handles — the routing Tx and the
+// coordinator's ReadTx — so that one allocation makes both; a caller
+// with handles of its own embeds it in a larger frame (ode.DB.View).
+type ReadFrame struct {
+	tx Tx
+	r  txn.ReadTx
+}
+
+// ReadIn is Read in a zero frame the caller allocated. Frames are not
+// reused: the Tx ends with fn, and a handle kept past it fails.
+func (e *Engine) ReadIn(f *ReadFrame, fn func(tx *Tx) error) error {
+	return e.c.ReadIn(&f.r, func(r *txn.ReadTx) error {
+		f.tx = Tx{e: e, r: r, n: r.N(), rmap: r.Map(), lastAlloc: -1}
+		return fn(&f.tx)
 	})
 }
 

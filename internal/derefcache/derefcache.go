@@ -35,6 +35,8 @@ package derefcache
 import (
 	"sync"
 	"sync/atomic"
+
+	"ode/internal/obs"
 )
 
 // entryOverhead approximates the bookkeeping bytes charged per entry on
@@ -79,17 +81,13 @@ type Cache struct {
 	// probes counts hits and misses per storage shard, indexed by shard
 	// slot, for the {shard="i"} metric series; the last element takes the
 	// probes from slots beyond the tracked range. The totals are their
-	// sum: a probe pays one add, on a line readers of other shards do not
-	// write.
+	// sum: a probe pays one striped add, on a line neither readers of
+	// other shards nor readers on other stripes write.
 	probes []probeCount
 }
 
-// probeCount is one shard's hit/miss pair, padded to a cache line of
-// its own.
-type probeCount struct {
-	hits, misses atomic.Uint64
-	_            [48]byte
-}
+// probeCount is one shard's hit/miss pair.
+type probeCount struct{ hits, misses obs.Counter }
 
 // Stats is a point-in-time snapshot of cache counters.
 type Stats struct {
@@ -151,8 +149,8 @@ func (c *Cache) slot(shard int) int {
 // probe returns the counters a probe by shard lands in.
 func (c *Cache) probe(shard int) *probeCount { return &c.probes[c.slot(shard)] }
 
-func (c *Cache) hit(shard int)  { c.probe(shard).hits.Add(1) }
-func (c *Cache) miss(shard int) { c.probe(shard).misses.Add(1) }
+func (c *Cache) hit(shard int)  { c.probe(shard).hits.Inc() }
+func (c *Cache) miss(shard int) { c.probe(shard).misses.Inc() }
 
 // Get returns the latest vid and a copy of the content for o if an
 // entry exists for shard and is valid at epoch: stored by a reader at

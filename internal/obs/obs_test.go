@@ -28,6 +28,119 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// TestStripedConcurrentExact: goroutines adding on their own stripes
+// lose nothing — a Counter's Load is the exact total, and a Gauge every
+// goroutine raised and lowered by the same amounts, on its own stripe or
+// on one it recorded, is back at 0 (run under -race by make race).
+func TestStripedConcurrentExact(t *testing.T) {
+	var c Counter
+	var g Gauge
+	const gs, per = 16, 2000
+	var wg sync.WaitGroup
+	for i := 0; i < gs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < per; n++ {
+				c.Inc()
+				c.Add(2)
+				g.Inc()
+				g.Add(5)
+			}
+			for n := 0; n < per; n++ {
+				g.Dec()
+				g.Add(-5)
+			}
+			// A holder gives back on the stripe it recorded, wherever it
+			// ends.
+			s := Stripe()
+			g.AddAt(s, 1)
+			func() { g.AddAt(s, -1) }()
+		}()
+	}
+	wg.Wait()
+	if got, want := c.Load(), uint64(gs*per*3); got != want {
+		t.Errorf("counter = %d, want %d", got, want)
+	}
+	if got := g.Load(); got != 0 {
+		t.Errorf("gauge = %d at rest, want 0", got)
+	}
+	// The adds spread over the stripes rather than all landing on one.
+	used := 0
+	for i := range c.s {
+		if c.s[i].n.Load() != 0 {
+			used++
+		}
+	}
+	t.Logf("%d goroutines used %d of %d stripes", gs, used, Stripes)
+}
+
+// TestCounterLoadMonotone: a reader's successive Loads of a Counter that
+// writers are adding to never decrease, though each sums the stripes
+// one at a time.
+func TestCounterLoadMonotone(t *testing.T) {
+	var c Counter
+	var stop sync.WaitGroup
+	done := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		stop.Add(1)
+		go func() {
+			defer stop.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					c.Add(3)
+				}
+			}
+		}()
+	}
+	// Read until the writers have been adding for a while, however late
+	// they were scheduled.
+	var last uint64
+	for n := 0; n < 100000 || last < 1<<18; n++ {
+		v := c.Load()
+		if v < last {
+			t.Fatalf("Load went from %d back to %d", last, v)
+		}
+		last = v
+	}
+	close(done)
+	stop.Wait()
+}
+
+// TestStripeInRange: a stripe is a valid cell index, the same one for
+// one goroutine calling from one site, and picking it allocates nothing.
+func TestStripeInRange(t *testing.T) {
+	first := Stripe()
+	for i := 0; i < 100; i++ {
+		if s := Stripe(); s < 0 || s >= Stripes || s != first {
+			t.Fatalf("Stripe() = %d, first call %d", s, first)
+		}
+	}
+	var c Counter
+	if a := testing.AllocsPerRun(100, func() { c.Inc() }); a != 0 {
+		t.Errorf("Counter.Inc allocates %.1f", a)
+	}
+}
+
+// BenchmarkCounterInc is one striped add from every parallel goroutine:
+// at -cpu 2 the two goroutines mostly add on different lines, so ns/op
+// should stay near the -cpu 1 figure rather than pay a line transfer
+// per add (make hotpath runs it at -cpu 1,2).
+func BenchmarkCounterInc(b *testing.B) {
+	var c Counter
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			c.Inc()
+		}
+	})
+	if c.Load() != uint64(b.N) {
+		b.Fatalf("counter = %d after %d adds", c.Load(), b.N)
+	}
+}
+
 // TestBucketBoundaries pins the bucket map at its edge cases: zero,
 // exact power-of-two boundaries (the first value of each bucket), the
 // value just below each boundary, and overflow into the last bucket.

@@ -85,8 +85,10 @@ func (s *slot) at(epoch uint64) *Page {
 // PageID. Clean pages are evictable under a CLOCK policy; dirty pages
 // are retained until FlushDirty writes them back, and both count
 // against the one capacity: clean pages are evicted to make room for
-// dirty ones. Only when dirty pages alone exceed it (automatic
-// checkpoints disabled) does the pool grow past it.
+// dirty ones. Dirty pages alone can exceed it: by what the writers that
+// began before they reached it dirty (a writer finding them at capacity
+// checkpoints first, DirtyFull), and without bound with automatic
+// checkpoints disabled.
 //
 // The pool also owns the snapshot machinery that gives readers epoch
 // isolation: writers swap in fresh page copies on first mutation
@@ -120,11 +122,12 @@ type Pool struct {
 	// clock is the resident ring, every live page in it once (Page.at is
 	// its index); hand is where the CLOCK sweep resumes. nClean counts
 	// its clean unpinned pages, the evictable ones, and nDirty its dirty
-	// ones; clean pinned pages count in neither.
+	// ones, stored under mu and loaded without it by DirtyFull; clean
+	// pinned pages count in neither.
 	clock  []*Page
 	hand   int
 	nClean int
-	nDirty int
+	nDirty atomic.Int64
 
 	// epoch counts prepared write transactions this session: it advances
 	// when a transaction reaches its in-memory commit point (its live
@@ -159,7 +162,7 @@ func (pl *Pool) SetMetrics(m *obs.Metrics) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.m = m
-	m.DirtyPages.Add(int64(pl.nDirty))
+	m.DirtyPages.Add(pl.nDirty.Load())
 }
 
 // Metrics returns the registry the pool counts in.
@@ -188,7 +191,7 @@ func NewPool(file *File, capacity int) *Pool {
 func (pl *Pool) Resident() (total, dirty int) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return len(pl.clock), pl.nDirty
+	return len(pl.clock), int(pl.nDirty.Load())
 }
 
 // --- the slot table ---
@@ -277,7 +280,7 @@ func (pl *Pool) setFlags(p *Page, dirty, pinned bool) {
 func (pl *Pool) count(p *Page, n int) {
 	switch {
 	case p.dirty:
-		pl.nDirty += n
+		pl.nDirty.Add(int64(n))
 		pl.m.DirtyPages.Add(int64(n))
 	case !p.pinned:
 		pl.nClean += n
@@ -636,7 +639,7 @@ func (pl *Pool) DirtyPages() []*Page {
 }
 
 func (pl *Pool) dirtyPagesLocked() []*Page {
-	out := make([]*Page, 0, pl.nDirty)
+	out := make([]*Page, 0, pl.nDirty.Load())
 	for _, p := range pl.clock {
 		if p.dirty {
 			out = append(out, p)
@@ -718,8 +721,13 @@ func (pl *Pool) Pin(p *Page) {
 func (pl *Pool) DirtyDue() bool {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return pl.nDirty*dirtyShareDen >= pl.capacity*dirtyShareNum
+	return int(pl.nDirty.Load())*dirtyShareDen >= pl.capacity*dirtyShareNum
 }
+
+// DirtyFull reports whether dirty pages have reached the pool's
+// capacity, without taking mu: a writer about to begin checkpoints
+// first when they have, since nothing it dirties could be evicted.
+func (pl *Pool) DirtyFull() bool { return int(pl.nDirty.Load()) >= pl.capacity }
 
 // evictOverflow evicts clean pages in CLOCK order until clean and dirty
 // pages together fit the capacity, or no clean page is left. The hand
@@ -728,7 +736,7 @@ func (pl *Pool) DirtyDue() bool {
 // a victim (readers setting bits as fast as it clears them) it takes
 // the next clean page regardless.
 func (pl *Pool) evictOverflow() {
-	for swept := 0; pl.nClean > 0 && pl.nClean+pl.nDirty > pl.capacity; {
+	for swept := 0; pl.nClean > 0 && pl.nClean+int(pl.nDirty.Load()) > pl.capacity; {
 		if pl.hand >= len(pl.clock) {
 			pl.hand = 0
 		}

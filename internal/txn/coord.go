@@ -164,10 +164,12 @@ type Coordinator struct {
 	// odd while it stores (beginPublish, under cmu): builders pin only at
 	// an even generation, so a cut never holds a 2PC transaction on one
 	// shard and not another. buildHook, when a test sets it, runs in the
-	// builder between its generation load and its pins.
+	// builder between its generation load and its pins; unpinHook, when a
+	// test sets it, runs as each cut built since is unpinned.
 	cur       atomic.Pointer[cut]
 	gen       atomic.Uint64
 	buildHook func()
+	unpinHook func(*cut)
 
 	// onRollback is the owner's per-shard repair (OnRollback).
 	onRollback func(shard int, restored []*storage.Page, forgotten []oid.PageID)
@@ -944,15 +946,15 @@ func (w *WriteTx) View(s int) (*storage.TxView, error) {
 		return w.views[s], nil
 	}
 	if w.peek == nil {
-		ct, err := w.c.currentCut()
-		if err != nil {
+		peek := new(ReadTx)
+		if err := peek.begin(w.c); err != nil {
 			return nil, err
 		}
-		if ct.rt != w.rt {
-			ct.release()
+		if peek.ct.rt != w.rt {
+			peek.end()
 			w.end(restart{routing: true})
 		}
-		w.peek = &ReadTx{ct: ct}
+		w.peek = peek
 	}
 	return w.peek.View(s), nil
 }

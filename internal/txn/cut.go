@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"ode/internal/obs"
 	"ode/internal/storage"
 )
 
@@ -37,28 +38,56 @@ type cut struct {
 	// and again after its last, so an equal generation proves no
 	// publication began or completed between the pins and the check.
 	gen uint64
-	// refs counts the holders: one per open ReadTx, plus one for the
-	// coordinator while the cut is installed as its current one. The
-	// holder that drops it to zero releases the pins; zero is final.
-	refs atomic.Int64
+	// refs counts the open ReadTxs holding the cut, each on the stripe it
+	// took its reference on (obs.Stripe): two readers on two CPUs begin
+	// and end without writing one line, nor the line of the fields above
+	// that every reader reads. The coordinator's reference is the cut
+	// being installed and not retired. Once retired, the holder that
+	// finds refs at zero unpins, and freed makes that happen once
+	// (DESIGN.md §15.5).
+	retired atomic.Bool
+	freed   atomic.Bool
+	onUnpin func(*cut) // Coordinator.unpinHook when the cut was built
+	_       [56]byte
+	refs    obs.Gauge
 }
 
-// acquire takes a reader's reference unless the cut is already released.
-func (ct *cut) acquire() bool {
-	for {
-		n := ct.refs.Load()
-		if n == 0 {
-			return false
-		}
-		if ct.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
+// acquire takes a reader's reference on stripe s unless the cut is
+// retired. The add comes before the check: Go's atomics are sequentially
+// consistent, so a reader that finds the cut not retired made its add
+// before the retirer set the flag, and every sum read after that counts
+// it. A reader that finds it retired gives the add back.
+func (ct *cut) acquire(s int) bool {
+	ct.refs.AddAt(s, 1)
+	if ct.retired.Load() {
+		ct.release(s)
+		return false
+	}
+	return true
+}
+
+// release gives back a reference taken on stripe s.
+func (ct *cut) release(s int) {
+	ct.refs.AddAt(s, -1)
+	if ct.retired.Load() {
+		ct.unpinIfIdle()
 	}
 }
 
-// release gives one reference back; the last one out unpins.
-func (ct *cut) release() {
-	if ct.refs.Add(-1) == 0 {
+// retire drops the coordinator's reference; the caller is the one that
+// swapped the cut out of Coordinator.cur.
+func (ct *cut) retire() {
+	ct.retired.Store(true)
+	ct.unpinIfIdle()
+}
+
+// unpinIfIdle unpins a retired cut that no reader holds. After the
+// retirement no acquire succeeds, so a zero sum is final: a reference
+// taken before it is in the sum until its release is, and a refused
+// acquire's add is in it only with its undo or alone. Whoever sees zero
+// first — the retirer or the last holder out — unpins, exactly once.
+func (ct *cut) unpinIfIdle() {
+	if ct.refs.Load() == 0 && ct.freed.CompareAndSwap(false, true) {
 		ct.unpin()
 	}
 }
@@ -66,6 +95,9 @@ func (ct *cut) release() {
 // unpin ends the cut's reader views: each shard's epoch pin goes, and
 // with it the snapshot pages retained for it.
 func (ct *cut) unpin() {
+	if ct.onUnpin != nil {
+		ct.onUnpin(ct)
+	}
 	for i, v := range ct.views {
 		ct.rt.ms[i].EndRead(v)
 	}
@@ -96,15 +128,15 @@ func (c *Coordinator) endPublish()   { c.retire(c.gen.Add(1)) }
 // older than generation g.
 func (c *Coordinator) retire(g uint64) {
 	if ct := c.cur.Load(); ct != nil && ct.gen < g && c.cur.CompareAndSwap(ct, nil) {
-		ct.release()
+		ct.retire()
 	}
 }
 
 // currentCut returns the current cut with a reference taken for the
-// caller, building and installing a new one when there is none or a
-// publication has retired it. It builds only at an even generation, and
-// waits out an open publication bracket to get one.
-func (c *Coordinator) currentCut() (*cut, error) {
+// caller on stripe s, building and installing a new one when there is
+// none or a publication has retired it. It builds only at an even
+// generation, and waits out an open publication bracket to get one.
+func (c *Coordinator) currentCut(s int) (*cut, error) {
 	for {
 		if c.closed.Load() {
 			return nil, ErrClosed
@@ -112,16 +144,16 @@ func (c *Coordinator) currentCut() (*cut, error) {
 		g := c.gen.Load()
 		old := c.cur.Load()
 		if old != nil && old.gen == g {
-			if old.acquire() {
+			if old.acquire(s) {
 				return old, nil
 			}
-			continue // released: it has been retired since the load above
+			continue // it has been retired since the load above
 		}
 		if g&1 != 0 {
 			runtime.Gosched() // a bracket is storing; it does no I/O
 			continue
 		}
-		ct, err := c.buildCut(g)
+		ct, err := c.buildCut(g, s)
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +168,7 @@ func (c *Coordinator) currentCut() (*cut, error) {
 			continue
 		}
 		if old != nil {
-			old.release()
+			old.retire()
 		}
 		c.cm.ReadSnapshotBuilds.Inc()
 		if c.gen.Load() != g {
@@ -145,7 +177,7 @@ func (c *Coordinator) currentCut() (*cut, error) {
 			// bump is visible here, or this cut was to it: one of the two
 			// retires it, so no stale cut keeps its pins while nobody reads.
 			if c.cur.CompareAndSwap(ct, nil) {
-				ct.release()
+				ct.retire()
 			}
 		}
 		return ct, nil
@@ -153,14 +185,15 @@ func (c *Coordinator) currentCut() (*cut, error) {
 }
 
 // buildCut pins every shard exactly as a reader used to for itself; see
-// cut. The result carries two references: the coordinator's and the
-// building reader's.
-func (c *Coordinator) buildCut(g uint64) (*cut, error) {
+// cut. The result carries the building reader's reference, on stripe s;
+// installing it gives the coordinator its own. A cut that is never
+// installed is unpinned directly.
+func (c *Coordinator) buildCut(g uint64, s int) (*cut, error) {
 	if c.buildHook != nil {
 		c.buildHook()
 	}
 	rt := c.routing.Load()
-	ct := &cut{rt: rt, gen: g, views: make([]*storage.TxView, len(rt.ms))}
+	ct := &cut{rt: rt, gen: g, views: make([]*storage.TxView, len(rt.ms)), onUnpin: c.unpinHook}
 	for i, m := range rt.ms {
 		v, err := m.BeginRead()
 		if err != nil {
@@ -170,7 +203,7 @@ func (c *Coordinator) buildCut(g uint64) (*cut, error) {
 		}
 		ct.views[i] = v
 	}
-	ct.refs.Store(2)
+	ct.refs.AddAt(s, 1)
 	return ct, nil
 }
 
@@ -180,8 +213,9 @@ func (c *Coordinator) buildCut(g uint64) (*cut, error) {
 // the pins they read through live on with the cut. A write transaction
 // peeks at the shards it has not joined through one (WriteTx.View).
 type ReadTx struct {
-	ct    *cut
-	ended atomic.Bool // ends every view handed out, at once
+	ct     *cut
+	stripe int         // the stripe of ct.refs its reference is on
+	ended  atomic.Bool // ends every view handed out, at once
 }
 
 // View returns a view of shard s's snapshot. Each call makes a handle;
@@ -206,17 +240,17 @@ func (r *ReadTx) Epoch(s int) (uint64, error) {
 func (r *ReadTx) N() int                 { return len(r.ct.views) }
 func (r *ReadTx) Map() *storage.ShardMap { return r.ct.rt.rmap }
 
-// BeginReadTx starts a read of the most recently published state of
-// every shard (see cut for what one snapshot guarantees). Pair with
-// EndReadTx. Neither does anything per shard.
-func (c *Coordinator) BeginReadTx() (*ReadTx, error) {
-	ct, err := c.currentCut()
+// begin makes r a reference on the current cut, taken on the caller's
+// stripe; see cut for what one snapshot guarantees. It does nothing per
+// shard.
+func (r *ReadTx) begin(c *Coordinator) error {
+	r.stripe = obs.Stripe()
+	ct, err := c.currentCut(r.stripe)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c.cm.ReaderPins.Inc()
-	c.cm.ActiveReaders.Inc()
-	return &ReadTx{ct: ct}, nil
+	r.ct = ct
+	return nil
 }
 
 // EndReadTx ends the transaction's views and gives its reference back.
@@ -228,15 +262,22 @@ func (c *Coordinator) EndReadTx(r *ReadTx) {
 // end ends every view handed out and gives the reference back.
 func (r *ReadTx) end() {
 	r.ended.Store(true)
-	r.ct.release()
+	r.ct.release(r.stripe)
 }
 
 // Read runs fn against a snapshot of every shard.
-func (c *Coordinator) Read(fn func(*ReadTx) error) error {
-	r, err := c.BeginReadTx()
-	if err != nil {
+func (c *Coordinator) Read(fn func(*ReadTx) error) error { return c.ReadIn(new(ReadTx), fn) }
+
+// ReadIn is Read in a ReadTx the caller allocated, zero, as part of a
+// frame of its own (core.ReadFrame), so a read allocates its handles
+// once. Frames are not reused: r ends with fn, and a handle kept past it
+// fails with ErrTxDone.
+func (c *Coordinator) ReadIn(r *ReadTx, fn func(*ReadTx) error) error {
+	if err := r.begin(c); err != nil {
 		return err
 	}
+	c.cm.ReaderPins.Inc()
+	c.cm.ActiveReaders.Inc()
 	defer c.EndReadTx(r)
 	return fn(r)
 }

@@ -394,8 +394,8 @@ func TestCutConcurrentReadersAndPublishers(t *testing.T) {
 					return
 				}
 				if ct := c.cur.Load(); ct != nil {
-					if refs := ct.refs.Load(); refs != 1 {
-						t.Errorf("idle cut holds %d references, want the coordinator's 1", refs)
+					if n := ct.refs.Load(); n != 0 || ct.retired.Load() {
+						t.Errorf("idle cut holds %d reader references (retired: %v), want only the coordinator's", n, ct.retired.Load())
 					}
 				}
 				if got := c.cm.ActiveReaders.Load(); got != 0 {
@@ -413,6 +413,125 @@ func TestCutConcurrentReadersAndPublishers(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCutRefsUnderChurn stresses the striped reference protocol: readers
+// on many goroutines begin and end while a writer commits, each commit
+// retiring the cut they share, and readers that loaded a cut just before
+// its retirement race to acquire it. Every cut built is unpinned exactly
+// once, never while a reader holds it or after a reader acquired it; at
+// rest no reader is counted, and the installed cut holds only the
+// coordinator's reference.
+func TestCutRefsUnderChurn(t *testing.T) {
+	for _, n := range cutShardCounts {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			c := openCutCoord(t, n, Options{NoSync: true, CheckpointBytes: -1})
+			rids := make([]oid.RID, n)
+			for s := range rids {
+				if err := cwriteH(c, s, func(h *storage.Heap) error {
+					var err error
+					rids[s], err = h.Insert([]byte{0})
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// life is what the test saw of one cut: the readers inside a
+			// Read of it now, and the times it was unpinned.
+			type life struct{ readers, unpins atomic.Int32 }
+			var lives sync.Map // *cut → *life
+			lifeOf := func(ct *cut) *life {
+				if l, ok := lives.Load(ct); ok {
+					return l.(*life)
+				}
+				l, _ := lives.LoadOrStore(ct, new(life))
+				return l.(*life)
+			}
+			var builds atomic.Int64
+			c.buildHook = func() { builds.Add(1) }
+			c.unpinHook = func(ct *cut) {
+				l := lifeOf(ct)
+				if l.unpins.Add(1) > 1 {
+					t.Errorf("cut of generation %d unpinned twice", ct.gen)
+				}
+				if r := l.readers.Load(); r > 0 {
+					t.Errorf("cut of generation %d unpinned while %d readers hold it", ct.gen, r)
+				}
+			}
+
+			const commits, readers = 300, 6
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer stop.Store(true)
+				for i := 1; i <= commits; i++ {
+					s := i % n
+					if err := cwriteH(c, s, func(h *storage.Heap) error {
+						return h.Update(rids[s], []byte{byte(i)})
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			for g := 0; g < readers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						err := c.Read(func(r *ReadTx) error {
+							l := lifeOf(r.ct)
+							l.readers.Add(1)
+							defer l.readers.Add(-1)
+							for s := 0; s < n; s++ {
+								if _, err := storage.NewHeap(r.View(s), nil).Read(rids[s]); err != nil {
+									return err
+								}
+							}
+							if r.ct.freed.Load() || l.unpins.Load() > 0 {
+								return fmt.Errorf("reader holds the cut of generation %d, already unpinned", r.ct.gen)
+							}
+							return nil
+						})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			if got := c.cm.ActiveReaders.Load(); got != 0 {
+				t.Errorf("ActiveReaders = %d at rest", got)
+			}
+			if ct := c.cur.Load(); ct != nil && (ct.refs.Load() != 0 || ct.retired.Load()) {
+				t.Errorf("idle cut holds %d reader references (retired: %v), want only the coordinator's", ct.refs.Load(), ct.retired.Load())
+			}
+			within(t, "Close", func() {
+				if err := c.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			})
+			// Close retired the last cut: now every cut built is unpinned.
+			cuts, unpinned := 0, 0
+			lives.Range(func(k, v any) bool {
+				cuts++
+				if v.(*life).unpins.Load() == 1 {
+					unpinned++
+				}
+				return true
+			})
+			t.Logf("%d cuts built over %d commits", builds.Load(), commits)
+			if int64(cuts) != builds.Load() || unpinned != cuts {
+				t.Errorf("%d cuts built, %d seen, %d of them unpinned once", builds.Load(), cuts, unpinned)
+			}
+		})
 	}
 }
 

@@ -42,11 +42,13 @@ import (
 )
 
 // lockWriter takes the shard's writer mutex, after the due checkpoint if
-// the log is past CheckpointBytes by a quarter (writers leading their own
-// flights could otherwise outrun the checkpointer), and validates that
-// the shard can accept a write. On error the mutex is NOT held.
+// the log is past CheckpointBytes by a quarter or the shard's dirty pages
+// have reached the pool's capacity (writers leading their own flights
+// could otherwise outrun the checkpointer, and dirty pages are never
+// evicted), and validates that the shard can accept a write. On error
+// the mutex is NOT held.
 func (m *Manager) lockWriter() error {
-	if limit := m.opts.checkpointBytes(); limit >= 0 && m.walBytes.Load() >= limit+limit/4 {
+	if limit := m.opts.checkpointBytes(); limit >= 0 && (m.walBytes.Load() >= limit+limit/4 || m.st.Pool().DirtyFull()) {
 		m.checkpointIfDue()
 	}
 	m.mu.Lock()

@@ -302,11 +302,20 @@ func (db *DB) Update(fn func(tx *Tx) error) error {
 // one shard, so no transaction is ever seen partially). The Tx is
 // invalid once fn returns (ErrTxDone on later use).
 func (db *DB) View(fn func(tx *Tx) error) error {
-	return db.eng.Read(func(ctx *core.Tx) error {
-		tx := &Tx{db: db, ctx: ctx}
-		defer func() { tx.done = true }()
-		return fn(tx)
+	f := new(viewFrame)
+	return db.eng.ReadIn(&f.rf, func(ctx *core.Tx) error {
+		f.tx = Tx{db: db, ctx: ctx}
+		defer func() { f.tx.done = true }()
+		return fn(&f.tx)
 	})
+}
+
+// viewFrame is every handle a View makes — its Tx, the engine's routing
+// Tx and the coordinator's ReadTx — in one allocation. It is not reused,
+// so a Tx kept past fn keeps failing with ErrTxDone.
+type viewFrame struct {
+	tx Tx
+	rf core.ReadFrame
 }
 
 // Checkpoint flushes the page files and truncates the write-ahead logs
