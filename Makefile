@@ -42,6 +42,11 @@ DEREF_TESTS = InvalidationNeverServesSuperseded|DerefStalenessMatrix
 # 1 and 4 shards), and misses on one page that share one read or its
 # error.
 POOL_TESTS = PoolReadersUnderEviction|PoolConcurrentMissReadsOnce|PoolFailedMissWakesEveryWaiter|ConcurrentReadersUnderPoolPressure
+# The statistics tests `make race` repeats at GOMAXPROCS 1 and 2: pollers
+# that must never read more batches than commits while committers land,
+# and the checkpoint-trigger counters that must sum to the automatic
+# checkpoints the shards ran.
+STATS_TESTS = StatsTornReadRegression|CheckpointTriggersCountRuns
 # The packages `make cover` holds to an 85% line-coverage floor.
 COVER_FLOOR_PKGS = obs workload delta matcache derefcache
 
@@ -57,8 +62,10 @@ help:
 	@echo "  race     full test suite under -race, then the restart, reset,"
 	@echo "           allocation, commit-pipeline, B+tree offset-table and"
 	@echo "           dereference-cache invalidation tests twenty times over,"
-	@echo "           and the pipeline liveness, read-snapshot and buffer-pool"
-	@echo "           read-path tests at GOMAXPROCS 1 and 2"
+	@echo "           and the pipeline liveness, read-snapshot, buffer-pool"
+	@echo "           read-path and statistics tests at GOMAXPROCS 1 and 2 (the"
+	@echo "           statistics pair Commits >= Batches holds by memory order"
+	@echo "           alone, with no lock)"
 	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race)"
 	@echo "  soak     metrics-reconciling soak suite at 1 and 4 shards (-race);"
 	@echo "           seeds default to 1,2,3 — override with a comma-separated"
@@ -129,7 +136,10 @@ fmt:
 # reader's fill and a writer's invalidation. The seventh runs the buffer
 # pool's read-path tests at GOMAXPROCS 1 and 2: a hit reads a page's slot
 # without the pool mutex, and only the order of its two loads against
-# the writer's two stores keeps a reader off a page being edited.
+# the writer's two stores keeps a reader off a page being edited. The
+# eighth runs the statistics tests there (STATS_TESTS): no lock keeps
+# Commits and Batches together, only the committer's order of its two
+# adds against Stats' order of its two loads, as with CUT_TESTS.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy
@@ -138,6 +148,7 @@ race:
 	$(GO) test -race -count=20 -run '$(BTREE_TESTS)' ./internal/btree
 	$(GO) test -race -count=20 -run '$(DEREF_TESTS)' ./internal/derefcache .
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(POOL_TESTS)' ./internal/storage .
+	$(GO) test -race -count=20 -cpu 1,2 -run '$(STATS_TESTS)' .
 
 # The crash-consistency fault matrix (DESIGN.md §8, §12) under the race
 # detector: every WAL/storage injection point plus the engine-level

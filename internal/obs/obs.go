@@ -287,17 +287,23 @@ type Metrics struct {
 
 	// Automatic checkpoints by the trigger that fired: the log reached
 	// CheckpointBytes, or dirty pages reached the pool's share
-	// (storage.Pool.DirtyDue). Explicit Checkpoint calls and Close count
-	// under neither. CheckpointDuration times every checkpoint: an
-	// automatic one on its shard, an explicit one (every shard, then the
-	// decision log) once, at the coordinator.
-	CheckpointsByWALBytes   Counter   `series:"ode_checkpoints_by_wal_bytes_total" scope:"shard" help:"Automatic checkpoints triggered by the WAL reaching CheckpointBytes, counted when the kick is queued."`
-	CheckpointsByDirtyPages Counter   `series:"ode_checkpoints_by_dirty_pages_total" scope:"shard" help:"Automatic checkpoints triggered by dirty pages reaching their share of the pool, counted when the kick is queued."`
+	// (storage.Pool.DirtyDue). Each is counted when a checkpoint is run
+	// for it, by the checkpointer or by a writer past the slack, whether
+	// it then succeeds or fails; explicit Checkpoint calls and Close count
+	// under neither. CheckpointDuration times every checkpoint that
+	// succeeds: an automatic one on its shard, an explicit one (every
+	// shard, then the decision log) once, at the coordinator.
+	CheckpointsByWALBytes   Counter   `series:"ode_checkpoints_by_wal_bytes_total" scope:"shard" help:"Automatic checkpoints run because the WAL reached CheckpointBytes (failed ones included)."`
+	CheckpointsByDirtyPages Counter   `series:"ode_checkpoints_by_dirty_pages_total" scope:"shard" help:"Automatic checkpoints run because dirty pages reached their share of the pool (failed ones included)."`
 	CheckpointDuration      Histogram `series:"ode_checkpoint_duration_ns" scope:"shard,db" help:"Checkpoint duration (page flush + WAL reset)."`
 
-	// Commits. BatchSize is the transactions one committer batch covered
-	// (one fsync each unless NoSync): a shard committer's batch, or, at
-	// the coordinator, the one cross-shard transaction a decision record
+	// Commits. Commits and Aborts count a write transaction once: on its
+	// shard if it ended in that shard's pipeline alone, else at the
+	// coordinator. A committer adds to Commits before it observes
+	// BatchSize (txn.Manager.Stats). BatchSize is the transactions one
+	// committer batch covered (one fsync each unless NoSync): a shard
+	// committer's batch, or, at the coordinator, the one cross-shard
+	// transaction a decision record
 	// commits. FlushesInFlight is, at each claim of a shard's committer,
 	// how many of its batches are in flight counting the one claimed: at
 	// the bound on overlapping fsyncs (4), the next claim waits — a
@@ -305,6 +311,8 @@ type Metrics struct {
 	// CommitLatency is the whole write transaction — fn, staging and the
 	// wait for the fsync — observed by whoever ran it: the coordinator,
 	// or a Manager used on its own.
+	Commits         Counter   `series:"ode_commits_total" scope:"shard,db" help:"Committed write transactions."`
+	Aborts          Counter   `series:"ode_aborts_total" scope:"shard,db" help:"Rolled-back write transactions."`
 	BatchSize       Histogram `series:"ode_commit_batch_size" scope:"shard,db" help:"Transactions covered by one committer batch (one fsync each unless NoSync; a shard's batches' fsyncs may overlap)."`
 	FlushesInFlight Histogram `series:"ode_commit_flushes_in_flight" scope:"shard" help:"Batches a shard's committer has in flight (claimed, not yet acknowledged) at each claim, counting the one claimed; at 4 the next claim waits."`
 	CommitLatency   Histogram `series:"ode_commit_latency_ns" scope:"db" help:"Whole-Update commit latency (fn + staging + fsync wait)."`

@@ -102,12 +102,6 @@ func (fl *File) ReadPage(id oid.PageID, buf []byte) error {
 	return nil
 }
 
-// WritePage seals buf's checksum and writes it as page id, extending the
-// file if necessary. buf is modified in place (checksum field).
-func (fl *File) WritePage(id oid.PageID, buf []byte) error {
-	return fl.writeRun(id, buf)
-}
-
 // writeRun seals each page image in buf — one or more whole pages — and
 // writes them as pages first, first+1, … with one WriteAt.
 func (fl *File) writeRun(first oid.PageID, buf []byte) error {

@@ -683,20 +683,6 @@ func (pl *Pool) FlushDirty() error {
 	return werr
 }
 
-// DropDirty discards every dirty page image without writing it (used on
-// abort after before-images are restored, and by recovery resets).
-func (pl *Pool) DropDirty() {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	// Backwards: a removal moves the last page into the hole, and every
-	// page behind i has been looked at.
-	for i := len(pl.clock) - 1; i >= 0; i-- {
-		if p := pl.clock[i]; p.dirty {
-			pl.setLive(pl.slot(p.ID), nil)
-		}
-	}
-}
-
 // Forget removes a page from the cache entirely (used when a page
 // allocated by an aborted transaction is rolled out of existence).
 func (pl *Pool) Forget(id oid.PageID) {

@@ -110,9 +110,6 @@ func (m *ShardMap) Ranges() []Range {
 	return append([]Range(nil), m.ranges...)
 }
 
-// NumRanges returns the number of contiguous assignments.
-func (m *ShardMap) NumRanges() int { return len(m.ranges) }
-
 // NextBoundary returns the smallest range start strictly greater than
 // id, or 0 when id falls in the last range (no boundary above it).
 // Reshard cursors use it to skip over stretches already owned by the

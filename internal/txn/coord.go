@@ -175,24 +175,14 @@ type Coordinator struct {
 	onRollback func(shard int, restored []*storage.Page, forgotten []oid.PageID)
 
 	// cm is the coordinator-level registry (whole-transaction latency,
-	// cross-shard batch sizes, decision-log fsyncs). sink is the tracer
-	// sink shared by every shard; the coordinator owns it.
+	// cross-shard batch sizes, decision-log fsyncs, empty and cross-shard
+	// commits). sink is the tracer sink shared by every shard; the
+	// coordinator owns it.
 	cm   *obs.Metrics
 	sink *obs.Sink
 
 	gtidSeq atomic.Uint64 // global txn ids; unique within one clog lifetime
 	ctxSeq  atomic.Uint64 // span ids for coordinator-level trace events
-
-	// Coordinator-level activity: empty and cross-shard transactions
-	// (single-shard ones count on their shard), and checkpoints, which
-	// cm.CheckpointDuration counts. Same seqlock discipline as Manager so
-	// Stats sums stay torn-free pair-wise.
-	commits   atomic.Uint64
-	batches   atomic.Uint64
-	aborts    atomic.Uint64
-	statsMu   sync.Mutex
-	statsSeq  atomic.Uint64
-	clogBytes atomic.Int64
 
 	closed atomic.Bool
 }
@@ -770,7 +760,6 @@ func openSharded(fsys faultfs.FS, dir string, opts Options, sharded, legacy0 boo
 func (c *Coordinator) attachClog(clog *wal.Log) {
 	clog.SetMetrics(c.cm)
 	c.clog = clog
-	c.clogBytes.Store(clog.Size())
 }
 
 // abandon closes what an open or create had opened — shards, decision
@@ -816,15 +805,6 @@ func (c *Coordinator) DataFiles() []string {
 // database and to no shard in particular.
 func (c *Coordinator) Metrics() *obs.Metrics { return c.cm }
 
-func (c *Coordinator) addCommitsBatches(commits, batches uint64) {
-	c.statsMu.Lock()
-	c.statsSeq.Add(1)
-	c.batches.Add(batches)
-	c.commits.Add(commits)
-	c.statsSeq.Add(1)
-	c.statsMu.Unlock()
-}
-
 func (c *Coordinator) observeCommit(span uint64, start time.Time) {
 	d := time.Since(start)
 	c.cm.CommitLatency.ObserveDuration(d)
@@ -841,38 +821,26 @@ func (c *Coordinator) poisonCoord(err error) {
 // Stats sums coordinator-level activity (empty and cross-shard
 // transactions, coordinator checkpoints) with every shard's. WALBytes
 // counts one file header once plus each log's payload, so a freshly
-// checkpointed database reports the same figure regardless of N.
+// checkpointed database reports the same figure regardless of N. Every
+// registry's batch count is loaded before any registry's Commits, so
+// Batches never exceeds Commits (see Manager.Stats).
 func (c *Coordinator) Stats() Stats {
-	var commits, batches uint64
-	for {
-		s1 := c.statsSeq.Load()
-		if s1&1 == 0 {
-			commits = c.commits.Load()
-			batches = c.batches.Load()
-			if c.statsSeq.Load() == s1 {
-				break
-			}
-		}
-		runtime.Gosched()
+	ms := c.ms()
+	out := Stats{Batches: c.cm.BatchSize.Snapshot().Count, WALBytes: wal.HeaderSize}
+	for _, m := range ms {
+		out.Batches += m.m.BatchSize.Snapshot().Count
 	}
-	out := Stats{
-		Commits:     commits,
-		Batches:     batches,
-		Aborts:      c.aborts.Load(),
-		Checkpoints: c.cm.CheckpointDuration.Snapshot().Count,
-		WALBytes:    wal.HeaderSize,
-	}
-	for _, m := range c.ms() {
-		s := m.Stats()
-		out.Commits += s.Commits
-		out.Aborts += s.Aborts
-		out.Batches += s.Batches
-		out.Checkpoints += s.Checkpoints
-		out.RecoveredTxns += s.RecoveredTxns
-		out.WALBytes += s.WALBytes - wal.HeaderSize
-	}
+	out.Commits, out.Aborts = c.cm.Commits.Load(), c.cm.Aborts.Load()
+	out.Checkpoints = c.cm.CheckpointDuration.Snapshot().Count
 	if c.clog != nil {
-		out.WALBytes += c.clogBytes.Load() - wal.HeaderSize
+		out.WALBytes += c.clog.Size() - wal.HeaderSize
+	}
+	for _, m := range ms {
+		out.Commits += m.m.Commits.Load()
+		out.Aborts += m.m.Aborts.Load()
+		out.Checkpoints += m.m.CheckpointDuration.Snapshot().Count
+		out.RecoveredTxns += m.recovered
+		out.WALBytes += m.log.Size() - wal.HeaderSize
 	}
 	return out
 }
@@ -1107,7 +1075,7 @@ func (c *Coordinator) runFn(wtx *WriteTx, fn func(*WriteTx) error, relock []int)
 				return // wtx.ended says so
 			}
 			wtx.release(true)
-			c.aborts.Add(1)
+			c.cm.Aborts.Inc()
 			panic(r)
 		}
 	}()
@@ -1137,7 +1105,7 @@ func (c *Coordinator) commitTx(wtx *WriteTx, span uint64, start time.Time) error
 	switch len(dirty) {
 	case 0:
 		wtx.release(false)
-		c.addCommitsBatches(1, 0)
+		c.cm.Commits.Inc()
 		c.observeCommit(span, start)
 		return nil
 	case 1:
@@ -1148,7 +1116,7 @@ func (c *Coordinator) commitTx(wtx *WriteTx, span uint64, start time.Time) error
 }
 
 func (c *Coordinator) abortObserve(span uint64, start time.Time, err error) {
-	c.aborts.Add(1)
+	c.cm.Aborts.Inc()
 	if c.sink != nil {
 		c.sink.Emit(obs.SpanEvent{Kind: obs.SpanAbort, Tx: span, Dur: time.Since(start), Err: err.Error()})
 	}
@@ -1251,7 +1219,6 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 				c.poisonCoord(fmt.Errorf("cannot erase failed decision from coordinator log: %w", terr))
 			}
 		}
-		c.clogBytes.Store(c.clog.Size())
 	}
 	if derr != nil {
 		c.cmu.Unlock()
@@ -1298,13 +1265,13 @@ func (c *Coordinator) commit2PC(wtx *WriteTx, dirty []int, span uint64, start ti
 	// the log once it has reached the checkpoint limit. A failed trim has
 	// poisoned the log; its error is not this commit's, which is durable
 	// and published.
-	if limit := c.opts.checkpointBytes(); limit >= 0 && c.clogBytes.Load() >= limit {
+	if limit := c.opts.checkpointBytes(); limit >= 0 && c.clog.Size() >= limit {
 		_ = c.trimDecisionLog()
 	}
 	c.cmu.Unlock()
 	wtx.release(false)
+	c.cm.Commits.Inc() // before BatchSize: see Stats
 	c.cm.BatchSize.Observe(1)
-	c.addCommitsBatches(1, 1)
 	if decErr != nil {
 		return fmt.Errorf("txn: %w", decErr)
 	}
@@ -1342,7 +1309,6 @@ func (c *Coordinator) trimDecisionLog() error {
 		c.poisonCoord(err)
 		return err
 	}
-	c.clogBytes.Store(c.clog.Size())
 	return nil
 }
 

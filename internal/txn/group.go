@@ -216,7 +216,6 @@ func (m *Manager) appendFlight(f *flight) error {
 		}
 	}
 	f.end = m.log.End()
-	m.walBytes.Store(m.log.Size())
 	if m.opts.NoSync {
 		return nil
 	}
@@ -281,12 +280,14 @@ func (m *Manager) land(f *flight) {
 	// committed — its epoch only becomes visible when the coordinator
 	// decides.
 	if len(normals) > 0 {
-		m.m.BatchSize.Observe(uint64(len(normals)))
 		if !m.opts.NoSync {
 			m.sink.Emit(obs.SpanEvent{Kind: obs.SpanFsync, Batch: len(normals), Dur: time.Since(f.began)})
 		}
 		m.publish(normals[len(normals)-1].epoch)
-		m.addCommitsBatches(uint64(len(normals)), 1)
+		// Commits moves before BatchSize: Stats loads them the other way
+		// round, so it never reports more batches than commits.
+		m.m.Commits.Add(uint64(len(normals)))
+		m.m.BatchSize.Observe(uint64(len(normals)))
 	}
 	for _, r := range f.batch {
 		r.done <- nil
@@ -353,7 +354,6 @@ func (m *Manager) failFlights(cause error) {
 		// That is the one thing recovery cannot fix: stop writing.
 		m.poison(fmt.Errorf("cannot erase failed commit group from WAL: %w", err))
 	}
-	m.walBytes.Store(m.log.Size())
 	m.logMu.Unlock()
 	if !lent {
 		m.mu.Unlock()
@@ -371,21 +371,14 @@ func (m *Manager) failFlights(cause error) {
 // checkpoint is due (checkpointDue). The kick is a send on a one-slot
 // channel that never blocks: a kick already queued covers this one, and
 // a kick taken by a checkpoint that has since reset the log finds it no
-// longer due (checkpointIfDue). The trigger counters count queued kicks.
+// longer due (checkpointIfDue, which counts the checkpoints that run).
 func (m *Manager) maybeKickCheckpoint(walSize int64) {
-	due, byDirty := m.checkpointDue(walSize)
-	if !due {
+	if due, _ := m.checkpointDue(walSize); !due {
 		return
 	}
 	select {
 	case m.ckptKick <- struct{}{}:
 	default:
-		return
-	}
-	if byDirty {
-		m.m.CheckpointsByDirtyPages.Inc()
-	} else {
-		m.m.CheckpointsByWALBytes.Inc()
 	}
 }
 

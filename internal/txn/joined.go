@@ -48,7 +48,7 @@ import (
 // evicted), and validates that the shard can accept a write. On error
 // the mutex is NOT held.
 func (m *Manager) lockWriter() error {
-	if limit := m.opts.checkpointBytes(); limit >= 0 && (m.walBytes.Load() >= limit+limit/4 || m.st.Pool().DirtyFull()) {
+	if limit := m.opts.checkpointBytes(); limit >= 0 && (m.log.Size() >= limit+limit/4 || m.st.Pool().DirtyFull()) {
 		m.checkpointIfDue()
 	}
 	m.mu.Lock()
@@ -241,7 +241,6 @@ func (m *Manager) decideJoinedLog(txid oid.TxID) error {
 	if _, err = m.log.AppendCommit(txid); err == nil && !m.opts.NoSync {
 		err = m.log.Sync()
 	}
-	m.walBytes.Store(m.log.Size())
 	m.logMu.Unlock()
 	if err != nil {
 		m.poison(fmt.Errorf("2pc decide (decision is durable in the coordinator log): %w", err))

@@ -23,11 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ode/internal/faultfs"
@@ -212,25 +210,7 @@ type Manager struct {
 	readers sync.WaitGroup
 	closed  bool
 
-	// Activity counters. Atomic so Stats never touches either lock —
-	// it must stay cheap and non-blocking even mid-commit. commits and
-	// batches additionally move together under a seqlock (statsMu +
-	// statsSeq) so Stats returns a mutually consistent pair: a batch's
-	// publication is never visible half-applied (Batches advanced but
-	// not its Commits, or vice versa). Checkpoints are counted once, by
-	// the CheckpointDuration histogram in m.
-	commits   atomic.Uint64
-	aborts    atomic.Uint64
-	batches   atomic.Uint64
-	recovered uint64       // set once at open, read-only after
-	walBytes  atomic.Int64 // mirror of log.Size(), updated under logMu
-
-	// statsMu serialises commits/batches updaters (the writer landing a
-	// flight and writers committing empty transactions can otherwise
-	// race); statsSeq is the seqlock generation — odd while an update is
-	// in flight.
-	statsMu  sync.Mutex
-	statsSeq atomic.Uint64
+	recovered uint64 // transactions replayed at open; read-only after
 
 	// m is this shard's registry, shared with its pool and its log (and,
 	// for id allocation, the engine): what happens on the shard is counted
@@ -331,7 +311,6 @@ func Create(dir string, opts Options) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{st: st, log: log, opts: opts}
-	m.walBytes.Store(log.Size())
 	m.initObs()
 	m.startPipeline()
 	return m, nil
@@ -356,18 +335,6 @@ func (m *Manager) initObs() {
 
 // Metrics returns the shard's registry.
 func (m *Manager) Metrics() *obs.Metrics { return m.m }
-
-// addCommitsBatches publishes a commits/batches delta under the stats
-// seqlock. Readers (Stats) retry while statsSeq is odd or changed, so
-// they never observe the pair half-applied.
-func (m *Manager) addCommitsBatches(commits, batches uint64) {
-	m.statsMu.Lock()
-	m.statsSeq.Add(1) // odd: update in flight
-	m.batches.Add(batches)
-	m.commits.Add(commits)
-	m.statsSeq.Add(1) // even: stable
-	m.statsMu.Unlock()
-}
 
 // startPipeline sets up the group commit pipeline and launches the
 // background checkpointer.
@@ -415,9 +382,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 		log.Close()
 		return nil, err
 	}
-	m := &Manager{st: st, log: log, opts: opts}
-	m.recovered = recovered
-	m.walBytes.Store(log.Size())
+	m := &Manager{st: st, log: log, opts: opts, recovered: recovered}
 	m.initObs()
 	m.startPipeline()
 	return m, nil
@@ -568,29 +533,19 @@ func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64
 // legal inside Write, through the transaction's view.
 func (m *Manager) Store() *storage.Store { return m.st }
 
-// Stats returns activity counters. It is lock-free: safe to call from
-// any goroutine at any time, including mid-commit. Commits and Batches
-// are read under the seqlock so the pair is mutually consistent — a
-// snapshot can never show a published batch without its commits.
+// Stats returns activity counters, read off the shard's registry and
+// its log without a lock: safe from any goroutine at any time, including
+// mid-commit. A landing flight adds to Commits before it observes
+// BatchSize, and Stats loads BatchSize first, so Batches never exceeds
+// Commits.
 func (m *Manager) Stats() Stats {
-	var commits, batches uint64
-	for {
-		s1 := m.statsSeq.Load()
-		if s1&1 == 0 {
-			commits = m.commits.Load()
-			batches = m.batches.Load()
-			if m.statsSeq.Load() == s1 {
-				break
-			}
-		}
-		runtime.Gosched() // an update is in flight; it is a few adds away
-	}
+	batches := m.m.BatchSize.Snapshot().Count
 	return Stats{
-		Commits:       commits,
-		Aborts:        m.aborts.Load(),
+		Commits:       m.m.Commits.Load(),
+		Aborts:        m.m.Aborts.Load(),
 		Checkpoints:   m.m.CheckpointDuration.Snapshot().Count,
 		RecoveredTxns: m.recovered,
-		WALBytes:      m.walBytes.Load(),
+		WALBytes:      m.log.Size(),
 		Batches:       batches,
 	}
 }
@@ -716,7 +671,7 @@ func (m *Manager) writeLocked(fn func(*storage.TxView) error, start time.Time) (
 		return nil, err
 	}
 	if req == nil {
-		m.addCommitsBatches(1, 0) // committed without logging anything
+		m.m.Commits.Inc() // committed without logging anything
 		return nil, nil
 	}
 	if m.sink != nil {
@@ -749,7 +704,7 @@ func (m *Manager) poison(err error) {
 // concurrent readers. The epoch does not advance.
 func (m *Manager) rollback(tr *tracker) {
 	m.rollbackQuiet(tr)
-	m.aborts.Add(1)
+	m.m.Aborts.Inc()
 }
 
 // rollbackQuiet is rollback without the abort count: the coordinator
@@ -823,17 +778,26 @@ func (m *Manager) Checkpoint() error {
 }
 
 // checkpointIfDue is the only code that decides whether an automatic
-// checkpoint runs (callers: checkpointer, lockWriter). Under the drained
-// writer mutex a closed, poisoned or no longer due shard does nothing.
+// checkpoint runs (callers: checkpointer, lockWriter), and counts each
+// one it runs under the trigger that made it due, whether it then
+// succeeds or fails. Under the drained writer mutex a closed, poisoned
+// or no longer due shard does nothing.
 func (m *Manager) checkpointIfDue() {
 	m.lockWriterDrained()
 	defer m.unlockWriter()
 	if m.isClosed() || m.ioErr != nil {
 		return
 	}
-	if due, _ := m.checkpointDue(m.walBytes.Load()); due {
-		_ = m.checkpointCounted() // a failure poisons the shard: its next write reports it
+	due, byDirty := m.checkpointDue(m.log.Size())
+	if !due {
+		return
 	}
+	if byDirty {
+		m.m.CheckpointsByDirtyPages.Inc()
+	} else {
+		m.m.CheckpointsByWALBytes.Inc()
+	}
+	_ = m.checkpointCounted() // a failure poisons the shard: its next write reports it
 }
 
 // checkpointCounted runs checkpointLocked and, if it succeeds, records
@@ -861,7 +825,7 @@ func (m *Manager) checkpointLocked() error {
 		return fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
 	}
 	m.logMu.Lock()
-	defer func() { m.walBytes.Store(m.log.Size()); m.logMu.Unlock() }()
+	defer m.logMu.Unlock()
 	// Order matters. A page may reach the data file only once the log
 	// that can redo it (and undo nothing: redo-only) is on stable
 	// storage, and under NoSync commits sit in the log's write buffer

@@ -302,11 +302,11 @@ func TestWriterCheckpointsPastTheSlack(t *testing.T) {
 				// (the first commits after a reset log whole pages).
 				var perCommit int64
 				for i := 0; i < 300; i++ {
-					ckpts, before := m.Stats().Checkpoints, m.walBytes.Load()
+					ckpts, before := m.Stats().Checkpoints, m.log.Size()
 					if err := insert(m); err != nil {
 						t.Fatal(err)
 					}
-					if after := m.walBytes.Load(); m.Stats().Checkpoints == ckpts && after > before {
+					if after := m.log.Size(); m.Stats().Checkpoints == ckpts && after > before {
 						perCommit = max(perCommit, after-before)
 					}
 				}
@@ -322,7 +322,7 @@ func TestWriterCheckpointsPastTheSlack(t *testing.T) {
 				go func() {
 					defer close(sampled)
 					for {
-						if n := m.walBytes.Load(); n > peak.Load() {
+						if n := m.log.Size(); n > peak.Load() {
 							peak.Store(n)
 						}
 						select {
@@ -365,9 +365,16 @@ func TestWriterCheckpointsPastTheSlack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.walBytes.Store(slack - 1) // due, but below the slack: the writer runs none
-		if err := insert(m); err != nil {
-			t.Fatal(err)
+		// With the checkpointer stopped, only a writer checkpoints: fill
+		// the log up to the slack, checkpoints due all the way from the
+		// limit, and below the slack the writers run none.
+		close(m.ckptStop)
+		m.ckptWG.Wait()
+		m.ckptStop = make(chan struct{}) // for Close
+		for m.log.Size() < slack {
+			if err := insert(m); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if n := m.Stats().Checkpoints; n != 0 {
 			t.Fatalf("%d checkpoints below the slack", n)
@@ -376,7 +383,6 @@ func TestWriterCheckpointsPastTheSlack(t *testing.T) {
 		parked, release := make(chan struct{}), make(chan struct{})
 		var once sync.Once
 		fsys.onSync = func() error { once.Do(func() { close(parked); <-release }); return nil }
-		m.walBytes.Store(slack) // no flight lands, so the checkpointer is not kicked
 		res := make(chan error, 1)
 		go func() { res <- insert(m) }()
 		select {

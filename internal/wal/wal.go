@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"ode/internal/codec"
@@ -88,8 +89,8 @@ type Log struct {
 	f    faultfs.File
 	sw   *seqWriter
 	w    *bufio.Writer
-	end  oid.LSN // next append offset
 	path string
+	end  atomic.Uint64 // next append offset; atomic, so Size needs no lock
 	// durable is how far the file is known to be on stable storage: moved
 	// to end by whatever makes it so (Sync, Reset, TruncateTo) and by
 	// MarkDurable after a SyncFile. Sync while durable == end is free, so
@@ -148,7 +149,8 @@ func OpenFS(fsys faultfs.FS, path string) (*Log, error) {
 			f.Close()
 			return nil, err
 		}
-		l.end, l.durable = headerSize, headerSize
+		l.end.Store(headerSize)
+		l.durable = headerSize
 		sw.off = headerSize
 		return l, nil
 	}
@@ -176,7 +178,8 @@ func OpenFS(fsys faultfs.FS, path string) (*Log, error) {
 			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
 	}
-	l.end, l.durable = end, end
+	l.end.Store(uint64(end))
+	l.durable = end
 	sw.off = int64(end)
 	return l, nil
 }
@@ -227,10 +230,10 @@ func scanEnd(f io.ReaderAt, size int64) (oid.LSN, error) {
 }
 
 // End returns the LSN one past the last durable-framed record.
-func (l *Log) End() oid.LSN { return l.end }
+func (l *Log) End() oid.LSN { return oid.LSN(l.end.Load()) }
 
-// Size returns the current log size in bytes.
-func (l *Log) Size() int64 { return int64(l.end) }
+// Size returns the current log size in bytes; any goroutine may ask.
+func (l *Log) Size() int64 { return int64(l.end.Load()) }
 
 // Frames is a staged run of records, framed byte-for-byte as the log
 // file holds them but kept in memory: the only record encoder. The
@@ -409,11 +412,11 @@ func (fr *Frames) Records() uint64 { return fr.recs }
 // its first record. It only buffers; the run is durable after the next
 // Sync.
 func (l *Log) AppendFrames(fr *Frames) (oid.LSN, error) {
-	lsn := l.end
+	lsn := l.End()
 	if _, err := l.w.Write(fr.buf); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	l.end += oid.LSN(len(fr.buf))
+	l.end.Add(uint64(len(fr.buf)))
 	l.m.WALAppends.Add(fr.recs)
 	return lsn, nil
 }
@@ -442,7 +445,7 @@ func (l *Log) AppendShardMap(tx oid.TxID, image []byte) (oid.LSN, error) {
 // only after Sync returns. With nothing appended since the log was last
 // made durable it does nothing.
 func (l *Log) Sync() error {
-	if l.durable == l.end {
+	if l.durable == l.End() {
 		return nil
 	}
 	if err := l.Flush(); err != nil {
@@ -451,7 +454,7 @@ func (l *Log) Sync() error {
 	if err := l.SyncFile(); err != nil {
 		return err
 	}
-	l.durable = l.end
+	l.durable = l.End()
 	return nil
 }
 
@@ -494,11 +497,11 @@ func (l *Log) Reset() error {
 	}
 	l.w.Reset(l.sw)
 	l.sw.off = headerSize
-	l.end = headerSize
+	l.end.Store(headerSize)
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: reset sync: %w", err)
 	}
-	l.durable = l.end
+	l.durable = headerSize
 	return nil
 }
 
@@ -509,14 +512,14 @@ func (l *Log) Reset() error {
 // for recovery to replay — otherwise a commit the application was told
 // failed could silently reappear after a crash.
 func (l *Log) TruncateTo(lsn oid.LSN) error {
-	if lsn < headerSize || lsn > l.end {
-		return fmt.Errorf("wal: truncate to %v outside [%d,%v]", lsn, headerSize, l.end)
+	if lsn < headerSize || lsn > l.End() {
+		return fmt.Errorf("wal: truncate to %v outside [%d,%v]", lsn, headerSize, l.End())
 	}
 	// Drop buffered bytes (and any sticky write error) first; the file
 	// mutation below is then the only thing that can fail.
 	l.w.Reset(l.sw)
 	l.sw.off = int64(lsn)
-	l.end = lsn
+	l.end.Store(uint64(lsn))
 	if err := l.f.Truncate(int64(lsn)); err != nil {
 		return fmt.Errorf("wal: truncate to %v: %w", lsn, err)
 	}
@@ -533,11 +536,12 @@ func (l *Log) Scan(fn func(rec Record) error) error {
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
-	sr := io.NewSectionReader(l.f, headerSize, int64(l.end)-headerSize)
+	end := l.Size()
+	sr := io.NewSectionReader(l.f, headerSize, end-headerSize)
 	r := bufio.NewReaderSize(sr, 1<<16)
 	off := int64(headerSize)
 	var frame [8]byte
-	for off < int64(l.end) {
+	for off < end {
 		if _, err := io.ReadFull(r, frame[:]); err != nil {
 			return fmt.Errorf("wal: scan frame at %d: %w", off, err)
 		}

@@ -74,6 +74,8 @@ type Metrics struct {
 	WALPageDeltaBytes uint64
 	// Automatic checkpoints by the trigger that fired: the log reached
 	// CheckpointBytes, or dirty pages reached three quarters of the pool.
+	// Their sum is the automatic checkpoints the shards ran, failed ones
+	// included.
 	CheckpointsByWALBytes   uint64
 	CheckpointsByDirtyPages uint64
 
@@ -127,10 +129,11 @@ type Metrics struct {
 }
 
 // Metrics returns the current observability snapshot. Counter loads
-// are lock-free; the Commits/Batches pair is seqlock-consistent (see
-// Stats). Histogram snapshots are taken bucket-by-bucket and may
-// straddle a concurrent Observe by one sample — fine for monitoring,
-// and the counters the soak tests reconcile on are exact at quiescence.
+// are lock-free, and Commits is loaded after Batches, so it is never
+// the smaller (see Stats). Histogram snapshots are taken
+// bucket-by-bucket and may straddle a concurrent Observe by one sample —
+// fine for monitoring, and the counters the soak tests reconcile on are
+// exact at quiescence.
 func (db *DB) Metrics() Metrics {
 	var ms Metrics
 	ms.Stats = db.Stats()

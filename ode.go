@@ -357,8 +357,6 @@ func (db *DB) Stats() Stats {
 	st := Stats{
 		Objects:             es.Objects,
 		Versions:            es.Versions,
-		Commits:             ts.Commits,
-		Aborts:              ts.Aborts,
 		Checkpoints:         ts.Checkpoints,
 		WALBytes:            ts.WALBytes,
 		Batches:             ts.Batches,
@@ -368,7 +366,7 @@ func (db *DB) Stats() Stats {
 		DerefCacheEvictions: ds.Evictions,
 		DerefCacheBytes:     ds.Bytes,
 	}
-	db.fill(&st) // AllocLeases, AllocIDs: out of the shards' registries
+	db.fill(&st) // Commits, Aborts, AllocLeases, AllocIDs: loaded after ts.Batches
 	return st
 }
 

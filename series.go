@@ -22,8 +22,6 @@ type series struct {
 var seriesTable = []series{
 	{name: "ode_objects", help: "Live objects.", field: "Objects"},
 	{name: "ode_versions", help: "Live versions across all objects.", field: "Versions"},
-	{name: "ode_commits_total", help: "Committed write transactions.", field: "Commits"},
-	{name: "ode_aborts_total", help: "Rolled-back write transactions.", field: "Aborts"},
 	{name: "ode_checkpoints_total", help: "Checkpoints completed.", field: "Checkpoints"},
 	{name: "ode_commit_batches_total", help: "Committer batches, one fsync each unless NoSync.", field: "Batches"},
 	{name: "ode_recovered_txns_total", help: "Transactions replayed by crash recovery at open.", field: "RecoveredTxns"},
@@ -80,10 +78,10 @@ type shardSeries struct {
 }
 
 var shardSeriesTable = []shardSeries{
-	{"ode_shard_commits_total", "Committed write transactions per shard (cross-shard transactions count on every shard they touched).",
-		func(_ *DB, _ int, sm *txn.Manager) any { return sm.Stats().Commits }},
+	{"ode_shard_commits_total", "Committed write transactions per shard (a cross-shard or empty one counts on no shard, only in ode_commits_total).",
+		func(_ *DB, _ int, sm *txn.Manager) any { return sm.Metrics().Commits.Load() }},
 	{"ode_shard_aborts_total", "Rolled-back write transactions per shard.",
-		func(_ *DB, _ int, sm *txn.Manager) any { return sm.Stats().Aborts }},
+		func(_ *DB, _ int, sm *txn.Manager) any { return sm.Metrics().Aborts.Load() }},
 	{"ode_shard_pool_hits_total", "Buffer-pool page hits per shard.",
 		func(_ *DB, _ int, sm *txn.Manager) any { return sm.Metrics().PoolHits.Load() }},
 	{"ode_shard_pool_misses_total", "Buffer-pool page misses per shard.",

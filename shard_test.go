@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -555,6 +556,27 @@ func TestShardedMetricsExposition(t *testing.T) {
 	ms := db.Metrics()
 	if ms.Commits == 0 || ms.CommitLatency.Count == 0 {
 		t.Fatalf("aggregated metrics empty: %+v", ms.Stats)
+	}
+
+	// A cross-shard Update counts once, in ode_commits_total, and on no
+	// shard; the per-shard counts sum to the single-shard commits.
+	a, b := crossShardPair(t, db, parts)
+	perShard := func() []uint64 {
+		var out []uint64
+		for _, sm := range db.coord.Shards() {
+			out = append(out, sm.Metrics().Commits.Load())
+		}
+		return out
+	}
+	shardsBefore, totalBefore := perShard(), db.Stats().Commits
+	if err := setRevs(db, 1, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if got := perShard(); !slices.Equal(got, shardsBefore) {
+		t.Errorf("per-shard commits moved from %v to %v on a cross-shard Update", shardsBefore, got)
+	}
+	if got := db.Stats().Commits; got != totalBefore+1 {
+		t.Errorf("ode_commits_total moved from %d to %d on a cross-shard Update, want +1", totalBefore, got)
 	}
 }
 

@@ -8,7 +8,7 @@ package ode
 // EXACTLY with the model — not approximately: commits, aborts, live
 // versions, walk counts, and the commit-latency histogram population
 // are all closed-form functions of the op log. Run under -race this is
-// also the concurrency stress for the seqlock'd Commits/Batches pair
+// also the concurrency stress for the load-ordered Commits/Batches pair
 // and the lock-free histograms.
 
 import (

@@ -2,7 +2,7 @@ package ode
 
 // Stats()/Metrics() accuracy: table-driven scripts whose every counter
 // has a hand-computed expectation, plus the torn-read regression test
-// for the seqlock-consistent Commits/Batches pair.
+// for the Commits/Batches pair.
 
 import (
 	"errors"
@@ -302,12 +302,13 @@ func TestStatsWriteLedger(t *testing.T) {
 	}
 }
 
-// TestStatsTornReadRegression is the regression test for the seqlock
-// around the Commits/Batches pair. The writer side adds batches BEFORE
-// commits inside the locked section, so an unsynchronised reader could
-// observe the impossible state Batches > Commits; Stats() must never
-// return it, no matter how many commits and batch publications land
-// mid-poll.
+// TestStatsTornReadRegression pins Commits >= Batches under concurrent
+// polls. No lock keeps the pair together: a committer adds to Commits
+// before it observes BatchSize (whose count is Batches), and Stats()
+// loads every registry's batch count before any registry's Commits, so
+// a reader that loaded them the other way round could observe the
+// impossible state Batches > Commits. Stats() must never return it, no
+// matter how many commits and batch publications land mid-poll.
 func TestStatsTornReadRegression(t *testing.T) {
 	const committers = 4
 	const perCommitter = 40
