@@ -47,6 +47,11 @@ POOL_TESTS = PoolReadersUnderEviction|PoolConcurrentMissReadsOnce|PoolFailedMiss
 # and the checkpoint-trigger counters that must sum to the automatic
 # checkpoints the shards ran.
 STATS_TESTS = StatsTornReadRegression|CheckpointTriggersCountRuns
+# The checkpoint tests `make race` repeats at GOMAXPROCS 1 and 2: a
+# writer committing beside an automatic checkpoint parked in its data-file
+# fsync, and the crash matrix over a checkpoint that writes pages back
+# while commits go on in the log's new segment.
+CHECKPOINT_TESTS = CheckpointDoesNotBlockWriters|CheckpointSwitchFaultMatrix
 # The packages `make cover` holds to an 85% line-coverage floor.
 COVER_FLOOR_PKGS = obs workload delta matcache derefcache
 
@@ -63,10 +68,12 @@ help:
 	@echo "           allocation, commit-pipeline, B+tree offset-table and"
 	@echo "           dereference-cache invalidation tests twenty times over,"
 	@echo "           and the pipeline liveness, read-snapshot, buffer-pool"
-	@echo "           read-path and statistics tests at GOMAXPROCS 1 and 2 (the"
-	@echo "           statistics pair Commits >= Batches holds by memory order"
-	@echo "           alone, with no lock)"
-	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race)"
+	@echo "           read-path, statistics and checkpoint tests at GOMAXPROCS 1"
+	@echo "           and 2 (the statistics pair Commits >= Batches holds by"
+	@echo "           memory order alone, with no lock; an automatic checkpoint"
+	@echo "           writes pages back beside the writers)"
+	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race),"
+	@echo "           the checkpoint-switch rows included"
 	@echo "  soak     metrics-reconciling soak suite at 1 and 4 shards (-race);"
 	@echo "           seeds default to 1,2,3 — override with a comma-separated"
 	@echo "           list, e.g. make soak ODE_SOAK_SEEDS=1,2,3,17,99"
@@ -90,7 +97,8 @@ help:
 	@echo "           internal/workload, internal/delta, internal/matcache,"
 	@echo "           internal/derefcache, (per-file, over the delta"
 	@echo "           battery) the two compact.go files and (per-file, over"
-	@echo "           internal/storage) internal/storage/pool.go"
+	@echo "           their packages) internal/storage/pool.go and"
+	@echo "           internal/txn/checkpoint.go"
 	@echo "  loc      non-test Go lines per package, the ode.Options field count"
 	@echo "           and the number of declared /metrics series — the numbers"
 	@echo "           a consolidation PR is judged by"
@@ -139,7 +147,11 @@ fmt:
 # the writer's two stores keeps a reader off a page being edited. The
 # eighth runs the statistics tests there (STATS_TESTS): no lock keeps
 # Commits and Batches together, only the committer's order of its two
-# adds against Stats' order of its two loads, as with CUT_TESTS.
+# adds against Stats' order of its two loads, as with CUT_TESTS. The
+# ninth runs the checkpoint tests there (CHECKPOINT_TESTS): an automatic
+# checkpoint writes pages back with no lock while writers commit into the
+# log's new segment, and only the one-at-a-time handshake (Manager.run)
+# orders it against the next checkpoint and a failed flight's heal.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy
@@ -149,6 +161,7 @@ race:
 	$(GO) test -race -count=20 -run '$(DEREF_TESTS)' ./internal/derefcache .
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(POOL_TESTS)' ./internal/storage .
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(STATS_TESTS)' .
+	$(GO) test -race -count=20 -cpu 1,2 -run '$(CHECKPOINT_TESTS)' ./internal/txn .
 
 # The crash-consistency fault matrix (DESIGN.md §8, §12) under the race
 # detector: every WAL/storage injection point plus the engine-level
@@ -159,10 +172,14 @@ race:
 # re-runs the engine-level matrix against four shard WALs plus the 2PC
 # coordinator log (the coordinator's own fault matrix runs in
 # ./internal/txn either way). Both lines run the decision log's trim
-# faults (TestDecisionTrimFaultMatrix), at two shards and at four.
+# faults (TestDecisionTrimFaultMatrix), at two shards and at four. The
+# checkpoint-switch rows (TestCheckpointSwitchFaultMatrix, in
+# ./internal/txn) read ODE_SHARDS themselves, so the third line runs
+# them again at four shards.
 matrix:
 	ODE_SHARDS=1 $(GO) test -race -run 'FaultMatrix|RecoveryDeterministic|PoolReadFault|EngineCrashMatrix|FailedCommitSync' ./internal/txn ./internal/storage .
 	ODE_SHARDS=4 $(GO) test -race -count=1 -run 'FaultMatrix|EngineCrashMatrix|FailedCommitSync' .
+	ODE_SHARDS=4 $(GO) test -race -count=1 -run 'CheckpointSwitchFaultMatrix' ./internal/txn
 
 # Short continuous-fuzz pass over every native fuzz target (seed
 # corpora under testdata/fuzz always run as part of plain `go test`;
@@ -255,8 +272,11 @@ delta-matrix:
 # battery; the uncovered remainder is I/O-error returns the fault
 # matrices don't reach. The buffer pool's internal/storage/pool.go has a
 # per-file 85% floor over its own package's tests, which drive its
-# lock-free hits, off-lock misses and CLOCK eviction directly. The
-# profiles go to a temporary directory, removed when the recipe ends.
+# lock-free hits, off-lock misses and CLOCK eviction directly; the
+# checkpoint code in internal/txn/checkpoint.go has one over its own
+# package's tests, whose crash matrices drive the write-back off the
+# writer mutex. The profiles go to a temporary directory, removed when
+# the recipe ends.
 cover:
 	$(GO) test -cover ./...
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
@@ -269,7 +289,8 @@ cover:
 	done; \
 	$(GO) test -count=1 -run 'TestDelta' -coverprofile=$$d/deltatier.cover -coverpkg=./internal/core,. .; \
 	$(GO) test -count=1 -coverprofile=$$d/storage.cover ./internal/storage; \
-	for fp in ode/internal/core/compact.go:deltatier ode/compact.go:deltatier ode/internal/storage/pool.go:storage; do \
+	$(GO) test -count=1 -coverprofile=$$d/txn.cover ./internal/txn; \
+	for fp in ode/internal/core/compact.go:deltatier ode/compact.go:deltatier ode/internal/storage/pool.go:storage ode/internal/txn/checkpoint.go:txn; do \
 	  f=$${fp%%:*}; awk -v file="$$f" '$$1 ~ "^"file { t += $$2; if ($$3 > 0) c += $$2 } END { \
 	    pct = 100*c/t; \
 	    printf "%s coverage: %.1f%% (floor 85%%)\n", file, pct; \

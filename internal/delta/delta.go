@@ -5,14 +5,21 @@
 // payload can be stored as a copy/insert delta against its derived-from
 // parent and materialised by applying the delta chain.
 //
-// The encoder is a greedy block-hash matcher (in the spirit of xdelta):
-// the base is indexed by the hash of every aligned block; the target is
-// scanned, and block-hash hits are extended byte-wise forward to maximal
-// matches, which become COPY ops; unmatched bytes become INSERT ops.
+// The encoder has two passes. An edit that keeps the payload's length —
+// every in-place edit of a version — is encoded positionally: one O(n)
+// scan that copies each run of at least blockSize bytes equal at the
+// same offset and inserts the rest. Anything else (a length change, or
+// a positional delta no smaller than the target, as when content moved)
+// goes to a greedy block-hash matcher in the spirit of xdelta: the base
+// is indexed by the hash of every aligned block; the target is scanned,
+// and block-hash hits are extended byte-wise forward to maximal matches,
+// which become COPY ops; unmatched bytes become INSERT ops. Both emit
+// the one format Apply reads.
 package delta
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -41,7 +48,51 @@ var ErrCorrupt = errors.New("delta: corrupt delta")
 func Encode(base, target []byte) []byte {
 	w := make([]byte, 0, 64+len(target)/8)
 	w = codec.AppendUVarint(w, uint64(len(target)))
+	if len(base) == len(target) {
+		if d := encodePositional(w, base, target); len(d) < len(target) {
+			return d
+		}
+	}
+	return encodeBlocks(w, base, target)
+}
 
+// encodePositional appends to w (the delta's length header) the ops that
+// rebuild target from an equal-length base in place: a COPY of each run
+// of at least blockSize bytes equal at the same offset, an INSERT of
+// what lies between them.
+func encodePositional(w, base, target []byte) []byte {
+	n := len(target)
+	ins := 0 // where the pending INSERT starts
+	for i := 0; i < n; {
+		if base[i] != target[i] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j+8 <= n && binary.LittleEndian.Uint64(base[j:]) == binary.LittleEndian.Uint64(target[j:]) {
+			j += 8
+		}
+		for j < n && base[j] == target[j] {
+			j++
+		}
+		if j-i >= blockSize {
+			if i > ins {
+				w = emitInsert(w, target[ins:i])
+			}
+			w = emitCopy(w, i, j-i)
+			ins = j
+		}
+		i = j
+	}
+	if ins < n {
+		w = emitInsert(w, target[ins:])
+	}
+	return w
+}
+
+// encodeBlocks appends to w (the delta's length header) the block
+// matcher's ops for target against base.
+func encodeBlocks(w, base, target []byte) []byte {
 	if len(base) < blockSize || len(target) < blockSize {
 		// Too small to match blocks; emit a pure insert.
 		if len(target) > 0 {

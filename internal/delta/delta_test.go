@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ode/internal/codec"
 )
 
 func roundtrip(t *testing.T, base, target []byte) []byte {
@@ -194,6 +196,43 @@ func TestRatio(t *testing.T) {
 		t.Fatal("zero target ratio")
 	}
 }
+
+// TestPositionalEditNoLargerThanBlocks holds the positional pass to the
+// edit the benchmark makes to a version (a 12-byte header rewritten at
+// offset 0 and a 64-byte window at a random offset of a 1 KiB payload):
+// its delta is never larger than the block matcher's for the same pair,
+// and both rebuild the target. A shifted copy of the base, which has the
+// same length but nothing in place, falls back to the block matcher.
+func TestPositionalEditNoLargerThanBlocks(t *testing.T) {
+	const size, header, window = 1024, 12, 64
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 200; trial++ {
+		base := make([]byte, size)
+		rng.Read(base)
+		target := append([]byte(nil), base...)
+		rng.Read(target[:header])
+		off := header + rng.Intn(size-header-window)
+		rng.Read(target[off : off+window])
+		d := roundtrip(t, base, target)
+		hdr := codecHeader(len(target))
+		blocks := encodeBlocks(hdr, base, target)
+		if len(d) > len(blocks) {
+			t.Fatalf("trial %d (window at %d): positional delta %d bytes, block matcher %d", trial, off, len(d), len(blocks))
+		}
+		if len(d) > header+window+32 {
+			t.Fatalf("trial %d: %d-byte delta for a %d-byte edit", trial, len(d), header+window)
+		}
+	}
+	base := make([]byte, size)
+	rng.Read(base)
+	shifted := append(append([]byte(nil), base[100:]...), base[:100]...)
+	if d := roundtrip(t, base, shifted); len(d) >= size/4 {
+		t.Fatalf("a rotated base encodes to %d bytes; the block matcher should find it", len(d))
+	}
+}
+
+// codecHeader is the length header every delta starts with.
+func codecHeader(n int) []byte { return codec.AppendUVarint(nil, uint64(n)) }
 
 func BenchmarkEncodeSmallEdit(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))

@@ -297,6 +297,11 @@ type Metrics struct {
 	CheckpointsByDirtyPages Counter   `series:"ode_checkpoints_by_dirty_pages_total" scope:"shard" help:"Automatic checkpoints run because dirty pages reached their share of the pool (failed ones included)."`
 	CheckpointDuration      Histogram `series:"ode_checkpoint_duration_ns" scope:"shard,db" help:"Checkpoint duration (page flush + WAL reset)."`
 
+	// WriterLockWait is each writer's wait in lockWriter for its shard's
+	// writer mutex, counting the checkpoint a writer past the slack waits
+	// out or runs: the commit-side stall a checkpoint or a convoy costs.
+	WriterLockWait Histogram `series:"ode_writer_lock_wait_ns" scope:"shard" help:"Writer wait for a shard's writer mutex, including a checkpoint run or waited out past the slack."`
+
 	// Commits. Commits and Aborts count a write transaction once: on its
 	// shard if it ended in that shard's pipeline alone, else at the
 	// coordinator. A committer adds to Commits before it observes

@@ -100,12 +100,25 @@ type Page struct {
 	ref atomic.Bool
 	at  int
 
+	// seg is the log segment the transaction layer last logged the
+	// page's image in, 0 for none (Seg). COW carries it to the copy.
+	seg uint64
+
 	// offs is the page's entry-offset table (TxView.Offsets), nil when
 	// none is current; spare is the buffer of a table marked stale, which
 	// only the writer touches.
 	offs  atomic.Pointer[[]uint16]
 	spare *[]uint16
 }
+
+// Seg returns the log segment the transaction layer last logged the
+// page's image in (0: none since it was read or allocated). Only the
+// writer reads or sets it, under the writer mutex; a copy-on-write copy
+// starts with its original's.
+func (p *Page) Seg() uint64 { return p.seg }
+
+// SetSeg records that the page's image was logged in segment seg.
+func (p *Page) SetSeg(seg uint64) { p.seg = seg }
 
 // Type returns the page's type tag.
 func (p *Page) Type() PageType { return PageType(p.Data[offType]) }

@@ -463,6 +463,7 @@ func (pl *Pool) COW(p *Page) (np *Page, before []byte, wasDirty bool) {
 		Data:   append([]byte(nil), basis.Data...),
 		dirty:  true,
 		pinned: basis.pinned,
+		seg:    basis.seg,
 	}
 	pl.setLive(s, np)
 	pl.evictOverflow() // a clean basis already evicted gave up no room for np
@@ -635,10 +636,6 @@ func (pl *Pool) MarkClean(p *Page) {
 func (pl *Pool) DirtyPages() []*Page {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return pl.dirtyPagesLocked()
-}
-
-func (pl *Pool) dirtyPagesLocked() []*Page {
 	out := make([]*Page, 0, pl.nDirty.Load())
 	for _, p := range pl.clock {
 		if p.dirty {
@@ -653,34 +650,44 @@ func (pl *Pool) dirtyPagesLocked() []*Page {
 }
 
 // FlushDirty writes every dirty page to the page file (without syncing)
-// and marks the pages clean. The caller (the writer path) is
-// responsible for ordering this after WAL durability and for the final
-// Sync.
-//
-// The page I/O happens outside the pool mutex so concurrent readers are
-// never stalled behind a checkpoint's writes; only the writer mutates
-// pages, and it is the one in here. The images go out in page order, one
-// write per run of adjacent pages (File.WriteSorted), sealed into a
-// scratch buffer: the page objects being flushed are visible to
-// concurrent readers at the current epoch.
+// and marks the pages clean: DirtyPages, WritePages and MarkWritten in
+// one. The caller is responsible for ordering this after WAL durability
+// and for the final Sync.
 func (pl *Pool) FlushDirty() error {
-	pl.mu.Lock()
-	dirty := pl.dirtyPagesLocked()
-	pl.mu.Unlock()
+	dirty := pl.DirtyPages()
+	written, err := pl.WritePages(dirty)
+	pl.MarkWritten(dirty[:written])
+	return err
+}
 
-	written, werr := pl.file.WriteSorted(len(dirty), func(i int) (oid.PageID, []byte) {
-		return dirty[i].ID, dirty[i].Data
+// WritePages writes the images of pages, as DirtyPages returned them, to
+// the page file without syncing it, and returns how many went out before
+// an error. It takes no lock: a page object the pool has handed out as
+// live is never mutated once its transaction has ended — the next writer
+// copies it (COW) — so the caller may run this beside writers, the
+// images it writes being those of the moment it captured the pages. The
+// images go out in page order, one write per run of adjacent pages
+// (File.WriteSorted), sealed into a scratch buffer: readers may hold the
+// page objects.
+func (pl *Pool) WritePages(pages []*Page) (int, error) {
+	return pl.file.WriteSorted(len(pages), func(i int) (oid.PageID, []byte) {
+		return pages[i].ID, pages[i].Data
 	})
+}
 
+// MarkWritten clears the dirty flag of each of pages, once written, that
+// is still its id's live page: one a writer has copied since
+// it was captured is no longer live, and the live copy, holding what the
+// file does not, stays dirty.
+func (pl *Pool) MarkWritten(pages []*Page) {
 	pl.mu.Lock()
-	for _, p := range dirty[:written] {
-		if p.dirty {
+	defer pl.mu.Unlock()
+	for _, p := range pages {
+		if p.dirty && pl.slot(p.ID).page.Load() == p {
 			pl.setFlags(p, false, p.pinned)
 		}
 	}
 	pl.evictOverflow()
-	pl.mu.Unlock()
-	return werr
 }
 
 // Forget removes a page from the cache entirely (used when a page
@@ -703,10 +710,9 @@ func (pl *Pool) Pin(p *Page) {
 
 // DirtyDue reports whether dirty pages have reached their share of the
 // pool (dirtyShareNum/dirtyShareDen): the transaction layer checkpoints
-// when they have, as it does when the log reaches its size limit.
+// when they have, as it does when the log reaches its size limit. Like
+// DirtyFull it takes no lock (capacity never changes after NewPool).
 func (pl *Pool) DirtyDue() bool {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
 	return int(pl.nDirty.Load())*dirtyShareDen >= pl.capacity*dirtyShareNum
 }
 

@@ -197,6 +197,9 @@ func (s *Store) FlushAll() error {
 	return s.file.Sync()
 }
 
+// Sync fsyncs the page file: what WritePages wrote is then durable.
+func (s *Store) Sync() error { return s.file.Sync() }
+
 // Close flushes and closes the store.
 func (s *Store) Close() error {
 	if err := s.FlushAll(); err != nil {

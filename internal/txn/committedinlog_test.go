@@ -39,7 +39,7 @@ func TestCommittedInLogCountsDecidedPrepareOnce(t *testing.T) {
 		fr.PageImage(4, 1, page)
 		fr.Prepare(4, 9)
 	})
-	_, n, err := replay(log, map[uint64]bool{7: true, 8: true})
+	_, n, err := replay(map[uint64]bool{7: true, 8: true}, log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -840,7 +840,7 @@ func (c *Coordinator) Stats() Stats {
 		out.Aborts += m.m.Aborts.Load()
 		out.Checkpoints += m.m.CheckpointDuration.Snapshot().Count
 		out.RecoveredTxns += m.recovered
-		out.WALBytes += m.log.Size() - wal.HeaderSize
+		out.WALBytes += m.walBytes() - wal.HeaderSize
 	}
 	return out
 }

@@ -292,7 +292,7 @@ func (m *Manager) land(f *flight) {
 	for _, r := range f.batch {
 		r.done <- nil
 	}
-	m.maybeKickCheckpoint(int64(f.end))
+	m.maybeKickCheckpoint()
 }
 
 // failFlights handles the failed append or fsync of the oldest
@@ -347,6 +347,13 @@ func (m *Manager) failFlights(cause error) {
 	for i := len(suffix) - 1; i >= 0; i-- {
 		m.undo(suffix[i], cause)
 	}
+	// The truncate syncs the current segment, whose commits build on the
+	// old one's: under NoSync the old segment must be durable first, and
+	// the checkpoint writing it back syncs it before its first page write.
+	// (Otherwise the drained pipeline synced it before the switch.)
+	if m.opts.NoSync {
+		m.awaitCheckpoint()
+	}
 	m.logMu.Lock()
 	if err := m.log.TruncateTo(failed.start); err != nil {
 		// The failed commits might survive in the log and be replayed
@@ -363,35 +370,6 @@ func (m *Manager) failFlights(cause error) {
 			r.done <- cause
 		} else {
 			r.done <- fmt.Errorf("aborted with failed commit group: %w", cause)
-		}
-	}
-}
-
-// maybeKickCheckpoint nudges the background checkpointer when a
-// checkpoint is due (checkpointDue). The kick is a send on a one-slot
-// channel that never blocks: a kick already queued covers this one, and
-// a kick taken by a checkpoint that has since reset the log finds it no
-// longer due (checkpointIfDue, which counts the checkpoints that run).
-func (m *Manager) maybeKickCheckpoint(walSize int64) {
-	if due, _ := m.checkpointDue(walSize); !due {
-		return
-	}
-	select {
-	case m.ckptKick <- struct{}{}:
-	default:
-	}
-}
-
-// checkpointer is the background goroutine that runs checkpoints off
-// the commit path, one checkpointIfDue per kick.
-func (m *Manager) checkpointer() {
-	defer m.ckptWG.Done()
-	for {
-		select {
-		case <-m.ckptStop:
-			return
-		case <-m.ckptKick:
-			m.checkpointIfDue()
 		}
 	}
 }

@@ -41,17 +41,21 @@ import (
 	"ode/internal/wal"
 )
 
-// lockWriter takes the shard's writer mutex, after the due checkpoint if
-// the log is past CheckpointBytes by a quarter or the shard's dirty pages
-// have reached the pool's capacity (writers leading their own flights
-// could otherwise outrun the checkpointer, and dirty pages are never
-// evicted), and validates that the shard can accept a write. On error
-// the mutex is NOT held.
+// lockWriter takes the shard's writer mutex and validates that the shard
+// can accept a write; on error the mutex is NOT held. If the log is past
+// CheckpointBytes by a quarter or the shard's dirty pages have reached
+// the pool's capacity (writers leading their own flights could otherwise
+// outrun the checkpointer, and dirty pages are never evicted), it first
+// waits out the checkpoint writing pages back, off the mutex, and runs
+// the one still due then (checkpointIfDue). The whole wait is observed in
+// WriterLockWait.
 func (m *Manager) lockWriter() error {
-	if limit := m.opts.checkpointBytes(); limit >= 0 && (m.log.Size() >= limit+limit/4 || m.st.Pool().DirtyFull()) {
+	start := time.Now()
+	if limit := m.opts.checkpointBytes(); limit >= 0 && (m.walBytes() >= limit+limit/4 || m.st.Pool().DirtyFull()) {
 		m.checkpointIfDue()
 	}
 	m.mu.Lock()
+	m.m.WriterLockWait.ObserveDuration(time.Since(start))
 	return m.checkWritable()
 }
 
@@ -73,10 +77,10 @@ func (m *Manager) checkWritable() error {
 		err = ErrClosed
 	case m.opts.Storage.ReadOnly:
 		err = ErrReadOnly
-	case m.ioErr != nil:
-		err = fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
 	default:
-		return nil
+		if err = m.poisoned(); err == nil {
+			return nil
+		}
 	}
 	m.mu.Unlock()
 	return err
@@ -122,13 +126,15 @@ var framesPool = sync.Pool{New: func() any { return new(wal.Frames) }}
 // buffer, while they are the transaction's final state.
 //
 // A page is logged as a delta against the tracker's before-image when
-// that image is what the log already holds for it: the page was dirty
-// when this transaction first touched it, so a standing transaction
-// logged it since the log was last reset (a rolled-back one put the page
-// back as it found it — clean, if it was the first). Otherwise — a clean
-// page, an allocation, or a delta no smaller than the page — the whole
-// image is logged. That first image is also what recovers a page the
-// in-place checkpoint write tore: recovery never reads the data file.
+// that image is what the log's current segment already holds for it: the
+// page was dirty when this transaction first touched it, and a standing
+// transaction logged it in this segment (its Seg; a rolled-back one put
+// the page back as it found it — clean, or logged where it was).
+// Otherwise — a clean page, one last logged before the log switched, an
+// allocation, or a delta no smaller than the page — the whole image is
+// logged. That first image in each segment is also what recovers a page
+// the in-place checkpoint write tore, once the segments before it are
+// retired: recovery never reads the data file.
 func (m *Manager) stage(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (*commitReq, error) {
 	touched := tr.touchedPages()
 	fr := framesPool.Get().(*wal.Frames) // empty: recycle resets before Put
@@ -142,14 +148,20 @@ func (m *Manager) stage(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (
 			return nil, err
 		}
 		mark := fr.Len()
-		if bi, ok := tr.before[id]; ok && bi.wasDirty && fr.PageDelta(txid, id, bi.data, p.Data) {
+		bi, had := tr.before[id]
+		if had && bi.wasDirty && p.Seg() == m.seg && fr.PageDelta(txid, id, bi.data, p.Data) {
 			deltas++
 			deltaBytes += uint64(fr.Len() - mark)
-			continue
+		} else {
+			fr.PageImage(txid, id, p.Data)
+			images++
+			imageBytes += uint64(fr.Len() - mark)
 		}
-		fr.PageImage(txid, id, p.Data)
-		images++
-		imageBytes += uint64(fr.Len() - mark)
+		if had {
+			bi.seg, bi.staged = p.Seg(), true
+			tr.before[id] = bi
+		}
+		p.SetSeg(m.seg)
 	}
 	m.m.WALPageImages.Add(images)
 	m.m.WALPageImageBytes.Add(imageBytes)

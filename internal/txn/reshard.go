@@ -214,7 +214,7 @@ func (c *Coordinator) grow(target int) error {
 		// An interrupted earlier grow can leave orphaned files for this
 		// slot (created but never referenced by a durable frame). They
 		// hold nothing recoverable — truncate and re-create.
-		for _, name := range []string{ShardDataFileName(i), ShardWALFileName(i)} {
+		for _, name := range []string{ShardDataFileName(i), ShardWALFileName(i), segmentFile(ShardWALFileName(i))} {
 			path := filepath.Join(c.dir, name)
 			if _, err := fsys.Stat(path); err == nil {
 				f, oerr := fsys.OpenFile(path, os.O_RDWR|os.O_TRUNC, 0o644)

@@ -22,10 +22,12 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ode/internal/faultfs"
@@ -43,12 +45,6 @@ const (
 	DataFileName = "data.ode"
 	WALFileName  = "wal.ode"
 )
-
-// DefaultCheckpointBytes triggers a checkpoint when the WAL exceeds this
-// size at a commit boundary. It is one of two triggers: a checkpoint is
-// also due when dirty pages reach their share of the buffer pool
-// (storage.Pool.DirtyDue), whichever comes first.
-const DefaultCheckpointBytes = 8 << 20
 
 // ErrClosed reports use of a closed manager.
 var ErrClosed = errors.New("txn: manager closed")
@@ -73,12 +69,15 @@ type Options struct {
 	// same. A commit is acknowledged once its records are in the log's
 	// write buffer. Throughput rises at the price of durability of the
 	// most recent commits; used by benchmarks to isolate CPU costs.
-	// Checkpoints fsync as always — the log before the first page write,
-	// the data file, then the log's reset — so what survives a crash is a
-	// committed prefix, never a torn database.
+	// Checkpoints fsync as always — the log (its old segment) before the
+	// first page write, the data file, then the log's reset (the old
+	// segment's retirement) — so what survives a crash is a committed
+	// prefix, never a torn database.
 	NoSync bool
 	// CheckpointBytes overrides DefaultCheckpointBytes; <0 disables
-	// automatic checkpoints, by either trigger. It bounds a coordinator's
+	// automatic checkpoints, by either trigger. The size counts both of a
+	// shard's log segments while an automatic checkpoint writes pages back
+	// from the old one. It bounds a coordinator's
 	// decision log (coord.ode) too: a cross-shard commit that leaves that
 	// log at this size empties it (Coordinator.trimDecisionLog).
 	CheckpointBytes int64
@@ -180,9 +179,9 @@ type Stats struct {
 // an epoch-pinned snapshot view.
 type Manager struct {
 	// mu is the writer lock: write transactions (lockWriter through
-	// submit), Checkpoint, failFlights, and the tail of Close serialise on
-	// it. st (superblock mutation), nextTx and ioErr are writer-side state
-	// guarded by it.
+	// submit), the in-memory part of a checkpoint, failFlights, and the
+	// tail of Close serialise on it. st (superblock mutation), nextTx and
+	// seg are writer-side state guarded by it.
 	mu     sync.Mutex
 	st     *storage.Store
 	opts   Options
@@ -190,10 +189,27 @@ type Manager struct {
 
 	// logMu guards the WAL: the writer leading a flight appends it
 	// without holding mu (its fsync, Log.SyncFile, runs off both locks),
-	// while checkpoints (under mu, pipeline drained) sync and reset it.
-	// Lock order is mu before logMu; a logMu holder never takes mu.
+	// while checkpoints (under mu, pipeline drained) sync, reset or switch
+	// it. Lock order is mu before logMu; a logMu holder never takes mu.
 	logMu sync.Mutex
 	log   *wal.Log
+
+	// The log's segments. walPath is the log's first file; an automatic
+	// checkpoint switches the log to its other file (segmentFile) and
+	// back. old is the segment a checkpoint switched away from, until it
+	// retires it (nil otherwise); any goroutine may load it. spare is the
+	// retired segment, renewed as the next one, that the next switch goes
+	// on in (nil before the first). seg numbers the segments of this
+	// session from 1: a page whose image the current segment holds carries
+	// it (storage.Page.Seg). run is the automatic checkpoint writing pages
+	// back off the writer mutex, nil when none: one at a time, set by the
+	// checkpoint under the drained writer mutex and cleared by it when
+	// done; spare is its to set, and is read only while none runs.
+	walPath string
+	old     atomic.Pointer[wal.Log]
+	spare   *wal.Log
+	seg     uint64
+	run     atomic.Pointer[ckptRun]
 
 	// gc is the commit pipeline, which the writers run themselves; the
 	// checkpointer, the shard's one goroutine, runs automatic checkpoints
@@ -224,8 +240,9 @@ type Manager struct {
 	// ioErr, once set, permanently disables writes: an I/O failure left
 	// the in-memory state and the on-disk state possibly divergent in a
 	// way only recovery (a reopen) can reconcile. The WAL is preserved
-	// so no acked commit is lost.
-	ioErr error
+	// so no acked commit is lost. Set by poison, from any goroutine — a
+	// checkpoint writing pages back holds no lock.
+	ioErr atomic.Pointer[error]
 }
 
 // tracker captures before-images for abort and the dirty set for commit
@@ -239,6 +256,11 @@ type tracker struct {
 type beforeImage struct {
 	data     []byte
 	wasDirty bool
+	// seg is the page's Seg before stage set it to the current segment's
+	// (staged): what a rollback puts back, the before-image being no more
+	// in the current segment than it was.
+	seg    uint64
+	staged bool
 }
 
 func newTracker() *tracker {
@@ -305,15 +327,22 @@ func Create(dir string, opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	log, err := wal.OpenFS(fsys, filepath.Join(dir, opts.walFileName()))
+	walPath := filepath.Join(dir, opts.walFileName())
+	log, err := wal.OpenFS(fsys, walPath)
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	m := &Manager{st: st, log: log, opts: opts}
+	m := newManager(st, log, walPath, opts)
 	m.initObs()
 	m.startPipeline()
 	return m, nil
+}
+
+// newManager assembles a Manager over an open store and log, the log in
+// its first file (walPath) and the current segment numbered 1.
+func newManager(st *storage.Store, log *wal.Log, walPath string, opts Options) *Manager {
+	return &Manager{st: st, log: log, opts: opts, walPath: walPath, seg: 1}
 }
 
 // initObs builds the shard's registry and the tracer sink (when a tracer
@@ -355,26 +384,40 @@ func Open(dir string, opts Options) (*Manager, error) {
 	opts.Storage.FS = fsys
 	dataPath := filepath.Join(dir, opts.dataFileName())
 	walPath := filepath.Join(dir, opts.walFileName())
-	log, err := wal.OpenFS(fsys, walPath)
+	log, second, err := openLogFiles(fsys, walPath)
 	if err != nil {
 		return nil, err
 	}
+	segs := replayOrder(log, second)
+	closeAll := func() {
+		for _, l := range segs {
+			l.Close()
+		}
+	}
 	var recovered uint64
 	if opts.Storage.ReadOnly {
-		_, pending, err := replay(log, opts.decided)
+		_, pending, err := replay(opts.decided, segs...)
 		if err != nil {
-			log.Close()
+			closeAll()
 			return nil, err
 		}
 		if pending > 0 {
-			log.Close()
+			closeAll()
 			return nil, ErrNeedsRecovery
 		}
 	} else {
-		recovered, err = recover2(fsys, log, dataPath, opts.decided)
+		recovered, err = recover2(fsys, segs, dataPath, opts.decided)
 		if err != nil {
-			log.Close()
+			closeAll()
 			return nil, fmt.Errorf("txn: recovery: %w", err)
+		}
+	}
+	// Nothing committed is left in the log's files (or, read-only, nothing
+	// was there): the log goes on in its first file.
+	if second != nil {
+		if err := second.Close(); err != nil {
+			log.Close()
+			return nil, err
 		}
 	}
 	st, err := storage.Open(dataPath, opts.Storage)
@@ -382,26 +425,65 @@ func Open(dir string, opts Options) (*Manager, error) {
 		log.Close()
 		return nil, err
 	}
-	m := &Manager{st: st, log: log, opts: opts, recovered: recovered}
+	m := newManager(st, log, walPath, opts)
+	m.recovered = recovered
 	m.initObs()
 	m.startPipeline()
 	return m, nil
 }
 
+// openLogFiles opens the log whose first file is at walPath: that file,
+// and the second (segmentFile) if the log ever moved there, else nil.
+func openLogFiles(fsys faultfs.FS, walPath string) (first, second *wal.Log, err error) {
+	if first, err = wal.OpenFS(fsys, walPath); err != nil {
+		return nil, nil, err
+	}
+	path := segmentFile(walPath)
+	if _, err = fsys.Stat(path); errors.Is(err, fs.ErrNotExist) {
+		return first, nil, nil
+	}
+	if err == nil {
+		second, err = wal.OpenFS(fsys, path)
+	}
+	if err != nil {
+		first.Close()
+		return nil, nil, err
+	}
+	return first, second, nil
+}
+
+// replayOrder lists a log's files oldest segment first. Two files hold
+// consecutive generations when both hold records (one checkpoint at a
+// time switches); when one is empty the order does not matter.
+func replayOrder(first, second *wal.Log) []*wal.Log {
+	switch {
+	case second == nil:
+		return []*wal.Log{first}
+	case int16(second.Gen()-first.Gen()) < 0:
+		return []*wal.Log{second, first}
+	}
+	return []*wal.Log{first, second}
+}
+
 // replay rebuilds, in memory, the pages the log's committed
 // transactions wrote, and counts those transactions; it is the one rule
 // for which logged transactions committed. Recovery writes redo back
-// (recover2); a read-only open only asks whether committed is zero.
+// (recover2); a read-only open only asks whether committed is zero. segs
+// are the log's files oldest segment first (replayOrder).
 //
 // Pages are rebuilt from the log alone, in commit order: a page image
 // replaces the page's state, a page delta is applied on top of the state
 // the transactions committed before it left — never on top of the data
-// file, whose copy an interrupted checkpoint may have torn. Every page
-// the log mentions starts with an image (Manager.stage), so a delta
-// without one is a corrupt log and fails recovery. A transaction that
-// never committed — a crash's tail, a 2PC prepare aborted live — was
-// rolled back in memory before the next one began, so its records are
-// skipped, not applied and undone.
+// file, whose copy an interrupted checkpoint may have torn. Every page a
+// segment mentions starts there with an image (Manager.stage), so a delta
+// without one in its own segment is a corrupt log and fails recovery:
+// once the older segment is retired the newer must rebuild its pages
+// alone. A transaction that never committed — a crash's tail, a 2PC
+// prepare aborted live — was rolled back in memory before the next one
+// began, so its records are skipped, not applied and undone. No
+// transaction spans two segments: the log switches with the commit
+// pipeline drained, under the writer mutex a 2PC participant holds from
+// prepare to decide.
 //
 // decided is the coordinator log's decision set (nil for a standalone
 // manager): a prepared transaction without a local commit record — the
@@ -410,12 +492,13 @@ func Open(dir string, opts Options) (*Manager, error) {
 // Such a transaction is always the newest in its log (the shard's
 // writer mutex is held from prepare to decide), so applying it after
 // every locally committed transaction preserves redo order.
-func replay(log *wal.Log, decided map[uint64]bool) (redo map[oid.PageID][]byte, committed uint64, err error) {
+func replay(decided map[uint64]bool, segs ...*wal.Log) (redo map[oid.PageID][]byte, committed uint64, err error) {
 	type txPages struct {
 		recs     []wal.Record // RecPageImage and RecPageDelta, in log order
 		prepared bool
 		gtid     uint64
-		seq      int // begin order, to apply in-doubt commits deterministically
+		seq      int                 // begin order, to apply in-doubt commits deterministically
+		imaged   map[oid.PageID]bool // the pages committed transactions imaged in its segment
 	}
 	pending := map[oid.TxID]*txPages{}
 	redo = map[oid.PageID][]byte{}
@@ -425,52 +508,55 @@ func replay(log *wal.Log, decided map[uint64]bool) (redo map[oid.PageID][]byte, 
 		for _, rec := range t.recs {
 			if rec.Type == wal.RecPageImage {
 				redo[rec.Page] = rec.Data // Scan allocates each payload afresh
+				t.imaged[rec.Page] = true
 				continue
 			}
-			base, ok := redo[rec.Page]
-			if !ok {
-				return fmt.Errorf("page delta at %v for page %d, which no committed transaction in the log imaged", rec.LSN, rec.Page)
+			if !t.imaged[rec.Page] {
+				return fmt.Errorf("page delta at %v for page %d, which no committed transaction in its log segment imaged", rec.LSN, rec.Page)
 			}
-			if err := wal.ApplyPageDelta(base, rec.Data); err != nil {
+			if err := wal.ApplyPageDelta(redo[rec.Page], rec.Data); err != nil {
 				return fmt.Errorf("page %d at %v: %w", rec.Page, rec.LSN, err)
 			}
 		}
 		return nil
 	}
-	err = log.Scan(func(rec wal.Record) error {
-		switch rec.Type {
-		case wal.RecBegin:
-			seq++
-			pending[rec.Tx] = &txPages{seq: seq}
-		case wal.RecPageImage, wal.RecPageDelta:
-			t := pending[rec.Tx]
-			if t == nil {
+	for _, log := range segs {
+		imaged := map[oid.PageID]bool{}
+		err = log.Scan(func(rec wal.Record) error {
+			switch rec.Type {
+			case wal.RecBegin:
 				seq++
-				t = &txPages{seq: seq}
-				pending[rec.Tx] = t
+				pending[rec.Tx] = &txPages{seq: seq, imaged: imaged}
+			case wal.RecPageImage, wal.RecPageDelta:
+				t := pending[rec.Tx]
+				if t == nil {
+					seq++
+					t = &txPages{seq: seq, imaged: imaged}
+					pending[rec.Tx] = t
+				}
+				t.recs = append(t.recs, rec)
+			case wal.RecPrepare:
+				if t := pending[rec.Tx]; t != nil {
+					t.prepared = true
+					t.gtid = rec.GTID
+				}
+			case wal.RecCommit:
+				t := pending[rec.Tx]
+				if t == nil {
+					return nil
+				}
+				delete(pending, rec.Tx)
+				return apply(t)
+			case wal.RecAbort:
+				delete(pending, rec.Tx)
 			}
-			t.recs = append(t.recs, rec)
-		case wal.RecPrepare:
-			if t := pending[rec.Tx]; t != nil {
-				t.prepared = true
-				t.gtid = rec.GTID
-			}
-		case wal.RecCommit:
-			t := pending[rec.Tx]
-			if t == nil {
-				return nil
-			}
-			delete(pending, rec.Tx)
-			return apply(t)
-		case wal.RecAbort:
-			delete(pending, rec.Tx)
+			// A RecCheckpoint, which earlier versions logged just before a
+			// reset, needs nothing: replaying what precedes it is idempotent.
+			return nil
+		})
+		if err != nil {
+			return nil, 0, err
 		}
-		// A RecCheckpoint, which earlier versions logged just before a
-		// reset, needs nothing: replaying what precedes it is idempotent.
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
 	}
 	// Resolve in-doubt prepared transactions by coordinator decision, in
 	// begin order (deterministic; in practice at most one can exist).
@@ -490,10 +576,12 @@ func replay(log *wal.Log, decided map[uint64]bool) (redo map[oid.PageID][]byte, 
 }
 
 // recover2 writes the pages replay rebuilt into the data file, syncs it
-// and only then resets the log, so a crash anywhere in it leaves the log
-// to rerun it. Named to avoid shadowing builtin recover.
-func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64]bool) (uint64, error) {
-	redo, committed, err := replay(log, decided)
+// and only then empties the log's files, oldest segment first, so a crash
+// anywhere in it leaves the log to rerun it: at worst the newer segment,
+// whose pages it rebuilds alone, over a data file already holding the
+// older one's. Named to avoid shadowing builtin recover.
+func recover2(fsys faultfs.FS, segs []*wal.Log, dataPath string, decided map[uint64]bool) (uint64, error) {
+	redo, committed, err := replay(decided, segs...)
 	if err != nil {
 		return 0, err
 	}
@@ -526,7 +614,12 @@ func recover2(fsys faultfs.FS, log *wal.Log, dataPath string, decided map[uint64
 			return 0, err
 		}
 	}
-	return committed, log.Reset()
+	for _, log := range segs {
+		if err := log.Reset(); err != nil {
+			return 0, err
+		}
+	}
+	return committed, nil
 }
 
 // Store exposes the underlying store to the engine. Mutations are only
@@ -545,7 +638,7 @@ func (m *Manager) Stats() Stats {
 		Aborts:        m.m.Aborts.Load(),
 		Checkpoints:   m.m.CheckpointDuration.Snapshot().Count,
 		RecoveredTxns: m.recovered,
-		WALBytes:      m.log.Size(),
+		WALBytes:      m.walBytes(),
 		Batches:       batches,
 	}
 }
@@ -690,11 +783,16 @@ func (m *Manager) observeCommit(txid uint64, start time.Time) {
 }
 
 // poison permanently disables writes on this manager (reads stay
-// available; the in-memory state is still consistent).
-func (m *Manager) poison(err error) {
-	if m.ioErr == nil {
-		m.ioErr = err
+// available; the in-memory state is still consistent). The first error
+// sticks.
+func (m *Manager) poison(err error) { m.ioErr.CompareAndSwap(nil, &err) }
+
+// poisoned returns the error that poisoned the manager, or nil.
+func (m *Manager) poisoned() error {
+	if p := m.ioErr.Load(); p != nil {
+		return fmt.Errorf("%w (cause: %v)", ErrPoisoned, *p)
 	}
+	return nil
 }
 
 // rollback restores before-images and drops pages allocated by the
@@ -724,6 +822,9 @@ func (m *Manager) rollbackQuiet(tr *tracker) {
 			continue
 		}
 		p.Restore(bi.data)
+		if bi.staged {
+			p.SetSeg(bi.seg)
+		}
 		if !bi.wasDirty {
 			m.st.Pool().MarkClean(p)
 		}
@@ -743,118 +844,6 @@ func (m *Manager) rollbackQuiet(tr *tracker) {
 	if m.opts.onRollback != nil {
 		m.opts.onRollback(m.opts.shardID, restored, forgotten)
 	}
-}
-
-// checkpointDue reports whether an automatic checkpoint is due at a
-// commit boundary, and which of the two triggers says so: the log has
-// reached CheckpointBytes, or (byDirty) dirty pages have reached their
-// share of the pool, which the log's size does not bound (a page delta
-// costs it a few bytes). A negative CheckpointBytes disables both.
-func (m *Manager) checkpointDue(walSize int64) (due, byDirty bool) {
-	limit := m.opts.checkpointBytes()
-	switch {
-	case limit < 0:
-		return false, false
-	case walSize >= limit:
-		return true, false
-	}
-	return m.st.Pool().DirtyDue(), true
-}
-
-// Checkpoint forces the page file current and truncates the WAL, and
-// counts and traces the checkpoint on the shard — before it lets the
-// writer mutex go, so a writer that gets it next sees the count. It
-// first drains the commit pipeline (lockWriterDrained): the page flush
-// must only ever persist effects of durable transactions (flushing a
-// prepared-but-unfsynced transaction and then resetting the WAL could
-// make a commit durable that its writer was told failed).
-func (m *Manager) Checkpoint() error {
-	m.lockWriterDrained()
-	defer m.unlockWriter()
-	if m.isClosed() {
-		return ErrClosed
-	}
-	return m.checkpointCounted()
-}
-
-// checkpointIfDue is the only code that decides whether an automatic
-// checkpoint runs (callers: checkpointer, lockWriter), and counts each
-// one it runs under the trigger that made it due, whether it then
-// succeeds or fails. Under the drained writer mutex a closed, poisoned
-// or no longer due shard does nothing.
-func (m *Manager) checkpointIfDue() {
-	m.lockWriterDrained()
-	defer m.unlockWriter()
-	if m.isClosed() || m.ioErr != nil {
-		return
-	}
-	due, byDirty := m.checkpointDue(m.log.Size())
-	if !due {
-		return
-	}
-	if byDirty {
-		m.m.CheckpointsByDirtyPages.Inc()
-	} else {
-		m.m.CheckpointsByWALBytes.Inc()
-	}
-	_ = m.checkpointCounted() // a failure poisons the shard: its next write reports it
-}
-
-// checkpointCounted runs checkpointLocked and, if it succeeds, records
-// its duration and span. Caller holds the drained writer mutex.
-func (m *Manager) checkpointCounted() error {
-	start := time.Now()
-	if err := m.checkpointLocked(); err != nil {
-		return err
-	}
-	d := time.Since(start)
-	m.m.CheckpointDuration.ObserveDuration(d)
-	m.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
-	return nil
-}
-
-// checkpointLocked is the checkpoint itself, and the only code that
-// empties the shard's log once it is open (recover2 empties it at open).
-// Caller holds the writer mutex with the commit pipeline idle. A
-// poisoned or read-only manager refuses here.
-func (m *Manager) checkpointLocked() error {
-	if m.opts.Storage.ReadOnly {
-		return ErrReadOnly
-	}
-	if m.ioErr != nil {
-		return fmt.Errorf("%w (cause: %v)", ErrPoisoned, m.ioErr)
-	}
-	m.logMu.Lock()
-	defer m.logMu.Unlock()
-	// Order matters. A page may reach the data file only once the log
-	// that can redo it (and undo nothing: redo-only) is on stable
-	// storage, and under NoSync commits sit in the log's write buffer
-	// until someone flushes it: a crash between a page write and that
-	// flush would leave pages of transactions the log never heard of. So
-	// the log is synced first (free unless NoSync: the drained pipeline
-	// synced what it appended), then every dirty page is written and the
-	// data file synced, and only then is the log reset. A failure
-	// anywhere leaves the WAL intact, so recovery can redo the work — but
-	// it also poisons the manager: after a failed flush the pool's
-	// clean/dirty bookkeeping no longer proves what is on disk (and a
-	// kernel that reported the fsync failure may have dropped the writes
-	// while clearing the error — retrying could "succeed" without the
-	// data being durable), so a later checkpoint could reset the WAL
-	// without its pages actually persisted. Only a reopen re-establishes
-	// the invariant.
-	err := m.log.Sync()
-	if err == nil {
-		err = m.st.FlushAll()
-	}
-	if err != nil {
-		err = fmt.Errorf("txn: checkpoint flush: %w", err)
-	} else {
-		err = m.log.Reset()
-	}
-	if err != nil {
-		m.poison(err)
-	}
-	return err
 }
 
 // Close waits out every commit already submitted, then checkpoints and
@@ -900,7 +889,12 @@ func (m *Manager) Close() error {
 	defer m.mu.Unlock()
 	var firstErr error
 	if !m.opts.Storage.ReadOnly {
-		firstErr = m.checkpointLocked()
+		firstErr = m.checkpointLocked() // waits out a running checkpoint
+	}
+	for _, l := range []*wal.Log{m.old.Load(), m.spare} {
+		if l != nil { // the spare, or a segment a failed checkpoint kept for recovery
+			l.Close()
+		}
 	}
 	if err := m.log.Close(); err != nil && firstErr == nil {
 		firstErr = err

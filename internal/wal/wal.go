@@ -6,12 +6,17 @@
 // state after that — followed by a commit record; recovery rebuilds the
 // pages of committed transactions in log order.
 //
-// Framing: the file starts with an 8-byte header (magic, version); each
-// record is [u32 payloadLen][u32 crc32c(payload)][payload]. A record's
-// LSN is the file offset of its length word, so LSNs are nonzero and
-// strictly increasing. A torn tail (incomplete or corrupt final record,
-// as left by a crash mid-write) is detected by the CRC and truncated on
-// open.
+// Framing: the file starts with an 8-byte header (u32 magic, u16
+// generation, u16 version); each record is [u32 payloadLen][u32
+// crc32c(payload)][payload]. A record's LSN is the file offset of its
+// length word, so LSNs are nonzero and strictly increasing. A torn tail
+// (incomplete or corrupt final record, as left by a crash mid-write) is
+// detected by the CRC and truncated on open.
+//
+// Segments: a log may go on in another file (Switch), so that a
+// checkpoint can write pages back while commits go on in the new file.
+// The generation in each file's header orders the files of one log: a
+// file written before logs had segments reads as generation 0.
 package wal
 
 import (
@@ -52,7 +57,7 @@ const headerSize = 8
 const HeaderSize = headerSize
 
 const magic uint32 = 0x4F44454C // "ODEL"
-const version uint32 = 1
+const version = 1               // the header's last u16; the generation is the u16 before it
 
 // ErrBadLog reports a log file whose header is not a WAL.
 var ErrBadLog = errors.New("wal: bad log header")
@@ -90,6 +95,7 @@ type Log struct {
 	sw   *seqWriter
 	w    *bufio.Writer
 	path string
+	gen  uint16        // the file's segment generation (its header)
 	end  atomic.Uint64 // next append offset; atomic, so Size needs no lock
 	// durable is how far the file is known to be on stable storage: moved
 	// to end by whatever makes it so (Sync, Reset, TruncateTo) and by
@@ -138,14 +144,7 @@ func OpenFS(fsys faultfs.FS, path string) (*Log, error) {
 	l := &Log{f: f, sw: sw, w: bufio.NewWriterSize(sw, 1<<16), path: path, m: obs.New()}
 	if size < headerSize {
 		// Fresh (or hopelessly torn) log: write a new header.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		var hdr [headerSize]byte
-		binary.BigEndian.PutUint32(hdr[0:4], magic)
-		binary.BigEndian.PutUint32(hdr[4:8], version)
-		if _, err := f.WriteAt(hdr[:], 0); err != nil {
+		if err := writeHeader(f, 0); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -163,10 +162,11 @@ func OpenFS(fsys faultfs.FS, path string) (*Log, error) {
 		f.Close()
 		return nil, ErrBadLog
 	}
-	if binary.BigEndian.Uint32(hdr[4:8]) != version {
+	if v := binary.BigEndian.Uint16(hdr[6:8]); v != version {
 		f.Close()
-		return nil, fmt.Errorf("%w: version %d", ErrBadLog, binary.BigEndian.Uint32(hdr[4:8]))
+		return nil, fmt.Errorf("%w: version %d", ErrBadLog, v)
 	}
+	l.gen = binary.BigEndian.Uint16(hdr[4:6])
 	end, err := scanEnd(f, size)
 	if err != nil {
 		f.Close()
@@ -182,6 +182,19 @@ func OpenFS(fsys faultfs.FS, path string) (*Log, error) {
 	l.durable = end
 	sw.off = int64(end)
 	return l, nil
+}
+
+// writeHeader empties f and writes a log header of generation gen.
+func writeHeader(f faultfs.File, gen uint16) error {
+	if err := f.Truncate(0); err != nil {
+		return err
+	}
+	var hdr [headerSize]byte
+	binary.BigEndian.PutUint32(hdr[0:4], magic)
+	binary.BigEndian.PutUint16(hdr[4:6], gen)
+	binary.BigEndian.PutUint16(hdr[6:8], version)
+	_, err := f.WriteAt(hdr[:], 0)
+	return err
 }
 
 // scanEnd walks records from the header to find the end of the valid
@@ -234,6 +247,29 @@ func (l *Log) End() oid.LSN { return oid.LSN(l.end.Load()) }
 
 // Size returns the current log size in bytes; any goroutine may ask.
 func (l *Log) Size() int64 { return int64(l.end.Load()) }
+
+// Gen returns the segment generation of the log's file. Of two files of
+// one log, the one whose generation is one more (modulo 2^16) is newer.
+func (l *Log) Gen() uint16 { return l.gen }
+
+// Switch ends the log's current segment and goes on in next: an empty
+// log over the log's other file, one generation on (Renew). From here on
+// l appends to, syncs and scans next's file, and next is not used again.
+// Switch returns the segment it ended as a Log of its own over the old
+// file, holding everything appended so far (some of it perhaps still in
+// its write buffer), for the caller to make durable and, once nothing in
+// it is needed, to Renew as the segment after next, or Close. It touches
+// no file. The caller serialises Switch with every other use of l.
+func (l *Log) Switch(next *Log) (*Log, error) {
+	if next.gen != l.gen+1 || next.Size() != headerSize {
+		return nil, fmt.Errorf("wal: switch to %s: generation %d holding %d bytes, want an empty generation %d", next.path, next.gen, next.Size(), l.gen+1)
+	}
+	old := &Log{f: l.f, sw: l.sw, w: l.w, path: l.path, gen: l.gen, durable: l.durable, m: l.m}
+	old.end.Store(l.end.Load())
+	l.f, l.sw, l.w, l.path, l.gen, l.durable = next.f, next.sw, next.w, next.path, next.gen, next.durable
+	l.end.Store(next.end.Load())
+	return old, nil
+}
 
 // Frames is a staged run of records, framed byte-for-byte as the log
 // file holds them but kept in memory: the only record encoder. The
@@ -502,6 +538,21 @@ func (l *Log) Reset() error {
 		return fmt.Errorf("wal: reset sync: %w", err)
 	}
 	l.durable = headerSize
+	return nil
+}
+
+// Renew empties the log to a header of generation gen: the log's file
+// is then ready to be the segment of that generation (Switch). It does
+// not sync; until a Sync, a crash may leave the file as it was.
+func (l *Log) Renew(gen uint16) error {
+	l.w.Reset(l.sw)
+	if err := writeHeader(l.f, gen); err != nil {
+		return fmt.Errorf("wal: renew: %w", err)
+	}
+	l.sw.off = headerSize
+	l.end.Store(headerSize)
+	l.gen = gen
+	l.durable = 0 // nothing of the renewed file is known to be on stable storage
 	return nil
 }
 

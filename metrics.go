@@ -121,6 +121,7 @@ type Metrics struct {
 	CommitLatency      HistSnapshot // whole Update: fn + staging + fsync wait
 	WALFsyncLatency    HistSnapshot // one WAL fsync
 	CheckpointDuration HistSnapshot // flush + WAL reset
+	WriterLockWait     HistSnapshot // a writer's wait for its shard's writer mutex
 	BatchSize          HistSnapshot // transactions per group-commit fsync
 	DprevWalkLen       HistSnapshot // versions visited per History call
 	TprevWalkLen       HistSnapshot // versions visited per AsOfWalk call

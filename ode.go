@@ -146,9 +146,12 @@ type Options struct {
 	NoSync bool
 	// CheckpointBytes sets the WAL size that triggers a checkpoint (one
 	// is also due when dirty pages fill three quarters of the pool);
-	// <0 disables automatic checkpoints. It bounds the decision log
-	// (coord.ode) too: a cross-shard Update that leaves it at this size
-	// empties it.
+	// <0 disables automatic checkpoints. An automatic checkpoint moves a
+	// shard's log to its other file (wal.NNN.1, or back) and writes
+	// pages back while commits go on, so the log may briefly hold two
+	// segments: the size counts both until the old one is retired. It
+	// bounds the decision log (coord.ode) too: a cross-shard Update that
+	// leaves it at this size empties it.
 	CheckpointBytes int64
 	// ReadOnly opens the database without write permission.
 	ReadOnly bool
