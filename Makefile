@@ -99,9 +99,10 @@ help:
 	@echo "           battery) the two compact.go files and (per-file, over"
 	@echo "           their packages) internal/storage/pool.go and"
 	@echo "           internal/txn/checkpoint.go"
-	@echo "  loc      non-test Go lines per package, the ode.Options field count"
-	@echo "           and the number of declared /metrics series — the numbers"
-	@echo "           a consolidation PR is judged by"
+	@echo "  loc      non-test Go lines per package and their total, the"
+	@echo "           ode.Options field count and the number of declared"
+	@echo "           /metrics series — the numbers a consolidation PR is"
+	@echo "           judged by"
 	@echo "  check    build + vet + fmt + race + matrix + soak + ycsb + delta-matrix"
 	@echo "           + hotpath, then loc"
 
@@ -298,13 +299,14 @@ cover:
 	done
 
 # The consolidation scoreboard: non-test Go lines per package (GoFiles
-# excludes _test.go), the size of the public option surface, and the
-# number of /metrics series declared (the cells of obs.Metrics and the
-# two tables in series.go). Printed at the end of `make check`, so CI
-# logs carry the numbers.
+# excludes _test.go) and their total, the size of the public option
+# surface, and the number of /metrics series declared (the cells of
+# obs.Metrics and the two tables in series.go). Printed at the end of
+# `make check`, so CI logs carry the numbers.
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | while read pkg files; do \
-	  if [ -n "$$files" ]; then printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; fi; done
+	  if [ -n "$$files" ]; then printf '%7d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; fi; done | \
+	  awk '{ print; t += $$1 } END { printf "%7d  total\n", t }'
 	@$(GO) test -count=1 -run 'TestOptionsFieldCount|TestSeriesDeclaredOnce' -v . | grep -E 'ode.Options has|series are declared'
 
 check: build vet fmt race matrix soak ycsb delta-matrix hotpath loc

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ode/internal/faultfs"
+	"ode/internal/wal"
 )
 
 // parkDataSync is a filesystem whose first Sync of a data file, once
@@ -49,9 +50,10 @@ func (h *parkDataSyncFile) Sync() error {
 // TestCheckpointDoesNotBlockWriters parks an automatic checkpoint in its
 // data-file fsync and commits an Update on the same shard meanwhile: the
 // checkpoint holds the shard's writer mutex only to capture its pages and
-// switch the log, so the Update must not wait for the fsync. Once the
-// fsync is let go the checkpoint completes, and the Update survives a
-// reopen.
+// switch the log, so the Update must not wait for the fsync. An explicit
+// Checkpoint called meanwhile must wait: it returns only once the fsync
+// is let go and the automatic checkpoint has completed, with every
+// shard's log at its header. The Update survives a reopen.
 func TestCheckpointDoesNotBlockWriters(t *testing.T) {
 	const limit = 512 << 10
 	for _, shards := range []int{1, 4} {
@@ -140,7 +142,30 @@ func TestCheckpointDoesNotBlockWriters(t *testing.T) {
 				t.Fatalf("read rev %d after the Update, want %d", rev, last)
 			}
 
+			// An explicit checkpoint waits out the parked write-back, then
+			// empties every shard's log.
+			explicit := make(chan error, 1)
+			go func() { explicit <- db.Checkpoint() }()
+			select {
+			case err := <-explicit:
+				t.Fatalf("Checkpoint returned (%v) while an automatic one was writing back", err)
+			case <-time.After(100 * time.Millisecond):
+			}
+
 			release()
+			select {
+			case err := <-explicit:
+				if err != nil {
+					t.Fatalf("Checkpoint after the write-back: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Checkpoint never returned after the write-back was released")
+			}
+			for i, s := range db.coord.Shards() {
+				if n := s.Stats().WALBytes; n != wal.HeaderSize {
+					t.Fatalf("shard %d log holds %d bytes after Checkpoint, want its %d-byte header", i, n, wal.HeaderSize)
+				}
+			}
 			for deadline := time.Now().Add(10 * time.Second); sm.Stats().Checkpoints == 0; {
 				if time.Now().After(deadline) {
 					t.Fatal("the released checkpoint never completed")

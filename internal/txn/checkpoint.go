@@ -1,11 +1,12 @@
-// Checkpoints: making the page file current so that the log can be
-// emptied (DESIGN.md §10.2, §10.4). An explicit Checkpoint, a
-// coordinator's and Close run checkpointLocked wholly under the writer
-// mutex. An automatic one — the checkpointer's, or a writer's past the
-// slack, both through checkpointIfDue — holds the mutex only to capture
-// the dirty pages and switch the log to its other file, and writes the
-// pages back off it (checkpointAsync, writeBack), one at a time per
-// shard, while commits go on in the new segment.
+// Checkpoints: making the page file current so that a log segment can
+// be emptied (DESIGN.md §10.2, §10.4). Every checkpoint — the
+// checkpointer's and a writer's past the slack (checkpointIfDue), an
+// explicit one (Checkpoint, a coordinator's, Backup's) and Close's — is
+// the one routine, checkpoint, begun under the quiesced writer mutex
+// (lockWriterQuiesced). An automatic one lets the mutex go once it has
+// captured the dirty pages and switched the log to its other file, and
+// writes the pages back while commits go on in the new segment; the
+// others keep it and empty the current segment in place.
 package txn
 
 import (
@@ -19,7 +20,7 @@ import (
 
 // segmentFile names the second file of the log whose first file is
 // named wal: a shard's log moves from one to the other at each automatic
-// checkpoint (Manager.checkpointAsync). Only a shard whose log has moved
+// checkpoint (Manager.switchLog). Only a shard whose log has moved
 // has one.
 func segmentFile(wal string) string { return wal + ".1" }
 
@@ -61,32 +62,37 @@ func (m *Manager) checkpointDue(walSize int64) (due, byDirty bool) {
 	return m.st.Pool().DirtyDue(), true
 }
 
-// Checkpoint forces the page file current and truncates the WAL, and
+// Checkpoint forces the page file current and empties the log, and
 // counts and traces the checkpoint on the shard — before it lets the
-// writer mutex go, so a writer that gets it next sees the count. It
-// first drains the commit pipeline (lockWriterDrained): the page flush
-// must only ever persist effects of durable transactions (flushing a
-// prepared-but-unfsynced transaction and then resetting the WAL could
-// make a commit durable that its writer was told failed). Unlike an
-// automatic checkpoint it holds the writer mutex throughout: it returns
-// with every page clean and the log at its header.
+// writer mutex go, so a writer that gets it next sees the count. It first
+// quiesces the shard (lockWriterQuiesced): the page flush must only ever
+// persist effects of durable transactions (flushing a prepared-but-
+// unfsynced transaction and then emptying the log could make a commit
+// durable that its writer was told failed). Unlike an automatic
+// checkpoint it holds the writer mutex throughout: it returns with every
+// page clean and the log at its header.
 func (m *Manager) Checkpoint() error {
-	m.lockWriterDrained()
+	m.lockWriterQuiesced()
 	defer m.unlockWriter()
 	if m.isClosed() {
 		return ErrClosed
 	}
-	return m.checkpointCounted()
+	start := time.Now()
+	if err := m.checkpoint(false); err != nil {
+		return err
+	}
+	observeCheckpoint(m.m, m.sink, start)
+	return nil
 }
 
 // checkpointIfDue is the only code that decides whether an automatic
 // checkpoint runs (callers: checkpointer, lockWriter), and counts each
 // one it runs under the trigger that made it due, whether it then
-// succeeds or fails. It first waits out the checkpoint already running,
-// if any (lockWriterIdle); then, under the drained writer mutex, a
-// closed, read-only, poisoned or no longer due shard does nothing.
+// succeeds or fails. It quiesces the shard first, waiting out the
+// checkpoint already running, if any; then a closed, read-only, poisoned
+// or no longer due shard does nothing.
 func (m *Manager) checkpointIfDue() {
-	m.lockWriterIdle()
+	m.lockWriterQuiesced()
 	if m.isClosed() || m.opts.Storage.ReadOnly || m.ioErr.Load() != nil {
 		m.unlockWriter()
 		return
@@ -101,84 +107,114 @@ func (m *Manager) checkpointIfDue() {
 	} else {
 		m.m.CheckpointsByWALBytes.Inc()
 	}
-	m.checkpointAsync() // a failure poisons the shard: its next write reports it
+	m.checkpoint(true) // a failure poisons the shard: its next write reports it
 }
 
-// checkpointAsync is an automatic checkpoint. Its caller holds the writer
-// mutex with the pipeline drained and no checkpoint running; it does only
-// in-memory work under it — captures the dirty page objects, which no
-// writer will change again (the next to touch one copies it first), and
-// switches the log to the segment prepared in its other file — and
-// releases it. Commits go on in the new segment while writeBack, off the
-// mutex, makes the old segment durable, writes the captured images back,
-// syncs the data file and retires the old segment. Pages dirty at the
-// switch are not in the new segment, so the first commit to touch each
-// logs its whole image (stage). It counts and traces the checkpoint when
-// it succeeds; a failure poisons the shard and leaves both segments for
-// recovery.
-func (m *Manager) checkpointAsync() {
+// checkpoint is the one routine that writes a shard's pages back and
+// empties a log segment. Its caller holds the writer mutex quiesced
+// (lockWriterQuiesced); a read-only or poisoned shard refuses, the mutex
+// still held (checkpointIfDue, which detaches, runs none on such a
+// shard). It captures the dirty page objects, which no writer changes
+// again (the next to touch one copies it first). What it does with the
+// mutex is the caller's one choice:
+//
+//   - detach (an automatic checkpoint): switch the log to its other
+//     segment and let the mutex go. Commits go on in the new segment, the
+//     first to touch a captured page logging its whole image (stage),
+//     while the old one is written back as run. It counts itself on the
+//     shard when it succeeds, before run ends.
+//   - otherwise (Checkpoint, a coordinator's, Close): keep the mutex and
+//     empty the current segment in place, returning with every page clean
+//     and the log at its header; the caller counts it, if anyone does.
+//
+// It returns once the write-back has ended; a failure poisons the shard.
+func (m *Manager) checkpoint(detach bool) error {
+	if m.opts.Storage.ReadOnly {
+		return ErrReadOnly
+	}
+	if err := m.poisoned(); err != nil {
+		return err
+	}
 	start := time.Now()
 	pages := m.st.Pool().DirtyPages()
-	next, err := m.nextSegment()
-	var old *wal.Log
-	if err == nil {
-		m.logMu.Lock()
-		old, err = m.log.Switch(next)
-		m.logMu.Unlock()
-	}
-	if err != nil {
-		m.poison(fmt.Errorf("txn: checkpoint: %w", err))
+	seg := m.log
+	if detach {
+		old, err := m.switchLog()
+		if err != nil {
+			m.unlockWriter()
+			err = fmt.Errorf("txn: checkpoint: %w", err)
+			m.poison(err)
+			return err
+		}
+		seg = old
+		r := &ckptRun{done: make(chan struct{})}
+		m.run.Store(r)
 		m.unlockWriter()
-		return
+		defer func() {
+			m.run.Store(nil)
+			close(r.done)
+		}()
+	} else {
+		// The current segment is the log writers append to under logMu.
+		m.logMu.Lock()
+		defer m.logMu.Unlock()
+	}
+	if err := m.writeBack(seg, pages); err != nil {
+		m.poison(err)
+		return err
+	}
+	if detach {
+		observeCheckpoint(m.m, m.sink, start)
+	}
+	return nil
+}
+
+// switchLog ends the log's current segment and goes on in the spare the
+// last checkpoint renewed — or, at a Manager's first switch, in the log's
+// other file, opened and renewed here — and returns the segment it ended,
+// which stays in old until the checkpoint retires it. Caller holds the
+// quiesced writer mutex.
+func (m *Manager) switchLog() (*wal.Log, error) {
+	if m.spare == nil {
+		next, err := wal.OpenFS(m.opts.fsys(), segmentFile(m.walPath))
+		if err != nil {
+			return nil, err
+		}
+		next.SetMetrics(m.m)
+		if err := next.Renew(m.log.Gen() + 1); err != nil {
+			next.Close()
+			return nil, err
+		}
+		m.spare = next
+	}
+	m.logMu.Lock()
+	old, err := m.log.Switch(m.spare)
+	m.logMu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	m.spare = nil
 	m.old.Store(old)
 	m.seg++
-	r := &ckptRun{done: make(chan struct{})}
-	m.run.Store(r)
-	m.unlockWriter()
-
-	if err := m.writeBack(old, pages); err != nil {
-		m.poison(err)
-	} else {
-		d := time.Since(start)
-		m.m.CheckpointDuration.ObserveDuration(d)
-		m.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
-	}
-	m.run.Store(nil)
-	close(r.done)
+	return old, nil
 }
 
-// nextSegment returns the empty log the next switch goes on in: the
-// spare the last checkpoint renewed, or — at a Manager's first switch —
-// the log's other file, opened and renewed here.
-func (m *Manager) nextSegment() (*wal.Log, error) {
-	if m.spare != nil {
-		return m.spare, nil
-	}
-	next, err := wal.OpenFS(m.opts.fsys(), segmentFile(m.walPath))
-	if err != nil {
-		return nil, err
-	}
-	next.SetMetrics(m.m)
-	if err := next.Renew(m.log.Gen() + 1); err != nil {
-		next.Close()
-		return nil, err
-	}
-	m.spare = next
-	return next, nil
-}
-
-// writeBack is the part of an automatic checkpoint that runs off the
-// writer mutex, in the order checkpointLocked keeps: WAL before data, also
-// under NoSync. The old segment is synced first (free unless NoSync: the
-// drained pipeline synced what it appended), then pages is written and
-// the data file synced; only then is the old segment retired — renewed,
-// empty, as the segment after the current one, and synced — and are the
-// pages that are still live marked clean.
-func (m *Manager) writeBack(old *wal.Log, pages []*storage.Page) error {
+// writeBack makes the page file current with seg, the segment that
+// logged pages, then empties seg, in the one order every checkpoint
+// keeps — WAL before data, also under NoSync, where commits sit in the
+// log's write buffer until someone flushes it: sync seg (free unless
+// NoSync: the drained pipeline synced what it appended), write pages,
+// sync the data file, then empty seg — retire it (renewed as the segment
+// after the current one, synced, kept as the spare) if the log switched
+// away from it, reset it in place if it is the current one — and mark
+// clean the pages still live. A failure leaves seg for recovery, and the
+// caller poisons the shard: after a failed flush the pool's clean/dirty
+// bookkeeping no longer proves what is on disk (a kernel that reported a
+// failed fsync may have dropped the writes), so only a reopen may empty
+// the log again.
+func (m *Manager) writeBack(seg *wal.Log, pages []*storage.Page) error {
 	pool := m.st.Pool()
-	err := old.Sync()
+	err := seg.Sync()
 	if err == nil {
 		_, err = pool.WritePages(pages)
 	}
@@ -188,17 +224,29 @@ func (m *Manager) writeBack(old *wal.Log, pages []*storage.Page) error {
 	if err != nil {
 		return fmt.Errorf("txn: checkpoint flush: %w", err)
 	}
-	err = old.Renew(old.Gen() + 2)
-	if err == nil {
-		err = old.Sync()
+	retire := seg != m.log
+	if !retire {
+		err = seg.Reset()
+	} else if err = seg.Renew(seg.Gen() + 2); err == nil {
+		err = seg.Sync()
 	}
 	if err != nil {
-		return fmt.Errorf("txn: checkpoint: retire log segment: %w", err)
+		return fmt.Errorf("txn: checkpoint: empty log segment: %w", err)
 	}
-	m.old.Store(nil)
-	m.spare = old
+	if retire {
+		m.old.Store(nil)
+		m.spare = seg
+	}
 	pool.MarkWritten(pages)
 	return nil
+}
+
+// observeCheckpoint records a successful checkpoint's duration and span
+// in reg and sink: a shard's, or the coordinator's for its checkpoint.
+func observeCheckpoint(reg *obs.Metrics, sink *obs.Sink, start time.Time) {
+	d := time.Since(start)
+	reg.CheckpointDuration.ObserveDuration(d)
+	sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
 }
 
 // awaitCheckpoint returns once no automatic checkpoint is writing pages
@@ -207,81 +255,6 @@ func (m *Manager) writeBack(old *wal.Log, pages []*storage.Page) error {
 func (m *Manager) awaitCheckpoint() {
 	if r := m.run.Load(); r != nil {
 		<-r.done
-	}
-}
-
-// checkpointCounted runs checkpointLocked and, if it succeeds, records
-// its duration and span. Caller holds the drained writer mutex.
-func (m *Manager) checkpointCounted() error {
-	start := time.Now()
-	if err := m.checkpointLocked(); err != nil {
-		return err
-	}
-	d := time.Since(start)
-	m.m.CheckpointDuration.ObserveDuration(d)
-	m.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
-	return nil
-}
-
-// checkpointLocked is the checkpoint an explicit Checkpoint, a
-// coordinator's checkpoint and Close run, all of it under the writer
-// mutex: it waits out an automatic checkpoint still writing back, then
-// flushes every dirty page and empties the current segment. Caller holds
-// the writer mutex with the commit pipeline idle. A poisoned or read-only
-// manager refuses here.
-func (m *Manager) checkpointLocked() error {
-	m.awaitCheckpoint()
-	if m.opts.Storage.ReadOnly {
-		return ErrReadOnly
-	}
-	if err := m.poisoned(); err != nil {
-		return err
-	}
-	m.logMu.Lock()
-	defer m.logMu.Unlock()
-	// Order matters. A page may reach the data file only once the log
-	// that can redo it (and undo nothing: redo-only) is on stable
-	// storage, and under NoSync commits sit in the log's write buffer
-	// until someone flushes it: a crash between a page write and that
-	// flush would leave pages of transactions the log never heard of. So
-	// the log is synced first (free unless NoSync: the drained pipeline
-	// synced what it appended), then every dirty page is written and the
-	// data file synced, and only then is the log reset. A failure
-	// anywhere leaves the WAL intact, so recovery can redo the work — but
-	// it also poisons the manager: after a failed flush the pool's
-	// clean/dirty bookkeeping no longer proves what is on disk (and a
-	// kernel that reported the fsync failure may have dropped the writes
-	// while clearing the error — retrying could "succeed" without the
-	// data being durable), so a later checkpoint could reset the WAL
-	// without its pages actually persisted. Only a reopen re-establishes
-	// the invariant.
-	err := m.log.Sync()
-	if err == nil {
-		err = m.st.FlushAll()
-	}
-	if err != nil {
-		err = fmt.Errorf("txn: checkpoint flush: %w", err)
-	} else {
-		err = m.log.Reset()
-	}
-	if err != nil {
-		m.poison(err)
-	}
-	return err
-}
-
-// lockWriterIdle is lockWriterDrained with no automatic checkpoint
-// writing pages back either: it waits one out off the mutex, and again if
-// another began before it got the mutex. Holding the mutex keeps it so
-// (a checkpoint begins only under it).
-func (m *Manager) lockWriterIdle() {
-	for {
-		m.awaitCheckpoint()
-		m.lockWriterDrained()
-		if m.run.Load() == nil {
-			return
-		}
-		m.unlockWriter()
 	}
 }
 

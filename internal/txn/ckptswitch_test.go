@@ -1,13 +1,14 @@
 package txn
 
 // Crash matrix for the automatic checkpoint that writes pages back off
-// the writer mutex (Manager.checkpointAsync). A deterministic workload
+// the writer mutex (Manager.checkpoint, detached). A deterministic workload
 // commits on one shard before, during and after such a checkpoint: it
 // parks the checkpoint in its data-file fsync, commits into the new log
 // segment (with sync on and more than one shard, a cross-shard commit
 // too, whose prepare lands there), lets the checkpoint finish, commits
-// again, and runs a second checkpoint, which moves the log back to its
-// first file. Every fsync fails once, every write tears three ways and
+// again, runs an explicit checkpoint, which empties the second file in
+// place, commits again, and runs a second automatic checkpoint, which
+// moves the log back to its first file. Every fsync fails once, every write tears three ways and
 // the power dies after every mutating op from the first checkpoint on —
 // which covers a cut after the switch (the new segment's header), a torn
 // page write, a cut after the data fsync, and cuts before and after the
@@ -94,11 +95,22 @@ type switchResult struct {
 	pending  int         // the transaction that failed (-1: none)
 	parked   bool        // commits ran while the first checkpoint was parked
 	buildErr error
+	c        *Coordinator // left open: the crash image is taken first
+}
+
+// close closes the workload's coordinator once its crash image has been
+// taken, so that a matrix of trials does not keep every one of them
+// alive (under -race, about a megabyte each).
+func (r switchResult) close() {
+	if r.c != nil {
+		r.c.Close()
+	}
 }
 
 // runSwitchWorkload runs the workload on fsys. mark, if set, runs just
 // before the first checkpoint begins. The coordinator is deliberately
-// not closed.
+// not closed: Close would checkpoint, and the crash image must be the
+// workload's.
 func runSwitchWorkload(fsys faultfs.FS, noSync bool, mark func()) switchResult {
 	n := switchShards()
 	k := n - 1 // the shard that checkpoints
@@ -115,6 +127,7 @@ func runSwitchWorkload(fsys faultfs.FS, noSync bool, mark func()) switchResult {
 		res.buildErr = err
 		return res
 	}
+	res.c = c
 	m := c.ms()[k]
 	write := func(shards ...int) bool {
 		i := len(res.txns)
@@ -153,8 +166,8 @@ func runSwitchWorkload(fsys faultfs.FS, noSync bool, mark func()) switchResult {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			m.lockWriterIdle()
-			m.checkpointAsync()
+			m.lockWriterQuiesced()
+			m.checkpoint(true)
 		}()
 		return done
 	}
@@ -190,6 +203,16 @@ func runSwitchWorkload(fsys faultfs.FS, noSync bool, mark func()) switchResult {
 		park.armed.Store(false)
 	}
 	if poisoned() || !writes(3) {
+		return res
+	}
+	// An explicit checkpoint with the log in its second file empties that
+	// file in place; the next automatic one still switches onto the spare,
+	// a generation ahead.
+	if err := m.Checkpoint(); err != nil {
+		res.buildErr = err
+		return res
+	}
+	if !writes(2) {
 		return res
 	}
 	<-checkpoint()
@@ -277,6 +300,7 @@ func TestCheckpointSwitchFaultMatrix(t *testing.T) {
 				t.Fatalf("dry run: parked=%v, %v", res.parked, res.buildErr)
 			}
 			to := dry.Counts()
+			res.close()
 			t.Logf("window: ops %d..%d (%d writes, %d syncs)", from.Ops+1, to.Ops, to.Writes-from.Writes, to.Syncs-from.Syncs)
 
 			points := 0
@@ -285,7 +309,9 @@ func TestCheckpointSwitchFaultMatrix(t *testing.T) {
 				points++
 				mem := faultfs.NewMem()
 				res := runSwitchWorkload(faultfs.NewInjector(mem, plan), noSync, nil)
-				if err := verifySwitchImage(mem.Crash(keepUnsynced), res, noSync); err != nil {
+				crashed := mem.Crash(keepUnsynced)
+				res.close()
+				if err := verifySwitchImage(crashed, res, noSync); err != nil {
 					t.Errorf("%v keepUnsynced=%v (%d txns, pending=%d, parked=%v, buildErr=%v): %v",
 						plan, keepUnsynced, len(res.txns), res.pending, res.parked, res.buildErr, err)
 				}

@@ -1323,15 +1323,11 @@ func (c *Coordinator) Checkpoint() error {
 	}
 	start := time.Now()
 	for i, m := range c.ms() {
-		// The coordinator counts the checkpoint once at its level.
-		m.lockWriterDrained()
-		err := ErrClosed
-		if !m.isClosed() {
-			err = m.checkpointLocked()
-		}
+		m.lockWriterQuiesced()
+		err := checkpointShard(i, m)
 		m.unlockWriter()
 		if err != nil {
-			return fmt.Errorf("txn: checkpoint shard %d: %w", i, err)
+			return err
 		}
 	}
 	return c.checkpointed(start)
@@ -1363,23 +1359,33 @@ func (c *Coordinator) CheckpointExclusive(fn func() error) error {
 	defer c.reshardMu.Unlock()
 	ms := c.ms()
 	for _, m := range ms {
-		m.lockWriterDrained()
+		m.lockWriterQuiesced()
 		defer m.unlockWriter() // descending, once fn has run
-		if m.isClosed() {
-			return ErrClosed
-		}
 	}
 	start := time.Now()
 	for i, m := range ms {
-		// The coordinator counts the checkpoint once at its level.
-		if err := m.checkpointLocked(); err != nil {
-			return fmt.Errorf("txn: checkpoint shard %d: %w", i, err)
+		if err := checkpointShard(i, m); err != nil {
+			return err
 		}
 	}
 	if err := c.checkpointed(start); err != nil {
 		return err
 	}
 	return fn()
+}
+
+// checkpointShard is a coordinator checkpoint's step on shard i, whose
+// writer mutex its caller holds quiesced: the one routine, keeping the
+// mutex. The coordinator counts the checkpoint once at its level.
+func checkpointShard(i int, m *Manager) error {
+	err := ErrClosed
+	if !m.isClosed() {
+		err = m.checkpoint(false)
+	}
+	if err != nil {
+		return fmt.Errorf("txn: checkpoint shard %d: %w", i, err)
+	}
+	return nil
 }
 
 // checkpointed finishes a checkpoint once every shard WAL is empty:
@@ -1391,9 +1397,7 @@ func (c *Coordinator) checkpointed(start time.Time) error {
 	if err != nil {
 		return fmt.Errorf("txn: checkpoint: %w", err)
 	}
-	d := time.Since(start)
-	c.cm.CheckpointDuration.ObserveDuration(d)
-	c.sink.Emit(obs.SpanEvent{Kind: obs.SpanCheckpoint, Dur: d})
+	observeCheckpoint(c.cm, c.sink, start)
 	return nil
 }
 

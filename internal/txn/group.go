@@ -42,7 +42,8 @@
 //     itself poisons.
 //   - checkpoint (Manager.checkpointIfDue): a landed flight that leaves
 //     one due kicks the checkpointer; a writer that finds the log past
-//     CheckpointBytes by a quarter runs it itself (lockWriter).
+//     CheckpointBytes by a quarter (lockWriter) waits out the checkpoint
+//     running, and runs one itself only if one is still due then.
 //
 // Liveness: a queued request always has a goroutine that is claiming it
 // or will be woken to claim it. Its writer awaits it, and leads unless

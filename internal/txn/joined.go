@@ -89,19 +89,23 @@ func (m *Manager) checkWritable() error {
 // unlockWriter releases the shard's writer mutex.
 func (m *Manager) unlockWriter() { m.mu.Unlock() }
 
-// lockWriterDrained takes the shard's writer mutex with the commit
-// pipeline idle: no batch queued or in flight. Holding the mutex keeps
-// it that way (submitting requires the mutex). Unlike lockWriter it
-// refuses nothing: its callers checkpoint or close, and checkpointLocked
-// surfaces a poisoned or read-only shard itself.
-func (m *Manager) lockWriterDrained() {
+// lockWriterQuiesced takes the shard's writer mutex with the shard
+// quiesced: the commit pipeline idle — no batch queued or in flight — and
+// no checkpoint writing pages back. It waits for both off the mutex
+// (failFlights may need it; a write-back takes none of its waiters'
+// locks), and again if either began anew before it got the mutex. Holding
+// the mutex keeps it so: submitting and starting a checkpoint both need
+// it. Unlike lockWriter it refuses nothing: its callers checkpoint or
+// close, and check the shard themselves.
+func (m *Manager) lockWriterQuiesced() {
 	for {
+		m.awaitCheckpoint()
+		m.gc.waitIdle()
 		m.mu.Lock()
-		if m.gc.pipelineIdle() {
+		if m.gc.pipelineIdle() && m.run.Load() == nil {
 			return
 		}
 		m.mu.Unlock()
-		m.gc.waitIdle() // off-lock: failFlights may need mu
 	}
 }
 

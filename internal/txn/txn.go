@@ -69,10 +69,10 @@ type Options struct {
 	// same. A commit is acknowledged once its records are in the log's
 	// write buffer. Throughput rises at the price of durability of the
 	// most recent commits; used by benchmarks to isolate CPU costs.
-	// Checkpoints fsync as always — the log (its old segment) before the
-	// first page write, the data file, then the log's reset (the old
-	// segment's retirement) — so what survives a crash is a committed
-	// prefix, never a torn database.
+	// Checkpoints fsync as always — the log segment they write back
+	// before the first page write, the data file, then that segment once
+	// emptied — so what survives a crash is a committed prefix, never a
+	// torn database.
 	NoSync bool
 	// CheckpointBytes overrides DefaultCheckpointBytes; <0 disables
 	// automatic checkpoints, by either trigger. The size counts both of a
@@ -203,7 +203,7 @@ type Manager struct {
 	// session from 1: a page whose image the current segment holds carries
 	// it (storage.Page.Seg). run is the automatic checkpoint writing pages
 	// back off the writer mutex, nil when none: one at a time, set by the
-	// checkpoint under the drained writer mutex and cleared by it when
+	// checkpoint under the quiesced writer mutex and cleared by it when
 	// done; spare is its to set, and is read only while none runs.
 	walPath string
 	old     atomic.Pointer[wal.Log]
@@ -879,17 +879,18 @@ func (m *Manager) Close() error {
 	// snapshot view outlives the store.
 	m.readers.Wait()
 	// Stop the background checkpointer first: it takes mu inside
-	// Checkpoint, so it must be gone before Close camps on the lock.
+	// checkpointIfDue, so it must be gone before Close camps on the lock.
 	close(m.ckptStop)
 	m.ckptWG.Wait()
 	// Any Write that passed the closed check holds mu until it has
-	// enqueued, and no more can arrive: once the pipeline is drained
-	// under mu, every outstanding commit has been led to the log.
-	m.lockWriterDrained()
+	// enqueued, and no more can arrive: once the shard is quiesced under
+	// mu, every outstanding commit has been led to the log and no
+	// checkpoint is writing back.
+	m.lockWriterQuiesced()
 	defer m.mu.Unlock()
 	var firstErr error
 	if !m.opts.Storage.ReadOnly {
-		firstErr = m.checkpointLocked() // waits out a running checkpoint
+		firstErr = m.checkpoint(false)
 	}
 	for _, l := range []*wal.Log{m.old.Load(), m.spare} {
 		if l != nil { // the spare, or a segment a failed checkpoint kept for recovery

@@ -1,10 +1,10 @@
 // Package wal implements the write-ahead log that makes Ode commits
 // durable: an append-only file of CRC-framed records. The transaction
 // layer logs what each transaction changed on every page it dirtied —
-// a full after-image the first time a page is logged since the log was
-// last reset, a positional delta against the page's previous logged
-// state after that — followed by a commit record; recovery rebuilds the
-// pages of committed transactions in log order.
+// a full after-image the first time a page is logged in the log's
+// current segment, a positional delta against the page's previous
+// logged state after that — followed by a commit record; recovery
+// rebuilds the pages of committed transactions in log order.
 //
 // Framing: the file starts with an 8-byte header (u32 magic, u16
 // generation, u16 version); each record is [u32 payloadLen][u32
@@ -98,7 +98,7 @@ type Log struct {
 	gen  uint16        // the file's segment generation (its header)
 	end  atomic.Uint64 // next append offset; atomic, so Size needs no lock
 	// durable is how far the file is known to be on stable storage: moved
-	// to end by whatever makes it so (Sync, Reset, TruncateTo) and by
+	// to end by whatever makes it so (Sync, TruncateTo) and by
 	// MarkDurable after a SyncFile. Sync while durable == end is free, so
 	// a caller that only needs "the log is on stable storage" may ask
 	// without knowing who synced last.
@@ -520,26 +520,11 @@ func (l *Log) SyncFile() error {
 // SyncFile covered it), so that Sync is free until the next append.
 func (l *Log) MarkDurable(lsn oid.LSN) { l.durable = lsn }
 
-// Reset truncates the log back to its header once nothing in it is
-// needed: after a checkpoint has made the page file current (a shard's
-// log), or once every decision is backed by local commit records (the
-// coordinator's).
-func (l *Log) Reset() error {
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Truncate(headerSize); err != nil {
-		return fmt.Errorf("wal: reset: %w", err)
-	}
-	l.w.Reset(l.sw)
-	l.sw.off = headerSize
-	l.end.Store(headerSize)
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: reset sync: %w", err)
-	}
-	l.durable = headerSize
-	return nil
-}
+// Reset truncates the log back to its header (TruncateTo) once nothing
+// in it is needed: after a checkpoint has made the page file current (a
+// shard's log), or once every decision is backed by local commit records
+// (the coordinator's).
+func (l *Log) Reset() error { return l.TruncateTo(headerSize) }
 
 // Renew empties the log to a header of generation gen: the log's file
 // is then ready to be the segment of that generation (Switch). It does
