@@ -52,6 +52,11 @@ STATS_TESTS = StatsTornReadRegression|CheckpointTriggersCountRuns
 # fsync, and the crash matrix over a checkpoint that writes pages back
 # while commits go on in the log's new segment.
 CHECKPOINT_TESTS = CheckpointDoesNotBlockWriters|CheckpointSwitchFaultMatrix
+# The write bundle's record memo test `make race` repeats: every memo
+# entry against a fresh tree read after each step of a transaction that
+# also splices a delete, rewrites an old version, restarts on a join
+# below a held shard, or races a live reshard moving its objects.
+MEMO_TESTS = MemoMatchesTrees
 # The packages `make cover` holds to an 85% line-coverage floor.
 COVER_FLOOR_PKGS = obs workload delta matcache derefcache
 
@@ -71,7 +76,8 @@ help:
 	@echo "           read-path, statistics and checkpoint tests at GOMAXPROCS 1"
 	@echo "           and 2 (the statistics pair Commits >= Batches holds by"
 	@echo "           memory order alone, with no lock; an automatic checkpoint"
-	@echo "           writes pages back beside the writers)"
+	@echo "           writes pages back beside the writers), and the write"
+	@echo "           bundle's record-memo test twenty times over"
 	@echo "  matrix   crash-consistency fault matrix at 1 and 4 shards (-race),"
 	@echo "           the checkpoint-switch rows included"
 	@echo "  soak     metrics-reconciling soak suite at 1 and 4 shards (-race);"
@@ -89,7 +95,11 @@ help:
 	@echo "           the hot-write page guard and the DChildren"
 	@echo "           microbenchmark, the pool-hit allocation gate and"
 	@echo "           microbenchmark, the cached-View and striped-counter"
-	@echo "           microbenchmarks, each at 1 and 2 CPUs, plus odebench"
+	@echo "           microbenchmarks, each at 1 and 2 CPUs, the per-write"
+	@echo "           B+tree descent bounds, one run of the cold-history"
+	@echo "           preload (BenchmarkPreload: ns and allocs per version,"
+	@echo "           about a second — the quick check of a setup_s change,"
+	@echo "           without the benchmark's 3 x 10 s run), plus odebench"
 	@echo "           E18 smoke"
 	@echo "  fuzz     continuous fuzz over every native target, FUZZTIME=$(FUZZTIME) each"
 	@echo "  fuzz-smoke  same targets at 10s each — the CI tier"
@@ -153,6 +163,8 @@ fmt:
 # checkpoint writes pages back with no lock while writers commit into the
 # log's new segment, and only the one-at-a-time handshake (Manager.run)
 # orders it against the next checkpoint and a failed flight's heal.
+# The tenth repeats the record memo test (MEMO_TESTS): its reshard row
+# races the migration's chunks against the writers it restarts.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy
@@ -163,6 +175,7 @@ race:
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(POOL_TESTS)' ./internal/storage .
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(STATS_TESTS)' .
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(CHECKPOINT_TESTS)' ./internal/txn .
+	$(GO) test -race -count=20 -run '$(MEMO_TESTS)' ./internal/core
 
 # The crash-consistency fault matrix (DESIGN.md §8, §12) under the race
 # detector: every WAL/storage injection point plus the engine-level
@@ -235,10 +248,14 @@ ycsb:
 # microbenchmark prints ns/op at one and two CPUs (EXPERIMENTS.md E35);
 # so do the cached-View microbenchmark, one reader per CPU, and a striped
 # counter's add from every CPU (E36): at two CPUs neither should cost
-# more per op than at one; then the E18 benchmark runs at ci scale as an
-# end-to-end smoke — alloc reductions, cache speedup, hit rates.
+# more per op than at one; a one-object write and a bulk load must stay
+# within their B+tree descent bounds (TestWriteDescents), and the
+# cold-history preload runs once (BenchmarkPreload, E38); then the E18
+# benchmark runs at ci scale as an end-to-end smoke — alloc reductions,
+# cache speedup, hit rates.
 hotpath:
-	$(GO) test -count=1 -run 'TestCommitPathAllocs|TestHotDerefAllocs' -v .
+	$(GO) test -count=1 -run 'TestCommitPathAllocs|TestHotDerefAllocs|TestWriteDescents' -v .
+	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkPreload$$' -benchtime 1x .
 	$(GO) test -count=1 -run 'TestReadBeginEndAllocs' -v ./internal/txn
 	$(GO) test -count=1 -run '^$$' -bench 'BenchmarkReadBeginEnd' -benchtime 100000x ./internal/txn
 	$(GO) test -count=1 -run 'TestTreeGetAllocs|TestTreePutAllocs' -v ./internal/btree

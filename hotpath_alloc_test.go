@@ -48,9 +48,15 @@ import (
 //	  the View's Tx, the engine's routing Tx and the coordinator's
 //	  ReadTx are one allocation, the content copy the other; ceiling
 //	  6 → 4.
+//	commit, records read once (E38): 36 → 28 at both shard counts — the
+//	  write bundle's record memo answers the later loads of the header
+//	  and the latest, each of which copied the value out of the tree, a
+//	  Set that leaves the version record as it was puts nothing (34
+//	  without that), and the superblock is marshalled into page 0 once,
+//	  with no scratch buffer; ceiling 40 → 32.
 //
-// The ceilings pin those wins: the commit ceiling (40, at both shard
-// counts) keeps the in-place tree's saving on top of the ≥40% reduction
+// The ceilings pin those wins: the commit ceiling (32, at both shard
+// counts) keeps the record memo's and the in-place tree's savings on top of the ≥40% reduction
 // from the 92-alloc baseline, the deref ceiling (4, at both shard
 // counts) keeps the cache on the hot path, the shards off it and a
 // View's handles in one frame. They
@@ -59,7 +65,7 @@ import (
 // extra copy chain, a cache bypass or a per-shard pin) costs far more
 // than that.
 const (
-	maxCommitAllocs = 40
+	maxCommitAllocs = 32
 	maxDerefAllocs  = 4
 )
 

@@ -57,6 +57,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"ode/internal/oid"
 	"ode/internal/storage"
@@ -89,6 +90,25 @@ const (
 	hdrSize   = 7 // leaf u8 | next u32 | count u16
 	childSize = 4
 )
+
+// Descents counts root-to-leaf descents: Reads by Get and SeekLE,
+// Writes by Put and Delete. It is an instrument for tests that bound how
+// often an engine operation reaches the trees; see CountDescents.
+type Descents struct {
+	Reads, Writes atomic.Uint64
+}
+
+// counting is the installed counter, nil when none is.
+var counting atomic.Pointer[Descents]
+
+// CountDescents installs d as the counter every tree in the process
+// adds its descents to, until the returned stop is called. One counter
+// is installed at a time; a test that installs one must not run in
+// parallel with another that does.
+func CountDescents(d *Descents) (stop func()) {
+	counting.Store(d)
+	return func() { counting.Store(nil) }
+}
 
 // maxDepth bounds a descent. Height grows only by root splits, and a
 // tree of height h has held 2^(h-1) pages; page ids are 32 bits.
@@ -383,6 +403,9 @@ func clonePair(k, v []byte) ([]byte, []byte) {
 // Get returns the value for key and whether it is present. The returned
 // slice is a copy.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
+	if d := counting.Load(); d != nil {
+		d.Reads.Add(1)
+	}
 	_, _, p, _, err := t.leafFor(key)
 	if err != nil || !p.exact {
 		return nil, false, err
@@ -394,6 +417,9 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 // ok=false when every key in the tree is greater. It runs top-down in
 // O(log n).
 func (t *Tree) SeekLE(key []byte) (k, v []byte, ok bool, err error) {
+	if d := counting.Load(); d != nil {
+		d.Reads.Add(1)
+	}
 	_, _, p, left, err := t.leafFor(key)
 	if err != nil {
 		return nil, nil, false, err
@@ -452,6 +478,9 @@ func (t *Tree) Put(key, val []byte) error {
 	}
 	if len(val) > t.maxVal() {
 		return fmt.Errorf("%w: %d > %d", ErrValTooLarge, len(val), t.maxVal())
+	}
+	if d := counting.Load(); d != nil {
+		d.Writes.Add(1)
 	}
 	sep, right, err := t.insert(t.root, key, val, 0)
 	if err != nil || right == oid.NilPage {
@@ -612,6 +641,9 @@ func (t *Tree) split(pg *storage.Page, s []byte) ([]byte, oid.PageID, error) {
 // pruned from their parents; an internal root with a single child is
 // collapsed.
 func (t *Tree) Delete(key []byte) (bool, error) {
+	if d := counting.Load(); d != nil {
+		d.Writes.Add(1)
+	}
 	deleted, _, err := t.remove(t.root, key, oid.NilPage, 0)
 	if err != nil || !deleted {
 		return deleted, err

@@ -87,10 +87,14 @@ func (tx *shardTx) putPayload(rec *verRec, b []byte) error {
 
 // demoteVersion re-encodes (o, v)'s stored full payload as a delta
 // against its D-parent when demotable allows it and the delta is
-// smaller; latest is the object's latest version. It reports whether a
-// demotion happened: a refusal is not an error, since most callers are
-// write-path hooks trying versions that may have gone cold.
-func (tx *shardTx) demoteVersion(o oid.OID, v, latest oid.VID) (bool, error) {
+// smaller. It reports whether a demotion happened: a refusal is not an
+// error, since most callers are write-path hooks trying versions that
+// may have gone cold.
+func (tx *shardTx) demoteVersion(o oid.OID, v oid.VID) (bool, error) {
+	h, err := tx.loadHeader(o)
+	if err != nil {
+		return false, err
+	}
 	rec, err := tx.loadVer(o, v)
 	if err != nil {
 		return false, err
@@ -98,18 +102,18 @@ func (tx *shardTx) demoteVersion(o oid.OID, v, latest oid.VID) (bool, error) {
 	// The rule with the shortest chain it could see refuses most
 	// versions (dependents, roots, the latest) before the lookups the
 	// real chain length costs.
-	if !tx.demotable(v, latest, rec, 0, 0) {
+	if !tx.demotable(v, h.latest, rec, 0, 0) {
 		return false, nil
 	}
 	parent, err := tx.loadVer(o, rec.dprev)
 	if err != nil {
 		return false, err
 	}
-	below, err := tx.depBelow(o, v)
+	below, children, err := tx.depBelow(o, v)
 	if err != nil {
 		return false, err
 	}
-	if !tx.demotable(v, latest, rec, int(parent.depth), below) {
+	if !tx.demotable(v, h.latest, rec, int(parent.depth), below) {
 		return false, nil
 	}
 	base, err := tx.readContent(o, parent)
@@ -127,7 +131,7 @@ func (tx *shardTx) demoteVersion(o oid.OID, v, latest oid.VID) (bool, error) {
 	if err := tx.storeVer(o, v, rec); err != nil {
 		return false, err
 	}
-	if err := tx.fixDepths(o, v, rec.depth); err != nil {
+	if err := tx.fixDepths(o, children, rec.depth); err != nil {
 		return false, err
 	}
 	tx.saveRoots()
@@ -139,14 +143,14 @@ func (tx *shardTx) demoteVersion(o oid.OID, v, latest oid.VID) (bool, error) {
 // demoteAnchorOf retries demotion of the full anchor v's content hangs
 // from (v itself when full, else its nearest full D-ancestor) after a
 // dependent chain below that anchor got shorter.
-func (tx *shardTx) demoteAnchorOf(o oid.OID, v, latest oid.VID) error {
+func (tx *shardTx) demoteAnchorOf(o oid.OID, v oid.VID) error {
 	for {
 		rec, err := tx.loadVer(o, v)
 		if err != nil {
 			return err
 		}
 		if rec.kind == payFull {
-			_, err := tx.demoteVersion(o, v, latest)
+			_, err := tx.demoteVersion(o, v)
 			return err
 		}
 		v = rec.dprev
@@ -185,35 +189,40 @@ func (tx *shardTx) anchor(o oid.OID, v oid.VID, rec verRec) error {
 	if err := tx.storeVer(o, v, rec); err != nil {
 		return err
 	}
-	return tx.fixDepths(o, v, 0)
+	children, err := tx.DChildren(o, v)
+	if err != nil {
+		return err
+	}
+	return tx.fixDepths(o, children, 0)
 }
 
 // depBelow returns the deepest dependent-descendant chain hanging off
-// v, in links relative to v: 0 when no child depends on v's bytes. A
+// v, in links relative to v — 0 when no child depends on v's bytes —
+// and v's D-children, which a demotion of v re-bases (fixDepths). A
 // payFull child is its own anchor and contributes nothing.
-func (tx *shardTx) depBelow(o oid.OID, v oid.VID) (int, error) {
+func (tx *shardTx) depBelow(o oid.OID, v oid.VID) (int, []oid.VID, error) {
 	children, err := tx.DChildren(o, v)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	max := 0
 	for _, c := range children {
 		crec, err := tx.loadVer(o, c)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		if crec.kind == payFull {
 			continue
 		}
-		d, err := tx.depBelow(o, c)
+		d, _, err := tx.depBelow(o, c)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		if 1+d > max {
 			max = 1 + d
 		}
 	}
-	return max, nil
+	return max, children, nil
 }
 
 // CompactStats reports the effect of a compaction sweep.
@@ -577,11 +586,7 @@ func (tx *Tx) DemoteVersion(o oid.OID, v oid.VID) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	h, err := b.loadHeader(o)
-	if err != nil {
-		return false, err
-	}
-	return b.demoteVersion(o, v, h.latest)
+	return b.demoteVersion(o, v)
 }
 
 // PromoteVersion anchors one version as a full payload through the

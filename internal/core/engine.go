@@ -229,6 +229,10 @@ type shardTx struct {
 	// dereference cache (invalidate).
 	invalLast oid.OID
 
+	// memo holds the records a write bundle has loaded or stored
+	// (memo.go); nil on a read-only bundle.
+	memo *recMemo
+
 	writable bool
 }
 
@@ -323,18 +327,23 @@ func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
 }
 
 // newShardTx binds a shard bundle to v, opening every tree at the root
-// the view's superblock snapshot records.
+// the view's superblock snapshot records. A writable bundle gets a memo.
 func (e *Engine) newShardTx(v *storage.TxView, hs *storage.HeapState, rt *Tx, s int, writable bool) *shardTx {
-	b := &shardTx{
-		e:        e,
-		rt:       rt,
-		s:        s,
-		st:       v,
-		heap:     *storage.NewHeap(v, hs),
-		bus:      e.bus,
-		opts:     e.opts,
-		writable: writable,
+	var b *shardTx
+	if writable {
+		// A write bundle and its memo are one allocation.
+		w := &struct {
+			shardTx
+			memo recMemo
+		}{}
+		b = &w.shardTx
+		b.memo = &w.memo
+	} else {
+		b = new(shardTx)
 	}
+	b.e, b.rt, b.s, b.st = e, rt, s, v
+	b.heap = *storage.NewHeap(v, hs)
+	b.bus, b.opts, b.writable = e.bus, e.opts, writable
 	for slot := range b.trees {
 		b.trees[slot] = *btree.Open(v, v.Root(slot))
 	}
@@ -568,7 +577,15 @@ func decodeObjHeader(b []byte) (objHeader, error) {
 	return h, nil
 }
 
+// loadHeader returns o's header: from the memo, or decoded from the
+// object table and memoised.
 func (tx *shardTx) loadHeader(o oid.OID) (objHeader, error) {
+	var om *objMemo
+	if tx.memo != nil {
+		if om = tx.memo.entry(o); om.hasHdr {
+			return om.h, nil
+		}
+	}
 	raw, ok, err := tx.objTable.Get(objKey(o))
 	if err != nil {
 		return objHeader{}, err
@@ -576,12 +593,37 @@ func (tx *shardTx) loadHeader(o oid.OID) (objHeader, error) {
 	if !ok {
 		return objHeader{}, fmt.Errorf("%w: %v", ErrNoObject, o)
 	}
-	return decodeObjHeader(raw)
+	h, err := decodeObjHeader(raw)
+	if err == nil && om != nil {
+		om.h, om.hasHdr = h, true
+	}
+	return h, err
 }
 
+// storeHeader writes o's header through to the object table and the
+// memo. After a failed Put the memo holds nothing of o: what the tree
+// holds then is unknown.
 func (tx *shardTx) storeHeader(o oid.OID, h objHeader) error {
 	tx.invalidate(o)
-	return tx.objTable.Put(objKey(o), h.encode())
+	if err := tx.objTable.Put(objKey(o), h.encode()); err != nil {
+		tx.forget(o)
+		return err
+	}
+	if tx.memo != nil {
+		om := tx.memo.entry(o)
+		om.h, om.hasHdr = h, true
+	}
+	return nil
+}
+
+// forget drops o from the dereference cache and from the memo. The
+// writes that bypass storeHeader and storeVer — the raw deletes of
+// DeleteVersion and DeleteObject, both sides of moveObject — call it.
+func (tx *shardTx) forget(o oid.OID) {
+	tx.invalidate(o)
+	if tx.memo != nil {
+		tx.memo.drop(o)
+	}
 }
 
 // invalidate closes o's dereference-cache entry on this shard at the

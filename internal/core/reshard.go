@@ -314,8 +314,8 @@ func moveObject(src, dst *shardTx, o oid.OID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	src.invalidate(o)
-	dst.invalidate(o)
+	src.forget(o)
+	dst.forget(o)
 
 	type entry struct{ k, val []byte }
 	var vers []entry

@@ -65,7 +65,16 @@ func decodeVerRec(b []byte) (verRec, error) {
 	return v, nil
 }
 
+// loadVer returns (o, v)'s version record: from the memo, or decoded
+// from the version index and memoised.
 func (tx *shardTx) loadVer(o oid.OID, v oid.VID) (verRec, error) {
+	var om *objMemo
+	if tx.memo != nil {
+		om = tx.memo.entry(o)
+		if rec, ok := om.ver(v); ok {
+			return rec, nil
+		}
+	}
 	raw, ok, err := tx.verIdx.Get(verKey(o, v))
 	if err != nil {
 		return verRec{}, err
@@ -73,12 +82,35 @@ func (tx *shardTx) loadVer(o oid.OID, v oid.VID) (verRec, error) {
 	if !ok {
 		return verRec{}, fmt.Errorf("%w: %v of %v", ErrNoVersion, v, o)
 	}
-	return decodeVerRec(raw)
+	rec, err := decodeVerRec(raw)
+	if err == nil && om != nil {
+		om.setVer(v, rec)
+	}
+	return rec, err
 }
 
+// storeVer writes (o, v)'s version record through to the version index
+// and the memo. A record equal to the memoised one is already in the
+// tree and is not put again; o is invalidated in the dereference cache
+// either way, as a payload rewritten in place leaves its record as it
+// was.
 func (tx *shardTx) storeVer(o oid.OID, v oid.VID, rec verRec) error {
 	tx.invalidate(o)
-	return tx.verIdx.Put(verKey(o, v), rec.encode())
+	var om *objMemo
+	if tx.memo != nil {
+		om = tx.memo.entry(o)
+		if old, ok := om.ver(v); ok && old == rec {
+			return nil
+		}
+	}
+	if err := tx.verIdx.Put(verKey(o, v), rec.encode()); err != nil {
+		tx.forget(o)
+		return err
+	}
+	if om != nil {
+		om.setVer(v, rec)
+	}
+	return nil
 }
 
 // --- object lifecycle ---
@@ -237,17 +269,17 @@ func (tx *shardTx) UpdateVersion(o oid.OID, v oid.VID, content []byte) error {
 		// stopped depending on it, v itself unless it is the latest,
 		// then the children detachDependents made full.
 		if dependent && rec.kind == payFull {
-			if err := tx.demoteAnchorOf(o, rec.dprev, h.latest); err != nil {
+			if err := tx.demoteAnchorOf(o, rec.dprev); err != nil {
 				return err
 			}
 		}
 		if v != h.latest {
-			if _, err := tx.demoteVersion(o, v, h.latest); err != nil {
+			if _, err := tx.demoteVersion(o, v); err != nil {
 				return err
 			}
 		}
 		for _, c := range children {
-			if _, err := tx.demoteVersion(o, c, h.latest); err != nil {
+			if _, err := tx.demoteVersion(o, c); err != nil {
 				return err
 			}
 		}
@@ -267,15 +299,12 @@ func (tx *shardTx) UpdateLatest(o oid.OID, content []byte) (oid.VID, error) {
 	return h.latest, tx.UpdateVersion(o, h.latest, content)
 }
 
-// fixDepths recomputes the chain-depth hints of v's dependent
-// descendants after v's own depth changed. A child stored as a delta or
-// shared payload has depth parent.depth+1; subtrees whose depth is
+// fixDepths recomputes the chain-depth hints of the dependent versions
+// among children, D-children of a version whose own depth changed to
+// depth, and of their dependent descendants. A child stored as a delta
+// or shared payload has depth parent.depth+1; subtrees whose depth is
 // already correct are pruned.
-func (tx *shardTx) fixDepths(o oid.OID, v oid.VID, vDepth uint16) error {
-	children, err := tx.DChildren(o, v)
-	if err != nil {
-		return err
-	}
+func (tx *shardTx) fixDepths(o oid.OID, children []oid.VID, depth uint16) error {
 	for _, c := range children {
 		crec, err := tx.loadVer(o, c)
 		if err != nil {
@@ -284,7 +313,7 @@ func (tx *shardTx) fixDepths(o oid.OID, v oid.VID, vDepth uint16) error {
 		if crec.kind == payFull {
 			continue // its depth is 0 and its subtree hangs off it, unchanged
 		}
-		want := vDepth + 1
+		want := depth + 1
 		if crec.depth == want {
 			continue
 		}
@@ -292,7 +321,11 @@ func (tx *shardTx) fixDepths(o oid.OID, v oid.VID, vDepth uint16) error {
 		if err := tx.storeVer(o, c, crec); err != nil {
 			return err
 		}
-		if err := tx.fixDepths(o, c, want); err != nil {
+		grand, err := tx.DChildren(o, c)
+		if err != nil {
+			return err
+		}
+		if err := tx.fixDepths(o, grand, want); err != nil {
 			return err
 		}
 	}
@@ -340,9 +373,6 @@ func (tx *shardTx) NewVersion(o oid.OID) (oid.VID, error) {
 func (tx *shardTx) NewVersionFrom(o oid.OID, base oid.VID) (oid.VID, error) {
 	h, err := tx.loadHeader(o)
 	if err != nil {
-		return oid.NilVID, err
-	}
-	if _, err := tx.loadVer(o, base); err != nil {
 		return oid.NilVID, err
 	}
 	return tx.newVersionFrom(o, h, base)
@@ -405,11 +435,11 @@ func (tx *shardTx) newVersionFrom(o oid.OID, h objHeader, base oid.VID) (oid.VID
 	// (DESIGN.md §14), the base first, as it is never below the old
 	// latest.
 	if tx.opts.DeltaTier {
-		if _, err := tx.demoteVersion(o, base, v); err != nil {
+		if _, err := tx.demoteVersion(o, base); err != nil {
 			return oid.NilVID, err
 		}
 		if prev != base {
-			if _, err := tx.demoteVersion(o, prev, v); err != nil {
+			if _, err := tx.demoteVersion(o, prev); err != nil {
 				return oid.NilVID, err
 			}
 		}
@@ -497,7 +527,7 @@ func (tx *shardTx) DeleteVersion(o oid.OID, v oid.VID) error {
 	if err := tx.dropAnnotations(o, v); err != nil {
 		return err
 	}
-	tx.invalidate(o)
+	tx.forget(o)
 	if _, err := tx.verIdx.Delete(verKey(o, v)); err != nil {
 		return err
 	}
@@ -536,18 +566,18 @@ func (tx *shardTx) demoteAfterDelete(o oid.OID, latest oid.VID, rec verRec, chil
 			if err := tx.anchor(o, latest, lrec); err != nil {
 				return err
 			}
-			if err := tx.demoteAnchorOf(o, lrec.dprev, latest); err != nil {
+			if err := tx.demoteAnchorOf(o, lrec.dprev); err != nil {
 				return err
 			}
 		}
 	}
 	if !rec.dprev.IsNil() {
-		if err := tx.demoteAnchorOf(o, rec.dprev, latest); err != nil {
+		if err := tx.demoteAnchorOf(o, rec.dprev); err != nil {
 			return err
 		}
 	}
 	for _, c := range children {
-		if _, err := tx.demoteVersion(o, c, latest); err != nil {
+		if _, err := tx.demoteVersion(o, c); err != nil {
 			return err
 		}
 	}
@@ -565,7 +595,7 @@ func (tx *shardTx) DeleteObject(o oid.OID) error {
 		v   oid.VID
 		rec verRec
 	}
-	tx.invalidate(o)
+	tx.forget(o)
 	var versions []entry
 	err = tx.verIdx.AscendPrefix(objKey(o), func(k, val []byte) (bool, error) {
 		v := oid.VID(binary.BigEndian.Uint64(k[8:16]))

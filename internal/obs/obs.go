@@ -301,6 +301,11 @@ type Metrics struct {
 	// writer mutex, counting the checkpoint a writer past the slack waits
 	// out or runs: the commit-side stall a checkpoint or a convoy costs.
 	WriterLockWait Histogram `series:"ode_writer_lock_wait_ns" scope:"shard" help:"Writer wait for a shard's writer mutex, including a checkpoint run or waited out past the slack."`
+	// WriterLockHold is how long each hold of a shard's writer mutex
+	// lasted, observed as it is released (txn.Manager.unlockWriter): a
+	// long WriterLockWait behind long holds is a convoy, one behind short
+	// holds a late wake.
+	WriterLockHold Histogram `series:"ode_writer_lock_hold_ns" scope:"shard" help:"How long a shard's writer mutex was held, observed at each release."`
 
 	// Commits. Commits and Aborts count a write transaction once: on its
 	// shard if it ended in that shard's pipeline alone, else at the

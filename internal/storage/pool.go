@@ -72,7 +72,11 @@ type slot struct {
 }
 
 // at returns the earliest snapshot tagged at or after epoch, or nil.
-// Lists are short: one entry per epoch a reader still pins.
+// A list holds one entry per epoch, from the oldest pinned epoch on, in
+// which a writer copied the page: reclaimLocked cuts only below the
+// oldest pin. It stays short while readers come and go; under one
+// long-pinned reader it grows by one for every commit that copies the
+// page, and the walk with it.
 func (s *slot) at(epoch uint64) *Page {
 	var pg *Page
 	for sn := s.snaps.Load(); sn != nil && sn.epoch >= epoch; sn = sn.older.Load() {

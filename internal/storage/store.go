@@ -54,11 +54,30 @@ type Store struct {
 	pool  *Pool
 	super super
 	supPg *Page // live page 0, always resident
+	// supStale is set while super holds changes of the running
+	// transaction that page 0 does not: the page has been copied on
+	// write for them (TxView.touchSuper), and SealSuper marshals them.
+	supStale bool
+}
+
+// SealSuper marshals the live superblock into page 0 if a transaction
+// changed it since the last seal. The transaction layer calls it once
+// per transaction, when it stages the touched pages; FlushAll calls it
+// for storage-level callers that write without staging.
+func (s *Store) SealSuper() {
+	if s.supStale {
+		s.super.marshalInto(s.supPg)
+		s.supStale = false
+	}
 }
 
 // ReloadSuper re-decodes the superblock from page 0's current image
-// (used after abort restores before-images).
-func (s *Store) ReloadSuper() error { return s.super.unmarshalFrom(s.supPg) }
+// (used after abort restores before-images) and drops the unsealed
+// changes with it.
+func (s *Store) ReloadSuper() error {
+	s.supStale = false
+	return s.super.unmarshalFrom(s.supPg)
+}
 
 // Create initialises a brand-new store file at path. It fails if the
 // file already exists and is non-empty.
@@ -188,9 +207,11 @@ type Census struct {
 	Records          uint64
 }
 
-// FlushAll writes every dirty page to the page file and syncs it. The
-// transaction layer calls this at checkpoints, after WAL durability.
+// FlushAll writes every dirty page to the page file and syncs it, the
+// superblock sealed first. The transaction layer calls this at
+// checkpoints, after WAL durability.
 func (s *Store) FlushAll() error {
+	s.SealSuper()
 	if err := s.pool.FlushDirty(); err != nil {
 		return err
 	}

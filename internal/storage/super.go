@@ -28,8 +28,9 @@ var ErrBadMagic = errors.New("storage: bad magic (not an ode store)")
 // ErrBadVersion reports an incompatible store format version.
 var ErrBadVersion = errors.New("storage: incompatible format version")
 
-// super is the decoded superblock. It is cached by the Store and
-// re-marshalled into page 0 whenever mutated.
+// super is the decoded superblock. It is cached by the Store, and a
+// writer's changes to it are marshalled into page 0 once, when the
+// transaction is staged (Store.SealSuper).
 type super struct {
 	pageSize uint32
 	nPages   uint64 // logical page count (may exceed physical until flush)
@@ -42,8 +43,8 @@ type super struct {
 // Fixed layout offsets within the page body for the peek in openStore:
 // magic at body[0:8], version at body[8:12], pageSize at body[12:16].
 func (s *super) marshalInto(p *Page) {
-	w := make([]byte, 0, 256)
-	w = codec.AppendU64(w, Magic)
+	body := p.Body()
+	w := codec.AppendU64(body[:0], Magic)
 	w = codec.AppendU32(w, FormatVersion)
 	w = codec.AppendU32(w, s.pageSize)
 	w = codec.AppendU64(w, s.nPages)
@@ -55,9 +56,7 @@ func (s *super) marshalInto(p *Page) {
 		w = codec.AppendU64(w, c)
 	}
 	w = codec.AppendU64(w, uint64(s.ckptLSN))
-	body := p.Body()
-	n := copy(body, w)
-	clear(body[n:]) // deterministic checksums
+	clear(body[len(w):]) // deterministic checksums
 }
 
 func (s *super) unmarshalFrom(p *Page) error {

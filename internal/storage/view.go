@@ -273,11 +273,15 @@ func (v *TxView) NextCounter(i int) uint64 {
 	return v.store.super.counters[i]
 }
 
-// touchSuper re-marshals the (already mutated) live superblock into
-// page 0, copy-on-writing it first so readers keep their epoch's image.
+// touchSuper notes a change to the live superblock. The first one of a
+// transaction copies page 0 on write, so readers keep their epoch's
+// image, and marks it stale; the changes reach the page once, when the
+// transaction is staged (Store.SealSuper).
 func (v *TxView) touchSuper() {
-	sp := v.Touch(v.store.supPg)
-	v.store.super.marshalInto(sp)
+	if !v.store.supStale {
+		v.Touch(v.store.supPg)
+		v.store.supStale = true
+	}
 }
 
 // PageSize returns the store's page size.

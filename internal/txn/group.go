@@ -333,6 +333,7 @@ func (m *Manager) failFlights(cause error) {
 	}
 	if !lent {
 		m.mu.Lock()
+		m.lockedAt = time.Now()
 	}
 	// The mutex keeps the queue as it is; empty it with the flights, and
 	// reopen both for the writers that come after the heal.
@@ -364,7 +365,7 @@ func (m *Manager) failFlights(cause error) {
 	}
 	m.logMu.Unlock()
 	if !lent {
-		m.mu.Unlock()
+		m.unlockWriter()
 	}
 	for i, r := range suffix {
 		if i < len(failed.batch) {

@@ -55,7 +55,8 @@ func (m *Manager) lockWriter() error {
 		m.checkpointIfDue()
 	}
 	m.mu.Lock()
-	m.m.WriterLockWait.ObserveDuration(time.Since(start))
+	m.lockedAt = time.Now()
+	m.m.WriterLockWait.ObserveDuration(m.lockedAt.Sub(start))
 	return m.checkWritable()
 }
 
@@ -65,6 +66,7 @@ func (m *Manager) tryLockWriter() (ok bool, err error) {
 	if !m.mu.TryLock() {
 		return false, nil
 	}
+	m.lockedAt = time.Now()
 	return true, m.checkWritable()
 }
 
@@ -82,12 +84,17 @@ func (m *Manager) checkWritable() error {
 			return nil
 		}
 	}
-	m.mu.Unlock()
+	m.unlockWriter()
 	return err
 }
 
-// unlockWriter releases the shard's writer mutex.
-func (m *Manager) unlockWriter() { m.mu.Unlock() }
+// unlockWriter releases the shard's writer mutex, observing how long it
+// was held (WriterLockHold). Every release goes through it, and every
+// acquisition notes its time in lockedAt.
+func (m *Manager) unlockWriter() {
+	m.m.WriterLockHold.ObserveDuration(time.Since(m.lockedAt))
+	m.mu.Unlock()
+}
 
 // lockWriterQuiesced takes the shard's writer mutex with the shard
 // quiesced: the commit pipeline idle — no batch queued or in flight — and
@@ -102,10 +109,11 @@ func (m *Manager) lockWriterQuiesced() {
 		m.awaitCheckpoint()
 		m.gc.waitIdle()
 		m.mu.Lock()
+		m.lockedAt = time.Now()
 		if m.gc.pipelineIdle() && m.run.Load() == nil {
 			return
 		}
-		m.mu.Unlock()
+		m.unlockWriter()
 	}
 }
 
@@ -127,7 +135,8 @@ var framesPool = sync.Pool{New: func() any { return new(wal.Frames) }}
 // page, then a commit record or, for a 2PC participant, a prepare record
 // carrying gtid — and wraps it in the request submit takes. Caller holds
 // the writer mutex: the pages are encoded once, straight into the frame
-// buffer, while they are the transaction's final state.
+// buffer, while they are the transaction's final state — the superblock
+// sealed into page 0 first, its one marshal of the transaction.
 //
 // A page is logged as a delta against the tracker's before-image when
 // that image is what the log's current segment already holds for it: the
@@ -140,6 +149,7 @@ var framesPool = sync.Pool{New: func() any { return new(wal.Frames) }}
 // the in-place checkpoint write tore, once the segments before it are
 // retired: recovery never reads the data file.
 func (m *Manager) stage(txid oid.TxID, tr *tracker, gtid uint64, prepare bool) (*commitReq, error) {
+	m.st.SealSuper()
 	touched := tr.touchedPages()
 	fr := framesPool.Get().(*wal.Frames) // empty: recycle resets before Put
 	req := &commitReq{gc: m.gc, txid: txid, tr: tr, fr: fr, prepare: prepare, done: make(chan error, 1)}

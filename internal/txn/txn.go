@@ -186,6 +186,9 @@ type Manager struct {
 	st     *storage.Store
 	opts   Options
 	nextTx uint64 // in-memory: txids only disambiguate within one log lifetime
+	// lockedAt is when mu was last taken; unlockWriter observes the hold
+	// from it.
+	lockedAt time.Time
 
 	// logMu guards the WAL: the writer leading a flight appends it
 	// without holding mu (its fsync, Log.SyncFile, runs off both locks),
@@ -887,7 +890,7 @@ func (m *Manager) Close() error {
 	// mu, every outstanding commit has been led to the log and no
 	// checkpoint is writing back.
 	m.lockWriterQuiesced()
-	defer m.mu.Unlock()
+	defer m.unlockWriter()
 	var firstErr error
 	if !m.opts.Storage.ReadOnly {
 		firstErr = m.checkpoint(false)

@@ -122,6 +122,7 @@ type Metrics struct {
 	WALFsyncLatency    HistSnapshot // one WAL fsync
 	CheckpointDuration HistSnapshot // flush + WAL reset
 	WriterLockWait     HistSnapshot // a writer's wait for its shard's writer mutex
+	WriterLockHold     HistSnapshot // one hold of a shard's writer mutex
 	BatchSize          HistSnapshot // transactions per group-commit fsync
 	DprevWalkLen       HistSnapshot // versions visited per History call
 	TprevWalkLen       HistSnapshot // versions visited per AsOfWalk call

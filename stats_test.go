@@ -379,3 +379,38 @@ func TestStatsTornReadRegression(t *testing.T) {
 		t.Errorf("Commits = %d, want %d", st.Commits, want)
 	}
 }
+
+// TestWriterLockHoldObserved: every release of a shard's writer mutex
+// observes how long it was held, and every Update on one shard takes it
+// once, so with no checkpoint running the holds counted match the waits.
+func TestWriterLockHoldObserved(t *testing.T) {
+	db, err := Open(t.TempDir(), &Options{Shards: 1, NoSync: true, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	blobs, err := RegisterWithCodec[[]byte](db, "Blob", rawCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.Metrics()
+	const updates = 20
+	payload := make([]byte, 64)
+	for i := 0; i < updates; i++ {
+		if err := db.Update(func(tx *Tx) error {
+			_, err := blobs.Create(tx, &payload)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := db.Metrics()
+	waits := after.WriterLockWait.Count - before.WriterLockWait.Count
+	holds := after.WriterLockHold.Count - before.WriterLockHold.Count
+	if waits != updates || holds != updates {
+		t.Fatalf("%d Updates: %d waits and %d holds observed, want one of each per Update", updates, waits, holds)
+	}
+	if after.WriterLockHold.Sum == before.WriterLockHold.Sum {
+		t.Error("the holds observed took no time")
+	}
+}
