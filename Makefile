@@ -4,10 +4,11 @@ FUZZTIME ?= 30s
 # Empty means the suite's default three (1,2,3).
 ODE_SOAK_SEEDS ?=
 
-# The restart, reset and allocation tests `make race` repeats. A reset
-# is what every rollback does to its shard: the id leases are dropped and
-# the heap free-space cache is repaired, its sweep keeping its place.
-RESTART_TESTS = CrossOrderRestart|DescendingJoin|RerunLocks|SwallowedRouting|RoutingRestart|ResetsOnlyJoinedShards|RestartKeepsHeapSweep|BatchFailureResets|IDsUniqueAcrossAbort
+# The restart, rollback-repair and allocation tests `make race` repeats.
+# Every rollback repairs its shard store's heap free-space cache, the
+# sweep keeping its place; the store's id leases outlive it and cover
+# the persisted counter again on their next id.
+RESTART_TESTS = CrossOrderRestart|DescendingJoin|RerunLocks|SwallowedRouting|RoutingRestart|ResetsOnlyJoinedShards|RestartKeepsHeapSweep|BatchFailureResets|IDsUniqueAcrossAbort|LeaseOutlivesRollback
 # The writer-led pipeline's liveness tests: one background goroutine per
 # shard, and no queued request left without a writer to lead it.
 LIVENESS_TESTS = ShardRunsOneBackgroundGoroutine|NoRequestStranded
@@ -130,11 +131,11 @@ vet:
 fmt:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
-# The second line reruns the restart, rollback-reset and id-allocation
+# The second line reruns the restart, rollback-repair and id-allocation
 # tests twenty times under the race detector: they interleave parked
-# writers, try-locks and reruns, and the allocator's leases and the heap
+# writers, try-locks and reruns, and a store's id leases and the heap
 # cache a rollback repairs are guarded by nothing but the shard's writer
-# mutex that every reset runs under.
+# mutex that every rollback runs under.
 # The third does the same for the commit pipeline: writers leading
 # their own flights and fsyncs beside every shard's checkpointer
 # goroutine, NoSync or not, racing for the writer mutex and the log. Its
@@ -167,7 +168,7 @@ fmt:
 # races the migration's chunks against the writers it restarts.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy
+	$(GO) test -race -count=20 -run '$(RESTART_TESTS)' ./internal/txn ./internal/core ./internal/policy ./internal/storage
 	$(GO) test -race -count=20 -timeout 30m -run '$(PIPELINE_TESTS)' ./internal/txn .
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(LIVENESS_TESTS)|$(CUT_TESTS)' ./internal/txn .
 	$(GO) test -race -count=20 -run '$(BTREE_TESTS)' ./internal/btree

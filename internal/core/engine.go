@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"ode/internal/btree"
@@ -151,19 +150,6 @@ type Engine struct {
 	// changes.
 	dcache *derefcache.Cache
 
-	// heapSpace holds each shard's heap free-space cache, shared across
-	// write transactions for as long as the engine is open: writers on
-	// one shard are serialised by its writer mutex, under which
-	// resetShard also repairs the cache after a rollback. hsMu guards the
-	// slice, which grows when a reshard adds physical shards.
-	hsMu      sync.Mutex
-	heapSpace []*storage.HeapState
-
-	// alloc holds the per-shard batched id-allocation leases (alloc.go).
-	// Like heapSpace, each shard's state is used only under that shard's
-	// writer mutex; the registry grows when a reshard adds shards.
-	alloc allocState
-
 	// stamp is the global version-creation clock: stamps must be
 	// comparable across shards (AsOf, CurrentStamp), so they cannot be
 	// composed per shard the way oids are. Each allocation mirrors the
@@ -219,12 +205,6 @@ type shardTx struct {
 	// use.
 	indexes map[string]*btree.Tree
 
-	// al caches this shard's batched id-allocator state (alloc.go) and
-	// alm the shard's registry, where allocations are counted; both are
-	// resolved on first allocation.
-	al  *shardAlloc
-	alm *obs.Metrics
-
 	// invalLast is the object this bundle last invalidated in the
 	// dereference cache (invalidate).
 	invalLast oid.OID
@@ -242,18 +222,7 @@ func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
 	if opts.AnchorInterval == 0 {
 		opts.AnchorInterval = DefaultAnchorInterval
 	}
-	phys := c.NumShards()
-	e := &Engine{
-		c:         c,
-		bus:       trigger.NewBus(),
-		opts:      opts,
-		m:         c.Metrics(),
-		heapSpace: make([]*storage.HeapState, phys),
-	}
-	for i := range e.heapSpace {
-		e.heapSpace[i] = storage.NewHeapState()
-	}
-	c.OnRollback(e.resetShard)
+	e := &Engine{c: c, bus: trigger.NewBus(), opts: opts, m: c.Metrics()}
 	if opts.DerefCacheBytes >= 0 {
 		cap := opts.DerefCacheBytes
 		if cap == 0 {
@@ -284,15 +253,8 @@ func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
 				if err != nil {
 					return err
 				}
-				for _, slot := range []int{
-					rootObjTable, rootVerIdx, rootTempIdx, rootCatalog,
-					rootExtent, rootConfig, rootVidIdx,
-				} {
-					t, err := btree.Create(v)
-					if err != nil {
-						return err
-					}
-					v.SetRoot(slot, t.Root())
+				if err := createTrees(v); err != nil {
+					return err
 				}
 			}
 			return nil
@@ -326,9 +288,22 @@ func NewSharded(c *txn.Coordinator, opts Options) (*Engine, error) {
 	return e, nil
 }
 
+// createTrees creates the engine trees on a shard that has none yet,
+// recording each one's root in its slot.
+func createTrees(v *storage.TxView) error {
+	for slot := rootObjTable; slot <= rootVidIdx; slot++ {
+		t, err := btree.Create(v)
+		if err != nil {
+			return err
+		}
+		v.SetRoot(slot, t.Root())
+	}
+	return nil
+}
+
 // newShardTx binds a shard bundle to v, opening every tree at the root
 // the view's superblock snapshot records. A writable bundle gets a memo.
-func (e *Engine) newShardTx(v *storage.TxView, hs *storage.HeapState, rt *Tx, s int, writable bool) *shardTx {
+func (e *Engine) newShardTx(v *storage.TxView, rt *Tx, s int, writable bool) *shardTx {
 	var b *shardTx
 	if writable {
 		// A write bundle and its memo are one allocation.
@@ -342,7 +317,7 @@ func (e *Engine) newShardTx(v *storage.TxView, hs *storage.HeapState, rt *Tx, s 
 		b = new(shardTx)
 	}
 	b.e, b.rt, b.s, b.st = e, rt, s, v
-	b.heap = *storage.NewHeap(v, hs)
+	b.heap = *storage.NewHeap(v, nil)
 	b.bus, b.opts, b.writable = e.bus, e.opts, writable
 	for slot := range b.trees {
 		b.trees[slot] = *btree.Open(v, v.Root(slot))
@@ -357,40 +332,14 @@ func (e *Engine) newShardTx(v *storage.TxView, hs *storage.HeapState, rt *Tx, s 
 	return b
 }
 
-// takeHeapSpace hands out shard s's heap free-space cache, growing the
-// slice when a reshard has added physical shards. The caller holds s's
-// writer mutex (it joined the shard), which serialises use.
-func (e *Engine) takeHeapSpace(s int) *storage.HeapState {
-	e.hsMu.Lock()
-	defer e.hsMu.Unlock()
-	for len(e.heapSpace) <= s {
-		e.heapSpace = append(e.heapSpace, storage.NewHeapState())
-	}
-	return e.heapSpace[s]
-}
-
-// resetShard repairs shard s's heap cache and drops its allocation
-// leases after a rollback that restored and forgot the given pages. The
-// coordinator calls it after every rollback on s
-// (Coordinator.OnRollback), under s's writer mutex — the mutex every use
-// of both is made under. The rollback says exactly which pages changed
-// under the heap cache, so the cache keeps what it knows of every other
-// page and its sweep position (HeapState.Repair); a lease minted against
-// rolled-back counter state is simpler to discard than to reason about,
-// and re-leasing from the persisted counter is always safe.
-func (e *Engine) resetShard(s int, restored []*storage.Page, forgotten []oid.PageID) {
-	e.takeHeapSpace(s).Repair(restored, forgotten)
-	e.alloc.reset(s)
-}
-
 // newOID allocates an oid on this shard: the shard-local counter
 // composed with the shard slot (identity under one shard). The routing
 // Tx only allocates on shards whose home-range tail is still their own
 // (ShardMap.Allocatable), so a fresh id routes to its birth shard.
-// Allocation draws from the shard's batched lease (alloc.go), so the
-// common case costs no superblock touch.
+// Allocation draws from the store's batched lease (TxView.NextID), so
+// the common case costs no superblock touch.
 func (tx *shardTx) newOID() oid.OID {
-	return oid.OID(storage.Compose(tx.allocID(ctrOID), tx.s))
+	return oid.OID(storage.Compose(tx.st.NextID(ctrOID), tx.s))
 }
 
 // newVID allocates a vid on this shard, composed like newOID. Unlike a
@@ -398,7 +347,7 @@ func (tx *shardTx) newOID() oid.OID {
 // minted on the OBJECT's current shard, wherever it moved), so the
 // vid→oid index entry routes by vid value (Tx.putVidIdx), not by tx.s.
 func (tx *shardTx) newVID() oid.VID {
-	return oid.VID(storage.Compose(tx.allocID(ctrVID), tx.s))
+	return oid.VID(storage.Compose(tx.st.NextID(ctrVID), tx.s))
 }
 
 // newStamp allocates a creation stamp: the engine's global clock

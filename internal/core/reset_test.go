@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"maps"
-	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -43,60 +41,50 @@ func createOn(t *testing.T, e *Engine, ty oid.TypeID, s int) (o oid.OID, v oid.V
 	return o, v
 }
 
-// checkRepairs wraps e's rollback hook. After each repair it holds the
-// shard's heap cache to the rollback's pages — every restored slotted
-// page's entry is the page's free space, no entry names a forgotten
-// page — and it returns the shards rolled back so far, in order. Every
-// rollback it sees must have restored a slotted page: each test's
-// rolled-back attempts insert a version record.
-func checkRepairs(t *testing.T, e *Engine) (rolledBack func() []int) {
-	var mu sync.Mutex
-	var shards []int
-	e.c.OnRollback(func(s int, restored []*storage.Page, forgotten []oid.PageID) {
-		e.resetShard(s, restored, forgotten)
-		known, _ := e.takeHeapSpace(s).Known()
-		slotted := 0
-		for _, p := range restored {
-			if p.Type() != storage.PageSlotted {
-				continue
-			}
-			slotted++
-			if got, ok := known[p.ID]; !ok || got != storage.SlottedFreeSpace(p) {
-				t.Errorf("shard %d: restored page %d: cache holds %d (%v), the page has %d free", s, p.ID, got, ok, storage.SlottedFreeSpace(p))
-			}
-		}
-		if slotted == 0 {
-			t.Errorf("shard %d: the rollback restored no slotted page", s)
-		}
-		for _, id := range forgotten {
-			if _, ok := known[id]; ok {
-				t.Errorf("shard %d: the cache still names forgotten page %d", s, id)
-			}
-		}
-		mu.Lock()
-		shards = append(shards, s)
-		mu.Unlock()
-	})
-	return func() []int {
-		mu.Lock()
-		defer mu.Unlock()
-		return slices.Clone(shards)
-	}
+// heapOf is shard s's heap free-space cache, which its store keeps.
+func heapOf(e *Engine, s int) *storage.HeapState {
+	return e.c.Shards()[s].Store().HeapSpace()
 }
 
 // knownHeap is what shard s's heap cache knows.
 func knownHeap(e *Engine, s int) map[oid.PageID]int {
-	known, _ := e.takeHeapSpace(s).Known()
+	known, _ := heapOf(e, s).Known()
 	return known
+}
+
+// checkHeapAtRest holds shard s's heap cache, with no writer running,
+// to the pages it names: each is a slotted page inside the file, and its
+// entry is the page's free space. A rollback that left the cache
+// unrepaired would leave the rolled-back insert's smaller free space on
+// a restored page, or name a page the rollback dropped from the file.
+func checkHeapAtRest(t *testing.T, e *Engine, s int) {
+	t.Helper()
+	st := e.c.Shards()[s].Store()
+	for id, free := range knownHeap(e, s) {
+		if uint64(id) >= st.NumPages() {
+			t.Errorf("shard %d: the cache names page %d, past the file's %d pages", s, id, st.NumPages())
+			continue
+		}
+		p, err := st.Get(id)
+		if err != nil {
+			t.Errorf("shard %d: page %d: %v", s, id, err)
+			continue
+		}
+		if p.Type() != storage.PageSlotted {
+			t.Errorf("shard %d: the cache names page %d of type %v", s, id, p.Type())
+		} else if got := storage.SlottedFreeSpace(p); got != free {
+			t.Errorf("shard %d: the cache holds %d free on page %d, the page has %d", s, free, id, got)
+		}
+	}
 }
 
 // TestRollbackResetsOnlyJoinedShards: a rolled-back attempt reverts
 // pages only on the shards it had joined, so only their heap caches are
-// repaired and their id leases dropped. A restart or an abort on shards
-// {0,1} used to wipe shard 2's as well — a fresh lease and a free-space
-// sweep from page 1 for every shard, on every descending-join restart.
-// A joined shard's cache survives the rollback, repaired
-// (checkRepairs); the others' are untouched.
+// repaired. A restart or an abort on shards {0,1} used to wipe shard
+// 2's as well — a fresh lease and a free-space sweep from page 1 for
+// every shard, on every descending-join restart. A joined shard's cache
+// survives the rollback, repaired (checkHeapAtRest); the others' are
+// untouched, and their shards take no new lease.
 func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
 	e := newShardedEngine(t, 3, Options{})
 	ty := mustType(t, e, "T")
@@ -104,8 +92,7 @@ func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
 	for s := range objs {
 		objs[s], _ = createOn(t, e, ty, s)
 	}
-	rolledBack := checkRepairs(t, e)
-	heap := func(s int) *storage.HeapState { return e.takeHeapSpace(s) }
+	heap := func(s int) *storage.HeapState { return heapOf(e, s) }
 	leases := func(s int) uint64 { return e.c.Shards()[s].Metrics().AllocLeases.Load() }
 	hs, ls := [3]*storage.HeapState{heap(0), heap(1), heap(2)}, [3]uint64{leases(0), leases(1), leases(2)}
 	known2 := knownHeap(e, 2)
@@ -123,9 +110,8 @@ func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("Write = %v, want boom", err)
 	}
-	if got := rolledBack(); len(got) != 2 || got[0]+got[1] != 1 {
-		t.Fatalf("rollbacks on shards %v, want 0 and 1", got)
-	}
+	checkHeapAtRest(t, e, 0)
+	checkHeapAtRest(t, e, 1)
 	if heap(0) != hs[0] || heap(1) != hs[1] {
 		t.Error("a rolled-back shard lost its heap cache")
 	}
@@ -134,9 +120,6 @@ func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
 	}
 	for s := range objs {
 		createOn(t, e, ty, s)
-	}
-	if leases(0) == ls[0] || leases(1) == ls[1] {
-		t.Errorf("rolled-back shards kept their leases: %d→%d, %d→%d", ls[0], leases(0), ls[1], leases(1))
 	}
 	if leases(2) != ls[2] {
 		t.Errorf("shard 2 took %d new leases after an abort on shards 0 and 1", leases(2)-ls[2])
@@ -168,9 +151,7 @@ func TestRollbackResetsOnlyJoinedShards(t *testing.T) {
 	if runs != 2 {
 		t.Fatalf("closure ran %d times, want 2 (a contended descending join restarts)", runs)
 	}
-	if got := rolledBack(); len(got) != 3 || got[2] != 1 {
-		t.Fatalf("rollbacks on shards %v, want a third on shard 1", got)
-	}
+	checkHeapAtRest(t, e, 1)
 	if heap(1) != hs[1] {
 		t.Error("the restarted attempt's shard lost its heap cache")
 	}
@@ -227,12 +208,11 @@ func TestRestartKeepsHeapSweep(t *testing.T) {
 	defer c.Close()
 	var o1 oid.OID
 	for i := 0; i < 100; i++ {
-		if o1 = create(); func() bool { _, at := e.takeHeapSpace(1).Known(); return at > 40 }() {
+		if o1 = create(); func() bool { _, at := heapOf(e, 1).Known(); return at > 40 }() {
 			break
 		}
 	}
-	rolledBack := checkRepairs(t, e)
-	_, before := e.takeHeapSpace(1).Known()
+	_, before := heapOf(e, 1).Known()
 	if before <= 40 || uint64(before) >= e.c.Shards()[1].Store().NumPages() {
 		t.Fatalf("the sweep is at page %d of %d; the test needs it past page 40 and short of the end", before, e.c.Shards()[1].Store().NumPages())
 	}
@@ -252,10 +232,8 @@ func TestRestartKeepsHeapSweep(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := rolledBack(); !slices.Equal(got, []int{1}) {
-		t.Fatalf("rollbacks on shards %v, want one on shard 1", got)
-	}
-	if _, after := e.takeHeapSpace(1).Known(); after < before {
+	checkHeapAtRest(t, e, 1)
+	if _, after := heapOf(e, 1).Known(); after < before {
 		t.Errorf("the sweep went back from page %d to %d after the restart", before, after)
 	}
 }
@@ -301,11 +279,10 @@ func waitRestarts(t *testing.T, e *Engine, n uint64) {
 }
 
 // TestBatchFailureResetsOnlyItsShard: a group-commit batch whose fsync
-// fails is rolled back by the shard's commit pipeline (failFlights), not by the
-// writer — the writer had already released the shard — and the reset
-// hook runs there: the failed shard's heap cache is repaired
-// (checkRepairs) and its leases start over, the other shards keep
-// theirs.
+// fails is rolled back by the shard's commit pipeline (failFlights), not
+// by the writer — the writer had already released the shard — and the
+// repair runs there: the failed shard's heap cache is repaired
+// (checkHeapAtRest), the other shards keep their caches and leases.
 func TestBatchFailureResetsOnlyItsShard(t *testing.T) {
 	open := func(fsys faultfs.FS) (*Engine, oid.TypeID, [3]oid.OID) {
 		c, err := txn.OpenCoordinator("db", txn.Options{Shards: 3, CheckpointBytes: -1, FS: fsys})
@@ -331,8 +308,7 @@ func TestBatchFailureResetsOnlyItsShard(t *testing.T) {
 	open(dry)
 	e, ty, objs := open(faultfs.NewInjector(faultfs.NewMem(), faultfs.Plan{FailSyncN: dry.Counts().Syncs + 1}))
 
-	rolledBack := checkRepairs(t, e)
-	heap := func(s int) *storage.HeapState { return e.takeHeapSpace(s) }
+	heap := func(s int) *storage.HeapState { return heapOf(e, s) }
 	leases := func(s int) uint64 { return e.c.Shards()[s].Metrics().AllocLeases.Load() }
 	hs, ls := [3]*storage.HeapState{heap(0), heap(1), heap(2)}, [3]uint64{leases(0), leases(1), leases(2)}
 	known0, known2 := knownHeap(e, 0), knownHeap(e, 2)
@@ -343,9 +319,7 @@ func TestBatchFailureResetsOnlyItsShard(t *testing.T) {
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("Write = %v, want the injected fsync failure", err)
 	}
-	if got := rolledBack(); !slices.Equal(got, []int{1}) {
-		t.Fatalf("rollbacks on shards %v, want one on shard 1", got)
-	}
+	checkHeapAtRest(t, e, 1)
 	if heap(1) != hs[1] {
 		t.Error("the failed batch's shard lost its heap cache")
 	}
@@ -354,9 +328,6 @@ func TestBatchFailureResetsOnlyItsShard(t *testing.T) {
 	}
 	for s := range objs {
 		createOn(t, e, ty, s)
-	}
-	if leases(1) == ls[1] {
-		t.Error("the failed batch's shard kept its lease")
 	}
 	if leases(0) != ls[0] || leases(2) != ls[2] {
 		t.Errorf("shards 0 and 2 took %d and %d new leases after a batch failure on shard 1", leases(0)-ls[0], leases(2)-ls[2])

@@ -80,15 +80,8 @@ func (e *Engine) reshardInit(target int) error {
 			}
 			lo := storage.SlotBase(s)
 			if v.Root(rootObjTable) == oid.NilPage {
-				for _, slot := range []int{
-					rootObjTable, rootVerIdx, rootTempIdx, rootCatalog,
-					rootExtent, rootConfig, rootVidIdx,
-				} {
-					t, err := btree.Create(v)
-					if err != nil {
-						return err
-					}
-					v.SetRoot(slot, t.Root())
+				if err := createTrees(v); err != nil {
+					return err
 				}
 			} else {
 				// Revived shard: ids it minted before the merge may live

@@ -73,7 +73,7 @@ func (tx *Tx) shardW(s int) (*shardTx, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := tx.e.newShardTx(v, tx.e.takeHeapSpace(s), tx, s, true)
+	b := tx.e.newShardTx(v, tx, s, true)
 	tx.shards[s] = b
 	return b, nil
 }
@@ -98,7 +98,7 @@ func (tx *Tx) shardR(s int) (*shardTx, error) {
 	} else if b := tx.shards[s]; b != nil {
 		return b, nil
 	}
-	b := tx.e.newShardTx(tx.r.View(s), nil, tx, s, false)
+	b := tx.e.newShardTx(tx.r.View(s), tx, s, false)
 	tx.shards[s] = b
 	return b, nil
 }
@@ -125,7 +125,7 @@ func (tx *Tx) shardPeek0() (*shardTx, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := tx.e.newShardTx(v, nil, tx, 0, false)
+	b := tx.e.newShardTx(v, tx, 0, false)
 	tx.metaPeek = b
 	return b, nil
 }

@@ -369,10 +369,9 @@ type Metrics struct {
 	CompactObjects  Counter   `series:"ode_compact_objects_total" scope:"db" help:"Objects examined by compaction sweeps."`
 	CompactDuration Histogram `series:"ode_compact_duration_ns" scope:"db" help:"Duration of one bounded compaction transaction."`
 
-	// Batched id allocation (core/alloc.go): leases taken from the
-	// persistent counters and ids handed out from them. A healthy ratio
-	// approaches allocBatch ids per lease; a ratio near 1 means leases
-	// are being dropped (aborts) as fast as they are taken.
+	// Batched id allocation (storage.TxView.NextID): leases taken from
+	// the persistent counters and ids handed out from them. A healthy
+	// ratio approaches 64 ids per lease (the lease size).
 	AllocLeases Counter `series:"ode_alloc_leases_total" scope:"shard" help:"Batched id-allocator leases taken from the superblock counters."`
 	AllocIDs    Counter `series:"ode_alloc_ids_total" scope:"shard" help:"Object/version ids handed out from allocator leases."`
 }

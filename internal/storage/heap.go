@@ -33,10 +33,10 @@ var ErrNoRecord = errors.New("storage: no such record")
 
 // HeapState is the heap's cross-transaction space-hunting state. It is
 // advisory only (every entry is re-verified before use, and pageWithSpace
-// self-heals stale entries), so the engine shares one HeapState across
-// its write transactions; a reader's heap never needs one. A rollback
-// does not discard it: Repair re-records the pages the rollback put back
-// and forgets the ones it dropped, so the sweep never starts over.
+// self-heals stale entries), so each Store keeps one that its write
+// transactions share; a reader's heap never needs one. A rollback does
+// not discard it: Repair re-records the pages the rollback put back and
+// forgets the ones it dropped, so the sweep never starts over.
 type HeapState struct {
 	// space caches known free bytes of slotted pages discovered this
 	// session (populated by inserts, updates, deletes, and the sweep),
@@ -139,19 +139,13 @@ type Heap struct {
 }
 
 // NewHeap returns a heap over the transaction view st. hs carries the
-// space cache across transactions; nil means start fresh at the first
-// mutation (fine for tests, and free for readers, which never hunt for
-// space).
+// space cache across transactions; nil means the store's own (readers
+// never hunt for space, so theirs is never touched).
 func NewHeap(st *TxView, hs *HeapState) *Heap {
-	return &Heap{st: st, hs: hs}
-}
-
-// state returns the space-hunting state, creating it on first use.
-func (h *Heap) state() *HeapState {
-	if h.hs == nil {
-		h.hs = NewHeapState()
+	if hs == nil {
+		hs = st.store.heap
 	}
-	return h.hs
+	return &Heap{st: st, hs: hs}
 }
 
 // maxInlinePayload returns the largest payload storable inline.
@@ -199,7 +193,7 @@ func (h *Heap) Insert(data []byte) (oid.RID, error) {
 	if err != nil {
 		return oid.NilRID, fmt.Errorf("storage: insert on page %d: %w", p.ID, err)
 	}
-	h.state().set(p.ID, SlottedFreeSpace(p))
+	h.hs.set(p.ID, SlottedFreeSpace(p))
 	return oid.RID{Page: p.ID, Slot: slot}, nil
 }
 
@@ -352,7 +346,7 @@ func (h *Heap) Update(rid oid.RID, data []byte) error {
 		cell := encodeInline(data)
 		err = SlottedUpdate(p, rid.Slot, cell)
 		if err == nil {
-			h.state().set(p.ID, SlottedFreeSpace(p))
+			h.hs.set(p.ID, SlottedFreeSpace(p))
 			if oldChain != oid.NilPage {
 				return h.freeOverflow(oldChain)
 			}
@@ -372,7 +366,7 @@ func (h *Heap) Update(rid oid.RID, data []byte) error {
 	if err := SlottedUpdate(p, rid.Slot, cell); err != nil {
 		return fmt.Errorf("storage: overflow cell update on page %d: %w", p.ID, err)
 	}
-	h.state().set(p.ID, SlottedFreeSpace(p))
+	h.hs.set(p.ID, SlottedFreeSpace(p))
 	if oldChain != oid.NilPage {
 		return h.freeOverflow(oldChain)
 	}
@@ -394,7 +388,7 @@ func (h *Heap) Delete(rid oid.RID) error {
 	if err := SlottedDelete(p, rid.Slot); err != nil {
 		return err
 	}
-	h.state().set(p.ID, SlottedFreeSpace(p))
+	h.hs.set(p.ID, SlottedFreeSpace(p))
 	if chain != oid.NilPage {
 		return h.freeOverflow(chain)
 	}
@@ -404,7 +398,7 @@ func (h *Heap) Delete(rid oid.RID) error {
 // pageWithSpace finds or allocates a slotted page with at least need
 // bytes of cell space.
 func (h *Heap) pageWithSpace(need int) (*Page, error) {
-	hs := h.state()
+	hs := h.hs
 	for c := need / spaceClass; c < len(hs.classes); c++ {
 		// Newest first. An entry that leaves the list mid-walk is replaced
 		// by the list's last, which the walk has already seen.
@@ -441,7 +435,7 @@ func (h *Heap) pageWithSpace(need int) (*Page, error) {
 // recording their free space, and returns the first with enough room.
 func (h *Heap) sweepForSpace(need int) (*Page, error) {
 	const sweepBudget = 16
-	hs := h.state()
+	hs := h.hs
 	if hs.sweepDone {
 		return nil, nil
 	}

@@ -87,12 +87,12 @@ func (s *slot) at(epoch uint64) *Page {
 
 // Pool is the buffer pool: an in-memory cache of page images keyed by
 // PageID. Clean pages are evictable under a CLOCK policy; dirty pages
-// are retained until FlushDirty writes them back, and both count
-// against the one capacity: clean pages are evicted to make room for
-// dirty ones. Dirty pages alone can exceed it: by what the writers that
-// began before they reached it dirty (a writer finding them at capacity
-// checkpoints first, DirtyFull), and without bound with automatic
-// checkpoints disabled.
+// are retained until a checkpoint writes them back (DirtyPages,
+// WritePages, MarkWritten), and both count against the one capacity:
+// clean pages are evicted to make room for dirty ones. Dirty pages
+// alone can exceed it: by what the writers that began before they
+// reached it dirty (a writer finding them at capacity checkpoints first,
+// DirtyFull), and without bound with automatic checkpoints disabled.
 //
 // The pool also owns the snapshot machinery that gives readers epoch
 // isolation: writers swap in fresh page copies on first mutation

@@ -6,20 +6,14 @@ import (
 	"sort"
 )
 
-// Shard pairs a Store (file + buffer pool + superblock) with its slot
-// in a sharded engine. Every shard is a fully independent storage unit:
-// its own page file, pool, epoch pair, and root/counter set. The
-// transaction layer owns one WAL and one commit pipeline per shard; the
-// shard map below decides which shard a given object id lives on.
+// A shard is one Store (file + buffer pool + superblock) in a sharded
+// engine. Every shard is a fully independent storage unit: its own page
+// file, pool, epoch pair, and root/counter set. The transaction layer
+// owns one WAL and one commit pipeline per shard; the shard map below
+// decides which shard a given object id lives on.
 //
 // A single-shard engine (N=1) is the same thing with one of each: the
 // map degenerates to the identity.
-
-// Shard is a Store plus its shard slot.
-type Shard struct {
-	*Store
-	ID int
-}
 
 // Placement is data, not arithmetic. Ids are composed at allocation
 // time as SlotBase(slot)|raw — the allocating shard's slot in the top

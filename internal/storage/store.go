@@ -48,7 +48,9 @@ type MutationTracker interface {
 // Store combines the page file, buffer pool and superblock into the unit
 // the engine programs against. All transactional access goes through a
 // per-transaction TxView handle (OpenWriter/OpenReader); the Store
-// itself holds no transaction state.
+// itself holds no transaction state, only what writers carry from one
+// transaction to the next: the heap's free-space cache and the id
+// leases. Writers are serialised, so neither needs a lock.
 type Store struct {
 	file  *File
 	pool  *Pool
@@ -58,6 +60,11 @@ type Store struct {
 	// transaction that page 0 does not: the page has been copied on
 	// write for them (TxView.touchSuper), and SealSuper marshals them.
 	supStale bool
+	// heap is the heap's free-space cache (NewHeap with a nil state),
+	// repaired by the transaction layer after a rollback.
+	heap *HeapState
+	// leases holds each counter's in-memory id lease (TxView.NextID).
+	leases [NumCounters]lease
 }
 
 // SealSuper marshals the live superblock into page 0 if a transaction
@@ -100,7 +107,7 @@ func Create(path string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{file: file, pool: NewPool(file, poolCap(opts))}
+	s := &Store{file: file, pool: NewPool(file, poolCap(opts)), heap: NewHeapState()}
 	s.super = super{pageSize: uint32(ps), nPages: 1}
 	data := make([]byte, ps)
 	s.supPg = s.pool.Install(0, data)
@@ -129,7 +136,7 @@ func Open(path string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{file: file, pool: NewPool(file, poolCap(opts))}
+	s := &Store{file: file, pool: NewPool(file, poolCap(opts)), heap: NewHeapState()}
 	sp, err := s.pool.GetTyped(0, PageSuper)
 	if err != nil {
 		file.Close()
@@ -188,6 +195,9 @@ func (s *Store) NumPages() uint64 { return s.super.nPages }
 // Pool exposes the buffer pool (for stats and txn before-imaging).
 func (s *Store) Pool() *Pool { return s.pool }
 
+// HeapSpace returns the heap free-space cache writers share.
+func (s *Store) HeapSpace() *HeapState { return s.heap }
+
 // Get fetches a page.
 func (s *Store) Get(id oid.PageID) (*Page, error) { return s.pool.Get(id) }
 
@@ -208,8 +218,9 @@ type Census struct {
 }
 
 // FlushAll writes every dirty page to the page file and syncs it, the
-// superblock sealed first. The transaction layer calls this at
-// checkpoints, after WAL durability.
+// superblock sealed first. Create and Close call it; the transaction
+// layer checkpoints through the pool's DirtyPages, WritePages and
+// MarkWritten instead.
 func (s *Store) FlushAll() error {
 	s.SealSuper()
 	if err := s.pool.FlushDirty(); err != nil {

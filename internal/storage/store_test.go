@@ -505,3 +505,80 @@ func TestCensus(t *testing.T) {
 		t.Fatalf("census after deletes = %+v", c2)
 	}
 }
+
+// TestNextIDLeaseOutlivesRollback: a lease taken by a transaction that
+// rolls back stays with the store while the persisted counter goes back
+// to its committed value; the next NextID draws on that lease, raises
+// the counter over it again, and no id is handed out twice — nor after
+// a reopen, which leases afresh from the persisted counter.
+func TestNextIDLeaseOutlivesRollback(t *testing.T) {
+	st, path := tempStore(t, Options{PageSize: 512})
+	seen := map[uint64]bool{}
+	next := func(v *TxView) uint64 {
+		t.Helper()
+		id := v.NextID(0)
+		if seen[id] {
+			t.Fatalf("id %d handed out twice", id)
+		}
+		seen[id] = true
+		if c := v.Counter(0); c < id {
+			t.Fatalf("id %d above the persisted counter %d", id, c)
+		}
+		return id
+	}
+	leases := func() uint64 { return st.Pool().Metrics().AllocLeases.Load() }
+
+	// A committed transaction takes the first lease.
+	v := st.OpenWriter(nil)
+	next(v)
+	v.Close()
+	st.SealSuper()
+	committed := append([]byte(nil), st.supPg.Data...)
+
+	// A transaction runs past that lease into a second one, then rolls
+	// back as the transaction layer does it: page 0's before-image is put
+	// back and the superblock decoded from it again.
+	v = st.OpenWriter(nil)
+	for i := 0; i < leaseSize; i++ {
+		next(v)
+	}
+	v.Close()
+	if got := leases(); got != 2 {
+		t.Fatalf("%d leases taken, want 2", got)
+	}
+	st.supPg.Restore(committed)
+	if err := st.ReloadSuper(); err != nil {
+		t.Fatal(err)
+	}
+	v = st.OpenWriter(nil)
+	if got := v.Counter(0); got != leaseSize {
+		t.Fatalf("rolled-back counter %d, want %d", got, leaseSize)
+	}
+
+	// The second lease outlived the rollback: the next id comes from it,
+	// and the counter covers the lease again.
+	if id := next(v); id != leaseSize+2 {
+		t.Fatalf("first id after the rollback %d, want %d from the surviving lease", id, leaseSize+2)
+	}
+	if got := v.Counter(0); got != 2*leaseSize {
+		t.Fatalf("counter %d after the rollback's next id, want %d", got, 2*leaseSize)
+	}
+	if got := leases(); got != 2 {
+		t.Fatalf("%d leases taken, want the surviving one used", got)
+	}
+	for i := 0; i < leaseSize; i++ {
+		next(v)
+	}
+	v.Close()
+
+	// A reopen forgets the lease and starts past the persisted counter.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	next(st.OpenWriter(nil))
+}

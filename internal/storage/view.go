@@ -273,6 +273,44 @@ func (v *TxView) NextCounter(i int) uint64 {
 	return v.store.super.counters[i]
 }
 
+// leaseSize is how many ids NextID reserves from a persistent counter
+// per superblock touch.
+const leaseSize = 64
+
+// lease is one counter's in-memory range of ids: next is the last id
+// handed out, limit the inclusive high-water mark the persisted counter
+// is raised to; the lease is dry when next == limit.
+type lease struct{ next, limit uint64 }
+
+// NextID hands out the next id of persistent counter i from the store's
+// lease, leasing leaseSize more from the counter when it is dry, so the
+// common call touches nothing persistent. The persisted counter must
+// cover the whole lease before the transaction commits, and NextID
+// re-asserts that on every call, not only when it leases: a rolled-back
+// transaction restores the counter but not the lease, and the next call
+// finds the counter short and raises it again. No committed id is then
+// ever above the persisted counter, and a crash leaks at most leaseSize
+// ids a counter (ids need uniqueness, not density). Leases and ids are
+// counted in the pool's registry (AllocLeases, AllocIDs).
+func (v *TxView) NextID(i int) uint64 {
+	if !v.write {
+		panic("storage: NextID on read-only view")
+	}
+	s := v.store
+	l := &s.leases[i]
+	if l.next >= l.limit {
+		hw := s.super.counters[i]
+		l.next, l.limit = hw, hw+leaseSize
+		s.pool.m.AllocLeases.Inc()
+	}
+	l.next++
+	if s.super.counters[i] < l.limit {
+		v.SetCounter(i, l.limit)
+	}
+	s.pool.m.AllocIDs.Inc()
+	return l.next
+}
+
 // touchSuper notes a change to the live superblock. The first one of a
 // transaction copies page 0 on write, so readers keep their epoch's
 // image, and marks it stale; the changes reach the page once, when the

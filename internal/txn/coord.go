@@ -171,9 +171,6 @@ type Coordinator struct {
 	buildHook func()
 	unpinHook func(*cut)
 
-	// onRollback is the owner's per-shard repair (OnRollback).
-	onRollback func(shard int, restored []*storage.Page, forgotten []oid.PageID)
-
 	// cm is the coordinator-level registry (whole-transaction latency,
 	// cross-shard batch sizes, decision-log fsyncs, empty and cross-shard
 	// commits). sink is the tracer sink shared by every shard; the
@@ -502,29 +499,8 @@ func (c *Coordinator) shardOpts(i int, decided map[uint64]bool) Options {
 	so.decided = decided
 	so.sink = c.sink
 	so.coordinated = true
-	so.shardID = i
 	so.onPublish = c.published
-	so.onRollback = c.rolledBack
 	return so
-}
-
-// OnRollback registers fn to run whenever a shard rolls a transaction
-// back — an abort, a restart, a failed prepare, a failed commit batch —
-// with the shard's slot, under its writer mutex, so state the caller
-// keeps per shard and uses only under that mutex can be repaired where
-// the rollback happens. restored holds the live pages the rollback put
-// back to their before-images; forgotten names the pages it dropped
-// from the pool, the ones the transaction had added to the file. Set it
-// before the first write.
-func (c *Coordinator) OnRollback(fn func(shard int, restored []*storage.Page, forgotten []oid.PageID)) {
-	c.onRollback = fn
-}
-
-// rolledBack is every shard's rollback hook (Options.onRollback).
-func (c *Coordinator) rolledBack(shard int, restored []*storage.Page, forgotten []oid.PageID) {
-	if c.onRollback != nil {
-		c.onRollback(shard, restored, forgotten)
-	}
 }
 
 // newShardedCoordinator assembles the coordinator shell (registry,

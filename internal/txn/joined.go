@@ -284,8 +284,3 @@ func (m *Manager) publish(epoch uint64) {
 		m.opts.onPublish()
 	}
 }
-
-// Shard returns the manager's store tagged with its shard slot.
-func (m *Manager) Shard() *storage.Shard {
-	return &storage.Shard{Store: m.st, ID: m.opts.shardID}
-}

@@ -107,7 +107,9 @@ func (c *Coordinator) Reshard(target int, h ReshardHooks) error {
 		}
 	}
 	if c.rmap().N() != target {
-		if err := c.setLogical(target); err != nil {
+		// A merge, or the no-grow half of a resumed split: the logical
+		// count changes, the assignments do not.
+		if err := c.publishLayout(c.ms(), target); err != nil {
 			return err
 		}
 	}
@@ -235,34 +237,28 @@ func (c *Coordinator) grow(target int) error {
 	if err := fsys.SyncDir(c.dir); err != nil {
 		return fail(fmt.Errorf("txn: reshard: sync %s: %w", c.dir, err))
 	}
-	c.cmu.Lock()
-	newMap := c.rmap().WithN(target)
-	if err := appendShardsFrame(c.shardsFile, target, newMap); err != nil {
-		c.cmu.Unlock()
+	if err := c.publishLayout(ms, target); err != nil {
 		return fail(err)
+	}
+	return nil
+}
+
+// publishLayout persists a layout — the physical shards ms and the
+// current assignments under a logical count of n — as a shards.ode
+// frame, then swaps the routing bundle to it inside a publication
+// bracket. The frame folds any map flip still pending in the
+// coordinator log, so mapDirty clears. The caller holds reshardMu, the
+// only holder that changes the physical shards.
+func (c *Coordinator) publishLayout(ms []*Manager, n int) error {
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
+	newMap := c.rmap().WithN(n)
+	if err := appendShardsFrame(c.shardsFile, len(ms), newMap); err != nil {
+		return err
 	}
 	c.beginPublish()
 	c.routing.Store(&routing{ms: ms, rmap: newMap})
 	c.endPublish()
-	c.mapDirty = false // the frame folded any pending flip along the way
-	c.cmu.Unlock()
-	return nil
-}
-
-// setLogical persists and publishes a logical shard-count change with
-// unchanged assignments (the merge entry point, and the no-grow half of
-// a resumed split).
-func (c *Coordinator) setLogical(target int) error {
-	c.cmu.Lock()
-	newMap := c.rmap().WithN(target)
-	if err := appendShardsFrame(c.shardsFile, len(c.ms()), newMap); err != nil {
-		c.cmu.Unlock()
-		return err
-	}
-	c.beginPublish()
-	c.routing.Store(&routing{ms: c.ms(), rmap: newMap})
-	c.endPublish()
 	c.mapDirty = false
-	c.cmu.Unlock()
 	return nil
 }

@@ -109,18 +109,14 @@ type Options struct {
 	// owning coordinator's Coordinator.published: the shard calls it
 	// whenever what a new reader of it must observe has changed — a
 	// commit published (Manager.publish), or Close began — and the
-	// coordinator retires its readers' shared snapshot there. onRollback
-	// is its Coordinator.rolledBack: rollbackQuiet calls it with shardID
-	// and the pages it restored and forgot, under the writer mutex, after
-	// every rollback. Both are nil on a Manager used on its own.
+	// coordinator retires its readers' shared snapshot there. It is nil
+	// on a Manager used on its own.
 	dataFile    string
 	walFile     string
 	decided     map[uint64]bool
 	sink        *obs.Sink
 	coordinated bool
-	shardID     int
 	onPublish   func()
-	onRollback  func(shard int, restored []*storage.Page, forgotten []oid.PageID)
 }
 
 // dataFileName and walFileName resolve the manager's file names: a
@@ -812,7 +808,8 @@ func (m *Manager) rollback(tr *tracker) {
 // uses it for shard-local rollbacks of a transaction it accounts for
 // once at its own level (and for restarts, which are not aborts at all).
 // Every rollback on a shard comes through here, under its writer mutex,
-// so this is where the owner's rollback hook runs (Options.onRollback).
+// so this is where the store's heap free-space cache is repaired: the
+// pages restored and forgotten are the only ones that changed under it.
 func (m *Manager) rollbackQuiet(tr *tracker) {
 	restored := make([]*storage.Page, 0, len(tr.before))
 	var forgotten []oid.PageID
@@ -820,7 +817,7 @@ func (m *Manager) rollbackQuiet(tr *tracker) {
 		p, err := m.st.Get(id)
 		if err != nil {
 			// The page was touched, so it is dirty and resident; Get
-			// cannot fail for it. Guard anyway: the hook forgets it.
+			// cannot fail for it. Guard anyway: the cache forgets it.
 			forgotten = append(forgotten, id)
 			continue
 		}
@@ -844,9 +841,7 @@ func (m *Manager) rollbackQuiet(tr *tracker) {
 		// superblock unless memory was corrupted.
 		panic(fmt.Sprintf("txn: rollback broke superblock: %v", err))
 	}
-	if m.opts.onRollback != nil {
-		m.opts.onRollback(m.opts.shardID, restored, forgotten)
-	}
+	m.st.HeapSpace().Repair(restored, forgotten)
 }
 
 // Close waits out every commit already submitted, then checkpoints and

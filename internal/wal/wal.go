@@ -198,12 +198,20 @@ func writeHeader(f faultfs.File, gen uint16) error {
 }
 
 // scanEnd walks records from the header to find the end of the valid
-// prefix. Only evidence of a torn tail — EOF, a short read at the end
-// of the file, an implausible length, a CRC mismatch — ends the prefix;
-// a device error (EIO) is returned as an error instead. Conflating the
-// two (as this function once did) turned a transient read fault at open
-// time into silent truncation of committed transactions.
+// prefix (frames).
 func scanEnd(f io.ReaderAt, size int64) (oid.LSN, error) {
+	return frames(f, size, nil)
+}
+
+// frames walks the [len][crc][payload] frames of the first size bytes
+// of f, from the header on, calling fn (when not nil) with each valid
+// frame's LSN and payload, and returns the end of the valid prefix. Only
+// evidence of a torn tail — EOF, a short read at the end of the file, an
+// implausible length, a CRC mismatch — ends the prefix; a device error
+// (EIO) is returned as an error instead, and so is fn's. Conflating the
+// two (as scanEnd once did) turned a transient read fault at open time
+// into silent truncation of committed transactions.
+func frames(f io.ReaderAt, size int64, fn func(lsn oid.LSN, payload []byte) error) (oid.LSN, error) {
 	r := bufio.NewReaderSize(io.NewSectionReader(f, headerSize, size-headerSize), 1<<16)
 	off := int64(headerSize)
 	var frame [8]byte
@@ -237,6 +245,11 @@ func scanEnd(f io.ReaderAt, size int64) (oid.LSN, error) {
 		}
 		if codec.Checksum(payload) != crc {
 			return oid.LSN(off), nil // torn write
+		}
+		if fn != nil {
+			if err := fn(oid.LSN(off), payload); err != nil {
+				return 0, err
+			}
 		}
 		off += 8 + int64(n)
 	}
@@ -566,40 +579,26 @@ func (l *Log) TruncateTo(lsn oid.LSN) error {
 	return nil
 }
 
-// Scan iterates every valid record in LSN order. fn may retain Record.Data
-// (each record's payload is freshly allocated).
+// Scan iterates every record in LSN order. fn may retain Record.Data
+// (each record's payload is freshly allocated). Every record up to the
+// log's end must be valid: the torn tail was cut at open, so a frame
+// that ends the valid prefix early is an error here.
 func (l *Log) Scan(fn func(rec Record) error) error {
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
 	end := l.Size()
-	sr := io.NewSectionReader(l.f, headerSize, end-headerSize)
-	r := bufio.NewReaderSize(sr, 1<<16)
-	off := int64(headerSize)
-	var frame [8]byte
-	for off < end {
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			return fmt.Errorf("wal: scan frame at %d: %w", off, err)
-		}
-		n := binary.BigEndian.Uint32(frame[0:4])
-		crc := binary.BigEndian.Uint32(frame[4:8])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return fmt.Errorf("wal: scan payload at %d: %w", off, err)
-		}
-		if codec.Checksum(payload) != crc {
-			return fmt.Errorf("wal: crc mismatch at %d", off)
-		}
-		rec, err := decode(oid.LSN(off), payload)
+	valid, err := frames(l.f, end, func(lsn oid.LSN, payload []byte) error {
+		rec, err := decode(lsn, payload)
 		if err != nil {
 			return err
 		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		off += 8 + int64(n)
+		return fn(rec)
+	})
+	if err == nil && int64(valid) < end {
+		err = fmt.Errorf("wal: invalid frame at %d", valid)
 	}
-	return nil
+	return err
 }
 
 func decode(lsn oid.LSN, payload []byte) (Record, error) {
