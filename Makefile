@@ -269,7 +269,8 @@ hotpath:
 
 # The delta-tier battery (DESIGN.md §14, EXPERIMENTS.md E17): the
 # random-edit round-trip property across anchor intervals, the property
-# that the write paths leave Compact nothing to do, the crash matrix
+# that the write paths leave Compact nothing to do, Compact's sweeps of
+# tier-off chains and derivation trees, the crash matrix
 # over demotion commits, the materialisation cache and reshard-
 # interaction tests, and the deep-chain oracle workload — at
 # four shards under -race (the one-shard run covered no statement this

@@ -3,7 +3,8 @@ package ode
 // Delta storage tier (DESIGN.md §14) test battery: deterministic
 // demotion/promotion behavior, the encode→demote→materialize round-trip
 // property test across anchor intervals (with interior D-parent
-// deletes), materialisation-cache correctness, and delta chains
+// deletes), sweeps of tier-off chains and derivation trees,
+// materialisation-cache correctness, and delta chains
 // surviving a live reshard. Run by `make delta-matrix` at ODE_SHARDS=4
 // under -race.
 
@@ -698,6 +699,142 @@ func TestDeltaCompactTierOffHistory(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDeltaCompactTierOffTrees sweeps tier-off derivation trees, where
+// TestDeltaCompactTierOffHistory sweeps linear chains: each of 10 seeds
+// builds two objects at two shards with the tier off, deriving from
+// random live versions, editing some in place and deleting interior
+// ones. The history is reopened under the tier at intervals {1, 4, 16}
+// and swept, then reopened at interval 2 and swept again. After each
+// sweep every version reads back bit for bit, the store checks, no
+// chain is deeper than the interval, and a second sweep finds nothing;
+// the shrink to 2 must promote for some seed.
+func TestDeltaCompactTierOffTrees(t *testing.T) {
+	const seeds, edits = 10, 30
+	promoted := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		for _, interval := range []int{1, 4, 16} {
+			dir := t.TempDir()
+			want, owner := buildTierOffTree(t, dir, seed, edits)
+			compactTreeAt(t, dir, interval, want, owner)
+			promoted += compactTreeAt(t, dir, 2, want, owner).Promoted
+		}
+	}
+	if promoted == 0 {
+		t.Fatal("no seed promoted when the interval shrank to 2")
+	}
+}
+
+// buildTierOffTree writes seed's history with the delta tier off and
+// returns every live version's content and object.
+func buildTierOffTree(t *testing.T, dir string, seed int64, edits int) (map[VID][]byte, map[VID]OID) {
+	t.Helper()
+	db, err := Open(dir, &Options{Shards: 2, PageSize: 1024, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tid, err := db.Engine().RegisterType("TreeBlob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	want := map[VID][]byte{}
+	owner := map[VID]OID{}
+	live := map[OID][]VID{}
+	var objs []OID
+	for i := 0; i < 2; i++ {
+		content := make([]byte, 1024)
+		rng.Read(content)
+		err := db.Update(func(tx *Tx) error {
+			o, v, err := tx.CreateRaw(tid, content)
+			objs = append(objs, o)
+			want[v], owner[v], live[o] = content, o, []VID{v}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < edits; i++ {
+		o := objs[rng.Intn(len(objs))]
+		vs := live[o]
+		r := rng.Intn(10)
+		err := db.Update(func(tx *Tx) error {
+			switch {
+			case r < 7: // derive from a random live version, then edit
+				base := vs[rng.Intn(len(vs))]
+				v, err := tx.NewVersionFrom(o, base)
+				if err != nil {
+					return err
+				}
+				c := editBytes(rng, want[base])
+				want[v], owner[v], live[o] = c, o, append(vs, v)
+				return tx.UpdateVersionRaw(o, v, c)
+			case r < 8: // edit a random version in place
+				v := vs[rng.Intn(len(vs))]
+				c := editBytes(rng, want[v])
+				want[v] = c
+				return tx.UpdateVersionRaw(o, v, c)
+			default: // delete an interior version: not the root, not the latest
+				if len(vs) < 3 {
+					return nil
+				}
+				k := 1 + rng.Intn(len(vs)-2)
+				v := vs[k]
+				delete(want, v)
+				live[o] = append(vs[:k:k], vs[k+1:]...)
+				return tx.DeleteVersion(o, v)
+			}
+		})
+		if err != nil {
+			t.Fatalf("seed %d edit %d: %v", seed, i, err)
+		}
+	}
+	if ps := payloadStats(t, db); ps.Delta+ps.Same != 0 {
+		t.Fatalf("seed %d: delta tier off, yet %d deltas / %d shared payloads", seed, ps.Delta, ps.Same)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return want, owner
+}
+
+// compactTreeAt reopens dir under the delta tier at interval, sweeps it
+// and checks the result; it returns the first sweep's stats.
+func compactTreeAt(t *testing.T, dir string, interval int, want map[VID][]byte, owner map[VID]OID) CompactStats {
+	t.Helper()
+	db, err := Open(dir, &Options{
+		Shards: 2, PageSize: 1024, NoSync: true,
+		DeltaTier: true, AnchorInterval: interval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	st, err := db.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyAll(t, db, want, owner)
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatalf("interval %d: %v", interval, err)
+	}
+	if ps := payloadStats(t, db); ps.MaxDepth > interval {
+		t.Fatalf("chain depth %d exceeds anchor interval %d", ps.MaxDepth, interval)
+	}
+	again, err := db.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Demoted+again.Promoted != 0 {
+		t.Fatalf("interval %d: a sweep after a sweep found work: %+v (first %+v)", interval, again, st)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestDeltaPrimitives drives the per-version demote/promote primitives

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"time"
 
 	"ode/internal/delta"
@@ -27,36 +26,24 @@ import (
 // committed (delta on disk, chain intact) or it didn't (full payload
 // untouched). The write paths demote a version when it goes cold
 // (version.go); ode.DB.Compact sweeps older history through
-// CompactShard below.
+// CompactShard below, whose per-object pass (compactObject) offers each
+// version to the same demoteVersion and promoteVersion, oldest first.
+// So there is one demotion engine and one materialiser (readContent);
+// the sweep's price is depBelow's DChildren scan, O(versions), for each
+// version it demotes deep in history.
 
-// demotable is the one demotion rule, shared by demoteVersion and
-// compactObject's walk. A version may have its full payload re-encoded
-// as a delta against its D-parent when it is neither the object's
-// latest version (the hot dereference target stays cheap) nor a
-// derivation root, and when every dependent chain through it stays
-// within AnchorInterval links of a full anchor: parentDepth links down
-// to the D-parent's anchor, one for v, below for its deepest dependent
-// descendant. Whether the delta is worth keeping is demoteTo's call.
+// demotable is the one demotion rule, applied by demoteVersion and used
+// by compactObject to skip the versions it would refuse outright. A
+// version may have its full payload re-encoded as a delta against its
+// D-parent when it is neither the object's latest version (the hot
+// dereference target stays cheap) nor a derivation root, and when every
+// dependent chain through it stays within AnchorInterval links of a
+// full anchor: parentDepth links down to the D-parent's anchor, one for
+// v, below for its deepest dependent descendant. Whether the delta is
+// worth keeping is demoteVersion's call.
 func (tx *shardTx) demotable(v, latest oid.VID, rec verRec, parentDepth, below int) bool {
 	return rec.kind == payFull && v != latest && !rec.dprev.IsNil() &&
 		parentDepth+1+below <= tx.opts.AnchorInterval
-}
-
-// demoteTo overwrites rec's full payload with the delta from base (the
-// D-parent's content, at chain depth parentDepth) to content, provided
-// the delta is strictly smaller. It returns the bytes saved: 0 when the
-// delta would not shrink the payload and rec is left as it was.
-func (tx *shardTx) demoteTo(rec *verRec, parentDepth int, base, content []byte) (int, error) {
-	d := delta.Encode(base, content)
-	if len(d) >= len(content) {
-		return 0, nil
-	}
-	if err := tx.heap.Update(rec.payload, d); err != nil {
-		return 0, err
-	}
-	rec.kind = payDelta
-	rec.depth = uint16(parentDepth + 1)
-	return len(content) - len(d), nil
 }
 
 // setFull makes rec a full anchor holding content.
@@ -87,57 +74,69 @@ func (tx *shardTx) putPayload(rec *verRec, b []byte) error {
 
 // demoteVersion re-encodes (o, v)'s stored full payload as a delta
 // against its D-parent when demotable allows it and the delta is
-// smaller. It reports whether a demotion happened: a refusal is not an
-// error, since most callers are write-path hooks trying versions that
-// may have gone cold.
-func (tx *shardTx) demoteVersion(o oid.OID, v oid.VID) (bool, error) {
+// smaller. It returns the payload bytes the demotion saved, 0 when it
+// refused: a refusal is not an error, since most callers are write-path
+// hooks and the sweep trying versions that may have gone cold.
+func (tx *shardTx) demoteVersion(o oid.OID, v oid.VID) (int, error) {
 	h, err := tx.loadHeader(o)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
 	rec, err := tx.loadVer(o, v)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	// The rule with the shortest chain it could see refuses most
-	// versions (dependents, roots, the latest) before the lookups the
-	// real chain length costs.
+	// The rule with the shortest chains it could see refuses most
+	// versions (dependents, roots, the latest, children of a parent at
+	// the bound) before any content is read, and a delta that would not
+	// shrink the payload is refused before depBelow's walk of the
+	// dependents, which scans the object's versions deep in history.
 	if !tx.demotable(v, h.latest, rec, 0, 0) {
-		return false, nil
+		return 0, nil
 	}
 	parent, err := tx.loadVer(o, rec.dprev)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	below, children, err := tx.depBelow(o, v)
-	if err != nil {
-		return false, err
-	}
-	if !tx.demotable(v, h.latest, rec, int(parent.depth), below) {
-		return false, nil
+	depth := int(parent.depth)
+	if !tx.demotable(v, h.latest, rec, depth, 0) {
+		return 0, nil
 	}
 	base, err := tx.readContent(o, parent)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
 	content, err := tx.readContent(o, rec)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	saved, err := tx.demoteTo(&rec, int(parent.depth), base, content)
-	if err != nil || saved == 0 {
-		return false, err
+	d := delta.Encode(base, content)
+	if len(d) >= len(content) {
+		return 0, nil
 	}
+	below, children, err := tx.depBelow(o, v)
+	if err != nil {
+		return 0, err
+	}
+	if !tx.demotable(v, h.latest, rec, depth, below) {
+		return 0, nil
+	}
+	if err := tx.heap.Update(rec.payload, d); err != nil {
+		return 0, err
+	}
+	rec.kind = payDelta
+	rec.depth = uint16(depth + 1)
+	saved := len(content) - len(d)
 	if err := tx.storeVer(o, v, rec); err != nil {
-		return false, err
+		return 0, err
 	}
 	if err := tx.fixDepths(o, children, rec.depth); err != nil {
-		return false, err
+		return 0, err
 	}
 	tx.saveRoots()
 	tx.e.m.DeltaDemotions.Inc()
 	tx.e.m.DeltaBytesSaved.Add(uint64(saved))
-	return true, nil
+	return saved, nil
 }
 
 // demoteAnchorOf retries demotion of the full anchor v's content hangs
@@ -242,175 +241,57 @@ func (s *CompactStats) add(o CompactStats) {
 	s.More = s.More || o.More
 }
 
-// verNode is compactObject's in-memory copy of one version record.
-type verNode struct {
-	v        oid.VID
-	rec      verRec
-	children []*verNode
-	depBelow int // scan-time dependent-descendant depth below this node
-}
-
-// compactObject walks one object's whole derivation forest top-down,
-// demoting eligible full payloads, promoting over-deep dependents, and
-// repairing stale depth hints — the batch form of demoteVersion that
-// costs one version scan per object instead of one per version. At most
-// lim demotions+promotions are performed (depth repairs are always
-// applied, keeping the object consistent); stats.More reports a budget
-// cut. The walk carries each parent's materialised content down the
-// tree so no chain is ever walked twice.
+// compactObject is the sweep's pass over one object: its versions in
+// temporal order, each through the write path's own primitives. A
+// D-parent is older than its children (CheckObject invariant 6), so
+// every version is decided after its parent, against depths the
+// decisions above it already re-based. A dependent version is promoted
+// when it is the latest (only earlier code wrote one) or sits deeper
+// than AnchorInterval (it shrank across a reopen); a full one is offered
+// to demoteVersion. At most lim promotions and demotions are made;
+// stats.More reports that the budget ran out before a version that
+// might take one.
 func (tx *shardTx) compactObject(o oid.OID, lim int) (CompactStats, error) {
-	var stats CompactStats
+	stats := CompactStats{Objects: 1}
 	h, err := tx.loadHeader(o)
 	if err != nil {
 		return stats, err
 	}
-
-	// One scan: load every version record.
-	nodes := make(map[oid.VID]*verNode)
-	err = tx.verIdx.AscendPrefix(objKey(o), func(k, val []byte) (bool, error) {
-		v := oid.VID(binary.BigEndian.Uint64(k[8:16]))
-		rec, err := decodeVerRec(val)
-		if err != nil {
-			return false, err
-		}
-		nodes[v] = &verNode{v: v, rec: rec}
-		return true, nil
-	})
+	vids, err := tx.Versions(o)
 	if err != nil {
 		return stats, err
 	}
-	var roots []*verNode
-	for _, n := range nodes {
-		if p, ok := nodes[n.rec.dprev]; ok && !n.rec.dprev.IsNil() {
-			p.children = append(p.children, n)
-		} else {
-			roots = append(roots, n)
-		}
-	}
-	// Scan-time dependent depths, bottom-up, counting the latest as the
-	// anchor the walk makes it. A node's decision below only ever
-	// extends chains whose other links are re-checked with exact
-	// post-decision depths, so these stay valid during the walk.
-	var fillDep func(n *verNode) int
-	fillDep = func(n *verNode) int {
-		max := 0
-		for _, c := range n.children {
-			d := fillDep(c)
-			if c.rec.kind != payFull && c.v != h.latest && 1+d > max {
-				max = 1 + d
-			}
-		}
-		n.depBelow = max
-		return max
-	}
-	for _, r := range roots {
-		fillDep(r)
-	}
-
-	budget := lim
-	var walk func(n *verNode, parentDepth int, parentContent []byte) error
-	walk = func(n *verNode, parentDepth int, parentContent []byte) error {
-		rec := &n.rec
-		// Materialise this node from its parent's content.
-		var content []byte
-		switch rec.kind {
-		case payFull:
-			c, err := tx.heap.Read(rec.payload)
-			if err != nil {
-				return err
-			}
-			content = c
-		case paySame:
-			content = parentContent
-		case payDelta:
-			d, err := tx.heap.Read(rec.payload)
-			if err != nil {
-				return err
-			}
-			c, err := delta.Apply(parentContent, d)
-			if err != nil {
-				return err
-			}
-			content = c
-		default:
-			return fmt.Errorf("%w: payload kind %d", ErrCorrupt, rec.kind)
-		}
-
-		depth := 0
-		dirty := false
-		switch {
-		case rec.kind == payFull:
-			if !tx.demotable(n.v, h.latest, *rec, parentDepth, n.depBelow) {
-				break
-			}
-			if budget <= 0 {
-				stats.More = true
-				break
-			}
-			saved, err := tx.demoteTo(rec, parentDepth, parentContent, content)
-			if err != nil {
-				return err
-			}
-			if saved > 0 {
-				depth = parentDepth + 1
-				dirty = true
-				budget--
-				stats.Demoted++
-				stats.BytesSaved += int64(saved)
-			}
-		case n.v == h.latest || parentDepth+1 > tx.opts.AnchorInterval:
-			// A dependent latest (only earlier code wrote one) or an
-			// over-deep dependent: insert a full anchor here.
-			if budget > 0 {
-				if err := tx.setFull(rec, content); err != nil {
-					return err
-				}
-				dirty = true
-				budget--
-				stats.Promoted++
-			} else {
-				// Budget cut: keep the (over-deep but readable) chain
-				// and let the next pass anchor it.
-				depth = parentDepth + 1
-				if rec.depth != uint16(depth) {
-					rec.depth = uint16(depth)
-					dirty = true
-				}
-				stats.More = true
-			}
-		default:
-			depth = parentDepth + 1
-			if rec.depth != uint16(depth) {
-				rec.depth = uint16(depth)
-				dirty = true
-			}
-		}
-		if dirty {
-			if err := tx.storeVer(o, n.v, *rec); err != nil {
-				return err
-			}
-		}
-		for _, c := range n.children {
-			if err := walk(c, depth, content); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, r := range roots {
-		if err := walk(r, 0, nil); err != nil {
+	for _, v := range vids {
+		rec, err := tx.loadVer(o, v)
+		if err != nil {
 			return stats, err
 		}
+		promote := rec.kind != payFull &&
+			(v == h.latest || int(rec.depth) > tx.opts.AnchorInterval)
+		if !promote && !tx.demotable(v, h.latest, rec, 0, 0) {
+			continue
+		}
+		if stats.Demoted+stats.Promoted >= lim {
+			stats.More = true
+			break
+		}
+		if promote {
+			if _, err := tx.promoteVersion(o, v); err != nil {
+				return stats, err
+			}
+			stats.Promoted++
+			continue
+		}
+		saved, err := tx.demoteVersion(o, v)
+		if err != nil {
+			return stats, err
+		}
+		if saved > 0 {
+			stats.Demoted++
+			stats.BytesSaved += int64(saved)
+		}
 	}
-	stats.Objects = 1
-	if stats.Demoted+stats.Promoted > 0 {
-		tx.saveRoots()
-	}
-	m := tx.e.m
-	m.CompactObjects.Inc()
-	m.DeltaDemotions.Add(uint64(stats.Demoted))
-	m.DeltaPromotions.Add(uint64(stats.Promoted))
-	m.DeltaBytesSaved.Add(uint64(stats.BytesSaved))
+	tx.e.m.CompactObjects.Inc()
 	return stats, nil
 }
 
@@ -579,18 +460,19 @@ func (e *Engine) PayloadStats() (PayloadStats, error) {
 	return ps, err
 }
 
-// DemoteVersion demotes one version through the routing layer (odeshell
-// surface; tests use it to build precise shapes).
+// DemoteVersion demotes one version through the routing layer. Only
+// tests call it, to build precise shapes; odeshell sweeps with Compact.
 func (tx *Tx) DemoteVersion(o oid.OID, v oid.VID) (bool, error) {
 	b, err := tx.shardW(tx.byO(o))
 	if err != nil {
 		return false, err
 	}
-	return b.demoteVersion(o, v)
+	saved, err := b.demoteVersion(o, v)
+	return saved > 0, err
 }
 
 // PromoteVersion anchors one version as a full payload through the
-// routing layer.
+// routing layer. Only tests call it.
 func (tx *Tx) PromoteVersion(o oid.OID, v oid.VID) (bool, error) {
 	b, err := tx.shardW(tx.byO(o))
 	if err != nil {

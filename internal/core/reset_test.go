@@ -335,7 +335,8 @@ func TestBatchFailureResetsOnlyItsShard(t *testing.T) {
 }
 
 // TestIDsUniqueAcrossAbortOnLeasingShard: an attempt that takes a lease
-// and aborts loses the lease with its rollback; the ids handed out
+// and aborts keeps the lease, which outlives the rollback, and NextID
+// covers the persisted counter again on its next id; the ids handed out
 // afterwards never repeat a committed one.
 func TestIDsUniqueAcrossAbortOnLeasingShard(t *testing.T) {
 	e := newShardedEngine(t, 3, Options{})

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ode/internal/codec"
 	"ode/internal/delta"
@@ -160,7 +161,8 @@ func (tx *shardTx) Create(t oid.TypeID, content []byte) (oid.OID, oid.VID, error
 // --- content materialisation ---
 
 // readContent materialises the content of (o, rec) by walking the delta
-// chain down to the nearest full payload and applying the deltas back up.
+// chain down to the nearest full payload and applying the deltas back up
+// (delta.MaterializeChain). It is the engine's one materialiser.
 // Iterative so that long chains cannot exhaust the stack; the chain
 // length is bounded by Options.AnchorInterval via depth accounting anyway.
 func (tx *shardTx) readContent(o oid.OID, rec verRec) ([]byte, error) {
@@ -175,14 +177,8 @@ func (tx *shardTx) readContent(o oid.OID, rec verRec) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Apply collected deltas in reverse (anchor-first) order.
-			for i := len(chain) - 1; i >= 0; i-- {
-				base, err = delta.Apply(base, chain[i])
-				if err != nil {
-					return nil, err
-				}
-			}
-			return base, nil
+			slices.Reverse(chain) // anchor-first
+			return delta.MaterializeChain(base, chain)
 		case paySame:
 			// Content equals the parent's; nothing to collect.
 		case payDelta:
